@@ -7,8 +7,20 @@ in ``[0, p)`` with modular inverses.  There is no floating point anywhere:
 exactness verdicts downstream (image = kernel tests) are bit-decisions and
 must not depend on tolerances.
 
-Matrices are dense, which is fine at the scale this package targets
-(complexes with at most a few thousand basis elements overall).
+`Matrix` stores its entries densely, but the work is sparse: boundary,
+action and relation matrices are mostly zeros, so elimination and products
+skip them.  `_eliminate` is the one elimination kernel.  It runs
+Gauss-Jordan on rows held as ``{column: value}`` dicts; over F_p the values
+are plain ints in ``[0, p)`` (``Residue`` objects are converted on entry and
+back on exit), over Q they are `Fraction`.  Zero tests are truthiness tests.
+
+Pivot columns are taken in the caller's column order, and only the pivot
+*row* is chosen freely: the sparsest pending row that is nonzero in the
+current column, which keeps fill-in low.  The reduced row echelon form is
+unique for a fixed column order, so the row choice never shows in a result.
+Choosing the column as well (Markowitz-style) would cut fill-in further,
+but it changes which columns are pivots, and with them every kernel basis,
+homology representative and action matrix the package prints.
 """
 
 from __future__ import annotations
@@ -121,7 +133,114 @@ def field_from_name(name: str):
     raise FieldError(f"unknown field {name!r} (expected 'q' or 'fp:<prime>')")
 
 
-Vector = tuple
+# -- sparse elimination --------------------------------------------------------
+#
+# Sparse rows and vectors are dicts {column: value} that hold only nonzero
+# values: ints in [0, p) over F_p, Fractions over Q.  `p` is 0 for Q.
+
+
+def _modulus(zero) -> int:
+    """p for the prime field whose zero is `zero`, 0 for the rationals."""
+    return zero.p if isinstance(zero, Residue) else 0
+
+
+def _sparse(vec, p: int) -> dict:
+    """Sparse form of a vector of field scalars."""
+    if p:
+        return {j: a.value for j, a in enumerate(vec) if a.value}
+    return {j: a for j, a in enumerate(vec) if a}
+
+
+def _dense(row: dict, n: int, zero, p: int) -> list:
+    """Field scalars of a sparse row of length n; values are reduced mod p here."""
+    out = [zero] * n
+    if p:
+        for j, a in row.items():
+            a %= p
+            if a:
+                out[j] = Residue(a, p)
+    else:
+        for j, a in row.items():
+            if a:
+                out[j] = a
+    return out
+
+
+def _axpy(target: dict, f, row: dict, p: int) -> None:
+    """target -= f * row in place, dropping the entries that cancel."""
+    get = target.get
+    if p:
+        for j, a in row.items():
+            x = (get(j, 0) - f * a) % p
+            if x:
+                target[j] = x
+            else:
+                del target[j]
+    else:
+        for j, a in row.items():
+            x = get(j, 0) - f * a
+            if x:
+                target[j] = x
+            else:
+                del target[j]
+
+
+def _eliminate(rows: list[dict], order: Iterable[int], p: int):
+    """Gauss-Jordan on sparse rows, which it modifies; returns (rows, pivots).
+
+    Pivot columns are taken in `order`; the pivot row for a column is the
+    sparsest pending row that is nonzero there.  Returned row k is 1 at
+    ``pivots[k]`` and 0 at every other pivot column.  When every row gets a
+    pivot, or `order` names every column, the result is the reduced row
+    echelon form for that column order, whichever rows were chosen.
+    """
+    pending = list(range(len(rows)))
+    done: list[dict] = []
+    pivots: list[int] = []
+    for c in order:
+        if not pending:
+            break
+        hits = [i for i in pending if c in rows[i]]
+        if not hits:
+            continue
+        i = min(hits, key=lambda k: len(rows[k]))
+        pending.remove(i)
+        row = rows[i]
+        a = row[c]
+        if a != 1:
+            if p:
+                inv = pow(a, -1, p)
+                row = {j: v * inv % p for j, v in row.items()}
+            else:
+                row = {j: v / a for j, v in row.items()}
+        for k in hits:
+            if k != i:
+                _axpy(rows[k], rows[k][c], row, p)
+        done.append(row)
+        pivots.append(c)
+    # Forward elimination left row k zero at the pivots before it; clear the
+    # pivots after it, last pivot first.
+    for k in range(len(done) - 1, 0, -1):
+        c, row = pivots[k], done[k]
+        for above in done[:k]:
+            f = above.get(c)
+            if f:
+                _axpy(above, f, row, p)
+    return done, pivots
+
+
+def _residual(v: dict, rows: list[dict], pivots: list[int], p: int) -> dict:
+    """v minus its projection on reduced rows: empty iff v lies in their span.
+
+    Rows in reduced echelon form are 1 at their own pivot and 0 at the
+    others, so the only candidate combination has coefficient v[pivot].
+    """
+    r = dict(v)
+    for row, c in zip(rows, pivots):
+        f = v.get(c)
+        if f:
+            _axpy(r, f, row, p)
+    return r
 
 
 class Matrix:
@@ -151,6 +270,16 @@ class Matrix:
 
     def __setattr__(self, *a):
         raise AttributeError("Matrix is immutable")
+
+    @classmethod
+    def _from_scalars(cls, field, rows: int, cols: int, data: Iterable[Sequence]) -> "Matrix":
+        """A matrix from rows of field scalars computed here, without coercion."""
+        m = object.__new__(cls)
+        object.__setattr__(m, "field", field)
+        object.__setattr__(m, "rows", rows)
+        object.__setattr__(m, "cols", cols)
+        object.__setattr__(m, "data", tuple(map(tuple, data)))
+        return m
 
     @staticmethod
     def _coerce(field, v):
@@ -218,30 +347,30 @@ class Matrix:
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise FieldError(f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        z = self.field.zero
+        zero = self.field.zero
+        p = _modulus(zero)
+        right = [tuple(_sparse(r, p).items()) for r in other.data]
         out = []
-        for i in range(self.rows):
-            ri = self.data[i]
-            row = []
-            for j in range(other.cols):
-                acc = z
-                for k in range(self.cols):
-                    v = ri[k]
-                    if v != z:
-                        acc = acc + v * other.data[k][j]
-                row.append(acc)
-            out.append(row)
-        return Matrix(self.field, self.rows, other.cols, out)
+        for r in self.data:
+            acc: dict = {}
+            get = acc.get
+            for k, a in _sparse(r, p).items():
+                for j, b in right[k]:
+                    acc[j] = get(j, 0) + a * b
+            out.append(_dense(acc, other.cols, zero, p))
+        return Matrix._from_scalars(self.field, self.rows, other.cols, out)
 
     def matvec(self, v: Sequence) -> tuple:
         if len(v) != self.cols:
             raise FieldError(f"vector length {len(v)} != cols {self.cols}")
-        z = self.field.zero
-        v = tuple(self._coerce(self.field, x) for x in v)
-        return tuple(
-            sum((self.data[i][k] * v[k] for k in range(self.cols) if v[k] != z),
-                start=z)
-            for i in range(self.rows))
+        zero = self.field.zero
+        p = _modulus(zero)
+        nz = _sparse([self._coerce(self.field, x) for x in v], p).items()
+        if p:
+            out = {i: sum(row[k].value * a for k, a in nz) for i, row in enumerate(self.data)}
+        else:
+            out = {i: sum(row[k] * a for k, a in nz) for i, row in enumerate(self.data)}
+        return tuple(_dense(out, self.rows, zero, p))
 
     def __add__(self, other: "Matrix") -> "Matrix":
         if (self.rows, self.cols) != (other.rows, other.cols):
@@ -276,8 +405,7 @@ class Matrix:
         return Matrix(self.field, self.rows + other.rows, self.cols, self.data + other.data)
 
     def is_zero(self) -> bool:
-        z = self.field.zero
-        return all(a == z for r in self.data for a in r)
+        return not any(map(any, self.data))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Matrix) and self.rows == other.rows
@@ -292,32 +420,16 @@ class Matrix:
 
 
 def _rref(rows: list[list], ncols: int, zero, col_order: Sequence[int] | None = None):
-    """Reduced row echelon form in place; returns (nonzero rows, pivot columns).
+    """Reduced row echelon form; returns (nonzero rows, pivot columns).
 
+    Rows of field scalars in and out; `_eliminate` does the work.
     `col_order` controls which columns are eligible for pivots first; it is
     how callers obtain a second, independent particular solution.
     """
-    order = list(range(ncols)) if col_order is None else list(col_order)
-    rows = [list(r) for r in rows]
-    pivots: list[int] = []
-    r = 0
-    for c in order:
-        if r == len(rows):
-            break
-        piv = next((i for i in range(r, len(rows)) if rows[i][c] != zero), None)
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = rows[r][c]
-        rows[r] = [v / inv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != zero:
-                f = rows[i][c]
-                rowr = rows[r]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rowr)]
-        pivots.append(c)
-        r += 1
-    return rows[:r], pivots
+    p = _modulus(zero)
+    order = range(ncols) if col_order is None else col_order
+    done, pivots = _eliminate([_sparse(r, p) for r in rows], order, p)
+    return [_dense(r, ncols, zero, p) for r in done], pivots
 
 
 def rank(m: Matrix) -> int:
@@ -326,24 +438,34 @@ def rank(m: Matrix) -> int:
     return len(pivots)
 
 
+def _vectors(field, ambient_dim: int, vectors: Sequence[Sequence]) -> list[tuple]:
+    """Vectors as tuples of field scalars, each checked to have the ambient length."""
+    vecs = [tuple(Matrix._coerce(field, x) for x in v) for v in vectors]
+    for v in vecs:
+        if len(v) != ambient_dim:
+            raise FieldError(f"basis vector length {len(v)} != ambient {ambient_dim}")
+    return vecs
+
+
 class Subspace:
     """A subspace of a coordinate space, given by an independent basis."""
 
-    __slots__ = ("field", "ambient_dim", "basis", "_rref_rows", "_pivots")
+    __slots__ = ("field", "ambient_dim", "basis", "_rref_rows", "_pivots", "_elimination")
 
     def __init__(self, field, ambient_dim: int, basis: Sequence[Sequence]):
-        vecs = [tuple(Matrix._coerce(field, x) for x in v) for v in basis]
-        for v in vecs:
-            if len(v) != ambient_dim:
-                raise FieldError(f"basis vector length {len(v)} != ambient {ambient_dim}")
-        rref_rows, pivots = _rref([list(v) for v in vecs], ambient_dim, field.zero)
+        vecs = _vectors(field, ambient_dim, basis)
+        rref_rows, pivots = _rref(vecs, ambient_dim, field.zero)
         if len(rref_rows) != len(vecs):
             raise FieldError("basis not independent")
+        self._set(field, ambient_dim, vecs, rref_rows, pivots)
+
+    def _set(self, field, ambient_dim, basis, rref_rows, pivots) -> None:
         object.__setattr__(self, "field", field)
         object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "basis", tuple(vecs))
+        object.__setattr__(self, "basis", tuple(basis))
         object.__setattr__(self, "_rref_rows", tuple(tuple(r) for r in rref_rows))
         object.__setattr__(self, "_pivots", tuple(pivots))
+        object.__setattr__(self, "_elimination", None)
 
     def __setattr__(self, *a):
         raise AttributeError("Subspace is immutable")
@@ -358,25 +480,59 @@ class Subspace:
 
     @classmethod
     def span(cls, field, ambient_dim: int, vectors: Sequence[Sequence]) -> "Subspace":
-        """Subspace spanned by possibly dependent vectors."""
-        vecs = [[Matrix._coerce(field, x) for x in v] for v in vectors]
-        rref_rows, _ = _rref(vecs, ambient_dim, field.zero)
-        return cls(field, ambient_dim, rref_rows)
+        """Subspace spanned by possibly dependent vectors; its basis is their rref."""
+        rref_rows, pivots = _rref(_vectors(field, ambient_dim, vectors), ambient_dim, field.zero)
+        sub = object.__new__(cls)
+        sub._set(field, ambient_dim, [tuple(r) for r in rref_rows], rref_rows, pivots)
+        return sub
 
     @property
     def dim(self) -> int:
         return len(self.basis)
 
-    def contains(self, v: Sequence) -> bool:
-        v = [Matrix._coerce(self.field, x) for x in v]
+    def _eliminated(self):
+        """(rref rows, pivots, transforms) as sparse rows, computed once.
+
+        Row-reducing [basis | identity] gives rref row k together with the
+        combination of basis vectors that equals it, transform k.
+        """
+        if self._elimination is None:
+            p = _modulus(self.field.zero)
+            n = self.ambient_dim
+            one = 1 if p else Fraction(1)
+            rows = [_sparse(v, p) for v in self.basis]
+            for j, row in enumerate(rows):
+                row[n + j] = one
+            done, pivots = _eliminate(rows, range(n), p)
+            object.__setattr__(self, "_elimination", (
+                [{c: a for c, a in r.items() if c < n} for r in done], pivots,
+                [{c - n: a for c, a in r.items() if c >= n} for r in done]))
+        return self._elimination
+
+    def _sparse_vector(self, v: Sequence) -> dict:
         if len(v) != self.ambient_dim:
             raise FieldError("vector length mismatch")
-        z = self.field.zero
-        for row, p in zip(self._rref_rows, self._pivots):
-            c = v[p]
-            if c != z:
-                v = [a - c * b for a, b in zip(v, row)]
-        return all(a == z for a in v)
+        return _sparse([Matrix._coerce(self.field, x) for x in v], _modulus(self.field.zero))
+
+    def contains(self, v: Sequence) -> bool:
+        sv = self._sparse_vector(v)
+        rows, pivots, _ = self._eliminated()
+        return not _residual(sv, rows, pivots, _modulus(self.field.zero))
+
+    def coordinates(self, v: Sequence) -> tuple | None:
+        """The coefficients of v in `basis`, or None when v is not in the subspace."""
+        sv = self._sparse_vector(v)
+        rows, pivots, transforms = self._eliminated()
+        zero = self.field.zero
+        p = _modulus(zero)
+        if _residual(sv, rows, pivots, p):
+            return None
+        x: dict = {}
+        for t, c in zip(transforms, pivots):
+            f = sv.get(c)
+            if f:
+                _axpy(x, -f, t, p)
+        return tuple(_dense(x, self.dim, zero, p))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Subspace)

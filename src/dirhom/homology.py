@@ -13,9 +13,9 @@ is built; well-definedness on homology follows.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 
-from .exactla import Matrix, Subspace, kernel_basis, image_basis, solve_in_image
+from .exactla import Matrix, Subspace, _rref, kernel_basis, image_basis
 from .cubechain import (
     CubeChain, GradedComplex, PairGradedComplex, ChainError, build_complex,
 )
@@ -36,34 +36,34 @@ class PairHomology:
     reps: list[tuple]          # cycle representatives, chain coordinates
     cycles: Subspace
     boundaries: Subspace
+    _classes: Subspace | None = dataclass_field(default=None, init=False, repr=False, compare=False)
 
     def class_vector(self, v) -> tuple:
         """Coordinates of the class of a cycle v in the representative basis."""
-        field = self.cycles.field
-        cols = [list(r) for r in self.reps] + [list(b) for b in self.boundaries.basis]
-        m = Matrix.from_columns(field, cols, length=self.cycles.ambient_dim)
-        sol = solve_in_image(m, v)
+        if self._classes is None:
+            self._classes = Subspace(self.cycles.field, self.cycles.ambient_dim,
+                                     list(self.reps) + list(self.boundaries.basis))
+        sol = self._classes.coordinates(v)
         if sol is None:
             raise ChainError("vector is not a cycle of this component")
-        return tuple(sol[: self.dim])
+        return sol[: self.dim]
 
     def is_boundary(self, v) -> bool:
         return self.boundaries.contains(v)
 
 
 def homology_of(cx: GradedComplex, i: int, pair) -> PairHomology:
-    """ker d_i / im d_{i+1} for one pair component."""
+    """ker d_i / im d_{i+1} for one pair component.
+
+    A cycle becomes a representative when it is outside the span of the
+    boundaries and the cycles before it, that is, when its column is a
+    pivot column of the matrix [boundary basis | cycle basis].
+    """
     ker = kernel_basis(cx.diff(i, pair))
     img = image_basis(cx.diff(i + 1, pair))
-    reps: list[tuple] = []
-    seen = [list(b) for b in img.basis]
-    field = cx.field
-    span = Subspace.span(field, ker.ambient_dim, seen)
-    for v in ker.basis:
-        if not span.contains(v):
-            reps.append(v)
-            seen.append(list(v))
-            span = Subspace.span(field, ker.ambient_dim, seen)
+    both = Matrix.from_columns(cx.field, img.basis + ker.basis, length=ker.ambient_dim)
+    _, pivots = _rref([list(r) for r in both.data], both.cols, cx.field.zero)
+    reps = [ker.basis[j - img.dim] for j in pivots if j >= img.dim]
     hom = PairHomology(i, pair, len(reps), reps, ker, img)
     assert hom.dim == ker.dim - img.dim
     return hom
@@ -95,10 +95,10 @@ class HomologyTable:
         self.field = cx.field
         self.entries: dict[tuple[int, str, str], PairHomology] = {}
         for (i, s, e) in sorted(cx.bases):
-            self.entries[(i, s, e)] = homology_of(cx, i, (s, e))
+            self.entry(i, s, e)
         for i in range(cx.top_degree + 1):
             for s, e in cx.pairs():
-                self.entries.setdefault((i, s, e), homology_of(cx, i, (s, e)))
+                self.entry(i, s, e)
         self._chain_left: dict[tuple[str, int, str, str], Matrix] = {}
         self._chain_right: dict[tuple[str, int, str, str], Matrix] = {}
         self._verify_actions_are_chain_maps()

@@ -1,0 +1,83 @@
+"""The CLI's stdout on a fixed set of runs, compared byte for byte.
+
+`cli_reference.json` maps each run's argument list (joined by spaces, with
+input names in place of file paths) to its exit code and stdout.  Changes
+to the linear-algebra kernel, to pivot choice or to how representatives
+are picked must leave every byte of these outputs unchanged.
+
+To record the reference again, after a change that is meant to alter the
+output, run ``PYTHONPATH=src python tests/test_cli_reference.py``.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+from click.testing import CliRunner
+
+import dirhom as dh
+from dirhom.cli import main
+
+from conftest import make_domino
+
+REFERENCE = Path(__file__).resolve().parent / "cli_reference.json"
+
+RUNS = [
+    *(f"homology --actions --format json --field {field} {name}"
+      for field in ("q", "fp:7") for name in ("D2", "S1", "D3", "domino")),
+    *(f"relative --format {fmt} D3 D3/S2" for fmt in ("text", "json")),
+    *(f"mv --format {fmt} domino domino/left domino/right" for fmt in ("text", "json")),
+    *(f"kunneth --format {fmt} S1 S1" for fmt in ("text", "json")),
+]
+
+
+def write_inputs(directory: Path) -> dict[str, str]:
+    """The sets and subset specs the runs name, as files in `directory`."""
+    files = {}
+    for name, x in [("D2", dh.directed_disc(2)), ("S1", dh.directed_sphere(1)),
+                    ("D3", dh.directed_disc(3)), ("domino", make_domino())]:
+        files[name] = str(directory / f"{name}.json")
+        dh.save(x, files[name])
+    dom = make_domino()
+    subsets = {"D3/S2": sorted(dh.directed_sphere(2).all_cells()),
+               "domino/left": sorted(dh.face_closure(dom, ["s1"])),
+               "domino/right": sorted(dh.face_closure(dom, ["s2"]))}
+    for name, cells in subsets.items():
+        files[name] = str(directory / (name.replace("/", "_") + ".json"))
+        Path(files[name]).write_text(json.dumps(cells))
+    return files
+
+
+def run(run_id: str, files: dict[str, str]) -> dict:
+    args = [files.get(a, a) for a in run_id.split()]
+    result = CliRunner().invoke(main, args, catch_exceptions=False)
+    return {"exit_code": result.exit_code, "stdout": result.stdout}
+
+
+@pytest.fixture(scope="module")
+def inputs(tmp_path_factory):
+    return write_inputs(tmp_path_factory.mktemp("cli_reference"))
+
+
+@pytest.fixture(scope="module")
+def reference():
+    return json.loads(REFERENCE.read_text(encoding="utf-8"))
+
+
+def test_reference_covers_every_run(reference):
+    assert sorted(reference) == sorted(RUNS)
+
+
+@pytest.mark.parametrize("run_id", RUNS)
+def test_output_is_byte_identical(run_id, inputs, reference):
+    assert run(run_id, inputs) == reference[run_id]
+
+
+if __name__ == "__main__":
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        inputs = write_inputs(Path(tmp))
+        doc = {run_id: run(run_id, inputs) for run_id in RUNS}
+    REFERENCE.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
+    print(f"wrote {len(doc)} runs to {REFERENCE}")

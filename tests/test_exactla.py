@@ -2,9 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from dirhom.exactla import (
-    FieldError, Matrix, PrimeField, QQ, Subspace, field_from_name,
+    FieldError, Matrix, PrimeField, QQ, Subspace, _rref, field_from_name,
     induced_on_quotient, invert, is_prime, kernel_basis, quotient_map, rank,
     solve_in_image,
 )
@@ -206,3 +207,137 @@ class TestInvariants:
     def test_invert_round_trip(self):
         m = M([[2, 1], [1, 1]])
         assert m @ invert(m) == Matrix.identity(QQ, 2)
+
+
+# -- differential tests against the dense reference ------------------------------
+
+
+def dense_rref(rows, ncols, zero, col_order=None):
+    """Reference: dense Gauss-Jordan, first nonzero pending row as pivot row."""
+    order = list(range(ncols)) if col_order is None else list(col_order)
+    rows = [list(r) for r in rows]
+    pivots = []
+    r = 0
+    for c in order:
+        if r == len(rows):
+            break
+        piv = next((i for i in range(r, len(rows)) if rows[i][c] != zero), None)
+        if piv is None:
+            continue
+        rows[r], rows[piv] = rows[piv], rows[r]
+        inv = rows[r][c]
+        rows[r] = [v / inv for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and rows[i][c] != zero:
+                f = rows[i][c]
+                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
+        pivots.append(c)
+        r += 1
+    return rows[:r], pivots
+
+
+def dense_matmul(a: Matrix, b: Matrix) -> tuple:
+    """Reference: the dense triple loop, as rows of field scalars."""
+    z = a.field.zero
+    out = []
+    for i in range(a.rows):
+        row = []
+        for j in range(b.cols):
+            acc = z
+            for k in range(a.cols):
+                if a.data[i][k] != z:
+                    acc = acc + a.data[i][k] * b.data[k][j]
+            row.append(acc)
+        out.append(tuple(row))
+    return tuple(out)
+
+
+FIELDS = (QQ, PrimeField(7), PrimeField(1009))
+
+
+@st.composite
+def scalars(draw, field):
+    """Mostly zeros and units, as the package's matrices are."""
+    n = draw(st.sampled_from([0, 0, 0, 1, -1, 2, -3]))
+    if field is QQ and draw(st.booleans()):
+        return Fraction(n, draw(st.integers(1, 4)))
+    return field.of(n)
+
+
+def random_rows(draw, field, rows, cols):
+    return [[draw(scalars(field)) for _ in range(cols)] for _ in range(rows)]
+
+
+@st.composite
+def matrices(draw):
+    """(field, kind, rows): sparse, low-rank products, or full row rank."""
+    field = draw(st.sampled_from(FIELDS))
+    kind = draw(st.sampled_from(["sparse", "low_rank", "full_row_rank"]))
+    nrows, ncols = draw(st.integers(0, 7)), draw(st.integers(0, 7))
+    if kind == "sparse":
+        data = random_rows(draw, field, nrows, ncols)
+    elif kind == "low_rank":
+        k = draw(st.integers(0, max(0, min(nrows, ncols) - 1)))
+        left = Matrix(field, nrows, k, random_rows(draw, field, nrows, k))
+        right = Matrix(field, k, ncols, random_rows(draw, field, k, ncols))
+        data = [list(r) for r in dense_matmul(left, right)]
+    else:
+        nrows = min(nrows, ncols)
+        # unit upper-triangular block times a permutation, then filler columns
+        data = random_rows(draw, field, nrows, ncols)
+        perm = draw(st.permutations(range(ncols)))
+        for i in range(nrows):
+            for j in range(i):
+                data[i][perm[j]] = field.zero
+            data[i][perm[i]] = field.one
+    zero_rows = draw(st.sets(st.integers(0, max(0, nrows - 1)), max_size=2))
+    for i in zero_rows:
+        if i < nrows:
+            data[i] = [field.zero] * ncols
+    if kind == "full_row_rank":
+        data = [r for i, r in enumerate(data) if i not in zero_rows]
+    return field, kind, data, ncols
+
+
+class TestAgainstDenseReference:
+    @settings(max_examples=150, deadline=None)
+    @given(matrices(), st.data())
+    def test_rref_rows_and_pivots_identical(self, m, data):
+        field, kind, rows, ncols = m
+        order = None
+        if data.draw(st.booleans()):
+            order = data.draw(st.permutations(range(ncols)))
+        got = _rref(rows, ncols, field.zero, order)
+        assert got == dense_rref(rows, ncols, field.zero, order)
+        assert all(type(a) is type(field.zero) for r in got[0] for a in r)
+        if kind == "full_row_rank":
+            assert len(got[1]) == len(rows)
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.sampled_from(FIELDS), st.integers(0, 6), st.integers(0, 6),
+           st.integers(0, 6), st.data())
+    def test_product_identical(self, field, r, k, c, data):
+        a = Matrix(field, r, k, random_rows(data.draw, field, r, k))
+        b = Matrix(field, k, c, random_rows(data.draw, field, k, c))
+        product = a @ b
+        assert product.data == dense_matmul(a, b)
+        assert product.is_zero() == all(v == field.zero for row in product.data for v in row)
+        for j in range(c):
+            assert a.matvec(b.column(j)) == product.column(j)
+
+    @settings(max_examples=100, deadline=None)
+    @given(matrices(), st.data())
+    def test_coordinates_recover_coefficients(self, m, data):
+        field, _, rows, ncols = m
+        sub = Subspace.span(field, ncols, rows)
+        coeffs = [data.draw(scalars(field)) for _ in range(sub.dim)]
+        v = [sum((c * b[j] for c, b in zip(coeffs, sub.basis)), start=field.zero)
+             for j in range(ncols)]
+        assert sub.contains(v)
+        assert sub.coordinates(v) == tuple(coeffs)
+        if sub.dim < ncols:
+            outside = [field.zero] * ncols
+            free = next(j for j in range(ncols) if j not in sub._pivots)
+            outside[free] = field.one
+            assert not sub.contains(outside)
+            assert sub.coordinates(outside) is None

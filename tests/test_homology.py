@@ -2,7 +2,7 @@ import pytest
 
 import dirhom as dh
 from dirhom.cubechain import ChainError, build_complex
-from dirhom.exactla import Matrix, PrimeField, QQ, rank
+from dirhom.exactla import Matrix, PrimeField, QQ, Subspace, rank
 from dirhom.homology import (
     HomologyTable, acyclicity_check, cochain_dual, homology, homology_of,
     induced_map,
@@ -59,6 +59,28 @@ class TestHomology:
                 chi_hom = sum((-1) ** i * homology_of(cx, i, pair).dim
                               for i in range(cx.top_degree + 1))
                 assert chi_chain == chi_hom
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(7)])
+    def test_representatives_are_the_greedy_choice(self, field):
+        # reference: accept a cycle when it is outside the span of the
+        # boundaries and the cycles accepted before it
+        for x in corpus():
+            cx = build_complex(x, None, field)
+            for pair in cx.pairs():
+                for i in range(cx.top_degree + 1):
+                    h = homology_of(cx, i, pair)
+                    seen = list(h.boundaries.basis)
+                    expected = []
+                    for v in h.cycles.basis:
+                        if not Subspace.span(field, h.cycles.ambient_dim, seen).contains(v):
+                            expected.append(v)
+                            seen.append(v)
+                    assert h.reps == expected
+                    for j, rep in enumerate(h.reps):
+                        assert h.class_vector(rep) == tuple(
+                            field.one if k == j else field.zero for k in range(h.dim))
+                    for b in h.boundaries.basis:
+                        assert h.class_vector(b) == (field.zero,) * h.dim
 
 
 class TestActions:

@@ -12,9 +12,9 @@ from .exactla import (
 )
 from .precubical import (
     FormatError, PcMorphism, PrecubicalError, PrecubicalSet, SubsetSpec,
-    TensorSet, compose, directed_disc, directed_sphere, disc_endpoints,
-    face_closure, from_json, load, realization, save, segment,
-    standard_cube, sub, tensor, tensor_morphism,
+    TensorSet, compose, directed_disc, directed_sphere, face_closure,
+    from_json, load, realization, save, segment, standard_cube, sub, tensor,
+    tensor_morphism,
 )
 from .cubechain import (
     BoundaryCheckError, ChainError, CubeChain, DirectedCycleError, FormalSum,
@@ -24,8 +24,7 @@ from .cubechain import (
 )
 from .homology import (
     AcyclicityVerdict, CochainComplexTable, HomologyTable, PairHomology,
-    acyclicity_check, cochain_dual, homology, homology_of, homology_table,
-    induced_map,
+    acyclicity_check, cochain_dual, homology_of, induced_map,
 )
 from .scalars import (
     AlgebraError, PathAlgebraIndex, PresentedBimodule, ResolvedBimodule,

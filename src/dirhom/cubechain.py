@@ -69,6 +69,10 @@ class CubeChain:
     def sort_key(self):
         return (len(self.cubes), self.cubes)
 
+    def image(self, f) -> "CubeChain":
+        """The chain of the images of the cubes under a cell map f."""
+        return CubeChain(f(self.src), f(self.dst), tuple(f(c) for c in self.cubes), self.dims)
+
     def __repr__(self) -> str:
         inner = ",".join(self.cubes) if self.cubes else f"@{self.src}"
         return f"<{inner}>"
@@ -345,6 +349,23 @@ class PairGradedComplex(GradedComplex):
                 raise ChainError("formal sum does not live in the requested grading")
             v[self.chain_index(chain)] = coeff
         return tuple(v)
+
+
+def _basis_map(field, images: Sequence, index: Mapping) -> Matrix:
+    """The 0/1 matrix sending source basis element j to ``images[j]``.
+
+    `index` gives the position of each target basis element; an image of
+    None maps to zero, and an image that is not a target basis element raises.
+    """
+    targets = []
+    for img in images:
+        j = None
+        if img is not None:
+            j = index.get(img)
+            if j is None:
+                raise ChainError(f"image {img!r} missing from the target basis")
+        targets.append(j)
+    return Matrix.unit_columns(field, len(index), targets)
 
 
 def build_complex(x: PrecubicalSet, max_degree: int | None = None,

@@ -319,6 +319,17 @@ class Matrix:
         return cls(field, length, len(cols),
                    [[cols[j][i] for j in range(len(cols))] for i in range(length)])
 
+    @classmethod
+    def unit_columns(cls, field, rows: int, targets: Sequence[int | None]) -> "Matrix":
+        """The 0/1 matrix whose column j is the unit vector at row ``targets[j]``,
+        or zero where that is None: the matrix of a map between two bases."""
+        z, o = field.zero, field.one
+        data = [[z] * len(targets) for _ in range(rows)]
+        for j, i in enumerate(targets):
+            if i is not None:
+                data[i][j] = o
+        return cls._from_scalars(field, rows, len(targets), data)
+
     def entry(self, i: int, j: int):
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError(f"entry ({i},{j}) outside {self.rows}x{self.cols} matrix")

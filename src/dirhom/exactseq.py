@@ -26,8 +26,8 @@ from .exactla import (
     rank, solve_in_image,
 )
 from .precubical import PrecubicalSet, SubsetSpec, sub
-from .cubechain import GradedComplex, PairGradedComplex, build_complex
-from .homology import PairHomology, homology_of
+from .cubechain import GradedComplex, PairGradedComplex, _basis_map, build_complex
+from .homology import PairHomology, homology_of, induced_on_homology
 from .scalars import (
     PathAlgebraIndex, SubcomplexExtension, extend_presented, extend_subcomplex,
     path_algebra, present_chain_module, present_homology,
@@ -154,34 +154,33 @@ def check_relative_pair(x: PrecubicalSet, spec: SubsetSpec, field=QQ,
 # -- quotient complexes -----------------------------------------------------------
 
 
-class QuotientComplex(GradedComplex):
-    """C(X) / (extension span of Y), with the projection matrices kept."""
+class _Quotient(GradedComplex):
+    """An ambient complex modulo the subcomplex whose (degree, pair)
+    component is ``subspace(i, pair)``, with the projection matrices kept."""
 
-    def __init__(self, cx: PairGradedComplex, span: SubcomplexExtension):
-        self.cx = cx
-        self.span = span
-        field = cx.field
-        dims = {}
-        diffs = {}
-        self.projections: dict[tuple[int, object], Matrix] = {}
-        subs: dict[tuple[int, object], Subspace] = {}
-        for pair in cx.pairs():
-            for i in range(cx.top_degree + 1):
-                subs[(i, pair)] = span.span(i, pair)
-        for pair in cx.pairs():
-            for i in range(cx.top_degree + 1):
-                n = cx.dim(i, pair)
-                q = quotient_map(n, subs[(i, pair)])
-                self.projections[(i, pair)] = q
-                dims[(i, pair)] = q.rows
-                if i >= 1:
-                    diffs[(i, pair)] = induced_on_quotient(
-                        cx.diff(i, pair), subs[(i, pair)], subs[(i - 1, pair)])
-        super().__init__(field, cx.top_degree, dims, diffs)
+    def __init__(self, ambient: GradedComplex, subspace):
+        subs = {(i, pair): subspace(i, pair)
+                for pair in ambient.pairs() for i in range(ambient.top_degree + 1)}
+        self.projections: dict[tuple[int, object], Matrix] = {
+            (i, pair): quotient_map(ambient.dim(i, pair), sub)
+            for (i, pair), sub in subs.items()}
+        diffs = {(i, pair): induced_on_quotient(ambient.diff(i, pair), sub, subs[(i - 1, pair)])
+                 for (i, pair), sub in subs.items() if i >= 1}
+        super().__init__(ambient.field, ambient.top_degree,
+                         {k: q.rows for k, q in self.projections.items()}, diffs)
         self.check_boundary_square()
 
     def projection(self, i: int, pair) -> Matrix:
         return self.projections[(i, pair)]
+
+
+class QuotientComplex(_Quotient):
+    """C(X) / (extension span of Y)."""
+
+    def __init__(self, cx: PairGradedComplex, span: SubcomplexExtension):
+        self.cx = cx
+        self.span = span
+        super().__init__(cx, span.span)
 
 
 def relative_complex(x: PrecubicalSet, spec: SubsetSpec, field=QQ,
@@ -382,8 +381,8 @@ def les_relative(x: PrecubicalSet, spec: SubsetSpec, field=QQ,
         for i in range(cx.top_degree, -1, -1):
             labels += [f"extH{i}", f"H{i}", f"relH{i}"]
             a_i, x_i, c_i = ha[(i, pair)], hx[(i, pair)], hc[(i, pair)]
-            inc_h = _induced(ses.include[(i, pair)], a_i, x_i, field)
-            prj_h = _induced(ses.project[(i, pair)], x_i, c_i, field)
+            inc_h = induced_on_homology(ses.include[(i, pair)], a_i, x_i)
+            prj_h = induced_on_homology(ses.project[(i, pair)], x_i, c_i)
             maps.append(inc_h)
             maps.append(prj_h)
             if i >= 1:
@@ -404,7 +403,7 @@ def les_relative(x: PrecubicalSet, spec: SubsetSpec, field=QQ,
 
     if verify_extension:
         result.extension_commutes = _extension_commutes_with_homology(
-            x, spec, cx, span, field)
+            x, spec, cx, {k: h.dim for k, h in ha.items()}, field)
     return result
 
 
@@ -413,14 +412,10 @@ def _reversed_order(ses: ShortExactData, i: int, pair):
     return list(range(n - 1, -1, -1))
 
 
-def _induced(chain_map: Matrix, src: PairHomology, dst: PairHomology, field) -> Matrix:
-    cols = [dst.class_vector(chain_map.matvec(rep)) for rep in src.reps]
-    return Matrix.from_columns(field, cols, length=dst.dim)
-
-
-def _extension_commutes_with_homology(x, spec, cx, span: SubcomplexExtension,
+def _extension_commutes_with_homology(x, spec, cx, ext_dims: dict[tuple[int, tuple], int],
                                       field) -> bool:
-    """Compare H(extension complex) with the extension of a presentation of H(Y)."""
+    """Compare H(extension complex), whose dimensions are `ext_dims`, with the
+    extension of a presentation of H(Y)."""
     from .homology import HomologyTable
     y, inc = sub(x, spec)
     cy = build_complex(y, None, field)
@@ -430,11 +425,11 @@ def _extension_commutes_with_homology(x, spec, cx, span: SubcomplexExtension,
         pb = present_homology(ty, i)
         res = extend_presented(pb, inc, alg).resolve()
         for pair in cx.pairs():
-            if homology_of(span, i, pair).dim != res.dim(*pair):
+            if ext_dims[(i, pair)] != res.dim(*pair):
                 return False
     for i in range(cy.top_degree + 1, cx.top_degree + 1):
         for pair in cx.pairs():
-            if homology_of(span, i, pair).dim != 0:
+            if ext_dims[(i, pair)] != 0:
                 return False
     return True
 
@@ -518,47 +513,22 @@ class QuotientComplexCache:
         return hit
 
 
-def _coordinates_inside(inner: SubcomplexExtension, outer: SubcomplexExtension,
-                        i: int, pair, field) -> Subspace:
-    """The inner span rewritten in the coordinates of the outer one."""
-    inner_idx = inner.kept.get((i, pair), [])
-    outer_idx = outer.kept.get((i, pair), [])
-    pos = {j: k for k, j in enumerate(outer_idx)}
-    basis = []
-    for j in inner_idx:
-        if j not in pos:
-            raise SequenceError("inner extension span is not inside the outer one")
-        v = [field.zero] * len(outer_idx)
-        v[pos[j]] = field.one
-        basis.append(v)
-    return Subspace(field, len(outer_idx), basis)
+def _span_inclusion(inner: SubcomplexExtension, outer: SubcomplexExtension,
+                    i: int, pair) -> Matrix:
+    """The inclusion of one extension span in a larger one, in their kept coordinates."""
+    pos = {j: k for k, j in enumerate(outer.kept.get((i, pair), []))}
+    return _basis_map(outer.field, inner.kept.get((i, pair), []), pos)
 
 
-class _LeftQuotient(GradedComplex):
+class _LeftQuotient(_Quotient):
     """ext C(X1) / ext C(X1 ^ X2), in the coordinates of the X1-span."""
 
     def __init__(self, span1: SubcomplexExtension, span12: SubcomplexExtension, field):
         # keep the spans alive: the module-level cache is keyed by their ids
         self.span1 = span1
         self.span12 = span12
-        cx = span1.cx
-        dims = {}
-        diffs = {}
-        self.projections = {}
-        subs = {}
-        for pair in cx.pairs():
-            for i in range(cx.top_degree + 1):
-                subs[(i, pair)] = _coordinates_inside(span12, span1, i, pair, field)
-        for pair in cx.pairs():
-            for i in range(cx.top_degree + 1):
-                q = quotient_map(span1.dim(i, pair), subs[(i, pair)])
-                self.projections[(i, pair)] = q
-                dims[(i, pair)] = q.rows
-                if i >= 1:
-                    diffs[(i, pair)] = induced_on_quotient(
-                        span1.diff(i, pair), subs[(i, pair)], subs[(i - 1, pair)])
-        super().__init__(field, cx.top_degree, dims, diffs)
-        self.check_boundary_square()
+        super().__init__(span1, lambda i, pair: Subspace(
+            field, span1.dim(i, pair), _span_inclusion(span12, span1, i, pair).columns()))
 
 
 class _LeftQuotientCache:
@@ -584,7 +554,7 @@ def _excision_map(cx, span1, span12, span2, i, pair, field,
     left = _LeftQuotientCache.get(span1, span12, field)
     quo2 = QuotientComplexCache.get(cx, span2, field)
     incl1 = span1.inclusion_matrix(i, pair)
-    q_left = left.projections[(i, pair)]
+    q_left = left.projection(i, pair)
     q_right = quo2.projection(i, pair)
     cols = []
     for rep in h_left.reps:
@@ -631,18 +601,6 @@ def mayer_vietoris(x: PrecubicalSet, s1: SubsetSpec, s2: SubsetSpec,
     hcl = {(i, p): homology_of(left, i, p) for p in cx.pairs() for i in range(top + 1)}
     hcr = {(i, p): homology_of(quo2, i, p) for p in cx.pairs() for i in range(top + 1)}
 
-    # chain-level maps
-    def indicator(span_small, span_big, i, pair):
-        small = span_small.kept.get((i, pair), [])
-        big = span_big.kept.get((i, pair), [])
-        pos = {j: k for k, j in enumerate(big)}
-        cols = []
-        for j in small:
-            v = [field.zero] * len(big)
-            v[pos[j]] = field.one
-            cols.append(v)
-        return Matrix.from_columns(field, cols, length=len(big))
-
     per_pair = {}
     for pair in cx.pairs():
         maps: list[Matrix] = []
@@ -655,12 +613,12 @@ def mayer_vietoris(x: PrecubicalSet, s1: SubsetSpec, s2: SubsetSpec,
             bx = hx[(i, pair)]
             labels += [f"(^)H{i}", f"H{i}(1)+H{i}(2)", f"H{i}(X)"]
             # A -> B1 (+) B2 : classes included into both parts
-            m_in1 = _induced(indicator(span12, span1, i, pair), a, b1, field)
-            m_in2 = _induced(indicator(span12, span2, i, pair), a, b2, field)
+            m_in1 = induced_on_homology(_span_inclusion(span12, span1, i, pair), a, b1)
+            m_in2 = induced_on_homology(_span_inclusion(span12, span2, i, pair), a, b2)
             maps.append(m_in1.stack(m_in2))
             # B1 (+) B2 -> X : difference of the inclusions
-            m1x = _induced(span1.inclusion_matrix(i, pair), b1, bx, field)
-            m2x = _induced(span2.inclusion_matrix(i, pair), b2, bx, field)
+            m1x = induced_on_homology(span1.inclusion_matrix(i, pair), b1, bx)
+            m2x = induced_on_homology(span2.inclusion_matrix(i, pair), b2, bx)
             maps.append(m1x.augment(-m2x))
             if i >= 1:
                 delta = _mv_connecting(cx, span1, span12, span2, left, quo2,
@@ -701,20 +659,9 @@ def _mv_connecting(cx, span1, span12, span2, left, quo2, i, pair, field,
     q_right = quo2.projection(i, pair)
     gamma = _excision_map(cx, span1, span12, span2, i, pair, field, c_left, c_right)
     # left-column snake data: 0 -> ext(X1^X2) -> ext(X1) -> left-quotient -> 0
-    include = {}
-    project = {}
-    for d in (i, i - 1):
-        small = span12.kept.get((d, pair), [])
-        big = span1.kept.get((d, pair), [])
-        pos = {j: k for k, j in enumerate(big)}
-        cols = []
-        for j in small:
-            v = [field.zero] * len(big)
-            v[pos[j]] = field.one
-            cols.append(v)
-        include[(d, pair)] = Matrix.from_columns(field, cols, length=len(big))
-        project[(d, pair)] = left.projections[(d, pair)]
-    ses = ShortExactData(span12, span1, left, include, project)
+    ses = ShortExactData(span12, span1, left,
+                         {(d, pair): _span_inclusion(span12, span1, d, pair) for d in (i, i - 1)},
+                         {(d, pair): left.projection(d, pair) for d in (i, i - 1)})
     snake = connecting_map(ses, i, pair, a_prev, c_left)
     cols = []
     for rep in bx.reps:

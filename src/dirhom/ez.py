@@ -30,9 +30,13 @@ from dataclasses import dataclass
 from .exactla import Matrix, QQ
 from .precubical import PcMorphism, PrecubicalSet, TensorSet, tensor
 from .cubechain import (
-    ChainError, CubeChain, GradedComplex, PairGradedComplex, build_complex,
+    ChainError, CubeChain, GradedComplex, PairGradedComplex, _basis_map,
+    build_complex,
 )
-from .homology import PairHomology, homology_of
+from .homology import (
+    _append_matrix, _prepend_matrix, chain_map_of_morphism, homology_of,
+    induced_on_homology,
+)
 from .scalars import h_morphism
 
 
@@ -117,44 +121,32 @@ class TensorComplex(GradedComplex):
         """Prepend a product edge on the appropriate tensor factor."""
         tx = self.tx
         u, v = tx.components(edge)
-        du, dv = tx.left.dim_of(u), tx.right.dim_of(v)
         s, e = pair
         s2 = tx.pair_id(*_shift_src(tx, s, edge))
-        src = self.bases.get((n, pair), [])
-        tgt_index = self.index.get((n, (s2, e)), {})
-        cols = []
-        for (ca, cb) in src:
-            if du == 1:
-                new = (CubeChain(tx.left.edge_source(u), ca.dst,
+        if tx.left.dim_of(u) == 1:
+            images = [(CubeChain(tx.left.edge_source(u), ca.dst,
                                  (u,) + ca.cubes, (1,) + ca.dims), cb)
-            else:
-                new = (ca, CubeChain(tx.right.edge_source(v), cb.dst,
+                      for ca, cb in self.bases.get((n, pair), [])]
+        else:
+            images = [(ca, CubeChain(tx.right.edge_source(v), cb.dst,
                                      (v,) + cb.cubes, (1,) + cb.dims))
-            col = [self.field.zero] * len(tgt_index)
-            col[tgt_index[new]] = self.field.one
-            cols.append(col)
-        return Matrix.from_columns(self.field, cols, length=len(tgt_index))
+                      for ca, cb in self.bases.get((n, pair), [])]
+        return _basis_map(self.field, images, self.index.get((n, (s2, e)), {}))
 
     def right_action_chain(self, edge: str, n: int, pair) -> Matrix:
         tx = self.tx
         u, v = tx.components(edge)
-        du = tx.left.dim_of(u)
         s, e = pair
         e2 = tx.pair_id(*_shift_dst(tx, e, edge))
-        src = self.bases.get((n, pair), [])
-        tgt_index = self.index.get((n, (s, e2)), {})
-        cols = []
-        for (ca, cb) in src:
-            if du == 1:
-                new = (CubeChain(ca.src, tx.left.edge_target(u),
+        if tx.left.dim_of(u) == 1:
+            images = [(CubeChain(ca.src, tx.left.edge_target(u),
                                  ca.cubes + (u,), ca.dims + (1,)), cb)
-            else:
-                new = (ca, CubeChain(cb.src, tx.right.edge_target(v),
+                      for ca, cb in self.bases.get((n, pair), [])]
+        else:
+            images = [(ca, CubeChain(cb.src, tx.right.edge_target(v),
                                      cb.cubes + (v,), cb.dims + (1,)))
-            col = [self.field.zero] * len(tgt_index)
-            col[tgt_index[new]] = self.field.one
-            cols.append(col)
-        return Matrix.from_columns(self.field, cols, length=len(tgt_index))
+                      for ca, cb in self.bases.get((n, pair), [])]
+        return _basis_map(self.field, images, self.index.get((n, (s, e2)), {}))
 
 
 def _shift_src(tx: TensorSet, s: str, edge: str) -> tuple[str, str]:
@@ -171,11 +163,6 @@ def _shift_dst(tx: TensorSet, e: str, edge: str) -> tuple[str, str]:
     if tx.left.dim_of(u) == 1:
         return tx.left.edge_target(u), ey
     return ex, tx.right.edge_target(v)
-
-
-def tensor_complex(tx: TensorSet, cxa: PairGradedComplex,
-                   cxb: PairGradedComplex) -> TensorComplex:
-    return TensorComplex(tx, cxa, cxb)
 
 
 # -- the separating map -----------------------------------------------------------
@@ -216,18 +203,8 @@ def split_one_chain(tx: TensorSet, chain: CubeChain
 def separating_matrix(tx: TensorSet, cxp: PairGradedComplex, tc: TensorComplex,
                       n: int, s: str, e: str) -> Matrix:
     """Matrix of the separating map C_n(X(x)Y)(s,e) -> tensor complex."""
-    field = cxp.field
-    src = cxp.basis(n, s, e)
-    pair = (s, e)
-    tgt_dim = tc.dim(n, pair)
-    cols = []
-    for chain in src:
-        col = [field.zero] * tgt_dim
-        out = split_chain(tx, chain)
-        if out is not None:
-            col[tc.tensor_index(n, pair, out)] = field.one
-        cols.append(col)
-    return Matrix.from_columns(field, cols, length=tgt_dim)
+    return _basis_map(cxp.field, [split_chain(tx, c) for c in cxp.basis(n, s, e)],
+                      tc.index.get((n, (s, e)), {}))
 
 
 # -- the trivial shuffle -----------------------------------------------------------
@@ -250,17 +227,9 @@ def interleave_tensor(tx: TensorSet, ca: CubeChain, cb: CubeChain) -> CubeChain:
 def interleaving_matrix(tx: TensorSet, tc: TensorComplex, cxp: PairGradedComplex,
                         n: int, s: str, e: str) -> Matrix:
     """Matrix of the trivial shuffle: tensor complex -> C_n(X(x)Y)(s,e)."""
-    field = cxp.field
-    pair = (s, e)
-    src = tc.bases.get((n, pair), [])
-    tgt_index = cxp.index.get((n, s, e), {})
-    cols = []
-    for (ca, cb) in src:
-        chain = interleave_tensor(tx, ca, cb)
-        col = [field.zero] * len(tgt_index)
-        col[tgt_index[chain]] = field.one
-        cols.append(col)
-    return Matrix.from_columns(field, cols, length=len(tgt_index))
+    return _basis_map(cxp.field, [interleave_tensor(tx, ca, cb)
+                                  for ca, cb in tc.bases.get((n, (s, e)), [])],
+                      cxp.index.get((n, s, e), {}))
 
 
 # -- swaps ---------------------------------------------------------------------------
@@ -403,12 +372,8 @@ def tensor_comparison_report(x: PrecubicalSet, y: PrecubicalSet, field=QQ,
     for pair in pairs:
         for n in range(top + 1):
             a, b = hp[(n, pair)], ht[(n, pair)]
-            m1 = Matrix.from_columns(
-                field, [b.class_vector(sep[(n, pair)].matvec(r)) for r in a.reps],
-                length=b.dim)
-            m2 = Matrix.from_columns(
-                field, [a.class_vector(ilv[(n, pair)].matvec(r)) for r in b.reps],
-                length=a.dim)
+            m1 = induced_on_homology(sep[(n, pair)], a, b)
+            m2 = induced_on_homology(ilv[(n, pair)], b, a)
             sep_h[(n, pair)], ilv_h[(n, pair)] = m1, m2
             if (m1 @ m2 != Matrix.identity(field, b.dim)
                     or m2 @ m1 != Matrix.identity(field, a.dim)):
@@ -427,10 +392,10 @@ def tensor_comparison_report(x: PrecubicalSet, y: PrecubicalSet, field=QQ,
                     if ht[(n, pair)].dim == 0 and hp[(n, pair)].dim == 0:
                         continue
                     tgt = (n, (s2, e))
-                    act_t = _homology_action(tc.left_action_chain(edge, n, pair),
-                                             ht[(n, pair)], ht[tgt], field)
-                    act_p = _homology_action(_prepend_matrix(cxp, edge, n, s, e),
-                                             hp[(n, pair)], hp[tgt], field)
+                    act_t = induced_on_homology(tc.left_action_chain(edge, n, pair),
+                                                ht[(n, pair)], ht[tgt])
+                    act_p = induced_on_homology(_prepend_matrix(cxp, edge, n, s, e),
+                                                hp[(n, pair)], hp[tgt])
                     if ilv_h[tgt] @ act_t != act_p @ ilv_h[(n, pair)]:
                         action_ok = False
                         failures.append(f"left action of {edge} at {n} {pair}")
@@ -440,51 +405,15 @@ def tensor_comparison_report(x: PrecubicalSet, y: PrecubicalSet, field=QQ,
                     if ht[(n, pair)].dim == 0 and hp[(n, pair)].dim == 0:
                         continue
                     tgt = (n, (s, e2))
-                    act_t = _homology_action(tc.right_action_chain(edge, n, pair),
-                                             ht[(n, pair)], ht[tgt], field)
-                    act_p = _homology_action(_append_matrix(cxp, edge, n, s, e),
-                                             hp[(n, pair)], hp[tgt], field)
+                    act_t = induced_on_homology(tc.right_action_chain(edge, n, pair),
+                                                ht[(n, pair)], ht[tgt])
+                    act_p = induced_on_homology(_append_matrix(cxp, edge, n, s, e),
+                                                hp[(n, pair)], hp[tgt])
                     if ilv_h[tgt] @ act_t != act_p @ ilv_h[(n, pair)]:
                         action_ok = False
                         failures.append(f"right action of {edge} at {n} {pair}")
     return ComparisonReport(x.name, y.name, top, chain_ok, retract_ok,
                             inverse_ok, action_ok, failures)
-
-
-def _homology_action(chain_matrix: Matrix, src: PairHomology, dst: PairHomology,
-                     field) -> Matrix:
-    cols = [dst.class_vector(chain_matrix.matvec(r)) for r in src.reps]
-    return Matrix.from_columns(field, cols, length=dst.dim)
-
-
-def _prepend_matrix(cxp: PairGradedComplex, edge: str, n: int, s: str, e: str) -> Matrix:
-    x = cxp.x
-    s2 = x.edge_source(edge)
-    src = cxp.basis(n, s, e)
-    tgt_index = cxp.index.get((n, s2, e), {})
-    field = cxp.field
-    cols = []
-    for chain in src:
-        new = CubeChain(s2, e, (edge,) + chain.cubes, (1,) + chain.dims)
-        col = [field.zero] * len(tgt_index)
-        col[tgt_index[new]] = field.one
-        cols.append(col)
-    return Matrix.from_columns(field, cols, length=len(tgt_index))
-
-
-def _append_matrix(cxp: PairGradedComplex, edge: str, n: int, s: str, e: str) -> Matrix:
-    x = cxp.x
-    e2 = x.edge_target(edge)
-    src = cxp.basis(n, s, e)
-    tgt_index = cxp.index.get((n, s, e2), {})
-    field = cxp.field
-    cols = []
-    for chain in src:
-        new = CubeChain(s, e2, chain.cubes + (edge,), chain.dims + (1,))
-        col = [field.zero] * len(tgt_index)
-        col[tgt_index[new]] = field.one
-        cols.append(col)
-    return Matrix.from_columns(field, cols, length=len(tgt_index))
 
 
 # -- Kunneth -------------------------------------------------------------------------------
@@ -595,7 +524,6 @@ def comparison_naturality_check(f: PcMorphism, g: PcMorphism, field=QQ) -> bool:
     the source product, and the same square for the interleaving maps.
     """
     from .precubical import tensor_morphism
-    from .homology import chain_map_of_morphism
     sta = TensorSetting.build(f.source, g.source, field)
     stb = TensorSetting.build(f.target, g.target, field)
     fg = tensor_morphism(f, g, sta.tx, stb.tx)
@@ -605,7 +533,7 @@ def comparison_naturality_check(f: PcMorphism, g: PcMorphism, field=QQ) -> bool:
         tpair = (fg(s), fg(e))
         sep_a = separating_matrix(sta.tx, sta.cxp, sta.tc, n, s, e)
         sep_b = separating_matrix(stb.tx, stb.cxp, stb.tc, n, fg(s), fg(e))
-        tmap = _tensor_factor_map(sta, stb, f, g, n, pair, tpair, field)
+        tmap = _tensor_factor_map(sta, stb, f, g, n, pair, tpair)
         if tmap @ sep_a != sep_b @ m:
             return False
         ilv_a = interleaving_matrix(sta.tx, sta.tc, sta.cxp, n, s, e)
@@ -616,16 +544,8 @@ def comparison_naturality_check(f: PcMorphism, g: PcMorphism, field=QQ) -> bool:
 
 
 def _tensor_factor_map(sta: TensorSetting, stb: TensorSetting,
-                       f: PcMorphism, g: PcMorphism,
-                       n: int, pair, tpair, field) -> Matrix:
+                       f: PcMorphism, g: PcMorphism, n: int, pair, tpair) -> Matrix:
     """C(f) (x) C(g) between tensor-complex components (cube-wise images)."""
-    src = sta.tc.bases.get((n, pair), [])
-    tgt_index = stb.tc.index.get((n, tpair), {})
-    cols = []
-    for (ca, cb) in src:
-        ca2 = CubeChain(f(ca.src), f(ca.dst), tuple(f(c) for c in ca.cubes), ca.dims)
-        cb2 = CubeChain(g(cb.src), g(cb.dst), tuple(g(c) for c in cb.cubes), cb.dims)
-        col = [field.zero] * len(tgt_index)
-        col[tgt_index[(ca2, cb2)]] = field.one
-        cols.append(col)
-    return Matrix.from_columns(field, cols, length=len(tgt_index))
+    return _basis_map(sta.tc.field, [(ca.image(f), cb.image(g))
+                                     for ca, cb in sta.tc.bases.get((n, pair), [])],
+                      stb.tc.index.get((n, tpair), {}))

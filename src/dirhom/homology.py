@@ -3,7 +3,10 @@
 Homology classes are stored concretely: a basis of cycle representatives
 together with the boundary subspace, so class comparison is a membership
 test and induced maps are computed by expressing images of representatives
-in the target's (cycles mod boundaries) coordinates.
+in the target's (cycles mod boundaries) coordinates.  `induced_on_homology`
+is the one push of a chain map to homology: the edge actions, the maps
+induced by morphisms, the inclusions and projections of the exact
+sequences and the tensor comparison maps all use it.
 
 The bimodule structure is realized by edge actions: prepending an edge to
 every chain of a graded component (left action) or appending one (right
@@ -17,7 +20,8 @@ from dataclasses import dataclass, field as dataclass_field
 
 from .exactla import Matrix, Subspace, _rref, kernel_basis, image_basis
 from .cubechain import (
-    CubeChain, GradedComplex, PairGradedComplex, ChainError, build_complex,
+    CubeChain, GradedComplex, PairGradedComplex, ChainError, _basis_map,
+    build_complex,
 )
 from .precubical import PcMorphism, PrecubicalSet, realization
 
@@ -106,47 +110,15 @@ class HomologyTable:
     # -- chain-level actions ----------------------------------------------
 
     def _prepend_matrix(self, a: str, i: int, s: str, e: str) -> Matrix:
-        key = (a, i, s, e)
-        hit = self._chain_left.get(key)
-        if hit is not None:
-            return hit
-        x, cx = self.x, self.cx
-        s2 = x.edge_source(a)
-        source = cx.basis(i, s, e)
-        target_index = cx.index.get((i, s2, e), {})
-        cols = []
-        for chain in source:
-            new = CubeChain(s2, e, (a,) + chain.cubes, (1,) + chain.dims)
-            j = target_index.get(new)
-            if j is None:
-                raise ChainError(f"prepended chain {new!r} missing from basis")
-            col = [self.field.zero] * len(target_index)
-            col[j] = self.field.one
-            cols.append(col)
-        m = Matrix.from_columns(self.field, cols, length=len(target_index))
-        self._chain_left[key] = m
+        m = self._chain_left.get((a, i, s, e))
+        if m is None:
+            m = self._chain_left[(a, i, s, e)] = _prepend_matrix(self.cx, a, i, s, e)
         return m
 
     def _append_matrix(self, a: str, i: int, s: str, e: str) -> Matrix:
-        key = (a, i, s, e)
-        hit = self._chain_right.get(key)
-        if hit is not None:
-            return hit
-        x, cx = self.x, self.cx
-        e2 = x.edge_target(a)
-        source = cx.basis(i, s, e)
-        target_index = cx.index.get((i, s, e2), {})
-        cols = []
-        for chain in source:
-            new = CubeChain(s, e2, chain.cubes + (a,), chain.dims + (1,))
-            j = target_index.get(new)
-            if j is None:
-                raise ChainError(f"appended chain {new!r} missing from basis")
-            col = [self.field.zero] * len(target_index)
-            col[j] = self.field.one
-            cols.append(col)
-        m = Matrix.from_columns(self.field, cols, length=len(target_index))
-        self._chain_right[key] = m
+        m = self._chain_right.get((a, i, s, e))
+        if m is None:
+            m = self._chain_right[(a, i, s, e)] = _append_matrix(self.cx, a, i, s, e)
         return m
 
     def _verify_actions_are_chain_maps(self) -> None:
@@ -182,21 +154,15 @@ class HomologyTable:
         """H_i(s, e) -> H_i(s', e) for the edge a : s' -> s."""
         if self.x.edge_target(a) != s:
             raise ChainError(f"edge {a!r} does not end at {s!r}")
-        s2 = self.x.edge_source(a)
-        src, dst = self.entry(i, s, e), self.entry(i, s2, e)
-        chain = self._prepend_matrix(a, i, s, e)
-        cols = [dst.class_vector(chain.matvec(rep)) for rep in src.reps]
-        return Matrix.from_columns(self.field, cols, length=dst.dim)
+        return induced_on_homology(self._prepend_matrix(a, i, s, e), self.entry(i, s, e),
+                                   self.entry(i, self.x.edge_source(a), e))
 
     def right_action(self, a: str, i: int, s: str, e: str) -> Matrix:
         """H_i(s, e) -> H_i(s, e') for the edge a : e -> e'."""
         if self.x.edge_source(a) != e:
             raise ChainError(f"edge {a!r} does not start at {e!r}")
-        e2 = self.x.edge_target(a)
-        src, dst = self.entry(i, s, e), self.entry(i, s, e2)
-        chain = self._append_matrix(a, i, s, e)
-        cols = [dst.class_vector(chain.matvec(rep)) for rep in src.reps]
-        return Matrix.from_columns(self.field, cols, length=dst.dim)
+        return induced_on_homology(self._append_matrix(a, i, s, e), self.entry(i, s, e),
+                                   self.entry(i, s, self.x.edge_target(a)))
 
     def left_path_action(self, path: tuple[str, ...], i: int, s: str, e: str) -> Matrix:
         """Composite left action of an edge path ending at s."""
@@ -219,31 +185,38 @@ class HomologyTable:
         return sorted(k for k, h in self.entries.items() if h.dim)
 
 
-def homology_table(cx: PairGradedComplex, x: PrecubicalSet) -> HomologyTable:
-    return HomologyTable(cx, x)
+# -- chain maps and the maps they induce -------------------------------------------
 
 
-# -- induced maps --------------------------------------------------------------
+def _prepend_matrix(cx: PairGradedComplex, a: str, i: int, s: str, e: str) -> Matrix:
+    """C_i(s, e) -> C_i(s', e): prepend the edge a : s' -> s to every chain."""
+    s2 = cx.x.edge_source(a)
+    return _basis_map(cx.field, [CubeChain(s2, e, (a,) + c.cubes, (1,) + c.dims)
+                                 for c in cx.basis(i, s, e)], cx.index.get((i, s2, e), {}))
+
+
+def _append_matrix(cx: PairGradedComplex, a: str, i: int, s: str, e: str) -> Matrix:
+    """C_i(s, e) -> C_i(s, e'): append the edge a : e -> e' to every chain."""
+    e2 = cx.x.edge_target(a)
+    return _basis_map(cx.field, [CubeChain(s, e2, c.cubes + (a,), c.dims + (1,))
+                                 for c in cx.basis(i, s, e)], cx.index.get((i, s, e2), {}))
+
+
+def induced_on_homology(chain_map: Matrix, src: PairHomology, dst: PairHomology) -> Matrix:
+    """The map on homology of a chain map between two components.
+
+    Column j is the class in `dst` of the image of representative j of `src`.
+    """
+    cols = [dst.class_vector(chain_map.matvec(rep)) for rep in src.reps]
+    return Matrix.from_columns(chain_map.field, cols, length=dst.dim)
 
 
 def chain_map_of_morphism(f: PcMorphism, cxa: PairGradedComplex,
                           cxb: PairGradedComplex) -> dict[tuple[int, str, str], Matrix]:
     """Cube-wise chain map C_i(X)(s,e) -> C_i(Y)(f s, f e); asserted chain map."""
-    out: dict[tuple[int, str, str], Matrix] = {}
-    field = cxa.field
-    for (i, s, e), chains in sorted(cxa.bases.items()):
-        fs, fe = f(s), f(e)
-        tindex = cxb.index.get((i, fs, fe), {})
-        cols = []
-        for chain in chains:
-            img = CubeChain(fs, fe, tuple(f(c) for c in chain.cubes), chain.dims)
-            j = tindex.get(img)
-            if j is None:
-                raise ChainError(f"image chain {img!r} missing from target basis")
-            col = [field.zero] * len(tindex)
-            col[j] = field.one
-            cols.append(col)
-        out[(i, s, e)] = Matrix.from_columns(field, cols, length=len(tindex))
+    out = {(i, s, e): _basis_map(cxa.field, [c.image(f) for c in chains],
+                                 cxb.index.get((i, f(s), f(e)), {}))
+           for (i, s, e), chains in sorted(cxa.bases.items())}
     for (i, s, e), m in out.items():
         if i == 0:
             continue
@@ -258,14 +231,8 @@ def chain_map_of_morphism(f: PcMorphism, cxa: PairGradedComplex,
 def induced_map(f: PcMorphism, hx: HomologyTable, hy: HomologyTable
                 ) -> dict[tuple[int, str, str], Matrix]:
     """Matrices H_i(X)(s,e) -> H_i(Y)(f s, f e) induced by a Cub morphism."""
-    chain_maps = chain_map_of_morphism(f, hx.cx, hy.cx)
-    out: dict[tuple[int, str, str], Matrix] = {}
-    for (i, s, e), m in sorted(chain_maps.items()):
-        src = hx.entry(i, s, e)
-        dst = hy.entry(i, f(s), f(e))
-        cols = [dst.class_vector(m.matvec(rep)) for rep in src.reps]
-        out[(i, s, e)] = Matrix.from_columns(hx.field, cols, length=dst.dim)
-    return out
+    return {(i, s, e): induced_on_homology(m, hx.entry(i, s, e), hy.entry(i, f(s), f(e)))
+            for (i, s, e), m in sorted(chain_map_of_morphism(f, hx.cx, hy.cx).items())}
 
 
 # -- cochains --------------------------------------------------------------------

@@ -370,10 +370,6 @@ def directed_sphere(n: int) -> PrecubicalSet:
     return PrecubicalSet(f"S{n}", layers, faces)
 
 
-def disc_endpoints(n: int) -> tuple[str, str]:
-    return "0" * n, "1" * n
-
-
 class Realization(PrecubicalSet):
     """A wedge of cubes glued end to end, with distinguished endpoints."""
 

@@ -275,52 +275,54 @@ class ResolvedBimodule:
         return sum(self.dims_by_pair().values())
 
 
-def re_present(res: ResolvedBimodule, name: str = "") -> PresentedBimodule:
-    """A fresh presentation of a resolved bimodule.
+def _present_from_actions(left: PathAlgebraIndex, right: PathAlgebraIndex, field,
+                          dim, left_action, right_action, prefix: str,
+                          name: str) -> PresentedBimodule:
+    """Present a bimodule given by its per-pair dimensions and edge actions.
 
-    One generator per quotient-basis element per pair; relations say that
-    each edge translate of a generator equals its action image.
+    One generator ``<prefix>[s->e]#k`` per basis element k at each pair
+    (s, e); one relation per generator and edge, saying that the edge
+    translate of the generator equals its action image.  ``dim(s, e)``,
+    ``left_action(a, s, e)`` and ``right_action(b, s, e)`` read the bimodule.
     """
-    pb = res.pb
+    xl, xr = left.x, right.x
     gens: list[BimoduleGenerator] = []
-    coords_gens: dict[tuple[str, str], list[str]] = {}
-    for s in pb.left.x.vertices:
-        for e in pb.right.x.vertices:
-            ids = []
-            for k in range(res.dim(s, e)):
-                gid = f"g[{s}->{e}]#{k}"
-                gens.append(BimoduleGenerator(gid, s, e))
-                ids.append(gid)
-            coords_gens[(s, e)] = ids
+    ids: dict[tuple[str, str], list[str]] = {}
+    for s in xl.vertices:
+        for e in xr.vertices:
+            ids[(s, e)] = [f"{prefix}[{s}->{e}]#{k}" for k in range(dim(s, e))]
+            gens += [BimoduleGenerator(gid, s, e) for gid in ids[(s, e)]]
+    one = field.one
     relations: list[list[RelationTerm]] = []
-    one = pb.field.one
-    for a in pb.left.x.edges:
-        s2, s = pb.left.x.edge_source(a), pb.left.x.edge_target(a)
-        for e in pb.right.x.vertices:
-            if not res.dim(s, e):
-                continue
-            act = res.left_edge_action(a, s, e)
-            for j, gid in enumerate(coords_gens[(s, e)]):
-                rel: list[RelationTerm] = [(one, (a,), gid, ())]
-                for k, gid2 in enumerate(coords_gens[(s2, e)]):
-                    c = act.entry(k, j)
-                    if c != pb.field.zero:
-                        rel.append((-c, (), gid2, ()))
-                relations.append(rel)
-    for b in pb.right.x.edges:
-        e, e2 = pb.right.x.edge_source(b), pb.right.x.edge_target(b)
-        for s in pb.left.x.vertices:
-            if not res.dim(s, e):
-                continue
-            act = res.right_edge_action(b, s, e)
-            for j, gid in enumerate(coords_gens[(s, e)]):
-                rel = [(one, (), gid, (b,))]
-                for k, gid2 in enumerate(coords_gens[(s, e2)]):
-                    c = act.entry(k, j)
-                    if c != pb.field.zero:
-                        rel.append((-c, (), gid2, ()))
-                relations.append(rel)
-    return PresentedBimodule(pb.left, pb.right, gens, relations, pb.field, name)
+
+    def relate(p, q, act, gids, target_gids):
+        # p . gid . q equals the action image of gid, column j of act
+        for j, gid in enumerate(gids):
+            rel: list[RelationTerm] = [(one, p, gid, q)]
+            for k, gid2 in enumerate(target_gids):
+                c = act.entry(k, j)
+                if c != field.zero:
+                    rel.append((-c, (), gid2, ()))
+            relations.append(rel)
+
+    for a in xl.edges:
+        s2, s = xl.edge_source(a), xl.edge_target(a)
+        for e in xr.vertices:
+            if ids[(s, e)]:
+                relate((a,), (), left_action(a, s, e), ids[(s, e)], ids[(s2, e)])
+    for b in xr.edges:
+        e, e2 = xr.edge_source(b), xr.edge_target(b)
+        for s in xl.vertices:
+            if ids[(s, e)]:
+                relate((), (b,), right_action(b, s, e), ids[(s, e)], ids[(s, e2)])
+    return PresentedBimodule(left, right, gens, relations, field, name)
+
+
+def re_present(res: ResolvedBimodule, name: str = "") -> PresentedBimodule:
+    """A fresh presentation of a resolved bimodule (generators ``g[s->e]#k``)."""
+    pb = res.pb
+    return _present_from_actions(pb.left, pb.right, pb.field, res.dim,
+                                 res.left_edge_action, res.right_edge_action, "g", name)
 
 
 # -- standard presentations ------------------------------------------------------
@@ -387,50 +389,14 @@ def present_chain_module(x: PrecubicalSet, degree: int, field=QQ,
 
 def present_homology(table, degree: int,
                      alg: PathAlgebraIndex | None = None) -> PresentedBimodule:
-    """Present the degree-i homology bimodule of a HomologyTable."""
-    x = table.x
-    alg = alg or path_algebra(x)
-    field = table.field
-    gens: list[BimoduleGenerator] = []
-    names: dict[tuple[str, str], list[str]] = {}
-    for s in x.vertices:
-        for e in x.vertices:
-            ids = []
-            for k in range(table.dim(degree, s, e)):
-                gid = f"h{degree}[{s}->{e}]#{k}"
-                gens.append(BimoduleGenerator(gid, s, e))
-                ids.append(gid)
-            names[(s, e)] = ids
-    one = field.one
-    relations: list[list[RelationTerm]] = []
-    for a in x.edges:
-        s2, s = x.edge_source(a), x.edge_target(a)
-        for e in x.vertices:
-            if not names[(s, e)]:
-                continue
-            act = table.left_action(a, degree, s, e)
-            for j, gid in enumerate(names[(s, e)]):
-                rel: list[RelationTerm] = [(one, (a,), gid, ())]
-                for k, gid2 in enumerate(names[(s2, e)]):
-                    c = act.entry(k, j)
-                    if c != field.zero:
-                        rel.append((-c, (), gid2, ()))
-                relations.append(rel)
-    for b in x.edges:
-        e, e2 = x.edge_source(b), x.edge_target(b)
-        for s in x.vertices:
-            if not names[(s, e)]:
-                continue
-            act = table.right_action(b, degree, s, e)
-            for j, gid in enumerate(names[(s, e)]):
-                rel = [(one, (), gid, (b,))]
-                for k, gid2 in enumerate(names[(s, e2)]):
-                    c = act.entry(k, j)
-                    if c != field.zero:
-                        rel.append((-c, (), gid2, ()))
-                relations.append(rel)
-    return PresentedBimodule(alg, alg, gens, relations, field,
-                             f"H{degree}({x.name})")
+    """Present the degree-i homology bimodule of a HomologyTable
+    (generators ``h<i>[s->e]#k``)."""
+    alg = alg or path_algebra(table.x)
+    return _present_from_actions(
+        alg, alg, table.field, lambda s, e: table.dim(degree, s, e),
+        lambda a, s, e: table.left_action(a, degree, s, e),
+        lambda b, s, e: table.right_action(b, degree, s, e),
+        f"h{degree}", f"H{degree}({table.x.name})")
 
 
 def extend_presented(pb: PresentedBimodule, inc: PcMorphism,
@@ -503,14 +469,8 @@ class SubcomplexExtension(GradedComplex):
 
     def inclusion_matrix(self, i: int, pair) -> Matrix:
         """Columns are the indicator vectors of the kept chains in C_i(X)."""
-        kept = self.kept.get((i, pair), [])
-        n = self.cx.dim(i, pair)
-        cols = []
-        for j in kept:
-            v = [self.cx.field.zero] * n
-            v[j] = self.cx.field.one
-            cols.append(v)
-        return Matrix.from_columns(self.cx.field, cols, length=n)
+        return Matrix.unit_columns(self.cx.field, self.cx.dim(i, pair),
+                                   self.kept.get((i, pair), []))
 
     def span(self, i: int, pair) -> Subspace:
         return Subspace(self.cx.field, self.cx.dim(i, pair),

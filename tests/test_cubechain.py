@@ -295,3 +295,12 @@ class TestFormalSum:
         s.add_term(empty_chain("0"), 1)
         with pytest.raises(ChainError):
             s.add_term(empty_chain("1"), 1)
+
+
+def test_basis_map_columns_and_missing_image():
+    from dirhom.cubechain import _basis_map
+    from dirhom.exactla import Matrix
+    m = _basis_map(QQ, ["b", None, "a"], {"a": 0, "b": 1})
+    assert m == Matrix.from_columns(QQ, [[0, 1], [0, 0], [1, 0]], length=2)
+    with pytest.raises(ChainError):
+        _basis_map(QQ, ["c"], {"a": 0})

@@ -279,3 +279,10 @@ class TestCrossField:
                 for i in range(cq.top_degree + 1):
                     assert homology_of(cq, i, pair).dim == \
                         homology_of(cp, i, pair).dim
+
+
+def test_homology_module_is_not_shadowed():
+    import types
+
+    import dirhom.homology as H
+    assert isinstance(H, types.ModuleType) and H.homology_of is homology_of

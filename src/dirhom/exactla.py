@@ -7,12 +7,14 @@ in ``[0, p)`` with modular inverses.  There is no floating point anywhere:
 exactness verdicts downstream (image = kernel tests) are bit-decisions and
 must not depend on tolerances.
 
-`Matrix` stores its entries densely, but the work is sparse: boundary,
-action and relation matrices are mostly zeros, so elimination and products
-skip them.  `_eliminate` is the one elimination kernel.  It runs
-Gauss-Jordan on rows held as ``{column: value}`` dicts; over F_p the values
-are plain ints in ``[0, p)`` (``Residue`` objects are converted on entry and
-back on exit), over Q they are `Fraction`.  Zero tests are truthiness tests.
+Boundary, action and relation matrices are mostly zeros, so `Matrix` and
+`Subspace` hold only nonzero values, as rows and vectors that are
+``{column: value}`` dicts: plain ints in ``[0, p)`` over F_p, `Fraction`
+over Q.  `_eliminate`, the one elimination kernel, and every product work
+on these rows directly.  Field scalars (``Residue`` over F_p) appear only
+where values enter, in constructors and vectors passed in, and where they
+leave, in `entry`, `data`, `row`, `column(s)`, `basis`, `matvec` and
+`coordinates`.  Zero tests are truthiness tests.
 
 Pivot columns are taken in the caller's column order, and only the pivot
 *row* is chosen freely: the sparsest pending row that is nonzero in the
@@ -133,56 +135,64 @@ def field_from_name(name: str):
     raise FieldError(f"unknown field {name!r} (expected 'q' or 'fp:<prime>')")
 
 
-# -- sparse elimination --------------------------------------------------------
+# -- sparse rows and elimination -----------------------------------------------
 #
 # Sparse rows and vectors are dicts {column: value} that hold only nonzero
 # values: ints in [0, p) over F_p, Fractions over Q.  `p` is 0 for Q.
 
 
-def _modulus(zero) -> int:
-    """p for the prime field whose zero is `zero`, 0 for the rationals."""
-    return zero.p if isinstance(zero, Residue) else 0
+def _modulus(field) -> int:
+    """p for a prime field, 0 for the rationals."""
+    return field.p if isinstance(field, PrimeField) else 0
 
 
-def _sparse(vec, p: int) -> dict:
-    """Sparse form of a vector of field scalars."""
-    if p:
-        return {j: a.value for j, a in enumerate(vec) if a.value}
-    return {j: a for j, a in enumerate(vec) if a}
+def _neg(a, p: int):
+    return -a % p if p else -a
+
+
+def _sparse(vec, p: int, n: int | None = None) -> dict:
+    """Sparse form of a vector of field scalars or ints, whose length must
+    be n when n is given."""
+    if n is not None and len(vec) != n:
+        raise FieldError(f"vector length {len(vec)} != {n}")
+    out = {}
+    for j, a in enumerate(vec):
+        if p:
+            a = a.value if isinstance(a, Residue) else a % p
+        elif not isinstance(a, Fraction):
+            a = Fraction(a)
+        if a:
+            out[j] = a
+    return out
 
 
 def _dense(row: dict, n: int, zero, p: int) -> list:
-    """Field scalars of a sparse row of length n; values are reduced mod p here."""
+    """Field scalars of a sparse row of length n."""
     out = [zero] * n
-    if p:
+    for j, a in row.items():
+        out[j] = Residue(a, p) if p else a
+    return out
+
+
+def _transpose(rows, ncols: int) -> list[dict]:
+    out: list[dict] = [{} for _ in range(ncols)]
+    for i, row in enumerate(rows):
         for j, a in row.items():
-            a %= p
-            if a:
-                out[j] = Residue(a, p)
-    else:
-        for j, a in row.items():
-            if a:
-                out[j] = a
+            out[j][i] = a
     return out
 
 
 def _axpy(target: dict, f, row: dict, p: int) -> None:
     """target -= f * row in place, dropping the entries that cancel."""
     get = target.get
-    if p:
-        for j, a in row.items():
-            x = (get(j, 0) - f * a) % p
-            if x:
-                target[j] = x
-            else:
-                del target[j]
-    else:
-        for j, a in row.items():
-            x = get(j, 0) - f * a
-            if x:
-                target[j] = x
-            else:
-                del target[j]
+    for j, a in row.items():
+        x = get(j, 0) - f * a
+        if p:
+            x %= p
+        if x:
+            target[j] = x
+        else:
+            del target[j]
 
 
 def _eliminate(rows: list[dict], order: Iterable[int], p: int):
@@ -243,59 +253,66 @@ def _residual(v: dict, rows: list[dict], pivots: list[int], p: int) -> dict:
     return r
 
 
-class Matrix:
-    """Immutable dense matrix over a fixed field.
+def _null_vectors(rows: list[dict], pivots: list[int], n: int, p: int) -> list[dict]:
+    """One vector per free (non-pivot) column j of reduced rows of length n:
+    1 at j, 0 at the other free columns, minus the entry j of row c at each
+    pivot c.  They are independent by construction and span the vectors
+    that every row annihilates."""
+    pivset = set(pivots)
+    one = 1 if p else Fraction(1)
+    vecs = {j: {j: one} for j in range(n) if j not in pivset}
+    for row, c in zip(rows, pivots):
+        for j, a in row.items():
+            if j != c:
+                vecs[j][c] = _neg(a, p)
+    return list(vecs.values())
 
-    Entries are field scalars; integers given to the constructor are coerced
+
+class _Frozen:
+    """Slots set once, by `_set`; assigning to them afterwards raises."""
+
+    __slots__ = ()
+
+    def _set(self, *values) -> None:
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, *a):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    @classmethod
+    def _of(cls, *values):
+        """An instance from values computed here, skipping the checks of __init__."""
+        obj = object.__new__(cls)
+        obj._set(*values)
+        return obj
+
+
+class Matrix(_Frozen):
+    """Immutable matrix over a fixed field, held as sparse rows.
+
+    Entries given to the constructors are field scalars or ints, coerced
     through the field.  Out-of-bounds entry access raises, never wraps.
     """
 
-    __slots__ = ("field", "rows", "cols", "data")
+    __slots__ = ("field", "rows", "cols", "_rows")
 
     def __init__(self, field, rows: int, cols: int, entries: Iterable[Iterable]):
         if rows < 0 or cols < 0:
             raise FieldError("negative matrix shape")
-        data = []
-        for row in entries:
-            r = tuple(self._coerce(field, v) for v in row)
-            if len(r) != cols:
-                raise FieldError(f"row length {len(r)} != cols {cols}")
-            data.append(r)
+        p = _modulus(field)
+        data = [_sparse(tuple(row), p, cols) for row in entries]
         if len(data) != rows:
             raise FieldError(f"row count {len(data)} != rows {rows}")
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "rows", rows)
-        object.__setattr__(self, "cols", cols)
-        object.__setattr__(self, "data", tuple(data))
-
-    def __setattr__(self, *a):
-        raise AttributeError("Matrix is immutable")
-
-    @classmethod
-    def _from_scalars(cls, field, rows: int, cols: int, data: Iterable[Sequence]) -> "Matrix":
-        """A matrix from rows of field scalars computed here, without coercion."""
-        m = object.__new__(cls)
-        object.__setattr__(m, "field", field)
-        object.__setattr__(m, "rows", rows)
-        object.__setattr__(m, "cols", cols)
-        object.__setattr__(m, "data", tuple(map(tuple, data)))
-        return m
-
-    @staticmethod
-    def _coerce(field, v):
-        if isinstance(v, int):
-            return field.of(v)
-        return v
+        self._set(field, rows, cols, data)
 
     @classmethod
     def zeros(cls, field, rows: int, cols: int) -> "Matrix":
-        z = field.zero
-        return cls(field, rows, cols, [[z] * cols for _ in range(rows)])
+        return cls._of(field, rows, cols, [{} for _ in range(rows)])
 
     @classmethod
     def identity(cls, field, n: int) -> "Matrix":
-        z, o = field.zero, field.one
-        return cls(field, n, n, [[o if i == j else z for j in range(n)] for i in range(n)])
+        return cls.unit_columns(field, n, range(n))
 
     @classmethod
     def from_rows(cls, field, rows: Sequence[Sequence], cols: int | None = None) -> "Matrix":
@@ -308,122 +325,101 @@ class Matrix:
 
     @classmethod
     def from_columns(cls, field, columns: Sequence[Sequence], length: int | None = None) -> "Matrix":
-        cols = [tuple(c) for c in columns]
         if length is None:
-            if not cols:
+            if not columns:
                 raise FieldError("from_columns with no columns needs an explicit length")
-            length = len(cols[0])
-        for c in cols:
-            if len(c) != length:
-                raise FieldError("ragged columns")
-        return cls(field, length, len(cols),
-                   [[cols[j][i] for j in range(len(cols))] for i in range(length)])
+            length = len(columns[0])
+        p = _modulus(field)
+        cols = [_sparse(c, p, length) for c in columns]
+        return cls._of(field, length, len(cols), _transpose(cols, length))
 
     @classmethod
     def unit_columns(cls, field, rows: int, targets: Sequence[int | None]) -> "Matrix":
         """The 0/1 matrix whose column j is the unit vector at row ``targets[j]``,
         or zero where that is None: the matrix of a map between two bases."""
-        z, o = field.zero, field.one
-        data = [[z] * len(targets) for _ in range(rows)]
+        one = 1 if _modulus(field) else Fraction(1)
+        data: list[dict] = [{} for _ in range(rows)]
         for j, i in enumerate(targets):
             if i is not None:
-                data[i][j] = o
-        return cls._from_scalars(field, rows, len(targets), data)
+                data[i][j] = one
+        return cls._of(field, rows, len(targets), data)
+
+    @property
+    def data(self) -> tuple:
+        """The rows as tuples of field scalars."""
+        return tuple(self.row(i) for i in range(self.rows))
 
     def entry(self, i: int, j: int):
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError(f"entry ({i},{j}) outside {self.rows}x{self.cols} matrix")
-        return self.data[i][j]
-
-    def __getitem__(self, ij):
-        return self.entry(*ij)
+        a, p = self._rows[i].get(j), _modulus(self.field)
+        return self.field.zero if a is None else Residue(a, p) if p else a
 
     def row(self, i: int) -> tuple:
         if not 0 <= i < self.rows:
             raise IndexError(f"row {i} outside {self.rows}x{self.cols} matrix")
-        return self.data[i]
+        return tuple(_dense(self._rows[i], self.cols, self.field.zero, _modulus(self.field)))
 
     def column(self, j: int) -> tuple:
         if not 0 <= j < self.cols:
             raise IndexError(f"column {j} outside {self.rows}x{self.cols} matrix")
-        return tuple(self.data[i][j] for i in range(self.rows))
+        col = {i: r[j] for i, r in enumerate(self._rows) if j in r}
+        return tuple(_dense(col, self.rows, self.field.zero, _modulus(self.field)))
 
     def columns(self) -> list[tuple]:
-        return [self.column(j) for j in range(self.cols)]
+        return list(self.transpose().data)
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.field, self.cols, self.rows,
-                      [[self.data[i][j] for i in range(self.rows)] for j in range(self.cols)])
+        return Matrix._of(self.field, self.cols, self.rows, _transpose(self._rows, self.cols))
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise FieldError(f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        zero = self.field.zero
-        p = _modulus(zero)
-        right = [tuple(_sparse(r, p).items()) for r in other.data]
+        p = _modulus(self.field)
+        right = other._rows
         out = []
-        for r in self.data:
+        for r in self._rows:
             acc: dict = {}
             get = acc.get
-            for k, a in _sparse(r, p).items():
-                for j, b in right[k]:
+            for k, a in r.items():
+                for j, b in right[k].items():
                     acc[j] = get(j, 0) + a * b
-            out.append(_dense(acc, other.cols, zero, p))
-        return Matrix._from_scalars(self.field, self.rows, other.cols, out)
+            if p:
+                out.append({j: v for j, a in acc.items() if (v := a % p)})
+            else:
+                out.append({j: a for j, a in acc.items() if a})
+        return Matrix._of(self.field, self.rows, other.cols, out)
 
     def matvec(self, v: Sequence) -> tuple:
-        if len(v) != self.cols:
-            raise FieldError(f"vector length {len(v)} != cols {self.cols}")
-        zero = self.field.zero
-        p = _modulus(zero)
-        nz = _sparse([self._coerce(self.field, x) for x in v], p).items()
-        if p:
-            out = {i: sum(row[k].value * a for k, a in nz) for i, row in enumerate(self.data)}
-        else:
-            out = {i: sum(row[k] * a for k, a in nz) for i, row in enumerate(self.data)}
-        return tuple(_dense(out, self.rows, zero, p))
-
-    def __add__(self, other: "Matrix") -> "Matrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise FieldError("shape mismatch in +")
-        return Matrix(self.field, self.rows, self.cols,
-                      [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)])
-
-    def __sub__(self, other: "Matrix") -> "Matrix":
-        if (self.rows, self.cols) != (other.rows, other.cols):
-            raise FieldError("shape mismatch in -")
-        return Matrix(self.field, self.rows, self.cols,
-                      [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.data, other.data)])
+        return (self @ Matrix.from_columns(self.field, [v], length=self.cols)).column(0)
 
     def __neg__(self) -> "Matrix":
-        return Matrix(self.field, self.rows, self.cols,
-                      [[-a for a in r] for r in self.data])
-
-    def scale(self, c) -> "Matrix":
-        c = self._coerce(self.field, c)
-        return Matrix(self.field, self.rows, self.cols,
-                      [[c * a for a in r] for r in self.data])
+        p = _modulus(self.field)
+        return Matrix._of(self.field, self.rows, self.cols,
+                          [{j: _neg(a, p) for j, a in r.items()} for r in self._rows])
 
     def augment(self, other: "Matrix") -> "Matrix":
         if self.rows != other.rows:
             raise FieldError("row mismatch in augment")
-        return Matrix(self.field, self.rows, self.cols + other.cols,
-                      [r1 + r2 for r1, r2 in zip(self.data, other.data)])
+        n = self.cols
+        return Matrix._of(self.field, self.rows, n + other.cols,
+                          [{**r1, **{j + n: a for j, a in r2.items()}}
+                           for r1, r2 in zip(self._rows, other._rows)])
 
     def stack(self, other: "Matrix") -> "Matrix":
         if self.cols != other.cols:
             raise FieldError("column mismatch in stack")
-        return Matrix(self.field, self.rows + other.rows, self.cols, self.data + other.data)
+        return Matrix._of(self.field, self.rows + other.rows, self.cols, self._rows + other._rows)
 
     def is_zero(self) -> bool:
-        return not any(map(any, self.data))
+        return not any(self._rows)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Matrix) and self.rows == other.rows
-                and self.cols == other.cols and self.data == other.data)
+                and self.cols == other.cols and self._rows == other._rows)
 
     def __hash__(self):
-        return hash((self.rows, self.cols, self.data))
+        return hash((self.rows, self.cols, tuple(frozenset(r.items()) for r in self._rows)))
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(a) for a in r) for r in self.data)
@@ -434,10 +430,9 @@ def _rref(rows: list[list], ncols: int, zero, col_order: Sequence[int] | None = 
     """Reduced row echelon form; returns (nonzero rows, pivot columns).
 
     Rows of field scalars in and out; `_eliminate` does the work.
-    `col_order` controls which columns are eligible for pivots first; it is
-    how callers obtain a second, independent particular solution.
+    `col_order` controls which columns are eligible for pivots first.
     """
-    p = _modulus(zero)
+    p = zero.p if isinstance(zero, Residue) else 0
     order = range(ncols) if col_order is None else col_order
     done, pivots = _eliminate([_sparse(r, p) for r in rows], order, p)
     return [_dense(r, ncols, zero, p) for r in done], pivots
@@ -445,41 +440,25 @@ def _rref(rows: list[list], ncols: int, zero, col_order: Sequence[int] | None = 
 
 def rank(m: Matrix) -> int:
     """Rank of `m` over its field."""
-    _, pivots = _rref([list(r) for r in m.data], m.cols, m.field.zero)
-    return len(pivots)
+    return len(_eliminate([dict(r) for r in m._rows], range(m.cols), _modulus(m.field))[1])
 
 
-def _vectors(field, ambient_dim: int, vectors: Sequence[Sequence]) -> list[tuple]:
-    """Vectors as tuples of field scalars, each checked to have the ambient length."""
-    vecs = [tuple(Matrix._coerce(field, x) for x in v) for v in vectors]
-    for v in vecs:
-        if len(v) != ambient_dim:
-            raise FieldError(f"basis vector length {len(v)} != ambient {ambient_dim}")
-    return vecs
+class Subspace(_Frozen):
+    """A subspace of a coordinate space, given by an independent basis.
 
+    The basis is held as sparse vectors.  One elimination of
+    [basis | identity], run when first needed, gives the reduced rows and
+    pivots behind the independence check, `contains`, `coordinates`,
+    equality and the quotient maps.
+    """
 
-class Subspace:
-    """A subspace of a coordinate space, given by an independent basis."""
-
-    __slots__ = ("field", "ambient_dim", "basis", "_rref_rows", "_pivots", "_elimination")
+    __slots__ = ("field", "ambient_dim", "_basis", "_elimination")
 
     def __init__(self, field, ambient_dim: int, basis: Sequence[Sequence]):
-        vecs = _vectors(field, ambient_dim, basis)
-        rref_rows, pivots = _rref(vecs, ambient_dim, field.zero)
-        if len(rref_rows) != len(vecs):
+        p = _modulus(field)
+        self._set(field, ambient_dim, [_sparse(v, p, ambient_dim) for v in basis], None)
+        if len(self._pivots) != len(self._basis):
             raise FieldError("basis not independent")
-        self._set(field, ambient_dim, vecs, rref_rows, pivots)
-
-    def _set(self, field, ambient_dim, basis, rref_rows, pivots) -> None:
-        object.__setattr__(self, "field", field)
-        object.__setattr__(self, "ambient_dim", ambient_dim)
-        object.__setattr__(self, "basis", tuple(basis))
-        object.__setattr__(self, "_rref_rows", tuple(tuple(r) for r in rref_rows))
-        object.__setattr__(self, "_pivots", tuple(pivots))
-        object.__setattr__(self, "_elimination", None)
-
-    def __setattr__(self, *a):
-        raise AttributeError("Subspace is immutable")
 
     @classmethod
     def zero(cls, field, ambient_dim: int) -> "Subspace":
@@ -487,31 +466,39 @@ class Subspace:
 
     @classmethod
     def full(cls, field, ambient_dim: int) -> "Subspace":
-        return cls(field, ambient_dim, Matrix.identity(field, ambient_dim).data)
+        return image_basis(Matrix.identity(field, ambient_dim))
 
     @classmethod
     def span(cls, field, ambient_dim: int, vectors: Sequence[Sequence]) -> "Subspace":
         """Subspace spanned by possibly dependent vectors; its basis is their rref."""
-        rref_rows, pivots = _rref(_vectors(field, ambient_dim, vectors), ambient_dim, field.zero)
-        sub = object.__new__(cls)
-        sub._set(field, ambient_dim, [tuple(r) for r in rref_rows], rref_rows, pivots)
-        return sub
+        return image_basis(Matrix.from_columns(field, vectors, length=ambient_dim))
 
     @property
     def dim(self) -> int:
-        return len(self.basis)
+        return len(self._basis)
+
+    @property
+    def basis(self) -> tuple:
+        """The basis vectors as tuples of field scalars."""
+        zero, p = self.field.zero, _modulus(self.field)
+        return tuple(tuple(_dense(v, self.ambient_dim, zero, p)) for v in self._basis)
+
+    @property
+    def _pivots(self) -> tuple:
+        return tuple(self._eliminated()[1])
 
     def _eliminated(self):
         """(rref rows, pivots, transforms) as sparse rows, computed once.
 
         Row-reducing [basis | identity] gives rref row k together with the
-        combination of basis vectors that equals it, transform k.
+        combination of basis vectors that equals it, transform k.  A basis
+        vector that depends on the others gets no row.
         """
         if self._elimination is None:
-            p = _modulus(self.field.zero)
+            p = _modulus(self.field)
             n = self.ambient_dim
             one = 1 if p else Fraction(1)
-            rows = [_sparse(v, p) for v in self.basis]
+            rows = [dict(v) for v in self._basis]
             for j, row in enumerate(rows):
                 row[n + j] = one
             done, pivots = _eliminate(rows, range(n), p)
@@ -520,22 +507,16 @@ class Subspace:
                 [{c - n: a for c, a in r.items() if c >= n} for r in done]))
         return self._elimination
 
-    def _sparse_vector(self, v: Sequence) -> dict:
-        if len(v) != self.ambient_dim:
-            raise FieldError("vector length mismatch")
-        return _sparse([Matrix._coerce(self.field, x) for x in v], _modulus(self.field.zero))
-
     def contains(self, v: Sequence) -> bool:
-        sv = self._sparse_vector(v)
+        p = _modulus(self.field)
         rows, pivots, _ = self._eliminated()
-        return not _residual(sv, rows, pivots, _modulus(self.field.zero))
+        return not _residual(_sparse(v, p, self.ambient_dim), rows, pivots, p)
 
     def coordinates(self, v: Sequence) -> tuple | None:
         """The coefficients of v in `basis`, or None when v is not in the subspace."""
-        sv = self._sparse_vector(v)
+        p = _modulus(self.field)
+        sv = _sparse(v, p, self.ambient_dim)
         rows, pivots, transforms = self._eliminated()
-        zero = self.field.zero
-        p = _modulus(zero)
         if _residual(sv, rows, pivots, p):
             return None
         x: dict = {}
@@ -543,39 +524,44 @@ class Subspace:
             f = sv.get(c)
             if f:
                 _axpy(x, -f, t, p)
-        return tuple(_dense(x, self.dim, zero, p))
+        return tuple(_dense(x, self.dim, self.field.zero, p))
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Subspace)
                 and self.ambient_dim == other.ambient_dim
-                and self._rref_rows == other._rref_rows)
+                and self._eliminated()[0] == other._eliminated()[0])
 
     def __hash__(self):
-        return hash((self.ambient_dim, self._rref_rows))
+        return hash((self.ambient_dim, self._pivots))
 
     def __repr__(self) -> str:
         return f"Subspace(dim {self.dim} of {self.ambient_dim})"
 
 
 def kernel_basis(m: Matrix) -> Subspace:
-    """Basis of the null space {v : m v = 0}."""
-    z, o = m.field.zero, m.field.one
-    rref_rows, pivots = _rref([list(r) for r in m.data], m.cols, z)
-    pivset = set(pivots)
-    free = [j for j in range(m.cols) if j not in pivset]
-    basis = []
-    for j in free:
-        v = [z] * m.cols
-        v[j] = o
-        for row, p in zip(rref_rows, pivots):
-            v[p] = -row[j]
-        basis.append(tuple(v))
-    return Subspace(m.field, m.cols, basis)
+    """Basis of the null space {v : m v = 0}: one vector per non-pivot column."""
+    p = _modulus(m.field)
+    rows, pivots = _eliminate([dict(r) for r in m._rows], range(m.cols), p)
+    return Subspace._of(m.field, m.cols, _null_vectors(rows, pivots, m.cols, p), None)
 
 
 def image_basis(m: Matrix) -> Subspace:
-    """Column space of `m`."""
-    return Subspace.span(m.field, m.rows, m.columns())
+    """Column space of `m`; its basis is the rref of the columns.  That basis
+    is already reduced, so its elimination is itself, with identity transforms."""
+    p = _modulus(m.field)
+    rows, pivots = _eliminate(_transpose(m._rows, m.cols), range(m.rows), p)
+    one = 1 if p else Fraction(1)
+    return Subspace._of(m.field, m.rows, rows,
+                        (rows, pivots, [{k: one} for k in range(len(rows))]))
+
+
+def pivot_columns(*spaces: Subspace) -> list[int]:
+    """Pivot columns of the matrix whose columns are the bases of `spaces`,
+    one after the other: column k is a pivot when basis vector k lies outside
+    the span of the vectors before it."""
+    vectors = [v for s in spaces for v in s._basis]
+    return _eliminate(_transpose(vectors, spaces[0].ambient_dim), range(len(vectors)),
+                      _modulus(spaces[0].field))[1]
 
 
 def solve_in_image(m: Matrix, b: Sequence, column_order: Sequence[int] | None = None):
@@ -584,71 +570,53 @@ def solve_in_image(m: Matrix, b: Sequence, column_order: Sequence[int] | None = 
     `column_order` permutes pivot selection, yielding a different particular
     solution when the system is underdetermined.
     """
-    if len(b) != m.rows:
-        raise FieldError(f"rhs length {len(b)} != rows {m.rows}")
-    z = m.field.zero
-    b = [Matrix._coerce(m.field, x) for x in b]
-    aug = [list(r) + [b[i]] for i, r in enumerate(m.data)]
-    order = list(range(m.cols)) if column_order is None else list(column_order)
-    rref_rows, pivots = _rref(aug, m.cols + 1, z, col_order=order + [m.cols])
-    if m.cols in pivots:
+    p = _modulus(m.field)
+    n = m.cols
+    rows = [dict(r) for r in m._rows]
+    for i, a in _sparse(b, p, m.rows).items():
+        rows[i][n] = a
+    order = list(range(n)) if column_order is None else list(column_order)
+    done, pivots = _eliminate(rows, order + [n], p)
+    if n in pivots:
         return None
-    x = [z] * m.cols
-    for row, p in zip(rref_rows, pivots):
-        x[p] = row[m.cols]
-    return tuple(x)
+    x = {c: row[n] for row, c in zip(done, pivots) if n in row}
+    return tuple(_dense(x, n, m.field.zero, p))
 
 
 def invert(m: Matrix) -> Matrix:
     if m.rows != m.cols:
         raise FieldError("only square matrices invert")
-    aug = [list(r) + list(i) for r, i in zip(m.data, Matrix.identity(m.field, m.rows).data)]
-    rref_rows, pivots = _rref(aug, 2 * m.cols, m.field.zero,
-                              col_order=list(range(m.cols)))
+    # the rows of m as a basis: its transforms are the rows of the inverse
+    _, pivots, transforms = Subspace._of(m.field, m.cols, m._rows, None)._eliminated()
     if len(pivots) != m.cols:
         raise FieldError("matrix not invertible")
-    return Matrix(m.field, m.rows, m.cols, [r[m.cols:] for r in rref_rows])
-
-
-def _quotient_data(sub: Subspace):
-    """Quotient map, a section of it, and the complement coordinates."""
-    n = sub.ambient_dim
-    field = sub.field
-    comp = [j for j in range(n) if j not in set(sub._pivots)]
-    cols = [list(v) for v in sub.basis]
-    eye = Matrix.identity(field, n)
-    cols += [list(eye.column(j)) for j in comp]
-    change = Matrix.from_columns(field, cols, length=n)
-    inv = invert(change)
-    q = Matrix(field, len(comp), n, inv.data[sub.dim:])
-    section = Matrix.from_columns(field, [eye.column(j) for j in comp], length=n)
-    return q, section, comp
+    return Matrix._of(m.field, m.rows, m.cols, transforms)
 
 
 def quotient_map(ambient_dim: int, sub: Subspace) -> Matrix:
     """Surjection q with kernel exactly `sub`; target dim = ambient - dim(sub).
 
-    Representatives are the coordinates not used as pivots by the subspace,
-    so the map is deterministic in the basis order.
+    Representatives are the coordinates not used as pivots by the subspace:
+    column j of q is the unit vector of such a coordinate j, and for a pivot
+    c it is minus the rref row of c on those coordinates.
     """
     if sub.ambient_dim != ambient_dim:
         raise FieldError(f"subspace ambient {sub.ambient_dim} != {ambient_dim}")
-    q, _, _ = _quotient_data(sub)
-    return q
+    rows, pivots, _ = sub._eliminated()
+    q_rows = _null_vectors(rows, pivots, ambient_dim, _modulus(sub.field))
+    return Matrix._of(sub.field, len(q_rows), ambient_dim, q_rows)
 
 
 def induced_on_quotient(f: Matrix, src_sub: Subspace, dst_sub: Subspace) -> Matrix:
     """The unique g with g . q_src = q_dst . f, given f(src_sub) <= dst_sub."""
-    if src_sub.ambient_dim != f.cols:
-        raise FieldError("source subspace ambient dim != cols of f")
-    if dst_sub.ambient_dim != f.rows:
-        raise FieldError("target subspace ambient dim != rows of f")
-    for v in src_sub.basis:
-        if not dst_sub.contains(f.matvec(v)):
-            raise FieldError("f does not preserve the subspaces")
-    q_src, section, _ = _quotient_data(src_sub)
-    q_dst, _, _ = _quotient_data(dst_sub)
-    g = q_dst @ f @ section
-    if g @ q_src != q_dst @ f:
+    q_src = quotient_map(f.cols, src_sub)
+    q_dst_f = quotient_map(f.rows, dst_sub) @ f
+    basis = Matrix._of(f.field, f.cols, src_sub.dim, _transpose(src_sub._basis, f.cols))
+    if not (q_dst_f @ basis).is_zero():
+        raise FieldError("f does not preserve the subspaces")
+    pivots = set(src_sub._pivots)
+    g = q_dst_f @ Matrix.unit_columns(f.field, f.cols,
+                                      [j for j in range(f.cols) if j not in pivots])
+    if g @ q_src != q_dst_f:
         raise AssertionError("induced quotient map failed the commuting-square identity")
     return g

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .exactla import (
-    Matrix, QQ, Subspace, induced_on_quotient, kernel_basis, quotient_map,
+    Matrix, QQ, image_basis, induced_on_quotient, kernel_basis, quotient_map,
     rank, solve_in_image,
 )
 from .precubical import PrecubicalSet, SubsetSpec, sub
@@ -465,9 +465,30 @@ def _intersection_spec(x, s1: SubsetSpec, s2: SubsetSpec) -> SubsetSpec:
     return SubsetSpec(x, s1.selected & s2.selected)
 
 
+@dataclass
+class _Cover:
+    """What the good-cover check builds and the Mayer-Vietoris sequence reuses:
+    C(X), the three extension spans, the two quotient complexes of the
+    excision map, and the homology of those quotients."""
+
+    cx: PairGradedComplex
+    span1: SubcomplexExtension
+    span2: SubcomplexExtension
+    span12: SubcomplexExtension
+    left: _LeftQuotient
+    quo2: QuotientComplex
+    hcl: dict[tuple[int, tuple], PairHomology]
+    hcr: dict[tuple[int, tuple], PairHomology]
+
+
 def good_cover_check(x: PrecubicalSet, s1: SubsetSpec, s2: SubsetSpec,
                      field=QQ) -> GoodCoverReport:
     """Relative-pair square plus the excision comparison in homology."""
+    return _check_cover(x, s1, s2, field)[0]
+
+
+def _check_cover(x: PrecubicalSet, s1: SubsetSpec, s2: SubsetSpec,
+                 field) -> tuple[GoodCoverReport, _Cover]:
     covers = (s1.selected | s2.selected) == frozenset(x.all_cells())
     s12 = _intersection_spec(x, s1, s2)
     x1, inc1 = sub(x, s1)
@@ -484,20 +505,20 @@ def good_cover_check(x: PrecubicalSet, s1: SubsetSpec, s2: SubsetSpec,
     span1 = extend_subcomplex(cx, s1.selected)
     span12 = extend_subcomplex(cx, s12.selected)
     span2 = extend_subcomplex(cx, s2.selected)
+    # left side: ext C(X1) / ext C(X1^X2); right side: C(X) / ext C(X2)
+    left = _LeftQuotientCache.get(span1, span12, field)
+    quo2 = QuotientComplexCache.get(cx, span2, field)
+    keys = [(i, pair) for pair in cx.pairs() for i in range(cx.top_degree + 1)]
+    parts = _Cover(cx, span1, span2, span12, left, quo2,
+                   {k: homology_of(left, *k) for k in keys},
+                   {k: homology_of(quo2, *k) for k in keys})
     failures: list[tuple[int, tuple, int, int]] = []
-    iso = True
-    for pair in cx.pairs():
-        for i in range(cx.top_degree + 1):
-            # left side: ext C(X1) / ext C(X1^X2); right side: C(X) / ext C(X2)
-            hq_left = _quotient_homology_left(span1, span12, i, pair, field)
-            hq_right = homology_of(QuotientComplexCache.get(cx, span2, field), i, pair)
-            m = _excision_map(cx, span1, span12, span2, i, pair, field,
-                              hq_left, hq_right)
-            ok = (hq_left.dim == hq_right.dim and rank(m) == hq_left.dim)
-            if not ok:
-                iso = False
-                failures.append((i, pair, hq_left.dim, hq_right.dim))
-    return GoodCoverReport(covers, reports, iso, failures)
+    for i, pair in keys:
+        hq_left, hq_right = parts.hcl[(i, pair)], parts.hcr[(i, pair)]
+        m = _excision_map(parts, i, pair)
+        if not (hq_left.dim == hq_right.dim and rank(m) == hq_left.dim):
+            failures.append((i, pair, hq_left.dim, hq_right.dim))
+    return GoodCoverReport(covers, reports, not failures, failures), parts
 
 
 class QuotientComplexCache:
@@ -527,8 +548,8 @@ class _LeftQuotient(_Quotient):
         # keep the spans alive: the module-level cache is keyed by their ids
         self.span1 = span1
         self.span12 = span12
-        super().__init__(span1, lambda i, pair: Subspace(
-            field, span1.dim(i, pair), _span_inclusion(span12, span1, i, pair).columns()))
+        super().__init__(span1, lambda i, pair: image_basis(
+            _span_inclusion(span12, span1, i, pair)))
 
 
 class _LeftQuotientCache:
@@ -544,26 +565,20 @@ class _LeftQuotientCache:
         return hit
 
 
-def _quotient_homology_left(span1, span12, i, pair, field) -> PairHomology:
-    return homology_of(_LeftQuotientCache.get(span1, span12, field), i, pair)
-
-
-def _excision_map(cx, span1, span12, span2, i, pair, field,
-                  h_left: PairHomology, h_right: PairHomology) -> Matrix:
+def _excision_map(c: _Cover, i: int, pair) -> Matrix:
     """Homology of the canonical map ext C(X1)/ext C(X1^X2) -> C(X)/ext C(X2)."""
-    left = _LeftQuotientCache.get(span1, span12, field)
-    quo2 = QuotientComplexCache.get(cx, span2, field)
-    incl1 = span1.inclusion_matrix(i, pair)
-    q_left = left.projection(i, pair)
-    q_right = quo2.projection(i, pair)
+    incl1 = c.span1.inclusion_matrix(i, pair)
+    q_left = c.left.projection(i, pair)
+    q_right = c.quo2.projection(i, pair)
+    h_right = c.hcr[(i, pair)]
     cols = []
-    for rep in h_left.reps:
+    for rep in c.hcl[(i, pair)].reps:
         lift = solve_in_image(q_left, rep)
         if lift is None:
             raise SequenceError("no lift for an excision representative")
         img = q_right.matvec(incl1.matvec(lift))
         cols.append(h_right.class_vector(img))
-    return Matrix.from_columns(field, cols, length=h_right.dim)
+    return Matrix.from_columns(c.cx.field, cols, length=h_right.dim)
 
 
 @dataclass
@@ -581,25 +596,18 @@ def mayer_vietoris(x: PrecubicalSet, s1: SubsetSpec, s2: SubsetSpec,
     H_i(X), with the connecting map Delta = zig-zag . excision^{-1} .
     projection.
     """
-    cover = good_cover_check(x, s1, s2, field)
+    cover, parts = _check_cover(x, s1, s2, field)
     if not cover.covers:
         raise SequenceError("the two parts do not cover X")
     if not cover.good:
         return MayerVietorisResult(cover, None, {})
-    cx = build_complex(x, None, field)
-    span1 = extend_subcomplex(cx, s1.selected)
-    span2 = extend_subcomplex(cx, s2.selected)
-    span12 = extend_subcomplex(cx, (s1.selected & s2.selected))
-    left = _LeftQuotientCache.get(span1, span12, field)
-    quo2 = QuotientComplexCache.get(cx, span2, field)
+    cx, span1, span2, span12 = parts.cx, parts.span1, parts.span2, parts.span12
     top = cx.top_degree
 
     h12 = {(i, p): homology_of(span12, i, p) for p in cx.pairs() for i in range(top + 1)}
     h1 = {(i, p): homology_of(span1, i, p) for p in cx.pairs() for i in range(top + 1)}
     h2 = {(i, p): homology_of(span2, i, p) for p in cx.pairs() for i in range(top + 1)}
     hx = {(i, p): homology_of(cx, i, p) for p in cx.pairs() for i in range(top + 1)}
-    hcl = {(i, p): homology_of(left, i, p) for p in cx.pairs() for i in range(top + 1)}
-    hcr = {(i, p): homology_of(quo2, i, p) for p in cx.pairs() for i in range(top + 1)}
 
     per_pair = {}
     for pair in cx.pairs():
@@ -621,9 +629,7 @@ def mayer_vietoris(x: PrecubicalSet, s1: SubsetSpec, s2: SubsetSpec,
             m2x = induced_on_homology(span2.inclusion_matrix(i, pair), b2, bx)
             maps.append(m1x.augment(-m2x))
             if i >= 1:
-                delta = _mv_connecting(cx, span1, span12, span2, left, quo2,
-                                       i, pair, field,
-                                       hcl, hcr, hx, h12)
+                delta = _mv_connecting(parts, i, pair, hx, h12)
                 maps.append(delta)
             else:
                 maps.append(Matrix.zeros(field, 0, bx.dim))
@@ -645,24 +651,23 @@ def mayer_vietoris(x: PrecubicalSet, s1: SubsetSpec, s2: SubsetSpec,
     return MayerVietorisResult(cover, seq, tables)
 
 
-def _mv_connecting(cx, span1, span12, span2, left, quo2, i, pair, field,
-                   hcl, hcr, hx, h12) -> Matrix:
+def _mv_connecting(c: _Cover, i: int, pair, hx, h12) -> Matrix:
     """Delta: H_i(X) -> H_{i-1}(ext X1^X2) through the excision inverse.
 
     j' projects to H_i(C(X)/ext X2); the excision isomorphism is inverted on
     classes; the zig-zag of the left column lands in H_{i-1}(ext X1^X2).
     """
     bx = hx[(i, pair)]
-    c_right = hcr[(i, pair)]
-    c_left = hcl[(i, pair)]
+    c_right = c.hcr[(i, pair)]
     a_prev = h12[(i - 1, pair)]
-    q_right = quo2.projection(i, pair)
-    gamma = _excision_map(cx, span1, span12, span2, i, pair, field, c_left, c_right)
+    q_right = c.quo2.projection(i, pair)
+    gamma = _excision_map(c, i, pair)
     # left-column snake data: 0 -> ext(X1^X2) -> ext(X1) -> left-quotient -> 0
-    ses = ShortExactData(span12, span1, left,
-                         {(d, pair): _span_inclusion(span12, span1, d, pair) for d in (i, i - 1)},
-                         {(d, pair): left.projection(d, pair) for d in (i, i - 1)})
-    snake = connecting_map(ses, i, pair, a_prev, c_left)
+    ses = ShortExactData(c.span12, c.span1, c.left,
+                         {(d, pair): _span_inclusion(c.span12, c.span1, d, pair)
+                          for d in (i, i - 1)},
+                         {(d, pair): c.left.projection(d, pair) for d in (i, i - 1)})
+    snake = connecting_map(ses, i, pair, a_prev, c.hcl[(i, pair)])
     cols = []
     for rep in bx.reps:
         v = c_right.class_vector(q_right.matvec(rep))
@@ -670,4 +675,4 @@ def _mv_connecting(cx, span1, span12, span2, left, quo2, i, pair, field,
         if w is None:
             raise SequenceError("excision map not surjective on a class")
         cols.append(snake.matvec(w))
-    return Matrix.from_columns(field, cols, length=a_prev.dim)
+    return Matrix.from_columns(c.cx.field, cols, length=a_prev.dim)

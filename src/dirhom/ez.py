@@ -25,7 +25,7 @@ comparison.  All of this is machine-verified by `tensor_comparison_report`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field as dataclass_field
 
 from .exactla import Matrix, QQ
 from .precubical import PcMorphism, PrecubicalSet, TensorSet, tensor
@@ -34,8 +34,8 @@ from .cubechain import (
     build_complex,
 )
 from .homology import (
-    _append_matrix, _prepend_matrix, chain_map_of_morphism, homology_of,
-    induced_on_homology,
+    PairHomology, _append_matrix, _prepend_matrix, chain_map_of_morphism,
+    homology_of, induced_on_homology,
 )
 from .scalars import h_morphism
 
@@ -317,6 +317,15 @@ class TensorSetting:
     cxb: PairGradedComplex
     cxp: PairGradedComplex
     tc: TensorComplex
+    _product_homology: dict[tuple[int, object], PairHomology] = dataclass_field(
+        default_factory=dict, repr=False)
+
+    def product_homology(self, n: int, pair) -> PairHomology:
+        """H_n of C(X(x)Y) at a pair, computed once for both reports."""
+        h = self._product_homology.get((n, pair))
+        if h is None:
+            h = self._product_homology[(n, pair)] = homology_of(self.cxp, n, pair)
+        return h
 
     @classmethod
     def build(cls, x: PrecubicalSet, y: PrecubicalSet, field=QQ) -> "TensorSetting":
@@ -364,7 +373,7 @@ def tensor_comparison_report(x: PrecubicalSet, y: PrecubicalSet, field=QQ,
                 retract_ok = False
                 failures.append(f"separate.interleave != id at {n} {pair}")
 
-    hp = {(n, pair): homology_of(cxp, n, pair) for pair in pairs for n in range(top + 1)}
+    hp = {(n, pair): st.product_homology(n, pair) for pair in pairs for n in range(top + 1)}
     ht = {(n, pair): homology_of(tc, n, pair) for pair in pairs for n in range(top + 1)}
     sep_h: dict[tuple[int, object], Matrix] = {}
     ilv_h: dict[tuple[int, object], Matrix] = {}
@@ -460,7 +469,7 @@ def kunneth_report(x: PrecubicalSet, y: PrecubicalSet, field=QQ,
         sx, sy = tx.components(s)
         ex, ey = tx.components(e)
         for n in range(top + 1):
-            left = homology_of(cxp, n, pair).dim
+            left = st.product_homology(n, pair).dim
             right = 0
             for j in range(n + 1):
                 right += (ha.get((j, (sx, ex)), 0) * hb.get((n - j, (sy, ey)), 0))

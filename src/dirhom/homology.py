@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
 
-from .exactla import Matrix, Subspace, _rref, kernel_basis, image_basis
+from .exactla import Matrix, Subspace, image_basis, kernel_basis, pivot_columns
 from .cubechain import (
     CubeChain, GradedComplex, PairGradedComplex, ChainError, _basis_map,
     build_complex,
@@ -65,9 +65,8 @@ def homology_of(cx: GradedComplex, i: int, pair) -> PairHomology:
     """
     ker = kernel_basis(cx.diff(i, pair))
     img = image_basis(cx.diff(i + 1, pair))
-    both = Matrix.from_columns(cx.field, img.basis + ker.basis, length=ker.ambient_dim)
-    _, pivots = _rref([list(r) for r in both.data], both.cols, cx.field.zero)
-    reps = [ker.basis[j - img.dim] for j in pivots if j >= img.dim]
+    cycles = ker.basis
+    reps = [cycles[j - img.dim] for j in pivot_columns(img, ker) if j >= img.dim]
     hom = PairHomology(i, pair, len(reps), reps, ker, img)
     assert hom.dim == ker.dim - img.dim
     return hom

@@ -262,6 +262,8 @@ def from_dict(doc: dict) -> PrecubicalSet:
             dims.append(int(k))
         except ValueError:
             raise FormatError(f"cell dimension key {k!r} is not an integer") from None
+        if str(dims[-1]) != k:
+            raise FormatError(f"cell dimension key {k!r} is not written as {str(dims[-1])!r}")
     if sorted(dims) != list(range(len(dims))):
         raise FormatError("cell dimensions must be consecutive from 0")
     layers = []
@@ -280,6 +282,8 @@ def from_dict(doc: dict) -> PrecubicalSet:
         d0, d1 = spec["d0"], spec["d1"]
         if not (isinstance(d0, list) and isinstance(d1, list)):
             raise FormatError(f"faces[{cid!r}] entries must be lists")
+        if not all(isinstance(f, str) for f in d0 + d1):
+            raise FormatError(f"faces[{cid!r}] must list cell ids, which are strings")
         faces[cid] = (d0, d1)
     try:
         return PrecubicalSet(doc["name"], layers, faces)

@@ -24,7 +24,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .exactla import Matrix, QQ, Subspace, _rref
+from .exactla import Matrix, QQ, Subspace, image_basis, quotient_map
 from .precubical import PcMorphism, PrecubicalSet, TensorSet
 from .cubechain import (
     ChainError, CubeChain, DirectedCycleError, GradedComplex,
@@ -154,8 +154,9 @@ class ResolvedBimodule:
     """Per-pair reduction of a presented bimodule.
 
     For a pair (s, e) the spanning triples are (left path, generator, right
-    path); the relation translates are row-reduced and the quotient basis is
-    the set of non-pivot triples.  Edge actions are matrices in this basis.
+    path); the bimodule is their span modulo the relation translates, with
+    the triples off the pivots of the relations as quotient basis.  Edge
+    actions are matrices in this basis.
     """
 
     def __init__(self, pb: PresentedBimodule):
@@ -163,7 +164,7 @@ class ResolvedBimodule:
         self.field = pb.field
         self._triples: dict[tuple[str, str], list[tuple]] = {}
         self._tindex: dict[tuple[str, str], dict[tuple, int]] = {}
-        self._rref: dict[tuple[str, str], tuple] = {}
+        self._rref: dict[tuple[str, str], Matrix] = {}
         self._free: dict[tuple[str, str], list[int]] = {}
 
     def triples(self, s: str, e: str) -> list[tuple]:
@@ -208,12 +209,12 @@ class ResolvedBimodule:
         key = (s, e)
         if key in self._rref:
             return
-        triples = self.triples(s, e)
-        rows = self._relation_rows(s, e)
-        rref_rows, pivots = _rref(rows, len(triples), self.field.zero)
-        self._rref[key] = (tuple(tuple(r) for r in rref_rows), tuple(pivots))
-        pivset = set(pivots)
-        self._free[key] = [j for j in range(len(triples)) if j not in pivset]
+        n = len(self.triples(s, e))
+        relations = Subspace.span(self.field, n, self._relation_rows(s, e))
+        # column j of the quotient map holds the coordinates of triple j
+        self._rref[key] = quotient_map(n, relations)
+        pivots = set(relations._pivots)
+        self._free[key] = [j for j in range(n) if j not in pivots]
 
     def dim(self, s: str, e: str) -> int:
         self._reduce(s, e)
@@ -227,19 +228,10 @@ class ResolvedBimodule:
     def coords_of_triple(self, s: str, e: str, triple: tuple) -> tuple:
         """Coordinates of a spanning triple in the quotient basis at (s, e)."""
         self._reduce(s, e)
-        tindex = self._tindex[(s, e)]
-        j = tindex.get(triple)
+        j = self._tindex[(s, e)].get(triple)
         if j is None:
             raise AlgebraError(f"triple {triple} does not span at ({s!r},{e!r})")
-        zero = self.field.zero
-        v = [zero] * len(tindex)
-        v[j] = self.field.one
-        rref_rows, pivots = self._rref[(s, e)]
-        for row, p in zip(rref_rows, pivots):
-            c = v[p]
-            if c != zero:
-                v = [a - c * b for a, b in zip(v, row)]
-        return tuple(v[j] for j in self._free[(s, e)])
+        return self._rref[(s, e)].column(j)
 
     def left_edge_action(self, a: str, s: str, e: str) -> Matrix:
         """Matrix of prepending the edge a : s' -> s, in quotient bases."""
@@ -435,24 +427,18 @@ class SubcomplexExtension(GradedComplex):
         for (i, s, e), chains in sorted(cx.bases.items()):
             kept = [j for j, c in enumerate(chains) if self._decomposable(x, c)]
             keep[(i, (s, e))] = kept
-        dims = {k: len(v) for k, v in keep.items()}
+        self.kept = keep
         diffs = {}
         for (i, pair), kept in keep.items():
             if i == 0 or not kept:
                 continue
-            big = cx.diff(i, pair)
-            prev = keep.get((i - 1, pair), [])
-            prev_set = {r: idx for idx, r in enumerate(prev)}
-            rows = []
-            for r in range(big.rows):
-                if r not in prev_set and any(big.entry(r, j) != cx.field.zero for j in kept):
-                    raise ChainError(
-                        "boundary of a decomposable chain left the extension span")
-            for r in prev:
-                rows.append([big.entry(r, j) for j in kept])
-            diffs[(i, pair)] = Matrix(cx.field, len(prev), len(kept), rows)
-        super().__init__(cx.field, cx.top_degree, dims, diffs)
-        self.kept = keep
+            # the boundaries of the kept chains, and their rows at kept chains
+            image = cx.diff(i, pair) @ self.inclusion_matrix(i, pair)
+            inc = self.inclusion_matrix(i - 1, pair)
+            diffs[(i, pair)] = inc.transpose() @ image
+            if inc @ diffs[(i, pair)] != image:
+                raise ChainError("boundary of a decomposable chain left the extension span")
+        super().__init__(cx.field, cx.top_degree, {k: len(v) for k, v in keep.items()}, diffs)
         self.check_boundary_square()
 
     def _decomposable(self, x: PrecubicalSet, c: CubeChain) -> bool:
@@ -473,8 +459,7 @@ class SubcomplexExtension(GradedComplex):
                                    self.kept.get((i, pair), []))
 
     def span(self, i: int, pair) -> Subspace:
-        return Subspace(self.cx.field, self.cx.dim(i, pair),
-                        self.inclusion_matrix(i, pair).columns())
+        return image_basis(self.inclusion_matrix(i, pair))
 
 
 def extend_subcomplex(cx: PairGradedComplex, y_cells: Iterable[str]) -> SubcomplexExtension:

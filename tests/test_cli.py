@@ -50,6 +50,19 @@ class TestValidate:
         r = invoke(runner, ["validate", str(p)])
         assert r.exit_code == 2
 
+    @pytest.mark.parametrize("verb", ["validate", "homology"])
+    @pytest.mark.parametrize("break_doc", [
+        lambda doc: doc["cells"].update({"01": doc["cells"].pop("1")}),
+        lambda doc: doc["faces"]["a"].update({"d0": [["0"]]}),
+    ], ids=["padded_dimension_key", "list_face_id"])
+    def test_malformed_document_exit2(self, runner, tmp_path, verb, break_doc):
+        doc = dh.segment().to_dict()
+        break_doc(doc)
+        p = tmp_path / "bad.json"
+        p.write_text(json.dumps(doc))
+        r = invoke(runner, [verb, str(p)])
+        assert r.exit_code == 2 and "input error:" in r.output
+
     def test_violation_exit1(self, runner, tmp_path):
         x = dh.PrecubicalSet("loop", [["0"], ["a"]], {"a": (["0"], ["0"])})
         p = tmp_path / "loop.json"

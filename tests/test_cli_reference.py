@@ -34,6 +34,11 @@ RUNS = [
     "kunneth --format text D2 D2",
     # exit 1: excision fails, so the cover of the grid is not good
     "mv --format json grid3 grid3/left grid3/right",
+    # quotients and relation reductions over a prime field
+    "relative --format json --field fp:7 D3 D3/S2",
+    "relative --format json --field fp:7 D4 D4/S3",
+    "mv --format json --field fp:7 domino domino/left domino/right",
+    "kunneth --format json --field fp:7 D2 S1",
 ]
 
 
@@ -57,12 +62,14 @@ def write_inputs(directory: Path) -> dict[str, str]:
     files = {}
     grid, grid_left, grid_right = make_grid3()
     for name, x in [("D2", dh.directed_disc(2)), ("S1", dh.directed_sphere(1)),
-                    ("D3", dh.directed_disc(3)), ("domino", make_domino()),
+                    ("D3", dh.directed_disc(3)), ("D4", dh.directed_disc(4)),
+                    ("domino", make_domino()),
                     ("grid3", grid)]:
         files[name] = str(directory / f"{name}.json")
         dh.save(x, files[name])
     dom = make_domino()
     subsets = {"D3/S2": sorted(dh.directed_sphere(2).all_cells()),
+               "D4/S3": sorted(dh.directed_sphere(3).all_cells()),
                "domino/left": sorted(dh.face_closure(dom, ["s1"])),
                "domino/right": sorted(dh.face_closure(dom, ["s2"])),
                "grid3/left": grid_left, "grid3/right": grid_right}

@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from dirhom.exactla import (
     FieldError, Matrix, PrimeField, QQ, Subspace, _rref, field_from_name,
-    induced_on_quotient, invert, is_prime, kernel_basis, quotient_map, rank,
-    solve_in_image,
+    image_basis, induced_on_quotient, invert, is_prime, kernel_basis,
+    pivot_columns, quotient_map, rank, solve_in_image,
 )
 
 
@@ -341,3 +341,93 @@ class TestAgainstDenseReference:
             outside[free] = field.one
             assert not sub.contains(outside)
             assert sub.coordinates(outside) is None
+
+
+def dense_kernel(rows, ncols, field) -> tuple:
+    """Reference: one kernel vector per free column of the dense rref."""
+    rref, pivots = dense_rref(rows, ncols, field.zero)
+    basis = []
+    for j in range(ncols):
+        if j in pivots:
+            continue
+        v = [field.zero] * ncols
+        v[j] = field.one
+        for row, c in zip(rref, pivots):
+            v[c] = -row[j]
+        basis.append(tuple(v))
+    return tuple(basis)
+
+
+def reference_quotient(sub: Subspace):
+    """Reference: the change of basis to [basis | unit columns off the pivots],
+    inverted; rows dim.. of the inverse are the quotient map, and the unit
+    columns are its section."""
+    field, n = sub.field, sub.ambient_dim
+    _, pivots = dense_rref(sub.basis, n, field.zero)
+    comp = [j for j in range(n) if j not in pivots]
+    eye = Matrix.identity(field, n)
+    units = [eye.column(j) for j in comp]
+    inv = invert(Matrix.from_columns(field, list(sub.basis) + units, length=n))
+    q = Matrix(field, len(comp), n, inv.data[sub.dim:])
+    return q, Matrix.from_columns(field, units, length=n)
+
+
+def random_vectors(draw, field, count, n):
+    return [tuple(r) for r in random_rows(draw, field, count, n)]
+
+
+class TestSparseAgainstDenseReference:
+    @settings(max_examples=60, deadline=None)
+    @given(matrices(), st.data())
+    def test_structural_operations(self, m, data):
+        field, _, rows, ncols = m
+        a = Matrix(field, len(rows), ncols, rows)
+        dense = tuple(tuple(r) for r in rows)
+        assert a.data == dense
+        assert a.transpose().data == tuple(tuple(r[j] for r in dense) for j in range(ncols))
+        assert a.columns() == [a.column(j) for j in range(ncols)]
+        assert Matrix.from_columns(field, a.columns(), length=a.rows) == a
+        assert (-a).data == tuple(tuple(-v for v in r) for r in dense)
+        b = Matrix(field, a.rows, 2, random_rows(data.draw, field, a.rows, 2))
+        assert a.augment(b).data == tuple(r1 + r2 for r1, r2 in zip(dense, b.data))
+        c = Matrix(field, 2, ncols, random_rows(data.draw, field, 2, ncols))
+        assert a.stack(c).data == dense + c.data
+        assert all(a.entry(i, j) == dense[i][j] for i in range(a.rows) for j in range(ncols))
+
+    @settings(max_examples=60, deadline=None)
+    @given(matrices())
+    def test_kernel_basis_is_the_dense_kernel(self, m):
+        field, _, rows, ncols = m
+        ker = kernel_basis(Matrix(field, len(rows), ncols, rows))
+        assert ker.basis == dense_kernel(rows, ncols, field)
+        assert Subspace(field, ncols, ker.basis) == ker
+
+    @settings(max_examples=60, deadline=None)
+    @given(matrices(), st.data())
+    def test_pivot_columns_are_the_dense_pivots(self, m, data):
+        # as homology_of uses it: boundaries first, then cycles
+        field, _, rows, ncols = m
+        img = image_basis(Matrix(field, len(rows), ncols, rows).transpose())
+        ker = kernel_basis(Matrix(field, 2, ncols, random_rows(data.draw, field, 2, ncols)))
+        columns = img.basis + ker.basis
+        dense = [[v[i] for v in columns] for i in range(ncols)]
+        assert pivot_columns(img, ker) == dense_rref(dense, len(columns), field.zero)[1]
+
+    @settings(max_examples=60, deadline=None)
+    @given(matrices())
+    def test_quotient_map_is_the_reference(self, m):
+        field, _, rows, ncols = m
+        sub = Subspace.span(field, ncols, rows)
+        assert quotient_map(ncols, sub) == reference_quotient(sub)[0]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(FIELDS), st.integers(0, 6), st.integers(0, 6), st.data())
+    def test_induced_on_quotient_is_the_reference(self, field, n_src, n_dst, data):
+        f = Matrix(field, n_dst, n_src, random_rows(data.draw, field, n_dst, n_src))
+        src = Subspace.span(field, n_src, random_vectors(data.draw, field,
+                                                         data.draw(st.integers(0, 3)), n_src))
+        extra = random_vectors(data.draw, field, data.draw(st.integers(0, 2)), n_dst)
+        dst = Subspace.span(field, n_dst, [f.matvec(v) for v in src.basis] + extra)
+        q_dst, _ = reference_quotient(dst)
+        _, section = reference_quotient(src)
+        assert induced_on_quotient(f, src, dst) == q_dst @ f @ section

@@ -272,3 +272,23 @@ class TestMayerVietoris:
         res = mayer_vietoris(D2, s1, s2)
         assert not res.cover.good
         assert res.sequence is None
+
+    def test_domino_builds_each_object_once(self, domino, monkeypatch):
+        # C(X) and the complexes of X1 and X2 once each, each quotient once
+        from collections import Counter
+        import dirhom.exactseq as es
+        calls = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(es, "build_complex", counted("build", es.build_complex))
+        for cls in (es.QuotientComplex, es._LeftQuotient):
+            monkeypatch.setattr(cls, "__init__", counted(cls.__name__, cls.__init__))
+        s1 = SubsetSpec(domino, dh.face_closure(domino, ["s1"]))
+        s2 = SubsetSpec(domino, dh.face_closure(domino, ["s2"]))
+        assert mayer_vietoris(domino, s1, s2).sequence.all_exact
+        assert calls == {"build": 3, "QuotientComplex": 1, "_LeftQuotient": 1}

@@ -230,6 +230,22 @@ class TestKunneth:
         rep = kunneth_report(K, pt)
         assert rep.identity_holds
 
+    def test_product_homology_computed_once(self, S1, monkeypatch):
+        # both reports on one setting read the same product-complex homology
+        import dirhom.ez as ez
+        st = TensorSetting.build(S1, S1)
+        keys = []
+
+        def counted(cx, n, pair):
+            if cx is st.cxp:
+                keys.append((n, pair))
+            return homology_of(cx, n, pair)
+
+        monkeypatch.setattr(ez, "homology_of", counted)
+        assert tensor_comparison_report(S1, S1, setting=st).all_ok
+        assert kunneth_report(S1, S1, setting=st).identity_holds
+        assert keys and len(keys) == len(set(keys))
+
 
 class TestObstructionReport:
     def test_kk_counts(self, K):

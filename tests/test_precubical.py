@@ -240,3 +240,15 @@ class TestJson:
     def test_malformed_json(self):
         with pytest.raises(FormatError):
             from_json("{not json")
+
+    def test_padded_dimension_key_rejected(self, K):
+        doc = K.to_dict()
+        doc["cells"]["01"] = doc["cells"].pop("1")
+        with pytest.raises(FormatError):
+            dh.precubical.from_dict(doc)
+
+    def test_non_string_face_id_rejected(self, K):
+        doc = K.to_dict()
+        doc["faces"]["a"]["d0"] = [["0"]]
+        with pytest.raises(FormatError):
+            dh.precubical.from_dict(doc)

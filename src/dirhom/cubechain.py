@@ -306,9 +306,6 @@ class GradedComplex:
                     raise BoundaryCheckError(
                         f"d.d != 0 at degree {i}, pair {pair}")
 
-    def euler_characteristic(self, pair) -> int:
-        return sum((-1) ** i * self.dim(i, pair) for i in range(self.top_degree + 1))
-
 
 class PairGradedComplex(GradedComplex):
     """The cube-chain complex of an acyclic precubical set.

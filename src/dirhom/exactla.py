@@ -11,10 +11,17 @@ Boundary, action and relation matrices are mostly zeros, so `Matrix` and
 `Subspace` hold only nonzero values, as rows and vectors that are
 ``{column: value}`` dicts: plain ints in ``[0, p)`` over F_p, `Fraction`
 over Q.  `_eliminate`, the one elimination kernel, and every product work
-on these rows directly.  Field scalars (``Residue`` over F_p) appear only
-where values enter, in constructors and vectors passed in, and where they
-leave, in `entry`, `data`, `row`, `column(s)`, `basis`, `matvec` and
-`coordinates`.  Zero tests are truthiness tests.
+on these rows directly.  Zero tests are truthiness tests.
+
+Systems are solved for a whole matrix of right-hand sides at once:
+`solve(m, b)` eliminates [m | b] once, and `Subspace.express(m)` reads the
+coordinates of every column of m off the subspace's one elimination; the
+single-vector `solve_in_image`, `coordinates`, `contains` and `matvec` are
+one-line wrappers.  Field scalars (``Residue`` over F_p) appear only where
+values enter (constructors, vectors passed in) and where they leave
+(`entry`, `data`, `row`, `column(s)`, `basis`, the vector wrappers); inside
+the package they leave only through `Matrix.data`, for the CLI's JSON, and
+`Matrix.entry`, for the coefficients of bimodule relations.
 
 Pivot columns are taken in the caller's column order, and only the pivot
 *row* is chosen freely: the sparsest pending row that is nonzero in the
@@ -182,6 +189,22 @@ def _transpose(rows, ncols: int) -> list[dict]:
     return out
 
 
+def _mul(left: list[dict], right: list[dict], p: int) -> list[dict]:
+    """The product of two matrices given as sparse rows."""
+    out = []
+    for r in left:
+        acc: dict = {}
+        for k, a in r.items():
+            for j, b in right[k].items():
+                # a first term is stored, not added to 0: 0 + Fraction is slow
+                acc[j] = acc[j] + a * b if j in acc else a * b
+        if p:
+            out.append({j: v for j, a in acc.items() if (v := a % p)})
+        else:
+            out.append({j: a for j, a in acc.items() if a})
+    return out
+
+
 def _axpy(target: dict, f, row: dict, p: int) -> None:
     """target -= f * row in place, dropping the entries that cancel."""
     get = target.get
@@ -237,20 +260,6 @@ def _eliminate(rows: list[dict], order: Iterable[int], p: int):
             if f:
                 _axpy(above, f, row, p)
     return done, pivots
-
-
-def _residual(v: dict, rows: list[dict], pivots: list[int], p: int) -> dict:
-    """v minus its projection on reduced rows: empty iff v lies in their span.
-
-    Rows in reduced echelon form are 1 at their own pivot and 0 at the
-    others, so the only candidate combination has coefficient v[pivot].
-    """
-    r = dict(v)
-    for row, c in zip(rows, pivots):
-        f = v.get(c)
-        if f:
-            _axpy(r, f, row, p)
-    return r
 
 
 def _null_vectors(rows: list[dict], pivots: list[int], n: int, p: int) -> list[dict]:
@@ -375,20 +384,8 @@ class Matrix(_Frozen):
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise FieldError(f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
-        p = _modulus(self.field)
-        right = other._rows
-        out = []
-        for r in self._rows:
-            acc: dict = {}
-            get = acc.get
-            for k, a in r.items():
-                for j, b in right[k].items():
-                    acc[j] = get(j, 0) + a * b
-            if p:
-                out.append({j: v for j, a in acc.items() if (v := a % p)})
-            else:
-                out.append({j: a for j, a in acc.items() if a})
-        return Matrix._of(self.field, self.rows, other.cols, out)
+        return Matrix._of(self.field, self.rows, other.cols,
+                          _mul(self._rows, other._rows, _modulus(self.field)))
 
     def matvec(self, v: Sequence) -> tuple:
         return (self @ Matrix.from_columns(self.field, [v], length=self.cols)).column(0)
@@ -405,6 +402,10 @@ class Matrix(_Frozen):
         return Matrix._of(self.field, self.rows, n + other.cols,
                           [{**r1, **{j + n: a for j, a in r2.items()}}
                            for r1, r2 in zip(self._rows, other._rows)])
+
+    def take_rows(self, indices: Sequence[int]) -> "Matrix":
+        """The matrix of the rows at `indices`, in that order."""
+        return Matrix._of(self.field, len(indices), self.cols, [self._rows[i] for i in indices])
 
     def stack(self, other: "Matrix") -> "Matrix":
         if self.cols != other.cols:
@@ -461,6 +462,14 @@ class Subspace(_Frozen):
             raise FieldError("basis not independent")
 
     @classmethod
+    def of_columns(cls, m: Matrix) -> "Subspace":
+        """The subspace whose basis is the columns of m, which must be independent."""
+        sub = cls._of(m.field, m.rows, _transpose(m._rows, m.cols), None)
+        if len(sub._pivots) != sub.dim:
+            raise FieldError("basis not independent")
+        return sub
+
+    @classmethod
     def zero(cls, field, ambient_dim: int) -> "Subspace":
         return cls(field, ambient_dim, [])
 
@@ -482,6 +491,12 @@ class Subspace(_Frozen):
         """The basis vectors as tuples of field scalars."""
         zero, p = self.field.zero, _modulus(self.field)
         return tuple(tuple(_dense(v, self.ambient_dim, zero, p)) for v in self._basis)
+
+    def basis_matrix(self, picked: Sequence[int] | None = None) -> Matrix:
+        """The matrix whose columns are the basis vectors, or those at `picked`."""
+        vecs = self._basis if picked is None else [self._basis[j] for j in picked]
+        return Matrix._of(self.field, self.ambient_dim, len(vecs),
+                          _transpose(vecs, self.ambient_dim))
 
     @property
     def _pivots(self) -> tuple:
@@ -507,24 +522,31 @@ class Subspace(_Frozen):
                 [{c - n: a for c, a in r.items() if c >= n} for r in done]))
         return self._elimination
 
-    def contains(self, v: Sequence) -> bool:
+    def express(self, m: Matrix) -> Matrix | None:
+        """The coordinates in `basis` of the columns of m, as the columns of
+        the result, or None when a column is not in the subspace.
+
+        A vector in the span is the combination of the reduced rows weighted
+        by its entries at their pivots, and reduced row k is the combination
+        transform k of the basis; the products run on one row per column of m.
+        """
+        if m.rows != self.ambient_dim:
+            raise FieldError(f"vector length {m.rows} != {self.ambient_dim}")
+        rows, pivots, transforms = self._eliminated()
         p = _modulus(self.field)
-        rows, pivots, _ = self._eliminated()
-        return not _residual(_sparse(v, p, self.ambient_dim), rows, pivots, p)
+        vecs = _transpose(m._rows, m.cols)
+        at_pivots = [{k: v[c] for k, c in enumerate(pivots) if c in v} for v in vecs]
+        if _mul(at_pivots, rows, p) != vecs:
+            return None
+        return Matrix._of(self.field, self.dim, m.cols,
+                          _transpose(_mul(at_pivots, transforms, p), self.dim))
 
     def coordinates(self, v: Sequence) -> tuple | None:
         """The coefficients of v in `basis`, or None when v is not in the subspace."""
-        p = _modulus(self.field)
-        sv = _sparse(v, p, self.ambient_dim)
-        rows, pivots, transforms = self._eliminated()
-        if _residual(sv, rows, pivots, p):
-            return None
-        x: dict = {}
-        for t, c in zip(transforms, pivots):
-            f = sv.get(c)
-            if f:
-                _axpy(x, -f, t, p)
-        return tuple(_dense(x, self.dim, self.field.zero, p))
+        return _vector(self.express(Matrix.from_columns(self.field, [v], length=self.ambient_dim)))
+
+    def contains(self, v: Sequence) -> bool:
+        return self.coordinates(v) is not None
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Subspace)
@@ -564,23 +586,38 @@ def pivot_columns(*spaces: Subspace) -> list[int]:
                       _modulus(spaces[0].field))[1]
 
 
-def solve_in_image(m: Matrix, b: Sequence, column_order: Sequence[int] | None = None):
-    """Some x with m x = b, or None when b is not in the image of m.
+def solve(m: Matrix, b: Matrix, column_order: Sequence[int] | None = None) -> Matrix | None:
+    """Some X with m X = b, or None when a column of b is not in the image of m.
 
-    `column_order` permutes pivot selection, yielding a different particular
-    solution when the system is underdetermined.
+    One elimination of [m | b] serves every column.  Coordinates of X off
+    the pivot columns are 0; `column_order` permutes pivot selection,
+    yielding a different particular solution when the system is
+    underdetermined.
     """
-    p = _modulus(m.field)
+    if b.rows != m.rows:
+        raise FieldError(f"vector length {b.rows} != {m.rows}")
     n = m.cols
-    rows = [dict(r) for r in m._rows]
-    for i, a in _sparse(b, p, m.rows).items():
-        rows[i][n] = a
+    if not b.cols:
+        return Matrix.zeros(m.field, n, 0)
+    rows = m.augment(b)._rows      # new dicts, free for the elimination to modify
     order = list(range(n)) if column_order is None else list(column_order)
-    done, pivots = _eliminate(rows, order + [n], p)
-    if n in pivots:
+    done, pivots = _eliminate(rows, order + list(range(n, n + b.cols)), _modulus(m.field))
+    if pivots and pivots[-1] >= n:
         return None
-    x = {c: row[n] for row, c in zip(done, pivots) if n in row}
-    return tuple(_dense(x, n, m.field.zero, p))
+    x: list[dict] = [{} for _ in range(n)]
+    for row, c in zip(done, pivots):
+        x[c] = {j - n: a for j, a in row.items() if j >= n}
+    return Matrix._of(m.field, n, b.cols, x)
+
+
+def solve_in_image(m: Matrix, b: Sequence, column_order: Sequence[int] | None = None):
+    """Some x with m x = b, or None when b is not in the image of m."""
+    return _vector(solve(m, Matrix.from_columns(m.field, [b], length=m.rows), column_order))
+
+
+def _vector(m: Matrix | None) -> tuple | None:
+    """The one column of m as field scalars; None for None."""
+    return None if m is None else m.column(0)
 
 
 def invert(m: Matrix) -> Matrix:
@@ -611,8 +648,7 @@ def induced_on_quotient(f: Matrix, src_sub: Subspace, dst_sub: Subspace) -> Matr
     """The unique g with g . q_src = q_dst . f, given f(src_sub) <= dst_sub."""
     q_src = quotient_map(f.cols, src_sub)
     q_dst_f = quotient_map(f.rows, dst_sub) @ f
-    basis = Matrix._of(f.field, f.cols, src_sub.dim, _transpose(src_sub._basis, f.cols))
-    if not (q_dst_f @ basis).is_zero():
+    if not (q_dst_f @ src_sub.basis_matrix()).is_zero():
         raise FieldError("f does not preserve the subspaces")
     pivots = set(src_sub._pivots)
     g = q_dst_f @ Matrix.unit_columns(f.field, f.cols,

@@ -23,14 +23,16 @@ from dataclasses import dataclass
 
 from .exactla import (
     Matrix, QQ, image_basis, induced_on_quotient, kernel_basis, quotient_map,
-    rank, solve_in_image,
+    rank, solve,
 )
 from .precubical import PrecubicalSet, SubsetSpec, sub
-from .cubechain import GradedComplex, PairGradedComplex, _basis_map, build_complex
-from .homology import PairHomology, homology_of, induced_on_homology
+from .cubechain import (
+    GradedComplex, PairGradedComplex, _basis_map, build_complex, max_chain_degree,
+)
+from .homology import HomologyTable, PairHomology, homology_of, induced_on_homology
 from .scalars import (
-    PathAlgebraIndex, SubcomplexExtension, extend_presented, extend_subcomplex,
-    path_algebra, present_chain_module, present_homology,
+    SubcomplexExtension, extend_presented, extend_subcomplex, path_algebra,
+    present_chain_module, present_homology,
 )
 
 
@@ -109,15 +111,22 @@ def _one_block(flags: list[bool]) -> bool:
     return True
 
 
-def check_relative_pair(x: PrecubicalSet, spec: SubsetSpec, field=QQ,
-                        cx: PairGradedComplex | None = None,
-                        alg: PathAlgebraIndex | None = None) -> RelativePairReport:
-    """Path criterion plus per-degree monicity of the extension."""
+def _check_selection(x: PrecubicalSet, spec: SubsetSpec) -> None:
     if spec.parent is not x:
         raise SequenceError("subset spec does not belong to this set")
     missing = spec.missing_faces()
     if missing:
         raise SequenceError(f"selection not face-closed, e.g. {missing[0]}")
+
+
+def check_relative_pair(x: PrecubicalSet, spec: SubsetSpec, field=QQ,
+                        span: SubcomplexExtension | None = None) -> RelativePairReport:
+    """Path criterion plus per-degree monicity of the extension.
+
+    `span` is the extension span of the selection inside C(X), when the
+    caller has already built it.
+    """
+    _check_selection(x, spec)
     enter_exit = True
     offending = None
     for p in maximal_paths(x):
@@ -127,11 +136,10 @@ def check_relative_pair(x: PrecubicalSet, spec: SubsetSpec, field=QQ,
             offending = tuple(p)
             break
     y, inc = sub(x, spec)
-    cx = cx or build_complex(x, None, field)
-    alg = alg or path_algebra(x)
-    span = extend_subcomplex(cx, spec.selected)
+    span = span or extend_subcomplex(build_complex(x, None, field), spec.selected)
+    cx = span.cx
+    alg = path_algebra(x)
     failures: list[tuple[int, str, str, int, int]] = []
-    from .cubechain import max_chain_degree
     top_y = max_chain_degree(y)
     degrees = tuple(range(top_y + 1))
     for i in degrees:
@@ -183,12 +191,10 @@ class QuotientComplex(_Quotient):
         super().__init__(cx, span.span)
 
 
-def relative_complex(x: PrecubicalSet, spec: SubsetSpec, field=QQ,
-                     cx: PairGradedComplex | None = None) -> QuotientComplex:
+def relative_complex(x: PrecubicalSet, spec: SubsetSpec, field=QQ) -> QuotientComplex:
     """The per-pair cokernel of the extension span inside C(X)."""
-    cx = cx or build_complex(x, None, field)
-    span = extend_subcomplex(cx, spec.selected)
-    return QuotientComplex(cx, span)
+    cx = build_complex(x, None, field)
+    return QuotientComplex(cx, extend_subcomplex(cx, spec.selected))
 
 
 # -- exact sequence verification ----------------------------------------------------
@@ -292,19 +298,15 @@ def connecting_map(ses: ShortExactData, i: int, pair,
                    ha: PairHomology, hc: PairHomology,
                    column_order=None) -> Matrix:
     """The zig-zag H_i(C) -> H_{i-1}(A): lift, take the boundary, pull back."""
-    inc = ses.include[(i - 1, pair)]
-    prj = ses.project[(i, pair)]
-    cols = []
-    for rep in hc.reps:
-        lift = solve_in_image(prj, rep, column_order=column_order)
-        if lift is None:
-            raise SequenceError("cycle has no lift along the projection")
-        db = ses.b.diff(i, pair).matvec(lift)
-        back = solve_in_image(inc, db)
-        if back is None:
-            raise SequenceError("boundary of the lift is not in the subcomplex")
-        cols.append(ha.class_vector(back))
-    return Matrix.from_columns(ses.a.field, cols, length=ha.dim)
+    if not hc.dim:
+        return Matrix.zeros(ses.a.field, ha.dim, 0)
+    lift = solve(ses.project[(i, pair)], hc.representatives, column_order)
+    if lift is None:
+        raise SequenceError("cycle has no lift along the projection")
+    back = solve(ses.include[(i - 1, pair)], ses.b.diff(i, pair) @ lift)
+    if back is None:
+        raise SequenceError("boundary of the lift is not in the subcomplex")
+    return ha.classes(back)
 
 
 # -- long exact sequence of a relative pair ---------------------------------------------
@@ -333,8 +335,7 @@ def _ses_of_pair(cx: PairGradedComplex, span: SubcomplexExtension,
 
 def les_relative(x: PrecubicalSet, spec: SubsetSpec, field=QQ,
                  max_degree: int | None = None,
-                 force: bool = False,
-                 verify_extension: bool = True) -> RelativeHomologyResult:
+                 force: bool = False) -> RelativeHomologyResult:
     """Relative homology and its machine-verified long exact sequence.
 
     Complexes are always built in full, so every truncation of the sequence
@@ -344,18 +345,13 @@ def les_relative(x: PrecubicalSet, spec: SubsetSpec, field=QQ,
     skipped.
     """
     cx = build_complex(x, None, field)
-    report = check_relative_pair(x, spec, field, cx=cx)
+    _check_selection(x, spec)  # a bad selection raises SequenceError before the span is built
     span = extend_subcomplex(cx, spec.selected)
+    report = check_relative_pair(x, spec, field, span)
     quo = QuotientComplex(cx, span)
     top = cx.top_degree if max_degree is None else min(max_degree, cx.top_degree)
-    hx: dict[tuple[int, tuple], PairHomology] = {}
-    ha: dict[tuple[int, tuple], PairHomology] = {}
-    hc: dict[tuple[int, tuple], PairHomology] = {}
-    for pair in cx.pairs():
-        for i in range(cx.top_degree + 1):
-            hx[(i, pair)] = homology_of(cx, i, pair)
-            ha[(i, pair)] = homology_of(span, i, pair)
-            hc[(i, pair)] = homology_of(quo, i, pair)
+    keys = [(i, pair) for pair in cx.pairs() for i in range(cx.top_degree + 1)]
+    hx, ha, hc = ({k: homology_of(c, *k) for k in keys} for c in (cx, span, quo))
     result = RelativeHomologyResult(
         report,
         {k: h.dim for k, h in hx.items() if k[0] <= top},
@@ -370,53 +366,59 @@ def les_relative(x: PrecubicalSet, spec: SubsetSpec, field=QQ,
     ses = _ses_of_pair(cx, span, quo)
     ses.verify(cx.pairs(), cx.top_degree)
 
-    per_pair = {}
-    for pair in cx.pairs():
-        maps: list[Matrix] = []
-        labels: list[str] = []
-        # zero space on top, then degrees from the top of the complex down:
-        # H_i(ext Y) -> H_i(X) -> H_i(X, Y) -> H_{i-1}(ext Y) -> ..
-        maps.append(Matrix.zeros(field, ha[(cx.top_degree, pair)].dim, 0))
-        labels.append("0")
-        for i in range(cx.top_degree, -1, -1):
-            labels += [f"extH{i}", f"H{i}", f"relH{i}"]
-            a_i, x_i, c_i = ha[(i, pair)], hx[(i, pair)], hc[(i, pair)]
-            inc_h = induced_on_homology(ses.include[(i, pair)], a_i, x_i)
-            prj_h = induced_on_homology(ses.project[(i, pair)], x_i, c_i)
-            maps.append(inc_h)
-            maps.append(prj_h)
-            if i >= 1:
-                delta = connecting_map(ses, i, pair, ha[(i - 1, pair)], c_i)
-                delta2 = connecting_map(ses, i, pair, ha[(i - 1, pair)], c_i,
-                                        column_order=_reversed_order(ses, i, pair))
-                if delta != delta2:
-                    raise ExactnessError("connecting map depends on the lift choice")
-                maps.append(delta)
-            else:
-                maps.append(Matrix.zeros(field, 0, c_i.dim))
-        labels.append("0")
-        per_pair[pair] = verify_exact(pair, maps, labels)
-    seq_report = ExactSequenceReport(f"relative sequence of ({x.name}, sub)", per_pair)
-    result.sequence = seq_report
-    if not seq_report.all_exact:
-        raise ExactnessError("relative long exact sequence failed verification")
+    def maps(i, pair):
+        # H_i(ext Y) -> H_i(X) -> H_i(X, Y) -> H_{i-1}(ext Y)
+        a_i, x_i, c_i = ha[(i, pair)], hx[(i, pair)], hc[(i, pair)]
+        inc_h = induced_on_homology(ses.include[(i, pair)], a_i, x_i)
+        prj_h = induced_on_homology(ses.project[(i, pair)], x_i, c_i)
+        if i == 0:
+            return inc_h, prj_h, None
+        delta = connecting_map(ses, i, pair, ha[(i - 1, pair)], c_i)
+        delta2 = connecting_map(ses, i, pair, ha[(i - 1, pair)], c_i,
+                                column_order=reversed(range(ses.project[(i, pair)].cols)))
+        if delta != delta2:
+            raise ExactnessError("connecting map depends on the lift choice")
+        return inc_h, prj_h, delta
 
-    if verify_extension:
-        result.extension_commutes = _extension_commutes_with_homology(
-            x, spec, cx, {k: h.dim for k, h in ha.items()}, field)
+    result.sequence = _long_exact_sequence(
+        f"relative sequence of ({x.name}, sub)", cx, ("extH{i}", "H{i}", "relH{i}"), maps,
+        "relative long exact sequence failed verification")
+    result.extension_commutes = _extension_commutes_with_homology(
+        x, spec, cx, {k: h.dim for k, h in ha.items()}, field)
     return result
 
 
-def _reversed_order(ses: ShortExactData, i: int, pair):
-    n = ses.project[(i, pair)].cols
-    return list(range(n - 1, -1, -1))
+def _long_exact_sequence(title: str, cx: GradedComplex, names: tuple[str, str, str],
+                         maps, failure: str) -> ExactSequenceReport:
+    """Frame, label and verify the long exact sequence of every pair of cx.
+
+    ``maps(i, pair)`` gives A_i -> B_i -> C_i and the connecting map
+    C_i -> A_{i-1} (None in degree 0), for i from the top degree down; the
+    nodes are labelled ``name.format(i=i)`` and framed by zero spaces.  An
+    inexact sequence raises ExactnessError(failure).
+    """
+    per_pair = {}
+    for pair in cx.pairs():
+        seq: list[Matrix] = []
+        labels = ["0"]
+        for i in range(cx.top_degree, -1, -1):
+            f, g, delta = maps(i, pair)
+            if not seq:
+                seq.append(Matrix.zeros(cx.field, f.cols, 0))
+            seq += [f, g, Matrix.zeros(cx.field, 0, g.rows) if delta is None else delta]
+            labels += [name.format(i=i) for name in names]
+        labels.append("0")
+        per_pair[pair] = verify_exact(pair, seq, labels)
+    report = ExactSequenceReport(title, per_pair)
+    if not report.all_exact:
+        raise ExactnessError(failure)
+    return report
 
 
 def _extension_commutes_with_homology(x, spec, cx, ext_dims: dict[tuple[int, tuple], int],
                                       field) -> bool:
     """Compare H(extension complex), whose dimensions are `ext_dims`, with the
     extension of a presentation of H(Y)."""
-    from .homology import HomologyTable
     y, inc = sub(x, spec)
     cy = build_complex(y, None, field)
     ty = HomologyTable(cy, y)
@@ -469,7 +471,7 @@ def _intersection_spec(x, s1: SubsetSpec, s2: SubsetSpec) -> SubsetSpec:
 class _Cover:
     """What the good-cover check builds and the Mayer-Vietoris sequence reuses:
     C(X), the three extension spans, the two quotient complexes of the
-    excision map, and the homology of those quotients."""
+    excision map, the homology of those quotients and the excision maps."""
 
     cx: PairGradedComplex
     span1: SubcomplexExtension
@@ -479,6 +481,7 @@ class _Cover:
     quo2: QuotientComplex
     hcl: dict[tuple[int, tuple], PairHomology]
     hcr: dict[tuple[int, tuple], PairHomology]
+    excision: dict[tuple[int, tuple], Matrix]
 
 
 def good_cover_check(x: PrecubicalSet, s1: SubsetSpec, s2: SubsetSpec,
@@ -494,28 +497,28 @@ def _check_cover(x: PrecubicalSet, s1: SubsetSpec, s2: SubsetSpec,
     x1, inc1 = sub(x, s1)
     x2, _ = sub(x, s2)
     cx = build_complex(x, None, field)
+    span1 = extend_subcomplex(cx, s1.selected)
+    span2 = extend_subcomplex(cx, s2.selected)
     reports = {
-        "X,X1": check_relative_pair(x, s1, field, cx=cx),
-        "X,X2": check_relative_pair(x, s2, field, cx=cx),
+        "X,X1": check_relative_pair(x, s1, field, span1),
+        "X,X2": check_relative_pair(x, s2, field, span2),
         "X1,X1^X2": check_relative_pair(
             x1, SubsetSpec(x1, s12.selected), field),
         "X2,X1^X2": check_relative_pair(
             x2, SubsetSpec(x2, s12.selected), field),
     }
-    span1 = extend_subcomplex(cx, s1.selected)
     span12 = extend_subcomplex(cx, s12.selected)
-    span2 = extend_subcomplex(cx, s2.selected)
     # left side: ext C(X1) / ext C(X1^X2); right side: C(X) / ext C(X2)
     left = _LeftQuotientCache.get(span1, span12, field)
     quo2 = QuotientComplexCache.get(cx, span2, field)
     keys = [(i, pair) for pair in cx.pairs() for i in range(cx.top_degree + 1)]
     parts = _Cover(cx, span1, span2, span12, left, quo2,
                    {k: homology_of(left, *k) for k in keys},
-                   {k: homology_of(quo2, *k) for k in keys})
+                   {k: homology_of(quo2, *k) for k in keys}, {})
     failures: list[tuple[int, tuple, int, int]] = []
     for i, pair in keys:
         hq_left, hq_right = parts.hcl[(i, pair)], parts.hcr[(i, pair)]
-        m = _excision_map(parts, i, pair)
+        m = parts.excision[(i, pair)] = _excision_map(parts, i, pair)
         if not (hq_left.dim == hq_right.dim and rank(m) == hq_left.dim):
             failures.append((i, pair, hq_left.dim, hq_right.dim))
     return GoodCoverReport(covers, reports, not failures, failures), parts
@@ -567,18 +570,11 @@ class _LeftQuotientCache:
 
 def _excision_map(c: _Cover, i: int, pair) -> Matrix:
     """Homology of the canonical map ext C(X1)/ext C(X1^X2) -> C(X)/ext C(X2)."""
-    incl1 = c.span1.inclusion_matrix(i, pair)
-    q_left = c.left.projection(i, pair)
-    q_right = c.quo2.projection(i, pair)
-    h_right = c.hcr[(i, pair)]
-    cols = []
-    for rep in c.hcl[(i, pair)].reps:
-        lift = solve_in_image(q_left, rep)
-        if lift is None:
-            raise SequenceError("no lift for an excision representative")
-        img = q_right.matvec(incl1.matvec(lift))
-        cols.append(h_right.class_vector(img))
-    return Matrix.from_columns(c.cx.field, cols, length=h_right.dim)
+    lift = solve(c.left.projection(i, pair), c.hcl[(i, pair)].representatives)
+    if lift is None:
+        raise SequenceError("no lift for an excision representative")
+    return c.hcr[(i, pair)].classes(
+        c.quo2.projection(i, pair) @ (c.span1.inclusion_matrix(i, pair) @ lift))
 
 
 @dataclass
@@ -604,44 +600,24 @@ def mayer_vietoris(x: PrecubicalSet, s1: SubsetSpec, s2: SubsetSpec,
     cx, span1, span2, span12 = parts.cx, parts.span1, parts.span2, parts.span12
     top = cx.top_degree
 
-    h12 = {(i, p): homology_of(span12, i, p) for p in cx.pairs() for i in range(top + 1)}
-    h1 = {(i, p): homology_of(span1, i, p) for p in cx.pairs() for i in range(top + 1)}
-    h2 = {(i, p): homology_of(span2, i, p) for p in cx.pairs() for i in range(top + 1)}
-    hx = {(i, p): homology_of(cx, i, p) for p in cx.pairs() for i in range(top + 1)}
+    keys = [(i, p) for p in cx.pairs() for i in range(top + 1)]
+    h12, h1, h2, hx = ({k: homology_of(c, *k) for k in keys} for c in (span12, span1, span2, cx))
 
-    per_pair = {}
-    for pair in cx.pairs():
-        maps: list[Matrix] = []
-        labels: list[str] = []
-        maps.append(Matrix.zeros(field, h12[(top, pair)].dim, 0))
-        labels.append("0")
-        for i in range(top, -1, -1):
-            a = h12[(i, pair)]
-            b1, b2 = h1[(i, pair)], h2[(i, pair)]
-            bx = hx[(i, pair)]
-            labels += [f"(^)H{i}", f"H{i}(1)+H{i}(2)", f"H{i}(X)"]
-            # A -> B1 (+) B2 : classes included into both parts
-            m_in1 = induced_on_homology(_span_inclusion(span12, span1, i, pair), a, b1)
-            m_in2 = induced_on_homology(_span_inclusion(span12, span2, i, pair), a, b2)
-            maps.append(m_in1.stack(m_in2))
-            # B1 (+) B2 -> X : difference of the inclusions
-            m1x = induced_on_homology(span1.inclusion_matrix(i, pair), b1, bx)
-            m2x = induced_on_homology(span2.inclusion_matrix(i, pair), b2, bx)
-            maps.append(m1x.augment(-m2x))
-            if i >= 1:
-                delta = _mv_connecting(parts, i, pair, hx, h12)
-                maps.append(delta)
-            else:
-                maps.append(Matrix.zeros(field, 0, bx.dim))
-        labels.append("0")
-        per_pair[pair] = verify_exact(pair, maps, labels)
-    seq = ExactSequenceReport(f"Mayer-Vietoris of {x.name}", per_pair)
-    if not seq.all_exact:
-        raise ExactnessError("Mayer-Vietoris sequence failed verification")
-    if max_degree is not None:
-        cap = max_degree
-    else:
-        cap = top
+    def maps(i, pair):
+        a, b1, b2, bx = h12[(i, pair)], h1[(i, pair)], h2[(i, pair)], hx[(i, pair)]
+        # A -> B1 (+) B2 : classes included into both parts
+        m_in1 = induced_on_homology(_span_inclusion(span12, span1, i, pair), a, b1)
+        m_in2 = induced_on_homology(_span_inclusion(span12, span2, i, pair), a, b2)
+        # B1 (+) B2 -> X : difference of the inclusions
+        m1x = induced_on_homology(span1.inclusion_matrix(i, pair), b1, bx)
+        m2x = induced_on_homology(span2.inclusion_matrix(i, pair), b2, bx)
+        delta = _mv_connecting(parts, i, pair, hx, h12) if i >= 1 else None
+        return m_in1.stack(m_in2), m1x.augment(-m2x), delta
+
+    seq = _long_exact_sequence(f"Mayer-Vietoris of {x.name}", cx,
+                               ("(^)H{i}", "H{i}(1)+H{i}(2)", "H{i}(X)"), maps,
+                               "Mayer-Vietoris sequence failed verification")
+    cap = top if max_degree is None else max_degree
     tables = {
         "intersection": {k: h.dim for k, h in h12.items() if k[0] <= cap},
         "part1": {k: h.dim for k, h in h1.items() if k[0] <= cap},
@@ -657,22 +633,14 @@ def _mv_connecting(c: _Cover, i: int, pair, hx, h12) -> Matrix:
     j' projects to H_i(C(X)/ext X2); the excision isomorphism is inverted on
     classes; the zig-zag of the left column lands in H_{i-1}(ext X1^X2).
     """
-    bx = hx[(i, pair)]
-    c_right = c.hcr[(i, pair)]
-    a_prev = h12[(i - 1, pair)]
-    q_right = c.quo2.projection(i, pair)
-    gamma = _excision_map(c, i, pair)
     # left-column snake data: 0 -> ext(X1^X2) -> ext(X1) -> left-quotient -> 0
     ses = ShortExactData(c.span12, c.span1, c.left,
                          {(d, pair): _span_inclusion(c.span12, c.span1, d, pair)
                           for d in (i, i - 1)},
                          {(d, pair): c.left.projection(d, pair) for d in (i, i - 1)})
-    snake = connecting_map(ses, i, pair, a_prev, c.hcl[(i, pair)])
-    cols = []
-    for rep in bx.reps:
-        v = c_right.class_vector(q_right.matvec(rep))
-        w = solve_in_image(gamma, v)
-        if w is None:
-            raise SequenceError("excision map not surjective on a class")
-        cols.append(snake.matvec(w))
-    return Matrix.from_columns(c.cx.field, cols, length=a_prev.dim)
+    snake = connecting_map(ses, i, pair, h12[(i - 1, pair)], c.hcl[(i, pair)])
+    projected = c.quo2.projection(i, pair) @ hx[(i, pair)].representatives
+    w = solve(c.excision[(i, pair)], c.hcr[(i, pair)].classes(projected))
+    if w is None:
+        raise SequenceError("excision map not surjective on a class")
+    return snake @ w

@@ -28,10 +28,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dataclass_field
 
 from .exactla import Matrix, QQ
-from .precubical import PcMorphism, PrecubicalSet, TensorSet, tensor
+from .precubical import PcMorphism, PrecubicalSet, TensorSet, tensor, tensor_morphism
 from .cubechain import (
-    ChainError, CubeChain, GradedComplex, PairGradedComplex, _basis_map,
-    build_complex,
+    ChainError, CubeChain, GradedComplex, PairGradedComplex, _basis_map, boundary,
+    build_complex, project_shuffle,
 )
 from .homology import (
     PairHomology, _append_matrix, _prepend_matrix, chain_map_of_morphism,
@@ -90,11 +90,9 @@ class TensorComplex(GradedComplex):
                 col = [field.zero] * len(target)
                 j = ca.degree
                 if j >= 1:
-                    from .cubechain import boundary
                     for term, coeff in boundary(tx.left, ca, field).terms.items():
                         col[tindex[(term, cb)]] = col[tindex[(term, cb)]] + coeff
                 if cb.degree >= 1:
-                    from .cubechain import boundary
                     sign = field.of(-1) if j % 2 else field.one
                     for term, coeff in boundary(tx.right, cb, field).terms.items():
                         col[tindex[(ca, term)]] = col[tindex[(ca, term)]] + sign * coeff
@@ -176,7 +174,6 @@ def split_chain(tx: TensorSet, chain: CubeChain
         u, v = tx.components(cube)
         if x.dim_of(u) >= 1 and y.dim_of(v) >= 1:
             return None
-    from .cubechain import project_shuffle
     return project_shuffle(tx, chain)
 
 
@@ -532,7 +529,6 @@ def comparison_naturality_check(f: PcMorphism, g: PcMorphism, field=QQ) -> bool:
     Checks sep . C(f(x)g) = (C(f) (x) C(g)) . sep on every degree and pair of
     the source product, and the same square for the interleaving maps.
     """
-    from .precubical import tensor_morphism
     sta = TensorSetting.build(f.source, g.source, field)
     stb = TensorSetting.build(f.target, g.target, field)
     fg = tensor_morphism(f, g, sta.tx, stb.tx)

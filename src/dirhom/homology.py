@@ -1,12 +1,14 @@
 """Homology of pair-graded complexes and the path-algebra actions on it.
 
-Homology classes are stored concretely: a basis of cycle representatives
-together with the boundary subspace, so class comparison is a membership
-test and induced maps are computed by expressing images of representatives
-in the target's (cycles mod boundaries) coordinates.  `induced_on_homology`
-is the one push of a chain map to homology: the edge actions, the maps
-induced by morphisms, the inclusions and projections of the exact
-sequences and the tensor comparison maps all use it.
+Homology classes are stored concretely: a matrix whose columns are cycle
+representatives, together with the boundary subspace.  `PairHomology.classes`
+is the one push of chains into homology: it takes the class coordinates of
+every column of a matrix of cycles in one solve.  `induced_on_homology(f,
+src, dst)` is ``dst.classes(f @ src.representatives)``; the edge actions,
+the maps induced by morphisms, the inclusions and projections of the exact
+sequences and the tensor comparison maps use it, and the connecting and
+excision maps of the exact sequences call `classes` on the chains they
+pull back.
 
 The bimodule structure is realized by edge actions: prepending an edge to
 every chain of a graded component (left action) or appending one (right
@@ -18,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
 
-from .exactla import Matrix, Subspace, image_basis, kernel_basis, pivot_columns
+from .exactla import QQ, Matrix, Subspace, image_basis, kernel_basis, pivot_columns, rank
 from .cubechain import (
     CubeChain, GradedComplex, PairGradedComplex, ChainError, _basis_map,
     build_complex,
@@ -37,20 +39,33 @@ class PairHomology:
     degree: int
     pair: object
     dim: int
-    reps: list[tuple]          # cycle representatives, chain coordinates
+    representatives: Matrix    # columns: cycle representatives, in chain coordinates
     cycles: Subspace
     boundaries: Subspace
     _classes: Subspace | None = dataclass_field(default=None, init=False, repr=False, compare=False)
 
+    @property
+    def reps(self) -> list[tuple]:
+        return self.representatives.columns()
+
+    def classes(self, m: Matrix) -> Matrix:
+        """Class coordinates, in the representative basis, of the cycles that
+        are the columns of m: the one push of chains into homology."""
+        if not m.cols:
+            return Matrix.zeros(m.field, self.dim, 0)
+        if self._classes is None:
+            self._classes = Subspace.of_columns(
+                self.representatives.augment(self.boundaries.basis_matrix()))
+        x = self._classes.express(m)
+        if x is None:
+            raise ChainError("vector is not a cycle of this component")
+        # keep the coordinates on the representatives, drop those on boundaries
+        return x.take_rows(range(self.dim))
+
     def class_vector(self, v) -> tuple:
         """Coordinates of the class of a cycle v in the representative basis."""
-        if self._classes is None:
-            self._classes = Subspace(self.cycles.field, self.cycles.ambient_dim,
-                                     list(self.reps) + list(self.boundaries.basis))
-        sol = self._classes.coordinates(v)
-        if sol is None:
-            raise ChainError("vector is not a cycle of this component")
-        return sol[: self.dim]
+        return self.classes(Matrix.from_columns(self.cycles.field, [v],
+                                                length=self.cycles.ambient_dim)).column(0)
 
     def is_boundary(self, v) -> bool:
         return self.boundaries.contains(v)
@@ -65,9 +80,8 @@ def homology_of(cx: GradedComplex, i: int, pair) -> PairHomology:
     """
     ker = kernel_basis(cx.diff(i, pair))
     img = image_basis(cx.diff(i + 1, pair))
-    cycles = ker.basis
-    reps = [cycles[j - img.dim] for j in pivot_columns(img, ker) if j >= img.dim]
-    hom = PairHomology(i, pair, len(reps), reps, ker, img)
+    picked = [j - img.dim for j in pivot_columns(img, ker) if j >= img.dim]
+    hom = PairHomology(i, pair, len(picked), ker.basis_matrix(picked), ker, img)
     assert hom.dim == ker.dim - img.dim
     return hom
 
@@ -180,9 +194,6 @@ class HomologyTable:
             here = self.x.edge_target(a)
         return m
 
-    def nonzero_keys(self) -> list[tuple[int, str, str]]:
-        return sorted(k for k, h in self.entries.items() if h.dim)
-
 
 # -- chain maps and the maps they induce -------------------------------------------
 
@@ -206,8 +217,9 @@ def induced_on_homology(chain_map: Matrix, src: PairHomology, dst: PairHomology)
 
     Column j is the class in `dst` of the image of representative j of `src`.
     """
-    cols = [dst.class_vector(chain_map.matvec(rep)) for rep in src.reps]
-    return Matrix.from_columns(chain_map.field, cols, length=dst.dim)
+    if not src.dim:
+        return Matrix.zeros(chain_map.field, dst.dim, 0)
+    return dst.classes(chain_map @ src.representatives)
 
 
 def chain_map_of_morphism(f: PcMorphism, cxa: PairGradedComplex,
@@ -269,7 +281,6 @@ class CochainComplexTable:
         ker = kernel_basis(self.coboundary(i, pair)).dim
         if i == 0:
             return ker
-        from .exactla import rank
         return ker - rank(self.coboundary(i - 1, pair))
 
 
@@ -298,7 +309,6 @@ class AcyclicityVerdict:
 
 def acyclicity_check(seq, field=None) -> AcyclicityVerdict:
     """Homology of a realization concentrated in degree 0 between endpoints."""
-    from .exactla import QQ
     field = field or QQ
     r = realization(seq)
     cx = build_complex(r, None, field)

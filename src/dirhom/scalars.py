@@ -30,6 +30,7 @@ from .cubechain import (
     ChainError, CubeChain, DirectedCycleError, GradedComplex,
     PairGradedComplex, chain_catalog,
 )
+from .homology import HomologyTable
 
 
 class AlgebraError(ValueError):
@@ -225,34 +226,30 @@ class ResolvedBimodule:
         triples = self.triples(s, e)
         return [triples[j] for j in self._free[(s, e)]]
 
-    def coords_of_triple(self, s: str, e: str, triple: tuple) -> tuple:
-        """Coordinates of a spanning triple in the quotient basis at (s, e)."""
+    def _coordinates(self, s: str, e: str, triples: list[tuple]) -> Matrix:
+        """Column k holds the coordinates of triples[k] in the quotient basis at (s, e)."""
         self._reduce(s, e)
-        j = self._tindex[(s, e)].get(triple)
-        if j is None:
-            raise AlgebraError(f"triple {triple} does not span at ({s!r},{e!r})")
-        return self._rref[(s, e)].column(j)
+        index = self._tindex[(s, e)]
+        for t in triples:
+            if t not in index:
+                raise AlgebraError(f"triple {t} does not span at ({s!r},{e!r})")
+        return self._rref[(s, e)] @ Matrix.unit_columns(self.field, len(index),
+                                                         [index[t] for t in triples])
 
     def left_edge_action(self, a: str, s: str, e: str) -> Matrix:
         """Matrix of prepending the edge a : s' -> s, in quotient bases."""
         xa = self.pb.left.x
         if xa.edge_target(a) != s:
             raise AlgebraError(f"edge {a!r} does not end at {s!r}")
-        s2 = xa.edge_source(a)
-        cols = []
-        for (p, gid, q) in self.basis_triples(s, e):
-            cols.append(self.coords_of_triple(s2, e, ((a,) + p, gid, q)))
-        return Matrix.from_columns(self.field, cols, length=self.dim(s2, e))
+        return self._coordinates(xa.edge_source(a), e,
+                                 [((a,) + p, gid, q) for p, gid, q in self.basis_triples(s, e)])
 
     def right_edge_action(self, a: str, s: str, e: str) -> Matrix:
         xb = self.pb.right.x
         if xb.edge_source(a) != e:
             raise AlgebraError(f"edge {a!r} does not start at {e!r}")
-        e2 = xb.edge_target(a)
-        cols = []
-        for (p, gid, q) in self.basis_triples(s, e):
-            cols.append(self.coords_of_triple(s, e2, (p, gid, q + (a,))))
-        return Matrix.from_columns(self.field, cols, length=self.dim(s, e2))
+        return self._coordinates(s, xb.edge_target(a),
+                                 [(p, gid, q + (a,)) for p, gid, q in self.basis_triples(s, e)])
 
     def dims_by_pair(self) -> dict[tuple[str, str], int]:
         out = {}
@@ -500,11 +497,7 @@ def hcompose(m: PresentedBimodule, n: PresentedBimodule) -> PresentedBimodule:
                 relations.append(new_rel)
     for rel in n.relations:
         coeff0, p0, gid0, q0 = rel[0]
-        h0 = n.by_id[gid0]
-        here = h0.src
-        for e in reversed(p0):
-            here = mid.x.edge_source(e)
-        rs_mid = here
+        rs_mid = n._path_source_left(p0, n.by_id[gid0].src)
         for g in m.generators:
             for r in mid.between(g.dst, rs_mid):
                 new_rel = []
@@ -560,7 +553,6 @@ class RestrictedTable:
 
 def restrict(obj, f: PcMorphism):
     """Restriction of scalars along a morphism: re-grade by source pairs."""
-    from .homology import HomologyTable
     if isinstance(obj, GradedComplex):
         return RestrictedComplex(obj, f)
     if isinstance(obj, HomologyTable) or isinstance(obj, RestrictedTable):
@@ -651,7 +643,6 @@ class SmashedResolved:
 
 
 def smash(obj):
-    from .homology import HomologyTable
     if isinstance(obj, HomologyTable):
         return SmashedModule(obj)
     if isinstance(obj, ResolvedBimodule):

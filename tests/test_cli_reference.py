@@ -39,7 +39,18 @@ RUNS = [
     "relative --format json --field fp:7 D4 D4/S3",
     "mv --format json --field fp:7 domino domino/left domino/right",
     "kunneth --format json --field fp:7 D2 S1",
+    # connecting and excision maps with two or more nonzero columns
+    *(f"mv --format json --field {field} strip4 strip4/left strip4/right"
+      for field in ("q", "fp:7")),
+    "relative --format json D4 D4/S3",
 ]
+
+
+def columns(tx, x, lo, hi):
+    """Face closure of the squares whose first factor is edge lo..hi-1."""
+    first = tx.left.edges
+    return sorted(dh.face_closure(x, [c for c in x.cells_of_dim(2)
+                                      if first.index(tx.components(c)[0]) in range(lo, hi)]))
 
 
 def make_grid3():
@@ -48,23 +59,26 @@ def make_grid3():
     path = dh.realization([1] * 3)
     tx = dh.tensor(path, path)
     x = dh.PrecubicalSet("grid3", tx.cells, tx.faces)
+    return x, columns(tx, x, 0, 1), columns(tx, x, 1, 3)
 
-    def columns(lo, hi):
-        first = tx.left.edges
-        return sorted(dh.face_closure(x, [c for c in x.cells_of_dim(2)
-                                          if first.index(tx.components(c)[0]) in range(lo, hi)]))
 
-    return x, columns(0, 1), columns(1, 3)
+def make_strip4():
+    """A 1 x 4 strip of squares, a path of 4 edges times the segment, with
+    the face closures of its squares 0-1 and of its squares 2-3."""
+    tx = dh.tensor(dh.realization([1] * 4), dh.segment())
+    x = dh.PrecubicalSet("strip4", tx.cells, tx.faces)
+    return x, columns(tx, x, 0, 2), columns(tx, x, 2, 4)
 
 
 def write_inputs(directory: Path) -> dict[str, str]:
     """The sets and subset specs the runs name, as files in `directory`."""
     files = {}
     grid, grid_left, grid_right = make_grid3()
+    strip, strip_left, strip_right = make_strip4()
     for name, x in [("D2", dh.directed_disc(2)), ("S1", dh.directed_sphere(1)),
                     ("D3", dh.directed_disc(3)), ("D4", dh.directed_disc(4)),
                     ("domino", make_domino()),
-                    ("grid3", grid)]:
+                    ("grid3", grid), ("strip4", strip)]:
         files[name] = str(directory / f"{name}.json")
         dh.save(x, files[name])
     dom = make_domino()
@@ -72,7 +86,8 @@ def write_inputs(directory: Path) -> dict[str, str]:
                "D4/S3": sorted(dh.directed_sphere(3).all_cells()),
                "domino/left": sorted(dh.face_closure(dom, ["s1"])),
                "domino/right": sorted(dh.face_closure(dom, ["s2"])),
-               "grid3/left": grid_left, "grid3/right": grid_right}
+               "grid3/left": grid_left, "grid3/right": grid_right,
+               "strip4/left": strip_left, "strip4/right": strip_right}
     for name, cells in subsets.items():
         files[name] = str(directory / (name.replace("/", "_") + ".json"))
         Path(files[name]).write_text(json.dumps(cells))

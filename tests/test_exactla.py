@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 from dirhom.exactla import (
     FieldError, Matrix, PrimeField, QQ, Subspace, _rref, field_from_name,
     image_basis, induced_on_quotient, invert, is_prime, kernel_basis,
-    pivot_columns, quotient_map, rank, solve_in_image,
+    pivot_columns, quotient_map, rank, solve, solve_in_image,
 )
 
 
@@ -392,6 +392,8 @@ class TestSparseAgainstDenseReference:
         assert a.augment(b).data == tuple(r1 + r2 for r1, r2 in zip(dense, b.data))
         c = Matrix(field, 2, ncols, random_rows(data.draw, field, 2, ncols))
         assert a.stack(c).data == dense + c.data
+        picked = data.draw(st.lists(st.integers(0, max(0, a.rows - 1)), max_size=3)) if a.rows else []
+        assert a.take_rows(picked).data == tuple(dense[i] for i in picked)
         assert all(a.entry(i, j) == dense[i][j] for i in range(a.rows) for j in range(ncols))
 
     @settings(max_examples=60, deadline=None)
@@ -431,3 +433,80 @@ class TestSparseAgainstDenseReference:
         q_dst, _ = reference_quotient(dst)
         _, section = reference_quotient(src)
         assert induced_on_quotient(f, src, dst) == q_dst @ f @ section
+
+
+def dense_solve(rows, ncols, b, field, col_order=None):
+    """Reference: one right-hand side through the dense rref of [rows | b];
+    free coordinates 0, None when b is outside the column space."""
+    order = list(range(ncols)) if col_order is None else list(col_order)
+    aug = [list(r) + [v] for r, v in zip(rows, b)]
+    rref, pivots = dense_rref(aug, ncols + 1, field.zero, order + [ncols])
+    if ncols in pivots:
+        return None
+    x = [field.zero] * ncols
+    for row, c in zip(rref, pivots):
+        x[c] = row[ncols]
+    return tuple(x)
+
+
+def right_hand_sides(draw, field, rows, ncols):
+    """Columns in the span of `rows` (as columns of a matrix), maybe one
+    outside it, maybe none at all."""
+    a = Matrix(field, len(rows), ncols, rows)
+    cols = [a.matvec(x) for x in random_vectors(draw, field, draw(st.integers(0, 3)), ncols)]
+    units = Matrix.identity(field, len(rows)).columns()
+    outside = [u for u in units if dense_solve(rows, ncols, u, field) is None]
+    if outside and draw(st.booleans()):
+        cols.insert(draw(st.integers(0, len(cols))), draw(st.sampled_from(outside)))
+    return cols
+
+
+class TestMatrixSolveAgainstPerColumnReference:
+    @settings(max_examples=150, deadline=None)
+    @given(matrices(), st.data())
+    def test_solve_is_the_per_column_reference(self, m, data):
+        field, _, rows, ncols = m
+        order = None
+        if data.draw(st.booleans()):
+            order = data.draw(st.permutations(range(ncols)))
+        cols = right_hand_sides(data.draw, field, rows, ncols)
+        b = Matrix.from_columns(field, cols, length=len(rows))
+        got = solve(Matrix(field, len(rows), ncols, rows), b, order)
+        expected = [dense_solve(rows, ncols, c, field, order) for c in cols]
+        if None in expected:
+            assert got is None
+        else:
+            assert (got.rows, got.cols) == (ncols, len(cols))
+            assert got.columns() == expected
+
+    @settings(max_examples=150, deadline=None)
+    @given(matrices(), st.data())
+    def test_express_is_the_per_column_reference(self, m, data):
+        field, _, rows, ncols = m
+        # an unreduced basis when the rows are independent, else their rref
+        if len(dense_rref(rows, ncols, field.zero)[1]) == len(rows):
+            sub = Subspace(field, ncols, rows)
+        else:
+            sub = Subspace.span(field, ncols, rows)
+        columns = [[v[i] for v in sub.basis] for i in range(ncols)]
+        cols = right_hand_sides(data.draw, field, columns, sub.dim)
+        got = sub.express(Matrix.from_columns(field, cols, length=ncols))
+        expected = [dense_solve(columns, sub.dim, c, field) for c in cols]
+        if None in expected:
+            assert got is None
+        else:
+            assert (got.rows, got.cols) == (sub.dim, len(cols))
+            assert got.columns() == expected
+        for c, e in zip(cols, expected):
+            assert sub.coordinates(c) == e
+            assert sub.contains(c) == (e is not None)
+
+    def test_no_right_hand_side_is_no_elimination(self, monkeypatch):
+        import dirhom.exactla as la
+        calls = []
+        real = la._eliminate
+        monkeypatch.setattr(la, "_eliminate", lambda *a: calls.append(1) or real(*a))
+        for field in FIELDS:
+            m = Matrix.from_rows(field, [[1, 2, 0], [0, 1, 1]])
+            assert solve(m, Matrix.zeros(field, 2, 0)) == Matrix.zeros(field, 3, 0)
+        assert not calls

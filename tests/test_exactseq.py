@@ -1,3 +1,5 @@
+from collections import Counter
+
 import pytest
 
 import dirhom as dh
@@ -16,6 +18,23 @@ from dirhom.scalars import extend_subcomplex
 @pytest.fixture(scope="module")
 def sphere_spec(D2, S1):
     return SubsetSpec(D2, frozenset(S1.all_cells()))
+
+
+def count_builds(monkeypatch) -> Counter:
+    """Count calls of build_complex and of the span and quotient constructors."""
+    import dirhom.exactseq as es
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(es, "build_complex", counted("build", es.build_complex))
+    for cls in (es.QuotientComplex, es._LeftQuotient, es.SubcomplexExtension):
+        monkeypatch.setattr(cls, "__init__", counted(cls.__name__, cls.__init__))
+    return calls
 
 
 class TestMaximalPaths:
@@ -151,6 +170,12 @@ class TestLesRelative:
         res = les_relative(domino, spec)
         assert res.sequence.all_exact
 
+    def test_builds_the_span_once(self, domino, monkeypatch):
+        calls = count_builds(monkeypatch)
+        spec = SubsetSpec(domino, dh.face_closure(domino, ["s2"]))
+        assert les_relative(domino, spec).sequence.all_exact
+        assert calls["SubcomplexExtension"] == 1
+
     def test_rejected_pair_skips_sequence(self, S1):
         spec = SubsetSpec(S1, frozenset(["00", "11"]))
         res = les_relative(S1, spec, force=True)
@@ -274,21 +299,12 @@ class TestMayerVietoris:
         assert res.sequence is None
 
     def test_domino_builds_each_object_once(self, domino, monkeypatch):
-        # C(X) and the complexes of X1 and X2 once each, each quotient once
-        from collections import Counter
-        import dirhom.exactseq as es
-        calls = Counter()
-
-        def counted(name, fn):
-            def wrapper(*args, **kwargs):
-                calls[name] += 1
-                return fn(*args, **kwargs)
-            return wrapper
-
-        monkeypatch.setattr(es, "build_complex", counted("build", es.build_complex))
-        for cls in (es.QuotientComplex, es._LeftQuotient):
-            monkeypatch.setattr(cls, "__init__", counted(cls.__name__, cls.__init__))
+        # C(X) and the complexes of X1 and X2 once each, each quotient once,
+        # and each of the five extension spans once: X1, X2 and X1^X2 in
+        # C(X), and X1^X2 in C(X1) and in C(X2)
+        calls = count_builds(monkeypatch)
         s1 = SubsetSpec(domino, dh.face_closure(domino, ["s1"]))
         s2 = SubsetSpec(domino, dh.face_closure(domino, ["s2"]))
         assert mayer_vietoris(domino, s1, s2).sequence.all_exact
-        assert calls == {"build": 3, "QuotientComplex": 1, "_LeftQuotient": 1}
+        assert calls == {"build": 3, "QuotientComplex": 1, "_LeftQuotient": 1,
+                         "SubcomplexExtension": 5}

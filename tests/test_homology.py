@@ -5,7 +5,7 @@ from dirhom.cubechain import ChainError, build_complex
 from dirhom.exactla import Matrix, PrimeField, QQ, Subspace, rank
 from dirhom.homology import (
     HomologyTable, acyclicity_check, cochain_dual, homology, homology_of,
-    induced_map,
+    induced_map, induced_on_homology,
 )
 from dirhom.precubical import PcMorphism, SubsetSpec, sub
 from dirhom.scalars import restrict
@@ -286,3 +286,16 @@ def test_homology_module_is_not_shadowed():
 
     import dirhom.homology as H
     assert isinstance(H, types.ModuleType) and H.homology_of is homology_of
+
+
+def test_push_from_a_component_without_classes_runs_no_elimination(cxd2, monkeypatch):
+    import dirhom.exactla as la
+    src = homology_of(cxd2, 1, ("00", "11"))
+    dst = homology_of(cxd2, 0, ("00", "11"))
+    assert src.dim == 0 and dst.dim == 1
+    chain_map = Matrix.zeros(QQ, cxd2.dim(0, ("00", "11")), cxd2.dim(1, ("00", "11")))
+    calls = []
+    real = la._eliminate
+    monkeypatch.setattr(la, "_eliminate", lambda *a: calls.append(1) or real(*a))
+    assert induced_on_homology(chain_map, src, dst) == Matrix.zeros(QQ, 1, 0)
+    assert not calls

@@ -43,6 +43,10 @@ RUNS = [
     *(f"mv --format json --field {field} strip4 strip4/left strip4/right"
       for field in ("q", "fp:7")),
     "relative --format json D4 D4/S3",
+    # the heaviest homology inputs over Q
+    *(f"homology --actions --format json --field q {name}"
+      for name in ("D4", "S3", "real33")),
+    *(f"cohomology --format json --field {field} D3" for field in ("q", "fp:7")),
 ]
 
 
@@ -77,6 +81,7 @@ def write_inputs(directory: Path) -> dict[str, str]:
     strip, strip_left, strip_right = make_strip4()
     for name, x in [("D2", dh.directed_disc(2)), ("S1", dh.directed_sphere(1)),
                     ("D3", dh.directed_disc(3)), ("D4", dh.directed_disc(4)),
+                    ("S3", dh.directed_sphere(3)), ("real33", dh.realization([3, 3])),
                     ("domino", make_domino()),
                     ("grid3", grid), ("strip4", strip)]:
         files[name] = str(directory / f"{name}.json")

@@ -510,3 +510,117 @@ class TestMatrixSolveAgainstPerColumnReference:
             m = Matrix.from_rows(field, [[1, 2, 0], [0, 1, 1]])
             assert solve(m, Matrix.zeros(field, 2, 0)) == Matrix.zeros(field, 3, 0)
         assert not calls
+
+
+# -- Q with entries that are not units ---------------------------------------------
+#
+# Over Q the kernel keeps integral entries as ints and makes a Fraction only
+# when a pivot other than +-1 divides a row.  These matrices mix ints that
+# are not units with proper fractions, so every int/Fraction path runs.
+
+
+@st.composite
+def rational_entries(draw):
+    if draw(st.booleans()):
+        return draw(st.sampled_from([0, 0, 0, 1, -1, 2, -2, 3, -5, 6]))
+    return Fraction(draw(st.integers(-7, 7)), draw(st.integers(2, 5)))
+
+
+@st.composite
+def rational_matrices(draw):
+    """(rows, ncols) over Q: sparse, or a product of rank below the size."""
+    nrows, ncols = draw(st.integers(0, 6)), draw(st.integers(0, 6))
+    if draw(st.booleans()):
+        return [[draw(rational_entries()) for _ in range(ncols)] for _ in range(nrows)], ncols
+    k = draw(st.integers(0, max(0, min(nrows, ncols) - 1)))
+    left = Matrix(QQ, nrows, k, [[draw(rational_entries()) for _ in range(k)]
+                                 for _ in range(nrows)])
+    right = Matrix(QQ, k, ncols, [[draw(rational_entries()) for _ in range(ncols)]
+                                  for _ in range(k)])
+    return [list(r) for r in (left @ right).data], ncols
+
+
+def fractions_of(rows):
+    return [[Fraction(a) for a in r] for r in rows]
+
+
+class TestRationalAgainstDenseReference:
+    @settings(max_examples=150, deadline=None)
+    @given(rational_matrices(), st.data())
+    def test_eliminate_is_the_dense_rref(self, m, data):
+        from dirhom.exactla import _dense, _eliminate, _sparse
+        rows, ncols = m
+        order = list(range(ncols))
+        if data.draw(st.booleans()):
+            order = data.draw(st.permutations(range(ncols)))
+        done, pivots = _eliminate([_sparse(r, 0) for r in rows], order, 0)
+        ref_rows, ref_pivots = dense_rref(fractions_of(rows), ncols, QQ.zero, order)
+        assert pivots == ref_pivots
+        assert [_dense(r, ncols, QQ.zero, 0) for r in done] == ref_rows
+
+    @settings(max_examples=100, deadline=None)
+    @given(rational_matrices())
+    def test_kernel_and_image_bases(self, m):
+        rows, ncols = m
+        a = Matrix(QQ, len(rows), ncols, rows)
+        assert kernel_basis(a).basis == dense_kernel(fractions_of(rows), ncols, QQ)
+        columns = [[r[j] for r in fractions_of(rows)] for j in range(ncols)]
+        assert image_basis(a).basis == tuple(
+            tuple(r) for r in dense_rref(columns, len(rows), QQ.zero)[0])
+
+    @settings(max_examples=100, deadline=None)
+    @given(rational_matrices(), st.data())
+    def test_solve_and_express(self, m, data):
+        rows, ncols = m
+        rows = fractions_of(rows)
+        cols = right_hand_sides(data.draw, QQ, rows, ncols)
+        b = Matrix.from_columns(QQ, cols, length=len(rows))
+        got = solve(Matrix(QQ, len(rows), ncols, rows), b)
+        expected = [dense_solve(rows, ncols, c, QQ) for c in cols]
+        assert (got is None) == (None in expected)
+        if got is not None:
+            assert got.columns() == expected
+        sub = Subspace.span(QQ, ncols, rows)
+        columns = [[v[i] for v in sub.basis] for i in range(ncols)]
+        vecs = right_hand_sides(data.draw, QQ, columns, sub.dim)
+        got = sub.express(Matrix.from_columns(QQ, vecs, length=ncols))
+        expected = [dense_solve(columns, sub.dim, v, QQ) for v in vecs]
+        assert (got is None) == (None in expected)
+        if got is not None:
+            assert got.columns() == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(rational_matrices())
+    def test_quotient_map_is_the_reference(self, m):
+        rows, ncols = m
+        sub = Subspace.span(QQ, ncols, rows)
+        assert quotient_map(ncols, sub) == reference_quotient(sub)[0]
+
+
+def test_every_rational_scalar_leaves_as_a_fraction():
+    # integral entries, which the kernel holds as ints
+    m = M([[1, -1, 0], [0, 2, 1], [1, 1, 2]])
+    sub = Subspace(QQ, 3, [(1, 0, -1), (0, 1, 1)])
+    ker = kernel_basis(M([[1, 1, 0], [0, 0, 0]]))
+    img = image_basis(m)
+    scalars = [m.entry(0, 0), m.entry(0, 2)]
+    for matrix in (m, m @ m, -m, m.transpose(), invert(m), Matrix.identity(QQ, 2),
+                   quotient_map(3, sub), solve(m, m)):
+        scalars += [a for r in matrix.data for a in r]
+        scalars += list(matrix.row(0)) + list(matrix.column(0))
+        scalars += [a for c in matrix.columns() for a in c]
+    for space in (sub, ker, img, Subspace.full(QQ, 2)):
+        scalars += [a for v in space.basis for a in v]
+    scalars += list(m.matvec((1, 2, 3)))
+    scalars += list(sub.coordinates((2, 1, -1)))
+    scalars += list(solve_in_image(m, (0, 2, 1)))
+    assert scalars and all(type(a) is Fraction for a in scalars)
+
+
+def test_matrices_and_subspaces_are_immutable():
+    m = M([[1, 2], [3, 4]])
+    sub = Subspace(QQ, 2, [(1, 1)])
+    for obj in (m, sub, Matrix.identity(QQ, 2), kernel_basis(m)):
+        for name in (*type(obj).__slots__, "other"):
+            with pytest.raises(AttributeError):
+                setattr(obj, name, None)

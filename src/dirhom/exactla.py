@@ -9,9 +9,13 @@ must not depend on tolerances.
 
 Boundary, action and relation matrices are mostly zeros, so `Matrix` and
 `Subspace` hold only nonzero values, as rows and vectors that are
-``{column: value}`` dicts: plain ints in ``[0, p)`` over F_p, `Fraction`
-over Q.  `_eliminate`, the one elimination kernel, and every product work
-on these rows directly.  Zero tests are truthiness tests.
+``{column: value}`` dicts: plain ints in ``[0, p)`` over F_p, and over Q
+plain ints while a value is integral.  A `Fraction` appears inside the
+module only where a value is not an integer: given so by a caller, or made
+when a pivot other than +-1 divides a row.  Boundary coefficients are all
++-1, so most eliminations never make one.  `_eliminate`, the one
+elimination kernel, and every product work on these rows directly.  Zero
+tests are truthiness tests.
 
 Systems are solved for a whole matrix of right-hand sides at once:
 `solve(m, b)` eliminates [m | b] once, and `Subspace.express(m)` reads the
@@ -19,8 +23,9 @@ coordinates of every column of m off the subspace's one elimination; the
 single-vector `solve_in_image`, `coordinates`, `contains` and `matvec` are
 one-line wrappers.  Field scalars (``Residue`` over F_p) appear only where
 values enter (constructors, vectors passed in) and where they leave
-(`entry`, `data`, `row`, `column(s)`, `basis`, the vector wrappers); inside
-the package they leave only through `Matrix.data`, for the CLI's JSON, and
+(`entry`, `data`, `row`, `column(s)`, `basis`, the vector wrappers), and
+over Q every value leaves as a `Fraction`, integral or not; inside the
+package they leave only through `Matrix.data`, for the CLI's JSON, and
 `Matrix.entry`, for the coefficients of bimodule relations.
 
 Pivot columns are taken in the caller's column order, and only the pivot
@@ -145,7 +150,8 @@ def field_from_name(name: str):
 # -- sparse rows and elimination -----------------------------------------------
 #
 # Sparse rows and vectors are dicts {column: value} that hold only nonzero
-# values: ints in [0, p) over F_p, Fractions over Q.  `p` is 0 for Q.
+# values: ints in [0, p) over F_p; over Q, ints where the value is integral
+# and Fractions elsewhere.  `p` is 0 for Q.
 
 
 def _modulus(field) -> int:
@@ -166,18 +172,25 @@ def _sparse(vec, p: int, n: int | None = None) -> dict:
     for j, a in enumerate(vec):
         if p:
             a = a.value if isinstance(a, Residue) else a % p
-        elif not isinstance(a, Fraction):
+        elif type(a) is not int:
             a = Fraction(a)
+            if a.denominator == 1:
+                a = a.numerator
         if a:
             out[j] = a
     return out
+
+
+def _scalar(a, p: int):
+    """The field scalar of a nonzero stored value."""
+    return Residue(a, p) if p else a if type(a) is Fraction else Fraction(a)
 
 
 def _dense(row: dict, n: int, zero, p: int) -> list:
     """Field scalars of a sparse row of length n."""
     out = [zero] * n
     for j, a in row.items():
-        out[j] = Residue(a, p) if p else a
+        out[j] = _scalar(a, p)
     return out
 
 
@@ -206,16 +219,23 @@ def _mul(left: list[dict], right: list[dict], p: int) -> list[dict]:
 
 
 def _axpy(target: dict, f, row: dict, p: int) -> None:
-    """target -= f * row in place, dropping the entries that cancel."""
-    get = target.get
+    """target -= f * row in place, dropping the entries that cancel.
+
+    An entry new to target is the product alone, stored without adding it
+    to 0: the product of nonzero values is nonzero, and 0 - Fraction is slow.
+    """
+    f = _neg(f, p)
     for j, a in row.items():
-        x = get(j, 0) - f * a
-        if p:
-            x %= p
-        if x:
-            target[j] = x
+        if j in target:
+            x = target[j] + f * a
+            if p:
+                x %= p
+            if x:
+                target[j] = x
+            else:
+                del target[j]
         else:
-            del target[j]
+            target[j] = f * a % p if p else f * a
 
 
 def _eliminate(rows: list[dict], order: Iterable[int], p: int):
@@ -226,6 +246,9 @@ def _eliminate(rows: list[dict], order: Iterable[int], p: int):
     ``pivots[k]`` and 0 at every other pivot column.  When every row gets a
     pivot, or `order` names every column, the result is the reduced row
     echelon form for that column order, whichever rows were chosen.
+
+    A pivot row is divided by its pivot value only when that value is not
+    +-1 (a -1 pivot negates the row), so over Q integral rows stay ints.
     """
     pending = list(range(len(rows)))
     done: list[dict] = []
@@ -244,8 +267,11 @@ def _eliminate(rows: list[dict], order: Iterable[int], p: int):
             if p:
                 inv = pow(a, -1, p)
                 row = {j: v * inv % p for j, v in row.items()}
+            elif a == -1:
+                row = {j: -v for j, v in row.items()}
             else:
-                row = {j: v / a for j, v in row.items()}
+                inv = 1 / Fraction(a)
+                row = {j: v * inv for j, v in row.items()}
         for k in hits:
             if k != i:
                 _axpy(rows[k], rows[k][c], row, p)
@@ -268,8 +294,7 @@ def _null_vectors(rows: list[dict], pivots: list[int], n: int, p: int) -> list[d
     pivot c.  They are independent by construction and span the vectors
     that every row annihilates."""
     pivset = set(pivots)
-    one = 1 if p else Fraction(1)
-    vecs = {j: {j: one} for j in range(n) if j not in pivset}
+    vecs = {j: {j: 1} for j in range(n) if j not in pivset}
     for row, c in zip(rows, pivots):
         for j, a in row.items():
             if j != c:
@@ -282,9 +307,14 @@ class _Frozen:
 
     __slots__ = ()
 
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        # the slot descriptors' setters, in slot order, looked up once
+        cls._setters = tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
+
     def _set(self, *values) -> None:
-        for name, value in zip(self.__slots__, values):
-            object.__setattr__(self, name, value)
+        for setter, value in zip(self._setters, values):
+            setter(self, value)
 
     def __setattr__(self, *a):
         raise AttributeError(f"{type(self).__name__} is immutable")
@@ -346,11 +376,10 @@ class Matrix(_Frozen):
     def unit_columns(cls, field, rows: int, targets: Sequence[int | None]) -> "Matrix":
         """The 0/1 matrix whose column j is the unit vector at row ``targets[j]``,
         or zero where that is None: the matrix of a map between two bases."""
-        one = 1 if _modulus(field) else Fraction(1)
         data: list[dict] = [{} for _ in range(rows)]
         for j, i in enumerate(targets):
             if i is not None:
-                data[i][j] = one
+                data[i][j] = 1
         return cls._of(field, rows, len(targets), data)
 
     @property
@@ -361,8 +390,8 @@ class Matrix(_Frozen):
     def entry(self, i: int, j: int):
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError(f"entry ({i},{j}) outside {self.rows}x{self.cols} matrix")
-        a, p = self._rows[i].get(j), _modulus(self.field)
-        return self.field.zero if a is None else Residue(a, p) if p else a
+        a = self._rows[i].get(j)
+        return self.field.zero if a is None else _scalar(a, _modulus(self.field))
 
     def row(self, i: int) -> tuple:
         if not 0 <= i < self.rows:
@@ -512,10 +541,9 @@ class Subspace(_Frozen):
         if self._elimination is None:
             p = _modulus(self.field)
             n = self.ambient_dim
-            one = 1 if p else Fraction(1)
             rows = [dict(v) for v in self._basis]
             for j, row in enumerate(rows):
-                row[n + j] = one
+                row[n + j] = 1
             done, pivots = _eliminate(rows, range(n), p)
             object.__setattr__(self, "_elimination", (
                 [{c: a for c, a in r.items() if c < n} for r in done], pivots,
@@ -572,9 +600,8 @@ def image_basis(m: Matrix) -> Subspace:
     is already reduced, so its elimination is itself, with identity transforms."""
     p = _modulus(m.field)
     rows, pivots = _eliminate(_transpose(m._rows, m.cols), range(m.rows), p)
-    one = 1 if p else Fraction(1)
     return Subspace._of(m.field, m.rows, rows,
-                        (rows, pivots, [{k: one} for k in range(len(rows))]))
+                        (rows, pivots, [{k: 1} for k in range(len(rows))]))
 
 
 def pivot_columns(*spaces: Subspace) -> list[int]:

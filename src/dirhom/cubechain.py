@@ -293,7 +293,7 @@ class GradedComplex:
         m = self._diffs.get((i, pair))
         if m is None:
             rows = self.dim(i - 1, pair) if i >= 1 else 0
-            return Matrix.zeros(self.field, rows, self.dim(i, pair))
+            m = self._diffs[(i, pair)] = Matrix.zeros(self.field, rows, self.dim(i, pair))
         return m
 
     def check_boundary_square(self) -> None:

@@ -500,7 +500,7 @@ class Subspace(_Frozen):
 
     @classmethod
     def zero(cls, field, ambient_dim: int) -> "Subspace":
-        return cls(field, ambient_dim, [])
+        return cls._of(field, ambient_dim, [], ([], [], []))
 
     @classmethod
     def full(cls, field, ambient_dim: int) -> "Subspace":

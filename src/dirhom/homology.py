@@ -76,8 +76,12 @@ def homology_of(cx: GradedComplex, i: int, pair) -> PairHomology:
 
     A cycle becomes a representative when it is outside the span of the
     boundaries and the cycles before it, that is, when its column is a
-    pivot column of the matrix [boundary basis | cycle basis].
+    pivot column of the matrix [boundary basis | cycle basis].  A component
+    with no chains has no homology, and computing it takes no elimination.
     """
+    if not cx.dim(i, pair):
+        zero = Subspace.zero(cx.field, 0)
+        return PairHomology(i, pair, 0, Matrix.zeros(cx.field, 0, 0), zero, zero)
     ker = kernel_basis(cx.diff(i, pair))
     img = image_basis(cx.diff(i + 1, pair))
     picked = [j - img.dim for j in pivot_columns(img, ker) if j >= img.dim]
@@ -167,15 +171,23 @@ class HomologyTable:
         """H_i(s, e) -> H_i(s', e) for the edge a : s' -> s."""
         if self.x.edge_target(a) != s:
             raise ChainError(f"edge {a!r} does not end at {s!r}")
-        return induced_on_homology(self._prepend_matrix(a, i, s, e), self.entry(i, s, e),
-                                   self.entry(i, self.x.edge_source(a), e))
+        return self._action(self._prepend_matrix, a, i, s, e,
+                            self.entry(i, self.x.edge_source(a), e))
 
     def right_action(self, a: str, i: int, s: str, e: str) -> Matrix:
         """H_i(s, e) -> H_i(s, e') for the edge a : e -> e'."""
         if self.x.edge_source(a) != e:
             raise ChainError(f"edge {a!r} does not start at {e!r}")
-        return induced_on_homology(self._append_matrix(a, i, s, e), self.entry(i, s, e),
-                                   self.entry(i, s, self.x.edge_target(a)))
+        return self._action(self._append_matrix, a, i, s, e,
+                            self.entry(i, s, self.x.edge_target(a)))
+
+    def _action(self, chain_map, a: str, i: int, s: str, e: str, dst: PairHomology) -> Matrix:
+        """The map H_i(s, e) -> dst induced by ``chain_map(a, i, s, e)``,
+        which is built only when H_i(s, e) has classes."""
+        src = self.entry(i, s, e)
+        if not src.dim:
+            return Matrix.zeros(self.field, dst.dim, 0)
+        return induced_on_homology(chain_map(a, i, s, e), src, dst)
 
     def left_path_action(self, path: tuple[str, ...], i: int, s: str, e: str) -> Matrix:
         """Composite left action of an edge path ending at s."""

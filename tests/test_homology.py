@@ -299,3 +299,36 @@ def test_push_from_a_component_without_classes_runs_no_elimination(cxd2, monkeyp
     monkeypatch.setattr(la, "_eliminate", lambda *a: calls.append(1) or real(*a))
     assert induced_on_homology(chain_map, src, dst) == Matrix.zeros(QQ, 1, 0)
     assert not calls
+
+
+
+def test_component_without_chains_runs_no_elimination(cxd2, monkeypatch):
+    import dirhom.exactla as la
+    calls = []
+    real = la._eliminate
+    monkeypatch.setattr(la, "_eliminate", lambda *a: calls.append(1) or real(*a))
+    for i, pair in ((0, ("11", "00")), (1, ("00", "01")), (4, ("00", "11"))):
+        assert cxd2.dim(i, pair) == 0
+        h = homology_of(cxd2, i, pair)
+        assert (h.degree, h.pair, h.dim) == (i, pair, 0)
+        assert h.representatives == Matrix.zeros(QQ, 0, 0)
+        assert (h.cycles.ambient_dim, h.cycles.dim) == (0, 0)
+        assert (h.boundaries.ambient_dim, h.boundaries.dim) == (0, 0)
+    assert not calls
+
+
+def test_action_from_a_component_without_classes_builds_no_chain_map(D2, cxd2, monkeypatch):
+    table = HomologyTable(cxd2, D2)
+    calls = []
+    real = Matrix.unit_columns
+    monkeypatch.setattr(Matrix, "unit_columns",
+                        classmethod(lambda cls, *a: calls.append(1) or real(*a)))
+    # 0a : 00 -> 01 and a1 : 01 -> 11; nothing runs from 01 to 00 or from
+    # 11 to 01, and no chain has degree 3
+    for i, s, e in ((0, "01", "00"), (3, "01", "11")):
+        assert table.dim(i, s, e) == 0
+        assert table.left_action("0a", i, s, e) == Matrix.zeros(QQ, table.dim(i, "00", e), 0)
+    for i, s, e in ((0, "11", "01"), (3, "00", "01")):
+        assert table.dim(i, s, e) == 0
+        assert table.right_action("a1", i, s, e) == Matrix.zeros(QQ, table.dim(i, s, "11"), 0)
+    assert not calls

@@ -31,7 +31,8 @@ and the two splittings of a 2-cube carry opposite signs.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Mapping, Sequence
+from functools import cached_property
+from typing import Iterator, Mapping, Sequence
 
 from .exactla import Matrix, QQ
 from .precubical import PrecubicalSet, TensorSet
@@ -58,8 +59,9 @@ class CubeChain:
     cubes: tuple[str, ...]
     dims: tuple[int, ...]
 
-    @property
+    @cached_property
     def degree(self) -> int:
+        """``sum(n_k - 1)``, computed on first use and stored."""
         return sum(d - 1 for d in self.dims)
 
     @property
@@ -181,6 +183,10 @@ class FormalSum:
                 self.add_term(chain, coeff)
 
     def add_term(self, chain: CubeChain, coeff) -> None:
+        # every term shares one grading, so one term stands for them all
+        other = next(iter(self.terms), chain)
+        if (other.degree, other.src, other.dst) != (chain.degree, chain.src, chain.dst):
+            raise ChainError("formal sum mixes (degree, src, dst) gradings")
         if isinstance(coeff, int):
             coeff = self.field.of(coeff)
         cur = self.terms.get(chain, self.field.zero)
@@ -189,8 +195,6 @@ class FormalSum:
             self.terms.pop(chain, None)
         else:
             self.terms[chain] = new
-        if len({(c.degree, c.src, c.dst) for c in self.terms}) > 1:
-            raise ChainError("formal sum mixes (degree, src, dst) gradings")
 
     def items(self):
         return sorted(self.terms.items(), key=lambda kv: kv[0].sort_key())
@@ -243,6 +247,13 @@ def boundary(x: PrecubicalSet, chain: CubeChain, field=QQ) -> FormalSum:
     if chain.degree < 1:
         raise ChainError("boundary of a degree-0 chain is zero; use an empty sum")
     out = FormalSum(field)
+    for term, sign in _boundary_terms(x, chain):
+        out.add_term(term, sign)
+    return out
+
+
+def _boundary_terms(x: PrecubicalSet, chain: CubeChain) -> Iterator[tuple[CubeChain, int]]:
+    """The terms of the boundary of a chain with their +-1 coefficients."""
     prefix_deg = 0
     for k, (cube, n) in enumerate(zip(chain.cubes, chain.dims)):
         if n >= 2:
@@ -257,9 +268,20 @@ def boundary(x: PrecubicalSet, chain: CubeChain, field=QQ) -> FormalSum:
                 lower, upper = split_cube(x, cube, a_set)
                 cubes = chain.cubes[:k] + (lower, upper) + chain.cubes[k + 1:]
                 dims = chain.dims[:k] + (len(a_set), n - len(a_set)) + chain.dims[k + 1:]
-                out.add_term(CubeChain(chain.src, chain.dst, cubes, dims), sign)
+                yield CubeChain(chain.src, chain.dst, cubes, dims), sign
         prefix_deg += n - 1
-    return out
+
+
+def _boundary_column(x: PrecubicalSet, chain: CubeChain, index: Mapping) -> dict[int, int]:
+    """The boundary of a chain as ``{position: coefficient}`` in a target
+    basis, `index` mapping each basis element to its position."""
+    col: dict[int, int] = {}
+    for term, sign in _boundary_terms(x, chain):
+        j = index.get(term)
+        if j is None:
+            raise ChainError(f"boundary term {term!r} missing from basis")
+        col[j] = col.get(j, 0) + sign
+    return col
 
 
 # -- graded complexes ---------------------------------------------------------
@@ -381,18 +403,9 @@ def build_complex(x: PrecubicalSet, max_degree: int | None = None,
     for (i, s, e), chains in sorted(bases.items()):
         if i == 0:
             continue
-        target = bases.get((i - 1, s, e), [])
-        tindex = {c: j for j, c in enumerate(target)}
-        cols = []
-        for chain in chains:
-            v = [field.zero] * len(target)
-            for term, coeff in boundary(x, chain, field).terms.items():
-                j = tindex.get(term)
-                if j is None:
-                    raise ChainError(f"boundary term {term!r} missing from basis")
-                v[j] = coeff
-            cols.append(v)
-        diffs[(i, s, e)] = Matrix.from_columns(field, cols, length=len(target))
+        tindex = {c: j for j, c in enumerate(bases.get((i - 1, s, e), []))}
+        diffs[(i, s, e)] = Matrix.from_sparse_columns(
+            field, len(tindex), [_boundary_column(x, chain, tindex) for chain in chains])
     cx = PairGradedComplex(x, field, top, bases, diffs)
     cx.check_boundary_square()
     return cx

@@ -323,7 +323,8 @@ class _Frozen:
     def _of(cls, *values):
         """An instance from values computed here, skipping the checks of __init__."""
         obj = object.__new__(cls)
-        obj._set(*values)
+        for setter, value in zip(cls._setters, values):
+            setter(obj, value)
         return obj
 
 
@@ -371,6 +372,21 @@ class Matrix(_Frozen):
         p = _modulus(field)
         cols = [_sparse(c, p, length) for c in columns]
         return cls._of(field, length, len(cols), _transpose(cols, length))
+
+    @classmethod
+    def from_sparse_columns(cls, field, rows: int, columns: Sequence[dict]) -> "Matrix":
+        """The matrix whose column j holds the ints ``columns[j]``, a
+        ``{row: value}`` dict, taken in the field: the form in which boundary
+        matrices are assembled."""
+        p = _modulus(field)
+        data: list[dict] = [{} for _ in range(rows)]
+        for j, col in enumerate(columns):
+            for i, a in col.items():
+                if p:
+                    a %= p
+                if a:
+                    data[i][j] = a
+        return cls._of(field, rows, len(columns), data)
 
     @classmethod
     def unit_columns(cls, field, rows: int, targets: Sequence[int | None]) -> "Matrix":

@@ -30,7 +30,7 @@ from dataclasses import dataclass, field as dataclass_field
 from .exactla import Matrix, QQ
 from .precubical import PcMorphism, PrecubicalSet, TensorSet, tensor, tensor_morphism
 from .cubechain import (
-    ChainError, CubeChain, GradedComplex, PairGradedComplex, _basis_map, boundary,
+    ChainError, CubeChain, GradedComplex, PairGradedComplex, _basis_map, _boundary_terms,
     build_complex, project_shuffle,
 )
 from .homology import (
@@ -83,21 +83,19 @@ class TensorComplex(GradedComplex):
         for (n, pair), rows in sorted(bases.items()):
             if n == 0:
                 continue
-            target = bases.get((n - 1, pair), [])
-            tindex = {t: i for i, t in enumerate(target)}
+            tindex = self.index.get((n - 1, pair), {})
             cols = []
             for (ca, cb) in rows:
-                col = [field.zero] * len(target)
-                j = ca.degree
-                if j >= 1:
-                    for term, coeff in boundary(tx.left, ca, field).terms.items():
-                        col[tindex[(term, cb)]] = col[tindex[(term, cb)]] + coeff
-                if cb.degree >= 1:
-                    sign = field.of(-1) if j % 2 else field.one
-                    for term, coeff in boundary(tx.right, cb, field).terms.items():
-                        col[tindex[(ca, term)]] = col[tindex[(ca, term)]] + sign * coeff
+                col: dict[int, int] = {}
+                for term, coeff in _boundary_terms(tx.left, ca):
+                    k = tindex[(term, cb)]
+                    col[k] = col.get(k, 0) + coeff
+                sign = -1 if ca.degree % 2 else 1
+                for term, coeff in _boundary_terms(tx.right, cb):
+                    k = tindex[(ca, term)]
+                    col[k] = col.get(k, 0) + sign * coeff
                 cols.append(col)
-            diffs[(n, pair)] = Matrix.from_columns(field, cols, length=len(target))
+            diffs[(n, pair)] = Matrix.from_sparse_columns(field, len(tindex), cols)
         super().__init__(field, top, dims, diffs)
         self.check_boundary_square()
 

@@ -54,6 +54,14 @@ class TestEnumeration:
         chains = enumerate_chains(D2, 0, "00", "11")
         assert chains == sorted(chains, key=CubeChain.sort_key)
 
+    def test_degree_is_a_stored_read_only_attribute(self, D3):
+        c = make_chain(D3, ["aaa"])
+        assert c.degree == 2 == sum(n - 1 for n in c.dims)
+        assert c == CubeChain(c.src, c.dst, c.cubes, c.dims)
+        with pytest.raises(AttributeError):
+            c.degree = 0
+        assert c.degree == 2
+
 
 class TestBoundary:
     def test_square_chain_boundary(self, D2):

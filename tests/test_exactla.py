@@ -617,6 +617,15 @@ def test_every_rational_scalar_leaves_as_a_fraction():
     assert scalars and all(type(a) is Fraction for a in scalars)
 
 
+def test_sparse_columns_are_taken_in_the_field():
+    columns = [{0: 1, 2: -1}, {}, {1: 7, 2: 2}]
+    dense = [[1, 0, -1], [0, 0, 0], [0, 7, 2]]
+    for field in FIELDS:
+        m = Matrix.from_sparse_columns(field, 3, columns)
+        assert m == Matrix.from_columns(field, [[field.of(a) for a in c] for c in dense])
+    assert Matrix.from_sparse_columns(PrimeField(7), 3, columns).column(2)[1] == PrimeField(7).zero
+
+
 def test_matrices_and_subspaces_are_immutable():
     m = M([[1, 2], [3, 4]])
     sub = Subspace(QQ, 2, [(1, 1)])

@@ -370,8 +370,10 @@ class PairGradedComplex(GradedComplex):
         return tuple(v)
 
 
-def _basis_map(field, images: Sequence, index: Mapping) -> Matrix:
-    """The 0/1 matrix sending source basis element j to ``images[j]``.
+def _basis_map(field, images: Sequence, index: Mapping,
+               signs: Sequence[int] | None = None) -> Matrix:
+    """The 0/1 matrix sending source basis element j to ``images[j]``; given
+    `signs`, the 0/+-1 matrix sending it to ``signs[j] * images[j]``.
 
     `index` gives the position of each target basis element; an image of
     None maps to zero, and an image that is not a target basis element raises.
@@ -384,7 +386,10 @@ def _basis_map(field, images: Sequence, index: Mapping) -> Matrix:
             if j is None:
                 raise ChainError(f"image {img!r} missing from the target basis")
         targets.append(j)
-    return Matrix.unit_columns(field, len(index), targets)
+    if signs is None:
+        return Matrix.unit_columns(field, len(index), targets)
+    return Matrix.from_sparse_columns(field, len(index), [
+        {} if j is None else {j: sign} for j, sign in zip(targets, signs)])
 
 
 def build_complex(x: PrecubicalSet, max_degree: int | None = None,

@@ -10,9 +10,10 @@ Two explicit comparison maps relate it to the cube-chain complex of the
 product X (x) Y:
 
 * `split_chain` (the separating map): a chain whose every cube has exactly
-  one non-vertex component splits into its X- and Y-subsequences; a chain
-  containing a genuinely mixed cube (both components of dimension >= 1)
-  goes to zero;
+  one non-vertex component splits into its X- and Y-subsequences, with the
+  Koszul sign of moving its Y-cubes past the X-cubes after them
+  (`separation_sign`); a chain containing a genuinely mixed cube (both
+  components of dimension >= 1) goes to zero;
 * `interleave_tensor` (the trivial shuffle): a pure tensor cX (x) cY maps
   to the chain running all X-cubes first (at the start vertex of cY), then
   all Y-cubes (at the end vertex of cX).
@@ -175,6 +176,25 @@ def split_chain(tx: TensorSet, chain: CubeChain
     return project_shuffle(tx, chain)
 
 
+def separation_sign(tx: TensorSet, chain: CubeChain) -> int:
+    """The sign of a pure chain under the separating map.
+
+    Separating moves every Y-cube past the X-cubes after it.  Under the
+    degree ``sum(n_k - 1)`` a Y-cube of dimension m passing an X-cube of
+    dimension n gives (-1)^((m-1)(n-1)), the Koszul rule of the tensor
+    differential; that factor is -1 exactly when m and n are both even.
+    """
+    even_y = 0      # Y-cubes of even dimension so far
+    odd = False
+    for cube, n in zip(chain.cubes, chain.dims):
+        if n % 2 == 0:
+            if tx.left.dim_of(tx.components(cube)[0]) >= 1:
+                odd ^= bool(even_y % 2)
+            else:
+                even_y += 1
+    return -1 if odd else 1
+
+
 def split_zero_chain(tx: TensorSet, chain: CubeChain) -> tuple[CubeChain, CubeChain]:
     """Degree-0 form of the separating map: always defined, never zero."""
     if chain.degree != 0:
@@ -198,8 +218,10 @@ def split_one_chain(tx: TensorSet, chain: CubeChain
 def separating_matrix(tx: TensorSet, cxp: PairGradedComplex, tc: TensorComplex,
                       n: int, s: str, e: str) -> Matrix:
     """Matrix of the separating map C_n(X(x)Y)(s,e) -> tensor complex."""
-    return _basis_map(cxp.field, [split_chain(tx, c) for c in cxp.basis(n, s, e)],
-                      tc.index.get((n, (s, e)), {}))
+    chains = cxp.basis(n, s, e)
+    return _basis_map(cxp.field, [split_chain(tx, c) for c in chains],
+                      tc.index.get((n, (s, e)), {}),
+                      [separation_sign(tx, c) for c in chains])
 
 
 # -- the trivial shuffle -----------------------------------------------------------

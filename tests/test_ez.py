@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import dirhom as dh
 from dirhom.cubechain import (
@@ -10,7 +11,7 @@ from dirhom.precubical import PcMorphism, SubsetSpec, sub, tensor
 from dirhom.ez import (
     ChainError, TensorComplex, TensorSetting, comparison_naturality_check,
     interleave_tensor, interleaving_matrix, kunneth_report, separating_matrix,
-    split_chain, split_one_chain, split_zero_chain, swap_steps,
+    separation_sign, split_chain, split_one_chain, split_zero_chain, swap_steps,
     swappable_positions, tensor_comparison_report, zero_chain_count_report,
 )
 
@@ -195,6 +196,54 @@ class TestComparisonReport:
                 act_p = _prepend_matrix(cxp, edge, 0, s, e)
                 act_t = tc.left_action_chain(edge, 0, pair)
                 assert sep_dst @ act_p == act_t @ sep_src
+
+
+class TestSeparationSign:
+    def test_square_before_square_by_hand(self, D2):
+        # <(00,aa),(aa,11)> runs the Y-square first, at the X-vertex 00, then
+        # the X-square at the Y-vertex 11.  Separating it moves a cube of
+        # dimension 2 past one of dimension 2: sign (-1)^((2-1)(2-1)) = -1.
+        # The interleaving <(aa,00),(11,aa)> keeps the X-square first: +1.
+        st = TensorSetting.build(D2, D2)
+        y_first = make_chain(st.tx, ["(00,aa)", "(aa,11)"])
+        x_first = make_chain(st.tx, ["(aa,00)", "(11,aa)"])
+        square = make_chain(D2, ["aa"])
+        assert split_chain(st.tx, y_first) == split_chain(st.tx, x_first) == (square, square)
+        assert (separation_sign(st.tx, y_first), separation_sign(st.tx, x_first)) == (-1, 1)
+        pair = (y_first.src, y_first.dst)
+        sep = separating_matrix(st.tx, st.cxp, st.tc, 2, *pair)
+        row = st.tc.tensor_index(2, pair, (square, square))
+        assert sep.entry(row, st.cxp.chain_index(y_first)) == -1
+        assert sep.entry(row, st.cxp.chain_index(x_first)) == 1
+
+    def test_edges_and_odd_cubes_carry_no_sign(self, kk):
+        c = make_chain(kk.tx, ["(0,a)", "(a,1)"])
+        assert separation_sign(kk.tx, c) == 1
+
+
+@pytest.mark.parametrize("names", [("D2", "D2"), ("D2", "D3"), ("S2", "D2"), ("D2", "S1")])
+def test_comparison_and_kunneth_with_squares_on_both_sides(names):
+    make = {"D2": lambda: dh.directed_disc(2), "D3": lambda: dh.directed_disc(3),
+            "S1": lambda: dh.directed_sphere(1), "S2": lambda: dh.directed_sphere(2)}
+    x, y = (make[n]() for n in names)
+    st = TensorSetting.build(x, y)
+    rep = tensor_comparison_report(x, y, setting=st)
+    assert rep.all_ok, rep.failures
+    assert kunneth_report(x, y, setting=st).identity_holds
+
+
+realization_sequences = st.lists(st.integers(1, 2), min_size=1, max_size=3).filter(
+    lambda seq: sum(seq) <= 3)
+
+
+@settings(max_examples=12, deadline=None)
+@given(realization_sequences, realization_sequences)
+def test_comparison_holds_on_products_of_realizations(a, b):
+    x, y = dh.realization(a), dh.realization(b)
+    st = TensorSetting.build(x, y)
+    rep = tensor_comparison_report(x, y, setting=st)
+    assert rep.all_ok, rep.failures
+    assert kunneth_report(x, y, setting=st).identity_holds
 
 
 class TestNaturality:

@@ -30,7 +30,9 @@ RUNS = [
     *(f"kunneth --format {fmt} S1 S1" for fmt in ("text", "json")),
     # the separating map on squares inside one factor
     "kunneth --format json D2 S1",
-    # exit 3: the comparison fails on D2 (x) D2
+    # squares in both factors, which the separating map's Koszul signs need
+    # (recorded again, exit 0, when those signs were added: before them
+    # the comparison failed here with exit 3)
     "kunneth --format text D2 D2",
     # exit 1: excision fails, so the cover of the grid is not good
     "mv --format json grid3 grid3/left grid3/right",

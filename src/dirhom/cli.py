@@ -61,6 +61,23 @@ def _load_set(path: str) -> pc.PrecubicalSet:
         _fail_input(str(exc))
 
 
+def _load_valid_set(path: str, command: str, fmt: str) -> pc.PrecubicalSet:
+    """A set that satisfies the cubical identities.  One that breaks them gets
+    a verdict (exit 1) before any chain is built; a directed cycle is left to
+    the verb, which reports it as an input error."""
+    x = _load_set(path)
+    broken = [v for v in x.validate() if v.kind != "cycle"]
+    if broken:
+        doc = {"tool": "dirhom", "command": command, "input": x.name, "valid": False,
+               "violations": [str(v) for v in broken]}
+        text = [f"{x.name}: breaks the cubical identities"] + doc["violations"]
+        csv_rows = [["kind", "cells", "detail"]] + [[v.kind, " ".join(v.cells), v.detail]
+                                                    for v in broken]
+        _emit(doc, fmt, text, csv_rows)
+        sys.exit(EXIT_VERDICT)
+    return x
+
+
 def _load_subset(x: pc.PrecubicalSet, path: str, strict: bool) -> pc.SubsetSpec:
     try:
         with open(path, "r", encoding="utf-8") as fh:
@@ -160,7 +177,7 @@ def _homology_rows(x, table, max_degree, pair_filter):
 @click.option("--actions", is_flag=True, help="include edge action matrices")
 def homology(path, field_name, max_degree, fmt, pair, actions):
     """Homology dimensions per (degree, source, target)."""
-    x = _load_set(path)
+    x = _load_valid_set(path, "homology", fmt)
     field = _field(field_name)
     pair_filter = _parse_pair(pair)
     if pair_filter:
@@ -210,7 +227,7 @@ def homology(path, field_name, max_degree, fmt, pair, actions):
 @click.option("--pair", default=None, help="restrict to one vertex pair 'src,dst'")
 def cohomology(path, field_name, max_degree, fmt, pair):
     """Cohomology dimensions (transposed differentials)."""
-    x = _load_set(path)
+    x = _load_valid_set(path, "cohomology", fmt)
     field = _field(field_name)
     pair_filter = _parse_pair(pair)
     try:
@@ -283,7 +300,7 @@ def check_pair(path, subset, field_name, fmt, strict):
 @click.option("--strict", is_flag=True, help="reject subsets that are not face-closed")
 def relative(path, subset, field_name, max_degree, fmt, force, strict):
     """Relative homology and the verified long exact sequence."""
-    x = _load_set(path)
+    x = _load_valid_set(path, "relative", fmt)
     field = _field(field_name)
     spec = _load_subset(x, subset, strict)
     try:
@@ -342,7 +359,7 @@ def relative(path, subset, field_name, max_degree, fmt, force, strict):
 @click.option("--strict", is_flag=True, help="reject subsets that are not face-closed")
 def mv(path, subset1, subset2, field_name, max_degree, fmt, strict):
     """Good-cover check and the verified Mayer-Vietoris sequence."""
-    x = _load_set(path)
+    x = _load_valid_set(path, "mv", fmt)
     field = _field(field_name)
     s1 = _load_subset(x, subset1, strict)
     s2 = _load_subset(x, subset2, strict)
@@ -394,8 +411,8 @@ def mv(path, subset1, subset2, field_name, max_degree, fmt, strict):
               help="include the degree-0 generator count report")
 def kunneth(path_x, path_y, field_name, max_degree, fmt, obstruction):
     """Tensor comparison verification plus the Kunneth dimension identity."""
-    x = _load_set(path_x)
-    y = _load_set(path_y)
+    x = _load_valid_set(path_x, "kunneth", fmt)
+    y = _load_valid_set(path_y, "kunneth", fmt)
     field = _field(field_name)
     try:
         setting = TensorSetting.build(x, y, field)

@@ -203,14 +203,15 @@ class PrecubicalSet:
     def validate(self) -> list[Violation]:
         """All violated precubical identities and directed cycles, as data."""
         out: list[Violation] = []
+        faces = self.faces      # complete and of the right arity, by __init__
         for n in range(2, len(self.cells)):
             for c in self.cells[n]:
                 for j in range(2, n + 1):
                     for i in range(1, j):
                         for eps in (0, 1):
                             for eta in (0, 1):
-                                left = self.face(self.face(c, j, eta), i, eps)
-                                right = self.face(self.face(c, i, eps), j - 1, eta)
+                                left = faces[faces[c][eta][j - 1]][eps][i - 1]
+                                right = faces[faces[c][eps][i - 1]][eta][j - 2]
                                 if left != right:
                                     out.append(Violation(
                                         "identity", (c,),

@@ -71,6 +71,32 @@ class TestValidate:
         assert r.exit_code == 1 and "cycle" in r.output
 
 
+def broken_square():
+    """A square whose faces break the identity d_1^1 d_2^1 = d_1^1 d_1^1."""
+    faces = {"e1": (["p"], ["q"]), "e2": (["p"], ["r"]),
+             "e3": (["q"], ["s"]), "e4": (["r"], ["s"]),
+             "sq": (["e2", "e1"], ["e3", "e1"])}
+    return dh.PrecubicalSet("bad", [["p", "q", "r", "s"], ["e1", "e2", "e3", "e4"], ["sq"]],
+                            faces)
+
+
+@pytest.mark.parametrize("args", [
+    ["homology", "{bad}"], ["homology", "{bad}", "--actions", "--format", "json"],
+    ["cohomology", "{bad}"], ["relative", "{bad}", "{p}"],
+    ["mv", "{bad}", "{p}", "{p}"], ["kunneth", "{k}", "{bad}", "--format", "csv"],
+], ids=["homology", "homology-json", "cohomology", "relative", "mv", "kunneth"])
+def test_broken_identities_are_a_verdict(runner, workspace, tmp_path, args):
+    files = {"k": workspace["k"], "bad": str(tmp_path / "bad.json"),
+             "p": str(tmp_path / "p.json")}
+    dh.save(broken_square(), files["bad"])
+    (tmp_path / "p.json").write_text(json.dumps(["p"]))
+    r = invoke(runner, [a.format(**files) for a in args])
+    assert r.exit_code == 1
+    assert "identity" in r.output and "sq" in r.output
+    if "json" in args:
+        assert json.loads(r.output)["valid"] is False
+
+
 class TestHomology:
     def test_pair_output(self, runner, workspace):
         r = invoke(runner, ["homology", workspace["d2"], "--pair", "00,11"])

@@ -323,8 +323,7 @@ class _Frozen:
     def _of(cls, *values):
         """An instance from values computed here, skipping the checks of __init__."""
         obj = object.__new__(cls)
-        for setter, value in zip(cls._setters, values):
-            setter(obj, value)
+        obj._set(*values)
         return obj
 
 

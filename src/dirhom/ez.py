@@ -184,15 +184,14 @@ def separation_sign(tx: TensorSet, chain: CubeChain) -> int:
     dimension n gives (-1)^((m-1)(n-1)), the Koszul rule of the tensor
     differential; that factor is -1 exactly when m and n are both even.
     """
-    even_y = 0      # Y-cubes of even dimension so far
-    odd = False
+    even_y = odd_moves = 0      # Y-cubes of even dimension so far; -1 factors
     for cube, n in zip(chain.cubes, chain.dims):
         if n % 2 == 0:
             if tx.left.dim_of(tx.components(cube)[0]) >= 1:
-                odd ^= bool(even_y % 2)
+                odd_moves += even_y
             else:
                 even_y += 1
-    return -1 if odd else 1
+    return -1 if odd_moves % 2 else 1
 
 
 def split_zero_chain(tx: TensorSet, chain: CubeChain) -> tuple[CubeChain, CubeChain]:

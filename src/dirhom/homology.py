@@ -171,23 +171,19 @@ class HomologyTable:
         """H_i(s, e) -> H_i(s', e) for the edge a : s' -> s."""
         if self.x.edge_target(a) != s:
             raise ChainError(f"edge {a!r} does not end at {s!r}")
-        return self._action(self._prepend_matrix, a, i, s, e,
-                            self.entry(i, self.x.edge_source(a), e))
+        src, dst = self.entry(i, s, e), self.entry(i, self.x.edge_source(a), e)
+        if not src.dim:         # no classes to push, so no chain map to build
+            return Matrix.zeros(self.field, dst.dim, 0)
+        return induced_on_homology(self._prepend_matrix(a, i, s, e), src, dst)
 
     def right_action(self, a: str, i: int, s: str, e: str) -> Matrix:
         """H_i(s, e) -> H_i(s, e') for the edge a : e -> e'."""
         if self.x.edge_source(a) != e:
             raise ChainError(f"edge {a!r} does not start at {e!r}")
-        return self._action(self._append_matrix, a, i, s, e,
-                            self.entry(i, s, self.x.edge_target(a)))
-
-    def _action(self, chain_map, a: str, i: int, s: str, e: str, dst: PairHomology) -> Matrix:
-        """The map H_i(s, e) -> dst induced by ``chain_map(a, i, s, e)``,
-        which is built only when H_i(s, e) has classes."""
-        src = self.entry(i, s, e)
+        src, dst = self.entry(i, s, e), self.entry(i, s, self.x.edge_target(a))
         if not src.dim:
             return Matrix.zeros(self.field, dst.dim, 0)
-        return induced_on_homology(chain_map(a, i, s, e), src, dst)
+        return induced_on_homology(self._append_matrix(a, i, s, e), src, dst)
 
     def left_path_action(self, path: tuple[str, ...], i: int, s: str, e: str) -> Matrix:
         """Composite left action of an edge path ending at s."""

@@ -30,8 +30,7 @@ and the two splittings of a 2-cube carry opposite signs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from functools import cached_property
+from dataclasses import dataclass, field as dataclass_field
 from typing import Iterator, Mapping, Sequence
 
 from .exactla import Matrix, QQ
@@ -50,19 +49,21 @@ class BoundaryCheckError(AssertionError):
     """d . d != 0: signals a sign-convention bug, never a data problem."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class CubeChain:
-    """An immutable cube chain: glued cubes plus its endpoints."""
+    """An immutable cube chain: glued cubes plus its endpoints.
+
+    `degree`, ``sum(n_k - 1)``, is computed once, at construction.
+    """
 
     src: str
     dst: str
     cubes: tuple[str, ...]
     dims: tuple[int, ...]
+    degree: int = dataclass_field(init=False, repr=False, compare=False)
 
-    @cached_property
-    def degree(self) -> int:
-        """``sum(n_k - 1)``, computed on first use and stored."""
-        return sum(d - 1 for d in self.dims)
+    def __post_init__(self):
+        object.__setattr__(self, "degree", sum(self.dims) - len(self.dims))
 
     @property
     def type(self) -> tuple[int, ...]:
@@ -303,6 +304,7 @@ class GradedComplex:
         self.top_degree = top_degree
         self._dims = dict(dims)
         self._diffs = dict(diffs)
+        self._zeros: dict[tuple[int, int], Matrix] = {}    # by shape
         self._pairs = sorted({k[1] for k in self._dims})
 
     def pairs(self) -> list:
@@ -314,8 +316,10 @@ class GradedComplex:
     def diff(self, i: int, pair) -> Matrix:
         m = self._diffs.get((i, pair))
         if m is None:
-            rows = self.dim(i - 1, pair) if i >= 1 else 0
-            m = self._diffs[(i, pair)] = Matrix.zeros(self.field, rows, self.dim(i, pair))
+            shape = (self.dim(i - 1, pair) if i >= 1 else 0, self.dim(i, pair))
+            m = self._zeros.get(shape)
+            if m is None:
+                m = self._zeros[shape] = Matrix.zeros(self.field, *shape)
         return m
 
     def check_boundary_square(self) -> None:

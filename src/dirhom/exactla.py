@@ -173,7 +173,8 @@ def _sparse(vec, p: int, n: int | None = None) -> dict:
         if p:
             a = a.value if isinstance(a, Residue) else a % p
         elif type(a) is not int:
-            a = Fraction(a)
+            if type(a) is not Fraction:
+                a = Fraction(a)
             if a.denominator == 1:
                 a = a.numerator
         if a:

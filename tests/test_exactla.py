@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dirhom.exactla import (
-    FieldError, Matrix, PrimeField, QQ, Subspace, _rref, field_from_name,
-    image_basis, induced_on_quotient, invert, is_prime, kernel_basis,
+    FieldError, Matrix, PrimeField, QQ, Subspace, _dense, _eliminate, _rref, _sparse,
+    field_from_name, image_basis, induced_on_quotient, invert, is_prime, kernel_basis,
     pivot_columns, quotient_map, rank, solve, solve_in_image,
 )
 
@@ -548,7 +548,6 @@ class TestRationalAgainstDenseReference:
     @settings(max_examples=150, deadline=None)
     @given(rational_matrices(), st.data())
     def test_eliminate_is_the_dense_rref(self, m, data):
-        from dirhom.exactla import _dense, _eliminate, _sparse
         rows, ncols = m
         order = list(range(ncols))
         if data.draw(st.booleans()):

@@ -1,5 +1,5 @@
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, settings, strategies
 
 import dirhom as dh
 from dirhom.cubechain import (
@@ -221,29 +221,29 @@ class TestSeparationSign:
         assert separation_sign(kk.tx, c) == 1
 
 
-@pytest.mark.parametrize("names", [("D2", "D2"), ("D2", "D3"), ("S2", "D2"), ("D2", "S1")])
-def test_comparison_and_kunneth_with_squares_on_both_sides(names):
-    make = {"D2": lambda: dh.directed_disc(2), "D3": lambda: dh.directed_disc(3),
-            "S1": lambda: dh.directed_sphere(1), "S2": lambda: dh.directed_sphere(2)}
-    x, y = (make[n]() for n in names)
+def assert_comparison_and_kunneth_hold(x, y):
     st = TensorSetting.build(x, y)
     rep = tensor_comparison_report(x, y, setting=st)
     assert rep.all_ok, rep.failures
     assert kunneth_report(x, y, setting=st).identity_holds
 
 
-realization_sequences = st.lists(st.integers(1, 2), min_size=1, max_size=3).filter(
-    lambda seq: sum(seq) <= 3)
+@pytest.mark.parametrize("x, y", [
+    (dh.directed_disc(2), dh.directed_disc(2)), (dh.directed_disc(2), dh.directed_disc(3)),
+    (dh.directed_sphere(2), dh.directed_disc(2)), (dh.directed_disc(2), dh.directed_sphere(1)),
+], ids=["D2xD2", "D2xD3", "S2xD2", "D2xS1"])
+def test_comparison_with_squares_on_both_sides(x, y):
+    assert_comparison_and_kunneth_hold(x, y)
+
+
+realization_sequences = strategies.lists(strategies.integers(1, 2), min_size=1,
+                                         max_size=3).filter(lambda seq: sum(seq) <= 3)
 
 
 @settings(max_examples=12, deadline=None)
 @given(realization_sequences, realization_sequences)
 def test_comparison_holds_on_products_of_realizations(a, b):
-    x, y = dh.realization(a), dh.realization(b)
-    st = TensorSetting.build(x, y)
-    rep = tensor_comparison_report(x, y, setting=st)
-    assert rep.all_ok, rep.failures
-    assert kunneth_report(x, y, setting=st).identity_holds
+    assert_comparison_and_kunneth_hold(dh.realization(a), dh.realization(b))
 
 
 class TestNaturality:

@@ -301,7 +301,6 @@ def test_push_from_a_component_without_classes_runs_no_elimination(cxd2, monkeyp
     assert not calls
 
 
-
 def test_component_without_chains_runs_no_elimination(cxd2, monkeypatch):
     import dirhom.exactla as la
     calls = []

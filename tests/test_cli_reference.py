@@ -45,6 +45,10 @@ RUNS = [
     *(f"mv --format json --field {field} strip4 strip4/left strip4/right"
       for field in ("q", "fp:7")),
     "relative --format json D4 D4/S3",
+    # the relation reduction over a larger prime, and excision failing
+    # over a prime field
+    "relative --format text --field fp:1009 D4 D4/S3",
+    "mv --format json --field fp:7 grid3 grid3/left grid3/right",
     # the heaviest homology inputs over Q
     *(f"homology --actions --format json --field q {name}"
       for name in ("D4", "S3", "real33")),

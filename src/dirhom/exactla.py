@@ -22,7 +22,9 @@ Systems are solved for a whole matrix of right-hand sides at once:
 coordinates of every column of m off the subspace's one elimination; the
 single-vector `solve_in_image`, `coordinates`, `contains` and `matvec` are
 one-line wrappers.  Field scalars (``Residue`` over F_p) appear only where
-values enter (constructors, vectors passed in) and where they leave
+values enter (constructors, vectors passed in, bimodule relation
+coefficients), where the one conversion `_value` turns each into a stored
+value and rejects a scalar of another field, and where they leave
 (`entry`, `data`, `row`, `column(s)`, `basis`, the vector wrappers), and
 over Q every value leaves as a `Fraction`, integral or not; inside the
 package they leave only through `Matrix.data`, for the CLI's JSON, and
@@ -163,6 +165,27 @@ def _neg(a, p: int):
     return -a % p if p else -a
 
 
+def _value(a, p: int):
+    """The stored value of a field scalar or int: an int in [0, p) over F_p;
+    over Q an int while integral and a `Fraction` otherwise.  A `Residue` of
+    another field, or a non-integral `Fraction` over F_p, raises FieldError."""
+    if type(a) is int:
+        return a % p if p else a
+    if isinstance(a, Residue):
+        if a.p != p:
+            raise FieldError(f"{a!r} is not a scalar of {f'F_{p}' if p else 'Q'}")
+        return a.value
+    if p:
+        if isinstance(a, Fraction) and a.denominator == 1:
+            a = a.numerator
+        if not isinstance(a, int):
+            raise FieldError(f"{a!r} is not a scalar of F_{p}")
+        return a % p
+    if type(a) is not Fraction:
+        a = Fraction(a)
+    return a.numerator if a.denominator == 1 else a
+
+
 def _sparse(vec, p: int, n: int | None = None) -> dict:
     """Sparse form of a vector of field scalars or ints, whose length must
     be n when n is given."""
@@ -170,13 +193,7 @@ def _sparse(vec, p: int, n: int | None = None) -> dict:
         raise FieldError(f"vector length {len(vec)} != {n}")
     out = {}
     for j, a in enumerate(vec):
-        if p:
-            a = a.value if isinstance(a, Residue) else a % p
-        elif type(a) is not int:
-            if type(a) is not Fraction:
-                a = Fraction(a)
-            if a.denominator == 1:
-                a = a.numerator
+        a = _value(a, p)
         if a:
             out[j] = a
     return out
@@ -304,28 +321,38 @@ def _null_vectors(rows: list[dict], pivots: list[int], n: int, p: int) -> list[d
 
 
 class _Frozen:
-    """Slots set once, by `_set`; assigning to them afterwards raises."""
+    """Immutable objects with four slots, set once when built.
+
+    Each subclass gets, when it is defined, a `_fill` made from the setters
+    of its four slot descriptors, which it calls one after the other: every
+    instance is built through it, by `_of` on a new object without the
+    checks of __init__, or at the end of __init__.  Assigning an attribute
+    afterwards raises AttributeError.
+    """
 
     __slots__ = ()
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
-        # the slot descriptors' setters, in slot order, looked up once
-        cls._setters = tuple(cls.__dict__[name].__set__ for name in cls.__slots__)
+        set0, set1, set2, set3 = (cls.__dict__[name].__set__ for name in cls.__slots__)
+        new = object.__new__
 
-    def _set(self, *values) -> None:
-        for setter, value in zip(self._setters, values):
-            setter(self, value)
+        def fill(obj, a, b, c, d):
+            set0(obj, a)
+            set1(obj, b)
+            set2(obj, c)
+            set3(obj, d)
+            return obj
+
+        def of(klass, a, b, c, d):
+            """An instance from values computed here, skipping the checks of __init__."""
+            return fill(new(klass), a, b, c, d)
+
+        cls._fill = staticmethod(fill)
+        cls._of = classmethod(of)
 
     def __setattr__(self, *a):
         raise AttributeError(f"{type(self).__name__} is immutable")
-
-    @classmethod
-    def _of(cls, *values):
-        """An instance from values computed here, skipping the checks of __init__."""
-        obj = object.__new__(cls)
-        obj._set(*values)
-        return obj
 
 
 class Matrix(_Frozen):
@@ -344,7 +371,7 @@ class Matrix(_Frozen):
         data = [_sparse(tuple(row), p, cols) for row in entries]
         if len(data) != rows:
             raise FieldError(f"row count {len(data)} != rows {rows}")
-        self._set(field, rows, cols, data)
+        self._fill(self, field, rows, cols, data)
 
     @classmethod
     def zeros(cls, field, rows: int, cols: int) -> "Matrix":
@@ -375,9 +402,9 @@ class Matrix(_Frozen):
 
     @classmethod
     def from_sparse_columns(cls, field, rows: int, columns: Sequence[dict]) -> "Matrix":
-        """The matrix whose column j holds the ints ``columns[j]``, a
-        ``{row: value}`` dict, taken in the field: the form in which boundary
-        matrices are assembled."""
+        """The matrix whose column j holds ``columns[j]``, a ``{row: value}``
+        dict of ints, or over Q of ints and `Fraction`s, taken in the field:
+        the form in which boundary matrices and relation rows are assembled."""
         p = _modulus(field)
         data: list[dict] = [{} for _ in range(rows)]
         for j, col in enumerate(columns):
@@ -502,7 +529,7 @@ class Subspace(_Frozen):
 
     def __init__(self, field, ambient_dim: int, basis: Sequence[Sequence]):
         p = _modulus(field)
-        self._set(field, ambient_dim, [_sparse(v, p, ambient_dim) for v in basis], None)
+        self._fill(self, field, ambient_dim, [_sparse(v, p, ambient_dim) for v in basis], None)
         if len(self._pivots) != len(self._basis):
             raise FieldError("basis not independent")
 

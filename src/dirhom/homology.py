@@ -285,7 +285,11 @@ class CochainComplexTable:
         return m
 
     def cohomology_dim(self, i: int, src: str, dst: str) -> int:
+        """dim ker delta^i - rank delta^(i-1); a component with no chains has
+        no cohomology, and computing it takes no elimination."""
         pair = (src, dst)
+        if not self.cx.dim(i, pair):
+            return 0
         ker = kernel_basis(self.coboundary(i, pair)).dim
         if i == 0:
             return ker

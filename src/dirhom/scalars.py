@@ -13,7 +13,9 @@ purpose:
   spans the chains that factor as (edge-only prefix) . (chain in Y) .
   (edge-only suffix);
 * `extend_presented` is the ground truth: it re-reads a presented bimodule
-  over the paths of X and reduces the per-pair relation translates.
+  over the paths of X and reduces the per-pair relation translates, each a
+  sparse kernel row ``{triple index: value}`` that goes to the elimination
+  as it is.
 
 Their per-pair dimensions agree exactly when the canonical comparison map
 is injective, which is what the relative-pair check verifies.
@@ -24,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .exactla import Matrix, QQ, Subspace, image_basis, quotient_map
+from .exactla import Matrix, QQ, Subspace, _modulus, _value, image_basis, quotient_map
 from .precubical import PcMorphism, PrecubicalSet, TensorSet
 from .cubechain import (
     ChainError, CubeChain, DirectedCycleError, GradedComplex,
@@ -103,7 +105,13 @@ class BimoduleGenerator:
 
 
 class PresentedBimodule:
-    """A bimodule over two path algebras given by generators and relations."""
+    """A bimodule over two path algebras given by generators and relations.
+
+    Each relation with a nonzero coefficient is also kept as (source,
+    target, terms): its (source, target) pair, and its terms with nonzero
+    coefficients, each as the value the elimination kernel stores.  A
+    coefficient from another field raises FieldError here.
+    """
 
     def __init__(self, left: PathAlgebraIndex, right: PathAlgebraIndex,
                  generators: Sequence[BimoduleGenerator],
@@ -118,8 +126,11 @@ class PresentedBimodule:
         if len(self.by_id) != len(self.generators):
             raise AlgebraError("duplicate generator ids")
         self.relations = [list(r) for r in relations]
+        self._graded_relations: list[tuple[str, str, list[RelationTerm]]] = []
+        modulus = _modulus(field)
         for rel in self.relations:
             pairs = set()
+            terms = []
             for coeff, p, gid, q in rel:
                 g = self.by_id.get(gid)
                 if g is None:
@@ -127,8 +138,13 @@ class PresentedBimodule:
                 s = self._path_source_left(p, g.src)
                 e = self.right.path_target(g.dst, q)
                 pairs.add((s, e))
+                value = _value(coeff, modulus)
+                if value:
+                    terms.append((value, p, gid, q))
             if len(pairs) > 1:
                 raise AlgebraError("relation is not homogeneous in (src, dst)")
+            if terms:
+                self._graded_relations.append((*pairs.pop(), terms))
 
     def _path_source_left(self, p: tuple[str, ...], end: str) -> str:
         here = end
@@ -158,6 +174,10 @@ class ResolvedBimodule:
     path); the bimodule is their span modulo the relation translates, with
     the triples off the pivots of the relations as quotient basis.  Edge
     actions are matrices in this basis.
+
+    Each relation translate is a sparse kernel row ``{triple index: value}``,
+    built from the relation's stored pair and values, and the rows go to the
+    kernel as they are: no dense row over all triples is made.
     """
 
     def __init__(self, pb: PresentedBimodule):
@@ -173,36 +193,37 @@ class ResolvedBimodule:
         hit = self._triples.get(key)
         if hit is not None:
             return hit
+        left, right = self.pb.left.paths, self.pb.right.paths
         out = []
         for g in self.pb.generators:
-            for p in self.pb.left.between(s, g.src):
-                for q in self.pb.right.between(g.dst, e):
+            for p in left.get((s, g.src), ()):
+                for q in right.get((g.dst, e), ()):
                     out.append((p, g.gid, q))
         out.sort(key=lambda t: (len(t[0]) + len(t[2]), t[1], t[0], t[2]))
         self._triples[key] = out
         self._tindex[key] = {t: i for i, t in enumerate(out)}
         return out
 
-    def _relation_rows(self, s: str, e: str) -> list[list]:
-        triples = self.triples(s, e)
+    def _relation_rows(self, s: str, e: str) -> list[dict]:
+        """The relation translates at (s, e), one ``{triple index: value}``
+        row each: terms that land on one triple add, and zero sums drop."""
+        self.triples(s, e)
         tindex = self._tindex[(s, e)]
-        zero = self.field.zero
+        left, right = self.pb.left.paths, self.pb.right.paths
+        p = _modulus(self.field)
         rows = []
-        for rel in self.pb.relations:
-            if not rel:
-                continue
-            coeff0, p0, gid0, q0 = rel[0]
-            g0 = self.pb.by_id[gid0]
-            rs = self.pb._path_source_left(p0, g0.src)
-            re = self.pb.right.path_target(g0.dst, q0)
-            for p in self.pb.left.between(s, rs):
-                for q in self.pb.right.between(re, e):
-                    row = [zero] * len(triples)
-                    for coeff, pi, gid, qi in rel:
-                        if isinstance(coeff, int):
-                            coeff = self.field.of(coeff)
-                        t = (p + pi, gid, qi + q)
-                        row[tindex[t]] = row[tindex[t]] + coeff
+        for rs, re, terms in self.pb._graded_relations:
+            for lp in left.get((s, rs), ()):
+                for rq in right.get((re, e), ()):
+                    row: dict = {}
+                    for a, pi, gid, qi in terms:
+                        j = tindex[(lp + pi, gid, qi + rq)]
+                        if j in row:
+                            a = _value(row[j] + a, p)
+                            if not a:
+                                del row[j]
+                                continue
+                        row[j] = a
                     rows.append(row)
         return rows
 
@@ -211,7 +232,8 @@ class ResolvedBimodule:
         if key in self._rref:
             return
         n = len(self.triples(s, e))
-        relations = Subspace.span(self.field, n, self._relation_rows(s, e))
+        rows = self._relation_rows(s, e)
+        relations = image_basis(Matrix.from_sparse_columns(self.field, n, rows))
         # column j of the quotient map holds the coordinates of triple j
         self._rref[key] = quotient_map(n, relations)
         pivots = set(relations._pivots)

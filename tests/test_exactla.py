@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from dirhom.exactla import (
-    FieldError, Matrix, PrimeField, QQ, Subspace, _dense, _eliminate, _rref, _sparse,
+    FieldError, Matrix, PrimeField, QQ, Residue, Subspace, _dense, _eliminate, _rref, _sparse,
     field_from_name, image_basis, induced_on_quotient, invert, is_prime, kernel_basis,
     pivot_columns, quotient_map, rank, solve, solve_in_image,
 )
@@ -623,6 +623,24 @@ def test_sparse_columns_are_taken_in_the_field():
         m = Matrix.from_sparse_columns(field, 3, columns)
         assert m == Matrix.from_columns(field, [[field.of(a) for a in c] for c in dense])
     assert Matrix.from_sparse_columns(PrimeField(7), 3, columns).column(2)[1] == PrimeField(7).zero
+
+
+@pytest.mark.parametrize("field, bad", [
+    (PrimeField(7), Fraction(1, 2)), (PrimeField(7), Residue(3, 5)), (QQ, Residue(3, 7))])
+def test_scalars_of_another_field_are_rejected(field, bad):
+    with pytest.raises(FieldError):
+        Matrix(field, 1, 2, [[bad, field.one]])
+    with pytest.raises(FieldError):
+        Matrix.from_columns(field, [[bad]])
+    with pytest.raises(FieldError):
+        Subspace(field, 1, [[bad]])
+
+
+def test_integral_fractions_and_ints_are_taken_in_a_prime_field():
+    f7 = PrimeField(7)
+    m = Matrix(f7, 1, 3, [[Fraction(8), Fraction(-14, 2), Residue(3, 7)]])
+    assert m.data == ((f7.of(1), f7.zero, f7.of(3)),)
+    assert rank(m) == 1
 
 
 def test_matrices_and_subspaces_are_immutable():

@@ -316,6 +316,22 @@ def test_component_without_chains_runs_no_elimination(cxd2, monkeypatch):
     assert not calls
 
 
+def test_cohomology_of_a_component_without_chains_runs_no_elimination(D3, monkeypatch):
+    import dirhom.exactla as la
+    cx = build_complex(D3)
+    dual = cochain_dual(cx)
+    # the components the cohomology verb asks for: every vertex pair
+    empty = [(i, (s, e)) for s in D3.vertices for e in D3.vertices
+             for i in range(cx.top_degree + 1) if not cx.dim(i, (s, e))]
+    assert len(empty) > 100
+    calls = []
+    real = la._eliminate
+    monkeypatch.setattr(la, "_eliminate", lambda *a: calls.append(1) or real(*a))
+    for i, pair in empty:
+        assert dual.cohomology_dim(i, *pair) == 0
+    assert not calls
+
+
 def test_action_from_a_component_without_classes_builds_no_chain_map(D2, cxd2, monkeypatch):
     table = HomologyTable(cxd2, D2)
     calls = []

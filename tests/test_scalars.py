@@ -1,16 +1,23 @@
+from fractions import Fraction
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import dirhom as dh
 from dirhom.cubechain import build_complex
-from dirhom.exactla import QQ
+from dirhom.exactla import FieldError, PrimeField, QQ, Residue, Subspace, quotient_map
 from dirhom.homology import HomologyTable
 from dirhom.precubical import SubsetSpec, sub, tensor
 from dirhom.scalars import (
-    AlgebraError, SubcomplexExtension, direct_sum, extend_presented,
-    extend_subcomplex, free_bimodule, h_morphism, hcompose, path_algebra,
-    present_chain_module, present_homology, re_present, restrict, smash,
-    unit_bimodule, zero_bimodule,
+    AlgebraError, BimoduleGenerator, PresentedBimodule, ResolvedBimodule,
+    SubcomplexExtension, direct_sum, extend_presented, extend_subcomplex,
+    free_bimodule, h_morphism, hcompose, path_algebra, present_chain_module,
+    present_homology, re_present, restrict, smash, unit_bimodule, zero_bimodule,
 )
+
+from conftest import make_domino
+
+FIELDS = [QQ, PrimeField(7), PrimeField(1009)]
 
 
 @pytest.fixture(scope="module")
@@ -302,3 +309,146 @@ class TestSmash:
                 sequential = sm.act(a, None, 0, s, x.edge_target(b)) @ \
                     sm.act(None, b, 0, s, e)
                 assert one_shot == sequential
+
+
+class TestRelationCoefficients:
+    @pytest.mark.parametrize("coeff", [Fraction(1, 2), Residue(3, 5)])
+    def test_coefficient_from_another_field_is_rejected(self, algK, coeff):
+        g = [BimoduleGenerator("g", "0", "1")]
+        with pytest.raises(FieldError):
+            PresentedBimodule(algK, algK, g, [[(coeff, (), "g", ())]],
+                              PrimeField(7)).resolve().dim("0", "1")
+
+    def test_prime_field_coefficient_is_rejected_over_the_rationals(self, algK):
+        g = [BimoduleGenerator("g", "0", "1")]
+        with pytest.raises(FieldError):
+            PresentedBimodule(algK, algK, g, [[(Residue(3, 7), (), "g", ())]])
+
+
+# -- the sparse reduction against dense relation rows ---------------------------
+
+
+class DenseReduction(ResolvedBimodule):
+    """The reduction by dense relation rows: each relation translate is a
+    list of field scalars over every triple, and `Subspace.span` spans them.
+    The triples are listed again from the copied path lists of `between`."""
+
+    def _reduce(self, s, e):
+        if (s, e) in self._rref:
+            return
+        pb, field = self.pb, self.pb.field
+        triples = [(p, g.gid, q) for g in pb.generators
+                   for p in pb.left.between(s, g.src) for q in pb.right.between(g.dst, e)]
+        triples.sort(key=lambda t: (len(t[0]) + len(t[2]), t[1], t[0], t[2]))
+        assert triples == self.triples(s, e)
+        tindex = {t: i for i, t in enumerate(triples)}
+        rows = []
+        for rel in pb.relations:
+            if not rel:
+                continue
+            _, p0, gid0, q0 = rel[0]
+            g0 = pb.by_id[gid0]
+            rs = pb._path_source_left(p0, g0.src)
+            re_ = pb.right.path_target(g0.dst, q0)
+            for p in pb.left.between(s, rs):
+                for q in pb.right.between(re_, e):
+                    row = [field.zero] * len(triples)
+                    for coeff, pi, gid, qi in rel:
+                        if isinstance(coeff, int):
+                            coeff = field.of(coeff)
+                        j = tindex[(p + pi, gid, qi + q)]
+                        row[j] = row[j] + coeff
+                    rows.append(row)
+        relations = Subspace.span(field, len(triples), rows)
+        pivots = set(relations._pivots)
+        self._rref[(s, e)] = quotient_map(len(triples), relations)
+        self._free[(s, e)] = [j for j in range(len(triples)) if j not in pivots]
+
+
+def assert_same_reduction(pb: PresentedBimodule):
+    """dim, basis triples and both edge actions agree at every pair."""
+    fast, dense = pb.resolve(), DenseReduction(pb)
+    xl, xr = pb.left.x, pb.right.x
+    for s in xl.vertices:
+        for e in xr.vertices:
+            assert fast.dim(s, e) == dense.dim(s, e)
+            assert fast.basis_triples(s, e) == dense.basis_triples(s, e)
+            for a in xl.edges:
+                if xl.edge_target(a) == s:
+                    assert fast.left_edge_action(a, s, e) == dense.left_edge_action(a, s, e)
+            for b in xr.edges:
+                if xr.edge_source(b) == e:
+                    assert fast.right_edge_action(b, s, e) == dense.right_edge_action(b, s, e)
+
+
+def standard_presentations(x, field):
+    alg = path_algebra(x)
+    table = HomologyTable(build_complex(x, None, field), x)
+    unit = unit_bimodule(alg, field)
+    chains = [present_chain_module(x, i, field, alg) for i in range(3)]
+    return [present_homology(table, i, alg) for i in range(2)] + chains + [
+        unit, hcompose(unit, chains[1]), hcompose(present_homology(table, 0, alg), unit)]
+
+
+class TestSparseReductionAgainstDenseRows:
+    @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
+    @pytest.mark.parametrize("name", ["D2", "S1", "domino"])
+    def test_standard_presentations(self, name, field, D2, S1, domino):
+        x = {"D2": D2, "S1": S1, "domino": domino}[name]
+        for pb in standard_presentations(x, field):
+            assert_same_reduction(pb)
+
+    @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
+    def test_extension_along_an_inclusion(self, field, D2, S1):
+        y, inc = sub(D2, SubsetSpec(D2, frozenset(S1.all_cells())))
+        for i in range(2):
+            pb = extend_presented(present_chain_module(y, i, field), inc, path_algebra(D2))
+            assert_same_reduction(pb)
+        hy = HomologyTable(build_complex(y, None, field), y)
+        assert_same_reduction(extend_presented(present_homology(hy, 0), inc, path_algebra(D2)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_random_relations(self, data):
+        assert_same_reduction(data.draw(random_presentations()))
+
+
+SMALL_ALGEBRAS = [path_algebra(x) for x in
+                  (dh.directed_disc(2), dh.directed_sphere(1), make_domino())]
+
+
+@st.composite
+def coefficients(draw, field):
+    """Nonzero and zero coefficients; over Q ints and fractions, over F_p
+    ints and residues."""
+    n = draw(st.integers(-4, 4))
+    if field is QQ:
+        return draw(st.sampled_from([n, Fraction(n), Fraction(n, draw(st.integers(2, 5)))]))
+    return draw(st.sampled_from([n, field.of(n)]))
+
+
+@st.composite
+def random_presentations(draw):
+    """Generators at random vertex pairs of a small algebra, and relations
+    whose terms are drawn among the triples at one pair: with repeated
+    triples, terms that cancel on one triple, and empty relations."""
+    alg = draw(st.sampled_from(SMALL_ALGEBRAS))
+    field = draw(st.sampled_from(FIELDS))
+    verts = sorted(alg.x.vertices)
+    gens = [BimoduleGenerator(f"g{k}", *draw(st.tuples(st.sampled_from(verts),
+                                                         st.sampled_from(verts))))
+            for k in range(draw(st.integers(1, 3)))]
+    relations = []
+    for _ in range(draw(st.integers(0, 5))):
+        rs, re_ = draw(st.sampled_from(verts)), draw(st.sampled_from(verts))
+        triples = [(p, g.gid, q) for g in gens
+                   for p in alg.between(rs, g.src) for q in alg.between(g.dst, re_)]
+        rel = []
+        for _ in range(draw(st.integers(0, 4)) if triples else 0):
+            p, gid, q = draw(st.sampled_from(triples))
+            c = draw(coefficients(field))
+            rel.append((c, p, gid, q))
+            if draw(st.booleans()):
+                rel.append((-c, p, gid, q))
+        relations.append(rel)
+    return PresentedBimodule(alg, alg, gens, relations, field)

@@ -53,6 +53,17 @@ RUNS = [
     *(f"homology --actions --format json --field q {name}"
       for name in ("D4", "S3", "real33")),
     *(f"cohomology --format json --field {field} D3" for field in ("q", "fp:7")),
+    # one vertex pair, every entry listed even when zero
+    *(f"{verb} --format {fmt} --pair 00,11 {name}"
+      for verb in ("homology", "cohomology") for fmt in ("text", "csv")
+      for name in ("D2", "S1")),
+    # an accepted and a rejected pair
+    *(f"check-pair --format {fmt} {name}"
+      for fmt in ("text", "json", "csv") for name in ("D3 D3/S2", "S1 S1/ends")),
+    # exit 1 without --force; with it, the quotient dims and no sequence
+    *(f"relative --format {fmt}{force} S1 S1/ends"
+      for fmt in ("text", "json", "csv") for force in ("", " --force")),
+    *(f"kunneth --prop63 --format {fmt} D2 S1" for fmt in ("text", "json", "csv")),
 ]
 
 
@@ -95,6 +106,7 @@ def write_inputs(directory: Path) -> dict[str, str]:
     dom = make_domino()
     subsets = {"D3/S2": sorted(dh.directed_sphere(2).all_cells()),
                "D4/S3": sorted(dh.directed_sphere(3).all_cells()),
+               "S1/ends": ["00", "11"],
                "domino/left": sorted(dh.face_closure(dom, ["s1"])),
                "domino/right": sorted(dh.face_closure(dom, ["s2"])),
                "grid3/left": grid_left, "grid3/right": grid_right,

@@ -39,9 +39,16 @@ EXIT_VERDICT = 1
 EXIT_INPUT = 2
 EXIT_INTERNAL = 3
 
+# What a verb's computation may raise: bad data (exit 2) and a failed
+# theorem-backed check (exit 3).  `_Verbs.invoke` maps them for every verb.
+INPUT_ERRORS = (DirectedCycleError, SequenceError)
+INTERNAL_ERRORS = (BoundaryCheckError, ActionError, ExactnessError, ComparisonError)
+
 CONVENTION_NOTE = (
     "note: degree >= 1 dimensions follow the unshifted cube-chain grading; "
     "conventions that shift chain degrees by one report these one degree higher.")
+
+DIM_HEADER = ["degree", "src", "dst", "dim"]
 
 
 def _fail_input(msg: str):
@@ -105,6 +112,18 @@ def _field(name: str):
         _fail_input(str(exc))
 
 
+def _parse_pair(x: pc.PrecubicalSet, pair: str | None) -> tuple[str, str] | None:
+    if pair is None:
+        return None
+    parts = pair.split(",")
+    if len(parts) != 2:
+        _fail_input("--pair expects 'src,dst'")
+    for v in parts:
+        if v not in x.vertices:
+            _fail_input(f"unknown vertex {v!r}")
+    return parts[0], parts[1]
+
+
 def _emit(doc: dict, fmt: str, text_lines: list[str], csv_rows: list[list]):
     if fmt == "json":
         click.echo(json.dumps(doc, indent=2, sort_keys=True))
@@ -119,13 +138,19 @@ def _emit(doc: dict, fmt: str, text_lines: list[str], csv_rows: list[list]):
             click.echo(line)
 
 
-def _parse_pair(pair: str | None) -> tuple[str, str] | None:
-    if pair is None:
-        return None
-    parts = pair.split(",")
-    if len(parts) != 2:
-        _fail_input("--pair expects 'src,dst'")
-    return parts[0], parts[1]
+def _nonzero(table: dict) -> list[tuple]:
+    """The nonzero entries of a {(degree, (src, dst)): dim} table, sorted, as
+    (degree, src, dst, dim) rows."""
+    return [(i, s, e, d) for ((i, (s, e)), d) in sorted(table.items()) if d]
+
+
+def _entries(rows: list[tuple]) -> list[dict]:
+    return [dict(zip(DIM_HEADER, row)) for row in rows]
+
+
+def _labelled_csv(tables: dict[str, list[tuple]]) -> list[list]:
+    return [["table", *DIM_HEADER]] + [[label, *row] for label, rows in tables.items()
+                                       for row in rows]
 
 
 field_option = click.option("--field", "field_name", default="q",
@@ -134,9 +159,24 @@ degree_option = click.option("--max-degree", default=3, show_default=True,
                              help="highest homology degree reported")
 format_option = click.option("--format", "fmt", default="text", show_default=True,
                              type=click.Choice(["text", "json", "csv"]))
+pair_option = click.option("--pair", default=None,
+                           help="restrict to one vertex pair 'src,dst'")
 
 
-@click.group()
+class _Verbs(click.Group):
+    """Runs a verb; INPUT_ERRORS exit 2 and INTERNAL_ERRORS exit 3, each with
+    one line on stderr instead of a traceback."""
+
+    def invoke(self, ctx):
+        try:
+            return super().invoke(ctx)
+        except INPUT_ERRORS as exc:
+            _fail_input(str(exc))
+        except INTERNAL_ERRORS as exc:
+            _fail_internal(str(exc))
+
+
+@click.group(cls=_Verbs)
 def main():
     """Directed homology of finite acyclic precubical sets."""
 
@@ -147,25 +187,25 @@ def validate(path):
     """Check the precubical identities and acyclicity of a JSON file."""
     x = _load_set(path)
     violations = x.validate()
-    if not violations:
-        click.echo(f"{x.name}: ok ({'/'.join(str(c) for c in x.cell_count())} cells)")
-        sys.exit(EXIT_OK)
-    for v in violations:
-        click.echo(str(v))
-    sys.exit(EXIT_VERDICT)
+    if violations:
+        for v in violations:
+            click.echo(str(v))
+        sys.exit(EXIT_VERDICT)
+    click.echo(f"{x.name}: ok ({'/'.join(str(c) for c in x.cell_count())} cells)")
 
 
-def _homology_rows(x, table, max_degree, pair_filter):
-    rows = []
-    pairs = sorted((s, e) for s in x.vertices for e in x.vertices)
-    for (s, e) in pairs:
-        if pair_filter and (s, e) != pair_filter:
-            continue
-        for i in range(max_degree + 1):
-            d = table.dim(i, s, e)
-            if d or (pair_filter and i <= max_degree):
-                rows.append((i, s, e, d))
-    return rows
+def _dimension_report(x, command, field_name, max_degree, pair, symbol, dim):
+    """(doc, text, csv rows) listing dim(i, s, e) for i <= max_degree: the
+    nonzero ones, or with `pair` every one of that pair."""
+    pairs = [pair] if pair else sorted((s, e) for s in x.vertices for e in x.vertices)
+    rows = [(i, s, e, d) for (s, e) in pairs for i in range(max_degree + 1)
+            for d in [dim(i, s, e)] if d or pair]
+    text = ([f"{command} of {x.name} over {field_name}"]
+            + [f"  {symbol}{i}({s},{e}) = {d}" for (i, s, e, d) in rows] + [CONVENTION_NOTE])
+    doc = {"tool": "dirhom", "command": command, "input": x.name,
+           "field": field_name, "max_degree": max_degree,
+           "entries": _entries(rows), "notes": [CONVENTION_NOTE]}
+    return doc, text, [DIM_HEADER] + [list(r) for r in rows]
 
 
 @main.command()
@@ -173,35 +213,16 @@ def _homology_rows(x, table, max_degree, pair_filter):
 @field_option
 @degree_option
 @format_option
-@click.option("--pair", default=None, help="restrict to one vertex pair 'src,dst'")
+@pair_option
 @click.option("--actions", is_flag=True, help="include edge action matrices")
 def homology(path, field_name, max_degree, fmt, pair, actions):
     """Homology dimensions per (degree, source, target)."""
     x = _load_valid_set(path, "homology", fmt)
     field = _field(field_name)
-    pair_filter = _parse_pair(pair)
-    if pair_filter:
-        for v in pair_filter:
-            if not (x.has_cell(v) and x.dim_of(v) == 0):
-                _fail_input(f"unknown vertex {v!r}")
-    try:
-        cx = build_complex(x, None, field)
-        table = HomologyTable(cx, x)
-    except DirectedCycleError as exc:
-        _fail_input(str(exc))
-    except (BoundaryCheckError, ActionError) as exc:
-        _fail_internal(str(exc))
-    rows = _homology_rows(x, table, max_degree, pair_filter)
-    text = [f"homology of {x.name} over {field_name}"]
-    for (i, s, e, d) in rows:
-        text.append(f"  H{i}({s},{e}) = {d}")
-    text.append(CONVENTION_NOTE)
-    doc = {"tool": "dirhom", "command": "homology", "input": x.name,
-           "field": field_name, "max_degree": max_degree,
-           "entries": [{"degree": i, "src": s, "dst": e, "dim": d}
-                       for (i, s, e, d) in rows],
-           "notes": [CONVENTION_NOTE]}
-    csv_rows = [["degree", "src", "dst", "dim"]] + [list(r) for r in rows]
+    pair = _parse_pair(x, pair)
+    table = HomologyTable(build_complex(x, None, field), x)
+    doc, text, csv_rows = _dimension_report(x, "homology", field_name, max_degree, pair,
+                                            "H", table.dim)
     if actions:
         act = []
         for a in x.edges:
@@ -216,7 +237,6 @@ def homology(path, field_name, max_degree, fmt, pair, actions):
         doc["actions"] = act
         text.append(f"({len(act)} left action matrices; use --format json to list)")
     _emit(doc, fmt, text, csv_rows)
-    sys.exit(EXIT_OK)
 
 
 @main.command()
@@ -224,39 +244,16 @@ def homology(path, field_name, max_degree, fmt, pair, actions):
 @field_option
 @degree_option
 @format_option
-@click.option("--pair", default=None, help="restrict to one vertex pair 'src,dst'")
+@pair_option
 def cohomology(path, field_name, max_degree, fmt, pair):
     """Cohomology dimensions (transposed differentials)."""
     x = _load_valid_set(path, "cohomology", fmt)
     field = _field(field_name)
-    pair_filter = _parse_pair(pair)
-    try:
-        cx = build_complex(x, None, field)
-        dual = cochain_dual(cx)
-    except DirectedCycleError as exc:
-        _fail_input(str(exc))
-    except (BoundaryCheckError, ActionError) as exc:
-        _fail_internal(str(exc))
-    rows = []
-    for (s, e) in sorted((s, e) for s in x.vertices for e in x.vertices):
-        if pair_filter and (s, e) != pair_filter:
-            continue
-        for i in range(max_degree + 1):
-            d = dual.cohomology_dim(i, s, e)
-            if d or pair_filter:
-                rows.append((i, s, e, d))
-    text = [f"cohomology of {x.name} over {field_name}"]
-    for (i, s, e, d) in rows:
-        text.append(f"  H^{i}({s},{e}) = {d}")
-    text.append(CONVENTION_NOTE)
-    doc = {"tool": "dirhom", "command": "cohomology", "input": x.name,
-           "field": field_name, "max_degree": max_degree,
-           "entries": [{"degree": i, "src": s, "dst": e, "dim": d}
-                       for (i, s, e, d) in rows],
-           "notes": [CONVENTION_NOTE]}
-    csv_rows = [["degree", "src", "dst", "dim"]] + [list(r) for r in rows]
+    pair = _parse_pair(x, pair)
+    dual = cochain_dual(build_complex(x, None, field))
+    doc, text, csv_rows = _dimension_report(x, "cohomology", field_name, max_degree, pair,
+                                            "H^", dual.cohomology_dim)
     _emit(doc, fmt, text, csv_rows)
-    sys.exit(EXIT_OK)
 
 
 @main.command("check-pair")
@@ -267,13 +264,10 @@ def cohomology(path, field_name, max_degree, fmt, pair):
 @click.option("--strict", is_flag=True, help="reject subsets that are not face-closed")
 def check_pair(path, subset, field_name, fmt, strict):
     """Relative-pair criteria: path contiguity and monic extension."""
-    x = _load_set(path)
+    x = _load_valid_set(path, "check-pair", fmt)
     field = _field(field_name)
     spec = _load_subset(x, subset, strict)
-    try:
-        rep = check_relative_pair(x, spec, field)
-    except (DirectedCycleError, SequenceError) as exc:
-        _fail_input(str(exc))
+    rep = check_relative_pair(x, spec, field)
     doc = {"tool": "dirhom", "command": "check-pair", "input": x.name,
            "field": field_name,
            "enter_exit_once": rep.enter_exit_once,
@@ -303,27 +297,17 @@ def relative(path, subset, field_name, max_degree, fmt, force, strict):
     x = _load_valid_set(path, "relative", fmt)
     field = _field(field_name)
     spec = _load_subset(x, subset, strict)
-    try:
-        res = les_relative(x, spec, field, max_degree=max_degree, force=force)
-    except (DirectedCycleError, SequenceError) as exc:
-        _fail_input(str(exc))
-    except (BoundaryCheckError, ExactnessError, ActionError) as exc:
-        _fail_internal(str(exc))
+    res = les_relative(x, spec, field, max_degree=max_degree)
     rep = res.pair_report
     text = str(rep).splitlines()
     if not rep.accepted and not force:
         _emit({"tool": "dirhom", "command": "relative", "accepted": False,
                "report": str(rep)}, fmt, text, [["accepted", False]])
         sys.exit(EXIT_VERDICT)
-
-    def tbl(d):
-        return [{"degree": i, "src": s, "dst": e, "dim": v}
-                for ((i, (s, e)), v) in sorted(d.items()) if v]
-
+    tables = {"relative": _nonzero(res.rel_table), "whole": _nonzero(res.x_table),
+              "extension": _nonzero(res.ext_table)}
     text.append("relative homology (nonzero entries):")
-    for ((i, (s, e)), v) in sorted(res.rel_table.items()):
-        if v:
-            text.append(f"  relH{i}({s},{e}) = {v}")
+    text += [f"  relH{i}({s},{e}) = {d}" for (i, s, e, d) in tables["relative"]]
     if res.sequence is not None:
         text.append(f"long exact sequence: "
                     f"{'exact at every node' if res.sequence.all_exact else 'INEXACT'}")
@@ -334,19 +318,11 @@ def relative(path, subset, field_name, max_degree, fmt, force, strict):
     doc = {"tool": "dirhom", "command": "relative", "input": x.name,
            "field": field_name, "max_degree": max_degree,
            "accepted": rep.accepted,
-           "relative": tbl(res.rel_table), "whole": tbl(res.x_table),
-           "extension": tbl(res.ext_table),
+           **{label: _entries(rows) for label, rows in tables.items()},
            "sequence_exact": None if res.sequence is None else res.sequence.all_exact,
            "extension_commutes": res.extension_commutes,
            "notes": [CONVENTION_NOTE]}
-    csv_rows = [["table", "degree", "src", "dst", "dim"]]
-    for label, d in (("relative", res.rel_table), ("whole", res.x_table),
-                     ("extension", res.ext_table)):
-        for ((i, (s, e)), v) in sorted(d.items()):
-            if v:
-                csv_rows.append([label, i, s, e, v])
-    _emit(doc, fmt, text, csv_rows)
-    sys.exit(EXIT_OK)
+    _emit(doc, fmt, text, _labelled_csv(tables))
 
 
 @main.command()
@@ -363,42 +339,26 @@ def mv(path, subset1, subset2, field_name, max_degree, fmt, strict):
     field = _field(field_name)
     s1 = _load_subset(x, subset1, strict)
     s2 = _load_subset(x, subset2, strict)
-    try:
-        res = mayer_vietoris(x, s1, s2, field, max_degree=max_degree)
-    except SequenceError as exc:
-        _fail_input(str(exc))
-    except (DirectedCycleError,) as exc:
-        _fail_input(str(exc))
-    except (BoundaryCheckError, ExactnessError, ActionError) as exc:
-        _fail_internal(str(exc))
+    res = mayer_vietoris(x, s1, s2, field, max_degree=max_degree)
     text = str(res.cover).splitlines()
     if res.sequence is None:
         doc = {"tool": "dirhom", "command": "mv", "good_cover": False,
                "report": str(res.cover)}
         _emit(doc, fmt, text, [["good_cover", False]])
         sys.exit(EXIT_VERDICT)
+    tables = {label: _nonzero(t) for label, t in sorted(res.tables.items())}
     text.append(f"Mayer-Vietoris sequence: "
                 f"{'exact at every node' if res.sequence.all_exact else 'INEXACT'}")
     for label in ("whole", "intersection"):
         text.append(f"{label} homology (nonzero):")
-        for ((i, (s, e)), v) in sorted(res.tables[label].items()):
-            if v:
-                text.append(f"  H{i}({s},{e}) = {v}")
+        text += [f"  H{i}({s},{e}) = {d}" for (i, s, e, d) in tables[label]]
     text.append(CONVENTION_NOTE)
     doc = {"tool": "dirhom", "command": "mv", "input": x.name,
            "field": field_name, "good_cover": True,
            "sequence_exact": res.sequence.all_exact,
-           "tables": {label: [{"degree": i, "src": s, "dst": e, "dim": v}
-                              for ((i, (s, e)), v) in sorted(t.items()) if v]
-                      for label, t in res.tables.items()},
+           "tables": {label: _entries(rows) for label, rows in tables.items()},
            "notes": [CONVENTION_NOTE]}
-    csv_rows = [["table", "degree", "src", "dst", "dim"]]
-    for label, t in sorted(res.tables.items()):
-        for ((i, (s, e)), v) in sorted(t.items()):
-            if v:
-                csv_rows.append([label, i, s, e, v])
-    _emit(doc, fmt, text, csv_rows)
-    sys.exit(EXIT_OK)
+    _emit(doc, fmt, text, _labelled_csv(tables))
 
 
 @main.command()
@@ -414,27 +374,17 @@ def kunneth(path_x, path_y, field_name, max_degree, fmt, obstruction):
     x = _load_valid_set(path_x, "kunneth", fmt)
     y = _load_valid_set(path_y, "kunneth", fmt)
     field = _field(field_name)
-    try:
-        setting = TensorSetting.build(x, y, field)
-        comp = tensor_comparison_report(x, y, field, max_degree=max_degree,
-                                        setting=setting)
-        kun = kunneth_report(x, y, field, max_degree=max_degree, setting=setting)
-    except DirectedCycleError as exc:
-        _fail_input(str(exc))
-    except (BoundaryCheckError, ComparisonError, ActionError) as exc:
-        _fail_internal(str(exc))
+    setting = TensorSetting.build(x, y, field)
+    comp = tensor_comparison_report(x, y, field, max_degree=max_degree, setting=setting)
+    kun = kunneth_report(x, y, field, max_degree=max_degree, setting=setting)
+    dims = _nonzero(kun.product_dims)
     text = str(comp).splitlines() + str(kun).splitlines()
     doc = {"tool": "dirhom", "command": "kunneth",
            "inputs": [x.name, y.name], "field": field_name,
            "comparison_ok": comp.all_ok,
            "kunneth_identity": kun.identity_holds,
-           "dims": [{"degree": n, "src": s, "dst": e, "dim": d}
-                    for ((n, (s, e)), d) in sorted(kun.product_dims.items()) if d],
+           "dims": _entries(dims),
            "notes": [CONVENTION_NOTE]}
-    csv_rows = [["degree", "src", "dst", "dim"]]
-    for ((n, (s, e)), d) in sorted(kun.product_dims.items()):
-        if d:
-            csv_rows.append([n, s, e, d])
     if obstruction:
         zc = zero_chain_count_report(x, y, field)
         text += str(zc).splitlines()
@@ -445,10 +395,9 @@ def kunneth(path_x, path_y, field_name, max_degree, fmt, obstruction):
             "note": zc.note,
         }
     text.append(CONVENTION_NOTE)
-    _emit(doc, fmt, text, csv_rows)
+    _emit(doc, fmt, text, [DIM_HEADER] + [list(r) for r in dims])
     if not (comp.all_ok and kun.identity_holds):
         _fail_internal("a theorem-backed comparison identity failed")
-    sys.exit(EXIT_OK)
 
 
 @main.command()
@@ -484,7 +433,6 @@ def generate(kind, params, out):
     pc.save(x, out)
     click.echo(f"wrote {x.name} to {out} "
                f"({'/'.join(str(c) for c in x.cell_count())} cells)")
-    sys.exit(EXIT_OK)
 
 
 def _one(params) -> str:

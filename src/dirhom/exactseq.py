@@ -127,6 +127,9 @@ def check_relative_pair(x: PrecubicalSet, spec: SubsetSpec, field=QQ,
     caller has already built it.
     """
     _check_selection(x, spec)
+    # C(X) first: it raises DirectedCycleError on a cycle the path walk would loop in
+    span = span or extend_subcomplex(build_complex(x, None, field), spec.selected)
+    cx = span.cx
     enter_exit = True
     offending = None
     for p in maximal_paths(x):
@@ -136,8 +139,6 @@ def check_relative_pair(x: PrecubicalSet, spec: SubsetSpec, field=QQ,
             offending = tuple(p)
             break
     y, inc = sub(x, spec)
-    span = span or extend_subcomplex(build_complex(x, None, field), spec.selected)
-    cx = span.cx
     alg = path_algebra(x)
     failures: list[tuple[int, str, str, int, int]] = []
     top_y = max_chain_degree(y)
@@ -242,8 +243,8 @@ class ExactSequenceReport:
         return "\n".join(lines)
 
 
-def verify_exact(pair, maps: list[Matrix], labels: list[str] | None = None,
-                 title: str = "sequence") -> PairSequenceReport:
+def verify_exact(pair, maps: list[Matrix], labels: list[str] | None = None
+                 ) -> PairSequenceReport:
     """Node-by-node exactness of V0 -> V1 -> .. -> Vn given consecutive maps.
 
     Node k (0 < k < n) is exact when rank(M_k) = dim ker(M_{k+1}); the end
@@ -334,15 +335,13 @@ def _ses_of_pair(cx: PairGradedComplex, span: SubcomplexExtension,
 
 
 def les_relative(x: PrecubicalSet, spec: SubsetSpec, field=QQ,
-                 max_degree: int | None = None,
-                 force: bool = False) -> RelativeHomologyResult:
+                 max_degree: int | None = None) -> RelativeHomologyResult:
     """Relative homology and its machine-verified long exact sequence.
 
     Complexes are always built in full, so every truncation of the sequence
     genuinely ends in zeros.  `max_degree` only caps the degrees reported.
-    With `force`, a rejected pair still gets its quotient homology but the
-    sequence (whose exactness is only guaranteed for relative pairs) is
-    skipped.
+    A rejected pair still gets its quotient homology, but the sequence (whose
+    exactness is only guaranteed for relative pairs) is skipped.
     """
     cx = build_complex(x, None, field)
     _check_selection(x, spec)  # a bad selection raises SequenceError before the span is built
@@ -359,8 +358,7 @@ def les_relative(x: PrecubicalSet, spec: SubsetSpec, field=QQ,
         {k: h.dim for k, h in hc.items() if k[0] <= top},
         None, None)
     if not report.accepted:
-        # with force the quotient homology above is still reported; the
-        # sequence is only guaranteed (and only assembled) for accepted pairs
+        # the sequence is only guaranteed (and only assembled) for accepted pairs
         return result
 
     ses = _ses_of_pair(cx, span, quo)

@@ -38,7 +38,6 @@ from .homology import (
     PairHomology, _append_matrix, _prepend_matrix, chain_map_of_morphism,
     homology_of, induced_on_homology,
 )
-from .scalars import h_morphism
 
 
 class ComparisonError(AssertionError):
@@ -406,7 +405,6 @@ def tensor_comparison_report(x: PrecubicalSet, y: PrecubicalSet, field=QQ,
                 failures.append(f"homology comparison not inverse at {n} {pair}")
 
     action_ok = True
-    comparison = h_morphism(tx)
     for edge in tx.edges:
         for pair in pairs:
             s, e = pair

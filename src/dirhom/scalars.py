@@ -507,25 +507,16 @@ def hcompose(m: PresentedBimodule, n: PresentedBimodule) -> PresentedBimodule:
                 gid_of[(g.gid, r, h.gid)] = gid
                 gens.append(BimoduleGenerator(gid, g.src, h.dst))
     relations: list[list[RelationTerm]] = []
-    for rel in m.relations:
-        coeff0, p0, gid0, q0 = rel[0]
-        g0 = m.by_id[gid0]
-        re_mid = mid.path_target(g0.dst, q0)
+    for _, re_mid, terms in m._graded_relations:
         for h in n.generators:
             for r in mid.between(re_mid, h.src):
-                new_rel: list[RelationTerm] = []
-                for coeff, p, gid, q in rel:
-                    new_rel.append((coeff, p, gid_of[(gid, q + r, h.gid)], ()))
-                relations.append(new_rel)
-    for rel in n.relations:
-        coeff0, p0, gid0, q0 = rel[0]
-        rs_mid = n._path_source_left(p0, n.by_id[gid0].src)
+                relations.append([(coeff, p, gid_of[(gid, q + r, h.gid)], ())
+                                  for coeff, p, gid, q in terms])
+    for rs_mid, _, terms in n._graded_relations:
         for g in m.generators:
             for r in mid.between(g.dst, rs_mid):
-                new_rel = []
-                for coeff, p, gid, q in rel:
-                    new_rel.append((coeff, (), gid_of[(g.gid, r + p, gid)], q))
-                relations.append(new_rel)
+                relations.append([(coeff, (), gid_of[(g.gid, r + p, gid)], q)
+                                  for coeff, p, gid, q in terms])
     return PresentedBimodule(m.left, n.right, gens, relations, m.field,
                              f"({m.name}).({n.name})")
 

@@ -4,7 +4,12 @@ import pytest
 from click.testing import CliRunner
 
 import dirhom as dh
+from dirhom import cli
 from dirhom.cli import main
+from dirhom.cubechain import BoundaryCheckError, DirectedCycleError
+from dirhom.exactseq import ExactnessError, SequenceError
+from dirhom.ez import ComparisonError
+from dirhom.homology import ActionError
 
 from conftest import make_domino
 
@@ -84,7 +89,9 @@ def broken_square():
     ["homology", "{bad}"], ["homology", "{bad}", "--actions", "--format", "json"],
     ["cohomology", "{bad}"], ["relative", "{bad}", "{p}"],
     ["mv", "{bad}", "{p}", "{p}"], ["kunneth", "{k}", "{bad}", "--format", "csv"],
-], ids=["homology", "homology-json", "cohomology", "relative", "mv", "kunneth"])
+    ["check-pair", "{bad}", "{p}"],
+], ids=["homology", "homology-json", "cohomology", "relative", "mv", "kunneth",
+        "check-pair"])
 def test_broken_identities_are_a_verdict(runner, workspace, tmp_path, args):
     files = {"k": workspace["k"], "bad": str(tmp_path / "bad.json"),
              "p": str(tmp_path / "p.json")}
@@ -95,6 +102,38 @@ def test_broken_identities_are_a_verdict(runner, workspace, tmp_path, args):
     assert "identity" in r.output and "sq" in r.output
     if "json" in args:
         assert json.loads(r.output)["valid"] is False
+
+
+# Each computing verb, the name of the call in `dirhom.cli` that does its
+# work, and arguments that reach that call.
+COMPUTE = {
+    "homology": ("build_complex", ["homology", "{d2}"]),
+    "cohomology": ("build_complex", ["cohomology", "{d2}"]),
+    "check-pair": ("check_relative_pair", ["check-pair", "{d2}", "{s1cells}"]),
+    "relative": ("les_relative", ["relative", "{d2}", "{s1cells}"]),
+    "mv": ("mayer_vietoris", ["mv", "{domino}", "{left}", "{right}"]),
+    "kunneth": ("tensor_comparison_report", ["kunneth", "{k}", "{k}"]),
+}
+
+
+# What each error a verb may raise exits with, and the start of its stderr line.
+ERROR_EXITS = [(DirectedCycleError, 2), (SequenceError, 2), (BoundaryCheckError, 3),
+               (ActionError, 3), (ExactnessError, 3), (ComparisonError, 3)]
+PREFIX = {2: "input error", 3: "internal check failed"}
+
+
+@pytest.mark.parametrize("error,code", ERROR_EXITS, ids=[e.__name__ for e, _ in ERROR_EXITS])
+@pytest.mark.parametrize("verb", sorted(COMPUTE))
+def test_errors_map_to_exit_codes(runner, workspace, monkeypatch, verb, error, code):
+    name, args = COMPUTE[verb]
+
+    def fail(*args, **kwargs):
+        raise error("boom")
+
+    monkeypatch.setattr(cli, name, fail)
+    r = runner.invoke(main, [a.format(**workspace) for a in args])
+    assert isinstance(r.exception, SystemExit) and r.exit_code == code
+    assert r.stdout == "" and r.stderr == f"{PREFIX[code]}: boom\n"
 
 
 class TestHomology:
@@ -155,6 +194,10 @@ class TestCohomology:
         r2 = invoke(runner, ["cohomology", workspace["s1"], "--pair", "00,11"])
         assert "H^0(00,11) = 2" in r2.output
 
+    def test_unknown_pair_exit2(self, runner, workspace):
+        r = invoke(runner, ["cohomology", workspace["d2"], "--pair", "zz,00"])
+        assert r.exit_code == 2 and r.stderr == "input error: unknown vertex 'zz'\n"
+
 
 class TestCheckPair:
     def test_accepted(self, runner, workspace):
@@ -178,6 +221,17 @@ class TestCheckPair:
         p.write_text(json.dumps(["aa"]))
         r = invoke(runner, ["check-pair", workspace["d2"], str(p), "--strict"])
         assert r.exit_code == 2
+
+    def test_cycle_behind_a_source_exit2(self, runner, tmp_path):
+        """A source vertex s leading into the 2-cycle a -> b -> a: the cycle is
+        an input error, found before any path is walked."""
+        x = dh.PrecubicalSet("tail", [["s", "a", "b"], ["x", "y", "z"]],
+                             {"x": (["s"], ["a"]), "y": (["a"], ["b"]),
+                              "z": (["b"], ["a"])})
+        dh.save(x, tmp_path / "tail.json")
+        (tmp_path / "s.json").write_text(json.dumps(["s"]))
+        r = invoke(runner, ["check-pair", str(tmp_path / "tail.json"), str(tmp_path / "s.json")])
+        assert r.exit_code == 2 and r.stderr.startswith("input error: tail:")
 
 
 class TestRelative:

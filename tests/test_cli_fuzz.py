@@ -1,0 +1,96 @@
+"""Every computing verb on mutated documents and random subset specs.
+
+Whatever the input, a verb exits with 0, 1 or 2 and never lets an
+exception other than SystemExit escape: no input may print a traceback,
+and exit 3 is kept for a failed theorem-backed check.
+"""
+
+import json
+
+import pytest
+from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
+
+import dirhom as dh
+from dirhom.cli import main
+
+BASES = {"K": dh.segment(), "D2": dh.directed_disc(2), "S1": dh.directed_sphere(1),
+         "R21": dh.realization([2, 1])}
+JUNK = [None, 5, "x", [], {}, [5]]
+
+
+def cell_ids(doc) -> list[str]:
+    return sorted({c for layer in doc["cells"].values() for c in layer})
+
+
+def mutate(data, doc: dict) -> None:
+    """Up to three edits of faces and cells, then maybe one value of a wrong type."""
+    cells, faces = doc["cells"], doc["faces"]
+    for _ in range(data.draw(st.integers(0, 3), label="edits")):
+        ids = cell_ids(doc) + ["zz"]
+        kind = data.draw(st.sampled_from(["face", "swap", "drop", "edge", "move"]))
+        if kind in ("face", "swap") and faces:
+            spec = faces[data.draw(st.sampled_from(sorted(faces)))]
+            if kind == "swap":
+                spec["d0"], spec["d1"] = spec["d1"], spec["d0"]
+            elif spec["d0"]:
+                side = spec[data.draw(st.sampled_from(["d0", "d1"]))]
+                side[data.draw(st.integers(0, len(side) - 1))] = data.draw(st.sampled_from(ids))
+        elif kind == "edge":
+            n = len(faces)
+            cells.setdefault("1", []).append(f"new{n}")
+            faces[f"new{n}"] = {"d0": [data.draw(st.sampled_from(ids))],
+                                "d1": [data.draw(st.sampled_from(ids))]}
+        elif kind in ("drop", "move"):
+            dim = data.draw(st.sampled_from(sorted(k for k in cells if cells[k])))
+            cid = data.draw(st.sampled_from(cells[dim]))
+            cells[dim].remove(cid)
+            if kind == "move":
+                cells[data.draw(st.sampled_from(sorted(cells)))].append(cid)
+            elif data.draw(st.booleans()):
+                faces.pop(cid, None)
+    if data.draw(st.integers(0, 5)) == 0:
+        owner = data.draw(st.sampled_from([doc, cells, faces]))
+        if owner:
+            owner[data.draw(st.sampled_from(sorted(owner)))] = data.draw(st.sampled_from(JUNK))
+
+
+@pytest.fixture(scope="module")
+def files(tmp_path_factory):
+    d = tmp_path_factory.mktemp("fuzz")
+    paths = {name: str(d / f"{name}.json") for name in ("x", "k", "a", "b")}
+    dh.save(dh.segment(), paths["k"])
+    return paths
+
+
+@settings(max_examples=120, deadline=None)
+@given(data=st.data())
+def test_verbs_exit_0_1_or_2_without_a_traceback(files, data):
+    doc = BASES[data.draw(st.sampled_from(sorted(BASES)), label="base")].to_dict()
+    mutate(data, doc)
+    with open(files["x"], "w", encoding="utf-8") as fh:
+        json.dump(doc, fh)
+    try:
+        ids = cell_ids(doc)
+    except (AttributeError, TypeError):
+        ids = []
+    specs = st.one_of(st.lists(st.sampled_from(ids + ["zz"]), max_size=6),
+                      st.sampled_from(JUNK))
+    a = data.draw(specs, label="subset a")
+    # the cells outside a, whose face closure covers X together with a
+    rest = [c for c in ids if not isinstance(a, list) or c not in a]
+    b = data.draw(st.one_of(specs, st.just(rest)), label="subset b")
+    for name, spec in (("a", a), ("b", b)):
+        with open(files[name], "w", encoding="utf-8") as fh:
+            json.dump(spec, fh)
+    fmt = ["--format", data.draw(st.sampled_from(["text", "json", "csv"]))]
+    pair = ",".join(data.draw(st.lists(st.sampled_from(ids + ["zz"]), min_size=2,
+                                       max_size=2)))
+    x, y1, y2 = files["x"], files["a"], files["b"]
+    for args in (["validate", x], ["homology", x, *fmt, "--pair", pair],
+                 ["cohomology", x, *fmt], ["check-pair", x, y1, *fmt],
+                 ["relative", x, y1, *fmt, "--force"], ["relative", x, y1, "--strict"],
+                 ["mv", x, y1, y2, *fmt], ["kunneth", x, files["k"], *fmt]):
+        r = CliRunner().invoke(main, args)
+        assert r.exception is None or isinstance(r.exception, SystemExit), (args, r.exc_info)
+        assert r.exit_code in (0, 1, 2), (args, r.output)

@@ -178,7 +178,7 @@ class TestLesRelative:
 
     def test_rejected_pair_skips_sequence(self, S1):
         spec = SubsetSpec(S1, frozenset(["00", "11"]))
-        res = les_relative(S1, spec, force=True)
+        res = les_relative(S1, spec)
         assert res.sequence is None
         assert res.rel_table  # dims still reported
 

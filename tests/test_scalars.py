@@ -227,6 +227,16 @@ class TestHCompose:
         for pair, d in double.dims_by_pair().items():
             assert d == 2 * single.dims_by_pair().get(pair, 0)
 
+    def test_empty_relation_changes_nothing(self, algK):
+        u = unit_bimodule(algK)
+        gens = [BimoduleGenerator("g", "0", "1")]
+        plain = PresentedBimodule(algK, algK, gens, [])
+        empty = PresentedBimodule(algK, algK, gens, [[]])
+        for left, right in ((u, plain), (plain, u)):
+            with_empty = hcompose(*(empty if f is plain else f for f in (left, right)))
+            assert (with_empty.resolve().dims_by_pair()
+                    == hcompose(left, right).resolve().dims_by_pair())
+
     def test_mismatched_algebras_rejected(self, algK, algD2):
         m = free_bimodule(algK, algK, [("0", "1")])
         n = free_bimodule(algD2, algD2, [("00", "11")])

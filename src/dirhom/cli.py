@@ -7,7 +7,8 @@ input and flags produce byte-identical output.
 
 Exit codes: 0 success; 1 negative mathematical verdict (validation failed,
 pair rejected, cover not good, Kunneth mismatch); 2 input error (parse
-failure, bad parameters, non-cover); 3 internal assertion (a theorem-backed
+failure, bad parameters, non-cover, a directed cycle, a path too long to
+enumerate); 3 internal assertion (a theorem-backed
 identity such as d.d = 0 or a guaranteed exactness failed, which signals a
 bug rather than bad data).
 """
@@ -41,7 +42,8 @@ EXIT_INTERNAL = 3
 
 # What a verb's computation may raise: bad data (exit 2) and a failed
 # theorem-backed check (exit 3).  `_Verbs.invoke` maps them for every verb.
-INPUT_ERRORS = (DirectedCycleError, SequenceError)
+# RecursionError is a path too long for the recursive chain enumeration.
+INPUT_ERRORS = (DirectedCycleError, SequenceError, RecursionError)
 INTERNAL_ERRORS = (BoundaryCheckError, ActionError, ExactnessError, ComparisonError)
 
 CONVENTION_NOTE = (

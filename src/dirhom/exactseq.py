@@ -27,7 +27,8 @@ from .exactla import (
 )
 from .precubical import PrecubicalSet, SubsetSpec, sub
 from .cubechain import (
-    GradedComplex, PairGradedComplex, _basis_map, build_complex, max_chain_degree,
+    GradedComplex, PairGradedComplex, _basis_map, build_complex, chain_catalog,
+    max_chain_degree,
 )
 from .homology import HomologyTable, PairHomology, homology_of, induced_on_homology
 from .scalars import (
@@ -76,24 +77,18 @@ class RelativePairReport:
 def maximal_paths(x: PrecubicalSet) -> list[list[str]]:
     """All maximal directed paths as alternating cell sequences v0,e1,v1,..
 
-    Paths start at sources (no incoming edge) and end at sinks; an isolated
-    vertex yields the one-cell path [v].
+    Paths are the degree-0 chains of `chain_catalog` that run from a source
+    (no incoming edge) to a sink: sources in sorted order, each source's
+    paths sorted by edge sequence.  An isolated vertex yields the one-cell
+    path [v]; a cyclic set raises DirectedCycleError.
     """
-    out = x.out_edges()
+    catalog = chain_catalog(x)
+    sinks = x.sink_vertices()
     paths: list[list[str]] = []
-
-    def walk(v: str, acc: list[str]):
-        if not out[v]:
-            paths.append(list(acc))
-            return
-        for e in out[v]:
-            acc.extend([e, x.edge_target(e)])
-            walk(x.edge_target(e), acc)
-            acc.pop()
-            acc.pop()
-
-    for v in x.source_vertices():
-        walk(v, [v])
+    for s in x.source_vertices():
+        edge_paths = sorted(c.cubes for t in sinks for c in catalog.get((0, s, t), ()))
+        for p in edge_paths:
+            paths.append([s] + [cell for e in p for cell in (e, x.edge_target(e))])
     return paths
 
 
@@ -127,7 +122,6 @@ def check_relative_pair(x: PrecubicalSet, spec: SubsetSpec, field=QQ,
     caller has already built it.
     """
     _check_selection(x, spec)
-    # C(X) first: it raises DirectedCycleError on a cycle the path walk would loop in
     span = span or extend_subcomplex(build_complex(x, None, field), spec.selected)
     cx = span.cx
     enter_exit = True
@@ -139,25 +133,31 @@ def check_relative_pair(x: PrecubicalSet, spec: SubsetSpec, field=QQ,
             offending = tuple(p)
             break
     y, inc = sub(x, spec)
-    alg = path_algebra(x)
-    failures: list[tuple[int, str, str, int, int]] = []
     top_y = max_chain_degree(y)
-    degrees = tuple(range(top_y + 1))
-    for i in degrees:
-        pb = present_chain_module(y, i, field)
-        res = extend_presented(pb, inc, alg).resolve()
-        for s, e in cx.pairs():
-            a = res.dim(s, e)
-            b = span.dim(i, (s, e))
-            if a != b:
-                failures.append((i, s, e, a, b))
-    for i in range(top_y + 1, cx.top_degree + 1):
-        for s, e in cx.pairs():
-            b = span.dim(i, (s, e))
-            if b != 0:
-                failures.append((i, s, e, 0, b))
+    failures = _extension_mismatches(
+        cx, inc, top_y, lambda i: present_chain_module(y, i, field), span.dim)
     return RelativePairReport(x.name, spec.selected, enter_exit, offending,
-                              not failures, failures, degrees)
+                              not failures, failures, tuple(range(top_y + 1)))
+
+
+def _extension_mismatches(cx: PairGradedComplex, inc, top_y: int, present, dim
+                          ) -> list[tuple[int, str, str, int, int]]:
+    """(degree, s, e, extended, dim) wherever the extension of scalars of
+    ``present(i)`` along the inclusion `inc` into cx's set differs from
+    ``dim(i, (s, e))``, over every degree of cx and every pair.
+
+    Above Y's top degree `top_y` the extension counts as zero.
+    """
+    alg = path_algebra(cx.x)
+    rows = []
+    for i in range(cx.top_degree + 1):
+        res = extend_presented(present(i), inc, alg).resolve() if i <= top_y else None
+        for s, e in cx.pairs():
+            a = 0 if res is None else res.dim(s, e)
+            b = dim(i, (s, e))
+            if a != b:
+                rows.append((i, s, e, a, b))
+    return rows
 
 
 # -- quotient complexes -----------------------------------------------------------
@@ -420,18 +420,9 @@ def _extension_commutes_with_homology(x, spec, cx, ext_dims: dict[tuple[int, tup
     y, inc = sub(x, spec)
     cy = build_complex(y, None, field)
     ty = HomologyTable(cy, y)
-    alg = path_algebra(x)
-    for i in range(cy.top_degree + 1):
-        pb = present_homology(ty, i)
-        res = extend_presented(pb, inc, alg).resolve()
-        for pair in cx.pairs():
-            if ext_dims[(i, pair)] != res.dim(*pair):
-                return False
-    for i in range(cy.top_degree + 1, cx.top_degree + 1):
-        for pair in cx.pairs():
-            if ext_dims[(i, pair)] != 0:
-                return False
-    return True
+    return not _extension_mismatches(
+        cx, inc, cy.top_degree, lambda i: present_homology(ty, i),
+        lambda i, pair: ext_dims[(i, pair)])
 
 
 # -- good covers and Mayer-Vietoris ------------------------------------------------------

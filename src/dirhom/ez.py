@@ -117,8 +117,8 @@ class TensorComplex(GradedComplex):
         """Prepend a product edge on the appropriate tensor factor."""
         tx = self.tx
         u, v = tx.components(edge)
-        s, e = pair
-        s2 = tx.pair_id(*_shift_src(tx, s, edge))
+        e = pair[1]
+        s2 = tx.edge_source(edge)
         if tx.left.dim_of(u) == 1:
             images = [(CubeChain(tx.left.edge_source(u), ca.dst,
                                  (u,) + ca.cubes, (1,) + ca.dims), cb)
@@ -132,8 +132,8 @@ class TensorComplex(GradedComplex):
     def right_action_chain(self, edge: str, n: int, pair) -> Matrix:
         tx = self.tx
         u, v = tx.components(edge)
-        s, e = pair
-        e2 = tx.pair_id(*_shift_dst(tx, e, edge))
+        s = pair[0]
+        e2 = tx.edge_target(edge)
         if tx.left.dim_of(u) == 1:
             images = [(CubeChain(ca.src, tx.left.edge_target(u),
                                  ca.cubes + (u,), ca.dims + (1,)), cb)
@@ -143,22 +143,6 @@ class TensorComplex(GradedComplex):
                                      cb.cubes + (v,), cb.dims + (1,)))
                       for ca, cb in self.bases.get((n, pair), [])]
         return _basis_map(self.field, images, self.index.get((n, (s, e2)), {}))
-
-
-def _shift_src(tx: TensorSet, s: str, edge: str) -> tuple[str, str]:
-    sx, sy = tx.components(s)
-    u, v = tx.components(edge)
-    if tx.left.dim_of(u) == 1:
-        return tx.left.edge_source(u), sy
-    return sx, tx.right.edge_source(v)
-
-
-def _shift_dst(tx: TensorSet, e: str, edge: str) -> tuple[str, str]:
-    ex, ey = tx.components(e)
-    u, v = tx.components(edge)
-    if tx.left.dim_of(u) == 1:
-        return tx.left.edge_target(u), ey
-    return ex, tx.right.edge_target(v)
 
 
 # -- the separating map -----------------------------------------------------------
@@ -410,7 +394,7 @@ def tensor_comparison_report(x: PrecubicalSet, y: PrecubicalSet, field=QQ,
             s, e = pair
             # left action: the edge must end at the source vertex s
             if tx.edge_target(edge) == s:
-                s2 = tx.pair_id(*_shift_src(tx, s, edge))
+                s2 = tx.edge_source(edge)
                 for n in range(top + 1):
                     if ht[(n, pair)].dim == 0 and hp[(n, pair)].dim == 0:
                         continue
@@ -423,7 +407,7 @@ def tensor_comparison_report(x: PrecubicalSet, y: PrecubicalSet, field=QQ,
                         action_ok = False
                         failures.append(f"left action of {edge} at {n} {pair}")
             if tx.edge_source(edge) == e:
-                e2 = tx.pair_id(*_shift_dst(tx, e, edge))
+                e2 = tx.edge_target(edge)
                 for n in range(top + 1):
                     if ht[(n, pair)].dim == 0 and hp[(n, pair)].dim == 0:
                         continue

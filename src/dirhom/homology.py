@@ -115,8 +115,6 @@ class HomologyTable:
         self.x = x
         self.field = cx.field
         self.entries: dict[tuple[int, str, str], PairHomology] = {}
-        for (i, s, e) in sorted(cx.bases):
-            self.entry(i, s, e)
         for i in range(cx.top_degree + 1):
             for s, e in cx.pairs():
                 self.entry(i, s, e)

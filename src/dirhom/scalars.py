@@ -29,7 +29,7 @@ from typing import Iterable, Sequence
 from .exactla import Matrix, QQ, Subspace, _modulus, _value, image_basis, quotient_map
 from .precubical import PcMorphism, PrecubicalSet, TensorSet
 from .cubechain import (
-    ChainError, CubeChain, DirectedCycleError, GradedComplex,
+    ChainError, CubeChain, GradedComplex,
     PairGradedComplex, chain_catalog,
 )
 from .homology import HomologyTable
@@ -42,28 +42,16 @@ class AlgebraError(ValueError):
 class PathAlgebraIndex:
     """All monotone edge paths of an acyclic set, indexed by vertex pair.
 
-    Paths are tuples of edge ids; the trivial path is the empty tuple at a
-    diagonal pair (v, v).
+    Paths are tuples of edge ids, read off the degree-0 chains of
+    `chain_catalog` in its order; the trivial path is the empty tuple at a
+    diagonal pair (v, v).  A cyclic set raises DirectedCycleError.
     """
 
     def __init__(self, x: PrecubicalSet):
-        if not x.is_acyclic():
-            raise DirectedCycleError(f"{x.name}: path algebra needs an acyclic set")
         self.x = x
-        self.paths: dict[tuple[str, str], list[tuple[str, ...]]] = {}
-        out = x.out_edges()
-
-        def walk(start: str, here: str, acc: list[str]):
-            self.paths.setdefault((start, here), []).append(tuple(acc))
-            for e in out[here]:
-                acc.append(e)
-                walk(start, x.edge_target(e), acc)
-                acc.pop()
-
-        for v in sorted(x.vertices):
-            walk(v, v, [])
-        for plist in self.paths.values():
-            plist.sort(key=lambda p: (len(p), p))
+        self.paths: dict[tuple[str, str], list[tuple[str, ...]]] = {
+            (s, e): [c.cubes for c in chains]
+            for (i, s, e), chains in chain_catalog(x).items() if i == 0}
 
     def between(self, s: str, e: str) -> list[tuple[str, ...]]:
         return list(self.paths.get((s, e), ()))

@@ -1,4 +1,9 @@
 import json
+import os
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
@@ -117,8 +122,9 @@ COMPUTE = {
 
 
 # What each error a verb may raise exits with, and the start of its stderr line.
-ERROR_EXITS = [(DirectedCycleError, 2), (SequenceError, 2), (BoundaryCheckError, 3),
-               (ActionError, 3), (ExactnessError, 3), (ComparisonError, 3)]
+ERROR_EXITS = [(DirectedCycleError, 2), (SequenceError, 2), (RecursionError, 2),
+               (BoundaryCheckError, 3), (ActionError, 3), (ExactnessError, 3),
+               (ComparisonError, 3)]
 PREFIX = {2: "input error", 3: "internal check failed"}
 
 
@@ -221,6 +227,22 @@ class TestCheckPair:
         p.write_text(json.dumps(["aa"]))
         r = invoke(runner, ["check-pair", workspace["d2"], str(p), "--strict"])
         assert r.exit_code == 2
+
+    def test_overlong_path_exit2(self, tmp_path):
+        """A path of 1,500 edges is deeper than the recursive chain enumeration
+        goes: homology and check-pair report an input error, not a traceback."""
+        dh.save(dh.realization([1] * 1500), tmp_path / "long.json")
+        (tmp_path / "y.json").write_text(json.dumps(["b1.0"]))
+        env = {**os.environ, "PYTHONPATH": str(Path(dh.__file__).parents[1])}
+        for verb in (["homology"], ["check-pair", str(tmp_path / "y.json")]):
+            args = [verb[0], str(tmp_path / "long.json"), *verb[1:]]
+            start = time.perf_counter()
+            r = subprocess.run([sys.executable, "-m", "dirhom.cli", *args], env=env,
+                               capture_output=True, text=True, timeout=60)
+            assert time.perf_counter() - start < 10
+            assert r.returncode == 2, r.stderr
+            assert r.stderr.startswith("input error:") and r.stderr.count("\n") == 1
+            assert "Traceback" not in r.stdout + r.stderr
 
     def test_cycle_behind_a_source_exit2(self, runner, tmp_path):
         """A source vertex s leading into the 2-cycle a -> b -> a: the cycle is

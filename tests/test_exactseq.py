@@ -3,7 +3,7 @@ from collections import Counter
 import pytest
 
 import dirhom as dh
-from dirhom.cubechain import build_complex
+from dirhom.cubechain import DirectedCycleError, build_complex
 from dirhom.exactla import Matrix, QQ, rank
 from dirhom.exactseq import (
     QuotientComplex, SequenceError, check_relative_pair, connecting_map,
@@ -12,7 +12,7 @@ from dirhom.exactseq import (
 )
 from dirhom.homology import homology_of
 from dirhom.precubical import SubsetSpec, sub
-from dirhom.scalars import extend_subcomplex
+from dirhom.scalars import extend_subcomplex, path_algebra
 
 
 @pytest.fixture(scope="module")
@@ -47,6 +47,14 @@ class TestMaximalPaths:
     def test_isolated_vertex(self):
         x = dh.PrecubicalSet("v", [["v"]], {})
         assert maximal_paths(x) == [["v"]]
+
+    def test_cyclic_set_raises(self):
+        # a source vertex s leading into the 2-cycle a -> b -> a
+        x = dh.PrecubicalSet("tail", [["s", "a", "b"], ["x", "y", "z"]],
+                             {"x": (["s"], ["a"]), "y": (["a"], ["b"]), "z": (["b"], ["a"])})
+        for paths in (maximal_paths, path_algebra):
+            with pytest.raises(DirectedCycleError):
+                paths(x)
 
 
 class TestCheckRelativePair:

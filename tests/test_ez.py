@@ -182,7 +182,7 @@ class TestComparisonReport:
 
     def test_separating_map_action_compatible_at_chain_level(self, kk):
         # on pure chains the separating map respects prepending an edge
-        from dirhom.ez import _prepend_matrix, _shift_src
+        from dirhom.ez import _prepend_matrix
         tx, cxp, tc = kk.tx, kk.cxp, kk.tc
         for edge in tx.edges:
             s = tx.edge_target(edge)
@@ -190,7 +190,7 @@ class TestComparisonReport:
                 pair = (s, e)
                 if cxp.dim(0, pair) == 0:
                     continue
-                s2 = tx.pair_id(*_shift_src(tx, s, edge))
+                s2 = tx.edge_source(edge)
                 sep_src = separating_matrix(tx, cxp, tc, 0, s, e)
                 sep_dst = separating_matrix(tx, cxp, tc, 0, s2, e)
                 act_p = _prepend_matrix(cxp, edge, 0, s, e)

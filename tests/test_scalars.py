@@ -1,13 +1,14 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import dirhom as dh
 from dirhom.cubechain import build_complex
 from dirhom.exactla import FieldError, PrimeField, QQ, Residue, Subspace, quotient_map
+from dirhom.exactseq import maximal_paths
 from dirhom.homology import HomologyTable
-from dirhom.precubical import SubsetSpec, sub, tensor
+from dirhom.precubical import PrecubicalSet, SubsetSpec, sub, tensor
 from dirhom.scalars import (
     AlgebraError, BimoduleGenerator, PresentedBimodule, ResolvedBimodule,
     SubcomplexExtension, direct_sum, extend_presented, extend_subcomplex,
@@ -18,6 +19,18 @@ from dirhom.scalars import (
 from conftest import make_domino
 
 FIELDS = [QQ, PrimeField(7), PrimeField(1009)]
+
+
+@st.composite
+def dags(draw):
+    """Acyclic 1-dimensional sets on up to six vertices, with parallel edges
+    and isolated vertices; vertex names do not follow the topological order."""
+    n = draw(st.integers(1, 6))
+    names = draw(st.permutations([f"v{i}" for i in range(n)]))
+    ends = draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1)), max_size=9))
+    faces = {f"e{k}": ([names[min(a, b)]], [names[max(a, b)]])
+             for k, (a, b) in enumerate(p for p in ends if p[0] != p[1])}
+    return PrecubicalSet("dag", [names, sorted(faces)], faces)
 
 
 @pytest.fixture(scope="module")
@@ -42,26 +55,41 @@ class TestPathAlgebra:
         alg = path_algebra(dh.standard_cube(0))
         assert alg.total_dim() == 1
 
-    def test_counts_match_adjacency_powers(self, D2, S1, domino):
+    @settings(max_examples=100, deadline=None)
+    @given(dags())
+    @example(dh.directed_disc(2))
+    @example(dh.directed_sphere(1))
+    @example(make_domino())
+    def test_counts_match_adjacency_powers(self, x):
         # independent oracle: path counts from powers of the adjacency matrix
-        for x in [D2, S1, domino]:
-            alg = path_algebra(x)
-            verts = list(x.vertices)
-            idx = {v: i for i, v in enumerate(verts)}
-            n = len(verts)
-            adj = [[0] * n for _ in range(n)]
-            for e in x.edges:
-                adj[idx[x.edge_source(e)]][idx[x.edge_target(e)]] += 1
-            total = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-            power = [row[:] for row in total]
-            for _ in range(n):
-                power = [[sum(power[i][k] * adj[k][j] for k in range(n))
-                          for j in range(n)] for i in range(n)]
-                total = [[total[i][j] + power[i][j] for j in range(n)]
-                         for i in range(n)]
-            for s in verts:
-                for e in verts:
-                    assert alg.dim(s, e) == total[idx[s]][idx[e]]
+        alg = path_algebra(x)
+        verts = list(x.vertices)
+        idx = {v: i for i, v in enumerate(verts)}
+        n = len(verts)
+        adj = [[0] * n for _ in range(n)]
+        for e in x.edges:
+            adj[idx[x.edge_source(e)]][idx[x.edge_target(e)]] += 1
+        total = [[1 if i == j else 0 for j in range(n)] for i in range(n)]
+        power = [row[:] for row in total]
+        for _ in range(n):
+            power = [[sum(power[i][k] * adj[k][j] for k in range(n))
+                      for j in range(n)] for i in range(n)]
+            total = [[total[i][j] + power[i][j] for j in range(n)]
+                     for i in range(n)]
+        for s in verts:
+            for e in verts:
+                assert alg.dim(s, e) == total[idx[s]][idx[e]]
+        # maximal paths: each source-to-sink path once, glued, in order
+        sources, sinks = x.source_vertices(), x.sink_vertices()
+        paths = maximal_paths(x)
+        assert len(paths) == sum(total[idx[s]][idx[t]] for s in sources for t in sinks)
+        assert len({tuple(p) for p in paths}) == len(paths)
+        for p in paths:
+            assert p[0] in sources and p[-1] in sinks
+            for k in range(1, len(p), 2):
+                assert x.edge_source(p[k]) == p[k - 1] and x.edge_target(p[k]) == p[k + 1]
+        keys = [(p[0], tuple(p[1::2])) for p in paths]
+        assert keys == sorted(keys)
 
     def test_path_concatenation_closed(self, algD2):
         for (s, e), paths in algD2.paths.items():

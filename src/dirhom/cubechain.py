@@ -151,8 +151,12 @@ def chain_catalog(x: PrecubicalSet, max_degree: int | None = None
             cubes.pop()
             dims.pop()
 
-    for v in sorted(x.vertices):
-        extend(v, v, [], [], 0)
+    try:
+        for v in sorted(x.vertices):
+            extend(v, v, [], [], 0)
+    except RecursionError:
+        raise RecursionError(f"{x.name}: directed path too long for the recursive "
+                             "chain enumeration") from None
     for chains in catalog.values():
         chains.sort(key=CubeChain.sort_key)
     _catalog_cache[key] = {"ref": x, "catalog": catalog}
@@ -372,6 +376,42 @@ class PairGradedComplex(GradedComplex):
                 raise ChainError("formal sum does not live in the requested grading")
             v[self.chain_index(chain)] = coeff
         return tuple(v)
+
+
+class BasisSubcomplex(GradedComplex):
+    """The complex on some basis elements of an ambient complex.
+
+    ``kept[(i, pair)]`` lists ascending positions in the ambient basis of the
+    (i, pair) component.  The differential is the ambient one read on the
+    kept elements, ``projection(i-1) @ ambient.diff(i) @ inclusion_matrix(i)``:
+    a subcomplex when the inclusion is a chain map and a quotient when the
+    projection is, which `check_chain_map` asserts for the one meant.
+    """
+
+    def __init__(self, ambient: GradedComplex, kept: dict[tuple[int, object], list[int]]):
+        self.ambient = ambient
+        self.kept = kept
+        diffs = {(i, pair): self.projection(i - 1, pair) @ ambient.diff(i, pair)
+                 @ self.inclusion_matrix(i, pair) for i, pair in kept if i >= 1}
+        super().__init__(ambient.field, ambient.top_degree,
+                         {k: len(v) for k, v in kept.items()}, diffs)
+        self.check_boundary_square()
+
+    def inclusion_matrix(self, i: int, pair) -> Matrix:
+        """Columns are the ambient unit vectors of the kept elements."""
+        return Matrix.unit_columns(self.ambient.field, self.ambient.dim(i, pair),
+                                   self.kept.get((i, pair), []))
+
+    def projection(self, i: int, pair) -> Matrix:
+        """Rows are the ambient coordinates of the kept elements."""
+        return self.inclusion_matrix(i, pair).transpose()
+
+    def check_chain_map(self, f, source: GradedComplex, target: GradedComplex) -> None:
+        """Raise ChainError unless ``f(i, pair)``, this complex's inclusion
+        or projection, commutes with the differentials of source and target."""
+        for i, pair in self.kept:
+            if i and target.diff(i, pair) @ f(i, pair) != f(i - 1, pair) @ source.diff(i, pair):
+                raise ChainError(f"{f.__name__} is not a chain map at degree {i}, pair {pair}")
 
 
 def _basis_map(field, images: Sequence, index: Mapping,

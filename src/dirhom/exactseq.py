@@ -15,19 +15,21 @@ assembled and machine-verified node by node (image = kernel, ranks over the
 active field).  Good covers get the excision comparison map of the quotient
 complexes, and Mayer-Vietoris sequences are assembled from the two relative
 sequences with the standard zig-zag connecting maps.
+
+Every extension span is spanned by cube chains of C(X), so a quotient is the
+complex on the complementary chains and building it eliminates nothing; only
+the checks (chain maps, exact short and long sequences) are linear algebra.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
-from .exactla import (
-    Matrix, QQ, image_basis, induced_on_quotient, kernel_basis, quotient_map,
-    rank, solve,
-)
-from .precubical import PrecubicalSet, SubsetSpec, sub
+from .exactla import Matrix, QQ, kernel_basis, rank, solve
+from .precubical import PcMorphism, PrecubicalSet, SubsetSpec, sub
 from .cubechain import (
-    GradedComplex, PairGradedComplex, _basis_map, build_complex, chain_catalog,
+    BasisSubcomplex, GradedComplex, PairGradedComplex, build_complex, chain_catalog,
     max_chain_degree,
 )
 from .homology import HomologyTable, PairHomology, homology_of, induced_on_homology
@@ -114,16 +116,17 @@ def _check_selection(x: PrecubicalSet, spec: SubsetSpec) -> None:
         raise SequenceError(f"selection not face-closed, e.g. {missing[0]}")
 
 
-def check_relative_pair(x: PrecubicalSet, spec: SubsetSpec, field=QQ,
-                        span: SubcomplexExtension | None = None) -> RelativePairReport:
-    """Path criterion plus per-degree monicity of the extension.
-
-    `span` is the extension span of the selection inside C(X), when the
-    caller has already built it.
-    """
+def check_relative_pair(x: PrecubicalSet, spec: SubsetSpec, field=QQ) -> RelativePairReport:
+    """Path criterion plus per-degree monicity of the extension."""
     _check_selection(x, spec)
-    span = span or extend_subcomplex(build_complex(x, None, field), spec.selected)
-    cx = span.cx
+    span = extend_subcomplex(build_complex(x, None, field), spec.selected)
+    return _pair_report(x, spec, field, span, *sub(x, spec))
+
+
+def _pair_report(x: PrecubicalSet, spec: SubsetSpec, field, span: SubcomplexExtension,
+                 y: PrecubicalSet, inc: PcMorphism) -> RelativePairReport:
+    """`check_relative_pair` of a face-closed selection, given its span in
+    C(X) and the sub-set Y with its inclusion, which callers build once."""
     enter_exit = True
     offending = None
     for p in maximal_paths(x):
@@ -132,10 +135,9 @@ def check_relative_pair(x: PrecubicalSet, spec: SubsetSpec, field=QQ,
             enter_exit = False
             offending = tuple(p)
             break
-    y, inc = sub(x, spec)
     top_y = max_chain_degree(y)
     failures = _extension_mismatches(
-        cx, inc, top_y, lambda i: present_chain_module(y, i, field), span.dim)
+        span.ambient, inc, top_y, lambda i: present_chain_module(y, i, field), span.dim)
     return RelativePairReport(x.name, spec.selected, enter_exit, offending,
                               not failures, failures, tuple(range(top_y + 1)))
 
@@ -163,33 +165,26 @@ def _extension_mismatches(cx: PairGradedComplex, inc, top_y: int, present, dim
 # -- quotient complexes -----------------------------------------------------------
 
 
-class _Quotient(GradedComplex):
-    """An ambient complex modulo the subcomplex whose (degree, pair)
-    component is ``subspace(i, pair)``, with the projection matrices kept."""
+class _Quotient(BasisSubcomplex):
+    """An ambient complex modulo its subcomplex on the ambient basis positions
+    ``subcomplex[(i, pair)]``: the complex on the other basis elements, whose
+    projection is asserted to be a chain map."""
 
-    def __init__(self, ambient: GradedComplex, subspace):
-        subs = {(i, pair): subspace(i, pair)
-                for pair in ambient.pairs() for i in range(ambient.top_degree + 1)}
-        self.projections: dict[tuple[int, object], Matrix] = {
-            (i, pair): quotient_map(ambient.dim(i, pair), sub)
-            for (i, pair), sub in subs.items()}
-        diffs = {(i, pair): induced_on_quotient(ambient.diff(i, pair), sub, subs[(i - 1, pair)])
-                 for (i, pair), sub in subs.items() if i >= 1}
-        super().__init__(ambient.field, ambient.top_degree,
-                         {k: q.rows for k, q in self.projections.items()}, diffs)
-        self.check_boundary_square()
-
-    def projection(self, i: int, pair) -> Matrix:
-        return self.projections[(i, pair)]
+    def __init__(self, ambient: GradedComplex, subcomplex: dict[tuple[int, object], list[int]]):
+        super().__init__(ambient, {
+            (i, pair): sorted(set(range(ambient.dim(i, pair))).difference(
+                subcomplex.get((i, pair), ())))
+            for pair in ambient.pairs() for i in range(ambient.top_degree + 1)})
+        self.check_chain_map(self.projection, ambient, self)
 
 
 class QuotientComplex(_Quotient):
     """C(X) / (extension span of Y)."""
 
     def __init__(self, cx: PairGradedComplex, span: SubcomplexExtension):
-        self.cx = cx
+        # keep the span alive: the module-level cache is keyed by its id
         self.span = span
-        super().__init__(cx, span.span)
+        super().__init__(cx, span.kept)
 
 
 def relative_complex(x: PrecubicalSet, spec: SubsetSpec, field=QQ) -> QuotientComplex:
@@ -272,19 +267,20 @@ def verify_exact(pair, maps: list[Matrix], labels: list[str] | None = None
 
 @dataclass
 class ShortExactData:
-    """Per-pair complexes A -> B -> C with chain maps include/project."""
+    """Per-pair complexes A -> B -> C with chain maps ``include(i, pair)``
+    and ``project(i, pair)``."""
 
     a: GradedComplex
     b: GradedComplex
     c: GradedComplex
-    include: dict[tuple[int, object], Matrix]
-    project: dict[tuple[int, object], Matrix]
+    include: Callable[[int, object], Matrix]
+    project: Callable[[int, object], Matrix]
 
     def verify(self, pairs, top: int) -> None:
         for pair in pairs:
             for i in range(top + 1):
-                inc = self.include[(i, pair)]
-                prj = self.project[(i, pair)]
+                inc = self.include(i, pair)
+                prj = self.project(i, pair)
                 if rank(inc) != self.a.dim(i, pair):
                     raise SequenceError("inclusion is not injective")
                 if rank(prj) != self.c.dim(i, pair):
@@ -301,10 +297,10 @@ def connecting_map(ses: ShortExactData, i: int, pair,
     """The zig-zag H_i(C) -> H_{i-1}(A): lift, take the boundary, pull back."""
     if not hc.dim:
         return Matrix.zeros(ses.a.field, ha.dim, 0)
-    lift = solve(ses.project[(i, pair)], hc.representatives, column_order)
+    lift = solve(ses.project(i, pair), hc.representatives, column_order)
     if lift is None:
         raise SequenceError("cycle has no lift along the projection")
-    back = solve(ses.include[(i - 1, pair)], ses.b.diff(i, pair) @ lift)
+    back = solve(ses.include(i - 1, pair), ses.b.diff(i, pair) @ lift)
     if back is None:
         raise SequenceError("boundary of the lift is not in the subcomplex")
     return ha.classes(back)
@@ -325,13 +321,7 @@ class RelativeHomologyResult:
 
 def _ses_of_pair(cx: PairGradedComplex, span: SubcomplexExtension,
                  quo: QuotientComplex) -> ShortExactData:
-    include = {}
-    project = {}
-    for pair in cx.pairs():
-        for i in range(cx.top_degree + 1):
-            include[(i, pair)] = span.inclusion_matrix(i, pair)
-            project[(i, pair)] = quo.projection(i, pair)
-    return ShortExactData(span, cx, quo, include, project)
+    return ShortExactData(span, cx, quo, span.inclusion_matrix, quo.projection)
 
 
 def les_relative(x: PrecubicalSet, spec: SubsetSpec, field=QQ,
@@ -346,7 +336,8 @@ def les_relative(x: PrecubicalSet, spec: SubsetSpec, field=QQ,
     cx = build_complex(x, None, field)
     _check_selection(x, spec)  # a bad selection raises SequenceError before the span is built
     span = extend_subcomplex(cx, spec.selected)
-    report = check_relative_pair(x, spec, field, span)
+    y, inc = sub(x, spec)
+    report = _pair_report(x, spec, field, span, y, inc)
     quo = QuotientComplex(cx, span)
     top = cx.top_degree if max_degree is None else min(max_degree, cx.top_degree)
     keys = [(i, pair) for pair in cx.pairs() for i in range(cx.top_degree + 1)]
@@ -367,13 +358,13 @@ def les_relative(x: PrecubicalSet, spec: SubsetSpec, field=QQ,
     def maps(i, pair):
         # H_i(ext Y) -> H_i(X) -> H_i(X, Y) -> H_{i-1}(ext Y)
         a_i, x_i, c_i = ha[(i, pair)], hx[(i, pair)], hc[(i, pair)]
-        inc_h = induced_on_homology(ses.include[(i, pair)], a_i, x_i)
-        prj_h = induced_on_homology(ses.project[(i, pair)], x_i, c_i)
+        inc_h = induced_on_homology(ses.include(i, pair), a_i, x_i)
+        prj_h = induced_on_homology(ses.project(i, pair), x_i, c_i)
         if i == 0:
             return inc_h, prj_h, None
         delta = connecting_map(ses, i, pair, ha[(i - 1, pair)], c_i)
         delta2 = connecting_map(ses, i, pair, ha[(i - 1, pair)], c_i,
-                                column_order=reversed(range(ses.project[(i, pair)].cols)))
+                                column_order=reversed(range(cx.dim(i, pair))))
         if delta != delta2:
             raise ExactnessError("connecting map depends on the lift choice")
         return inc_h, prj_h, delta
@@ -381,8 +372,11 @@ def les_relative(x: PrecubicalSet, spec: SubsetSpec, field=QQ,
     result.sequence = _long_exact_sequence(
         f"relative sequence of ({x.name}, sub)", cx, ("extH{i}", "H{i}", "relH{i}"), maps,
         "relative long exact sequence failed verification")
-    result.extension_commutes = _extension_commutes_with_homology(
-        x, spec, cx, {k: h.dim for k, h in ha.items()}, field)
+    # H(extension complex) against the extension of a presentation of H(Y)
+    ty = HomologyTable(build_complex(y, None, field), y)
+    result.extension_commutes = not _extension_mismatches(
+        cx, inc, ty.cx.top_degree, lambda i: present_homology(ty, i),
+        lambda i, pair: ha[(i, pair)].dim)
     return result
 
 
@@ -413,18 +407,6 @@ def _long_exact_sequence(title: str, cx: GradedComplex, names: tuple[str, str, s
     return report
 
 
-def _extension_commutes_with_homology(x, spec, cx, ext_dims: dict[tuple[int, tuple], int],
-                                      field) -> bool:
-    """Compare H(extension complex), whose dimensions are `ext_dims`, with the
-    extension of a presentation of H(Y)."""
-    y, inc = sub(x, spec)
-    cy = build_complex(y, None, field)
-    ty = HomologyTable(cy, y)
-    return not _extension_mismatches(
-        cx, inc, cy.top_degree, lambda i: present_homology(ty, i),
-        lambda i, pair: ext_dims[(i, pair)])
-
-
 # -- good covers and Mayer-Vietoris ------------------------------------------------------
 
 
@@ -450,10 +432,6 @@ class GoodCoverReport:
             lines.append(f"  degree {i} at {pair}: dims {a} vs {b}")
         lines.append(f"good cover: {'yes' if self.good else 'NO'}")
         return "\n".join(lines)
-
-
-def _intersection_spec(x, s1: SubsetSpec, s2: SubsetSpec) -> SubsetSpec:
-    return SubsetSpec(x, s1.selected & s2.selected)
 
 
 @dataclass
@@ -482,21 +460,19 @@ def good_cover_check(x: PrecubicalSet, s1: SubsetSpec, s2: SubsetSpec,
 def _check_cover(x: PrecubicalSet, s1: SubsetSpec, s2: SubsetSpec,
                  field) -> tuple[GoodCoverReport, _Cover]:
     covers = (s1.selected | s2.selected) == frozenset(x.all_cells())
-    s12 = _intersection_spec(x, s1, s2)
+    y12 = s1.selected & s2.selected
     x1, inc1 = sub(x, s1)
-    x2, _ = sub(x, s2)
+    x2, inc2 = sub(x, s2)
     cx = build_complex(x, None, field)
     span1 = extend_subcomplex(cx, s1.selected)
     span2 = extend_subcomplex(cx, s2.selected)
     reports = {
-        "X,X1": check_relative_pair(x, s1, field, span1),
-        "X,X2": check_relative_pair(x, s2, field, span2),
-        "X1,X1^X2": check_relative_pair(
-            x1, SubsetSpec(x1, s12.selected), field),
-        "X2,X1^X2": check_relative_pair(
-            x2, SubsetSpec(x2, s12.selected), field),
+        "X,X1": _pair_report(x, s1, field, span1, x1, inc1),
+        "X,X2": _pair_report(x, s2, field, span2, x2, inc2),
+        "X1,X1^X2": check_relative_pair(x1, SubsetSpec(x1, y12), field),
+        "X2,X1^X2": check_relative_pair(x2, SubsetSpec(x2, y12), field),
     }
-    span12 = extend_subcomplex(cx, s12.selected)
+    span12 = extend_subcomplex(cx, y12)
     # left side: ext C(X1) / ext C(X1^X2); right side: C(X) / ext C(X2)
     left = _LeftQuotientCache.get(span1, span12, field)
     quo2 = QuotientComplexCache.get(cx, span2, field)
@@ -526,11 +502,18 @@ class QuotientComplexCache:
         return hit
 
 
+def _span_positions(inner: SubcomplexExtension, outer: SubcomplexExtension,
+                    i: int, pair) -> list[int]:
+    """Where the kept chains of one extension span sit among those of a larger one."""
+    pos = {j: k for k, j in enumerate(outer.kept.get((i, pair), []))}
+    return [pos[j] for j in inner.kept.get((i, pair), [])]
+
+
 def _span_inclusion(inner: SubcomplexExtension, outer: SubcomplexExtension,
                     i: int, pair) -> Matrix:
     """The inclusion of one extension span in a larger one, in their kept coordinates."""
-    pos = {j: k for k, j in enumerate(outer.kept.get((i, pair), []))}
-    return _basis_map(outer.field, inner.kept.get((i, pair), []), pos)
+    return Matrix.unit_columns(outer.field, outer.dim(i, pair),
+                               _span_positions(inner, outer, i, pair))
 
 
 class _LeftQuotient(_Quotient):
@@ -540,8 +523,7 @@ class _LeftQuotient(_Quotient):
         # keep the spans alive: the module-level cache is keyed by their ids
         self.span1 = span1
         self.span12 = span12
-        super().__init__(span1, lambda i, pair: image_basis(
-            _span_inclusion(span12, span1, i, pair)))
+        super().__init__(span1, {k: _span_positions(span12, span1, *k) for k in span12.kept})
 
 
 class _LeftQuotientCache:
@@ -624,9 +606,8 @@ def _mv_connecting(c: _Cover, i: int, pair, hx, h12) -> Matrix:
     """
     # left-column snake data: 0 -> ext(X1^X2) -> ext(X1) -> left-quotient -> 0
     ses = ShortExactData(c.span12, c.span1, c.left,
-                         {(d, pair): _span_inclusion(c.span12, c.span1, d, pair)
-                          for d in (i, i - 1)},
-                         {(d, pair): c.left.projection(d, pair) for d in (i, i - 1)})
+                         lambda d, p: _span_inclusion(c.span12, c.span1, d, p),
+                         c.left.projection)
     snake = connecting_map(ses, i, pair, h12[(i - 1, pair)], c.hcl[(i, pair)])
     projected = c.quo2.projection(i, pair) @ hx[(i, pair)].representatives
     w = solve(c.excision[(i, pair)], c.hcr[(i, pair)].classes(projected))

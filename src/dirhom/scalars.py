@@ -26,11 +26,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .exactla import Matrix, QQ, Subspace, _modulus, _value, image_basis, quotient_map
+from .exactla import Matrix, QQ, _modulus, _value, image_basis, quotient_map
 from .precubical import PcMorphism, PrecubicalSet, TensorSet
 from .cubechain import (
-    ChainError, CubeChain, GradedComplex,
-    PairGradedComplex, chain_catalog,
+    BasisSubcomplex, CubeChain, GradedComplex, PairGradedComplex, chain_catalog,
 )
 from .homology import HomologyTable
 
@@ -417,36 +416,21 @@ def extend_presented(pb: PresentedBimodule, inc: PcMorphism,
 # -- the subspace form of extension ------------------------------------------------
 
 
-class SubcomplexExtension(GradedComplex):
+class SubcomplexExtension(BasisSubcomplex):
     """The span, inside C(X), of chains factoring through a face-closed Y.
 
     A basis chain is kept when its cubes split as edge-only prefix, middle
     entirely in Y, edge-only suffix (for degree 0: when the underlying path
-    touches a vertex of Y).  Kept chains are closed under the boundary, which
-    is asserted at construction.
+    touches a vertex of Y).  Kept chains are closed under the boundary: the
+    inclusion is asserted to be a chain map at construction.
     """
 
     def __init__(self, cx: PairGradedComplex, y_cells: frozenset[str]):
-        self.cx = cx
         self.y_cells = y_cells
-        x = cx.x
-        keep: dict[tuple[int, object], list[int]] = {}
-        for (i, s, e), chains in sorted(cx.bases.items()):
-            kept = [j for j, c in enumerate(chains) if self._decomposable(x, c)]
-            keep[(i, (s, e))] = kept
-        self.kept = keep
-        diffs = {}
-        for (i, pair), kept in keep.items():
-            if i == 0 or not kept:
-                continue
-            # the boundaries of the kept chains, and their rows at kept chains
-            image = cx.diff(i, pair) @ self.inclusion_matrix(i, pair)
-            inc = self.inclusion_matrix(i - 1, pair)
-            diffs[(i, pair)] = inc.transpose() @ image
-            if inc @ diffs[(i, pair)] != image:
-                raise ChainError("boundary of a decomposable chain left the extension span")
-        super().__init__(cx.field, cx.top_degree, {k: len(v) for k, v in keep.items()}, diffs)
-        self.check_boundary_square()
+        super().__init__(cx, {(i, (s, e)): [j for j, c in enumerate(chains)
+                                            if self._decomposable(cx.x, c)]
+                              for (i, s, e), chains in cx.bases.items()})
+        self.check_chain_map(self.inclusion_matrix, self, cx)
 
     def _decomposable(self, x: PrecubicalSet, c: CubeChain) -> bool:
         if not c.cubes:
@@ -459,14 +443,6 @@ class SubcomplexExtension(GradedComplex):
         lo = next(k for k, d in enumerate(c.dims) if d >= 2)
         hi = max(k for k, d in enumerate(c.dims) if d >= 2)
         return all(cu in self.y_cells for cu in c.cubes[lo:hi + 1])
-
-    def inclusion_matrix(self, i: int, pair) -> Matrix:
-        """Columns are the indicator vectors of the kept chains in C_i(X)."""
-        return Matrix.unit_columns(self.cx.field, self.cx.dim(i, pair),
-                                   self.kept.get((i, pair), []))
-
-    def span(self, i: int, pair) -> Subspace:
-        return image_basis(self.inclusion_matrix(i, pair))
 
 
 def extend_subcomplex(cx: PairGradedComplex, y_cells: Iterable[str]) -> SubcomplexExtension:

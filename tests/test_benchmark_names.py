@@ -11,6 +11,8 @@ from pathlib import Path
 
 import dirhom as dh
 
+from conftest import make_domino
+
 BENCH = Path(__file__).resolve().parents[1] / "benchmark"
 
 
@@ -26,10 +28,14 @@ def test_tracer_installs_and_caches_are_readable():
     try:
         d2 = dh.directed_disc(2)
         dh.les_relative(d2, dh.SubsetSpec(d2, frozenset(dh.directed_sphere(1).all_cells())))
+        dom = make_domino()
+        dh.mayer_vietoris(dom, *(dh.SubsetSpec(dom, dh.face_closure(dom, [square]))
+                                 for square in ("s1", "s2")))
     finally:
         tracer.uninstall()
     traced = {tracer.names[span[0]] for span in tracer.spans}
+    # the quotient constructors are wrapped from their own class bodies
     assert {"homology.homology_of", "scalars.ResolvedBimodule._reduce",
-            "exactseq.QuotientComplex.__init__"} <= traced
+            "exactseq.QuotientComplex.__init__", "exactseq._LeftQuotient.__init__"} <= traced
     assert set(measure.cache_sizes()) == {
         "cache.catalog_entries", "cache.quotient_entries", "cache.left_quotient_entries"}

@@ -230,7 +230,8 @@ class TestCheckPair:
 
     def test_overlong_path_exit2(self, tmp_path):
         """A path of 1,500 edges is deeper than the recursive chain enumeration
-        goes: homology and check-pair report an input error, not a traceback."""
+        goes: homology and check-pair report an input error naming that cause,
+        not a traceback."""
         dh.save(dh.realization([1] * 1500), tmp_path / "long.json")
         (tmp_path / "y.json").write_text(json.dumps(["b1.0"]))
         env = {**os.environ, "PYTHONPATH": str(Path(dh.__file__).parents[1])}
@@ -242,6 +243,7 @@ class TestCheckPair:
             assert time.perf_counter() - start < 10
             assert r.returncode == 2, r.stderr
             assert r.stderr.startswith("input error:") and r.stderr.count("\n") == 1
+            assert "directed path too long for the recursive chain enumeration" in r.stderr
             assert "Traceback" not in r.stdout + r.stderr
 
     def test_cycle_behind_a_source_exit2(self, runner, tmp_path):

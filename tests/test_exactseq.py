@@ -1,18 +1,25 @@
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import dirhom as dh
-from dirhom.cubechain import DirectedCycleError, build_complex
-from dirhom.exactla import Matrix, QQ, rank
+from dirhom import cubechain, exactla
+from dirhom.cubechain import BasisSubcomplex, ChainError, DirectedCycleError, build_complex
+from dirhom.exactla import (
+    Matrix, PrimeField, QQ, image_basis, induced_on_quotient, quotient_map, rank,
+)
 from dirhom.exactseq import (
     QuotientComplex, SequenceError, check_relative_pair, connecting_map,
     good_cover_check, les_relative, maximal_paths, mayer_vietoris,
-    relative_complex, verify_exact, _ses_of_pair,
+    relative_complex, verify_exact, _LeftQuotient, _Quotient, _ses_of_pair,
 )
 from dirhom.homology import homology_of
 from dirhom.precubical import SubsetSpec, sub
 from dirhom.scalars import extend_subcomplex, path_algebra
+
+from conftest import make_domino
+from test_cli_reference import make_grid3, make_strip4
 
 
 @pytest.fixture(scope="module")
@@ -109,6 +116,106 @@ class TestRelativeComplex:
         assert quo.dim(0, ("01", "11")) == cx.dim(0, ("01", "11"))
 
 
+def elimination_quotient(ambient, subspace):
+    """The reference quotient of `ambient` by the subcomplex whose (degree,
+    pair) component is ``subspace(i, pair)``, a general subspace: projections
+    from `quotient_map`, differentials from `induced_on_quotient`."""
+    keys = [(i, pair) for pair in ambient.pairs() for i in range(ambient.top_degree + 1)]
+    subs = {k: subspace(*k) for k in keys}
+    projections = {k: quotient_map(ambient.dim(*k), subs[k]) for k in keys}
+    diffs = {(i, pair): induced_on_quotient(ambient.diff(i, pair), subs[(i, pair)],
+                                            subs[(i - 1, pair)])
+             for i, pair in keys if i >= 1}
+    return projections, diffs
+
+
+def assert_quotients_match_reference(x, y1, y2, field):
+    """C(X) modulo the span of Y1, and the span of Y1 modulo that of Y1 ^ Y2,
+    equal the elimination-based reference entry for entry."""
+    cx = build_complex(x, None, field)
+    span1 = extend_subcomplex(cx, y1)
+    span12 = extend_subcomplex(cx, y1 & y2)
+    cases = [(QuotientComplex(cx, span1), cx,
+              lambda i, pair: image_basis(span1.inclusion_matrix(i, pair))),
+             (_LeftQuotient(span1, span12, field), span1,
+              lambda i, pair: image_basis(span1.projection(i, pair)
+                                          @ span12.inclusion_matrix(i, pair)))]
+    for quo, ambient, subspace in cases:
+        projections, diffs = elimination_quotient(ambient, subspace)
+        for (i, pair), prj in projections.items():
+            assert quo.projection(i, pair) == prj
+            assert quo.dim(i, pair) == prj.rows
+            if i >= 1:
+                assert quo.diff(i, pair) == diffs[(i, pair)]
+
+
+def cover_cases():
+    """(X, Y1, Y2): the relative pairs D3/S2 and D4/S3, and both orders of
+    the domino, strip4 and grid3 covers."""
+    cases = [pytest.param(x, y, y, id=name) for name, x, y in [
+        ("D3/S2", dh.directed_disc(3), frozenset(dh.directed_sphere(2).all_cells())),
+        ("D4/S3", dh.directed_disc(4), frozenset(dh.directed_sphere(3).all_cells()))]]
+    dom = make_domino()
+    for name, (x, left, right) in [
+            ("domino", (dom, dh.face_closure(dom, ["s1"]), dh.face_closure(dom, ["s2"]))),
+            ("strip4", make_strip4()), ("grid3", make_grid3())]:
+        cases += [pytest.param(x, frozenset(left), frozenset(right), id=name),
+                  pytest.param(x, frozenset(right), frozenset(left), id=name + "-reversed")]
+    return cases
+
+
+SMALL_SETS = [dh.directed_disc(2), dh.directed_disc(3), dh.directed_sphere(2),
+              dh.realization([2, 2]), make_domino()]
+
+
+class TestBasisQuotients:
+    """Quotients are basis complements: the same matrices as the
+    general-subspace construction, built without any elimination."""
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "F7"])
+    @pytest.mark.parametrize("x,y1,y2", cover_cases())
+    def test_corpus_matches_elimination(self, x, y1, y2, field):
+        assert_quotients_match_reference(x, y1, y2, field)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_random_subsets_match_elimination(self, data):
+        x = data.draw(st.sampled_from(SMALL_SETS))
+        cells = sorted(x.all_cells())
+        y1, y2 = (dh.face_closure(x, data.draw(st.lists(st.sampled_from(cells), max_size=4)))
+                  for _ in range(2))
+        field = data.draw(st.sampled_from([QQ, PrimeField(7)]))
+        assert_quotients_match_reference(x, y1, y2, field)
+
+    def test_construction_eliminates_nothing(self, monkeypatch):
+        x, left, right = make_strip4()
+        cx = build_complex(x)
+        span1 = extend_subcomplex(cx, left)
+        span12 = extend_subcomplex(cx, frozenset(left) & frozenset(right))
+        calls = Counter()
+        eliminate = exactla._eliminate
+
+        def counted(*args, **kwargs):
+            calls["eliminate"] += 1
+            return eliminate(*args, **kwargs)
+
+        monkeypatch.setattr(exactla, "_eliminate", counted)
+        QuotientComplex(cx, span1)
+        _LeftQuotient(span1, span12, QQ)
+        assert calls["eliminate"] == 0
+        rank(cx.diff(1, cx.pairs()[0]))     # the counter does see elimination
+        assert calls["eliminate"] == 1
+
+    def test_chain_map_checks_reject_a_non_subcomplex(self, D2):
+        cx = build_complex(D2)
+        square = {(1, ("00", "11")): [0]}   # the square without its boundary paths
+        with pytest.raises(ChainError, match="inclusion_matrix is not a chain map"):
+            sq = BasisSubcomplex(cx, square)
+            sq.check_chain_map(sq.inclusion_matrix, sq, cx)
+        with pytest.raises(ChainError, match="projection is not a chain map at degree 1"):
+            _Quotient(cx, square)
+
+
 class TestConnectingMap:
     def test_disc_sphere_connecting_injective(self, D2, sphere_spec):
         cx = build_complex(D2)
@@ -177,6 +284,12 @@ class TestLesRelative:
         spec = SubsetSpec(domino, dh.face_closure(domino, ["s2"]))
         res = les_relative(domino, spec)
         assert res.sequence.all_exact
+
+    def test_builds_y_once(self, D3, S2, monkeypatch):
+        monkeypatch.setattr(cubechain, "_catalog_cache", {})
+        assert les_relative(D3, SubsetSpec(D3, frozenset(S2.all_cells()))).sequence.all_exact
+        names = Counter(hit["ref"].name for hit in cubechain._catalog_cache.values())
+        assert names == {"D3": 1, "D3|sub": 1}
 
     def test_builds_the_span_once(self, domino, monkeypatch):
         calls = count_builds(monkeypatch)
@@ -316,3 +429,12 @@ class TestMayerVietoris:
         assert mayer_vietoris(domino, s1, s2).sequence.all_exact
         assert calls == {"build": 3, "QuotientComplex": 1, "_LeftQuotient": 1,
                          "SubcomplexExtension": 5}
+
+    def test_domino_enumerates_each_set_once(self, domino, monkeypatch):
+        # X, the parts X1 and X2, and X1^X2 inside each part
+        monkeypatch.setattr(cubechain, "_catalog_cache", {})
+        s1 = SubsetSpec(domino, dh.face_closure(domino, ["s1"]))
+        s2 = SubsetSpec(domino, dh.face_closure(domino, ["s2"]))
+        assert mayer_vietoris(domino, s1, s2).sequence.all_exact
+        names = Counter(hit["ref"].name for hit in cubechain._catalog_cache.values())
+        assert names == {"domino": 1, "domino|sub": 2, "domino|sub|sub": 2}

@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dataclass_field
 from typing import Iterator, Mapping, Sequence
 
-from .exactla import Matrix, QQ
+from .exactla import FieldError, Matrix, QQ, _modulus
 from .precubical import PrecubicalSet, TensorSet
 
 
@@ -320,11 +320,20 @@ class GradedComplex:
     def diff(self, i: int, pair) -> Matrix:
         m = self._diffs.get((i, pair))
         if m is None:
-            shape = (self.dim(i - 1, pair) if i >= 1 else 0, self.dim(i, pair))
-            m = self._zeros.get(shape)
-            if m is None:
-                m = self._zeros[shape] = Matrix.zeros(self.field, *shape)
+            m = self._zero(self.dim(i - 1, pair) if i >= 1 else 0, self.dim(i, pair))
         return m
+
+    def _zero(self, rows: int, cols: int) -> Matrix:
+        """The zero matrix of a shape, built once per complex (matrices are
+        immutable, so every caller can share it)."""
+        m = self._zeros.get((rows, cols))
+        if m is None:
+            m = self._zeros[(rows, cols)] = Matrix.zeros(self.field, rows, cols)
+        return m
+
+    def _basis_name(self, i: int, pair, j: int) -> str:
+        """How a failure report names basis element j of the (i, pair) component."""
+        return f"basis element {j}"
 
     def check_boundary_square(self) -> None:
         for pair in self._pairs:
@@ -357,6 +366,9 @@ class PairGradedComplex(GradedComplex):
 
     def basis(self, i: int, src: str, dst: str) -> list[CubeChain]:
         return list(self.bases.get((i, src, dst), ()))
+
+    def _basis_name(self, i: int, pair, j: int) -> str:
+        return repr(self.bases[(i, *pair)][j])
 
     def chain_index(self, chain: CubeChain) -> int:
         key = (chain.degree, chain.src, chain.dst)
@@ -406,12 +418,22 @@ class BasisSubcomplex(GradedComplex):
         """Rows are the ambient coordinates of the kept elements."""
         return self.inclusion_matrix(i, pair).transpose()
 
+    def _basis_name(self, i: int, pair, j: int) -> str:
+        return self.ambient._basis_name(i, pair, self.kept[(i, pair)][j])
+
     def check_chain_map(self, f, source: GradedComplex, target: GradedComplex) -> None:
         """Raise ChainError unless ``f(i, pair)``, this complex's inclusion
-        or projection, commutes with the differentials of source and target."""
+        or projection, commutes with the differentials of source and target;
+        the error names the degree, the pair and a source basis element on
+        which the two sides differ."""
         for i, pair in self.kept:
-            if i and target.diff(i, pair) @ f(i, pair) != f(i - 1, pair) @ source.diff(i, pair):
-                raise ChainError(f"{f.__name__} is not a chain map at degree {i}, pair {pair}")
+            if not i:
+                continue
+            j = _chain_map_witness(target.diff(i, pair).transpose(), f(i, pair),
+                                   f(i - 1, pair), source.diff(i, pair).transpose())
+            if j is not None:
+                raise ChainError(f"{f.__name__} is not a chain map at degree {i}, pair {pair}: "
+                                 f"witness {source._basis_name(i, pair, j)}")
 
 
 def _basis_map(field, images: Sequence, index: Mapping,
@@ -434,6 +456,51 @@ def _basis_map(field, images: Sequence, index: Mapping,
         return Matrix.unit_columns(field, len(index), targets)
     return Matrix.from_sparse_columns(field, len(index), [
         {} if j is None else {j: sign} for j, sign in zip(targets, signs)])
+
+
+def _unit_targets(m: Matrix) -> list[int | None]:
+    """The row of the one entry of each column of a 0/1 basis map, None for
+    a zero column; raises ChainError on an entry other than 1 or on a second
+    entry in a column."""
+    targets: list[int | None] = [None] * m.cols
+    for i, row in enumerate(m._rows):
+        for j, a in row.items():
+            if a != 1 or targets[j] is not None:
+                raise ChainError(f"column {j} of a {m.rows}x{m.cols} map is neither 0 "
+                                 "nor a unit vector")
+            targets[j] = i
+    return targets
+
+
+def _chain_map_witness(target_dt: Matrix, p: Matrix, q: Matrix,
+                       source_dt: Matrix) -> int | None:
+    """Decide ``d' @ p == q @ d`` for 0/1 basis maps p (degree i) and q
+    (degree i-1) by re-indexing, with no matrix product: None when the two
+    sides agree, else the first column j where they differ.
+
+    `target_dt` and `source_dt` are the transposes of d' and d, so their rows
+    are the columns of the differentials.  Column j of ``d' @ p`` is column
+    p(j) of d'.  ``q @ d`` renames the rows of d by q; entries that land on
+    one row add, since q need not be injective.  Every entry is compared.
+    """
+    if (p.rows, q.rows, p.cols, q.cols) != (target_dt.rows, target_dt.cols,
+                                            source_dt.rows, source_dt.cols):
+        raise FieldError("shape mismatch in a chain-map check")
+    p_of, q_of = _unit_targets(p), _unit_targets(q)
+    mod = _modulus(p.field)
+    for j, col in enumerate(source_dt._rows):
+        renamed: dict = {}
+        for r, a in col.items():
+            t = q_of[r]
+            if t is not None:
+                renamed[t] = renamed[t] + a if t in renamed else a
+        if len(renamed) < len(col):
+            # entries that met on one row were summed: drop zeros, reduce mod p
+            renamed = ({t: v for t, a in renamed.items() if (v := a % mod)} if mod
+                       else {t: a for t, a in renamed.items() if a})
+        if renamed != (target_dt._rows[p_of[j]] if p_of[j] is not None else {}):
+            return j
+    return None
 
 
 def build_complex(x: PrecubicalSet, max_degree: int | None = None,

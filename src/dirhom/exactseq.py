@@ -17,8 +17,9 @@ complexes, and Mayer-Vietoris sequences are assembled from the two relative
 sequences with the standard zig-zag connecting maps.
 
 Every extension span is spanned by cube chains of C(X), so a quotient is the
-complex on the complementary chains and building it eliminates nothing; only
-the checks (chain maps, exact short and long sequences) are linear algebra.
+complex on the complementary chains and building it eliminates nothing; its
+chain-map check re-indexes basis columns, and only the exactness checks of
+the short and long sequences are linear algebra.
 """
 
 from __future__ import annotations
@@ -29,7 +30,7 @@ from typing import Callable
 from .exactla import Matrix, QQ, kernel_basis, rank, solve
 from .precubical import PcMorphism, PrecubicalSet, SubsetSpec, sub
 from .cubechain import (
-    BasisSubcomplex, GradedComplex, PairGradedComplex, build_complex, chain_catalog,
+    BasisSubcomplex, DirectedCycleError, GradedComplex, PairGradedComplex, build_complex,
     max_chain_degree,
 )
 from .homology import HomologyTable, PairHomology, homology_of, induced_on_homology
@@ -79,18 +80,23 @@ class RelativePairReport:
 def maximal_paths(x: PrecubicalSet) -> list[list[str]]:
     """All maximal directed paths as alternating cell sequences v0,e1,v1,..
 
-    Paths are the degree-0 chains of `chain_catalog` that run from a source
-    (no incoming edge) to a sink: sources in sorted order, each source's
-    paths sorted by edge sequence.  An isolated vertex yields the one-cell
-    path [v]; a cyclic set raises DirectedCycleError.
+    A walk over out-edges from each source (no incoming edge), sources in
+    sorted order and out-edges in id order, so each source's paths come
+    sorted by edge sequence.  It builds no cube chains.  An isolated vertex
+    yields the one-cell path [v]; a cyclic set, on which the walk would not
+    end, raises DirectedCycleError.
     """
-    catalog = chain_catalog(x)
-    sinks = x.sink_vertices()
+    if not x.is_acyclic():
+        raise DirectedCycleError(f"{x.name}: maximal paths need an acyclic vertex-edge digraph")
+    out = x.out_edges()
     paths: list[list[str]] = []
     for s in x.source_vertices():
-        edge_paths = sorted(c.cubes for t in sinks for c in catalog.get((0, s, t), ()))
-        for p in edge_paths:
-            paths.append([s] + [cell for e in p for cell in (e, x.edge_target(e))])
+        todo = [[s]]
+        while todo:
+            p = todo.pop()
+            if not out[p[-1]]:
+                paths.append(p)
+            todo += [p + [a, x.edge_target(a)] for a in reversed(out[p[-1]])]
     return paths
 
 

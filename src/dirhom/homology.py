@@ -13,7 +13,10 @@ pull back.
 The bimodule structure is realized by edge actions: prepending an edge to
 every chain of a graded component (left action) or appending one (right
 action).  Both are chain maps on the nose, which is asserted when a table
-is built; well-definedness on homology follows.
+is built; well-definedness on homology follows.  The maps send basis chains
+to basis chains, so the assertion re-indexes the columns of the
+differentials instead of multiplying matrices, and it still compares every
+entry.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from dataclasses import dataclass, field as dataclass_field
 from .exactla import QQ, Matrix, Subspace, image_basis, kernel_basis, pivot_columns, rank
 from .cubechain import (
     CubeChain, GradedComplex, PairGradedComplex, ChainError, _basis_map,
-    build_complex,
+    _chain_map_witness, build_complex,
 )
 from .precubical import PcMorphism, PrecubicalSet, realization
 
@@ -106,6 +109,9 @@ class HomologyTable:
     H_i(s, e) -> H_i(s, e') where a runs e -> e' (append a).  The action of a
     trivial path is the identity by construction, and actions of longer paths
     are composites of edge actions.
+
+    Homology is computed once for each component with chains; every other
+    (degree, pair) has dimension 0 and zero action matrices.
     """
 
     def __init__(self, cx: PairGradedComplex, x: PrecubicalSet):
@@ -114,10 +120,8 @@ class HomologyTable:
         self.cx = cx
         self.x = x
         self.field = cx.field
-        self.entries: dict[tuple[int, str, str], PairHomology] = {}
-        for i in range(cx.top_degree + 1):
-            for s, e in cx.pairs():
-                self.entry(i, s, e)
+        self.entries: dict[tuple[int, str, str], PairHomology] = {
+            (i, s, e): homology_of(cx, i, (s, e)) for (i, s, e) in sorted(cx.bases)}
         self._chain_left: dict[tuple[str, int, str, str], Matrix] = {}
         self._chain_right: dict[tuple[str, int, str, str], Matrix] = {}
         self._verify_actions_are_chain_maps()
@@ -137,51 +141,66 @@ class HomologyTable:
         return m
 
     def _verify_actions_are_chain_maps(self) -> None:
-        cx = self.cx
-        for a in self.x.edges:
-            s1 = self.x.edge_target(a)   # prepend acts on chains starting here
-            s0 = self.x.edge_source(a)
-            for (i, s, e) in sorted(cx.bases):
-                if s == s1 and i >= 1 and cx.dim(i, (s, e)):
-                    left_i = self._prepend_matrix(a, i, s, e)
-                    left_im1 = self._prepend_matrix(a, i - 1, s, e)
-                    if cx.diff(i, (s0, e)) @ left_i != left_im1 @ cx.diff(i, (s, e)):
-                        raise ActionError(f"prepend by {a!r} is not a chain map")
-                if e == s0 and i >= 1 and cx.dim(i, (s, e)):
-                    right_i = self._append_matrix(a, i, s, e)
-                    right_im1 = self._append_matrix(a, i - 1, s, e)
-                    if cx.diff(i, (s, s1)) @ right_i != right_im1 @ cx.diff(i, (s, e)):
-                        raise ActionError(f"append by {a!r} is not a chain map")
+        """Assert that prepending each in-edge of s and appending each
+        out-edge of e commute with the differentials, for every component
+        C_i(s, e) with chains and i >= 1."""
+        cx, x = self.cx, self.x
+        into: dict[str, list[str]] = {v: [] for v in x.vertices}
+        for a in x.edges:
+            into[x.edge_target(a)].append(a)
+        out = x.out_edges()
+        transposed: dict[tuple[int, tuple[str, str]], Matrix] = {}
+
+        def dt(i: int, pair: tuple[str, str]) -> Matrix:
+            m = transposed.get((i, pair))
+            if m is None:
+                m = transposed[(i, pair)] = cx.diff(i, pair).transpose()
+            return m
+
+        for (i, s, e) in sorted(cx.bases):
+            if not i:
+                continue
+            checks = [("prepend", a, self._prepend_matrix, (x.edge_source(a), e))
+                      for a in into[s]]
+            checks += [("append", a, self._append_matrix, (s, x.edge_target(a)))
+                       for a in out[e]]
+            for side, a, chain_map, to in checks:
+                j = _chain_map_witness(dt(i, to), chain_map(a, i, s, e),
+                                       chain_map(a, i - 1, s, e), dt(i, (s, e)))
+                if j is not None:
+                    raise ActionError(f"{side} by {a!r} is not a chain map at degree {i}, "
+                                      f"pair {(s, e)}: witness {cx.bases[(i, s, e)][j]!r}")
 
     # -- homology-level interface -------------------------------------------
 
     def entry(self, i: int, s: str, e: str) -> PairHomology:
         hit = self.entries.get((i, s, e))
-        if hit is None:
-            hit = homology_of(self.cx, i, (s, e))
-            self.entries[(i, s, e)] = hit
-        return hit
+        return homology_of(self.cx, i, (s, e)) if hit is None else hit
 
     def dim(self, i: int, s: str, e: str) -> int:
-        return self.entry(i, s, e).dim
+        hit = self.entries.get((i, s, e))
+        return 0 if hit is None else hit.dim
 
     def left_action(self, a: str, i: int, s: str, e: str) -> Matrix:
         """H_i(s, e) -> H_i(s', e) for the edge a : s' -> s."""
         if self.x.edge_target(a) != s:
             raise ChainError(f"edge {a!r} does not end at {s!r}")
-        src, dst = self.entry(i, s, e), self.entry(i, self.x.edge_source(a), e)
-        if not src.dim:         # no classes to push, so no chain map to build
-            return Matrix.zeros(self.field, dst.dim, 0)
-        return induced_on_homology(self._prepend_matrix(a, i, s, e), src, dst)
+        return self._action(self._prepend_matrix, a, i, s, e, (i, self.x.edge_source(a), e))
 
     def right_action(self, a: str, i: int, s: str, e: str) -> Matrix:
         """H_i(s, e) -> H_i(s, e') for the edge a : e -> e'."""
         if self.x.edge_source(a) != e:
             raise ChainError(f"edge {a!r} does not start at {e!r}")
-        src, dst = self.entry(i, s, e), self.entry(i, s, self.x.edge_target(a))
-        if not src.dim:
-            return Matrix.zeros(self.field, dst.dim, 0)
-        return induced_on_homology(self._append_matrix(a, i, s, e), src, dst)
+        return self._action(self._append_matrix, a, i, s, e, (i, s, self.x.edge_target(a)))
+
+    def _action(self, chain_map, a: str, i: int, s: str, e: str, to: tuple) -> Matrix:
+        """The map on homology of ``chain_map(a, i, s, e)`` into the component
+        `to`: a zero matrix, with no chain map built, when the source has no
+        classes or either side has no chains."""
+        src, dst = self.entries.get((i, s, e)), self.entries.get(to)
+        if src is None or dst is None or not src.dim:
+            return self.cx._zero(0 if dst is None else dst.dim, 0 if src is None else src.dim)
+        return induced_on_homology(chain_map(a, i, s, e), src, dst)
 
     def left_path_action(self, path: tuple[str, ...], i: int, s: str, e: str) -> Matrix:
         """Composite left action of an edge path ending at s."""
@@ -240,8 +259,11 @@ def chain_map_of_morphism(f: PcMorphism, cxa: PairGradedComplex,
         prev = out.get((i - 1, s, e))
         if prev is None:
             continue
-        if cxb.diff(i, (f(s), f(e))) @ m != prev @ cxa.diff(i, (s, e)):
-            raise ActionError("morphism-induced map is not a chain map")
+        j = _chain_map_witness(cxb.diff(i, (f(s), f(e))).transpose(), m, prev,
+                               cxa.diff(i, (s, e)).transpose())
+        if j is not None:
+            raise ActionError(f"morphism-induced map is not a chain map at degree {i}, "
+                              f"pair {(s, e)}: witness {cxa.bases[(i, s, e)][j]!r}")
     return out
 
 
@@ -279,19 +301,19 @@ class CochainComplexTable:
     def coboundary(self, i: int, pair) -> Matrix:
         m = self.coboundaries.get((i, pair))
         if m is None:
-            return Matrix.zeros(self.field, self.cx.dim(i + 1, pair), self.cx.dim(i, pair))
+            return self.cx._zero(self.cx.dim(i + 1, pair), self.cx.dim(i, pair))
         return m
 
     def cohomology_dim(self, i: int, src: str, dst: str) -> int:
-        """dim ker delta^i - rank delta^(i-1); a component with no chains has
-        no cohomology, and computing it takes no elimination."""
+        """dim ker delta^i - rank delta^(i-1), that is dim C^i - rank delta^i
+        - rank delta^(i-1).  A map into or out of a component with no chains
+        has rank 0, read off its shape with no elimination."""
         pair = (src, dst)
-        if not self.cx.dim(i, pair):
+        n = self.cx.dim(i, pair)
+        if not n:
             return 0
-        ker = kernel_basis(self.coboundary(i, pair)).dim
-        if i == 0:
-            return ker
-        return ker - rank(self.coboundary(i - 1, pair))
+        out, into = self.coboundary(i, pair), self.coboundary(i - 1, pair)
+        return n - (rank(out) if out.rows else 0) - (rank(into) if into.cols else 0)
 
 
 def cochain_dual(cx: PairGradedComplex) -> CochainComplexTable:

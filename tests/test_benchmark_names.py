@@ -39,3 +39,40 @@ def test_tracer_installs_and_caches_are_readable():
             "exactseq.QuotientComplex.__init__", "exactseq._LeftQuotient.__init__"} <= traced
     assert set(measure.cache_sizes()) == {
         "cache.catalog_entries", "cache.quotient_entries", "cache.left_quotient_entries"}
+
+
+def test_table_init_spans_the_action_check(monkeypatch):
+    """`homology.action_check_s` is the `HomologyTable.__init__` span minus
+    its `homology_of` children, so the check must run inside `__init__`."""
+    from time import perf_counter
+
+    from dirhom import homology
+
+    sys.path.insert(0, str(BENCH))
+    try:
+        from tracer import Tracer
+    finally:
+        sys.path.remove(str(BENCH))
+    ran = []
+    check = homology.HomologyTable._verify_actions_are_chain_maps
+
+    def timed(self):
+        t0 = perf_counter()
+        check(self)
+        ran.append((t0, perf_counter()))
+
+    monkeypatch.setattr(homology.HomologyTable, "_verify_actions_are_chain_maps", timed)
+    tracer = Tracer()
+    tracer.install()
+    try:
+        d2 = dh.directed_disc(2)
+        dh.HomologyTable(dh.build_complex(d2), d2)
+    finally:
+        tracer.uninstall()
+    spans = [(tracer.names[idx], t0, t1, parent) for idx, t0, t1, parent, _, _ in tracer.spans]
+    tables = [k for k, span in enumerate(spans) if span[0] == "homology.HomologyTable.__init__"]
+    assert len(tables) == 1 and len(ran) == 1
+    _, t0, t1, _ = spans[tables[0]]
+    assert t0 <= ran[0][0] and ran[0][1] <= t1
+    children = [span for span in spans if span[0] == "homology.homology_of"]
+    assert children and all(span[3] == tables[0] for span in children)

@@ -1,12 +1,14 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import dirhom as dh
 from dirhom.cubechain import (
     ChainError, CubeChain, DirectedCycleError, FormalSum, boundary,
     build_complex, chain_catalog, empty_chain, enumerate_chains,
     enumerate_shuffles, make_chain, project_shuffle, split_cube,
+    _chain_map_witness,
 )
-from dirhom.exactla import QQ
+from dirhom.exactla import Matrix, PrimeField, QQ
 from dirhom.precubical import PcMorphism, PrecubicalSet, realization, tensor
 
 from conftest import corpus, sequences_of_dimension
@@ -312,3 +314,68 @@ def test_basis_map_columns_and_missing_image():
     assert m == Matrix.from_columns(QQ, [[0, 1], [0, 0], [1, 0]], length=2)
     with pytest.raises(ChainError):
         _basis_map(QQ, ["c"], {"a": 0})
+
+
+@st.composite
+def chain_map_squares(draw):
+    """(d', p, q, d) for ``d' @ p ?= q @ d``: a random sparse d : C_1 -> C_0,
+    random 0/1 maps p : C_1 -> C'_1 and q : C_0 -> C'_0 with zero columns
+    and shared targets, and a d' that copies the columns of q @ d that p
+    sends it, or some of them, with one entry perhaps changed afterwards."""
+    field = draw(st.sampled_from([QQ, PrimeField(7)]))
+    n0, n1, m0, m1 = (draw(st.integers(0, 5)) for _ in range(4))
+    entry = st.sampled_from([0, 0, 0, 1, -1, 2, 6])
+
+    def unit_map(rows, cols):
+        target = st.none() if not rows else st.one_of(st.none(), st.integers(0, rows - 1))
+        return Matrix.unit_columns(field, rows, [draw(target) for _ in range(cols)])
+
+    d = Matrix.from_rows(field, [[draw(entry) for _ in range(n1)] for _ in range(n0)], cols=n1)
+    p, q = unit_map(m1, n1), unit_map(m0, n0)
+    qd = q @ d
+    cols = [[draw(entry) for _ in range(m0)] for _ in range(m1)]
+    for j in range(n1):
+        hit = [k for k in range(m1) if p.entry(k, j)]
+        if hit and draw(st.booleans()):
+            cols[hit[0]] = list(qd.column(j))
+    if m0 and m1 and draw(st.booleans()):
+        k, r = draw(st.integers(0, m1 - 1)), draw(st.integers(0, m0 - 1))
+        cols[k][r] = draw(entry)
+    return Matrix.from_columns(field, cols, length=m0), p, q, d
+
+
+class TestReindexedChainMapCheck:
+    @settings(max_examples=300, deadline=None)
+    @given(chain_map_squares())
+    def test_agrees_with_the_product_and_names_the_first_differing_column(self, square):
+        dp, p, q, d = square
+        left, right = dp @ p, q @ d
+        differing = [j for j in range(p.cols) if left.column(j) != right.column(j)]
+        assert (left == right) == (not differing)
+        assert _chain_map_witness(dp.transpose(), p, q, d.transpose()) == \
+            (differing[0] if differing else None)
+
+    def test_sums_of_entries_that_meet_on_one_row(self):
+        # q sends both rows of d to row 0, where 1 + (-1) cancels over Q and
+        # 3 + 4 cancels over F_7
+        for field, col in ((QQ, [1, -1]), (PrimeField(7), [3, 4])):
+            d = Matrix.from_columns(field, [col], length=2)
+            q = Matrix.unit_columns(field, 1, [0, 0])
+            p = Matrix.unit_columns(field, 1, [0])
+            zero = Matrix.zeros(field, 1, 1)
+            assert _chain_map_witness(zero.transpose(), p, q, d.transpose()) is None
+            one = Matrix.from_rows(field, [[1]])
+            assert _chain_map_witness(one.transpose(), p, q, d.transpose()) == 0
+
+    def test_rejects_a_map_that_is_not_0_1(self):
+        d = Matrix.from_rows(QQ, [[1]])
+        one, two = Matrix.identity(QQ, 1), Matrix.from_rows(QQ, [[2]])
+        with pytest.raises(ChainError):
+            _chain_map_witness(d.transpose(), two, one, d.transpose())
+        with pytest.raises(ChainError):
+            _chain_map_witness(d.transpose(), one, two, d.transpose())
+        # two entries in one column: the product check would accept this square
+        dp, both = Matrix.from_rows(QQ, [[1], [1]]), Matrix.from_rows(QQ, [[1], [1]])
+        assert dp @ one == both @ d
+        with pytest.raises(ChainError):
+            _chain_map_witness(dp.transpose(), one, both, d.transpose())

@@ -1,3 +1,4 @@
+import re
 from collections import Counter
 
 import pytest
@@ -54,6 +55,24 @@ class TestMaximalPaths:
     def test_isolated_vertex(self):
         x = dh.PrecubicalSet("v", [["v"]], {})
         assert maximal_paths(x) == [["v"]]
+
+    def test_walk_matches_the_degree_0_chains_and_builds_none(self, D3, S2):
+        def grid(n):
+            path = dh.realization([1] * n)
+            tx = dh.tensor(path, path)
+            return dh.PrecubicalSet(f"grid{n}", tx.cells, tx.faces)
+
+        for x in (D3, S2, grid(3)):
+            # oracle: source-to-sink chains of degree 0, sorted by edge sequence
+            catalog = cubechain.chain_catalog(x)
+            assert maximal_paths(x) == [
+                [s] + [cell for a in cubes for cell in (a, x.edge_target(a))]
+                for s in x.source_vertices()
+                for cubes in sorted(c.cubes for t in x.sink_vertices()
+                                    for c in catalog.get((0, s, t), ()))]
+        g8 = grid(8)
+        assert len(maximal_paths(g8)) == 12870
+        assert not any(hit["ref"] is g8 for hit in cubechain._catalog_cache.values())
 
     def test_cyclic_set_raises(self):
         # a source vertex s leading into the 2-cycle a -> b -> a
@@ -209,10 +228,14 @@ class TestBasisQuotients:
     def test_chain_map_checks_reject_a_non_subcomplex(self, D2):
         cx = build_complex(D2)
         square = {(1, ("00", "11")): [0]}   # the square without its boundary paths
-        with pytest.raises(ChainError, match="inclusion_matrix is not a chain map"):
+        # both reports name the square as the witness
+        where = re.escape(
+            f"is not a chain map at degree 1, pair ('00', '11'): witness "
+            f"{cx.bases[(1, '00', '11')][0]!r}")
+        with pytest.raises(ChainError, match="inclusion_matrix " + where):
             sq = BasisSubcomplex(cx, square)
             sq.check_chain_map(sq.inclusion_matrix, sq, cx)
-        with pytest.raises(ChainError, match="projection is not a chain map at degree 1"):
+        with pytest.raises(ChainError, match="projection " + where):
             _Quotient(cx, square)
 
 

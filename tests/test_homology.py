@@ -4,8 +4,8 @@ import dirhom as dh
 from dirhom.cubechain import ChainError, build_complex
 from dirhom.exactla import Matrix, PrimeField, QQ, Subspace, rank
 from dirhom.homology import (
-    HomologyTable, acyclicity_check, cochain_dual, homology, homology_of,
-    induced_map, induced_on_homology,
+    ActionError, HomologyTable, acyclicity_check, chain_map_of_morphism, cochain_dual,
+    homology, homology_of, induced_map, induced_on_homology,
 )
 from dirhom.precubical import PcMorphism, SubsetSpec, sub
 from dirhom.scalars import restrict
@@ -347,3 +347,123 @@ def test_action_from_a_component_without_classes_builds_no_chain_map(D2, cxd2, m
         assert table.dim(i, s, e) == 0
         assert table.right_action("a1", i, s, e) == Matrix.zeros(QQ, table.dim(i, s, "11"), 0)
     assert not calls
+
+
+def test_table_computes_homology_only_for_components_with_chains(monkeypatch):
+    import dirhom.homology as H
+    d4 = dh.directed_disc(4)
+    cx = build_complex(d4)
+    calls = []
+    monkeypatch.setattr(H, "homology_of", lambda *a: calls.append(a[1:]) or homology_of(*a))
+    HomologyTable(cx, d4)
+    assert len(calls) == len(cx.bases) == 124
+    assert sorted(calls) == [(i, (s, e)) for i, s, e in sorted(cx.bases)]
+
+
+def test_chainless_components_answer_like_homology_of(D3):
+    r = dh.realization([2, 1, 3])
+    for x in (D3, r):
+        cx = build_complex(x)
+        t = HomologyTable(cx, x)
+
+        def h(i, s, e):
+            return homology_of(cx, i, (s, e)).dim
+
+        for i in range(cx.top_degree + 2):
+            for s in x.vertices:
+                for e in x.vertices:
+                    assert t.dim(i, s, e) == h(i, s, e)
+                    for a in x.edges:
+                        if x.edge_target(a) == s:
+                            m = t.left_action(a, i, s, e)
+                            assert (m.rows, m.cols) == (h(i, x.edge_source(a), e), h(i, s, e))
+                            if not cx.dim(i, (s, e)):
+                                assert m.is_zero() and t.left_path_action((a,), i, s, e) == m
+                        if x.edge_source(a) == e:
+                            m = t.right_action(a, i, s, e)
+                            assert (m.rows, m.cols) == (h(i, s, x.edge_target(a)), h(i, s, e))
+                            if not cx.dim(i, (s, e)):
+                                assert m.is_zero() and t.right_path_action((a,), i, s, e) == m
+                    if not cx.dim(i, (s, e)):
+                        assert t.entry(i, s, e) == homology_of(cx, i, (s, e))
+                        assert (i, s, e) not in t.entries
+
+
+def _first_prepend(x, cx):
+    """The first (edge, s, e) whose prepend the action check meets in degree 1."""
+    return next((a, s, e) for (i, s, e) in sorted(cx.bases) if i == 1
+                for a in x.edges if x.edge_target(a) == s)
+
+
+def test_corrupted_prepend_map_names_edge_degree_pair_and_chain(D3, monkeypatch):
+    import dirhom.homology as H
+    cx = build_complex(D3)
+    a, s, e = _first_prepend(D3, cx)
+    real = H._prepend_matrix
+
+    def corrupted(cx_, a_, i, s_, e_):
+        m = real(cx_, a_, i, s_, e_)
+        return Matrix.zeros(m.field, m.rows, m.cols) if (a_, i, s_, e_) == (a, 1, s, e) else m
+
+    monkeypatch.setattr(H, "_prepend_matrix", corrupted)
+    with pytest.raises(ActionError) as err:
+        HomologyTable(cx, D3)
+    assert str(err.value) == (f"prepend by {a!r} is not a chain map at degree 1, pair "
+                              f"{(s, e)}: witness {cx.bases[(1, s, e)][0]!r}")
+
+
+def test_corrupted_morphism_map_names_degree_pair_and_chain(D2, cxd2, monkeypatch):
+    import dirhom.homology as H
+    real = H._basis_map
+
+    def corrupted(field, images, index, signs=None):
+        m = real(field, images, index, signs)
+        if images and images[0].degree == 1:    # drop the image of the first square
+            return Matrix.zeros(field, m.rows, m.cols)
+        return m
+
+    monkeypatch.setattr(H, "_basis_map", corrupted)
+    with pytest.raises(ActionError, match=r"morphism-induced map is not a chain map at "
+                       r"degree 1, pair \('00', '11'\): witness <"):
+        chain_map_of_morphism(PcMorphism.identity(D2), cxd2, cxd2)
+
+
+def test_cohomology_runs_no_elimination_on_an_empty_matrix(monkeypatch):
+    import dirhom.exactla as la
+    from dirhom.exactla import kernel_basis
+    d4 = dh.directed_disc(4)
+    cx = build_complex(d4)
+    dual = cochain_dual(cx)
+    keys = [(i, s, e) for s in d4.vertices for e in d4.vertices
+            for i in range(cx.top_degree + 1)]
+    # dim ker delta^i - rank delta^(i-1), eliminating whatever the shape
+    expected = {(i, s, e): 0 if not cx.dim(i, (s, e)) else
+                kernel_basis(dual.coboundary(i, (s, e))).dim
+                - (rank(dual.coboundary(i - 1, (s, e))) if i else 0) for i, s, e in keys}
+    calls, empty = [], []
+    real = la._eliminate
+
+    def counted(rows, order, p):
+        order = list(order)
+        calls.append(1)
+        if not rows or not order:
+            empty.append(1)
+        return real(rows, order, p)
+
+    monkeypatch.setattr(la, "_eliminate", counted)
+    assert {k: dual.cohomology_dim(*k) for k in keys} == expected
+    assert calls and not empty
+
+
+def test_chain_map_checks_run_no_matrix_product(D2, S1, td2, cxd2, monkeypatch):
+    from dirhom.scalars import extend_subcomplex
+    span = extend_subcomplex(cxd2, frozenset(S1.all_cells()))
+    calls = []
+    real = Matrix.__matmul__
+    monkeypatch.setattr(Matrix, "__matmul__", lambda a, b: calls.append(1) or real(a, b))
+    td2._verify_actions_are_chain_maps()
+    chain_map_of_morphism(PcMorphism.identity(D2), cxd2, cxd2)
+    span.check_chain_map(span.inclusion_matrix, span, cxd2)
+    assert not calls
+    Matrix.identity(QQ, 1) @ Matrix.identity(QQ, 1)
+    assert calls    # the counter sees a product

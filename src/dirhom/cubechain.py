@@ -33,7 +33,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dataclass_field
 from typing import Iterator, Mapping, Sequence
 
-from .exactla import FieldError, Matrix, QQ, _modulus
+from .exactla import FieldError, Matrix, QQ, _modulus, _neg
 from .precubical import PrecubicalSet, TensorSet
 
 
@@ -75,6 +75,14 @@ class CubeChain:
     def image(self, f) -> "CubeChain":
         """The chain of the images of the cubes under a cell map f."""
         return CubeChain(f(self.src), f(self.dst), tuple(f(c) for c in self.cubes), self.dims)
+
+    def prepended(self, edge: str, src: str) -> "CubeChain":
+        """The chain with the edge src -> self.src glued in front."""
+        return CubeChain(src, self.dst, (edge,) + self.cubes, (1,) + self.dims)
+
+    def appended(self, edge: str, dst: str) -> "CubeChain":
+        """The chain with the edge self.dst -> dst glued at the end."""
+        return CubeChain(self.src, dst, self.cubes + (edge,), self.dims + (1,))
 
     def __repr__(self) -> str:
         inner = ",".join(self.cubes) if self.cubes else f"@{self.src}"
@@ -298,7 +306,8 @@ class GradedComplex:
     Pair keys are opaque sortable objects; for cube-chain complexes they are
     (src, dst) vertex pairs.  Differentials map degree i to degree i-1 inside
     one pair component.  ``d . d = 0`` is asserted at construction by callers
-    via `check_boundary_square`.
+    via `check_boundary_square`.  `components_with_chains` lists the sorted
+    (degree, pair) keys of nonzero dimension.
     """
 
     def __init__(self, field, top_degree: int,
@@ -310,6 +319,7 @@ class GradedComplex:
         self._diffs = dict(diffs)
         self._zeros: dict[tuple[int, int], Matrix] = {}    # by shape
         self._pairs = sorted({k[1] for k in self._dims})
+        self.components_with_chains = sorted(k for k, n in self._dims.items() if n)
 
     def pairs(self) -> list:
         return list(self._pairs)
@@ -370,6 +380,18 @@ class PairGradedComplex(GradedComplex):
     def _basis_name(self, i: int, pair, j: int) -> str:
         return repr(self.bases[(i, *pair)][j])
 
+    def left_action_chain(self, edge: str, i: int, pair) -> Matrix:
+        """C_i(s, e) -> C_i(s', e): prepend the edge s' -> s to every chain."""
+        s2 = self.x.edge_source(edge)
+        images = [c.prepended(edge, s2) for c in self.bases.get((i, *pair), ())]
+        return _basis_map(self.field, images, self.index.get((i, s2, pair[1]), {}))
+
+    def right_action_chain(self, edge: str, i: int, pair) -> Matrix:
+        """C_i(s, e) -> C_i(s, e'): append the edge e -> e' to every chain."""
+        e2 = self.x.edge_target(edge)
+        images = [c.appended(edge, e2) for c in self.bases.get((i, *pair), ())]
+        return _basis_map(self.field, images, self.index.get((i, pair[0], e2), {}))
+
     def chain_index(self, chain: CubeChain) -> int:
         key = (chain.degree, chain.src, chain.dst)
         try:
@@ -395,16 +417,23 @@ class BasisSubcomplex(GradedComplex):
 
     ``kept[(i, pair)]`` lists ascending positions in the ambient basis of the
     (i, pair) component.  The differential is the ambient one read on the
-    kept elements, ``projection(i-1) @ ambient.diff(i) @ inclusion_matrix(i)``:
-    a subcomplex when the inclusion is a chain map and a quotient when the
+    kept elements, ``projection(i-1) @ ambient.diff(i) @ inclusion_matrix(i)``,
+    taken by re-indexing the kept rows and columns with no product: a
+    subcomplex when the inclusion is a chain map and a quotient when the
     projection is, which `check_chain_map` asserts for the one meant.
     """
 
     def __init__(self, ambient: GradedComplex, kept: dict[tuple[int, object], list[int]]):
         self.ambient = ambient
         self.kept = kept
-        diffs = {(i, pair): self.projection(i - 1, pair) @ ambient.diff(i, pair)
-                 @ self.inclusion_matrix(i, pair) for i, pair in kept if i >= 1}
+        diffs = {}
+        for (i, pair), cols in kept.items():
+            if i >= 1:
+                at = {c: k for k, c in enumerate(cols)}
+                d = ambient.diff(i, pair)._rows
+                rows = [{at[c]: a for c, a in d[r].items() if c in at}
+                        for r in kept.get((i - 1, pair), ())]
+                diffs[(i, pair)] = Matrix._of(ambient.field, len(rows), len(cols), rows)
         super().__init__(ambient.field, ambient.top_degree,
                          {k: len(v) for k, v in kept.items()}, diffs)
         self.check_boundary_square()
@@ -458,47 +487,57 @@ def _basis_map(field, images: Sequence, index: Mapping,
         {} if j is None else {j: sign} for j, sign in zip(targets, signs)])
 
 
-def _unit_targets(m: Matrix) -> list[int | None]:
-    """The row of the one entry of each column of a 0/1 basis map, None for
-    a zero column; raises ChainError on an entry other than 1 or on a second
-    entry in a column."""
+def _unit_targets(m: Matrix) -> tuple[list[int | None], set[int]]:
+    """The row of the one entry of each column of a 0/+-1 basis map, None for
+    a zero column, and the set of columns whose entry is -1; raises
+    ChainError on any other entry or on a second entry in a column."""
+    minus = _neg(1, _modulus(m.field))
     targets: list[int | None] = [None] * m.cols
+    negated: set[int] = set()
     for i, row in enumerate(m._rows):
         for j, a in row.items():
-            if a != 1 or targets[j] is not None:
+            if (a != 1 and a != minus) or targets[j] is not None:
                 raise ChainError(f"column {j} of a {m.rows}x{m.cols} map is neither 0 "
-                                 "nor a unit vector")
+                                 "nor a signed unit vector")
             targets[j] = i
-    return targets
+            if a != 1:
+                negated.add(j)
+    return targets, negated
 
 
 def _chain_map_witness(target_dt: Matrix, p: Matrix, q: Matrix,
                        source_dt: Matrix) -> int | None:
-    """Decide ``d' @ p == q @ d`` for 0/1 basis maps p (degree i) and q
+    """Decide ``d' @ p == q @ d`` for 0/+-1 basis maps p (degree i) and q
     (degree i-1) by re-indexing, with no matrix product: None when the two
     sides agree, else the first column j where they differ.
 
     `target_dt` and `source_dt` are the transposes of d' and d, so their rows
     are the columns of the differentials.  Column j of ``d' @ p`` is column
-    p(j) of d'.  ``q @ d`` renames the rows of d by q; entries that land on
-    one row add, since q need not be injective.  Every entry is compared.
+    p(j) of d', negated where p has -1.  ``q @ d`` renames the rows of d by
+    q, negating those q sends to -1; entries that land on one row add, since
+    q need not be injective.  Every entry is compared.
     """
     if (p.rows, q.rows, p.cols, q.cols) != (target_dt.rows, target_dt.cols,
                                             source_dt.rows, source_dt.cols):
         raise FieldError("shape mismatch in a chain-map check")
-    p_of, q_of = _unit_targets(p), _unit_targets(q)
+    (p_of, p_neg), (q_of, q_neg) = _unit_targets(p), _unit_targets(q)
     mod = _modulus(p.field)
     for j, col in enumerate(source_dt._rows):
         renamed: dict = {}
         for r, a in col.items():
             t = q_of[r]
             if t is not None:
+                if r in q_neg:
+                    a = _neg(a, mod)
                 renamed[t] = renamed[t] + a if t in renamed else a
         if len(renamed) < len(col):
             # entries that met on one row were summed: drop zeros, reduce mod p
             renamed = ({t: v for t, a in renamed.items() if (v := a % mod)} if mod
                        else {t: a for t, a in renamed.items() if a})
-        if renamed != (target_dt._rows[p_of[j]] if p_of[j] is not None else {}):
+        image = target_dt._rows[p_of[j]] if p_of[j] is not None else {}
+        if j in p_neg:
+            image = {t: _neg(a, mod) for t, a in image.items()}
+        if renamed != image:
             return j
     return None
 

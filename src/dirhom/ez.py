@@ -21,23 +21,23 @@ product X (x) Y:
 Both are chain maps, their composite separating . interleave is the
 identity on pure tensors, and on homology they are mutually inverse and
 compatible with the path-algebra actions through the componentwise algebra
-comparison.  All of this is machine-verified by `tensor_comparison_report`.
+comparison.  All of this is machine-verified by `tensor_comparison_report`,
+which reads homology and edge actions from one `HomologyTable` per side, so
+the edge actions of both complexes are asserted chain maps, with witnesses.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
+from functools import cached_property
 
 from .exactla import Matrix, QQ
 from .precubical import PcMorphism, PrecubicalSet, TensorSet, tensor, tensor_morphism
 from .cubechain import (
     ChainError, CubeChain, GradedComplex, PairGradedComplex, _basis_map, _boundary_terms,
-    build_complex, project_shuffle,
+    _chain_map_witness, build_complex, project_shuffle,
 )
-from .homology import (
-    PairHomology, _append_matrix, _prepend_matrix, chain_map_of_morphism,
-    homology_of, induced_on_homology,
-)
+from .homology import HomologyTable, chain_map_of_morphism, homology_of
 
 
 class ComparisonError(AssertionError):
@@ -59,7 +59,7 @@ class TensorComplex(GradedComplex):
     def __init__(self, tx: TensorSet, cxa: PairGradedComplex, cxb: PairGradedComplex):
         if cxa.field is not cxb.field:
             raise ChainError("tensor factors must share the field")
-        self.tx = tx
+        self.tx = self.x = tx
         self.cxa = cxa
         self.cxb = cxb
         field = cxa.field
@@ -99,6 +99,10 @@ class TensorComplex(GradedComplex):
         super().__init__(field, top, dims, diffs)
         self.check_boundary_square()
 
+    def _basis_name(self, i: int, pair, j: int) -> str:
+        ca, cb = self.bases[(i, pair)][j]
+        return f"{ca!r} (x) {cb!r}"
+
     def tensor_index(self, n: int, pair, t: tuple[CubeChain, CubeChain]) -> int:
         try:
             return self.index[(n, pair)][t]
@@ -115,34 +119,23 @@ class TensorComplex(GradedComplex):
     # chain-level edge actions, mirrored from the factors
     def left_action_chain(self, edge: str, n: int, pair) -> Matrix:
         """Prepend a product edge on the appropriate tensor factor."""
-        tx = self.tx
-        u, v = tx.components(edge)
-        e = pair[1]
-        s2 = tx.edge_source(edge)
-        if tx.left.dim_of(u) == 1:
-            images = [(CubeChain(tx.left.edge_source(u), ca.dst,
-                                 (u,) + ca.cubes, (1,) + ca.dims), cb)
-                      for ca, cb in self.bases.get((n, pair), [])]
-        else:
-            images = [(ca, CubeChain(tx.right.edge_source(v), cb.dst,
-                                     (v,) + cb.cubes, (1,) + cb.dims))
-                      for ca, cb in self.bases.get((n, pair), [])]
-        return _basis_map(self.field, images, self.index.get((n, (s2, e)), {}))
+        tx, (u, v) = self.tx, self.tx.components(edge)
+        on_x = tx.left.dim_of(u) == 1
+        images = [(ca.prepended(u, tx.left.edge_source(u)), cb) if on_x
+                  else (ca, cb.prepended(v, tx.right.edge_source(v)))
+                  for ca, cb in self.bases.get((n, pair), [])]
+        return _basis_map(self.field, images,
+                          self.index.get((n, (tx.edge_source(edge), pair[1])), {}))
 
     def right_action_chain(self, edge: str, n: int, pair) -> Matrix:
-        tx = self.tx
-        u, v = tx.components(edge)
-        s = pair[0]
-        e2 = tx.edge_target(edge)
-        if tx.left.dim_of(u) == 1:
-            images = [(CubeChain(ca.src, tx.left.edge_target(u),
-                                 ca.cubes + (u,), ca.dims + (1,)), cb)
-                      for ca, cb in self.bases.get((n, pair), [])]
-        else:
-            images = [(ca, CubeChain(cb.src, tx.right.edge_target(v),
-                                     cb.cubes + (v,), cb.dims + (1,)))
-                      for ca, cb in self.bases.get((n, pair), [])]
-        return _basis_map(self.field, images, self.index.get((n, (s, e2)), {}))
+        """Append a product edge on the appropriate tensor factor."""
+        tx, (u, v) = self.tx, self.tx.components(edge)
+        on_x = tx.left.dim_of(u) == 1
+        images = [(ca.appended(u, tx.left.edge_target(u)), cb) if on_x
+                  else (ca, cb.appended(v, tx.right.edge_target(v)))
+                  for ca, cb in self.bases.get((n, pair), [])]
+        return _basis_map(self.field, images,
+                          self.index.get((n, (pair[0], tx.edge_target(edge))), {}))
 
 
 # -- the separating map -----------------------------------------------------------
@@ -316,15 +309,11 @@ class TensorSetting:
     cxb: PairGradedComplex
     cxp: PairGradedComplex
     tc: TensorComplex
-    _product_homology: dict[tuple[int, object], PairHomology] = dataclass_field(
-        default_factory=dict, repr=False)
 
-    def product_homology(self, n: int, pair) -> PairHomology:
-        """H_n of C(X(x)Y) at a pair, computed once for both reports."""
-        h = self._product_homology.get((n, pair))
-        if h is None:
-            h = self._product_homology[(n, pair)] = homology_of(self.cxp, n, pair)
-        return h
+    @cached_property
+    def product_table(self) -> HomologyTable:
+        """Homology and edge actions of C(X(x)Y), built once for both reports."""
+        return HomologyTable(self.cxp, self.tx)
 
     @classmethod
     def build(cls, x: PrecubicalSet, y: PrecubicalSet, field=QQ) -> "TensorSetting":
@@ -339,86 +328,67 @@ class TensorSetting:
 def tensor_comparison_report(x: PrecubicalSet, y: PrecubicalSet, field=QQ,
                              max_degree: int | None = None,
                              setting: TensorSetting | None = None) -> ComparisonReport:
-    """Machine-verify the comparison between C(X(x)Y) and C(X) (x) C(Y)."""
+    """Machine-verify the comparison between C(X(x)Y) and C(X) (x) C(Y).
+
+    Every check runs on the (degree, pair) components up to the top degree
+    that have chains on either side; on the others both sides are zero.
+    """
     st = setting or TensorSetting.build(x, y, field)
     tx, cxp, tc = st.tx, st.cxp, st.tc
     top = cxp.top_degree if max_degree is None else min(max_degree, cxp.top_degree)
+    hp, ht = st.product_table, HomologyTable(tc, tx)
+    keys = sorted({k for k in cxp.components_with_chains + tc.components_with_chains
+                   if k[0] <= top})
+    empty = Matrix.zeros(field, 0, 0)   # any map between components without chains
     failures: list[str] = []
-
-    sep: dict[tuple[int, object], Matrix] = {}
-    ilv: dict[tuple[int, object], Matrix] = {}
-    pairs = sorted(set(cxp.pairs()) | set(tc.pairs()))
-    for pair in pairs:
-        s, e = pair
-        for n in range(top + 1):
-            sep[(n, pair)] = separating_matrix(tx, cxp, tc, n, s, e)
-            ilv[(n, pair)] = interleaving_matrix(tx, tc, cxp, n, s, e)
+    sep = {(n, pair): separating_matrix(tx, cxp, tc, n, *pair) for n, pair in keys}
+    ilv = {(n, pair): interleaving_matrix(tx, tc, cxp, n, *pair) for n, pair in keys}
 
     chain_ok = True
-    for pair in pairs:
-        for n in range(1, top + 1):
-            if tc.diff(n, pair) @ sep[(n, pair)] != sep[(n - 1, pair)] @ cxp.diff(n, pair):
+    for n, pair in keys:
+        if not n:
+            continue
+        dp, dt = cxp.diff(n, pair).transpose(), tc.diff(n, pair).transpose()
+        for name, f, src, d_src, d_dst in (("separating", sep, cxp, dp, dt),
+                                           ("interleaving", ilv, tc, dt, dp)):
+            j = _chain_map_witness(d_dst, f[(n, pair)], f.get((n - 1, pair), empty), d_src)
+            if j is not None:
                 chain_ok = False
-                failures.append(f"separating map not a chain map at {n} {pair}")
-            if cxp.diff(n, pair) @ ilv[(n, pair)] != ilv[(n - 1, pair)] @ tc.diff(n, pair):
-                chain_ok = False
-                failures.append(f"interleaving map not a chain map at {n} {pair}")
+                failures.append(f"{name} map not a chain map at {n} {pair}: "
+                                f"witness {src._basis_name(n, pair, j)}")
 
     retract_ok = True
-    for pair in pairs:
-        for n in range(top + 1):
-            prod = sep[(n, pair)] @ ilv[(n, pair)]
-            if prod != Matrix.identity(field, prod.cols):
-                retract_ok = False
-                failures.append(f"separate.interleave != id at {n} {pair}")
+    for n, pair in keys:
+        prod = sep[(n, pair)] @ ilv[(n, pair)]
+        if prod != Matrix.identity(field, prod.cols):
+            retract_ok = False
+            failures.append(f"separate.interleave != id at {n} {pair}")
 
-    hp = {(n, pair): st.product_homology(n, pair) for pair in pairs for n in range(top + 1)}
-    ht = {(n, pair): homology_of(tc, n, pair) for pair in pairs for n in range(top + 1)}
-    sep_h: dict[tuple[int, object], Matrix] = {}
     ilv_h: dict[tuple[int, object], Matrix] = {}
     inverse_ok = True
-    for pair in pairs:
-        for n in range(top + 1):
-            a, b = hp[(n, pair)], ht[(n, pair)]
-            m1 = induced_on_homology(sep[(n, pair)], a, b)
-            m2 = induced_on_homology(ilv[(n, pair)], b, a)
-            sep_h[(n, pair)], ilv_h[(n, pair)] = m1, m2
-            if (m1 @ m2 != Matrix.identity(field, b.dim)
-                    or m2 @ m1 != Matrix.identity(field, a.dim)):
-                inverse_ok = False
-                failures.append(f"homology comparison not inverse at {n} {pair}")
+    for n, pair in keys:
+        k = (n, *pair)
+        m1 = hp._induced(lambda: sep[(n, pair)], k, ht, k)
+        m2 = ilv_h[(n, pair)] = ht._induced(lambda: ilv[(n, pair)], k, hp, k)
+        if (m1 @ m2 != Matrix.identity(field, ht.dim(*k))
+                or m2 @ m1 != Matrix.identity(field, hp.dim(*k))):
+            inverse_ok = False
+            failures.append(f"homology comparison not inverse at {n} {pair}")
 
     action_ok = True
-    for edge in tx.edges:
-        for pair in pairs:
-            s, e = pair
-            # left action: the edge must end at the source vertex s
-            if tx.edge_target(edge) == s:
-                s2 = tx.edge_source(edge)
-                for n in range(top + 1):
-                    if ht[(n, pair)].dim == 0 and hp[(n, pair)].dim == 0:
-                        continue
-                    tgt = (n, (s2, e))
-                    act_t = induced_on_homology(tc.left_action_chain(edge, n, pair),
-                                                ht[(n, pair)], ht[tgt])
-                    act_p = induced_on_homology(_prepend_matrix(cxp, edge, n, s, e),
-                                                hp[(n, pair)], hp[tgt])
-                    if ilv_h[tgt] @ act_t != act_p @ ilv_h[(n, pair)]:
-                        action_ok = False
-                        failures.append(f"left action of {edge} at {n} {pair}")
-            if tx.edge_source(edge) == e:
-                e2 = tx.edge_target(edge)
-                for n in range(top + 1):
-                    if ht[(n, pair)].dim == 0 and hp[(n, pair)].dim == 0:
-                        continue
-                    tgt = (n, (s, e2))
-                    act_t = induced_on_homology(tc.right_action_chain(edge, n, pair),
-                                                ht[(n, pair)], ht[tgt])
-                    act_p = induced_on_homology(_append_matrix(cxp, edge, n, s, e),
-                                                hp[(n, pair)], hp[tgt])
-                    if ilv_h[tgt] @ act_t != act_p @ ilv_h[(n, pair)]:
-                        action_ok = False
-                        failures.append(f"right action of {edge} at {n} {pair}")
+    into, out = tx.in_edges(), tx.out_edges()
+    for n, (s, e) in keys:
+        if not (hp.dim(n, s, e) or ht.dim(n, s, e)):
+            continue
+        acts = [("left", a, hp.left_action, ht.left_action, (tx.edge_source(a), e))
+                for a in into[s]]
+        acts += [("right", a, hp.right_action, ht.right_action, (s, tx.edge_target(a)))
+                 for a in out[e]]
+        for side, a, act_p, act_t, to in acts:
+            if (ilv_h.get((n, to), empty) @ act_t(a, n, s, e)
+                    != act_p(a, n, s, e) @ ilv_h[(n, (s, e))]):
+                action_ok = False
+                failures.append(f"{side} action of {a} at {n} {(s, e)}")
     return ComparisonReport(x.name, y.name, top, chain_ok, retract_ok,
                             inverse_ok, action_ok, failures)
 
@@ -453,12 +423,10 @@ def kunneth_report(x: PrecubicalSet, y: PrecubicalSet, field=QQ,
     identity is the entire statement here.
     """
     st = setting or TensorSetting.build(x, y, field)
-    tx, cxa, cxb, cxp = st.tx, st.cxa, st.cxb, st.cxp
+    tx, cxp, hp = st.tx, st.cxp, st.product_table
     top = cxp.top_degree if max_degree is None else min(max_degree, cxp.top_degree)
-    ha = {(i, pair): homology_of(cxa, i, pair).dim
-          for pair in cxa.pairs() for i in range(cxa.top_degree + 1)}
-    hb = {(i, pair): homology_of(cxb, i, pair).dim
-          for pair in cxb.pairs() for i in range(cxb.top_degree + 1)}
+    ha, hb = ({k: homology_of(cx, *k).dim for k in cx.components_with_chains}
+              for cx in (st.cxa, st.cxb))
     mismatches = []
     product_dims = {}
     factor_dims = {}
@@ -467,10 +435,9 @@ def kunneth_report(x: PrecubicalSet, y: PrecubicalSet, field=QQ,
         sx, sy = tx.components(s)
         ex, ey = tx.components(e)
         for n in range(top + 1):
-            left = st.product_homology(n, pair).dim
-            right = 0
-            for j in range(n + 1):
-                right += (ha.get((j, (sx, ex)), 0) * hb.get((n - j, (sy, ey)), 0))
+            left = hp.dim(n, s, e)
+            right = sum(ha.get((j, (sx, ex)), 0) * hb.get((n - j, (sy, ey)), 0)
+                        for j in range(n + 1))
             product_dims[(n, pair)] = left
             factor_dims[(n, pair)] = right
             if left != right:

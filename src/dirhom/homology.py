@@ -12,11 +12,14 @@ pull back.
 
 The bimodule structure is realized by edge actions: prepending an edge to
 every chain of a graded component (left action) or appending one (right
-action).  Both are chain maps on the nose, which is asserted when a table
-is built; well-definedness on homology follows.  The maps send basis chains
-to basis chains, so the assertion re-indexes the columns of the
-differentials instead of multiplying matrices, and it still compares every
-entry.
+action).  `HomologyTable` takes them from the complex's `left_action_chain`
+and `right_action_chain`, so one table serves the cube-chain complex of a
+set and the tensor complex of two factors (`ez.TensorComplex`) alike.  The
+actions are chain maps on the nose, which is asserted when a table is built;
+well-definedness on homology follows.  The maps send basis chains to basis
+chains, so the assertion re-indexes the columns of the differentials
+instead of multiplying matrices, it still compares every entry, and a
+failure names a witness basis element.
 """
 
 from __future__ import annotations
@@ -25,8 +28,8 @@ from dataclasses import dataclass, field as dataclass_field
 
 from .exactla import QQ, Matrix, Subspace, image_basis, kernel_basis, pivot_columns, rank
 from .cubechain import (
-    CubeChain, GradedComplex, PairGradedComplex, ChainError, _basis_map,
-    _chain_map_witness, build_complex,
+    GradedComplex, PairGradedComplex, ChainError, _basis_map, _chain_map_witness,
+    build_complex,
 )
 from .precubical import PcMorphism, PrecubicalSet, realization
 
@@ -102,7 +105,12 @@ def homology(cx: PairGradedComplex, i: int, src: str, dst: str) -> tuple[int, li
 
 
 class HomologyTable:
-    """Per-(degree, pair) homology of a cube-chain complex plus edge actions.
+    """Per-(degree, pair) homology of a complex plus the edge actions of a set.
+
+    The complex `cx` is graded by vertex pairs of `x`, whose edges act on
+    its basis through ``cx.left_action_chain`` and ``cx.right_action_chain``:
+    a cube-chain complex of x, or the tensor complex of two factors with x
+    their tensor set.
 
     ``left_action(a, i, s, e)`` is the matrix H_i(s, e) -> H_i(s', e) where
     the edge a runs s' -> s (prepend a); ``right_action(a, i, s, e)`` is
@@ -114,14 +122,14 @@ class HomologyTable:
     (degree, pair) has dimension 0 and zero action matrices.
     """
 
-    def __init__(self, cx: PairGradedComplex, x: PrecubicalSet):
+    def __init__(self, cx: GradedComplex, x: PrecubicalSet):
         if cx.x is not x:
             raise ChainError("table must be built from the complex of the same set")
         self.cx = cx
         self.x = x
         self.field = cx.field
         self.entries: dict[tuple[int, str, str], PairHomology] = {
-            (i, s, e): homology_of(cx, i, (s, e)) for (i, s, e) in sorted(cx.bases)}
+            (i, *pair): homology_of(cx, i, pair) for i, pair in cx.components_with_chains}
         self._chain_left: dict[tuple[str, int, str, str], Matrix] = {}
         self._chain_right: dict[tuple[str, int, str, str], Matrix] = {}
         self._verify_actions_are_chain_maps()
@@ -131,13 +139,13 @@ class HomologyTable:
     def _prepend_matrix(self, a: str, i: int, s: str, e: str) -> Matrix:
         m = self._chain_left.get((a, i, s, e))
         if m is None:
-            m = self._chain_left[(a, i, s, e)] = _prepend_matrix(self.cx, a, i, s, e)
+            m = self._chain_left[(a, i, s, e)] = self.cx.left_action_chain(a, i, (s, e))
         return m
 
     def _append_matrix(self, a: str, i: int, s: str, e: str) -> Matrix:
         m = self._chain_right.get((a, i, s, e))
         if m is None:
-            m = self._chain_right[(a, i, s, e)] = _append_matrix(self.cx, a, i, s, e)
+            m = self._chain_right[(a, i, s, e)] = self.cx.right_action_chain(a, i, (s, e))
         return m
 
     def _verify_actions_are_chain_maps(self) -> None:
@@ -145,31 +153,21 @@ class HomologyTable:
         out-edge of e commute with the differentials, for every component
         C_i(s, e) with chains and i >= 1."""
         cx, x = self.cx, self.x
-        into: dict[str, list[str]] = {v: [] for v in x.vertices}
-        for a in x.edges:
-            into[x.edge_target(a)].append(a)
-        out = x.out_edges()
-        transposed: dict[tuple[int, tuple[str, str]], Matrix] = {}
-
-        def dt(i: int, pair: tuple[str, str]) -> Matrix:
-            m = transposed.get((i, pair))
-            if m is None:
-                m = transposed[(i, pair)] = cx.diff(i, pair).transpose()
-            return m
-
-        for (i, s, e) in sorted(cx.bases):
-            if not i:
-                continue
+        into, out = x.in_edges(), x.out_edges()
+        # each differential transposed once; an edge action sends a component
+        # with chains into one with chains, so every target is here too
+        dt = {k: cx.diff(*k).transpose() for k in cx.components_with_chains if k[0]}
+        for i, (s, e) in dt:
             checks = [("prepend", a, self._prepend_matrix, (x.edge_source(a), e))
                       for a in into[s]]
             checks += [("append", a, self._append_matrix, (s, x.edge_target(a)))
                        for a in out[e]]
             for side, a, chain_map, to in checks:
-                j = _chain_map_witness(dt(i, to), chain_map(a, i, s, e),
-                                       chain_map(a, i - 1, s, e), dt(i, (s, e)))
+                j = _chain_map_witness(dt[(i, to)], chain_map(a, i, s, e),
+                                       chain_map(a, i - 1, s, e), dt[(i, (s, e))])
                 if j is not None:
                     raise ActionError(f"{side} by {a!r} is not a chain map at degree {i}, "
-                                      f"pair {(s, e)}: witness {cx.bases[(i, s, e)][j]!r}")
+                                      f"pair {(s, e)}: witness {cx._basis_name(i, (s, e), j)}")
 
     # -- homology-level interface -------------------------------------------
 
@@ -185,22 +183,25 @@ class HomologyTable:
         """H_i(s, e) -> H_i(s', e) for the edge a : s' -> s."""
         if self.x.edge_target(a) != s:
             raise ChainError(f"edge {a!r} does not end at {s!r}")
-        return self._action(self._prepend_matrix, a, i, s, e, (i, self.x.edge_source(a), e))
+        return self._induced(lambda: self._prepend_matrix(a, i, s, e), (i, s, e),
+                             self, (i, self.x.edge_source(a), e))
 
     def right_action(self, a: str, i: int, s: str, e: str) -> Matrix:
         """H_i(s, e) -> H_i(s, e') for the edge a : e -> e'."""
         if self.x.edge_source(a) != e:
             raise ChainError(f"edge {a!r} does not start at {e!r}")
-        return self._action(self._append_matrix, a, i, s, e, (i, s, self.x.edge_target(a)))
+        return self._induced(lambda: self._append_matrix(a, i, s, e), (i, s, e),
+                             self, (i, s, self.x.edge_target(a)))
 
-    def _action(self, chain_map, a: str, i: int, s: str, e: str, to: tuple) -> Matrix:
-        """The map on homology of ``chain_map(a, i, s, e)`` into the component
-        `to`: a zero matrix, with no chain map built, when the source has no
-        classes or either side has no chains."""
-        src, dst = self.entries.get((i, s, e)), self.entries.get(to)
+    def _induced(self, chain_map, key: tuple, target: "HomologyTable", to: tuple) -> Matrix:
+        """The map on homology of the chain map ``chain_map()`` from component
+        `key` (degree, s, e) of this table into component `to` of `target`: a
+        zero matrix, with no chain map built, when the source has no classes
+        or either side has no chains."""
+        src, dst = self.entries.get(key), target.entries.get(to)
         if src is None or dst is None or not src.dim:
             return self.cx._zero(0 if dst is None else dst.dim, 0 if src is None else src.dim)
-        return induced_on_homology(chain_map(a, i, s, e), src, dst)
+        return induced_on_homology(chain_map(), src, dst)
 
     def left_path_action(self, path: tuple[str, ...], i: int, s: str, e: str) -> Matrix:
         """Composite left action of an edge path ending at s."""
@@ -221,20 +222,6 @@ class HomologyTable:
 
 
 # -- chain maps and the maps they induce -------------------------------------------
-
-
-def _prepend_matrix(cx: PairGradedComplex, a: str, i: int, s: str, e: str) -> Matrix:
-    """C_i(s, e) -> C_i(s', e): prepend the edge a : s' -> s to every chain."""
-    s2 = cx.x.edge_source(a)
-    return _basis_map(cx.field, [CubeChain(s2, e, (a,) + c.cubes, (1,) + c.dims)
-                                 for c in cx.basis(i, s, e)], cx.index.get((i, s2, e), {}))
-
-
-def _append_matrix(cx: PairGradedComplex, a: str, i: int, s: str, e: str) -> Matrix:
-    """C_i(s, e) -> C_i(s, e'): append the edge a : e -> e' to every chain."""
-    e2 = cx.x.edge_target(a)
-    return _basis_map(cx.field, [CubeChain(s, e2, c.cubes + (a,), c.dims + (1,))
-                                 for c in cx.basis(i, s, e)], cx.index.get((i, s, e2), {}))
 
 
 def induced_on_homology(chain_map: Matrix, src: PairHomology, dst: PairHomology) -> Matrix:

@@ -153,12 +153,17 @@ class PrecubicalSet:
     # -- the vertex-edge digraph ------------------------------------------
 
     def out_edges(self) -> dict[str, list[str]]:
-        out: dict[str, list[str]] = {v: [] for v in self.vertices}
-        for e in self.edges:
-            out[self.edge_source(e)].append(e)
-        for v in out:
-            out[v].sort()
-        return out
+        return self._edges_at(self.edge_source)
+
+    def in_edges(self) -> dict[str, list[str]]:
+        return self._edges_at(self.edge_target)
+
+    def _edges_at(self, end) -> dict[str, list[str]]:
+        """The sorted edges at each vertex v with ``end(edge) == v``."""
+        at: dict[str, list[str]] = {v: [] for v in self.vertices}
+        for e in sorted(self.edges):
+            at[end(e)].append(e)
+        return at
 
     def topological_order(self) -> list[str] | None:
         """Vertices in a topological order of the edge digraph, or None."""

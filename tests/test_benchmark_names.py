@@ -76,3 +76,29 @@ def test_table_init_spans_the_action_check(monkeypatch):
     assert t0 <= ran[0][0] and ran[0][1] <= t1
     children = [span for span in spans if span[0] == "homology.homology_of"]
     assert children and all(span[3] == tables[0] for span in children)
+
+
+def test_comparison_tables_nest_in_the_comparison_span():
+    """`ez.comparison_s` times the comparison, which builds both homology
+    tables, and `ez.setting_s` times `TensorSetting.build`."""
+    sys.path.insert(0, str(BENCH))
+    try:
+        from tracer import Tracer
+    finally:
+        sys.path.remove(str(BENCH))
+    tracer = Tracer()
+    tracer.install()
+    try:
+        d2, s1 = dh.directed_disc(2), dh.directed_sphere(1)
+        st = dh.TensorSetting.build(d2, s1)
+        assert dh.tensor_comparison_report(d2, s1, setting=st).all_ok
+        assert dh.kunneth_report(d2, s1, setting=st).identity_holds
+    finally:
+        tracer.uninstall()
+    names = [tracer.names[span[0]] for span in tracer.spans]
+    assert {"ez.tensor_comparison_report", "ez.kunneth_report",
+            "ez.TensorSetting.build"} <= set(names)
+    comparison = names.index("ez.tensor_comparison_report")
+    tables = [span for name, span in zip(names, tracer.spans)
+              if name == "homology.HomologyTable.__init__"]
+    assert len(tables) == 2 and all(span[3] == comparison for span in tables)

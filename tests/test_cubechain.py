@@ -319,16 +319,19 @@ def test_basis_map_columns_and_missing_image():
 @st.composite
 def chain_map_squares(draw):
     """(d', p, q, d) for ``d' @ p ?= q @ d``: a random sparse d : C_1 -> C_0,
-    random 0/1 maps p : C_1 -> C'_1 and q : C_0 -> C'_0 with zero columns
+    random 0/+-1 maps p : C_1 -> C'_1 and q : C_0 -> C'_0 with zero columns
     and shared targets, and a d' that copies the columns of q @ d that p
-    sends it, or some of them, with one entry perhaps changed afterwards."""
+    sends it, times p's sign, or some of them, with one entry perhaps
+    changed afterwards."""
     field = draw(st.sampled_from([QQ, PrimeField(7)]))
     n0, n1, m0, m1 = (draw(st.integers(0, 5)) for _ in range(4))
     entry = st.sampled_from([0, 0, 0, 1, -1, 2, 6])
 
     def unit_map(rows, cols):
         target = st.none() if not rows else st.one_of(st.none(), st.integers(0, rows - 1))
-        return Matrix.unit_columns(field, rows, [draw(target) for _ in range(cols)])
+        return Matrix.from_sparse_columns(field, rows, [
+            {} if t is None else {t: draw(st.sampled_from([1, -1]))}
+            for t in (draw(target) for _ in range(cols))])
 
     d = Matrix.from_rows(field, [[draw(entry) for _ in range(n1)] for _ in range(n0)], cols=n1)
     p, q = unit_map(m1, n1), unit_map(m0, n0)
@@ -337,7 +340,8 @@ def chain_map_squares(draw):
     for j in range(n1):
         hit = [k for k in range(m1) if p.entry(k, j)]
         if hit and draw(st.booleans()):
-            cols[hit[0]] = list(qd.column(j))
+            # p's entry is its own inverse, +1 or -1
+            cols[hit[0]] = [p.entry(hit[0], j) * a for a in qd.column(j)]
     if m0 and m1 and draw(st.booleans()):
         k, r = draw(st.integers(0, m1 - 1)), draw(st.integers(0, m0 - 1))
         cols[k][r] = draw(entry)
@@ -366,6 +370,20 @@ class TestReindexedChainMapCheck:
             assert _chain_map_witness(zero.transpose(), p, q, d.transpose()) is None
             one = Matrix.from_rows(field, [[1]])
             assert _chain_map_witness(one.transpose(), p, q, d.transpose()) == 0
+
+    def test_minus_one_is_p_minus_1_over_a_prime_field(self):
+        # over F_7 the entry -1 of a map is stored as 6
+        f7 = PrimeField(7)
+        d = Matrix.from_rows(f7, [[1, 3]])
+        minus1, minus2 = Matrix.from_rows(f7, [[-1]]), -Matrix.identity(f7, 2)
+        assert minus1.entry(0, 0) == f7.of(6)
+        assert _chain_map_witness(d.transpose(), minus2, minus1, d.transpose()) is None
+        assert _chain_map_witness(d.transpose(), Matrix.identity(f7, 2), minus1,
+                                  d.transpose()) == 0
+        # a signed permutation p, with d' = d @ p^-1 = d @ p^T
+        p = Matrix.from_sparse_columns(f7, 2, [{1: -1}, {0: 1}])
+        assert _chain_map_witness((d @ p.transpose()).transpose(), p,
+                                  Matrix.identity(f7, 1), d.transpose()) is None
 
     def test_rejects_a_map_that_is_not_0_1(self):
         d = Matrix.from_rows(QQ, [[1]])

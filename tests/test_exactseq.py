@@ -6,7 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 import dirhom as dh
 from dirhom import cubechain, exactla
-from dirhom.cubechain import BasisSubcomplex, ChainError, DirectedCycleError, build_complex
+from dirhom.cubechain import (
+    BasisSubcomplex, ChainError, DirectedCycleError, GradedComplex, build_complex,
+)
 from dirhom.exactla import (
     Matrix, PrimeField, QQ, image_basis, induced_on_quotient, quotient_map, rank,
 )
@@ -205,6 +207,48 @@ class TestBasisQuotients:
                   for _ in range(2))
         field = data.draw(st.sampled_from([QQ, PrimeField(7)]))
         assert_quotients_match_reference(x, y1, y2, field)
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "F7"])
+    @pytest.mark.parametrize("x,y1,y2", cover_cases())
+    def test_differentials_are_the_ambient_ones_on_kept_elements(self, x, y1, y2, field):
+        # read by re-indexing, they equal projection @ ambient diff @ inclusion
+        cx = build_complex(x, None, field)
+        span1 = extend_subcomplex(cx, y1)
+        span12 = extend_subcomplex(cx, y1 & y2)
+        for sc in (span1, span12, QuotientComplex(cx, span1), _LeftQuotient(span1, span12, field)):
+            for i, pair in sc.kept:
+                if i >= 1:
+                    assert sc.diff(i, pair) == (sc.projection(i - 1, pair)
+                                                @ sc.ambient.diff(i, pair)
+                                                @ sc.inclusion_matrix(i, pair))
+
+    def test_construction_multiplies_only_in_the_boundary_check(self, monkeypatch):
+        # D4 has chains up to degree 3, so the d.d checks do multiply
+        d4 = dh.directed_disc(4)
+        cx = build_complex(d4)
+        s3 = frozenset(dh.directed_sphere(3).all_cells())
+        span1 = extend_subcomplex(cx, s3)
+        span12 = extend_subcomplex(cx, s3 & dh.face_closure(d4, ["0aaa"]))
+        calls = Counter()
+        inside: list = []
+        matmul, check = Matrix.__matmul__, GradedComplex.check_boundary_square
+
+        def counted(a, b):
+            calls["d.d" if inside else "outside"] += 1
+            return matmul(a, b)
+
+        def checked(self):
+            inside.append(self)
+            try:
+                check(self)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(Matrix, "__matmul__", counted)
+        monkeypatch.setattr(GradedComplex, "check_boundary_square", checked)
+        QuotientComplex(cx, span1)
+        _LeftQuotient(span1, span12, QQ)
+        assert calls["outside"] == 0 and calls["d.d"] > 0
 
     def test_construction_eliminates_nothing(self, monkeypatch):
         x, left, right = make_strip4()

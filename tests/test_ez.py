@@ -6,7 +6,7 @@ from dirhom.cubechain import (
     build_complex, chain_catalog, empty_chain, make_chain,
 )
 from dirhom.exactla import Matrix, QQ
-from dirhom.homology import homology_of
+from dirhom.homology import ActionError, homology_of
 from dirhom.precubical import PcMorphism, SubsetSpec, sub, tensor
 from dirhom.ez import (
     ChainError, TensorComplex, TensorSetting, comparison_naturality_check,
@@ -182,7 +182,6 @@ class TestComparisonReport:
 
     def test_separating_map_action_compatible_at_chain_level(self, kk):
         # on pure chains the separating map respects prepending an edge
-        from dirhom.ez import _prepend_matrix
         tx, cxp, tc = kk.tx, kk.cxp, kk.tc
         for edge in tx.edges:
             s = tx.edge_target(edge)
@@ -193,9 +192,57 @@ class TestComparisonReport:
                 s2 = tx.edge_source(edge)
                 sep_src = separating_matrix(tx, cxp, tc, 0, s, e)
                 sep_dst = separating_matrix(tx, cxp, tc, 0, s2, e)
-                act_p = _prepend_matrix(cxp, edge, 0, s, e)
+                act_p = cxp.left_action_chain(edge, 0, pair)
                 act_t = tc.left_action_chain(edge, 0, pair)
                 assert sep_dst @ act_p == act_t @ sep_src
+
+
+    def test_flipped_separation_sign_fails_the_chain_map_check(self, D2, monkeypatch):
+        import dirhom.ez as ez
+        st = TensorSetting.build(D2, D2)
+        flipped = make_chain(st.tx, ["(00,aa)"])
+        real = ez.separation_sign
+        monkeypatch.setattr(ez, "separation_sign",
+                            lambda tx, c: -real(tx, c) if c == flipped else real(tx, c))
+        rep = tensor_comparison_report(D2, D2, setting=st)
+        assert not rep.chain_maps_ok
+        pair = (flipped.src, flipped.dst)
+        assert (f"separating map not a chain map at 1 {pair}: witness <(00,aa)>"
+                in rep.failures)
+
+    def test_corrupted_tensor_action_names_edge_degree_pair_and_pure_tensor(
+            self, D2, monkeypatch):
+        st = TensorSetting.build(D2, D2)
+        into = st.tx.in_edges()
+        # the first degree-1 component with an in-edge at its source
+        (n, pair), a = next((k, a) for k in st.tc.components_with_chains if k[0] == 1
+                            for a in into[k[1][0]])
+        real = TensorComplex.left_action_chain
+
+        def corrupted(tc, edge, i, pair_):
+            m = real(tc, edge, i, pair_)
+            return Matrix.zeros(m.field, m.rows, m.cols) if (edge, i, pair_) == (a, n, pair) else m
+
+        monkeypatch.setattr(TensorComplex, "left_action_chain", corrupted)
+        with pytest.raises(ActionError) as err:
+            tensor_comparison_report(D2, D2, setting=st)
+        ca, cb = st.tc.bases[(n, pair)][0]
+        assert str(err.value) == (f"prepend by {a!r} is not a chain map at degree 1, pair "
+                                  f"{pair}: witness {ca!r} (x) {cb!r}")
+
+    def test_chain_map_checks_multiply_no_differential(self, D2, D3, monkeypatch):
+        st = TensorSetting.build(D2, D3)
+        operands = []
+        matmul = Matrix.__matmul__
+
+        def recorded(a, b):
+            operands.extend((a, b))
+            return matmul(a, b)
+
+        monkeypatch.setattr(Matrix, "__matmul__", recorded)
+        assert tensor_comparison_report(D2, D3, setting=st).all_ok
+        diffs = {id(m) for cx in (st.cxp, st.tc) for m in cx._diffs.values()}
+        assert operands and not any(id(m) in diffs for m in operands)
 
 
 class TestSeparationSign:
@@ -281,7 +328,7 @@ class TestKunneth:
 
     def test_product_homology_computed_once(self, S1, monkeypatch):
         # both reports on one setting read the same product-complex homology
-        import dirhom.ez as ez
+        import dirhom.homology as H
         st = TensorSetting.build(S1, S1)
         keys = []
 
@@ -290,10 +337,33 @@ class TestKunneth:
                 keys.append((n, pair))
             return homology_of(cx, n, pair)
 
-        monkeypatch.setattr(ez, "homology_of", counted)
+        monkeypatch.setattr(H, "homology_of", counted)
         assert tensor_comparison_report(S1, S1, setting=st).all_ok
         assert kunneth_report(S1, S1, setting=st).identity_holds
         assert keys and len(keys) == len(set(keys))
+
+
+    def test_each_component_with_chains_computed_once(self, D2, D3, monkeypatch):
+        # the comparison and the report read C(X(x)Y) from one shared table
+        import dirhom.ez as ez
+        import dirhom.homology as H
+        st = TensorSetting.build(D2, D3)
+        names = {id(st.cxp): "cxp", id(st.tc): "tc", id(st.cxa): "cxa", id(st.cxb): "cxb"}
+        calls = []
+
+        def counted(cx, n, pair):
+            calls.append((names[id(cx)], n, pair))
+            return homology_of(cx, n, pair)
+
+        monkeypatch.setattr(H, "homology_of", counted)
+        monkeypatch.setattr(ez, "homology_of", counted)
+        assert tensor_comparison_report(D2, D3, setting=st).all_ok
+        assert kunneth_report(D2, D3, setting=st).identity_holds
+        for cx in (st.cxp, st.tc, st.cxa, st.cxb):
+            assert len(cx.components_with_chains) == len(cx.bases)
+        assert sorted(calls) == sorted((names[id(cx)], n, pair)
+                                       for cx in (st.cxp, st.tc, st.cxa, st.cxb)
+                                       for n, pair in cx.components_with_chains)
 
 
 class TestObstructionReport:

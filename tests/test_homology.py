@@ -1,7 +1,7 @@
 import pytest
 
 import dirhom as dh
-from dirhom.cubechain import ChainError, build_complex
+from dirhom.cubechain import ChainError, PairGradedComplex, build_complex
 from dirhom.exactla import Matrix, PrimeField, QQ, Subspace, rank
 from dirhom.homology import (
     ActionError, HomologyTable, acyclicity_check, chain_map_of_morphism, cochain_dual,
@@ -396,16 +396,15 @@ def _first_prepend(x, cx):
 
 
 def test_corrupted_prepend_map_names_edge_degree_pair_and_chain(D3, monkeypatch):
-    import dirhom.homology as H
     cx = build_complex(D3)
     a, s, e = _first_prepend(D3, cx)
-    real = H._prepend_matrix
+    real = PairGradedComplex.left_action_chain
 
-    def corrupted(cx_, a_, i, s_, e_):
-        m = real(cx_, a_, i, s_, e_)
-        return Matrix.zeros(m.field, m.rows, m.cols) if (a_, i, s_, e_) == (a, 1, s, e) else m
+    def corrupted(cx_, a_, i, pair):
+        m = real(cx_, a_, i, pair)
+        return Matrix.zeros(m.field, m.rows, m.cols) if (a_, i, pair) == (a, 1, (s, e)) else m
 
-    monkeypatch.setattr(H, "_prepend_matrix", corrupted)
+    monkeypatch.setattr(PairGradedComplex, "left_action_chain", corrupted)
     with pytest.raises(ActionError) as err:
         HomologyTable(cx, D3)
     assert str(err.value) == (f"prepend by {a!r} is not a chain map at degree 1, pair "

@@ -418,7 +418,7 @@ class BasisSubcomplex(GradedComplex):
     ``kept[(i, pair)]`` lists ascending positions in the ambient basis of the
     (i, pair) component.  The differential is the ambient one read on the
     kept elements, ``projection(i-1) @ ambient.diff(i) @ inclusion_matrix(i)``,
-    taken by re-indexing the kept rows and columns with no product: a
+    read as the block of kept rows and columns with no product: a
     subcomplex when the inclusion is a chain map and a quotient when the
     projection is, which `check_chain_map` asserts for the one meant.
     """
@@ -426,14 +426,8 @@ class BasisSubcomplex(GradedComplex):
     def __init__(self, ambient: GradedComplex, kept: dict[tuple[int, object], list[int]]):
         self.ambient = ambient
         self.kept = kept
-        diffs = {}
-        for (i, pair), cols in kept.items():
-            if i >= 1:
-                at = {c: k for k, c in enumerate(cols)}
-                d = ambient.diff(i, pair)._rows
-                rows = [{at[c]: a for c, a in d[r].items() if c in at}
-                        for r in kept.get((i - 1, pair), ())]
-                diffs[(i, pair)] = Matrix._of(ambient.field, len(rows), len(cols), rows)
+        diffs = {(i, pair): ambient.diff(i, pair).block(kept.get((i - 1, pair), ()), cols)
+                 for (i, pair), cols in kept.items() if i >= 1}
         super().__init__(ambient.field, ambient.top_degree,
                          {k: len(v) for k, v in kept.items()}, diffs)
         self.check_boundary_square()
@@ -451,10 +445,11 @@ class BasisSubcomplex(GradedComplex):
         return self.ambient._basis_name(i, pair, self.kept[(i, pair)][j])
 
     def check_chain_map(self, f, source: GradedComplex, target: GradedComplex) -> None:
-        """Raise ChainError unless ``f(i, pair)``, this complex's inclusion
-        or projection, commutes with the differentials of source and target;
-        the error names the degree, the pair and a source basis element on
-        which the two sides differ."""
+        """Raise ChainError unless ``f(i, pair)``, a 0/1 basis map such as
+        this complex's inclusion or projection, commutes with the
+        differentials of source and target on this complex's components; the
+        error names the degree, the pair and a source basis element on which
+        the two sides differ."""
         for i, pair in self.kept:
             if not i:
                 continue

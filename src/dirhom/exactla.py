@@ -475,9 +475,14 @@ class Matrix(_Frozen):
                           [{**r1, **{j + n: a for j, a in r2.items()}}
                            for r1, r2 in zip(self._rows, other._rows)])
 
-    def take_rows(self, indices: Sequence[int]) -> "Matrix":
-        """The matrix of the rows at `indices`, in that order."""
-        return Matrix._of(self.field, len(indices), self.cols, [self._rows[i] for i in indices])
+    def block(self, rows: Sequence[int], cols: Sequence[int]) -> "Matrix":
+        """The submatrix on the rows and the distinct columns at the given
+        indices, in their order."""
+        at = {c: k for k, c in enumerate(cols)}
+        if len(at) != len(cols):
+            raise FieldError("a block takes each column at most once")
+        return Matrix._of(self.field, len(rows), len(cols),
+                          [{at[c]: a for c, a in self._rows[r].items() if c in at} for r in rows])
 
     def stack(self, other: "Matrix") -> "Matrix":
         if self.cols != other.cols:

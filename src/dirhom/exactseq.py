@@ -16,16 +16,19 @@ active field).  Good covers get the excision comparison map of the quotient
 complexes, and Mayer-Vietoris sequences are assembled from the two relative
 sequences with the standard zig-zag connecting maps.
 
-Every extension span is spanned by cube chains of C(X), so a quotient is the
-complex on the complementary chains and building it eliminates nothing; its
-chain-map check re-indexes basis columns, and only the exactness checks of
-the short and long sequences are linear algebra.
+Every extension span is spanned by cube chains of C(X), so each short
+sequence splits one basis: the quotient is the complex on the chains outside
+the subcomplex.  Short exactness is a check that the two sets of positions
+partition each component; the snake is a block read, the block of the
+ambient differential from the quotient's positions to the subcomplex's; the
+excision map is a basis map.  Only the long sequences' exactness checks and
+the excision map's rank and inverse on homology are linear algebra.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
-from typing import Callable
 
 from .exactla import Matrix, QQ, kernel_basis, rank, solve
 from .precubical import PcMorphism, PrecubicalSet, SubsetSpec, sub
@@ -101,17 +104,8 @@ def maximal_paths(x: PrecubicalSet) -> list[list[str]]:
 
 
 def _one_block(flags: list[bool]) -> bool:
-    inside = False
-    left = False
-    for f in flags:
-        if f and left:
-            return False
-        if f:
-            inside = True
-        elif inside:
-            inside = False
-            left = True
-    return True
+    """Whether the true flags are consecutive."""
+    return "01" not in "".join("1" if f else "0" for f in flags).strip("0")
 
 
 def _check_selection(x: PrecubicalSet, spec: SubsetSpec) -> None:
@@ -133,18 +127,12 @@ def _pair_report(x: PrecubicalSet, spec: SubsetSpec, field, span: SubcomplexExte
                  y: PrecubicalSet, inc: PcMorphism) -> RelativePairReport:
     """`check_relative_pair` of a face-closed selection, given its span in
     C(X) and the sub-set Y with its inclusion, which callers build once."""
-    enter_exit = True
-    offending = None
-    for p in maximal_paths(x):
-        flags = [c in spec.selected for c in p]
-        if not _one_block(flags):
-            enter_exit = False
-            offending = tuple(p)
-            break
+    offending = next((tuple(p) for p in maximal_paths(x)
+                      if not _one_block([c in spec.selected for c in p])), None)
     top_y = max_chain_degree(y)
     failures = _extension_mismatches(
         span.ambient, inc, top_y, lambda i: present_chain_module(y, i, field), span.dim)
-    return RelativePairReport(x.name, spec.selected, enter_exit, offending,
+    return RelativePairReport(x.name, spec.selected, offending is None, offending,
                               not failures, failures, tuple(range(top_y + 1)))
 
 
@@ -273,43 +261,52 @@ def verify_exact(pair, maps: list[Matrix], labels: list[str] | None = None
 
 @dataclass
 class ShortExactData:
-    """Per-pair complexes A -> B -> C with chain maps ``include(i, pair)``
-    and ``project(i, pair)``."""
+    """0 -> A -> B -> C -> 0 as a split of one basis: C is the quotient of
+    its ambient B on the positions ``c.kept``, and A, a subcomplex of B or of
+    B's own ambient, sits in B on the complementary positions, which `verify`
+    checks.  The inclusion and the projection are then 0/1 basis maps."""
 
-    a: GradedComplex
-    b: GradedComplex
-    c: GradedComplex
-    include: Callable[[int, object], Matrix]
-    project: Callable[[int, object], Matrix]
+    a: BasisSubcomplex
+    c: _Quotient
 
-    def verify(self, pairs, top: int) -> None:
-        for pair in pairs:
-            for i in range(top + 1):
-                inc = self.include(i, pair)
-                prj = self.project(i, pair)
-                if rank(inc) != self.a.dim(i, pair):
-                    raise SequenceError("inclusion is not injective")
-                if rank(prj) != self.c.dim(i, pair):
-                    raise SequenceError("projection is not surjective")
-                if not (prj @ inc).is_zero():
-                    raise SequenceError("composite of the two maps is nonzero")
-                if kernel_basis(prj).dim != rank(inc):
-                    raise SequenceError("short sequence is not exact in the middle")
+    @property
+    def b(self) -> GradedComplex:
+        return self.c.ambient
+
+    def a_positions(self, i: int, pair) -> list[int]:
+        """Where A's basis elements sit in B's basis."""
+        if self.a.ambient is self.b:
+            return self.a.kept.get((i, pair), [])
+        return _span_positions(self.a, self.b, i, pair)
+
+    def verify(self) -> None:
+        """Raise SequenceError, naming the degree, the pair and a basis element,
+        unless A's positions and C's kept positions partition each component."""
+        for i, pair in sorted(self.c.kept):
+            seen = Counter(self.a_positions(i, pair) + self.c.kept[(i, pair)])
+            j = next((j for j in range(self.b.dim(i, pair)) if seen[j] != 1), None)
+            if j is not None:
+                raise SequenceError(f"not short exact at degree {i}, pair {pair}: "
+                                    f"{self.b._basis_name(i, pair, j)} lies in "
+                                    f"{'both' if seen[j] else 'neither'} of A and C")
+
+    def boundary_block(self, i: int, pair, cols) -> Matrix:
+        """The block of ``B.diff(i)`` from B's positions `cols` in degree i to
+        A's positions in degree i-1."""
+        return self.b.diff(i, pair).block(self.a_positions(i - 1, pair), cols)
 
 
 def connecting_map(ses: ShortExactData, i: int, pair,
-                   ha: PairHomology, hc: PairHomology,
-                   column_order=None) -> Matrix:
-    """The zig-zag H_i(C) -> H_{i-1}(A): lift, take the boundary, pull back."""
+                   ha: PairHomology, hc: PairHomology) -> Matrix:
+    """The snake H_i(C) -> H_{i-1}(A) of a basis split: a cycle of C lifts
+    to B on C's positions, so on chains the map is the block of ``B.diff(i)``
+    from C's positions to A's.  The block on C's positions in degree i-1,
+    C's own differential, must kill the cycles."""
     if not hc.dim:
         return Matrix.zeros(ses.a.field, ha.dim, 0)
-    lift = solve(ses.project(i, pair), hc.representatives, column_order)
-    if lift is None:
-        raise SequenceError("cycle has no lift along the projection")
-    back = solve(ses.include(i - 1, pair), ses.b.diff(i, pair) @ lift)
-    if back is None:
+    if not (ses.c.diff(i, pair) @ hc.representatives).is_zero():
         raise SequenceError("boundary of the lift is not in the subcomplex")
-    return ha.classes(back)
+    return ha.classes(ses.boundary_block(i, pair, ses.c.kept[(i, pair)]) @ hc.representatives)
 
 
 # -- long exact sequence of a relative pair ---------------------------------------------
@@ -323,11 +320,6 @@ class RelativeHomologyResult:
     rel_table: dict[tuple[int, tuple], int]
     sequence: ExactSequenceReport | None
     extension_commutes: bool | None
-
-
-def _ses_of_pair(cx: PairGradedComplex, span: SubcomplexExtension,
-                 quo: QuotientComplex) -> ShortExactData:
-    return ShortExactData(span, cx, quo, span.inclusion_matrix, quo.projection)
 
 
 def les_relative(x: PrecubicalSet, spec: SubsetSpec, field=QQ,
@@ -349,29 +341,29 @@ def les_relative(x: PrecubicalSet, spec: SubsetSpec, field=QQ,
     keys = [(i, pair) for pair in cx.pairs() for i in range(cx.top_degree + 1)]
     hx, ha, hc = ({k: homology_of(c, *k) for k in keys} for c in (cx, span, quo))
     result = RelativeHomologyResult(
-        report,
-        {k: h.dim for k, h in hx.items() if k[0] <= top},
-        {k: h.dim for k, h in ha.items() if k[0] <= top},
-        {k: h.dim for k, h in hc.items() if k[0] <= top},
+        report, *({k: h.dim for k, h in hs.items() if k[0] <= top} for hs in (hx, ha, hc)),
         None, None)
     if not report.accepted:
         # the sequence is only guaranteed (and only assembled) for accepted pairs
         return result
 
-    ses = _ses_of_pair(cx, span, quo)
-    ses.verify(cx.pairs(), cx.top_degree)
+    ses = ShortExactData(span, quo)
+    ses.verify()
 
     def maps(i, pair):
         # H_i(ext Y) -> H_i(X) -> H_i(X, Y) -> H_{i-1}(ext Y)
         a_i, x_i, c_i = ha[(i, pair)], hx[(i, pair)], hc[(i, pair)]
-        inc_h = induced_on_homology(ses.include(i, pair), a_i, x_i)
-        prj_h = induced_on_homology(ses.project(i, pair), x_i, c_i)
+        inc_h = induced_on_homology(span.inclusion_matrix(i, pair), a_i, x_i)
+        prj_h = induced_on_homology(quo.projection(i, pair), x_i, c_i)
         if i == 0:
             return inc_h, prj_h, None
         delta = connecting_map(ses, i, pair, ha[(i - 1, pair)], c_i)
-        delta2 = connecting_map(ses, i, pair, ha[(i - 1, pair)], c_i,
-                                column_order=reversed(range(cx.dim(i, pair))))
-        if delta != delta2:
+        # shifting each lift by the sum z of A_i's basis adds the boundary
+        # A.diff(i) @ z to its pull-back, so the classes must not move
+        n = span.dim(i, pair)
+        shifted = (ses.boundary_block(i, pair, quo.kept[(i, pair)] + ses.a_positions(i, pair))
+                   @ c_i.representatives.stack(Matrix(field, n, c_i.dim, [[1] * c_i.dim] * n)))
+        if ha[(i - 1, pair)].classes(shifted) != delta:
             raise ExactnessError("connecting map depends on the lift choice")
         return inc_h, prj_h, delta
 
@@ -456,6 +448,13 @@ class _Cover:
     hcr: dict[tuple[int, tuple], PairHomology]
     excision: dict[tuple[int, tuple], Matrix]
 
+    def excision_chains(self, i: int, pair) -> Matrix:
+        """The excision map on chains, a 0/1 basis map: a left quotient chain
+        goes to its chain of C(X), or to zero when that lies in ext C(X2)."""
+        at = {j: k for k, j in enumerate(self.quo2.kept.get((i, pair), []))}
+        return Matrix.unit_columns(self.cx.field, self.quo2.dim(i, pair), [
+            at.get(self.span1.kept[(i, pair)][k]) for k in self.left.kept.get((i, pair), [])])
+
 
 def good_cover_check(x: PrecubicalSet, s1: SubsetSpec, s2: SubsetSpec,
                      field=QQ) -> GoodCoverReport:
@@ -486,6 +485,7 @@ def _check_cover(x: PrecubicalSet, s1: SubsetSpec, s2: SubsetSpec,
     parts = _Cover(cx, span1, span2, span12, left, quo2,
                    {k: homology_of(left, *k) for k in keys},
                    {k: homology_of(quo2, *k) for k in keys}, {})
+    left.check_chain_map(parts.excision_chains, left, quo2)
     failures: list[tuple[int, tuple, int, int]] = []
     for i, pair in keys:
         hq_left, hq_right = parts.hcl[(i, pair)], parts.hcr[(i, pair)]
@@ -547,11 +547,7 @@ class _LeftQuotientCache:
 
 def _excision_map(c: _Cover, i: int, pair) -> Matrix:
     """Homology of the canonical map ext C(X1)/ext C(X1^X2) -> C(X)/ext C(X2)."""
-    lift = solve(c.left.projection(i, pair), c.hcl[(i, pair)].representatives)
-    if lift is None:
-        raise SequenceError("no lift for an excision representative")
-    return c.hcr[(i, pair)].classes(
-        c.quo2.projection(i, pair) @ (c.span1.inclusion_matrix(i, pair) @ lift))
+    return induced_on_homology(c.excision_chains(i, pair), c.hcl[(i, pair)], c.hcr[(i, pair)])
 
 
 @dataclass
@@ -576,6 +572,9 @@ def mayer_vietoris(x: PrecubicalSet, s1: SubsetSpec, s2: SubsetSpec,
         return MayerVietorisResult(cover, None, {})
     cx, span1, span2, span12 = parts.cx, parts.span1, parts.span2, parts.span12
     top = cx.top_degree
+    # the short sequences of the left column and of (X, X2)
+    ShortExactData(span12, parts.left).verify()
+    ShortExactData(span2, parts.quo2).verify()
 
     keys = [(i, p) for p in cx.pairs() for i in range(top + 1)]
     h12, h1, h2, hx = ({k: homology_of(c, *k) for k in keys} for c in (span12, span1, span2, cx))
@@ -595,12 +594,8 @@ def mayer_vietoris(x: PrecubicalSet, s1: SubsetSpec, s2: SubsetSpec,
                                ("(^)H{i}", "H{i}(1)+H{i}(2)", "H{i}(X)"), maps,
                                "Mayer-Vietoris sequence failed verification")
     cap = top if max_degree is None else max_degree
-    tables = {
-        "intersection": {k: h.dim for k, h in h12.items() if k[0] <= cap},
-        "part1": {k: h.dim for k, h in h1.items() if k[0] <= cap},
-        "part2": {k: h.dim for k, h in h2.items() if k[0] <= cap},
-        "whole": {k: h.dim for k, h in hx.items() if k[0] <= cap},
-    }
+    tables = {name: {k: h.dim for k, h in hs.items() if k[0] <= cap} for name, hs in
+              (("intersection", h12), ("part1", h1), ("part2", h2), ("whole", hx))}
     return MayerVietorisResult(cover, seq, tables)
 
 
@@ -610,13 +605,11 @@ def _mv_connecting(c: _Cover, i: int, pair, hx, h12) -> Matrix:
     j' projects to H_i(C(X)/ext X2); the excision isomorphism is inverted on
     classes; the zig-zag of the left column lands in H_{i-1}(ext X1^X2).
     """
-    # left-column snake data: 0 -> ext(X1^X2) -> ext(X1) -> left-quotient -> 0
-    ses = ShortExactData(c.span12, c.span1, c.left,
-                         lambda d, p: _span_inclusion(c.span12, c.span1, d, p),
-                         c.left.projection)
-    snake = connecting_map(ses, i, pair, h12[(i - 1, pair)], c.hcl[(i, pair)])
-    projected = c.quo2.projection(i, pair) @ hx[(i, pair)].representatives
-    w = solve(c.excision[(i, pair)], c.hcr[(i, pair)].classes(projected))
+    # the snake of the left column: 0 -> ext(X1^X2) -> ext(X1) -> left quotient -> 0
+    snake = connecting_map(ShortExactData(c.span12, c.left), i, pair,
+                           h12[(i - 1, pair)], c.hcl[(i, pair)])
+    projected = induced_on_homology(c.quo2.projection(i, pair), hx[(i, pair)], c.hcr[(i, pair)])
+    w = solve(c.excision[(i, pair)], projected)
     if w is None:
         raise SequenceError("excision map not surjective on a class")
     return snake @ w

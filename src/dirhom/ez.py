@@ -359,10 +359,12 @@ def tensor_comparison_report(x: PrecubicalSet, y: PrecubicalSet, field=QQ,
 
     retract_ok = True
     for n, pair in keys:
-        prod = sep[(n, pair)] @ ilv[(n, pair)]
-        if prod != Matrix.identity(field, prod.cols):
+        ident = Matrix.identity(field, tc.dim(n, pair))
+        j = _chain_map_witness(sep[(n, pair)].transpose(), ilv[(n, pair)], ident, ident)
+        if j is not None:
             retract_ok = False
-            failures.append(f"separate.interleave != id at {n} {pair}")
+            failures.append(f"separate.interleave != id at {n} {pair}: "
+                            f"witness {tc._basis_name(n, pair, j)}")
 
     ilv_h: dict[tuple[int, object], Matrix] = {}
     inverse_ok = True
@@ -494,24 +496,23 @@ def zero_chain_count_report(x: PrecubicalSet, y: PrecubicalSet, field=QQ
 def comparison_naturality_check(f: PcMorphism, g: PcMorphism, field=QQ) -> bool:
     """Commutation of the comparison maps with a pair of morphisms.
 
-    Checks sep . C(f(x)g) = (C(f) (x) C(g)) . sep on every degree and pair of
-    the source product, and the same square for the interleaving maps.
+    Checks (C(f) (x) C(g)) . sep = sep . C(f(x)g) on every degree and pair
+    of the source product, and the same square for the interleaving maps,
+    by re-indexing the signed basis maps sep and interleave: no product.
     """
     sta = TensorSetting.build(f.source, g.source, field)
     stb = TensorSetting.build(f.target, g.target, field)
     fg = tensor_morphism(f, g, sta.tx, stb.tx)
     prod_map = chain_map_of_morphism(fg, sta.cxp, stb.cxp)
     for (n, s, e), m in sorted(prod_map.items()):
-        pair = (s, e)
         tpair = (fg(s), fg(e))
         sep_a = separating_matrix(sta.tx, sta.cxp, sta.tc, n, s, e)
-        sep_b = separating_matrix(stb.tx, stb.cxp, stb.tc, n, fg(s), fg(e))
-        tmap = _tensor_factor_map(sta, stb, f, g, n, pair, tpair)
-        if tmap @ sep_a != sep_b @ m:
-            return False
+        sep_b = separating_matrix(stb.tx, stb.cxp, stb.tc, n, *tpair)
+        tmap_t = _tensor_factor_map(sta, stb, f, g, n, (s, e), tpair).transpose()
         ilv_a = interleaving_matrix(sta.tx, sta.tc, sta.cxp, n, s, e)
-        ilv_b = interleaving_matrix(stb.tx, stb.tc, stb.cxp, n, fg(s), fg(e))
-        if m @ ilv_a != ilv_b @ tmap:
+        ilv_b = interleaving_matrix(stb.tx, stb.tc, stb.cxp, n, *tpair)
+        if (_chain_map_witness(tmap_t, sep_a, sep_b, m.transpose()) is not None
+                or _chain_map_witness(m.transpose(), ilv_a, ilv_b, tmap_t) is not None):
             return False
     return True
 

@@ -5,10 +5,10 @@ representatives, together with the boundary subspace.  `PairHomology.classes`
 is the one push of chains into homology: it takes the class coordinates of
 every column of a matrix of cycles in one solve.  `induced_on_homology(f,
 src, dst)` is ``dst.classes(f @ src.representatives)``; the edge actions,
-the maps induced by morphisms, the inclusions and projections of the exact
-sequences and the tensor comparison maps use it, and the connecting and
-excision maps of the exact sequences call `classes` on the chains they
-pull back.
+the maps induced by morphisms, the inclusions, projections and excision
+maps of the exact sequences and the tensor comparison maps use it, and a
+connecting map calls `classes` on the block of the ambient differential
+that it reads off a short sequence, applied to representatives.
 
 The bimodule structure is realized by edge actions: prepending an edge to
 every chain of a graded component (left action) or appending one (right
@@ -66,7 +66,7 @@ class PairHomology:
         if x is None:
             raise ChainError("vector is not a cycle of this component")
         # keep the coordinates on the representatives, drop those on boundaries
-        return x.take_rows(range(self.dim))
+        return x.block(range(self.dim), range(m.cols))
 
     def class_vector(self, v) -> tuple:
         """Coordinates of the class of a cycle v in the representative basis."""

@@ -393,7 +393,13 @@ class TestSparseAgainstDenseReference:
         c = Matrix(field, 2, ncols, random_rows(data.draw, field, 2, ncols))
         assert a.stack(c).data == dense + c.data
         picked = data.draw(st.lists(st.integers(0, max(0, a.rows - 1)), max_size=3)) if a.rows else []
-        assert a.take_rows(picked).data == tuple(dense[i] for i in picked)
+        cols = data.draw(st.lists(st.integers(0, max(0, ncols - 1)), max_size=3)) if ncols else []
+        if len(set(cols)) < len(cols):
+            with pytest.raises(FieldError):
+                a.block(picked, cols)
+        else:
+            assert a.block(picked, cols).data == tuple(tuple(dense[i][j] for j in cols)
+                                                       for i in picked)
         assert all(a.entry(i, j) == dense[i][j] for i in range(a.rows) for j in range(ncols))
 
     @settings(max_examples=60, deadline=None)

@@ -10,12 +10,13 @@ from dirhom.cubechain import (
     BasisSubcomplex, ChainError, DirectedCycleError, GradedComplex, build_complex,
 )
 from dirhom.exactla import (
-    Matrix, PrimeField, QQ, image_basis, induced_on_quotient, quotient_map, rank,
+    Matrix, PrimeField, QQ, image_basis, induced_on_quotient, quotient_map, rank, solve,
 )
 from dirhom.exactseq import (
-    QuotientComplex, SequenceError, check_relative_pair, connecting_map,
-    good_cover_check, les_relative, maximal_paths, mayer_vietoris,
-    relative_complex, verify_exact, _LeftQuotient, _Quotient, _ses_of_pair,
+    QuotientComplex, SequenceError, ShortExactData, check_relative_pair, connecting_map,
+    good_cover_check, les_relative, maximal_paths, mayer_vietoris, relative_complex,
+    verify_exact, _check_cover, _Cover, _excision_map, _LeftQuotient, _Quotient,
+    _span_inclusion,
 )
 from dirhom.homology import homology_of
 from dirhom.precubical import SubsetSpec, sub
@@ -189,6 +190,15 @@ SMALL_SETS = [dh.directed_disc(2), dh.directed_disc(3), dh.directed_sphere(2),
               dh.realization([2, 2]), make_domino()]
 
 
+def draw_cover(data):
+    """A small set, two face-closed subsets of it and a field, Q or F_7."""
+    x = data.draw(st.sampled_from(SMALL_SETS))
+    cells = sorted(x.all_cells())
+    y1, y2 = (dh.face_closure(x, data.draw(st.lists(st.sampled_from(cells), max_size=4)))
+              for _ in range(2))
+    return x, y1, y2, data.draw(st.sampled_from([QQ, PrimeField(7)]))
+
+
 class TestBasisQuotients:
     """Quotients are basis complements: the same matrices as the
     general-subspace construction, built without any elimination."""
@@ -201,12 +211,7 @@ class TestBasisQuotients:
     @settings(max_examples=40, deadline=None)
     @given(st.data())
     def test_random_subsets_match_elimination(self, data):
-        x = data.draw(st.sampled_from(SMALL_SETS))
-        cells = sorted(x.all_cells())
-        y1, y2 = (dh.face_closure(x, data.draw(st.lists(st.sampled_from(cells), max_size=4)))
-                  for _ in range(2))
-        field = data.draw(st.sampled_from([QQ, PrimeField(7)]))
-        assert_quotients_match_reference(x, y1, y2, field)
+        assert_quotients_match_reference(*draw_cover(data))
 
     @pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "F7"])
     @pytest.mark.parametrize("x,y1,y2", cover_cases())
@@ -283,12 +288,118 @@ class TestBasisQuotients:
             _Quotient(cx, square)
 
 
+def solve_connecting(ses, include, i, pair, ha, hc):
+    """The reference snake: lift the cycles along the projection and pull
+    their boundary back along the inclusion, both by `solve`."""
+    if not hc.dim:
+        return Matrix.zeros(ses.b.field, ha.dim, 0)
+    lift = solve(ses.c.projection(i, pair), hc.representatives)
+    return ha.classes(solve(include(i - 1, pair), ses.b.diff(i, pair) @ lift))
+
+
+def solve_excision(c, i, pair):
+    """The reference excision map: lift along the left projection by `solve`,
+    include in C(X) and project to C(X)/ext C(X2)."""
+    lift = solve(c.left.projection(i, pair), c.hcl[(i, pair)].representatives)
+    return c.hcr[(i, pair)].classes(
+        c.quo2.projection(i, pair) @ (c.span1.inclusion_matrix(i, pair) @ lift))
+
+
+def split_cover(x, y1, y2, field):
+    """The relative sequence of (X, Y1), the left column of the cover and the
+    cover data of the excision map, built as the cover check builds them."""
+    cx = build_complex(x, None, field)
+    span1, span2, span12 = (extend_subcomplex(cx, y) for y in (y1, y2, y1 & y2))
+    left, quo2 = _LeftQuotient(span1, span12, field), QuotientComplex(cx, span2)
+    keys = [(i, pair) for pair in cx.pairs() for i in range(cx.top_degree + 1)]
+    cover = _Cover(cx, span1, span2, span12, left, quo2,
+                   {k: homology_of(left, *k) for k in keys},
+                   {k: homology_of(quo2, *k) for k in keys}, {})
+    left.check_chain_map(cover.excision_chains, left, quo2)
+    sequences = [(ShortExactData(span1, QuotientComplex(cx, span1)), span1.inclusion_matrix),
+                 (ShortExactData(span12, left),
+                  lambda i, pair: _span_inclusion(span12, span1, i, pair))]
+    return keys, cover, sequences
+
+
+def assert_blocks_match_solve(x, y1, y2, field):
+    """The block-read connecting maps of both sequences and the composed
+    excision map equal the solve-based formulas on every component."""
+    keys, cover, sequences = split_cover(x, y1, y2, field)
+    for ses, include in sequences:
+        ses.verify()
+        for i, pair in keys:
+            if i:
+                ha, hc = homology_of(ses.a, i - 1, pair), homology_of(ses.c, i, pair)
+                assert (connecting_map(ses, i, pair, ha, hc)
+                        == solve_connecting(ses, include, i, pair, ha, hc))
+    for i, pair in keys:
+        assert _excision_map(cover, i, pair) == solve_excision(cover, i, pair)
+
+
+class TestSplitSequences:
+    """Short sequences are basis splits: exactness is a partition check, the
+    snake a block read and the excision map a basis map."""
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "F7"])
+    @pytest.mark.parametrize("x,y1,y2", cover_cases())
+    def test_corpus_matches_solve(self, x, y1, y2, field):
+        assert_blocks_match_solve(x, y1, y2, field)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_random_subsets_match_solve(self, data):
+        assert_blocks_match_solve(*draw_cover(data))
+
+    def test_overlapping_quotient_names_degree_pair_and_witness(self, D2, sphere_spec):
+        cx = build_complex(D2)
+        span = extend_subcomplex(cx, sphere_spec.selected)
+        i, pair = min(k for k, kept in span.kept.items() if kept)
+        with pytest.raises(SequenceError, match=re.escape(
+                f"not short exact at degree {i}, pair {pair}: "
+                f"{cx._basis_name(i, pair, span.kept[(i, pair)][0])} lies in both")):
+            ShortExactData(span, _Quotient(cx, {})).verify()     # the quotient keeps all
+        # a quotient by more than the subcomplex leaves chains in neither
+        with pytest.raises(SequenceError, match="lies in neither"):
+            ShortExactData(extend_subcomplex(cx, frozenset()), QuotientComplex(cx, span)).verify()
+
+    def test_split_steps_eliminate_nothing(self, monkeypatch):
+        d3, s2 = dh.directed_disc(3), frozenset(dh.directed_sphere(2).all_cells())
+        keys, _, sequences = split_cover(d3, s2, s2, QQ)
+        dom = make_domino()
+        _, parts = _check_cover(dom, SubsetSpec(dom, dh.face_closure(dom, ["s1"])),
+                                SubsetSpec(dom, dh.face_closure(dom, ["s2"])), QQ)
+        snakes = [(ses, i, pair, homology_of(ses.a, i - 1, pair), homology_of(ses.c, i, pair))
+                  for ses, _ in sequences for i, pair in keys if i]
+        # pushing chains to homology eliminates once per homology component: do it first
+        for h in ([h for *_, ha, hc in snakes for h in (ha, hc)]
+                  + list(parts.hcl.values()) + list(parts.hcr.values())):
+            h.classes(Matrix.zeros(QQ, h.representatives.rows, 1))
+        calls = Counter()
+        eliminate = exactla._eliminate
+
+        def counted(*args, **kwargs):
+            calls["eliminate"] += 1
+            return eliminate(*args, **kwargs)
+
+        monkeypatch.setattr(exactla, "_eliminate", counted)
+        for ses, _ in sequences:
+            ses.verify()
+        deltas = [connecting_map(*snake) for snake in snakes]
+        for k in parts.excision:
+            _excision_map(parts, *k)
+        nonzero = [d for d in deltas if not d.is_zero()]
+        assert calls["eliminate"] == 0 and nonzero
+        rank(nonzero[0])     # the counter does see elimination
+        assert calls["eliminate"] == 1
+
+
 class TestConnectingMap:
     def test_disc_sphere_connecting_injective(self, D2, sphere_spec):
         cx = build_complex(D2)
         span = extend_subcomplex(cx, sphere_spec.selected)
         quo = QuotientComplex(cx, span)
-        ses = _ses_of_pair(cx, span, quo)
+        ses = ShortExactData(span, quo)
         pair = ("00", "11")
         hc = homology_of(quo, 1, pair)
         ha = homology_of(span, 0, pair)
@@ -300,7 +411,7 @@ class TestConnectingMap:
         cx = build_complex(D2)
         span = extend_subcomplex(cx, frozenset())
         quo = QuotientComplex(cx, span)
-        ses = _ses_of_pair(cx, span, quo)
+        ses = ShortExactData(span, quo)
         pair = ("00", "11")
         hc = homology_of(quo, 1, pair)
         ha = homology_of(span, 0, pair)
@@ -311,7 +422,7 @@ class TestConnectingMap:
         cx = build_complex(D2)
         span = extend_subcomplex(cx, frozenset(D2.all_cells()))
         quo = QuotientComplex(cx, span)
-        ses = _ses_of_pair(cx, span, quo)
+        ses = ShortExactData(span, quo)
         pair = ("00", "11")
         hc = homology_of(quo, 1, pair)
         assert hc.dim == 0
@@ -485,6 +596,22 @@ class TestMayerVietoris:
         res = mayer_vietoris(D2, s1, s2)
         assert not res.cover.good
         assert res.sequence is None
+
+    def test_domino_verifies_both_short_sequences_of_the_cover(self, domino, monkeypatch):
+        verified = []
+        real = ShortExactData.verify
+
+        def recorded(ses):
+            verified.append((ses.a.y_cells, type(ses.c).__name__))
+            real(ses)
+
+        monkeypatch.setattr(ShortExactData, "verify", recorded)
+        s1 = SubsetSpec(domino, dh.face_closure(domino, ["s1"]))
+        s2 = SubsetSpec(domino, dh.face_closure(domino, ["s2"]))
+        assert mayer_vietoris(domino, s1, s2).sequence.all_exact
+        # the left column ext(X1^X2) -> ext(X1) -> left quotient, and (X, X2)
+        assert verified == [(s1.selected & s2.selected, "_LeftQuotient"),
+                            (s2.selected, "QuotientComplex")]
 
     def test_domino_builds_each_object_once(self, domino, monkeypatch):
         # C(X) and the complexes of X1 and X2 once each, each quotient once,

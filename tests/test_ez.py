@@ -1,9 +1,11 @@
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings, strategies
 
 import dirhom as dh
 from dirhom.cubechain import (
-    build_complex, chain_catalog, empty_chain, make_chain,
+    GradedComplex, build_complex, chain_catalog, empty_chain, make_chain,
 )
 from dirhom.exactla import Matrix, QQ
 from dirhom.homology import ActionError, homology_of
@@ -209,6 +211,11 @@ class TestComparisonReport:
         pair = (flipped.src, flipped.dst)
         assert (f"separating map not a chain map at 1 {pair}: witness <(00,aa)>"
                 in rep.failures)
+        # the square is the interleaving of <00> (x) <aa>, so the retract fails there
+        assert not rep.split_after_interleave_is_identity
+        assert (f"separate.interleave != id at 1 {pair}: witness "
+                f"{st.tc._basis_name(1, pair, st.tc.index[(1, pair)][split_chain(st.tx, flipped)])}"
+                in rep.failures)
 
     def test_corrupted_tensor_action_names_edge_degree_pair_and_pure_tensor(
             self, D2, monkeypatch):
@@ -302,6 +309,38 @@ class TestNaturality:
     def test_identity_pair(self, K):
         f = PcMorphism.identity(K)
         assert comparison_naturality_check(f, f)
+
+    def test_squares_multiply_nothing_outside_the_boundary_checks(self, D2, S1, monkeypatch):
+        _, inc = sub(D2, SubsetSpec(D2, frozenset(S1.all_cells())))
+        calls = Counter()
+        inside: list = []
+        matmul, check = Matrix.__matmul__, GradedComplex.check_boundary_square
+
+        def counted(a, b):
+            calls["d.d" if inside else "outside"] += 1
+            return matmul(a, b)
+
+        def checked(self):
+            inside.append(self)
+            try:
+                check(self)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(Matrix, "__matmul__", counted)
+        monkeypatch.setattr(GradedComplex, "check_boundary_square", checked)
+        assert comparison_naturality_check(inc, inc)
+        assert calls["outside"] == 0 and calls["d.d"] > 0
+
+    def test_flipped_separation_sign_breaks_naturality(self, D2, S1, monkeypatch):
+        import dirhom.ez as ez
+        y, inc = sub(D2, SubsetSpec(D2, frozenset(S1.all_cells())))
+        # one edge path of the source product, whose image in D2 (x) D2 keeps its sign
+        flipped = TensorSetting.build(y, y).cxp.bases[(0, "(00,00)", "(11,11)")][0]
+        real = ez.separation_sign
+        monkeypatch.setattr(ez, "separation_sign", lambda tx, c: (
+            -real(tx, c) if tx.left is y and c == flipped else real(tx, c)))
+        assert not comparison_naturality_check(inc, inc)
 
 
 class TestKunneth:

@@ -30,19 +30,21 @@ over Q every value leaves as a `Fraction`, integral or not; inside the
 package they leave only through `Matrix.data`, for the CLI's JSON, and
 `Matrix.entry`, for the coefficients of bimodule relations.
 
-Pivot columns are taken in the caller's column order, and only the pivot
-*row* is chosen freely: the sparsest pending row that is nonzero in the
-current column, which keeps fill-in low.  The reduced row echelon form is
-unique for a fixed column order, so the row choice never shows in a result.
-Choosing the column as well (Markowitz-style) would cut fill-in further,
-but it changes which columns are pivots, and with them every kernel basis,
-homology representative and action matrix the package prints.
+Pivot columns are taken in increasing order (last first in
+`homology_quotient`), and only the pivot *row* is chosen freely: the
+sparsest pending row that is nonzero in the current column, which keeps
+fill-in low.  The reduced row echelon form is unique for a fixed column
+order, so the row choice never shows in a result.  Choosing the column as
+well (Markowitz-style) would cut fill-in further, but it changes which
+columns are pivots, and with them every kernel basis, homology
+representative and action matrix the package prints.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from math import isqrt
 from typing import Iterable, Sequence
 
 
@@ -51,18 +53,7 @@ class FieldError(ValueError):
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    if n < 4:
-        return True
-    if n % 2 == 0:
-        return False
-    d = 3
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 2
-    return True
+    return n > 1 and all(n % d for d in range(2, isqrt(n) + 1))
 
 
 @dataclass(frozen=True, slots=True)
@@ -517,7 +508,10 @@ def _rref(rows: list[list], ncols: int, zero, col_order: Sequence[int] | None = 
 
 
 def rank(m: Matrix) -> int:
-    """Rank of `m` over its field."""
+    """Rank of `m` over its field: 0, with no elimination, when m has no
+    rows or no columns."""
+    if not (m.rows and m.cols):
+        return 0
     return len(_eliminate([dict(r) for r in m._rows], range(m.cols), _modulus(m.field))[1])
 
 
@@ -537,14 +531,6 @@ class Subspace(_Frozen):
         self._fill(self, field, ambient_dim, [_sparse(v, p, ambient_dim) for v in basis], None)
         if len(self._pivots) != len(self._basis):
             raise FieldError("basis not independent")
-
-    @classmethod
-    def of_columns(cls, m: Matrix) -> "Subspace":
-        """The subspace whose basis is the columns of m, which must be independent."""
-        sub = cls._of(m.field, m.rows, _transpose(m._rows, m.cols), None)
-        if len(sub._pivots) != sub.dim:
-            raise FieldError("basis not independent")
-        return sub
 
     @classmethod
     def zero(cls, field, ambient_dim: int) -> "Subspace":
@@ -637,15 +623,20 @@ class Subspace(_Frozen):
 
 
 def kernel_basis(m: Matrix) -> Subspace:
-    """Basis of the null space {v : m v = 0}: one vector per non-pivot column."""
+    """Basis of the null space {v : m v = 0}: one vector per non-pivot column,
+    with no elimination when m has no rows or no columns."""
     p = _modulus(m.field)
-    rows, pivots = _eliminate([dict(r) for r in m._rows], range(m.cols), p)
+    rows, pivots = (_eliminate([dict(r) for r in m._rows], range(m.cols), p)
+                    if m.rows and m.cols else ([], []))
     return Subspace._of(m.field, m.cols, _null_vectors(rows, pivots, m.cols, p), None)
 
 
 def image_basis(m: Matrix) -> Subspace:
     """Column space of `m`; its basis is the rref of the columns.  That basis
-    is already reduced, so its elimination is itself, with identity transforms."""
+    is already reduced, so its elimination is itself, with identity transforms.
+    A matrix with no rows or no columns needs no elimination."""
+    if not (m.rows and m.cols):
+        return Subspace.zero(m.field, m.rows)
     p = _modulus(m.field)
     rows, pivots = _eliminate(_transpose(m._rows, m.cols), range(m.rows), p)
     return Subspace._of(m.field, m.rows, rows,
@@ -661,13 +652,11 @@ def pivot_columns(*spaces: Subspace) -> list[int]:
                       _modulus(spaces[0].field))[1]
 
 
-def solve(m: Matrix, b: Matrix, column_order: Sequence[int] | None = None) -> Matrix | None:
+def solve(m: Matrix, b: Matrix) -> Matrix | None:
     """Some X with m X = b, or None when a column of b is not in the image of m.
 
     One elimination of [m | b] serves every column.  Coordinates of X off
-    the pivot columns are 0; `column_order` permutes pivot selection,
-    yielding a different particular solution when the system is
-    underdetermined.
+    the pivot columns are 0.
     """
     if b.rows != m.rows:
         raise FieldError(f"vector length {b.rows} != {m.rows}")
@@ -675,8 +664,7 @@ def solve(m: Matrix, b: Matrix, column_order: Sequence[int] | None = None) -> Ma
     if not b.cols:
         return Matrix.zeros(m.field, n, 0)
     rows = m.augment(b)._rows      # new dicts, free for the elimination to modify
-    order = list(range(n)) if column_order is None else list(column_order)
-    done, pivots = _eliminate(rows, order + list(range(n, n + b.cols)), _modulus(m.field))
+    done, pivots = _eliminate(rows, range(n + b.cols), _modulus(m.field))
     if pivots and pivots[-1] >= n:
         return None
     x: list[dict] = [{} for _ in range(n)]
@@ -685,9 +673,9 @@ def solve(m: Matrix, b: Matrix, column_order: Sequence[int] | None = None) -> Ma
     return Matrix._of(m.field, n, b.cols, x)
 
 
-def solve_in_image(m: Matrix, b: Sequence, column_order: Sequence[int] | None = None):
+def solve_in_image(m: Matrix, b: Sequence):
     """Some x with m x = b, or None when b is not in the image of m."""
-    return _vector(solve(m, Matrix.from_columns(m.field, [b], length=m.rows), column_order))
+    return _vector(solve(m, Matrix.from_columns(m.field, [b], length=m.rows)))
 
 
 def _vector(m: Matrix | None) -> tuple | None:
@@ -731,3 +719,26 @@ def induced_on_quotient(f: Matrix, src_sub: Subspace, dst_sub: Subspace) -> Matr
     if g @ q_src != q_dst_f:
         raise AssertionError("induced quotient map failed the commuting-square identity")
     return g
+
+
+def homology_quotient(cycles: Subspace, d_next: Matrix):
+    """ker d / im d_next, given ``cycles = kernel_basis(d)``, by one more
+    elimination, as (representatives, boundaries, free, classes).
+
+    Kernel vector k is 1 at free column free[k] of d, its last nonzero, and
+    0 at the other free columns, so the kernel coordinates of a chain are
+    its entries there, and the boundaries' are the rows of d_next there.
+    Kernel vector k lies in the span of the boundaries and the ones before
+    it exactly when a boundary's coordinates end at k: a pivot of their
+    image basis taken last first.  The others are the representatives;
+    `classes` is the quotient map of that basis, `boundaries` its lift.
+    """
+    free = [max(v) for v in cycles._basis]
+    back = range(cycles.dim - 1, -1, -1)    # kernel vector k is coordinate back[k]
+    img = image_basis(d_next.block(free[::-1], range(d_next.cols)))
+    q = quotient_map(cycles.dim, img)
+    pivots = set(img._pivots)
+    lifted = _mul(img._basis, cycles._basis[::-1], _modulus(cycles.field))
+    return (cycles.basis_matrix([k for k in range(cycles.dim) if back[k] not in pivots]),
+            Subspace._of(cycles.field, cycles.ambient_dim, lifted, None),
+            free, q.block(range(q.rows - 1, -1, -1), back))

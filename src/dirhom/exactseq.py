@@ -30,7 +30,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 
-from .exactla import Matrix, QQ, kernel_basis, rank, solve
+from .exactla import Matrix, QQ, rank, solve
 from .precubical import PcMorphism, PrecubicalSet, SubsetSpec, sub
 from .cubechain import (
     BasisSubcomplex, DirectedCycleError, GradedComplex, PairGradedComplex, build_complex,
@@ -236,9 +236,10 @@ def verify_exact(pair, maps: list[Matrix], labels: list[str] | None = None
                  ) -> PairSequenceReport:
     """Node-by-node exactness of V0 -> V1 -> .. -> Vn given consecutive maps.
 
-    Node k (0 < k < n) is exact when rank(M_k) = dim ker(M_{k+1}); the end
-    nodes are judged against implicit zero maps, so frame the sequence with
-    zero-dimensional spaces to assert injectivity or surjectivity.
+    Node k (0 < k < n) is exact when rank(M_k) = dim ker(M_{k+1}), the
+    columns of M_{k+1} less its rank; the end nodes are judged against
+    implicit zero maps, so frame the sequence with zero-dimensional spaces
+    to assert injectivity or surjectivity.
     """
     for m1, m2 in zip(maps, maps[1:]):
         if m2.cols != m1.rows:
@@ -247,12 +248,11 @@ def verify_exact(pair, maps: list[Matrix], labels: list[str] | None = None
     nodes = []
     nspaces = len(maps) + 1
     labels = labels or [f"V{k}" for k in range(nspaces)]
+    ranks = [0, *map(rank, maps), 0]     # with the implicit zero maps at both ends
     for k in range(nspaces):
         dim_k = maps[k].cols if k < len(maps) else maps[-1].rows
-        incoming = rank(maps[k - 1]) if k >= 1 else 0
-        outgoing_ker = kernel_basis(maps[k]).dim if k < len(maps) else dim_k
-        nodes.append(SequenceNode(labels[k], dim_k, incoming, outgoing_ker,
-                                  incoming == outgoing_ker))
+        kernel = dim_k - ranks[k + 1]
+        nodes.append(SequenceNode(labels[k], dim_k, ranks[k], kernel, ranks[k] == kernel))
     return PairSequenceReport(pair, nodes, comp_zero)
 
 
@@ -302,8 +302,6 @@ def connecting_map(ses: ShortExactData, i: int, pair,
     to B on C's positions, so on chains the map is the block of ``B.diff(i)``
     from C's positions to A's.  The block on C's positions in degree i-1,
     C's own differential, must kill the cycles."""
-    if not hc.dim:
-        return Matrix.zeros(ses.a.field, ha.dim, 0)
     if not (ses.c.diff(i, pair) @ hc.representatives).is_zero():
         raise SequenceError("boundary of the lift is not in the subcomplex")
     return ha.classes(ses.boundary_block(i, pair, ses.c.kept[(i, pair)]) @ hc.representatives)

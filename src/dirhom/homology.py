@@ -1,14 +1,17 @@
 """Homology of pair-graded complexes and the path-algebra actions on it.
 
-Homology classes are stored concretely: a matrix whose columns are cycle
-representatives, together with the boundary subspace.  `PairHomology.classes`
-is the one push of chains into homology: it takes the class coordinates of
-every column of a matrix of cycles in one solve.  `induced_on_homology(f,
-src, dst)` is ``dst.classes(f @ src.representatives)``; the edge actions,
-the maps induced by morphisms, the inclusions, projections and excision
-maps of the exact sequences and the tensor comparison maps use it, and a
-connecting map calls `classes` on the block of the ambient differential
-that it reads off a short sequence, applied to representatives.
+Homology classes are stored concretely: cycle representatives, the cycle
+and boundary subspaces, and the quotient map in kernel coordinates, from one
+elimination of d_i (`kernel_basis`) and one of the boundaries in kernel
+coordinates (`exactla.homology_quotient`).  `PairHomology.classes` is the
+one push of chains into homology: it reads the kernel coordinates of cycles
+off their entries, checks that the kernel basis gives the cycles back, and
+applies the quotient map, with no elimination.  `induced_on_homology(f, src,
+dst)` is ``dst.classes(f @ src.representatives)``; the edge actions, the
+maps induced by morphisms, the inclusions, projections and excision maps of
+the exact sequences and the tensor comparison maps use it, and a connecting
+map calls `classes` on the block of the ambient differential that it reads
+off a short sequence, applied to representatives.
 
 The bimodule structure is realized by edge actions: prepending an edge to
 every chain of a graded component (left action) or appending one (right
@@ -24,9 +27,9 @@ failure names a witness basis element.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 
-from .exactla import QQ, Matrix, Subspace, image_basis, kernel_basis, pivot_columns, rank
+from .exactla import QQ, Matrix, Subspace, homology_quotient, kernel_basis, rank
 from .cubechain import (
     GradedComplex, PairGradedComplex, ChainError, _basis_map, _chain_map_witness,
     build_complex,
@@ -48,7 +51,8 @@ class PairHomology:
     representatives: Matrix    # columns: cycle representatives, in chain coordinates
     cycles: Subspace
     boundaries: Subspace
-    _classes: Subspace | None = dataclass_field(default=None, init=False, repr=False, compare=False)
+    free: list[int]     # free columns of d_i: a cycle's kernel coordinates are its entries there
+    quotient: Matrix    # kernel coordinates -> class coordinates
 
     @property
     def reps(self) -> list[tuple]:
@@ -57,16 +61,10 @@ class PairHomology:
     def classes(self, m: Matrix) -> Matrix:
         """Class coordinates, in the representative basis, of the cycles that
         are the columns of m: the one push of chains into homology."""
-        if not m.cols:
-            return Matrix.zeros(m.field, self.dim, 0)
-        if self._classes is None:
-            self._classes = Subspace.of_columns(
-                self.representatives.augment(self.boundaries.basis_matrix()))
-        x = self._classes.express(m)
-        if x is None:
+        x = m.block(self.free, range(m.cols))
+        if self.cycles.basis_matrix() @ x != m:
             raise ChainError("vector is not a cycle of this component")
-        # keep the coordinates on the representatives, drop those on boundaries
-        return x.block(range(self.dim), range(m.cols))
+        return self.quotient @ x
 
     def class_vector(self, v) -> tuple:
         """Coordinates of the class of a cycle v in the representative basis."""
@@ -81,19 +79,15 @@ def homology_of(cx: GradedComplex, i: int, pair) -> PairHomology:
     """ker d_i / im d_{i+1} for one pair component.
 
     A cycle becomes a representative when it is outside the span of the
-    boundaries and the cycles before it, that is, when its column is a
-    pivot column of the matrix [boundary basis | cycle basis].  A component
-    with no chains has no homology, and computing it takes no elimination.
+    boundaries and the cycles before it (`exactla.homology_quotient`).  A
+    component with no chains has no homology and takes no elimination.
     """
     if not cx.dim(i, pair):
-        zero = Subspace.zero(cx.field, 0)
-        return PairHomology(i, pair, 0, Matrix.zeros(cx.field, 0, 0), zero, zero)
-    ker = kernel_basis(cx.diff(i, pair))
-    img = image_basis(cx.diff(i + 1, pair))
-    picked = [j - img.dim for j in pivot_columns(img, ker) if j >= img.dim]
-    hom = PairHomology(i, pair, len(picked), ker.basis_matrix(picked), ker, img)
-    assert hom.dim == ker.dim - img.dim
-    return hom
+        zero, empty = Subspace.zero(cx.field, 0), Matrix.zeros(cx.field, 0, 0)
+        return PairHomology(i, pair, 0, empty, zero, zero, [], empty)
+    cycles = kernel_basis(cx.diff(i, pair))
+    reps, boundaries, free, classes = homology_quotient(cycles, cx.diff(i + 1, pair))
+    return PairHomology(i, pair, reps.cols, reps, cycles, boundaries, free, classes)
 
 
 def homology(cx: PairGradedComplex, i: int, src: str, dst: str) -> tuple[int, list[tuple]]:
@@ -287,20 +281,15 @@ class CochainComplexTable:
 
     def coboundary(self, i: int, pair) -> Matrix:
         m = self.coboundaries.get((i, pair))
-        if m is None:
-            return self.cx._zero(self.cx.dim(i + 1, pair), self.cx.dim(i, pair))
-        return m
+        return self.cx._zero(self.cx.dim(i + 1, pair), self.cx.dim(i, pair)) if m is None else m
 
     def cohomology_dim(self, i: int, src: str, dst: str) -> int:
         """dim ker delta^i - rank delta^(i-1), that is dim C^i - rank delta^i
         - rank delta^(i-1).  A map into or out of a component with no chains
         has rank 0, read off its shape with no elimination."""
         pair = (src, dst)
-        n = self.cx.dim(i, pair)
-        if not n:
-            return 0
-        out, into = self.coboundary(i, pair), self.coboundary(i - 1, pair)
-        return n - (rank(out) if out.rows else 0) - (rank(into) if into.cols else 0)
+        return (self.cx.dim(i, pair) - rank(self.coboundary(i, pair))
+                - rank(self.coboundary(i - 1, pair)))
 
 
 def cochain_dual(cx: PairGradedComplex) -> CochainComplexTable:

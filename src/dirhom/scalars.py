@@ -242,8 +242,8 @@ class ResolvedBimodule:
         for t in triples:
             if t not in index:
                 raise AlgebraError(f"triple {t} does not span at ({s!r},{e!r})")
-        return self._rref[(s, e)] @ Matrix.unit_columns(self.field, len(index),
-                                                         [index[t] for t in triples])
+        q = self._rref[(s, e)]
+        return q.block(range(q.rows), [index[t] for t in triples])
 
     def left_edge_action(self, a: str, s: str, e: str) -> Matrix:
         """Matrix of prepending the edge a : s' -> s, in quotient bases."""

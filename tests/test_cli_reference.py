@@ -52,6 +52,9 @@ RUNS = [
     # the heaviest homology inputs over Q
     *(f"homology --actions --format json --field q {name}"
       for name in ("D4", "S3", "real33")),
+    # the same over prime fields; in characteristic 2, -1 = 1
+    *(f"homology --actions --format json --field fp:7 {name}" for name in ("S3", "real33")),
+    "homology --actions --format json --field fp:2 S3",
     *(f"cohomology --format json --field {field} D3" for field in ("q", "fp:7")),
     # one vertex pair, every entry listed even when zero
     *(f"{verb} --format {fmt} --pair 00,11 {name}"

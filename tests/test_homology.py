@@ -1,16 +1,23 @@
+import random
+
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import dirhom as dh
 from dirhom.cubechain import ChainError, PairGradedComplex, build_complex
-from dirhom.exactla import Matrix, PrimeField, QQ, Subspace, rank
+from dirhom.exactla import (
+    Matrix, PrimeField, QQ, Subspace, image_basis, kernel_basis, pivot_columns, rank,
+)
+from dirhom.exactseq import QuotientComplex, _LeftQuotient
 from dirhom.homology import (
     ActionError, HomologyTable, acyclicity_check, chain_map_of_morphism, cochain_dual,
     homology, homology_of, induced_map, induced_on_homology,
 )
 from dirhom.precubical import PcMorphism, SubsetSpec, sub
-from dirhom.scalars import restrict
+from dirhom.scalars import extend_subcomplex, restrict
 
 from conftest import corpus
+from test_exactseq import draw_cover
 
 
 @pytest.fixture(scope="module")
@@ -81,6 +88,75 @@ class TestHomology:
                             field.one if k == j else field.zero for k in range(h.dim))
                     for b in h.boundaries.basis:
                         assert h.class_vector(b) == (field.zero,) * h.dim
+
+
+def kernel_image_pivots(cx, i, pair):
+    """Reference: the kernel basis, the image basis of d_(i+1), and as
+    representatives the kernel vectors at the pivot columns of
+    [boundary basis | cycle basis]."""
+    ker = kernel_basis(cx.diff(i, pair))
+    img = image_basis(cx.diff(i + 1, pair))
+    picked = [j - img.dim for j in pivot_columns(img, ker) if j >= img.dim]
+    return ker, img, ker.basis_matrix(picked)
+
+
+def express_classes(reps: Matrix, img: Subspace, m: Matrix) -> Matrix:
+    """Reference: the coordinates of the columns of m on [reps | boundary
+    basis] by `express`, kept on the representatives."""
+    x = Subspace(m.field, m.rows, reps.columns() + list(img.basis)).express(m)
+    return x.block(range(reps.cols), range(m.cols))
+
+
+class TestKernelCoordinates:
+    """Homology in kernel coordinates against the kernel + image + pivot
+    construction, on spans and quotients of random covers."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_random_spans_and_quotients_match_the_reference(self, data):
+        x, y1, y2, field = draw_cover(data)
+        rng = random.Random(data.draw(st.integers(0, 2 ** 16)))
+        cx = build_complex(x, None, field)
+        span1 = extend_subcomplex(cx, y1)
+        span12 = extend_subcomplex(cx, y1 & y2)
+        for sc in (cx, span1, QuotientComplex(cx, span1), _LeftQuotient(span1, span12, field)):
+            for i, pair in sc.components_with_chains:
+                h = homology_of(sc, i, pair)
+                ker, img, reps = kernel_image_pivots(sc, i, pair)
+                assert h.representatives == reps
+                assert h.cycles == ker and h.boundaries == img
+                coeffs = Matrix.from_rows(field, [[rng.randint(-2, 2) for _ in range(3)]
+                                                  for _ in range(ker.dim)], cols=3)
+                m = ker.basis_matrix() @ coeffs
+                assert h.classes(m) == express_classes(reps, img, m)
+
+    def test_a_non_cycle_is_rejected(self, S2):
+        cx = build_complex(S2)
+        h = homology_of(cx, 1, ("000", "111"))
+        assert h.dim == 1
+        n = h.cycles.ambient_dim
+        with pytest.raises(ChainError, match="not a cycle"):
+            h.class_vector((1,) + (0,) * (n - 1))
+        with pytest.raises(ChainError):
+            h.classes(Matrix.zeros(QQ, n + 1, 1))
+
+    def test_two_eliminations_per_component_and_none_per_push(self, monkeypatch):
+        import dirhom.exactla as la
+        calls = []
+        real = la._eliminate
+        monkeypatch.setattr(la, "_eliminate", lambda *a: calls.append(1) or real(*a))
+        most = 0
+        for x in corpus():
+            cx = build_complex(x)
+            for i, pair in cx.components_with_chains:
+                calls.clear()
+                h = homology_of(cx, i, pair)
+                assert len(calls) <= 2
+                most = max(most, len(calls))
+                calls.clear()
+                h.classes(h.cycles.basis_matrix())
+                assert not calls
+        assert most == 2    # the counter sees both eliminations
 
 
 class TestActions:

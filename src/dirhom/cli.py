@@ -228,11 +228,12 @@ def homology(path, field_name, max_degree, fmt, pair, actions):
     if actions:
         act = []
         for a in x.edges:
-            s = x.edge_target(a)
+            s, s2 = x.edge_target(a), x.edge_source(a)
             for e in x.vertices:
                 for i in range(max_degree + 1):
-                    m = table.left_action(a, i, s, e)
-                    if m.rows or m.cols:
+                    # the action is a dim(i, s2, e) x dim(i, s, e) matrix
+                    if table.dim(i, s, e) or table.dim(i, s2, e):
+                        m = table.left_action(a, i, s, e)
                         act.append({"edge": a, "side": "left", "degree": i,
                                     "src": s, "dst": e,
                                     "matrix": [[str(v) for v in row] for row in m.data]})

@@ -26,11 +26,16 @@ The split-size factor ``(-1)^|A|`` is required: with the bare shuffle
 signature the double splits of one cube do not cancel and the square of the
 boundary is nonzero.  With it, d . d = 0 (asserted at every complex build),
 and the two splittings of a 2-cube carry opposite signs.
+
+A boundary column is assembled by position: a build splits each cube once,
+into its list of (lower, upper, sign) per A, and looks each term's cube ids
+up in the positions of the component below, making no chain per term.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dataclass_field
+from functools import cached_property
 from typing import Iterator, Mapping, Sequence
 
 from .exactla import FieldError, Matrix, QQ, _modulus, _neg
@@ -221,22 +226,6 @@ class FormalSum:
         return " + ".join(f"({c})*{ch!r}" for ch, c in self.items())
 
 
-def _shuffle_parity(a_set: Sequence[int], comp: Sequence[int]) -> int:
-    inv = 0
-    for a in a_set:
-        for c in comp:
-            if c < a:
-                inv += 1
-    return inv % 2
-
-
-def _proper_subsets(n: int) -> list[tuple[int, ...]]:
-    out = []
-    for mask in range(1, (1 << n) - 1):
-        out.append(tuple(i + 1 for i in range(n) if mask >> i & 1))
-    return out
-
-
 def split_cube(x: PrecubicalSet, cube: str, a_set: Sequence[int]) -> tuple[str, str]:
     """Split a cube along a subset A of its directions.
 
@@ -255,46 +244,42 @@ def split_cube(x: PrecubicalSet, cube: str, a_set: Sequence[int]) -> tuple[str, 
     return lower, upper
 
 
+def _splits(x: PrecubicalSet, cube: str, memo: dict) -> list[tuple[str, str, int]]:
+    """``(lower, upper, (-1)^|A| * shuffle sign)`` for each nonempty proper
+    subset A of the cube's directions, computed once per `memo`."""
+    out = memo.get(cube)
+    if out is None:
+        n = x.dim_of(cube)
+        out = memo[cube] = []
+        for mask in range(1, (1 << n) - 1):
+            a_set = [i + 1 for i in range(n) if mask >> i & 1]
+            # the shuffle (A asc, complement asc) inverts each c < a with c not in A
+            odd = (len(a_set) + sum(c not in a_set for a in a_set for c in range(1, a))) % 2
+            out.append((*split_cube(x, cube, a_set), -1 if odd else 1))
+    return out
+
+
+def _boundary_terms(x: PrecubicalSet, chain: CubeChain, memo: dict
+                    ) -> Iterator[tuple[tuple[str, ...], int]]:
+    """The cube ids of each term of the boundary of a chain and its +-1
+    coefficient, read off the split lists of its cubes."""
+    cubes, prefix_deg = chain.cubes, 0
+    for k, n in enumerate(chain.dims):
+        if n >= 2:
+            head, tail, odd = cubes[:k], cubes[k + 1:], prefix_deg % 2
+            for lower, upper, sign in _splits(x, cubes[k], memo):
+                yield head + (lower, upper) + tail, -sign if odd else sign
+        prefix_deg += n - 1
+
+
 def boundary(x: PrecubicalSet, chain: CubeChain, field=QQ) -> FormalSum:
     """The boundary of a chain of degree >= 1 (see the module docstring)."""
     if chain.degree < 1:
         raise ChainError("boundary of a degree-0 chain is zero; use an empty sum")
     out = FormalSum(field)
-    for term, sign in _boundary_terms(x, chain):
-        out.add_term(term, sign)
+    for cubes, sign in _boundary_terms(x, chain, {}):
+        out.add_term(make_chain(x, cubes), sign)
     return out
-
-
-def _boundary_terms(x: PrecubicalSet, chain: CubeChain) -> Iterator[tuple[CubeChain, int]]:
-    """The terms of the boundary of a chain with their +-1 coefficients."""
-    prefix_deg = 0
-    for k, (cube, n) in enumerate(zip(chain.cubes, chain.dims)):
-        if n >= 2:
-            eps_k = -1 if prefix_deg % 2 else 1
-            for a_set in _proper_subsets(n):
-                comp = [i for i in range(1, n + 1) if i not in set(a_set)]
-                sign = eps_k
-                if len(a_set) % 2:
-                    sign = -sign
-                if _shuffle_parity(a_set, comp):
-                    sign = -sign
-                lower, upper = split_cube(x, cube, a_set)
-                cubes = chain.cubes[:k] + (lower, upper) + chain.cubes[k + 1:]
-                dims = chain.dims[:k] + (len(a_set), n - len(a_set)) + chain.dims[k + 1:]
-                yield CubeChain(chain.src, chain.dst, cubes, dims), sign
-        prefix_deg += n - 1
-
-
-def _boundary_column(x: PrecubicalSet, chain: CubeChain, index: Mapping) -> dict[int, int]:
-    """The boundary of a chain as ``{position: coefficient}`` in a target
-    basis, `index` mapping each basis element to its position."""
-    col: dict[int, int] = {}
-    for term, sign in _boundary_terms(x, chain):
-        j = index.get(term)
-        if j is None:
-            raise ChainError(f"boundary term {term!r} missing from basis")
-        col[j] = col.get(j, 0) + sign
-    return col
 
 
 # -- graded complexes ---------------------------------------------------------
@@ -345,6 +330,17 @@ class GradedComplex:
         """How a failure report names basis element j of the (i, pair) component."""
         return f"basis element {j}"
 
+    # the 0/1 matrices of the edge actions of a complex graded by a set `x`
+    def left_action_chain(self, edge: str, i: int, pair) -> Matrix:
+        """C_i(s, e) -> C_i(s', e): prepend the edge s' -> s to every chain."""
+        return Matrix.unit_columns(self.field, self.dim(i, (self.x.edge_source(edge), pair[1])),
+                                   self.left_action_targets(edge, i, pair))
+
+    def right_action_chain(self, edge: str, i: int, pair) -> Matrix:
+        """C_i(s, e) -> C_i(s, e'): append the edge e -> e' to every chain."""
+        return Matrix.unit_columns(self.field, self.dim(i, (pair[0], self.x.edge_target(edge))),
+                                   self.right_action_targets(edge, i, pair))
+
     def check_boundary_square(self) -> None:
         for pair in self._pairs:
             for i in range(2, self.top_degree + 1):
@@ -360,19 +356,24 @@ class PairGradedComplex(GradedComplex):
     """The cube-chain complex of an acyclic precubical set.
 
     Bases are the enumerated cube chains in canonical order; one differential
-    matrix per (degree, src, dst).
+    matrix per (degree, src, dst).  `positions` maps the cube ids of each
+    basis chain to its position, `index` the chain itself.
     """
 
     def __init__(self, x: PrecubicalSet, field, top_degree: int,
                  bases: dict[tuple[int, str, str], list[CubeChain]],
-                 diffs: dict[tuple[int, str, str], Matrix]):
+                 diffs: dict[tuple[int, str, str], Matrix],
+                 positions: dict[tuple[int, str, str], dict[tuple[str, ...], int]]):
         dims = {(i, (s, e)): len(chains) for (i, s, e), chains in bases.items()}
         super().__init__(field, top_degree,
                          dims, {(i, (s, e)): m for (i, s, e), m in diffs.items()})
         self.x = x
         self.bases = bases
-        self.index: dict[tuple[int, str, str], dict[CubeChain, int]] = {
-            key: {c: i for i, c in enumerate(chains)} for key, chains in bases.items()}
+        self.positions = positions
+
+    @cached_property
+    def index(self) -> dict[tuple[int, str, str], dict[CubeChain, int]]:
+        return {key: {c: i for i, c in enumerate(chains)} for key, chains in self.bases.items()}
 
     def basis(self, i: int, src: str, dst: str) -> list[CubeChain]:
         return list(self.bases.get((i, src, dst), ()))
@@ -380,17 +381,15 @@ class PairGradedComplex(GradedComplex):
     def _basis_name(self, i: int, pair, j: int) -> str:
         return repr(self.bases[(i, *pair)][j])
 
-    def left_action_chain(self, edge: str, i: int, pair) -> Matrix:
-        """C_i(s, e) -> C_i(s', e): prepend the edge s' -> s to every chain."""
-        s2 = self.x.edge_source(edge)
-        images = [c.prepended(edge, s2) for c in self.bases.get((i, *pair), ())]
-        return _basis_map(self.field, images, self.index.get((i, s2, pair[1]), {}))
+    def left_action_targets(self, edge: str, i: int, pair) -> list[int]:
+        """Where prepending the edge s' -> s puts each chain of C_i(s, e) in C_i(s', e)."""
+        at = self.positions.get((i, self.x.edge_source(edge), pair[1]))
+        return [at[(edge,) + c.cubes] for c in self.bases.get((i, *pair), ())]
 
-    def right_action_chain(self, edge: str, i: int, pair) -> Matrix:
-        """C_i(s, e) -> C_i(s, e'): append the edge e -> e' to every chain."""
-        e2 = self.x.edge_target(edge)
-        images = [c.appended(edge, e2) for c in self.bases.get((i, *pair), ())]
-        return _basis_map(self.field, images, self.index.get((i, pair[0], e2), {}))
+    def right_action_targets(self, edge: str, i: int, pair) -> list[int]:
+        """Where appending the edge e -> e' puts each chain of C_i(s, e) in C_i(s, e')."""
+        at = self.positions.get((i, pair[0], self.x.edge_target(edge)))
+        return [at[c.cubes + (edge,)] for c in self.bases.get((i, *pair), ())]
 
     def chain_index(self, chain: CubeChain) -> int:
         key = (chain.degree, chain.src, chain.dst)
@@ -453,8 +452,8 @@ class BasisSubcomplex(GradedComplex):
         for i, pair in self.kept:
             if not i:
                 continue
-            j = _chain_map_witness(target.diff(i, pair).transpose(), f(i, pair),
-                                   f(i - 1, pair), source.diff(i, pair).transpose())
+            j = _chain_map_witness(target.diff(i, pair).transpose(), _unit_targets(f(i, pair)),
+                                   _unit_targets(f(i - 1, pair)), source.diff(i, pair).transpose())
             if j is not None:
                 raise ChainError(f"{f.__name__} is not a chain map at degree {i}, pair {pair}: "
                                  f"witness {source._basis_name(i, pair, j)}")
@@ -483,9 +482,9 @@ def _basis_map(field, images: Sequence, index: Mapping,
 
 
 def _unit_targets(m: Matrix) -> tuple[list[int | None], set[int]]:
-    """The row of the one entry of each column of a 0/+-1 basis map, None for
-    a zero column, and the set of columns whose entry is -1; raises
-    ChainError on any other entry or on a second entry in a column."""
+    """A 0/+-1 basis map as signed positions: the row of the one entry of each
+    column, None for a zero column, and the set of columns whose entry is -1;
+    raises ChainError on any other entry or on a second entry in a column."""
     minus = _neg(1, _modulus(m.field))
     targets: list[int | None] = [None] * m.cols
     negated: set[int] = set()
@@ -500,39 +499,52 @@ def _unit_targets(m: Matrix) -> tuple[list[int | None], set[int]]:
     return targets, negated
 
 
-def _chain_map_witness(target_dt: Matrix, p: Matrix, q: Matrix,
-                       source_dt: Matrix) -> int | None:
-    """Decide ``d' @ p == q @ d`` for 0/+-1 basis maps p (degree i) and q
-    (degree i-1) by re-indexing, with no matrix product: None when the two
-    sides agree, else the first column j where they differ.
+def _renamed(vec: dict, p: tuple, mod: int) -> dict:
+    """``P @ vec`` for the 0/+-1 map P of signed positions ``p = (targets,
+    negated)``: entry r moves to targets[r], negated when r is in `negated`,
+    dropped when the target is None, and entries that meet add."""
+    targets, negated = p
+    out: dict = {}
+    for r, a in vec.items():
+        t = targets[r]
+        if t is not None:
+            if r in negated:
+                a = _neg(a, mod)
+            out[t] = out[t] + a if t in out else a
+    if len(out) < len(vec):
+        # entries may have met on one target and been summed: drop zeros, reduce mod p
+        out = ({t: v for t, a in out.items() if (v := a % mod)} if mod
+               else {t: a for t, a in out.items() if a})
+    return out
 
-    `target_dt` and `source_dt` are the transposes of d' and d, so their rows
-    are the columns of the differentials.  Column j of ``d' @ p`` is column
-    p(j) of d', negated where p has -1.  ``q @ d`` renames the rows of d by
-    q, negating those q sends to -1; entries that land on one row add, since
-    q need not be injective.  Every entry is compared.
+
+def _reindexed(m: Matrix, rows: int, p: tuple) -> Matrix:
+    """``P @ m`` for the 0/+-1 map P of signed positions p with `rows` rows,
+    with no product: row r of m moves to row p(r), and rows that meet add."""
+    mod = _modulus(m.field)
+    return Matrix.from_sparse_columns(m.field, rows,
+                                      [_renamed(col, p, mod) for col in m.transpose()._rows])
+
+
+def _chain_map_witness(target_dt: Matrix, p: tuple, q: tuple,
+                       source_dt: Matrix) -> int | None:
+    """Decide ``d' @ P == Q @ d`` for 0/+-1 basis maps P (degree i) and Q
+    (degree i-1) of signed positions by re-indexing, with no matrix product:
+    None when the two sides agree, else the first column j where they differ.
+
+    `target_dt` and `source_dt` are the transposes of d' and d, whose rows are
+    the columns of the differentials.  Column j of ``d' @ P`` is column P(j)
+    of d', negated where P has -1, and of ``Q @ d`` column j of d renamed by
+    Q (`_renamed`).  Every entry is compared.
     """
-    if (p.rows, q.rows, p.cols, q.cols) != (target_dt.rows, target_dt.cols,
-                                            source_dt.rows, source_dt.cols):
+    if (len(p[0]), len(q[0])) != (source_dt.rows, source_dt.cols):
         raise FieldError("shape mismatch in a chain-map check")
-    (p_of, p_neg), (q_of, q_neg) = _unit_targets(p), _unit_targets(q)
-    mod = _modulus(p.field)
+    (p_of, p_neg), mod = p, _modulus(target_dt.field)
     for j, col in enumerate(source_dt._rows):
-        renamed: dict = {}
-        for r, a in col.items():
-            t = q_of[r]
-            if t is not None:
-                if r in q_neg:
-                    a = _neg(a, mod)
-                renamed[t] = renamed[t] + a if t in renamed else a
-        if len(renamed) < len(col):
-            # entries that met on one row were summed: drop zeros, reduce mod p
-            renamed = ({t: v for t, a in renamed.items() if (v := a % mod)} if mod
-                       else {t: a for t, a in renamed.items() if a})
         image = target_dt._rows[p_of[j]] if p_of[j] is not None else {}
         if j in p_neg:
             image = {t: _neg(a, mod) for t, a in image.items()}
-        if renamed != image:
+        if _renamed(col, q, mod) != image:
             return j
     return None
 
@@ -549,14 +561,24 @@ def build_complex(x: PrecubicalSet, max_degree: int | None = None,
     if max_degree is not None:
         top = min(top, max_degree)
     bases = {k: v for k, v in catalog.items() if k[0] <= top}
+    positions = {k: {c.cubes: j for j, c in enumerate(chains)} for k, chains in bases.items()}
+    splits: dict[str, list] = {}
     diffs: dict[tuple[int, str, str], Matrix] = {}
     for (i, s, e), chains in sorted(bases.items()):
         if i == 0:
             continue
-        tindex = {c: j for j, c in enumerate(bases.get((i - 1, s, e), []))}
-        diffs[(i, s, e)] = Matrix.from_sparse_columns(
-            field, len(tindex), [_boundary_column(x, chain, tindex) for chain in chains])
-    cx = PairGradedComplex(x, field, top, bases, diffs)
+        at = positions.get((i - 1, s, e), {})
+        cols = []
+        for chain in chains:
+            col: dict[int, int] = {}
+            for cubes, sign in _boundary_terms(x, chain, splits):
+                j = at.get(cubes)
+                if j is None:
+                    raise ChainError(f"boundary term {cubes} of {chain!r} missing from basis")
+                col[j] = col.get(j, 0) + sign
+            cols.append(col)
+        diffs[(i, s, e)] = Matrix.from_sparse_columns(field, len(at), cols)
+    cx = PairGradedComplex(x, field, top, bases, diffs, positions)
     cx.check_boundary_square()
     return cx
 

@@ -307,6 +307,25 @@ def connecting_map(ses: ShortExactData, i: int, pair,
     return ha.classes(ses.boundary_block(i, pair, ses.c.kept[(i, pair)]) @ hc.representatives)
 
 
+def _homology(c: GradedComplex) -> dict[tuple[int, object], PairHomology]:
+    """`homology_of` on the components of c with chains; on any other key
+    `_dim` reads 0 and `_pushed` gives a zero map."""
+    return {k: homology_of(c, *k) for k in c.components_with_chains}
+
+
+def _dim(hs: dict, k) -> int:
+    return hs[k].dim if k in hs else 0
+
+
+def _pushed(f, i: int, pair, src: dict, dst: dict, field) -> Matrix:
+    """`induced_on_homology` of ``f(i, pair)`` between two homology dicts, or
+    zero, with no chain map built, when src has no classes or a side no chains."""
+    k = (i, pair)
+    if k not in src or k not in dst or not src[k].dim:
+        return Matrix.zeros(field, _dim(dst, k), _dim(src, k))
+    return induced_on_homology(f(i, pair), src[k], dst[k])
+
+
 # -- long exact sequence of a relative pair ---------------------------------------------
 
 
@@ -336,11 +355,10 @@ def les_relative(x: PrecubicalSet, spec: SubsetSpec, field=QQ,
     report = _pair_report(x, spec, field, span, y, inc)
     quo = QuotientComplex(cx, span)
     top = cx.top_degree if max_degree is None else min(max_degree, cx.top_degree)
-    keys = [(i, pair) for pair in cx.pairs() for i in range(cx.top_degree + 1)]
-    hx, ha, hc = ({k: homology_of(c, *k) for k in keys} for c in (cx, span, quo))
+    keys = [(i, pair) for pair in cx.pairs() for i in range(top + 1)]
+    hx, ha, hc = (_homology(c) for c in (cx, span, quo))
     result = RelativeHomologyResult(
-        report, *({k: h.dim for k, h in hs.items() if k[0] <= top} for hs in (hx, ha, hc)),
-        None, None)
+        report, *({k: _dim(hs, k) for k in keys} for hs in (hx, ha, hc)), None, None)
     if not report.accepted:
         # the sequence is only guaranteed (and only assembled) for accepted pairs
         return result
@@ -350,18 +368,20 @@ def les_relative(x: PrecubicalSet, spec: SubsetSpec, field=QQ,
 
     def maps(i, pair):
         # H_i(ext Y) -> H_i(X) -> H_i(X, Y) -> H_{i-1}(ext Y)
-        a_i, x_i, c_i = ha[(i, pair)], hx[(i, pair)], hc[(i, pair)]
-        inc_h = induced_on_homology(span.inclusion_matrix(i, pair), a_i, x_i)
-        prj_h = induced_on_homology(quo.projection(i, pair), x_i, c_i)
+        inc_h = _pushed(span.inclusion_matrix, i, pair, ha, hx, field)
+        prj_h = _pushed(quo.projection, i, pair, hx, hc, field)
         if i == 0:
             return inc_h, prj_h, None
-        delta = connecting_map(ses, i, pair, ha[(i - 1, pair)], c_i)
+        if not _dim(hc, (i, pair)):
+            return inc_h, prj_h, Matrix.zeros(field, _dim(ha, (i - 1, pair)), 0)
+        c_i, a_prev = hc[(i, pair)], ha.get((i - 1, pair)) or homology_of(span, i - 1, pair)
+        delta = connecting_map(ses, i, pair, a_prev, c_i)
         # shifting each lift by the sum z of A_i's basis adds the boundary
         # A.diff(i) @ z to its pull-back, so the classes must not move
         n = span.dim(i, pair)
         shifted = (ses.boundary_block(i, pair, quo.kept[(i, pair)] + ses.a_positions(i, pair))
                    @ c_i.representatives.stack(Matrix(field, n, c_i.dim, [[1] * c_i.dim] * n)))
-        if ha[(i - 1, pair)].classes(shifted) != delta:
+        if a_prev.classes(shifted) != delta:
             raise ExactnessError("connecting map depends on the lift choice")
         return inc_h, prj_h, delta
 
@@ -372,7 +392,7 @@ def les_relative(x: PrecubicalSet, spec: SubsetSpec, field=QQ,
     ty = HomologyTable(build_complex(y, None, field), y)
     result.extension_commutes = not _extension_mismatches(
         cx, inc, ty.cx.top_degree, lambda i: present_homology(ty, i),
-        lambda i, pair: ha[(i, pair)].dim)
+        lambda i, pair: _dim(ha, (i, pair)))
     return result
 
 
@@ -442,7 +462,7 @@ class _Cover:
     span12: SubcomplexExtension
     left: _LeftQuotient
     quo2: QuotientComplex
-    hcl: dict[tuple[int, tuple], PairHomology]
+    hcl: dict[tuple[int, tuple], PairHomology]     # a missing key has no chains
     hcr: dict[tuple[int, tuple], PairHomology]
     excision: dict[tuple[int, tuple], Matrix]
 
@@ -480,16 +500,14 @@ def _check_cover(x: PrecubicalSet, s1: SubsetSpec, s2: SubsetSpec,
     left = _LeftQuotientCache.get(span1, span12, field)
     quo2 = QuotientComplexCache.get(cx, span2, field)
     keys = [(i, pair) for pair in cx.pairs() for i in range(cx.top_degree + 1)]
-    parts = _Cover(cx, span1, span2, span12, left, quo2,
-                   {k: homology_of(left, *k) for k in keys},
-                   {k: homology_of(quo2, *k) for k in keys}, {})
+    parts = _Cover(cx, span1, span2, span12, left, quo2, _homology(left), _homology(quo2), {})
     left.check_chain_map(parts.excision_chains, left, quo2)
     failures: list[tuple[int, tuple, int, int]] = []
     for i, pair in keys:
-        hq_left, hq_right = parts.hcl[(i, pair)], parts.hcr[(i, pair)]
+        dims = _dim(parts.hcl, (i, pair)), _dim(parts.hcr, (i, pair))
         m = parts.excision[(i, pair)] = _excision_map(parts, i, pair)
-        if not (hq_left.dim == hq_right.dim and rank(m) == hq_left.dim):
-            failures.append((i, pair, hq_left.dim, hq_right.dim))
+        if not (dims[0] == dims[1] and rank(m) == dims[0]):
+            failures.append((i, pair, *dims))
     return GoodCoverReport(covers, reports, not failures, failures), parts
 
 
@@ -545,7 +563,7 @@ class _LeftQuotientCache:
 
 def _excision_map(c: _Cover, i: int, pair) -> Matrix:
     """Homology of the canonical map ext C(X1)/ext C(X1^X2) -> C(X)/ext C(X2)."""
-    return induced_on_homology(c.excision_chains(i, pair), c.hcl[(i, pair)], c.hcr[(i, pair)])
+    return _pushed(c.excision_chains, i, pair, c.hcl, c.hcr, c.cx.field)
 
 
 @dataclass
@@ -575,16 +593,15 @@ def mayer_vietoris(x: PrecubicalSet, s1: SubsetSpec, s2: SubsetSpec,
     ShortExactData(span2, parts.quo2).verify()
 
     keys = [(i, p) for p in cx.pairs() for i in range(top + 1)]
-    h12, h1, h2, hx = ({k: homology_of(c, *k) for k in keys} for c in (span12, span1, span2, cx))
+    h12, h1, h2, hx = (_homology(c) for c in (span12, span1, span2, cx))
 
     def maps(i, pair):
-        a, b1, b2, bx = h12[(i, pair)], h1[(i, pair)], h2[(i, pair)], hx[(i, pair)]
         # A -> B1 (+) B2 : classes included into both parts
-        m_in1 = induced_on_homology(_span_inclusion(span12, span1, i, pair), a, b1)
-        m_in2 = induced_on_homology(_span_inclusion(span12, span2, i, pair), a, b2)
+        m_in1 = _pushed(lambda *k: _span_inclusion(span12, span1, *k), i, pair, h12, h1, field)
+        m_in2 = _pushed(lambda *k: _span_inclusion(span12, span2, *k), i, pair, h12, h2, field)
         # B1 (+) B2 -> X : difference of the inclusions
-        m1x = induced_on_homology(span1.inclusion_matrix(i, pair), b1, bx)
-        m2x = induced_on_homology(span2.inclusion_matrix(i, pair), b2, bx)
+        m1x = _pushed(span1.inclusion_matrix, i, pair, h1, hx, field)
+        m2x = _pushed(span2.inclusion_matrix, i, pair, h2, hx, field)
         delta = _mv_connecting(parts, i, pair, hx, h12) if i >= 1 else None
         return m_in1.stack(m_in2), m1x.augment(-m2x), delta
 
@@ -592,7 +609,7 @@ def mayer_vietoris(x: PrecubicalSet, s1: SubsetSpec, s2: SubsetSpec,
                                ("(^)H{i}", "H{i}(1)+H{i}(2)", "H{i}(X)"), maps,
                                "Mayer-Vietoris sequence failed verification")
     cap = top if max_degree is None else max_degree
-    tables = {name: {k: h.dim for k, h in hs.items() if k[0] <= cap} for name, hs in
+    tables = {name: {k: _dim(hs, k) for k in keys if k[0] <= cap} for name, hs in
               (("intersection", h12), ("part1", h1), ("part2", h2), ("whole", hx))}
     return MayerVietorisResult(cover, seq, tables)
 
@@ -603,10 +620,13 @@ def _mv_connecting(c: _Cover, i: int, pair, hx, h12) -> Matrix:
     j' projects to H_i(C(X)/ext X2); the excision isomorphism is inverted on
     classes; the zig-zag of the left column lands in H_{i-1}(ext X1^X2).
     """
+    if not _dim(hx, (i, pair)):
+        return Matrix.zeros(c.cx.field, _dim(h12, (i - 1, pair)), 0)
     # the snake of the left column: 0 -> ext(X1^X2) -> ext(X1) -> left quotient -> 0
     snake = connecting_map(ShortExactData(c.span12, c.left), i, pair,
-                           h12[(i - 1, pair)], c.hcl[(i, pair)])
-    projected = induced_on_homology(c.quo2.projection(i, pair), hx[(i, pair)], c.hcr[(i, pair)])
+                           h12.get((i - 1, pair)) or homology_of(c.span12, i - 1, pair),
+                           c.hcl.get((i, pair)) or homology_of(c.left, i, pair))
+    projected = _pushed(c.quo2.projection, i, pair, hx, c.hcr, c.cx.field)
     w = solve(c.excision[(i, pair)], projected)
     if w is None:
         raise SequenceError("excision map not surjective on a class")

@@ -34,8 +34,8 @@ from functools import cached_property
 from .exactla import Matrix, QQ
 from .precubical import PcMorphism, PrecubicalSet, TensorSet, tensor, tensor_morphism
 from .cubechain import (
-    ChainError, CubeChain, GradedComplex, PairGradedComplex, _basis_map, _boundary_terms,
-    _chain_map_witness, build_complex, project_shuffle,
+    ChainError, CubeChain, GradedComplex, PairGradedComplex, _basis_map, _chain_map_witness,
+    _unit_targets, build_complex, project_shuffle,
 )
 from .homology import HomologyTable, chain_map_of_morphism, homology_of
 
@@ -79,21 +79,25 @@ class TensorComplex(GradedComplex):
         self.index = {key: {t: i for i, t in enumerate(rows)}
                       for key, rows in bases.items()}
         dims = {key: len(rows) for key, rows in bases.items()}
+        # the terms of d(c) for a factor chain c: column c of d, a row of d^T
+        dta, dtb = ({k: cx.diff(k[0], k[1:]).transpose() for k in cx.bases if k[0]}
+                    for cx in (cxa, cxb))
+
+        def d(cx: PairGradedComplex, dt: dict, c: CubeChain) -> list[tuple[CubeChain, int]]:
+            k, below = (c.degree, c.src, c.dst), cx.bases.get((c.degree - 1, c.src, c.dst))
+            col = dt[k]._rows[cx.positions[k][c.cubes]] if c.degree else {}
+            return [(below[r], a) for r, a in col.items()]
+
         diffs: dict[tuple[int, object], Matrix] = {}
         for (n, pair), rows in sorted(bases.items()):
             if n == 0:
                 continue
             tindex = self.index.get((n - 1, pair), {})
             cols = []
-            for (ca, cb) in rows:
-                col: dict[int, int] = {}
-                for term, coeff in _boundary_terms(tx.left, ca):
-                    k = tindex[(term, cb)]
-                    col[k] = col.get(k, 0) + coeff
+            for ca, cb in rows:
+                col = {tindex[(term, cb)]: a for term, a in d(cxa, dta, ca)}
                 sign = -1 if ca.degree % 2 else 1
-                for term, coeff in _boundary_terms(tx.right, cb):
-                    k = tindex[(ca, term)]
-                    col[k] = col.get(k, 0) + sign * coeff
+                col.update((tindex[(ca, term)], sign * b) for term, b in d(cxb, dtb, cb))
                 cols.append(col)
             diffs[(n, pair)] = Matrix.from_sparse_columns(field, len(tindex), cols)
         super().__init__(field, top, dims, diffs)
@@ -116,26 +120,24 @@ class TensorComplex(GradedComplex):
             v[self.tensor_index(n, pair, t)] = coeff
         return tuple(v)
 
-    # chain-level edge actions, mirrored from the factors
-    def left_action_chain(self, edge: str, n: int, pair) -> Matrix:
+    # chain-level edge actions, mirrored from the factors, as target positions
+    def left_action_targets(self, edge: str, n: int, pair) -> list[int]:
         """Prepend a product edge on the appropriate tensor factor."""
         tx, (u, v) = self.tx, self.tx.components(edge)
         on_x = tx.left.dim_of(u) == 1
-        images = [(ca.prepended(u, tx.left.edge_source(u)), cb) if on_x
-                  else (ca, cb.prepended(v, tx.right.edge_source(v)))
-                  for ca, cb in self.bases.get((n, pair), [])]
-        return _basis_map(self.field, images,
-                          self.index.get((n, (tx.edge_source(edge), pair[1])), {}))
+        at = self.index.get((n, (tx.edge_source(edge), pair[1])))
+        return [at[(ca.prepended(u, tx.left.edge_source(u)), cb) if on_x
+                   else (ca, cb.prepended(v, tx.right.edge_source(v)))]
+                for ca, cb in self.bases.get((n, pair), [])]
 
-    def right_action_chain(self, edge: str, n: int, pair) -> Matrix:
+    def right_action_targets(self, edge: str, n: int, pair) -> list[int]:
         """Append a product edge on the appropriate tensor factor."""
         tx, (u, v) = self.tx, self.tx.components(edge)
         on_x = tx.left.dim_of(u) == 1
-        images = [(ca.appended(u, tx.left.edge_target(u)), cb) if on_x
-                  else (ca, cb.appended(v, tx.right.edge_target(v)))
-                  for ca, cb in self.bases.get((n, pair), [])]
-        return _basis_map(self.field, images,
-                          self.index.get((n, (pair[0], tx.edge_target(edge))), {}))
+        at = self.index.get((n, (pair[0], tx.edge_target(edge))))
+        return [at[(ca.appended(u, tx.left.edge_target(u)), cb) if on_x
+                   else (ca, cb.appended(v, tx.right.edge_target(v)))]
+                for ca, cb in self.bases.get((n, pair), [])]
 
 
 # -- the separating map -----------------------------------------------------------
@@ -339,18 +341,20 @@ def tensor_comparison_report(x: PrecubicalSet, y: PrecubicalSet, field=QQ,
     hp, ht = st.product_table, HomologyTable(tc, tx)
     keys = sorted({k for k in cxp.components_with_chains + tc.components_with_chains
                    if k[0] <= top})
-    empty = Matrix.zeros(field, 0, 0)   # any map between components without chains
+    empty = ([], ())   # the positions of any map between components without chains
     failures: list[str] = []
     sep = {(n, pair): separating_matrix(tx, cxp, tc, n, *pair) for n, pair in keys}
-    ilv = {(n, pair): interleaving_matrix(tx, tc, cxp, n, *pair) for n, pair in keys}
+    sep_p = {k: _unit_targets(m) for k, m in sep.items()}
+    ilv_p = {(n, pair): _unit_targets(interleaving_matrix(tx, tc, cxp, n, *pair))
+             for n, pair in keys}
 
     chain_ok = True
     for n, pair in keys:
         if not n:
             continue
         dp, dt = cxp.diff(n, pair).transpose(), tc.diff(n, pair).transpose()
-        for name, f, src, d_src, d_dst in (("separating", sep, cxp, dp, dt),
-                                           ("interleaving", ilv, tc, dt, dp)):
+        for name, f, src, d_src, d_dst in (("separating", sep_p, cxp, dp, dt),
+                                           ("interleaving", ilv_p, tc, dt, dp)):
             j = _chain_map_witness(d_dst, f[(n, pair)], f.get((n - 1, pair), empty), d_src)
             if j is not None:
                 chain_ok = False
@@ -360,7 +364,8 @@ def tensor_comparison_report(x: PrecubicalSet, y: PrecubicalSet, field=QQ,
     retract_ok = True
     for n, pair in keys:
         ident = Matrix.identity(field, tc.dim(n, pair))
-        j = _chain_map_witness(sep[(n, pair)].transpose(), ilv[(n, pair)], ident, ident)
+        j = _chain_map_witness(sep[(n, pair)].transpose(), ilv_p[(n, pair)],
+                               (range(ident.rows), ()), ident)
         if j is not None:
             retract_ok = False
             failures.append(f"separate.interleave != id at {n} {pair}: "
@@ -370,8 +375,8 @@ def tensor_comparison_report(x: PrecubicalSet, y: PrecubicalSet, field=QQ,
     inverse_ok = True
     for n, pair in keys:
         k = (n, *pair)
-        m1 = hp._induced(lambda: sep[(n, pair)], k, ht, k)
-        m2 = ilv_h[(n, pair)] = ht._induced(lambda: ilv[(n, pair)], k, hp, k)
+        m1 = hp._induced(lambda: sep_p[(n, pair)], k, ht, k)
+        m2 = ilv_h[(n, pair)] = ht._induced(lambda: ilv_p[(n, pair)], k, hp, k)
         if (m1 @ m2 != Matrix.identity(field, ht.dim(*k))
                 or m2 @ m1 != Matrix.identity(field, hp.dim(*k))):
             inverse_ok = False
@@ -511,8 +516,10 @@ def comparison_naturality_check(f: PcMorphism, g: PcMorphism, field=QQ) -> bool:
         tmap_t = _tensor_factor_map(sta, stb, f, g, n, (s, e), tpair).transpose()
         ilv_a = interleaving_matrix(sta.tx, sta.tc, sta.cxp, n, s, e)
         ilv_b = interleaving_matrix(stb.tx, stb.tc, stb.cxp, n, *tpair)
-        if (_chain_map_witness(tmap_t, sep_a, sep_b, m.transpose()) is not None
-                or _chain_map_witness(m.transpose(), ilv_a, ilv_b, tmap_t) is not None):
+        if (_chain_map_witness(tmap_t, _unit_targets(sep_a), _unit_targets(sep_b),
+                               m.transpose()) is not None
+                or _chain_map_witness(m.transpose(), _unit_targets(ilv_a), _unit_targets(ilv_b),
+                                      tmap_t) is not None):
             return False
     return True
 

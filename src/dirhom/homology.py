@@ -7,22 +7,22 @@ coordinates (`exactla.homology_quotient`).  `PairHomology.classes` is the
 one push of chains into homology: it reads the kernel coordinates of cycles
 off their entries, checks that the kernel basis gives the cycles back, and
 applies the quotient map, with no elimination.  `induced_on_homology(f, src,
-dst)` is ``dst.classes(f @ src.representatives)``; the edge actions, the
-maps induced by morphisms, the inclusions, projections and excision maps of
-the exact sequences and the tensor comparison maps use it, and a connecting
-map calls `classes` on the block of the ambient differential that it reads
-off a short sequence, applied to representatives.
+dst)`, ``dst.classes(f @ src.representatives)``, pushes a matrix f: the maps
+induced by morphisms and the inclusions, projections and excision maps of the
+exact sequences.  A connecting map calls `classes` on the block of the
+ambient differential that it reads off a short sequence.
 
 The bimodule structure is realized by edge actions: prepending an edge to
 every chain of a graded component (left action) or appending one (right
-action).  `HomologyTable` takes them from the complex's `left_action_chain`
-and `right_action_chain`, so one table serves the cube-chain complex of a
-set and the tensor complex of two factors (`ez.TensorComplex`) alike.  The
-actions are chain maps on the nose, which is asserted when a table is built;
-well-definedness on homology follows.  The maps send basis chains to basis
-chains, so the assertion re-indexes the columns of the differentials
-instead of multiplying matrices, it still compares every entry, and a
-failure names a witness basis element.
+action).  A complex gives them as target positions (`left_action_targets`;
+`left_action_chain` is their 0/1 matrix), so one `HomologyTable` serves the
+cube-chain complex of a set and the tensor complex of two factors
+(`ez.TensorComplex`) alike.  The table asserts that the actions are chain
+maps on the nose by re-indexing the columns of the differentials, comparing
+every entry and naming a witness basis element on failure; well-definedness
+on homology follows.  It pushes an action, or a tensor comparison map, by
+re-indexing the rows of the source representatives (rows that meet add)
+before `classes`: no 0/1 matrix is built, decoded or multiplied.
 """
 
 from __future__ import annotations
@@ -31,8 +31,8 @@ from dataclasses import dataclass
 
 from .exactla import QQ, Matrix, Subspace, homology_quotient, kernel_basis, rank
 from .cubechain import (
-    GradedComplex, PairGradedComplex, ChainError, _basis_map, _chain_map_witness,
-    build_complex,
+    GradedComplex, PairGradedComplex, ChainError, _basis_map, _chain_map_witness, _reindexed,
+    _unit_targets, build_complex,
 )
 from .precubical import PcMorphism, PrecubicalSet, realization
 
@@ -124,23 +124,15 @@ class HomologyTable:
         self.field = cx.field
         self.entries: dict[tuple[int, str, str], PairHomology] = {
             (i, *pair): homology_of(cx, i, pair) for i, pair in cx.components_with_chains}
-        self._chain_left: dict[tuple[str, int, str, str], Matrix] = {}
-        self._chain_right: dict[tuple[str, int, str, str], Matrix] = {}
         self._verify_actions_are_chain_maps()
 
     # -- chain-level actions ----------------------------------------------
 
-    def _prepend_matrix(self, a: str, i: int, s: str, e: str) -> Matrix:
-        m = self._chain_left.get((a, i, s, e))
-        if m is None:
-            m = self._chain_left[(a, i, s, e)] = self.cx.left_action_chain(a, i, (s, e))
-        return m
-
-    def _append_matrix(self, a: str, i: int, s: str, e: str) -> Matrix:
-        m = self._chain_right.get((a, i, s, e))
-        if m is None:
-            m = self._chain_right[(a, i, s, e)] = self.cx.right_action_chain(a, i, (s, e))
-        return m
+    def _action_targets(self, side: str, a: str, i: int, s: str, e: str) -> tuple:
+        """Where prepending (side "prepend") or appending the edge a sends each
+        chain of C_i(s, e), as signed positions with no sign."""
+        act = self.cx.left_action_targets if side == "prepend" else self.cx.right_action_targets
+        return act(a, i, (s, e)), ()
 
     def _verify_actions_are_chain_maps(self) -> None:
         """Assert that prepending each in-edge of s and appending each
@@ -152,13 +144,10 @@ class HomologyTable:
         # with chains into one with chains, so every target is here too
         dt = {k: cx.diff(*k).transpose() for k in cx.components_with_chains if k[0]}
         for i, (s, e) in dt:
-            checks = [("prepend", a, self._prepend_matrix, (x.edge_source(a), e))
-                      for a in into[s]]
-            checks += [("append", a, self._append_matrix, (s, x.edge_target(a)))
-                       for a in out[e]]
-            for side, a, chain_map, to in checks:
-                j = _chain_map_witness(dt[(i, to)], chain_map(a, i, s, e),
-                                       chain_map(a, i - 1, s, e), dt[(i, (s, e))])
+            for side, a, to in ([("prepend", a, (x.edge_source(a), e)) for a in into[s]]
+                                + [("append", a, (s, x.edge_target(a))) for a in out[e]]):
+                j = _chain_map_witness(dt[(i, to)], self._action_targets(side, a, i, s, e),
+                                       self._action_targets(side, a, i - 1, s, e), dt[(i, (s, e))])
                 if j is not None:
                     raise ActionError(f"{side} by {a!r} is not a chain map at degree {i}, "
                                       f"pair {(s, e)}: witness {cx._basis_name(i, (s, e), j)}")
@@ -177,25 +166,26 @@ class HomologyTable:
         """H_i(s, e) -> H_i(s', e) for the edge a : s' -> s."""
         if self.x.edge_target(a) != s:
             raise ChainError(f"edge {a!r} does not end at {s!r}")
-        return self._induced(lambda: self._prepend_matrix(a, i, s, e), (i, s, e),
+        return self._induced(lambda: self._action_targets("prepend", a, i, s, e), (i, s, e),
                              self, (i, self.x.edge_source(a), e))
 
     def right_action(self, a: str, i: int, s: str, e: str) -> Matrix:
         """H_i(s, e) -> H_i(s, e') for the edge a : e -> e'."""
         if self.x.edge_source(a) != e:
             raise ChainError(f"edge {a!r} does not start at {e!r}")
-        return self._induced(lambda: self._append_matrix(a, i, s, e), (i, s, e),
+        return self._induced(lambda: self._action_targets("append", a, i, s, e), (i, s, e),
                              self, (i, s, self.x.edge_target(a)))
 
-    def _induced(self, chain_map, key: tuple, target: "HomologyTable", to: tuple) -> Matrix:
-        """The map on homology of the chain map ``chain_map()`` from component
-        `key` (degree, s, e) of this table into component `to` of `target`: a
-        zero matrix, with no chain map built, when the source has no classes
-        or either side has no chains."""
+    def _induced(self, positions, key: tuple, target: "HomologyTable", to: tuple) -> Matrix:
+        """The map on homology of the 0/+-1 basis map of signed positions
+        ``positions()`` from component `key` (degree, s, e) of this table into
+        component `to` of `target`: the classes of the re-indexed
+        representatives, or zero, with no positions read, when the source has
+        no classes or either side has no chains."""
         src, dst = self.entries.get(key), target.entries.get(to)
         if src is None or dst is None or not src.dim:
             return self.cx._zero(0 if dst is None else dst.dim, 0 if src is None else src.dim)
-        return induced_on_homology(chain_map(), src, dst)
+        return dst.classes(_reindexed(src.representatives, dst.cycles.ambient_dim, positions()))
 
     def left_path_action(self, path: tuple[str, ...], i: int, s: str, e: str) -> Matrix:
         """Composite left action of an edge path ending at s."""
@@ -240,8 +230,8 @@ def chain_map_of_morphism(f: PcMorphism, cxa: PairGradedComplex,
         prev = out.get((i - 1, s, e))
         if prev is None:
             continue
-        j = _chain_map_witness(cxb.diff(i, (f(s), f(e))).transpose(), m, prev,
-                               cxa.diff(i, (s, e)).transpose())
+        j = _chain_map_witness(cxb.diff(i, (f(s), f(e))).transpose(), _unit_targets(m),
+                               _unit_targets(prev), cxa.diff(i, (s, e)).transpose())
         if j is not None:
             raise ActionError(f"morphism-induced map is not a chain map at degree {i}, "
                               f"pair {(s, e)}: witness {cxa.bases[(i, s, e)][j]!r}")

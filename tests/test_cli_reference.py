@@ -67,6 +67,9 @@ RUNS = [
     *(f"relative --format {fmt}{force} S1 S1/ends"
       for fmt in ("text", "json", "csv") for force in ("", " --force")),
     *(f"kunneth --prop63 --format {fmt} D2 S1" for fmt in ("text", "json", "csv")),
+    # the action listing cut at a degree below the top, and in text form
+    "homology --actions --format json --max-degree 1 --field q D4",
+    "homology --actions --format text --field fp:7 real33",
 ]
 
 

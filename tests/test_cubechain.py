@@ -6,12 +6,12 @@ from dirhom.cubechain import (
     ChainError, CubeChain, DirectedCycleError, FormalSum, boundary,
     build_complex, chain_catalog, empty_chain, enumerate_chains,
     enumerate_shuffles, make_chain, project_shuffle, split_cube,
-    _chain_map_witness,
+    _chain_map_witness, _unit_targets,
 )
 from dirhom.exactla import Matrix, PrimeField, QQ
 from dirhom.precubical import PcMorphism, PrecubicalSet, realization, tensor
 
-from conftest import corpus, sequences_of_dimension
+from conftest import corpus, make_domino, sequences_of_dimension
 
 
 def walk_paths(x, s, e):
@@ -134,6 +134,74 @@ class TestComplex:
     def test_truncation(self, D3):
         cx = build_complex(D3, max_degree=1)
         assert cx.top_degree == 1
+
+
+def reference_boundary_terms(x, chain):
+    """The per-chain construction that the split lists replaced: split_cube
+    for every term, and a new CubeChain per term with its +-1 coefficient."""
+    prefix_deg = 0
+    for k, (cube, n) in enumerate(zip(chain.cubes, chain.dims)):
+        if n >= 2:
+            eps_k = -1 if prefix_deg % 2 else 1
+            for mask in range(1, (1 << n) - 1):
+                a_set = tuple(i + 1 for i in range(n) if mask >> i & 1)
+                comp = [i for i in range(1, n + 1) if i not in a_set]
+                sign = eps_k * (-1) ** len(a_set)
+                if sum(1 for a in a_set for c in comp if c < a) % 2:
+                    sign = -sign
+                lower, upper = split_cube(x, cube, a_set)
+                cubes = chain.cubes[:k] + (lower, upper) + chain.cubes[k + 1:]
+                dims = chain.dims[:k] + (len(a_set), n - len(a_set)) + chain.dims[k + 1:]
+                yield CubeChain(chain.src, chain.dst, cubes, dims), sign
+        prefix_deg += n - 1
+
+
+def reference_differential(x, field, chains, below):
+    """d from `chains` to the basis `below`, looking each term's chain up."""
+    index = {c: j for j, c in enumerate(below)}
+    cols = []
+    for chain in chains:
+        col = {}
+        for term, sign in reference_boundary_terms(x, chain):
+            col[index[term]] = col.get(index[term], 0) + sign
+        cols.append(col)
+    return Matrix.from_sparse_columns(field, len(below), cols)
+
+
+class TestSplitLists:
+    @pytest.mark.parametrize("field", [QQ, PrimeField(7)])
+    def test_every_differential_is_the_per_chain_reference(self, field):
+        for x in corpus() + [dh.directed_disc(4)]:
+            cx = build_complex(x, None, field)
+            checked = 0
+            for (i, s, e), chains in cx.bases.items():
+                if i:
+                    below = cx.bases.get((i - 1, s, e), [])
+                    assert cx.diff(i, (s, e)) == reference_differential(x, field, chains, below)
+                    checked += 1
+            assert checked == sum(1 for k in cx.bases if k[0])
+
+    def test_boundary_is_the_per_chain_reference(self):
+        for x in (dh.directed_disc(3), realization([2, 3]), make_domino()):
+            for (i, _, _), chains in chain_catalog(x).items():
+                for c in chains if i else ():
+                    ref = FormalSum(QQ)
+                    for term, sign in reference_boundary_terms(x, c):
+                        ref.add_term(term, sign)
+                    assert boundary(x, c).terms == ref.terms
+
+    def test_each_split_is_computed_once_per_build(self, monkeypatch):
+        import dirhom.cubechain as cc
+        calls = []
+        real = cc.split_cube
+        monkeypatch.setattr(cc, "split_cube",
+                            lambda x, cube, a: calls.append((cube, tuple(a))) or real(x, cube, a))
+        for x in (dh.directed_disc(4), realization([2, 2, 2])):
+            calls.clear()
+            build_complex(x)
+            # every cube of dimension n >= 2 has 2^n - 2 proper subsets
+            assert len(calls) == len(set(calls)) == sum(
+                2 ** n - 2 for n in range(2, len(x.cells)) for _ in x.cells_of_dim(n))
 
 
 class TestLemmaSuite:
@@ -356,8 +424,8 @@ class TestReindexedChainMapCheck:
         left, right = dp @ p, q @ d
         differing = [j for j in range(p.cols) if left.column(j) != right.column(j)]
         assert (left == right) == (not differing)
-        assert _chain_map_witness(dp.transpose(), p, q, d.transpose()) == \
-            (differing[0] if differing else None)
+        assert _chain_map_witness(dp.transpose(), _unit_targets(p), _unit_targets(q),
+                                  d.transpose()) == (differing[0] if differing else None)
 
     def test_sums_of_entries_that_meet_on_one_row(self):
         # q sends both rows of d to row 0, where 1 + (-1) cancels over Q and
@@ -367,9 +435,11 @@ class TestReindexedChainMapCheck:
             q = Matrix.unit_columns(field, 1, [0, 0])
             p = Matrix.unit_columns(field, 1, [0])
             zero = Matrix.zeros(field, 1, 1)
-            assert _chain_map_witness(zero.transpose(), p, q, d.transpose()) is None
+            assert _chain_map_witness(zero.transpose(), _unit_targets(p), _unit_targets(q),
+                                      d.transpose()) is None
             one = Matrix.from_rows(field, [[1]])
-            assert _chain_map_witness(one.transpose(), p, q, d.transpose()) == 0
+            assert _chain_map_witness(one.transpose(), _unit_targets(p), _unit_targets(q),
+                                      d.transpose()) == 0
 
     def test_minus_one_is_p_minus_1_over_a_prime_field(self):
         # over F_7 the entry -1 of a map is stored as 6
@@ -377,23 +447,25 @@ class TestReindexedChainMapCheck:
         d = Matrix.from_rows(f7, [[1, 3]])
         minus1, minus2 = Matrix.from_rows(f7, [[-1]]), -Matrix.identity(f7, 2)
         assert minus1.entry(0, 0) == f7.of(6)
-        assert _chain_map_witness(d.transpose(), minus2, minus1, d.transpose()) is None
-        assert _chain_map_witness(d.transpose(), Matrix.identity(f7, 2), minus1,
-                                  d.transpose()) == 0
+        assert _chain_map_witness(d.transpose(), _unit_targets(minus2), _unit_targets(minus1),
+                                  d.transpose()) is None
+        assert _chain_map_witness(d.transpose(), _unit_targets(Matrix.identity(f7, 2)),
+                                  _unit_targets(minus1), d.transpose()) == 0
         # a signed permutation p, with d' = d @ p^-1 = d @ p^T
         p = Matrix.from_sparse_columns(f7, 2, [{1: -1}, {0: 1}])
-        assert _chain_map_witness((d @ p.transpose()).transpose(), p,
-                                  Matrix.identity(f7, 1), d.transpose()) is None
+        assert _chain_map_witness((d @ p.transpose()).transpose(), _unit_targets(p),
+                                  _unit_targets(Matrix.identity(f7, 1)), d.transpose()) is None
 
     def test_rejects_a_map_that_is_not_0_1(self):
         d = Matrix.from_rows(QQ, [[1]])
         one, two = Matrix.identity(QQ, 1), Matrix.from_rows(QQ, [[2]])
         with pytest.raises(ChainError):
-            _chain_map_witness(d.transpose(), two, one, d.transpose())
+            _chain_map_witness(d.transpose(), _unit_targets(two), _unit_targets(one), d.transpose())
         with pytest.raises(ChainError):
-            _chain_map_witness(d.transpose(), one, two, d.transpose())
+            _chain_map_witness(d.transpose(), _unit_targets(one), _unit_targets(two), d.transpose())
         # two entries in one column: the product check would accept this square
         dp, both = Matrix.from_rows(QQ, [[1], [1]]), Matrix.from_rows(QQ, [[1], [1]])
         assert dp @ one == both @ d
         with pytest.raises(ChainError):
-            _chain_map_witness(dp.transpose(), one, both, d.transpose())
+            _chain_map_witness(dp.transpose(), _unit_targets(one), _unit_targets(both),
+                               d.transpose())

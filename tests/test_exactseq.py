@@ -634,3 +634,25 @@ class TestMayerVietoris:
         assert mayer_vietoris(domino, s1, s2).sequence.all_exact
         names = Counter(hit["ref"].name for hit in cubechain._catalog_cache.values())
         assert names == {"domino": 1, "domino|sub": 2, "domino|sub|sub": 2}
+
+
+def test_sequences_compute_homology_only_on_components_with_chains(monkeypatch):
+    """Chainless components are answered by shape: their dimensions read 0
+    in every table and no homology is computed for them."""
+    import dirhom.exactseq as es
+    seen = []
+    real = es.homology_of
+    monkeypatch.setattr(es, "homology_of",
+                        lambda c, i, pair: seen.append(c.dim(i, pair)) or real(c, i, pair))
+    d4, strip = dh.directed_disc(4), make_strip4()
+    rel = les_relative(d4, SubsetSpec(d4, frozenset(dh.directed_sphere(3).all_cells())))
+    mv = mayer_vietoris(strip[0], *(SubsetSpec(strip[0], frozenset(part)) for part in strip[1:]))
+    assert rel.sequence.all_exact and mv.sequence.all_exact
+    assert seen and all(seen)
+    for x, tables in ((d4, [rel.x_table, rel.ext_table, rel.rel_table]),
+                      (strip[0], list(mv.tables.values()))):
+        cx = build_complex(x)
+        keys = [(i, pair) for pair in cx.pairs() for i in range(cx.top_degree + 1)]
+        for table in tables:
+            assert list(table) == keys
+            assert all(not table[(i, pair)] for i, pair in keys if not cx.dim(i, pair))

@@ -224,13 +224,13 @@ class TestComparisonReport:
         # the first degree-1 component with an in-edge at its source
         (n, pair), a = next((k, a) for k in st.tc.components_with_chains if k[0] == 1
                             for a in into[k[1][0]])
-        real = TensorComplex.left_action_chain
+        real = TensorComplex.left_action_targets
 
         def corrupted(tc, edge, i, pair_):
-            m = real(tc, edge, i, pair_)
-            return Matrix.zeros(m.field, m.rows, m.cols) if (edge, i, pair_) == (a, n, pair) else m
+            targets = real(tc, edge, i, pair_)    # the zero map sends every tensor nowhere
+            return [None] * len(targets) if (edge, i, pair_) == (a, n, pair) else targets
 
-        monkeypatch.setattr(TensorComplex, "left_action_chain", corrupted)
+        monkeypatch.setattr(TensorComplex, "left_action_targets", corrupted)
         with pytest.raises(ActionError) as err:
             tensor_comparison_report(D2, D2, setting=st)
         ca, cb = st.tc.bases[(n, pair)][0]

@@ -13,10 +13,10 @@ from dirhom.homology import (
     ActionError, HomologyTable, acyclicity_check, chain_map_of_morphism, cochain_dual,
     homology, homology_of, induced_map, induced_on_homology,
 )
-from dirhom.precubical import PcMorphism, SubsetSpec, sub
+from dirhom.precubical import PcMorphism, PrecubicalSet, SubsetSpec, sub
 from dirhom.scalars import extend_subcomplex, restrict
 
-from conftest import corpus
+from conftest import corpus, make_domino
 from test_exactseq import draw_cover
 
 
@@ -71,12 +71,13 @@ class TestHomology:
     def test_representatives_are_the_greedy_choice(self, field):
         # reference: accept a cycle when it is outside the span of the
         # boundaries and the cycles accepted before it
-        for x in corpus():
+        for x in corpus() + [domino_with_bypass()]:
             cx = build_complex(x, None, field)
             for pair in cx.pairs():
                 for i in range(cx.top_degree + 1):
                     h = homology_of(cx, i, pair)
-                    seen = list(h.boundaries.basis)
+                    # the boundaries straight from d_(i+1), not from h
+                    seen = cx.diff(i + 1, pair).columns()
                     expected = []
                     for v in h.cycles.basis:
                         if not Subspace.span(field, h.cycles.ambient_dim, seen).contains(v):
@@ -88,6 +89,21 @@ class TestHomology:
                             field.one if k == j else field.zero for k in range(h.dim))
                     for b in h.boundaries.basis:
                         assert h.class_vector(b) == (field.zero,) * h.dim
+
+
+def domino_with_bypass():
+    """The domino with a two-edge path beside it from corner 00 to corner 21.
+
+    H_0(00, 21) is 2, from four paths and the two squares' boundaries.  The
+    bypass is the shortest path, so it comes first, and the squares' kernel
+    coordinates are (0, 1, -1, 0) and (0, 0, 1, -1): their last nonzeros
+    (2, 3) are not the first ones (1, 2) read from the other end (2, 1), so
+    the greedy pick order is the only one that keeps paths 0 and 1.
+    """
+    dom = make_domino()
+    faces = {**dom.faces, "z0": (["00"], ["w"]), "z1": (["w"], ["21"])}
+    cells = [[*dom.cells[0], "w"], [*dom.cells[1], "z0", "z1"], list(dom.cells[2])]
+    return PrecubicalSet("domino+bypass", cells, faces)
 
 
 def kernel_image_pivots(cx, i, pair):
@@ -183,7 +199,7 @@ class TestActions:
         tail = next(e for e in r.edges if r.edge_source(e) == mid)
         h_src = t.entry(0, r.start, mid)
         assert h_src.boundaries.dim == 1
-        chain0 = t._append_matrix(tail, 0, r.start, mid)
+        chain0 = cx.right_action_chain(tail, 0, (r.start, mid))
         h_dst = t.entry(0, r.start, r.end)
         for b in h_src.boundaries.basis:
             assert h_dst.is_boundary(chain0.matvec(b))
@@ -306,7 +322,7 @@ class TestCochains:
         dual = cochain_dual(cxd2)
         assert dual.cohomology_dim(0, "11", "00") == 0
 
-    def test_dual_action_swaps_direction(self, D2, cxd2, td2):
+    def test_dual_action_swaps_direction(self, D2, cxd2):
         # transposing the prepend matrix gives a map of dual components in
         # the opposite direction that commutes with the coboundaries: the
         # contravariant (opposite-algebra) regrading at matrix level
@@ -318,8 +334,8 @@ class TestCochains:
                 for i in range(1, cxd2.top_degree + 1):
                     if not cxd2.dim(i, (s, e)):
                         continue
-                    p_i = td2._prepend_matrix(a, i, s, e).transpose()
-                    p_im1 = td2._prepend_matrix(a, i - 1, s, e).transpose()
+                    p_i = cxd2.left_action_chain(a, i, (s, e)).transpose()
+                    p_im1 = cxd2.left_action_chain(a, i - 1, (s, e)).transpose()
                     left = p_i @ dual.coboundary(i - 1, (s2, e))
                     right = dual.coboundary(i - 1, (s, e)) @ p_im1
                     assert left == right
@@ -425,6 +441,55 @@ def test_action_from_a_component_without_classes_builds_no_chain_map(D2, cxd2, m
     assert not calls
 
 
+@pytest.mark.parametrize("field", [QQ, PrimeField(7)])
+def test_edge_actions_are_the_product_push(field):
+    # the oracle multiplies the 0/1 matrix of an action into the representatives
+    tables = []
+    for x in corpus():
+        tables.append(HomologyTable(build_complex(x, None, field), x))
+    st = dh.TensorSetting.build(dh.directed_disc(2), dh.directed_sphere(1), field)
+    tables.append(HomologyTable(st.tc, st.tx))
+    pushed = 0
+    for t in tables:
+        cx, x = t.cx, t.x
+        into, out = x.in_edges(), x.out_edges()
+        for (i, s, e), src in t.entries.items():
+            for a in into[s]:
+                dst = t.entry(i, x.edge_source(a), e)
+                product = dst.classes(cx.left_action_chain(a, i, (s, e)) @ src.representatives)
+                assert t.left_action(a, i, s, e) == product
+                pushed += bool(src.dim and dst.dim)
+            for a in out[e]:
+                dst = t.entry(i, s, x.edge_target(a))
+                product = dst.classes(cx.right_action_chain(a, i, (s, e)) @ src.representatives)
+                assert t.right_action(a, i, s, e) == product
+                pushed += bool(src.dim and dst.dim)
+    assert pushed > 100
+
+
+def test_table_builds_and_decodes_no_0_1_matrix(monkeypatch):
+    import dirhom.cubechain as cc
+    import dirhom.homology as H
+    d4 = dh.directed_disc(4)
+    cx = build_complex(d4)
+    calls = []
+    real_units, real_decode = Matrix.unit_columns, cc._unit_targets
+    monkeypatch.setattr(Matrix, "unit_columns",
+                        classmethod(lambda cls, *a: calls.append("unit") or real_units(*a)))
+    for mod in (cc, H):
+        monkeypatch.setattr(mod, "_unit_targets",
+                            lambda m: calls.append("decode") or real_decode(m))
+    t = HomologyTable(cx, d4)
+    for a in d4.edges:
+        s = d4.edge_target(a)
+        for e in d4.vertices:
+            for i in range(cx.top_degree + 1):
+                t.left_action(a, i, s, e)
+    assert not calls
+    cx.left_action_chain(d4.edges[0], 0, (d4.edge_target(d4.edges[0]),) * 2)
+    assert calls == ["unit"]    # the counter is live
+
+
 def test_table_computes_homology_only_for_components_with_chains(monkeypatch):
     import dirhom.homology as H
     d4 = dh.directed_disc(4)
@@ -474,13 +539,13 @@ def _first_prepend(x, cx):
 def test_corrupted_prepend_map_names_edge_degree_pair_and_chain(D3, monkeypatch):
     cx = build_complex(D3)
     a, s, e = _first_prepend(D3, cx)
-    real = PairGradedComplex.left_action_chain
+    real = PairGradedComplex.left_action_targets
 
     def corrupted(cx_, a_, i, pair):
-        m = real(cx_, a_, i, pair)
-        return Matrix.zeros(m.field, m.rows, m.cols) if (a_, i, pair) == (a, 1, (s, e)) else m
+        targets = real(cx_, a_, i, pair)    # the zero map sends every chain nowhere
+        return [None] * len(targets) if (a_, i, pair) == (a, 1, (s, e)) else targets
 
-    monkeypatch.setattr(PairGradedComplex, "left_action_chain", corrupted)
+    monkeypatch.setattr(PairGradedComplex, "left_action_targets", corrupted)
     with pytest.raises(ActionError) as err:
         HomologyTable(cx, D3)
     assert str(err.value) == (f"prepend by {a!r} is not a chain map at degree 1, pair "

@@ -19,6 +19,7 @@ import csv
 import io
 import json
 import sys
+from json.encoder import encode_basestring_ascii
 
 import click
 
@@ -126,9 +127,52 @@ def _parse_pair(x: pc.PrecubicalSet, pair: str | None) -> tuple[str, str] | None
     return parts[0], parts[1]
 
 
+def _json(doc) -> str:
+    """``json.dumps(doc, indent=2, sort_keys=True)``, byte for byte, for a
+    tree of dicts with string keys, lists, tuples and scalars.
+
+    json.dumps runs its pure-Python encoder whenever it indents.  Here each
+    string goes through json's C string encoder, an int prints as its repr
+    and any other scalar as json.dumps prints it, and the pieces are joined
+    once.
+    """
+    out: list[str] = []
+    put = out.append
+
+    def write(o, indent: str) -> None:
+        # `indent` is the newline and indentation before o's closing bracket
+        if isinstance(o, str):
+            put(encode_basestring_ascii(o))
+        elif isinstance(o, dict):
+            if not o:
+                put("{}")
+                return
+            inner, sep = indent + "  ", "{"
+            for k in sorted(o):
+                put(sep + inner + encode_basestring_ascii(k) + ": ")
+                write(o[k], inner)
+                sep = ","
+            put(indent + "}")
+        elif isinstance(o, (list, tuple)):
+            if not o:
+                put("[]")
+                return
+            inner, sep = indent + "  ", "["
+            for v in o:
+                put(sep + inner)
+                write(v, inner)
+                sep = ","
+            put(indent + "]")
+        else:
+            put(repr(o) if type(o) is int else json.dumps(o))
+
+    write(doc, "\n")
+    return "".join(out)
+
+
 def _emit(doc: dict, fmt: str, text_lines: list[str], csv_rows: list[list]):
     if fmt == "json":
-        click.echo(json.dumps(doc, indent=2, sort_keys=True))
+        click.echo(_json(doc))
     elif fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
@@ -210,6 +254,26 @@ def _dimension_report(x, command, field_name, max_degree, pair, symbol, dim):
     return doc, text, [DIM_HEADER] + [list(r) for r in rows]
 
 
+def _listed_actions(x: pc.PrecubicalSet, table: HomologyTable, max_degree: int) -> list[tuple]:
+    """The (edge a, degree i, vertex s, vertex e) of the left actions that
+    ``homology --actions`` lists: those with i <= max_degree whose source
+    H_i(s, e) or target H_i(s', e) is nonzero, for a : s' -> s, in the
+    order of the edges, then of the vertices e, then of the degrees.  They
+    are read off the table's nonzero entries, grouped by their first vertex."""
+    vertices = x.vertices
+    at = {v: k for k, v in enumerate(vertices)}
+    nonzero: dict[str, set[tuple[int, int]]] = {}
+    for (i, s, e), h in table.entries.items():
+        if h.dim and i <= max_degree:
+            nonzero.setdefault(s, set()).add((at[e], i))
+    out = []
+    for a in x.edges:
+        s = x.edge_target(a)
+        for k, i in sorted(nonzero.get(s, set()) | nonzero.get(x.edge_source(a), set())):
+            out.append((a, i, s, vertices[k]))
+    return out
+
+
 @main.command()
 @click.argument("path", type=click.Path(exists=True))
 @field_option
@@ -226,17 +290,9 @@ def homology(path, field_name, max_degree, fmt, pair, actions):
     doc, text, csv_rows = _dimension_report(x, "homology", field_name, max_degree, pair,
                                             "H", table.dim)
     if actions:
-        act = []
-        for a in x.edges:
-            s, s2 = x.edge_target(a), x.edge_source(a)
-            for e in x.vertices:
-                for i in range(max_degree + 1):
-                    # the action is a dim(i, s2, e) x dim(i, s, e) matrix
-                    if table.dim(i, s, e) or table.dim(i, s2, e):
-                        m = table.left_action(a, i, s, e)
-                        act.append({"edge": a, "side": "left", "degree": i,
-                                    "src": s, "dst": e,
-                                    "matrix": [[str(v) for v in row] for row in m.data]})
+        act = [{"edge": a, "side": "left", "degree": i, "src": s, "dst": e,
+                "matrix": [[str(v) for v in row] for row in table.left_action(a, i, s, e).data]}
+               for a, i, s, e in _listed_actions(x, table, max_degree)]
         doc["actions"] = act
         text.append(f"({len(act)} left action matrices; use --format json to list)")
     _emit(doc, fmt, text, csv_rows)

@@ -38,16 +38,12 @@ from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property
 from typing import Iterator, Mapping, Sequence
 
-from .exactla import FieldError, Matrix, QQ, _modulus, _neg
+from .exactla import ChainError, FieldError, Matrix, QQ, _modulus, _neg
 from .precubical import PrecubicalSet, TensorSet
 
 
 class DirectedCycleError(ValueError):
     """The construction needs an acyclic set but the input has a cycle."""
-
-
-class ChainError(ValueError):
-    """Malformed cube chain or misuse of a chain operation."""
 
 
 class BoundaryCheckError(AssertionError):
@@ -122,6 +118,13 @@ def make_chain(x: PrecubicalSet, cubes: Sequence[str], at: str | None = None) ->
 
 # -- enumeration -------------------------------------------------------------
 
+
+def _shown(name: str) -> str:
+    """A set name cut to 60 characters for an error message: the name of a
+    generated set, such as ``real(1,1,..)``, grows with the set."""
+    return name if len(name) <= 60 else name[:57] + "..."
+
+
 _catalog_cache: dict[tuple[int, int | None], dict] = {}
 
 
@@ -139,7 +142,7 @@ def chain_catalog(x: PrecubicalSet, max_degree: int | None = None
         return hit["catalog"]
     if not x.is_acyclic():
         raise DirectedCycleError(
-            f"{x.name}: chain enumeration needs an acyclic vertex-edge digraph")
+            f"{_shown(x.name)}: chain enumeration needs an acyclic vertex-edge digraph")
     start_at: dict[str, list[str]] = {v: [] for v in x.vertices}
     for layer in x.cells[1:]:
         for c in layer:
@@ -168,7 +171,7 @@ def chain_catalog(x: PrecubicalSet, max_degree: int | None = None
         for v in sorted(x.vertices):
             extend(v, v, [], [], 0)
     except RecursionError:
-        raise RecursionError(f"{x.name}: directed path too long for the recursive "
+        raise RecursionError(f"{_shown(x.name)}: directed path too long for the recursive "
                              "chain enumeration") from None
     for chains in catalog.values():
         chains.sort(key=CubeChain.sort_key)
@@ -342,14 +345,18 @@ class GradedComplex:
                                    self.right_action_targets(edge, i, pair))
 
     def check_boundary_square(self) -> None:
+        """Raise BoundaryCheckError unless d_{i-1} @ d_i = 0 on every
+        component; the error names the first basis element of degree i
+        whose column of the product is nonzero."""
         for pair in self._pairs:
             for i in range(2, self.top_degree + 1):
                 if self.dim(i, pair) == 0:
                     continue
                 prod = self.diff(i - 1, pair) @ self.diff(i, pair)
                 if not prod.is_zero():
-                    raise BoundaryCheckError(
-                        f"d.d != 0 at degree {i}, pair {pair}")
+                    j = next(j for j, col in enumerate(prod.sparse_columns()) if col)
+                    raise BoundaryCheckError(f"d.d != 0 at degree {i}, pair {pair}: "
+                                             f"witness {self._basis_name(i, pair, j)}")
 
 
 class PairGradedComplex(GradedComplex):
@@ -516,14 +523,6 @@ def _renamed(vec: dict, p: tuple, mod: int) -> dict:
         out = ({t: v for t, a in out.items() if (v := a % mod)} if mod
                else {t: a for t, a in out.items() if a})
     return out
-
-
-def _reindexed(m: Matrix, rows: int, p: tuple) -> Matrix:
-    """``P @ m`` for the 0/+-1 map P of signed positions p with `rows` rows,
-    with no product: row r of m moves to row p(r), and rows that meet add."""
-    mod = _modulus(m.field)
-    return Matrix.from_sparse_columns(m.field, rows,
-                                      [_renamed(col, p, mod) for col in m.transpose()._rows])
 
 
 def _chain_map_witness(target_dt: Matrix, p: tuple, q: tuple,

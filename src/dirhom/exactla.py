@@ -30,6 +30,16 @@ over Q every value leaves as a `Fraction`, integral or not; inside the
 package they leave only through `Matrix.data`, for the CLI's JSON, and
 `Matrix.entry`, for the coefficients of bimodule relations.
 
+Homology takes two eliminations per component: `kernel_basis` of d_i and,
+in `homology_quotient`, one of the boundaries' kernel coordinates, whose
+rows give the representatives, the boundary span and the map to classes.
+`homology_classes`, the one push of chains into homology, takes cycles as
+``{row: value}`` sparse columns of stored values (the form of
+`Matrix.sparse_columns` and of the representatives): it reads their kernel
+coordinates at the free columns, checks entry by entry that the kernel
+vectors give each column back and applies the map to classes, with no
+elimination.
+
 Pivot columns are taken in increasing order (last first in
 `homology_quotient`), and only the pivot *row* is chosen freely: the
 sparsest pending row that is nonzero in the current column, which keeps
@@ -50,6 +60,11 @@ from typing import Iterable, Sequence
 
 class FieldError(ValueError):
     """Raised on malformed scalars, shape mismatches or dependent bases."""
+
+
+class ChainError(ValueError):
+    """Malformed cube chain or misuse of a chain operation, such as pushing a
+    vector that is not a cycle into homology (`homology_classes`)."""
 
 
 def is_prime(n: int) -> bool:
@@ -100,6 +115,7 @@ class RationalField:
     """The field of rational numbers."""
 
     name = "q"
+    characteristic = 0
     zero = Fraction(0)
     one = Fraction(1)
 
@@ -116,7 +132,7 @@ class PrimeField:
     def __init__(self, p: int):
         if not is_prime(p):
             raise FieldError(f"{p} is not prime")
-        self.p = p
+        self.p = self.characteristic = p
         self.zero = Residue(0, p)
         self.one = Residue(1, p)
         self.name = f"fp:{p}"
@@ -149,7 +165,7 @@ def field_from_name(name: str):
 
 def _modulus(field) -> int:
     """p for a prime field, 0 for the rationals."""
-    return field.p if isinstance(field, PrimeField) else 0
+    return field.characteristic
 
 
 def _neg(a, p: int):
@@ -441,6 +457,11 @@ class Matrix(_Frozen):
     def columns(self) -> list[tuple]:
         return list(self.transpose().data)
 
+    def sparse_columns(self) -> list[dict]:
+        """The columns as ``{row: value}`` dicts of stored values, the form
+        `from_sparse_columns` takes."""
+        return _transpose(self._rows, self.cols)
+
     def transpose(self) -> "Matrix":
         return Matrix._of(self.field, self.cols, self.rows, _transpose(self._rows, self.cols))
 
@@ -555,11 +576,10 @@ class Subspace(_Frozen):
         zero, p = self.field.zero, _modulus(self.field)
         return tuple(tuple(_dense(v, self.ambient_dim, zero, p)) for v in self._basis)
 
-    def basis_matrix(self, picked: Sequence[int] | None = None) -> Matrix:
-        """The matrix whose columns are the basis vectors, or those at `picked`."""
-        vecs = self._basis if picked is None else [self._basis[j] for j in picked]
-        return Matrix._of(self.field, self.ambient_dim, len(vecs),
-                          _transpose(vecs, self.ambient_dim))
+    def basis_matrix(self) -> Matrix:
+        """The matrix whose columns are the basis vectors."""
+        return Matrix._of(self.field, self.ambient_dim, self.dim,
+                          _transpose(self._basis, self.ambient_dim))
 
     @property
     def _pivots(self) -> tuple:
@@ -727,18 +747,40 @@ def homology_quotient(cycles: Subspace, d_next: Matrix):
 
     Kernel vector k is 1 at free column free[k] of d, its last nonzero, and
     0 at the other free columns, so the kernel coordinates of a chain are
-    its entries there, and the boundaries' are the rows of d_next there.
+    its entries there, and the boundaries' are the columns of d_next there.
     Kernel vector k lies in the span of the boundaries and the ones before
     it exactly when a boundary's coordinates end at k: a pivot of their
-    image basis taken last first.  The others are the representatives;
-    `classes` is the quotient map of that basis, `boundaries` its lift.
+    elimination with the kernel coordinates taken last first.  The others
+    are the representatives, given as sparse columns; `classes` maps
+    kernel coordinates to class coordinates (the null vectors of the
+    reduced boundary rows), and `boundaries` is the span of those rows
+    lifted to chain coordinates.
     """
+    p, n = _modulus(cycles.field), cycles.dim
     free = [max(v) for v in cycles._basis]
-    back = range(cycles.dim - 1, -1, -1)    # kernel vector k is coordinate back[k]
-    img = image_basis(d_next.block(free[::-1], range(d_next.cols)))
-    q = quotient_map(cycles.dim, img)
-    pivots = set(img._pivots)
-    lifted = _mul(img._basis, cycles._basis[::-1], _modulus(cycles.field))
-    return (cycles.basis_matrix([k for k in range(cycles.dim) if back[k] not in pivots]),
-            Subspace._of(cycles.field, cycles.ambient_dim, lifted, None),
-            free, q.block(range(q.rows - 1, -1, -1), back))
+    coords = [c for c in _transpose([d_next._rows[f] for f in free], d_next.cols) if c]
+    rows, pivots = _eliminate(coords, range(n - 1, -1, -1), p)
+    pivset = set(pivots)
+    return ([v for k, v in enumerate(cycles._basis) if k not in pivset],
+            Subspace._of(cycles.field, cycles.ambient_dim, _mul(rows, cycles._basis, p), None),
+            free, Matrix._of(cycles.field, n - len(pivots), n, _null_vectors(rows, pivots, n, p)))
+
+
+def homology_classes(cycles: Subspace, free: Sequence[int], classes: Matrix,
+                     columns: list[dict]) -> Matrix:
+    """The class coordinates of cycles given as sparse columns in chain
+    coordinates (``{row: value}`` dicts of nonzero stored values), as the
+    columns of the result, for the `free` and `classes` of
+    `homology_quotient`: the one push of chains into homology.
+
+    A column's kernel coordinates are its entries at `free`; the kernel
+    vectors weighted by them must give the column back entry by entry, or it
+    is not a cycle and ChainError is raised.  `classes` then maps them to
+    class coordinates.  No elimination runs.
+    """
+    p = _modulus(cycles.field)
+    coords = [{k: v[f] for k, f in enumerate(free) if f in v} for v in columns]
+    if _mul(coords, cycles._basis, p) != columns:
+        raise ChainError("vector is not a cycle of this component")
+    return Matrix._of(classes.field, classes.rows, len(columns),
+                      _mul(classes._rows, _transpose(coords, cycles.dim), p))

@@ -402,8 +402,10 @@ def _long_exact_sequence(title: str, cx: GradedComplex, names: tuple[str, str, s
 
     ``maps(i, pair)`` gives A_i -> B_i -> C_i and the connecting map
     C_i -> A_{i-1} (None in degree 0), for i from the top degree down; the
-    nodes are labelled ``name.format(i=i)`` and framed by zero spaces.  An
-    inexact sequence raises ExactnessError(failure).
+    nodes are labelled ``name.format(i=i)`` and framed by zero spaces.  The
+    first inexact pair raises ExactnessError(failure), naming the pair and
+    its first nonzero composite or, when every composite is zero, its first
+    inexact node with the node's incoming rank and kernel dimension.
     """
     per_pair = {}
     for pair in cx.pairs():
@@ -416,11 +418,16 @@ def _long_exact_sequence(title: str, cx: GradedComplex, names: tuple[str, str, s
             seq += [f, g, Matrix.zeros(cx.field, 0, g.rows) if delta is None else delta]
             labels += [name.format(i=i) for name in names]
         labels.append("0")
-        per_pair[pair] = verify_exact(pair, seq, labels)
-    report = ExactSequenceReport(title, per_pair)
-    if not report.all_exact:
-        raise ExactnessError(failure)
-    return report
+        rep = per_pair[pair] = verify_exact(pair, seq, labels)
+        if not rep.composition_zero:
+            k = next(k for k, (m1, m2) in enumerate(zip(seq, seq[1:])) if not (m2 @ m1).is_zero())
+            raise ExactnessError(f"{failure}: pair {pair}: the composite "
+                                 f"{' -> '.join(labels[k:k + 3])} is nonzero")
+        for n in rep.nodes:
+            if not n.exact:
+                raise ExactnessError(f"{failure}: pair {pair}, node {n.label}: incoming rank "
+                                     f"{n.incoming_rank} != kernel dim {n.outgoing_kernel}")
+    return ExactSequenceReport(title, per_pair)
 
 
 # -- good covers and Mayer-Vietoris ------------------------------------------------------

@@ -1,16 +1,20 @@
 """Homology of pair-graded complexes and the path-algebra actions on it.
 
-Homology classes are stored concretely: cycle representatives, the cycle
-and boundary subspaces, and the quotient map in kernel coordinates, from one
+Homology classes are stored concretely: cycle representatives (as sparse
+columns, with their matrix built only when asked for), the cycle and
+boundary subspaces, and the quotient map in kernel coordinates, from one
 elimination of d_i (`kernel_basis`) and one of the boundaries in kernel
-coordinates (`exactla.homology_quotient`).  `PairHomology.classes` is the
-one push of chains into homology: it reads the kernel coordinates of cycles
-off their entries, checks that the kernel basis gives the cycles back, and
-applies the quotient map, with no elimination.  `induced_on_homology(f, src,
-dst)`, ``dst.classes(f @ src.representatives)``, pushes a matrix f: the maps
-induced by morphisms and the inclusions, projections and excision maps of the
-exact sequences.  A connecting map calls `classes` on the block of the
-ambient differential that it reads off a short sequence.
+coordinates (`exactla.homology_quotient`).  The one push of chains into
+homology is the column push `exactla.homology_classes`: it takes cycles as
+sparse columns, reads their kernel coordinates off their entries at the free
+columns of d_i, checks entry by entry that the kernel basis gives each column
+back, and applies the quotient map, with no elimination and no product on
+the chains.  `PairHomology.classes(m)` runs it on the columns of a matrix m;
+`induced_on_homology(f, src, dst)`, ``dst.classes(f @ src.representatives)``,
+pushes a matrix f: the maps induced by morphisms and the inclusions,
+projections and excision maps of the exact sequences.  A connecting map
+calls `classes` on the block of the ambient differential that it reads off
+a short sequence.
 
 The bimodule structure is realized by edge actions: prepending an edge to
 every chain of a graded component (left action) or appending one (right
@@ -21,18 +25,22 @@ cube-chain complex of a set and the tensor complex of two factors
 maps on the nose by re-indexing the columns of the differentials, comparing
 every entry and naming a witness basis element on failure; well-definedness
 on homology follows.  It pushes an action, or a tensor comparison map, by
-re-indexing the rows of the source representatives (rows that meet add)
-before `classes`: no 0/1 matrix is built, decoded or multiplied.
+re-indexing the entries of the source representative columns (entries that
+meet add) and handing those columns to the column push: no 0/1 matrix is
+built, decoded or multiplied, and no representative matrix is transposed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
-from .exactla import QQ, Matrix, Subspace, homology_quotient, kernel_basis, rank
+from .exactla import (
+    QQ, ChainError, Matrix, Subspace, homology_classes, homology_quotient, kernel_basis, rank,
+)
 from .cubechain import (
-    GradedComplex, PairGradedComplex, ChainError, _basis_map, _chain_map_witness, _reindexed,
-    _unit_targets, build_complex,
+    GradedComplex, PairGradedComplex, _basis_map, _chain_map_witness, _renamed, _unit_targets,
+    build_complex,
 )
 from .precubical import PcMorphism, PrecubicalSet, realization
 
@@ -48,11 +56,17 @@ class PairHomology:
     degree: int
     pair: object
     dim: int
-    representatives: Matrix    # columns: cycle representatives, in chain coordinates
+    rep_columns: list[dict]   # the cycle representatives as sparse columns {position: value}
     cycles: Subspace
     boundaries: Subspace
     free: list[int]     # free columns of d_i: a cycle's kernel coordinates are its entries there
     quotient: Matrix    # kernel coordinates -> class coordinates
+
+    @cached_property
+    def representatives(self) -> Matrix:
+        """The cycle representatives as the columns of a matrix in chain coordinates."""
+        return Matrix.from_sparse_columns(self.cycles.field, self.cycles.ambient_dim,
+                                          self.rep_columns)
 
     @property
     def reps(self) -> list[tuple]:
@@ -60,11 +74,11 @@ class PairHomology:
 
     def classes(self, m: Matrix) -> Matrix:
         """Class coordinates, in the representative basis, of the cycles that
-        are the columns of m: the one push of chains into homology."""
-        x = m.block(self.free, range(m.cols))
-        if self.cycles.basis_matrix() @ x != m:
-            raise ChainError("vector is not a cycle of this component")
-        return self.quotient @ x
+        are the columns of m (`exactla.homology_classes`)."""
+        if m.rows != self.cycles.ambient_dim:
+            raise ChainError(f"vector length {m.rows} is not {self.cycles.ambient_dim}: "
+                             "not a cycle of this component")
+        return homology_classes(self.cycles, self.free, self.quotient, m.sparse_columns())
 
     def class_vector(self, v) -> tuple:
         """Coordinates of the class of a cycle v in the representative basis."""
@@ -83,11 +97,11 @@ def homology_of(cx: GradedComplex, i: int, pair) -> PairHomology:
     component with no chains has no homology and takes no elimination.
     """
     if not cx.dim(i, pair):
-        zero, empty = Subspace.zero(cx.field, 0), Matrix.zeros(cx.field, 0, 0)
-        return PairHomology(i, pair, 0, empty, zero, zero, [], empty)
+        zero = Subspace.zero(cx.field, 0)
+        return PairHomology(i, pair, 0, [], zero, zero, [], Matrix.zeros(cx.field, 0, 0))
     cycles = kernel_basis(cx.diff(i, pair))
     reps, boundaries, free, classes = homology_quotient(cycles, cx.diff(i + 1, pair))
-    return PairHomology(i, pair, reps.cols, reps, cycles, boundaries, free, classes)
+    return PairHomology(i, pair, len(reps), reps, cycles, boundaries, free, classes)
 
 
 def homology(cx: PairGradedComplex, i: int, src: str, dst: str) -> tuple[int, list[tuple]]:
@@ -185,7 +199,9 @@ class HomologyTable:
         src, dst = self.entries.get(key), target.entries.get(to)
         if src is None or dst is None or not src.dim:
             return self.cx._zero(0 if dst is None else dst.dim, 0 if src is None else src.dim)
-        return dst.classes(_reindexed(src.representatives, dst.cycles.ambient_dim, positions()))
+        p, mod = positions(), self.field.characteristic
+        return homology_classes(dst.cycles, dst.free, dst.quotient,
+                                [_renamed(c, p, mod) for c in src.rep_columns])
 
     def left_path_action(self, path: tuple[str, ...], i: int, s: str, e: str) -> Matrix:
         """Composite left action of an edge path ending at s."""

@@ -7,16 +7,18 @@ from pathlib import Path
 
 import pytest
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 import dirhom as dh
-from dirhom import cli
+from dirhom import cli, exactseq
 from dirhom.cli import main
 from dirhom.cubechain import BoundaryCheckError, DirectedCycleError
+from dirhom.exactla import Matrix
 from dirhom.exactseq import ExactnessError, SequenceError
 from dirhom.ez import ComparisonError
-from dirhom.homology import ActionError
+from dirhom.homology import ActionError, HomologyTable
 
-from conftest import make_domino
+from conftest import corpus, make_domino
 
 
 @pytest.fixture()
@@ -193,6 +195,55 @@ class TestHomology:
         assert r.exit_code == 2
 
 
+def scanned_actions(x, table, max_degree):
+    """Oracle: the (edge, degree, src, dst) of the listed left actions, by
+    probing both dimensions of every (edge, vertex, degree)."""
+    return [(a, i, x.edge_target(a), e) for a in x.edges for e in x.vertices
+            for i in range(max_degree + 1)
+            if table.dim(i, x.edge_target(a), e) or table.dim(i, x.edge_source(a), e)]
+
+
+class TestActionListing:
+    def test_listing_matches_the_scan(self):
+        for x in corpus():
+            table = HomologyTable(dh.build_complex(x), x)
+            for max_degree in range(4):
+                assert cli._listed_actions(x, table, max_degree) == scanned_actions(
+                    x, table, max_degree), (x.name, max_degree)
+
+    def test_json_lists_the_scanned_keys(self, runner, workspace):
+        x = make_domino()
+        table = HomologyTable(dh.build_complex(x), x)
+        for max_degree in range(4):
+            r = invoke(runner, ["homology", "--actions", "--format", "json",
+                                "--max-degree", str(max_degree), workspace["domino"]])
+            listed = [(a["edge"], a["degree"], a["src"], a["dst"])
+                      for a in json.loads(r.output)["actions"]]
+            assert listed == scanned_actions(x, table, max_degree)
+
+
+# strings with quotes, backslashes, control and non-ASCII characters
+TEXT = st.text() | st.text(alphabet=st.sampled_from(
+    ['"', "\\", "\n", "\t", "\x00", "\x1f", "\x7f", "/", "é", "\u2028", "\U0001f600", "a"]))
+SCALARS = (st.none() | st.booleans() | st.integers() | st.integers(-10 ** 40, 10 ** 40)
+           | st.floats() | TEXT)
+DOCS = st.recursive(SCALARS, lambda kids: (st.lists(kids, max_size=4)
+                                           | st.lists(kids, max_size=4).map(tuple)
+                                           | st.dictionaries(TEXT, kids, max_size=4)),
+                    max_leaves=30)
+
+
+class TestJsonWriter:
+    @settings(max_examples=200, deadline=None)
+    @given(DOCS)
+    def test_bytes_match_json_dumps(self, doc):
+        assert cli._json(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+    def test_empty_and_nested_containers(self):
+        for doc in ({}, [], (), {"a": {}, "b": [], "c": [[], [{}]], "d": ()}, [[[1]]], "x", 0):
+            assert cli._json(doc) == json.dumps(doc, indent=2, sort_keys=True)
+
+
 class TestCohomology:
     def test_matches_homology(self, runner, workspace):
         r = invoke(runner, ["cohomology", workspace["d2"], "--pair", "00,11"])
@@ -246,6 +297,25 @@ class TestCheckPair:
             assert "directed path too long for the recursive chain enumeration" in r.stderr
             assert "Traceback" not in r.stdout + r.stderr
 
+    def test_long_set_names_are_cut_in_input_errors(self, runner, tmp_path):
+        """realization([1] * 1200) is named by 2,400 characters: the input
+        error for its overlong path cuts the name to one short line, and so
+        does the error for a directed cycle in a set with a long name."""
+        dh.save(dh.realization([1] * 1200), tmp_path / "long.json")
+        env = {**os.environ, "PYTHONPATH": str(Path(dh.__file__).parents[1])}
+        r = subprocess.run([sys.executable, "-m", "dirhom.cli", "homology", "--max-degree", "0",
+                            str(tmp_path / "long.json")],
+                           env=env, capture_output=True, text=True, timeout=60)
+        assert r.returncode == 2 and r.stdout == ""
+        assert r.stderr.startswith("input error: real(1,1,") and r.stderr.count("\n") == 1
+        assert len(r.stderr) < 200 and "Traceback" not in r.stderr
+        x = dh.PrecubicalSet("c" * 2000, [["0", "1"], ["a", "b"]],
+                             {"a": (["0"], ["1"]), "b": (["1"], ["0"])})
+        dh.save(x, tmp_path / "loop.json")
+        r = invoke(runner, ["homology", str(tmp_path / "loop.json")])
+        assert r.exit_code == 2 and r.stderr.count("\n") == 1 and len(r.stderr) < 200
+        assert "acyclic" in r.stderr
+
     def test_cycle_behind_a_source_exit2(self, runner, tmp_path):
         """A source vertex s leading into the 2-cycle a -> b -> a: the cycle is
         an input error, found before any path is walked."""
@@ -286,6 +356,30 @@ class TestMv:
         assert r.exit_code == 0
         assert "good cover: yes" in r.output
         assert "exact at every node" in r.output
+
+    @pytest.mark.parametrize("corrupt,message", [
+        # the map into H0(X) made zero: its node is no longer exact
+        (lambda g: Matrix.zeros(g.field, g.rows, g.cols),
+         "pair ('00', '21'), node H0(1)+H0(2): incoming rank 3 != kernel dim 4"),
+        # every entry of that map 1: the composite with the inclusions is not zero
+        (lambda g: Matrix(g.field, g.rows, g.cols, [[1] * g.cols] * g.rows),
+         "pair ('00', '21'): the composite (^)H0 -> H0(1)+H0(2) -> H0(X) is nonzero"),
+    ], ids=["node", "composite"])
+    def test_inexact_sequence_names_pair_and_node(self, runner, workspace, monkeypatch,
+                                                  corrupt, message):
+        real = exactseq._long_exact_sequence
+
+        def with_corrupted_map(title, cx, names, maps, failure):
+            def corrupted(i, pair):
+                f, g, delta = maps(i, pair)
+                return f, corrupt(g) if (i, pair) == (0, ("00", "21")) else g, delta
+            return real(title, cx, names, corrupted, failure)
+
+        monkeypatch.setattr(exactseq, "_long_exact_sequence", with_corrupted_map)
+        r = invoke(runner, ["mv", workspace["domino"], workspace["left"], workspace["right"]])
+        assert r.exit_code == 3 and r.stdout == ""
+        assert r.stderr == ("internal check failed: Mayer-Vietoris sequence failed "
+                            f"verification: {message}\n")
 
     def test_non_cover_exit2(self, runner, workspace):
         r = invoke(runner, ["mv", workspace["domino"], workspace["left"],

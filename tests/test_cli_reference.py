@@ -70,6 +70,9 @@ RUNS = [
     # the action listing cut at a degree below the top, and in text form
     "homology --actions --format json --max-degree 1 --field q D4",
     "homology --actions --format text --field fp:7 real33",
+    # the benchmark's own homology shapes, over a large prime and over Q
+    "homology --actions --format json --field fp:1009 real222",
+    "homology --actions --format json --field q real2222",
 ]
 
 
@@ -105,6 +108,8 @@ def write_inputs(directory: Path) -> dict[str, str]:
     for name, x in [("D2", dh.directed_disc(2)), ("S1", dh.directed_sphere(1)),
                     ("D3", dh.directed_disc(3)), ("D4", dh.directed_disc(4)),
                     ("S3", dh.directed_sphere(3)), ("real33", dh.realization([3, 3])),
+                    ("real222", dh.realization([2, 2, 2])),
+                    ("real2222", dh.realization([2, 2, 2, 2])),
                     ("domino", make_domino()),
                     ("grid3", grid), ("strip4", strip)]:
         files[name] = str(directory / f"{name}.json")

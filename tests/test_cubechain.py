@@ -3,9 +3,9 @@ from hypothesis import given, settings, strategies as st
 
 import dirhom as dh
 from dirhom.cubechain import (
-    ChainError, CubeChain, DirectedCycleError, FormalSum, boundary,
-    build_complex, chain_catalog, empty_chain, enumerate_chains,
-    enumerate_shuffles, make_chain, project_shuffle, split_cube,
+    BoundaryCheckError, ChainError, CubeChain, DirectedCycleError, FormalSum,
+    PairGradedComplex, boundary, build_complex, chain_catalog, empty_chain,
+    enumerate_chains, enumerate_shuffles, make_chain, project_shuffle, split_cube,
     _chain_map_witness, _unit_targets,
 )
 from dirhom.exactla import Matrix, PrimeField, QQ
@@ -134,6 +134,23 @@ class TestComplex:
     def test_truncation(self, D3):
         cx = build_complex(D3, max_degree=1)
         assert cx.top_degree == 1
+
+    def test_broken_boundary_square_names_a_witness_chain(self):
+        # flip the sign of one entry in column 1 of d_2 at the top pair: the
+        # product d_1 @ d_2 stays zero on column 0 and breaks on column 1
+        d4 = dh.directed_disc(4)
+        cx = build_complex(d4)
+        pair, j = ("0000", "1111"), 1
+        cols = cx.diff(2, pair).sparse_columns()
+        r = min(cols[j])
+        cols[j][r] = -cols[j][r]
+        diffs = {(i, *k): cx.diff(i, k) for i, k in cx.components_with_chains if i}
+        diffs[(2, *pair)] = Matrix.from_sparse_columns(QQ, cx.dim(1, pair), cols)
+        broken = PairGradedComplex(d4, QQ, cx.top_degree, cx.bases, diffs, cx.positions)
+        witness = cx.bases[(2, *pair)][j]
+        with pytest.raises(BoundaryCheckError) as err:
+            broken.check_boundary_square()
+        assert str(err.value) == f"d.d != 0 at degree 2, pair {pair}: witness {witness!r}"
 
 
 def reference_boundary_terms(x, chain):

@@ -6,7 +6,8 @@ from hypothesis import given, settings, strategies as st
 import dirhom as dh
 from dirhom.cubechain import ChainError, PairGradedComplex, build_complex
 from dirhom.exactla import (
-    Matrix, PrimeField, QQ, Subspace, image_basis, kernel_basis, pivot_columns, rank,
+    Matrix, PrimeField, QQ, Subspace, homology_classes, image_basis, kernel_basis,
+    pivot_columns, rank,
 )
 from dirhom.exactseq import QuotientComplex, _LeftQuotient
 from dirhom.homology import (
@@ -113,7 +114,7 @@ def kernel_image_pivots(cx, i, pair):
     ker = kernel_basis(cx.diff(i, pair))
     img = image_basis(cx.diff(i + 1, pair))
     picked = [j - img.dim for j in pivot_columns(img, ker) if j >= img.dim]
-    return ker, img, ker.basis_matrix(picked)
+    return ker, img, ker.basis_matrix().block(range(ker.ambient_dim), picked)
 
 
 def express_classes(reps: Matrix, img: Subspace, m: Matrix) -> Matrix:
@@ -155,6 +156,41 @@ class TestKernelCoordinates:
             h.class_vector((1,) + (0,) * (n - 1))
         with pytest.raises(ChainError):
             h.classes(Matrix.zeros(QQ, n + 1, 1))
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_column_push_matches_the_product_oracle(self, data):
+        # oracle: kernel coordinates read at `free`, a cycle exactly when the
+        # kernel basis gives the column back, then the quotient map
+        x, y1, _, field = draw_cover(data)
+        rng = random.Random(data.draw(st.integers(0, 2 ** 16)))
+        cx = build_complex(x, None, field)
+        span = extend_subcomplex(cx, y1)
+        for sc in (cx, span, QuotientComplex(cx, span)):
+            for i, pair in sc.components_with_chains:
+                h = homology_of(sc, i, pair)
+                n = h.cycles.ambient_dim
+                coeffs = Matrix.from_rows(field, [[rng.randint(-2, 2) for _ in range(3)]
+                                                  for _ in range(h.cycles.dim)], cols=3)
+                noise = Matrix.from_rows(field, [[rng.choice((-1, 0, 0, 1)) for _ in range(3)]
+                                                 for _ in range(n)], cols=3)
+                for m in (h.cycles.basis_matrix() @ coeffs, noise):
+                    at_free = m.block(h.free, range(m.cols))
+                    if h.cycles.basis_matrix() @ at_free == m:
+                        expected = h.quotient @ at_free
+                        assert homology_classes(h.cycles, h.free, h.quotient,
+                                                m.sparse_columns()) == expected
+                        assert h.classes(m) == expected
+                    else:
+                        with pytest.raises(ChainError, match="not a cycle"):
+                            homology_classes(h.cycles, h.free, h.quotient, m.sparse_columns())
+                        with pytest.raises(ChainError, match="not a cycle"):
+                            h.classes(m)
+                # a column one entry too long, as a matrix and as a sparse column
+                with pytest.raises(ChainError, match="not a cycle"):
+                    h.classes(Matrix.zeros(field, n + 1, 1))
+                with pytest.raises(ChainError, match="not a cycle"):
+                    homology_classes(h.cycles, h.free, h.quotient, [{n: 1}])
 
     def test_two_eliminations_per_component_and_none_per_push(self, monkeypatch):
         import dirhom.exactla as la

@@ -291,7 +291,7 @@ def homology(path, field_name, max_degree, fmt, pair, actions):
                                             "H", table.dim)
     if actions:
         act = [{"edge": a, "side": "left", "degree": i, "src": s, "dst": e,
-                "matrix": [[str(v) for v in row] for row in table.left_action(a, i, s, e).data]}
+                "matrix": table.left_action(a, i, s, e).text_rows()}
                for a, i, s, e in _listed_actions(x, table, max_degree)]
         doc["actions"] = act
         text.append(f"({len(act)} left action matrices; use --format json to list)")

@@ -38,7 +38,9 @@ from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property
 from typing import Iterator, Mapping, Sequence
 
-from .exactla import ChainError, FieldError, Matrix, QQ, _modulus, _neg
+from .exactla import (
+    ChainError, FieldError, Matrix, QQ, Reduction, _modulus, _neg, column_reduction,
+)
 from .precubical import PrecubicalSet, TensorSet
 
 
@@ -295,7 +297,8 @@ class GradedComplex:
     (src, dst) vertex pairs.  Differentials map degree i to degree i-1 inside
     one pair component.  ``d . d = 0`` is asserted at construction by callers
     via `check_boundary_square`.  `components_with_chains` lists the sorted
-    (degree, pair) keys of nonzero dimension.
+    (degree, pair) keys of nonzero dimension.  `reduction` reduces each
+    differential once, for the homology of the degrees on both its sides.
     """
 
     def __init__(self, field, top_degree: int,
@@ -306,6 +309,7 @@ class GradedComplex:
         self._dims = dict(dims)
         self._diffs = dict(diffs)
         self._zeros: dict[tuple[int, int], Matrix] = {}    # by shape
+        self._reductions: dict[tuple[int, object], Reduction] = {}
         self._pairs = sorted({k[1] for k in self._dims})
         self.components_with_chains = sorted(k for k, n in self._dims.items() if n)
 
@@ -320,6 +324,14 @@ class GradedComplex:
         if m is None:
             m = self._zero(self.dim(i - 1, pair) if i >= 1 else 0, self.dim(i, pair))
         return m
+
+    def reduction(self, i: int, pair) -> Reduction:
+        """The column reduction of d_i on one pair component, computed the
+        first time it is asked for."""
+        r = self._reductions.get((i, pair))
+        if r is None:
+            r = self._reductions[(i, pair)] = column_reduction(self.diff(i, pair))
+        return r
 
     def _zero(self, rows: int, cols: int) -> Matrix:
         """The zero matrix of a shape, built once per complex (matrices are

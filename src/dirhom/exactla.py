@@ -12,10 +12,10 @@ Boundary, action and relation matrices are mostly zeros, so `Matrix` and
 ``{column: value}`` dicts: plain ints in ``[0, p)`` over F_p, and over Q
 plain ints while a value is integral.  A `Fraction` appears inside the
 module only where a value is not an integer: given so by a caller, or made
-when a pivot other than +-1 divides a row.  Boundary coefficients are all
-+-1, so most eliminations never make one.  `_eliminate`, the one
-elimination kernel, and every product work on these rows directly.  Zero
-tests are truthiness tests.
+when a pivot other than +-1 divides a row or a column.  Boundary
+coefficients are all +-1, so most eliminations never make one.
+`_eliminate`, the Gauss-Jordan kernel, `_reduce`, the column reduction, and
+every product work on these rows directly.  Zero tests are truthiness tests.
 
 Systems are solved for a whole matrix of right-hand sides at once:
 `solve(m, b)` eliminates [m | b] once, and `Subspace.express(m)` reads the
@@ -27,27 +27,38 @@ coefficients), where the one conversion `_value` turns each into a stored
 value and rejects a scalar of another field, and where they leave
 (`entry`, `data`, `row`, `column(s)`, `basis`, the vector wrappers), and
 over Q every value leaves as a `Fraction`, integral or not; inside the
-package they leave only through `Matrix.data`, for the CLI's JSON, and
-`Matrix.entry`, for the coefficients of bimodule relations.
+package they leave only through `Matrix.entry`, for the coefficients of
+bimodule relations; the CLI's JSON prints `Matrix.text_rows`, formatted from
+the stored values as the field scalars print.
 
-Homology takes two eliminations per component: `kernel_basis` of d_i and,
-in `homology_quotient`, one of the boundaries' kernel coordinates, whose
-rows give the representatives, the boundary span and the map to classes.
-`homology_classes`, the one push of chains into homology, takes cycles as
-``{row: value}`` sparse columns of stored values (the form of
-`Matrix.sparse_columns` and of the representatives): it reads their kernel
-coordinates at the free columns, checks entry by entry that the kernel
-vectors give each column back and applies the map to classes, with no
-elimination.
+Homology reads each differential d off one column reduction
+(`column_reduction`, persistence style): the columns are reduced left to
+right against a ``{lowest row: reduced column}`` dict, each stored column
+scaled to 1 at its lowest row, and each column's combination of the columns
+of d is tracked.  A column that reduces to zero gives the kernel vector that
+is 1 at it, its last nonzero, and otherwise lives on earlier columns that do
+not; the others give an image basis with distinct lowest rows.  For
+H_i = ker d_i / im d_{i+1}, a boundary's lowest row is the free column of
+the last kernel vector in which it has a coordinate, so the boundaries'
+kernel coordinates are their entries at the free columns, and
+`homology_from_reductions` back-substitutes them in order of their lows to
+give the map to classes; the kernel vectors at free columns that are not a
+low are the representatives.  `homology_classes`, the one push of chains into
+homology, takes cycles as ``{row: value}`` sparse columns of stored values
+(the form of `Matrix.sparse_columns` and of the representatives): it reads
+their kernel coordinates at the free columns, checks entry by entry that the
+kernel vectors give each column back and applies the map to classes, with
+no elimination.
 
-Pivot columns are taken in increasing order (last first in
-`homology_quotient`), and only the pivot *row* is chosen freely: the
+`_eliminate`, behind ranks, solves, images and `Subspace`, takes pivot
+columns in increasing order and chooses only the pivot *row* freely: the
 sparsest pending row that is nonzero in the current column, which keeps
 fill-in low.  The reduced row echelon form is unique for a fixed column
-order, so the row choice never shows in a result.  Choosing the column as
-well (Markowitz-style) would cut fill-in further, but it changes which
-columns are pivots, and with them every kernel basis, homology
-representative and action matrix the package prints.
+order, so the row choice never shows in a result, and the kernel of the
+column reduction is the one that the reduced row echelon form gives.
+Choosing the column as well (Markowitz-style) would cut fill-in further,
+but it changes which columns are pivots, and with them every kernel basis,
+homology representative and action matrix the package prints.
 """
 
 from __future__ import annotations
@@ -55,7 +66,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from math import isqrt
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 
 class FieldError(ValueError):
@@ -263,6 +274,18 @@ def _axpy(target: dict, f, row: dict, p: int) -> None:
             target[j] = f * a % p if p else f * a
 
 
+def _scaled(vec: dict, a, p: int) -> dict:
+    """vec divided by the nonzero value a, which is not 1: a -1 negates it,
+    so over Q integral vectors stay ints."""
+    if p:
+        inv = pow(a, -1, p)
+        return {j: v * inv % p for j, v in vec.items()}
+    if a == -1:
+        return {j: -v for j, v in vec.items()}
+    inv = 1 / Fraction(a)
+    return {j: v * inv for j, v in vec.items()}
+
+
 def _eliminate(rows: list[dict], order: Iterable[int], p: int):
     """Gauss-Jordan on sparse rows, which it modifies; returns (rows, pivots).
 
@@ -273,7 +296,7 @@ def _eliminate(rows: list[dict], order: Iterable[int], p: int):
     echelon form for that column order, whichever rows were chosen.
 
     A pivot row is divided by its pivot value only when that value is not
-    +-1 (a -1 pivot negates the row), so over Q integral rows stay ints.
+    1 (`_scaled`).
     """
     pending = list(range(len(rows)))
     done: list[dict] = []
@@ -289,14 +312,7 @@ def _eliminate(rows: list[dict], order: Iterable[int], p: int):
         row = rows[i]
         a = row[c]
         if a != 1:
-            if p:
-                inv = pow(a, -1, p)
-                row = {j: v * inv % p for j, v in row.items()}
-            elif a == -1:
-                row = {j: -v for j, v in row.items()}
-            else:
-                inv = 1 / Fraction(a)
-                row = {j: v * inv for j, v in row.items()}
+            row = _scaled(row, a, p)
         for k in hits:
             if k != i:
                 _axpy(rows[k], rows[k][c], row, p)
@@ -325,6 +341,51 @@ def _null_vectors(rows: list[dict], pivots: list[int], n: int, p: int) -> list[d
             if j != c:
                 vecs[j][c] = _neg(a, p)
     return list(vecs.values())
+
+
+class Reduction(NamedTuple):
+    """The column reduction of a matrix (`column_reduction`)."""
+
+    kernel: list[dict]        # one null vector per column that reduces to zero
+    free: list[int]           # those columns, ascending: kernel[k] is 1 at free[k]
+    image: dict[int, dict]    # {low: reduced column}, 1 at its lowest row `low`
+
+
+def _reduce(columns: list[dict], p: int) -> Reduction:
+    """Reduce sparse columns, which it modifies, left to right.
+
+    While a column's lowest nonzero row is the low of a reduced column
+    before it, that column times its entry there is subtracted; a column
+    left nonzero is scaled to 1 at its low and stored under it.  Each
+    column's combination of the columns given is tracked alongside it, so a
+    column j that reduces to zero gives the null vector that is 1 at j and
+    otherwise lives on earlier columns that did not: the one the reduced row
+    echelon form gives for the free column j.
+    """
+    kernel: list[dict] = []
+    free: list[int] = []
+    image: dict[int, dict] = {}
+    combos: dict[int, dict] = {}
+    for j, col in enumerate(columns):
+        combo = {j: 1}
+        while col:
+            low = max(col)
+            hit = image.get(low)
+            if hit is None:
+                break
+            f = col[low]
+            _axpy(col, f, hit, p)
+            _axpy(combo, f, combos[low], p)
+        if col:
+            a = col[low]
+            if a != 1:
+                col, combo = _scaled(col, a, p), _scaled(combo, a, p)
+            image[low] = col
+            combos[low] = combo
+        else:
+            kernel.append(combo)
+            free.append(j)
+    return Reduction(kernel, free, image)
 
 
 class _Frozen:
@@ -436,6 +497,20 @@ class Matrix(_Frozen):
     def data(self) -> tuple:
         """The rows as tuples of field scalars."""
         return tuple(self.row(i) for i in range(self.rows))
+
+    def text_rows(self) -> list[list[str]]:
+        """The rows as the strings of their field scalars (``3/4`` over Q,
+        ``3 (mod 7)`` over F_7), formatted from the stored values."""
+        p = _modulus(self.field)
+        text = (lambda a: f"{a} (mod {p})") if p else str
+        zero = text(0)
+        out = []
+        for r in self._rows:
+            row = [zero] * self.cols
+            for j, a in r.items():
+                row[j] = text(a)
+            out.append(row)
+        return out
 
     def entry(self, i: int, j: int):
         if not (0 <= i < self.rows and 0 <= j < self.cols):
@@ -642,13 +717,16 @@ class Subspace(_Frozen):
         return f"Subspace(dim {self.dim} of {self.ambient_dim})"
 
 
+def column_reduction(m: Matrix) -> Reduction:
+    """The column reduction of m (`_reduce`): its kernel, one vector per
+    free column, and its image, one reduced column per low."""
+    return _reduce(m.sparse_columns(), _modulus(m.field))
+
+
 def kernel_basis(m: Matrix) -> Subspace:
-    """Basis of the null space {v : m v = 0}: one vector per non-pivot column,
-    with no elimination when m has no rows or no columns."""
-    p = _modulus(m.field)
-    rows, pivots = (_eliminate([dict(r) for r in m._rows], range(m.cols), p)
-                    if m.rows and m.cols else ([], []))
-    return Subspace._of(m.field, m.cols, _null_vectors(rows, pivots, m.cols, p), None)
+    """Basis of the null space {v : m v = 0}: one vector per free column, the
+    kernel of `column_reduction`."""
+    return Subspace._of(m.field, m.cols, column_reduction(m).kernel, None)
 
 
 def image_basis(m: Matrix) -> Subspace:
@@ -741,37 +819,52 @@ def induced_on_quotient(f: Matrix, src_sub: Subspace, dst_sub: Subspace) -> Matr
     return g
 
 
-def homology_quotient(cycles: Subspace, d_next: Matrix):
-    """ker d / im d_next, given ``cycles = kernel_basis(d)``, by one more
-    elimination, as (representatives, boundaries, free, classes).
+def homology_from_reductions(d: Reduction, d_next: Reduction, field, n: int):
+    """ker d / im d_next from the column reductions of d, which has n
+    columns, and of d_next, with no elimination, as (cycles,
+    representatives, boundary rows, classes).
 
     Kernel vector k is 1 at free column free[k] of d, its last nonzero, and
     0 at the other free columns, so the kernel coordinates of a chain are
-    its entries there, and the boundaries' are the columns of d_next there.
-    Kernel vector k lies in the span of the boundaries and the ones before
-    it exactly when a boundary's coordinates end at k: a pivot of their
-    elimination with the kernel coordinates taken last first.  The others
-    are the representatives, given as sparse columns; `classes` maps
-    kernel coordinates to class coordinates (the null vectors of the
-    reduced boundary rows), and `boundaries` is the span of those rows
-    lifted to chain coordinates.
+    its entries there, and a reduced boundary column, a cycle, has its low
+    at free[K] for its last kernel coordinate K.  So kernel vector k lies in
+    the span of the boundaries and the kernel vectors before it exactly when
+    free[k] is a low, and the other kernel vectors are the representatives,
+    given as sparse columns.  Back substitution of the boundaries' kernel
+    coordinates in order of their lows makes the row under low K 1 at K and
+    0 at the other lows; `classes` maps kernel coordinates to class
+    coordinates (the null vectors of those rows), and the boundary rows are
+    returned last low first: the reduced row echelon form of the boundaries'
+    kernel coordinates with the columns taken last first.
     """
-    p, n = _modulus(cycles.field), cycles.dim
-    free = [max(v) for v in cycles._basis]
-    coords = [c for c in _transpose([d_next._rows[f] for f in free], d_next.cols) if c]
-    rows, pivots = _eliminate(coords, range(n - 1, -1, -1), p)
-    pivset = set(pivots)
-    return ([v for k, v in enumerate(cycles._basis) if k not in pivset],
-            Subspace._of(cycles.field, cycles.ambient_dim, _mul(rows, cycles._basis, p), None),
-            free, Matrix._of(cycles.field, n - len(pivots), n, _null_vectors(rows, pivots, n, p)))
+    p, m = _modulus(field), len(d.free)
+    at = {f: k for k, f in enumerate(d.free)}
+    rows: dict[int, dict] = {}
+    for low in sorted(d_next.image):
+        row = {at[r]: a for r, a in d_next.image[low].items() if r in at}
+        for c in [c for c in row if c in rows]:
+            _axpy(row, row[c], rows[c], p)
+        rows[at[low]] = row
+    reduced = list(rows.values())
+    return (Subspace._of(field, n, d.kernel, None),
+            [v for v, f in zip(d.kernel, d.free) if f not in d_next.image], reduced[::-1],
+            Matrix._of(field, m - len(rows), m, _null_vectors(reduced, list(rows), m, p)))
+
+
+def span_of_combinations(rows: list[dict], sub: Subspace) -> Subspace:
+    """The subspace spanned by the combinations `rows` of the basis of
+    `sub`, which must be independent, with that basis in the order of rows."""
+    return Subspace._of(sub.field, sub.ambient_dim, _mul(rows, sub._basis, _modulus(sub.field)),
+                        None)
 
 
 def homology_classes(cycles: Subspace, free: Sequence[int], classes: Matrix,
                      columns: list[dict]) -> Matrix:
     """The class coordinates of cycles given as sparse columns in chain
     coordinates (``{row: value}`` dicts of nonzero stored values), as the
-    columns of the result, for the `free` and `classes` of
-    `homology_quotient`: the one push of chains into homology.
+    columns of the result, for the `free` columns of the column reduction
+    of d_i and the `classes` of `homology_from_reductions`: the one push of
+    chains into homology.
 
     A column's kernel coordinates are its entries at `free`; the kernel
     vectors weighted by them must give the column back entry by entry, or it

@@ -29,6 +29,7 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from weakref import WeakValueDictionary
 
 from .exactla import Matrix, QQ, rank, solve
 from .precubical import PcMorphism, PrecubicalSet, SubsetSpec, sub
@@ -519,7 +520,8 @@ def _check_cover(x: PrecubicalSet, s1: SubsetSpec, s2: SubsetSpec,
 
 
 class QuotientComplexCache:
-    _cache: dict[tuple[int, int], QuotientComplex] = {}
+    # an entry lives as long as its quotient, which keeps the keyed objects alive
+    _cache: WeakValueDictionary[tuple[int, int], QuotientComplex] = WeakValueDictionary()
 
     @classmethod
     def get(cls, cx, span, field) -> QuotientComplex:
@@ -556,7 +558,7 @@ class _LeftQuotient(_Quotient):
 
 
 class _LeftQuotientCache:
-    _cache: dict[tuple[int, int], _LeftQuotient] = {}
+    _cache: WeakValueDictionary[tuple[int, int], _LeftQuotient] = WeakValueDictionary()
 
     @classmethod
     def get(cls, span1, span12, field) -> _LeftQuotient:

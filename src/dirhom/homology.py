@@ -1,15 +1,18 @@
 """Homology of pair-graded complexes and the path-algebra actions on it.
 
 Homology classes are stored concretely: cycle representatives (as sparse
-columns, with their matrix built only when asked for), the cycle and
-boundary subspaces, and the quotient map in kernel coordinates, from one
-elimination of d_i (`kernel_basis`) and one of the boundaries in kernel
-coordinates (`exactla.homology_quotient`).  The one push of chains into
-homology is the column push `exactla.homology_classes`: it takes cycles as
-sparse columns, reads their kernel coordinates off their entries at the free
-columns of d_i, checks entry by entry that the kernel basis gives each column
-back, and applies the quotient map, with no elimination and no product on
-the chains.  `PairHomology.classes(m)` runs it on the columns of a matrix m;
+columns, with their matrix built only when asked for), the cycle subspace,
+the boundaries in kernel coordinates (their subspace built only when asked
+for), and the quotient map in kernel coordinates.  They are read off the
+column reductions of d_i and d_{i+1} (`exactla.homology_from_reductions`),
+which the complex computes once per differential (`GradedComplex.reduction`),
+so each differential is reduced once for the two degrees on its sides and no
+elimination runs.  The one push of chains into homology is the column push
+`exactla.homology_classes`: it takes cycles as sparse columns, reads their
+kernel coordinates off their entries at the free columns of d_i, checks
+entry by entry that the kernel basis gives each column back, and applies the
+quotient map, with no elimination and no product on the chains.
+`PairHomology.classes(m)` runs it on the columns of a matrix m;
 `induced_on_homology(f, src, dst)`, ``dst.classes(f @ src.representatives)``,
 pushes a matrix f: the maps induced by morphisms and the inclusions,
 projections and excision maps of the exact sequences.  A connecting map
@@ -35,8 +38,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property
 
-from .exactla import (
-    QQ, ChainError, Matrix, Subspace, homology_classes, homology_quotient, kernel_basis, rank,
+from .exactla import (  # kernel_basis stays importable from here
+    QQ, ChainError, Matrix, Subspace, homology_classes, homology_from_reductions, kernel_basis,
+    rank, span_of_combinations,
 )
 from .cubechain import (
     GradedComplex, PairGradedComplex, _basis_map, _chain_map_witness, _renamed, _unit_targets,
@@ -58,9 +62,14 @@ class PairHomology:
     dim: int
     rep_columns: list[dict]   # the cycle representatives as sparse columns {position: value}
     cycles: Subspace
-    boundaries: Subspace
+    boundary_rows: list[dict]   # the boundaries in kernel coordinates, reduced
     free: list[int]     # free columns of d_i: a cycle's kernel coordinates are its entries there
     quotient: Matrix    # kernel coordinates -> class coordinates
+
+    @cached_property
+    def boundaries(self) -> Subspace:
+        """The boundary subspace, spanned by the boundary rows in chain coordinates."""
+        return span_of_combinations(self.boundary_rows, self.cycles)
 
     @cached_property
     def representatives(self) -> Matrix:
@@ -90,18 +99,21 @@ class PairHomology:
 
 
 def homology_of(cx: GradedComplex, i: int, pair) -> PairHomology:
-    """ker d_i / im d_{i+1} for one pair component.
+    """ker d_i / im d_{i+1} for one pair component, read off the column
+    reductions of d_i and d_{i+1} (`GradedComplex.reduction`).
 
     A cycle becomes a representative when it is outside the span of the
-    boundaries and the cycles before it (`exactla.homology_quotient`).  A
-    component with no chains has no homology and takes no elimination.
+    boundaries and the cycles before it: when its free column is not the
+    low of a reduced boundary (`exactla.homology_from_reductions`).  A
+    component with no chains has no homology and takes no reduction.
     """
     if not cx.dim(i, pair):
         zero = Subspace.zero(cx.field, 0)
-        return PairHomology(i, pair, 0, [], zero, zero, [], Matrix.zeros(cx.field, 0, 0))
-    cycles = kernel_basis(cx.diff(i, pair))
-    reps, boundaries, free, classes = homology_quotient(cycles, cx.diff(i + 1, pair))
-    return PairHomology(i, pair, len(reps), reps, cycles, boundaries, free, classes)
+        return PairHomology(i, pair, 0, [], zero, [], [], Matrix.zeros(cx.field, 0, 0))
+    d = cx.reduction(i, pair)
+    cycles, reps, rows, classes = homology_from_reductions(d, cx.reduction(i + 1, pair),
+                                                          cx.field, cx.dim(i, pair))
+    return PairHomology(i, pair, len(reps), reps, cycles, rows, d.free, classes)
 
 
 def homology(cx: PairGradedComplex, i: int, src: str, dst: str) -> tuple[int, list[tuple]]:

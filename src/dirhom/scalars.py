@@ -26,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .exactla import Matrix, QQ, _modulus, _value, image_basis, quotient_map
+from .exactla import Matrix, QQ, Reduction, _modulus, _value, image_basis, quotient_map
 from .precubical import PcMorphism, PrecubicalSet, TensorSet
 from .cubechain import (
     BasisSubcomplex, CubeChain, GradedComplex, PairGradedComplex, chain_catalog,
@@ -508,6 +508,10 @@ class RestrictedComplex:
     def diff(self, i: int, pair) -> Matrix:
         s, e = pair
         return self.cx.diff(i, (self.f(s), self.f(e)))
+
+    def reduction(self, i: int, pair) -> Reduction:
+        s, e = pair
+        return self.cx.reduction(i, (self.f(s), self.f(e)))
 
 
 class RestrictedTable:

@@ -267,3 +267,21 @@ def test_criterion_10_cross_field_determinism():
     verdict(10, mismatches == 0,
             f"homology dimensions identical over Q and F_1009 on the full "
             f"corpus ({elapsed:.2f}s, {mismatches} mismatches)")
+
+
+def test_scale_guard_realization_442_over_f1009():
+    # 1,348 components, the largest with 5,664 chains: each differential
+    # must be reduced once, not eliminated twice per component
+    r = dh.realization([4, 4, 2])
+    cx = build_complex(r, None, PrimeField(1009))
+    t0 = time.monotonic()
+    table = dh.HomologyTable(cx, r)
+    elapsed = time.monotonic() - t0
+    nonzero = {k: h.dim for k, h in table.entries.items() if h.dim}
+    ok = len(table.entries) == 1348
+    ok &= max(cx.dim(*k) for k in cx.components_with_chains) == 5664
+    ok &= len(nonzero) == 484 and all(i == 0 and d == 1 for (i, _, _), d in nonzero.items())
+    ok &= elapsed < 6.0
+    print(f"[{'PASS' if ok else 'FAIL'}] scale guard: HomologyTable of realization(4,4,2) "
+          f"over F_1009, {len(nonzero)} nonzero entries, all H_0 = 1 ({elapsed:.2f}s < 6s)")
+    assert ok

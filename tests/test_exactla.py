@@ -6,8 +6,8 @@ from hypothesis import given, settings, strategies as st
 
 from dirhom.exactla import (
     FieldError, Matrix, PrimeField, QQ, Residue, Subspace, _dense, _eliminate, _rref, _sparse,
-    field_from_name, image_basis, induced_on_quotient, invert, is_prime, kernel_basis,
-    pivot_columns, quotient_map, rank, solve, solve_in_image,
+    column_reduction, field_from_name, image_basis, induced_on_quotient, invert, is_prime,
+    kernel_basis, pivot_columns, quotient_map, rank, solve, solve_in_image,
 )
 
 
@@ -406,6 +406,25 @@ class TestSparseAgainstDenseReference:
         ker = kernel_basis(Matrix(field, len(rows), ncols, rows))
         assert ker.basis == dense_kernel(rows, ncols, field)
         assert Subspace(field, ncols, ker.basis) == ker
+
+    @settings(max_examples=60, deadline=None)
+    @given(matrices())
+    def test_column_reduction_image_has_distinct_lows(self, m):
+        field, _, rows, ncols = m
+        a = Matrix(field, len(rows), ncols, rows)
+        r = column_reduction(a)
+        assert all(max(col) == low and col[low] == 1 for low, col in r.image.items())
+        assert len(r.image) + len(r.kernel) == ncols
+        assert r.free == [max(v) for v in r.kernel]
+        image = Matrix.from_sparse_columns(field, a.rows, list(r.image.values()))
+        assert image_basis(image) == image_basis(a)
+
+    @settings(max_examples=60, deadline=None)
+    @given(matrices())
+    def test_text_rows_print_the_field_scalars(self, m):
+        field, _, rows, ncols = m
+        a = Matrix(field, len(rows), ncols, rows)
+        assert a.text_rows() == [[str(v) for v in row] for row in a.data]
 
     @settings(max_examples=60, deadline=None)
     @given(matrices(), st.data())

@@ -1,10 +1,13 @@
 import random
+from collections import Counter
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import dirhom as dh
-from dirhom.cubechain import ChainError, PairGradedComplex, build_complex
+import dirhom.exactla as la
+from dirhom.cubechain import ChainError, GradedComplex, PairGradedComplex, build_complex
 from dirhom.exactla import (
     Matrix, PrimeField, QQ, Subspace, homology_classes, image_basis, kernel_basis,
     pivot_columns, rank,
@@ -192,23 +195,123 @@ class TestKernelCoordinates:
                 with pytest.raises(ChainError, match="not a cycle"):
                     homology_classes(h.cycles, h.free, h.quotient, [{n: 1}])
 
-    def test_two_eliminations_per_component_and_none_per_push(self, monkeypatch):
-        import dirhom.exactla as la
-        calls = []
-        real = la._eliminate
-        monkeypatch.setattr(la, "_eliminate", lambda *a: calls.append(1) or real(*a))
-        most = 0
+    def test_each_differential_is_reduced_once_and_nothing_is_eliminated(self, monkeypatch):
+        def content(columns):
+            return tuple(tuple(sorted(c.items())) for c in columns)
+
+        reduced, eliminated = [], []
+        real_reduce, real_eliminate = la._reduce, la._eliminate
+
+        def counted(columns, p):
+            reduced.append(content(columns))    # before the reduction modifies them
+            return real_reduce(columns, p)
+
+        monkeypatch.setattr(la, "_reduce", counted)
+        monkeypatch.setattr(la, "_eliminate",
+                            lambda *a: eliminated.append(1) or real_eliminate(*a))
+        seen = 0
         for x in corpus():
             cx = build_complex(x)
-            for i, pair in cx.components_with_chains:
-                calls.clear()
-                h = homology_of(cx, i, pair)
-                assert len(calls) <= 2
-                most = max(most, len(calls))
-                calls.clear()
+            # the differentials by content: two components may have the same one
+            differentials = Counter(content(cx.diff(i, pair).sparse_columns())
+                                    for i in range(cx.top_degree + 2) for pair in cx.pairs())
+            reduced.clear()
+            t = HomologyTable(cx, x)
+            hs = [homology_of(cx, i, pair) for i, pair in cx.components_with_chains]
+            assert not eliminated
+            assert all(n <= differentials[key] for key, n in Counter(reduced).items())
+            seen += len(reduced)
+            reduced.clear()
+            into = x.in_edges()
+            for h in hs:
                 h.classes(h.cycles.basis_matrix())
-                assert not calls
-        assert most == 2    # the counter sees both eliminations
+            for i, s, e in t.entries:
+                for a in into[s]:
+                    t.left_action(a, i, s, e)
+            assert not reduced and not eliminated
+        assert seen     # the counter sees the reductions
+
+
+def oracle_homology(cx, i, pair):
+    """Reference: homology by two Gauss-Jordan eliminations, as (reps,
+    cycles, free, quotient, boundaries).  The kernel basis of d_i has one
+    vector per non-pivot column of its rref; the boundaries' kernel
+    coordinates, their entries at those free columns, are eliminated with
+    the kernel coordinates taken last first, and the kernel vectors off
+    their pivots are the representatives."""
+    d, d_next = cx.diff(i, pair), cx.diff(i + 1, pair)
+    p, field = la._modulus(d.field), d.field
+    rows, pivots = (la._eliminate([dict(r) for r in d._rows], range(d.cols), p)
+                    if d.rows and d.cols else ([], []))
+    kernel = la._null_vectors(rows, pivots, d.cols, p)
+    n, free = len(kernel), [max(v) for v in kernel]
+    coords = [c for c in la._transpose([d_next._rows[f] for f in free], d_next.cols) if c]
+    rows, pivots = la._eliminate(coords, range(n - 1, -1, -1), p)
+    return ([v for k, v in enumerate(kernel) if k not in set(pivots)],
+            Subspace._of(field, d.cols, kernel, None), free,
+            Matrix._of(field, n - len(pivots), n, la._null_vectors(rows, pivots, n, p)),
+            Subspace._of(field, d.cols, la._mul(rows, kernel, p), None))
+
+
+def assert_matches_the_oracle(cx, i, pair):
+    h = homology_of(cx, i, pair)
+    reps, cycles, free, quotient, boundaries = oracle_homology(cx, i, pair)
+    assert h.rep_columns == reps and h.dim == len(reps)
+    assert h.cycles._basis == cycles._basis
+    assert h.free == free and h.quotient == quotient
+    assert h.boundaries._basis == boundaries._basis
+
+
+@st.composite
+def two_step_complexes(draw):
+    """A complex d_1 d_2 = 0 on one pair over Q or F_7, whose entries and
+    pivots are mostly not +-1: d_2 is random or a random product of lower
+    rank, and the rows of d_1 are random combinations of a basis of the left
+    kernel of d_2."""
+    field = draw(st.sampled_from([QQ, PrimeField(7)]))
+    values = ([0, 0, 1, -1, 2, -3, 5, Fraction(1, 2), Fraction(-2, 3)] if field is QQ
+              else [0, 0, *range(1, 7)])
+
+    def random(rows, cols):
+        return Matrix.from_rows(field, [[draw(st.sampled_from(values)) for _ in range(cols)]
+                                        for _ in range(rows)], cols=cols)
+
+    n1, n2 = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    k = draw(st.integers(0, min(n1, n2)))
+    d2 = random(n1, n2) if draw(st.booleans()) else random(n1, k) @ random(k, n2)
+    left = kernel_basis(d2.transpose()).basis_matrix().transpose()
+    d1 = random(draw(st.integers(0, 4)), left.rows) @ left
+    assert (d1 @ d2).is_zero()
+    return GradedComplex(field, 2, {(0, "p"): d1.rows, (1, "p"): n1, (2, "p"): n2},
+                         {(1, "p"): d1, (2, "p"): d2})
+
+
+class TestAgainstTheEliminationOracle:
+    """`homology_of` gives what two eliminations give, entry for entry."""
+
+    @settings(max_examples=25, deadline=None)
+    @given(st.data())
+    def test_random_covers(self, data):
+        x, y1, y2, field = draw_cover(data)
+        cx = build_complex(x, None, field)
+        span1 = extend_subcomplex(cx, y1)
+        span12 = extend_subcomplex(cx, y1 & y2)
+        for sc in (cx, span1, QuotientComplex(cx, span1), _LeftQuotient(span1, span12, field)):
+            for i, pair in sc.components_with_chains:
+                assert_matches_the_oracle(sc, i, pair)
+
+    @settings(max_examples=100, deadline=None)
+    @given(two_step_complexes())
+    def test_random_matrices_with_pivots_other_than_units(self, cx):
+        for i, pair in cx.components_with_chains:
+            assert_matches_the_oracle(cx, i, pair)
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(7)])
+    def test_corpus(self, field):
+        for x in corpus() + [domino_with_bypass()]:
+            cx = build_complex(x, None, field)
+            for i, pair in cx.components_with_chains:
+                assert_matches_the_oracle(cx, i, pair)
 
 
 class TestActions:

@@ -835,12 +835,16 @@ def homology_from_reductions(d: Reduction, d_next: Reduction, field, n: int):
     0 at the other lows; `classes` maps kernel coordinates to class
     coordinates (the null vectors of those rows), and the boundary rows are
     returned last low first: the reduced row echelon form of the boundaries'
-    kernel coordinates with the columns taken last first.
+    kernel coordinates with the columns taken last first.  A boundary whose
+    low is a pivot of d is no cycle, so d d_next is not zero: ChainError.
     """
     p, m = _modulus(field), len(d.free)
     at = {f: k for k, f in enumerate(d.free)}
     rows: dict[int, dict] = {}
     for low in sorted(d_next.image):
+        if low not in at:
+            raise ChainError(f"d_i d_(i+1) is not zero: a boundary has its lowest "
+                             f"nonzero at chain {low}, a pivot of d_i")
         row = {at[r]: a for r, a in d_next.image[low].items() if r in at}
         for c in [c for c in row if c in rows]:
             _axpy(row, row[c], rows[c], p)

@@ -105,14 +105,19 @@ def homology_of(cx: GradedComplex, i: int, pair) -> PairHomology:
     A cycle becomes a representative when it is outside the span of the
     boundaries and the cycles before it: when its free column is not the
     low of a reduced boundary (`exactla.homology_from_reductions`).  A
-    component with no chains has no homology and takes no reduction.
+    component with no chains has no homology and takes no reduction.  A
+    boundary whose low is a pivot of d_i, so no cycle, raises ChainError
+    naming the degree and pair.
     """
     if not cx.dim(i, pair):
         zero = Subspace.zero(cx.field, 0)
         return PairHomology(i, pair, 0, [], zero, [], [], Matrix.zeros(cx.field, 0, 0))
     d = cx.reduction(i, pair)
-    cycles, reps, rows, classes = homology_from_reductions(d, cx.reduction(i + 1, pair),
-                                                          cx.field, cx.dim(i, pair))
+    try:
+        cycles, reps, rows, classes = homology_from_reductions(d, cx.reduction(i + 1, pair),
+                                                              cx.field, cx.dim(i, pair))
+    except ChainError as err:
+        raise ChainError(f"degree {i}, pair {pair}: {err}") from None
     return PairHomology(i, pair, len(reps), reps, cycles, rows, d.free, classes)
 
 

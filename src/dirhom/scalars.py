@@ -13,9 +13,10 @@ purpose:
   spans the chains that factor as (edge-only prefix) . (chain in Y) .
   (edge-only suffix);
 * `extend_presented` is the ground truth: it re-reads a presented bimodule
-  over the paths of X and reduces the per-pair relation translates, each a
-  sparse kernel row ``{triple index: value}`` that goes to the elimination
-  as it is.
+  over the paths of X, whose per-pair dimension is the number of spanning
+  triples, counted from path counts, minus the rank of the relation
+  translates, each a sparse row ``{triple number: value}``
+  (`ResolvedBimodule`).
 
 Their per-pair dimensions agree exactly when the canonical comparison map
 is injective, which is what the relative-pair check verifies.
@@ -26,7 +27,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .exactla import Matrix, QQ, Reduction, _modulus, _value, image_basis, quotient_map
+from .exactla import (
+    Matrix, QQ, Reduction, _axpy, _modulus, _scaled, _value, image_basis, quotient_map,
+)
 from .precubical import PcMorphism, PrecubicalSet, TensorSet
 from .cubechain import (
     BasisSubcomplex, CubeChain, GradedComplex, PairGradedComplex, chain_catalog,
@@ -158,22 +161,94 @@ class ResolvedBimodule:
     """Per-pair reduction of a presented bimodule.
 
     For a pair (s, e) the spanning triples are (left path, generator, right
-    path); the bimodule is their span modulo the relation translates, with
-    the triples off the pivots of the relations as quotient basis.  Edge
-    actions are matrices in this basis.
+    path); the bimodule is their span modulo the relation translates.  Its
+    dimension is the number of triples minus the rank of the translates:
+    the triples are counted from the path counts, and the translates,
+    sparse rows over triples numbered as they are met, are reduced for
+    their rank alone (`_reduce`).  A pair with no triples or no translates
+    takes no reduction.
 
-    Each relation translate is a sparse kernel row ``{triple index: value}``,
-    built from the relation's stored pair and values, and the rows go to the
-    kernel as they are: no dense row over all triples is made.
+    The quotient basis, the triples off the pivots of the relations' reduced
+    row echelon form, is built only for `basis_triples` and the edge
+    actions, which are matrices in this basis (`_quotient`).  Generators and
+    relations are indexed once by their (source, target) pair, and both
+    constructions go over those pairs, not over every generator and relation.
     """
 
     def __init__(self, pb: PresentedBimodule):
         self.pb = pb
         self.field = pb.field
+        self._gens: dict[tuple[str, str], list[str]] = {}
+        for g in pb.generators:
+            self._gens.setdefault((g.src, g.dst), []).append(g.gid)
+        self._relations: dict[tuple[str, str], list[list[RelationTerm]]] = {}
+        for rs, re, terms in pb._graded_relations:
+            self._relations.setdefault((rs, re), []).append(terms)
+        # the dimension at each reduced pair; benchmark/tracer.py reads the keys
+        self._rref: dict[tuple[str, str], int] = {}
         self._triples: dict[tuple[str, str], list[tuple]] = {}
         self._tindex: dict[tuple[str, str], dict[tuple, int]] = {}
-        self._rref: dict[tuple[str, str], Matrix] = {}
+        self._qmap: dict[tuple[str, str], Matrix] = {}
         self._free: dict[tuple[str, str], list[int]] = {}
+
+    def _translates(self, s: str, e: str, index) -> list[dict]:
+        """The relation translates at (s, e), one ``{index(triple): value}``
+        row each: terms that land on one triple add, and zero sums drop."""
+        left, right = self.pb.left.paths, self.pb.right.paths
+        p = _modulus(self.field)
+        rows = []
+        for (rs, re), rels in self._relations.items():
+            lps, rqs = left.get((s, rs)), right.get((re, e))
+            if not (lps and rqs):
+                continue
+            for terms in rels:
+                for lp in lps:
+                    for rq in rqs:
+                        row: dict = {}
+                        for a, pi, gid, qi in terms:
+                            j = index((lp + pi, gid, qi + rq))
+                            if j in row:
+                                a = _value(row[j] + a, p)
+                                if not a:
+                                    del row[j]
+                                    continue
+                            row[j] = a
+                        rows.append(row)
+        return rows
+
+    def _count(self, s: str, e: str) -> int:
+        """The number of triples at (s, e): the sum over generator pairs
+        (u, v) of #generators(u, v) . #paths(s, u) . #paths(v, e)."""
+        left, right = self.pb.left.paths, self.pb.right.paths
+        return sum(len(gids) * len(left.get((s, u), ())) * len(right.get((v, e), ()))
+                   for (u, v), gids in self._gens.items())
+
+    def _reduce(self, s: str, e: str):
+        """Store the dimension at (s, e): the triple count minus the rank of
+        the translates, each reduced by the stored rows while its highest
+        triple number is the low of one of them."""
+        key = (s, e)
+        if key in self._rref:
+            return
+        n = self._count(s, e)
+        image: dict[int, dict] = {}
+        if n:
+            p = _modulus(self.field)
+            number: dict[tuple, int] = {}
+            for row in self._translates(s, e, lambda t: number.setdefault(t, len(number))):
+                while row:
+                    low = max(row)
+                    hit = image.get(low)
+                    if hit is None:
+                        a = row[low]
+                        image[low] = row if a == 1 else _scaled(row, a, p)
+                        break
+                    _axpy(row, row[low], hit, p)
+        self._rref[key] = n - len(image)
+
+    def dim(self, s: str, e: str) -> int:
+        self._reduce(s, e)
+        return self._rref[(s, e)]
 
     def triples(self, s: str, e: str) -> list[tuple]:
         key = (s, e)
@@ -182,67 +257,43 @@ class ResolvedBimodule:
             return hit
         left, right = self.pb.left.paths, self.pb.right.paths
         out = []
-        for g in self.pb.generators:
-            for p in left.get((s, g.src), ()):
-                for q in right.get((g.dst, e), ()):
-                    out.append((p, g.gid, q))
+        for (u, v), gids in self._gens.items():
+            for p in left.get((s, u), ()):
+                for gid in gids:
+                    for q in right.get((v, e), ()):
+                        out.append((p, gid, q))
         out.sort(key=lambda t: (len(t[0]) + len(t[2]), t[1], t[0], t[2]))
         self._triples[key] = out
         self._tindex[key] = {t: i for i, t in enumerate(out)}
         return out
 
-    def _relation_rows(self, s: str, e: str) -> list[dict]:
-        """The relation translates at (s, e), one ``{triple index: value}``
-        row each: terms that land on one triple add, and zero sums drop."""
-        self.triples(s, e)
-        tindex = self._tindex[(s, e)]
-        left, right = self.pb.left.paths, self.pb.right.paths
-        p = _modulus(self.field)
-        rows = []
-        for rs, re, terms in self.pb._graded_relations:
-            for lp in left.get((s, rs), ()):
-                for rq in right.get((re, e), ()):
-                    row: dict = {}
-                    for a, pi, gid, qi in terms:
-                        j = tindex[(lp + pi, gid, qi + rq)]
-                        if j in row:
-                            a = _value(row[j] + a, p)
-                            if not a:
-                                del row[j]
-                                continue
-                        row[j] = a
-                    rows.append(row)
-        return rows
-
-    def _reduce(self, s: str, e: str):
+    def _quotient(self, s: str, e: str):
+        """The quotient map at (s, e) and the triples off the pivots of the
+        relations' reduced row echelon form, its basis."""
         key = (s, e)
-        if key in self._rref:
+        if key in self._qmap:
             return
         n = len(self.triples(s, e))
-        rows = self._relation_rows(s, e)
+        rows = self._translates(s, e, self._tindex[key].__getitem__)
         relations = image_basis(Matrix.from_sparse_columns(self.field, n, rows))
         # column j of the quotient map holds the coordinates of triple j
-        self._rref[key] = quotient_map(n, relations)
+        self._qmap[key] = quotient_map(n, relations)
         pivots = set(relations._pivots)
         self._free[key] = [j for j in range(n) if j not in pivots]
 
-    def dim(self, s: str, e: str) -> int:
-        self._reduce(s, e)
-        return len(self._free[(s, e)])
-
     def basis_triples(self, s: str, e: str) -> list[tuple]:
-        self._reduce(s, e)
+        self._quotient(s, e)
         triples = self.triples(s, e)
         return [triples[j] for j in self._free[(s, e)]]
 
     def _coordinates(self, s: str, e: str, triples: list[tuple]) -> Matrix:
         """Column k holds the coordinates of triples[k] in the quotient basis at (s, e)."""
-        self._reduce(s, e)
+        self._quotient(s, e)
         index = self._tindex[(s, e)]
         for t in triples:
             if t not in index:
                 raise AlgebraError(f"triple {t} does not span at ({s!r},{e!r})")
-        q = self._rref[(s, e)]
+        q = self._qmap[(s, e)]
         return q.block(range(q.rows), [index[t] for t in triples])
 
     def left_edge_action(self, a: str, s: str, e: str) -> Matrix:

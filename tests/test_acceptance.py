@@ -285,3 +285,19 @@ def test_scale_guard_realization_442_over_f1009():
     print(f"[{'PASS' if ok else 'FAIL'}] scale guard: HomologyTable of realization(4,4,2) "
           f"over F_1009, {len(nonzero)} nonzero entries, all H_0 = 1 ({elapsed:.2f}s < 6s)")
     assert ok
+
+
+def test_scale_guard_les_relative_d6_s5():
+    # 7,290 extension dimensions over Q, in the pair check and the extension
+    # comparison: each is a triple count minus a rank, no quotient is built
+    d6 = dh.directed_disc(6)
+    spec = SubsetSpec(d6, frozenset(dh.directed_sphere(5).all_cells()))
+    t0 = time.monotonic()
+    res = les_relative(d6, spec)
+    elapsed = time.monotonic() - t0
+    ok = res.pair_report.accepted and res.extension_commutes
+    ok &= res.sequence is not None and res.sequence.all_exact
+    ok &= elapsed < 10.0
+    print(f"[{'PASS' if ok else 'FAIL'}] scale guard: les_relative(D6, S5) over Q accepted "
+          f"and exact ({elapsed:.2f}s < 10s)")
+    assert ok

@@ -656,3 +656,33 @@ def test_sequences_compute_homology_only_on_components_with_chains(monkeypatch):
         for table in tables:
             assert list(table) == keys
             assert all(not table[(i, pair)] for i, pair in keys if not cx.dim(i, pair))
+
+
+@pytest.mark.parametrize("case", ["les D3,S2", "mv domino"])
+def test_extension_dimensions_build_no_quotient(case, monkeypatch):
+    """The relative-pair checks size each extension by count and rank: no
+    quotient basis or quotient map is built, and each pair of a resolved
+    bimodule is counted and reduced at most once."""
+    import dirhom.scalars as sc
+    calls = Counter()
+    for name in ("image_basis", "quotient_map"):
+        monkeypatch.setattr(sc, name, lambda *a, name=name, real=getattr(sc, name):
+                            calls.update([name]) or real(*a))
+    seen, kept = Counter(), []      # kept alive, so no two bimodules share an id
+    for name in ("_count", "_translates"):
+        def counted(res, s, e, *rest, name=name, real=getattr(sc.ResolvedBimodule, name)):
+            kept.append(res)
+            seen[(name, id(res), s, e)] += 1
+            return real(res, s, e, *rest)
+        monkeypatch.setattr(sc.ResolvedBimodule, name, counted)
+    if case == "les D3,S2":
+        d3 = dh.directed_disc(3)
+        res = les_relative(d3, SubsetSpec(d3, frozenset(dh.directed_sphere(2).all_cells())))
+    else:
+        domino = make_domino()
+        res = mayer_vietoris(domino, *(SubsetSpec(domino, dh.face_closure(domino, [c]))
+                                       for c in ("s1", "s2")))
+    assert res.sequence.all_exact
+    assert not calls
+    assert seen and max(seen.values()) == 1
+    assert {name for name, *_ in seen} == {"_count", "_translates"}

@@ -314,6 +314,17 @@ class TestAgainstTheEliminationOracle:
                 assert_matches_the_oracle(cx, i, pair)
 
 
+def test_boundary_that_is_no_cycle_names_degree_and_pair():
+    # d_1 = [1 0] and d_2 = (1, 0)^T: d_1 d_2 = [1], and the boundary's low,
+    # chain 0, is a pivot of d_1 rather than a free column
+    d1 = Matrix.from_rows(QQ, [[1, 0]])
+    d2 = Matrix.from_rows(QQ, [[1], [0]])
+    cx = GradedComplex(QQ, 2, {(0, "p"): 1, (1, "p"): 2, (2, "p"): 1},
+                       {(1, "p"): d1, (2, "p"): d2})
+    with pytest.raises(ChainError, match=r"degree 1, pair p: d_i d_\(i\+1\) is not zero"):
+        homology_of(cx, 1, "p")
+
+
 class TestActions:
     def test_segment_action_iso(self, K):
         cx = build_complex(K)

@@ -369,10 +369,12 @@ class TestRelationCoefficients:
 class DenseReduction(ResolvedBimodule):
     """The reduction by dense relation rows: each relation translate is a
     list of field scalars over every triple, and `Subspace.span` spans them.
-    The triples are listed again from the copied path lists of `between`."""
+    The triples are listed again from the copied path lists of `between`.
+    The dimension is the length of this reduction's quotient basis, never
+    the count and rank of `ResolvedBimodule.dim`."""
 
-    def _reduce(self, s, e):
-        if (s, e) in self._rref:
+    def _quotient(self, s, e):
+        if (s, e) in self._qmap:
             return
         pb, field = self.pb, self.pb.field
         triples = [(p, g.gid, q) for g in pb.generators
@@ -399,17 +401,22 @@ class DenseReduction(ResolvedBimodule):
                     rows.append(row)
         relations = Subspace.span(field, len(triples), rows)
         pivots = set(relations._pivots)
-        self._rref[(s, e)] = quotient_map(len(triples), relations)
+        self._qmap[(s, e)] = quotient_map(len(triples), relations)
         self._free[(s, e)] = [j for j in range(len(triples)) if j not in pivots]
+
+    def dim(self, s, e):
+        self._quotient(s, e)
+        return len(self._free[(s, e)])
 
 
 def assert_same_reduction(pb: PresentedBimodule):
-    """dim, basis triples and both edge actions agree at every pair."""
+    """dim, basis triples and both edge actions agree at every pair, and
+    each dimension is the length of its quotient basis."""
     fast, dense = pb.resolve(), DenseReduction(pb)
     xl, xr = pb.left.x, pb.right.x
     for s in xl.vertices:
         for e in xr.vertices:
-            assert fast.dim(s, e) == dense.dim(s, e)
+            assert fast.dim(s, e) == dense.dim(s, e) == len(fast.basis_triples(s, e))
             assert fast.basis_triples(s, e) == dense.basis_triples(s, e)
             for a in xl.edges:
                 if xl.edge_target(a) == s:
@@ -445,10 +452,37 @@ class TestSparseReductionAgainstDenseRows:
         hy = HomologyTable(build_complex(y, None, field), y)
         assert_same_reduction(extend_presented(present_homology(hy, 0), inc, path_algebra(D2)))
 
-    @settings(max_examples=60, deadline=None)
+    @settings(max_examples=100, deadline=None)
     @given(st.data())
     def test_random_relations(self, data):
         assert_same_reduction(data.draw(random_presentations()))
+
+    def test_dimensions_that_are_triple_counts(self, D2, algD2):
+        # g at (01, 01) and h at (00, 11): one relation-free presentation,
+        # and one whose only relation cancels on its one triple
+        gens = [BimoduleGenerator("g", "01", "01"), BimoduleGenerator("h", "00", "11")]
+        cancelling = [[(2, ("0a",), "g", ()), (-2, ("0a",), "g", ())]]
+        for rels in ([], cancelling):
+            pb = PresentedBimodule(algD2, algD2, gens, rels)
+            assert_same_reduction(pb)
+            res = pb.resolve()
+            for s in D2.vertices:
+                for e in D2.vertices:
+                    count = (algD2.dim(s, "01") * algD2.dim("01", e)
+                             + algD2.dim(s, "00") * algD2.dim("11", e))
+                    assert res.dim(s, e) == count
+            assert res.dim("00", "11") == 2 and res.dim("11", "00") == 0
+
+    def test_relations_cut_the_count_by_their_rank(self, algD2):
+        # g at (00, 00) with relations g.0a = 0, g.0a.a1 = 0 and 2 g.0a.a1 = 0:
+        # at (00, 11) the translates are g.0a.a1 twice and 2 g.0a.a1, rank 1
+        gens = [BimoduleGenerator("g", "00", "00")]
+        rels = [[(1, (), "g", ("0a",))], [(1, (), "g", ("0a", "a1"))],
+                [(2, (), "g", ("0a", "a1"))]]
+        pb = PresentedBimodule(algD2, algD2, gens, rels)
+        assert_same_reduction(pb)
+        res = pb.resolve()
+        assert (res.dim("00", "00"), res.dim("00", "01"), res.dim("00", "11")) == (1, 0, 1)
 
 
 SMALL_ALGEBRAS = [path_algebra(x) for x in
@@ -469,15 +503,17 @@ def coefficients(draw, field):
 def random_presentations(draw):
     """Generators at random vertex pairs of a small algebra, and relations
     whose terms are drawn among the triples at one pair: with repeated
-    triples, terms that cancel on one triple, and empty relations."""
+    triples, terms that cancel on one triple, and empty relations.  Half the
+    presentations have no relations, and some have no generators, so that
+    every pair has no triples."""
     alg = draw(st.sampled_from(SMALL_ALGEBRAS))
     field = draw(st.sampled_from(FIELDS))
     verts = sorted(alg.x.vertices)
     gens = [BimoduleGenerator(f"g{k}", *draw(st.tuples(st.sampled_from(verts),
                                                          st.sampled_from(verts))))
-            for k in range(draw(st.integers(1, 3)))]
+            for k in range(draw(st.integers(0, 3)))]
     relations = []
-    for _ in range(draw(st.integers(0, 5))):
+    for _ in range(draw(st.integers(1, 5)) if draw(st.booleans()) else 0):
         rs, re_ = draw(st.sampled_from(verts)), draw(st.sampled_from(verts))
         triples = [(p, g.gid, q) for g in gens
                    for p in alg.between(rs, g.src) for q in alg.between(g.dst, re_)]

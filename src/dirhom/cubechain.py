@@ -450,6 +450,16 @@ class BasisSubcomplex(GradedComplex):
                          {k: len(v) for k, v in kept.items()}, diffs)
         self.check_boundary_square()
 
+    def inclusion_positions(self, i: int, pair) -> tuple:
+        """The inclusion as signed positions: each kept element goes to its ambient position."""
+        return self.kept.get((i, pair), []), ()
+
+    def projection_positions(self, i: int, pair) -> tuple:
+        """The projection as signed positions: each ambient element goes to
+        its position among the kept ones, or to zero (None) when not kept."""
+        at = {j: k for k, j in enumerate(self.kept.get((i, pair), ()))}
+        return [at.get(j) for j in range(self.ambient.dim(i, pair))], ()
+
     def inclusion_matrix(self, i: int, pair) -> Matrix:
         """Columns are the ambient unit vectors of the kept elements."""
         return Matrix.unit_columns(self.ambient.field, self.ambient.dim(i, pair),
@@ -463,59 +473,39 @@ class BasisSubcomplex(GradedComplex):
         return self.ambient._basis_name(i, pair, self.kept[(i, pair)][j])
 
     def check_chain_map(self, f, source: GradedComplex, target: GradedComplex) -> None:
-        """Raise ChainError unless ``f(i, pair)``, a 0/1 basis map such as
-        this complex's inclusion or projection, commutes with the
-        differentials of source and target on this complex's components; the
-        error names the degree, the pair and a source basis element on which
-        the two sides differ."""
+        """Raise ChainError unless ``f(i, pair)``, a basis map as signed
+        positions such as this complex's `inclusion_positions` or
+        `projection_positions`, commutes with the differentials of source and
+        target on this complex's components; the error names the degree, the
+        pair and a source basis element on which the two sides differ."""
         for i, pair in self.kept:
             if not i:
                 continue
-            j = _chain_map_witness(target.diff(i, pair).transpose(), _unit_targets(f(i, pair)),
-                                   _unit_targets(f(i - 1, pair)), source.diff(i, pair).transpose())
+            j = _chain_map_witness(target.diff(i, pair).transpose(), f(i, pair),
+                                   f(i - 1, pair), source.diff(i, pair).transpose())
             if j is not None:
                 raise ChainError(f"{f.__name__} is not a chain map at degree {i}, pair {pair}: "
                                  f"witness {source._basis_name(i, pair, j)}")
 
 
-def _basis_map(field, images: Sequence, index: Mapping,
-               signs: Sequence[int] | None = None) -> Matrix:
-    """The 0/1 matrix sending source basis element j to ``images[j]``; given
-    `signs`, the 0/+-1 matrix sending it to ``signs[j] * images[j]``.
-
-    `index` gives the position of each target basis element; an image of
-    None maps to zero, and an image that is not a target basis element raises.
-    """
-    targets = []
-    for img in images:
-        j = None
-        if img is not None:
-            j = index.get(img)
-            if j is None:
-                raise ChainError(f"image {img!r} missing from the target basis")
-        targets.append(j)
-    if signs is None:
-        return Matrix.unit_columns(field, len(index), targets)
-    return Matrix.from_sparse_columns(field, len(index), [
-        {} if j is None else {j: sign} for j, sign in zip(targets, signs)])
+def _basis_map(images: Sequence, index: Mapping, signs: Sequence[int] | None = None) -> tuple:
+    """The basis map sending source basis element j to ``images[j]``, or
+    given `signs` to ``signs[j] * images[j]``, as signed positions
+    ``(targets, negated)``: the position of each image in `index`, None for
+    an image of None (zero), and the set of elements whose sign is -1.  An
+    image that is not a target basis element raises."""
+    targets = [None if img is None else index.get(img) for img in images]
+    missing = next((img for img, j in zip(images, targets) if img is not None and j is None), None)
+    if missing is not None:
+        raise ChainError(f"image {missing!r} missing from the target basis")
+    return targets, () if signs is None else {j for j, sign in enumerate(signs) if sign < 0}
 
 
-def _unit_targets(m: Matrix) -> tuple[list[int | None], set[int]]:
-    """A 0/+-1 basis map as signed positions: the row of the one entry of each
-    column, None for a zero column, and the set of columns whose entry is -1;
-    raises ChainError on any other entry or on a second entry in a column."""
-    minus = _neg(1, _modulus(m.field))
-    targets: list[int | None] = [None] * m.cols
-    negated: set[int] = set()
-    for i, row in enumerate(m._rows):
-        for j, a in row.items():
-            if (a != 1 and a != minus) or targets[j] is not None:
-                raise ChainError(f"column {j} of a {m.rows}x{m.cols} map is neither 0 "
-                                 "nor a signed unit vector")
-            targets[j] = i
-            if a != 1:
-                negated.add(j)
-    return targets, negated
+def _basis_matrix(field, rows: int, p: tuple) -> Matrix:
+    """The 0/+-1 matrix, with `rows` rows, of a basis map of signed positions `p`."""
+    targets, negated = p
+    return Matrix.from_sparse_columns(field, rows, [
+        {} if t is None else {t: -1 if j in negated else 1} for j, t in enumerate(targets)])
 
 
 def _renamed(vec: dict, p: tuple, mod: int) -> dict:

@@ -159,10 +159,10 @@ QQ = RationalField()
 
 
 def field_from_name(name: str):
-    """Parse a field descriptor: ``q`` or ``fp:<prime>``."""
+    """Parse a field descriptor: ``q`` or ``fp:<prime>``, the prime in decimal digits."""
     if name == "q":
         return QQ
-    if name.startswith("fp:"):
+    if name.startswith("fp:") and name[3:].isdecimal():
         return PrimeField(int(name[3:]))
     raise FieldError(f"unknown field {name!r} (expected 'q' or 'fp:<prime>')")
 

@@ -20,9 +20,11 @@ Every extension span is spanned by cube chains of C(X), so each short
 sequence splits one basis: the quotient is the complex on the chains outside
 the subcomplex.  Short exactness is a check that the two sets of positions
 partition each component; the snake is a block read, the block of the
-ambient differential from the quotient's positions to the subcomplex's; the
-excision map is a basis map.  Only the long sequences' exactness checks and
-the excision map's rank and inverse on homology are linear algebra.
+ambient differential from the quotient's positions to the subcomplex's.
+The inclusions, the projections and the excision map are basis maps, built
+as signed positions and pushed to homology by `homology.push_basis_map`.
+Only the long sequences' exactness checks and the excision map's rank and
+inverse on homology are linear algebra.
 """
 
 from __future__ import annotations
@@ -37,7 +39,7 @@ from .cubechain import (
     BasisSubcomplex, DirectedCycleError, GradedComplex, PairGradedComplex, build_complex,
     max_chain_degree,
 )
-from .homology import HomologyTable, PairHomology, homology_of, induced_on_homology
+from .homology import HomologyTable, PairHomology, homology_of, push_basis_map
 from .scalars import (
     SubcomplexExtension, extend_presented, extend_subcomplex, path_algebra,
     present_chain_module, present_homology,
@@ -170,7 +172,7 @@ class _Quotient(BasisSubcomplex):
             (i, pair): sorted(set(range(ambient.dim(i, pair))).difference(
                 subcomplex.get((i, pair), ())))
             for pair in ambient.pairs() for i in range(ambient.top_degree + 1)})
-        self.check_chain_map(self.projection, ambient, self)
+        self.check_chain_map(self.projection_positions, ambient, self)
 
 
 class QuotientComplex(_Quotient):
@@ -265,7 +267,7 @@ class ShortExactData:
     """0 -> A -> B -> C -> 0 as a split of one basis: C is the quotient of
     its ambient B on the positions ``c.kept``, and A, a subcomplex of B or of
     B's own ambient, sits in B on the complementary positions, which `verify`
-    checks.  The inclusion and the projection are then 0/1 basis maps."""
+    checks.  The inclusion and the projection are then basis maps."""
 
     a: BasisSubcomplex
     c: _Quotient
@@ -310,21 +312,12 @@ def connecting_map(ses: ShortExactData, i: int, pair,
 
 def _homology(c: GradedComplex) -> dict[tuple[int, object], PairHomology]:
     """`homology_of` on the components of c with chains; on any other key
-    `_dim` reads 0 and `_pushed` gives a zero map."""
+    `_dim` reads 0 and `push_basis_map` gives a zero map."""
     return {k: homology_of(c, *k) for k in c.components_with_chains}
 
 
 def _dim(hs: dict, k) -> int:
     return hs[k].dim if k in hs else 0
-
-
-def _pushed(f, i: int, pair, src: dict, dst: dict, field) -> Matrix:
-    """`induced_on_homology` of ``f(i, pair)`` between two homology dicts, or
-    zero, with no chain map built, when src has no classes or a side no chains."""
-    k = (i, pair)
-    if k not in src or k not in dst or not src[k].dim:
-        return Matrix.zeros(field, _dim(dst, k), _dim(src, k))
-    return induced_on_homology(f(i, pair), src[k], dst[k])
 
 
 # -- long exact sequence of a relative pair ---------------------------------------------
@@ -369,8 +362,9 @@ def les_relative(x: PrecubicalSet, spec: SubsetSpec, field=QQ,
 
     def maps(i, pair):
         # H_i(ext Y) -> H_i(X) -> H_i(X, Y) -> H_{i-1}(ext Y)
-        inc_h = _pushed(span.inclusion_matrix, i, pair, ha, hx, field)
-        prj_h = _pushed(quo.projection, i, pair, hx, hc, field)
+        k = (i, pair)
+        inc_h = push_basis_map(lambda: span.inclusion_positions(*k), ha.get(k), hx.get(k), cx._zero)
+        prj_h = push_basis_map(lambda: quo.projection_positions(*k), hx.get(k), hc.get(k), cx._zero)
         if i == 0:
             return inc_h, prj_h, None
         if not _dim(hc, (i, pair)):
@@ -474,12 +468,12 @@ class _Cover:
     hcr: dict[tuple[int, tuple], PairHomology]
     excision: dict[tuple[int, tuple], Matrix]
 
-    def excision_chains(self, i: int, pair) -> Matrix:
-        """The excision map on chains, a 0/1 basis map: a left quotient chain
-        goes to its chain of C(X), or to zero when that lies in ext C(X2)."""
+    def excision_positions(self, i: int, pair) -> tuple:
+        """The excision map on chains as signed positions: a left quotient
+        chain goes to its chain of C(X), or to zero when that lies in ext C(X2)."""
         at = {j: k for k, j in enumerate(self.quo2.kept.get((i, pair), []))}
-        return Matrix.unit_columns(self.cx.field, self.quo2.dim(i, pair), [
-            at.get(self.span1.kept[(i, pair)][k]) for k in self.left.kept.get((i, pair), [])])
+        kept1 = self.span1.kept.get((i, pair), [])
+        return [at.get(kept1[k]) for k in self.left.kept.get((i, pair), [])], ()
 
 
 def good_cover_check(x: PrecubicalSet, s1: SubsetSpec, s2: SubsetSpec,
@@ -509,7 +503,7 @@ def _check_cover(x: PrecubicalSet, s1: SubsetSpec, s2: SubsetSpec,
     quo2 = QuotientComplexCache.get(cx, span2, field)
     keys = [(i, pair) for pair in cx.pairs() for i in range(cx.top_degree + 1)]
     parts = _Cover(cx, span1, span2, span12, left, quo2, _homology(left), _homology(quo2), {})
-    left.check_chain_map(parts.excision_chains, left, quo2)
+    left.check_chain_map(parts.excision_positions, left, quo2)
     failures: list[tuple[int, tuple, int, int]] = []
     for i, pair in keys:
         dims = _dim(parts.hcl, (i, pair)), _dim(parts.hcr, (i, pair))
@@ -540,13 +534,6 @@ def _span_positions(inner: SubcomplexExtension, outer: SubcomplexExtension,
     return [pos[j] for j in inner.kept.get((i, pair), [])]
 
 
-def _span_inclusion(inner: SubcomplexExtension, outer: SubcomplexExtension,
-                    i: int, pair) -> Matrix:
-    """The inclusion of one extension span in a larger one, in their kept coordinates."""
-    return Matrix.unit_columns(outer.field, outer.dim(i, pair),
-                               _span_positions(inner, outer, i, pair))
-
-
 class _LeftQuotient(_Quotient):
     """ext C(X1) / ext C(X1 ^ X2), in the coordinates of the X1-span."""
 
@@ -572,7 +559,8 @@ class _LeftQuotientCache:
 
 def _excision_map(c: _Cover, i: int, pair) -> Matrix:
     """Homology of the canonical map ext C(X1)/ext C(X1^X2) -> C(X)/ext C(X2)."""
-    return _pushed(c.excision_chains, i, pair, c.hcl, c.hcr, c.cx.field)
+    k = (i, pair)
+    return push_basis_map(lambda: c.excision_positions(*k), c.hcl.get(k), c.hcr.get(k), c.cx._zero)
 
 
 @dataclass
@@ -605,12 +593,13 @@ def mayer_vietoris(x: PrecubicalSet, s1: SubsetSpec, s2: SubsetSpec,
     h12, h1, h2, hx = (_homology(c) for c in (span12, span1, span2, cx))
 
     def maps(i, pair):
+        k, sides = (i, pair), ((span1, h1), (span2, h2))
         # A -> B1 (+) B2 : classes included into both parts
-        m_in1 = _pushed(lambda *k: _span_inclusion(span12, span1, *k), i, pair, h12, h1, field)
-        m_in2 = _pushed(lambda *k: _span_inclusion(span12, span2, *k), i, pair, h12, h2, field)
+        m_in1, m_in2 = (push_basis_map(lambda: (_span_positions(span12, span, *k), ()),
+                                       h12.get(k), h.get(k), cx._zero) for span, h in sides)
         # B1 (+) B2 -> X : difference of the inclusions
-        m1x = _pushed(span1.inclusion_matrix, i, pair, h1, hx, field)
-        m2x = _pushed(span2.inclusion_matrix, i, pair, h2, hx, field)
+        m1x, m2x = (push_basis_map(lambda: span.inclusion_positions(*k), h.get(k), hx.get(k),
+                                   cx._zero) for span, h in sides)
         delta = _mv_connecting(parts, i, pair, hx, h12) if i >= 1 else None
         return m_in1.stack(m_in2), m1x.augment(-m2x), delta
 
@@ -635,7 +624,9 @@ def _mv_connecting(c: _Cover, i: int, pair, hx, h12) -> Matrix:
     snake = connecting_map(ShortExactData(c.span12, c.left), i, pair,
                            h12.get((i - 1, pair)) or homology_of(c.span12, i - 1, pair),
                            c.hcl.get((i, pair)) or homology_of(c.left, i, pair))
-    projected = _pushed(c.quo2.projection, i, pair, hx, c.hcr, c.cx.field)
+    k = (i, pair)
+    projected = push_basis_map(lambda: c.quo2.projection_positions(*k), hx.get(k), c.hcr.get(k),
+                               c.cx._zero)
     w = solve(c.excision[(i, pair)], projected)
     if w is None:
         raise SequenceError("excision map not surjective on a class")

@@ -29,15 +29,15 @@ the edge actions of both complexes are asserted chain maps, with witnesses.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 
 from .exactla import Matrix, QQ
 from .precubical import PcMorphism, PrecubicalSet, TensorSet, tensor, tensor_morphism
 from .cubechain import (
-    ChainError, CubeChain, GradedComplex, PairGradedComplex, _basis_map, _chain_map_witness,
-    _unit_targets, build_complex, project_shuffle,
+    ChainError, CubeChain, GradedComplex, PairGradedComplex, _basis_map, _basis_matrix,
+    _chain_map_witness, _renamed, build_complex, project_shuffle,
 )
-from .homology import HomologyTable, chain_map_of_morphism, homology_of
+from .homology import HomologyTable, _morphism_positions, homology_of, push_basis_map
 
 
 class ComparisonError(AssertionError):
@@ -195,10 +195,7 @@ def split_one_chain(tx: TensorSet, chain: CubeChain
 def separating_matrix(tx: TensorSet, cxp: PairGradedComplex, tc: TensorComplex,
                       n: int, s: str, e: str) -> Matrix:
     """Matrix of the separating map C_n(X(x)Y)(s,e) -> tensor complex."""
-    chains = cxp.basis(n, s, e)
-    return _basis_map(cxp.field, [split_chain(tx, c) for c in chains],
-                      tc.index.get((n, (s, e)), {}),
-                      [separation_sign(tx, c) for c in chains])
+    return _basis_matrix(cxp.field, tc.dim(n, (s, e)), _comparison_maps(tx, cxp, tc, n, s, e)[0])
 
 
 # -- the trivial shuffle -----------------------------------------------------------
@@ -221,9 +218,18 @@ def interleave_tensor(tx: TensorSet, ca: CubeChain, cb: CubeChain) -> CubeChain:
 def interleaving_matrix(tx: TensorSet, tc: TensorComplex, cxp: PairGradedComplex,
                         n: int, s: str, e: str) -> Matrix:
     """Matrix of the trivial shuffle: tensor complex -> C_n(X(x)Y)(s,e)."""
-    return _basis_map(cxp.field, [interleave_tensor(tx, ca, cb)
-                                  for ca, cb in tc.bases.get((n, (s, e)), [])],
-                      cxp.index.get((n, s, e), {}))
+    return _basis_matrix(cxp.field, cxp.dim(n, (s, e)), _comparison_maps(tx, cxp, tc, n, s, e)[1])
+
+
+def _comparison_maps(tx: TensorSet, cxp: PairGradedComplex, tc: TensorComplex,
+                     n: int, s: str, e: str) -> tuple[tuple, tuple]:
+    """The separating map C_n(X(x)Y)(s,e) -> tensor complex and the trivial
+    shuffle back, as signed positions."""
+    chains = cxp.basis(n, s, e)
+    return (_basis_map([split_chain(tx, c) for c in chains], tc.index.get((n, (s, e)), {}),
+                       [separation_sign(tx, c) for c in chains]),
+            _basis_map([interleave_tensor(tx, ca, cb) for ca, cb in tc.bases.get((n, (s, e)), [])],
+                       cxp.index.get((n, s, e), {})))
 
 
 # -- swaps ---------------------------------------------------------------------------
@@ -343,10 +349,9 @@ def tensor_comparison_report(x: PrecubicalSet, y: PrecubicalSet, field=QQ,
                    if k[0] <= top})
     empty = ([], ())   # the positions of any map between components without chains
     failures: list[str] = []
-    sep = {(n, pair): separating_matrix(tx, cxp, tc, n, *pair) for n, pair in keys}
-    sep_p = {k: _unit_targets(m) for k, m in sep.items()}
-    ilv_p = {(n, pair): _unit_targets(interleaving_matrix(tx, tc, cxp, n, *pair))
-             for n, pair in keys}
+    sep_p, ilv_p = {}, {}
+    for n, pair in keys:
+        sep_p[(n, pair)], ilv_p[(n, pair)] = _comparison_maps(tx, cxp, tc, n, *pair)
 
     chain_ok = True
     for n, pair in keys:
@@ -363,9 +368,7 @@ def tensor_comparison_report(x: PrecubicalSet, y: PrecubicalSet, field=QQ,
 
     retract_ok = True
     for n, pair in keys:
-        ident = Matrix.identity(field, tc.dim(n, pair))
-        j = _chain_map_witness(sep[(n, pair)].transpose(), ilv_p[(n, pair)],
-                               (range(ident.rows), ()), ident)
+        j = _first_difference(tc.dim(n, pair), cxp.field, [ilv_p[(n, pair)], sep_p[(n, pair)]], [])
         if j is not None:
             retract_ok = False
             failures.append(f"separate.interleave != id at {n} {pair}: "
@@ -375,8 +378,9 @@ def tensor_comparison_report(x: PrecubicalSet, y: PrecubicalSet, field=QQ,
     inverse_ok = True
     for n, pair in keys:
         k = (n, *pair)
-        m1 = hp._induced(lambda: sep_p[(n, pair)], k, ht, k)
-        m2 = ilv_h[(n, pair)] = ht._induced(lambda: ilv_p[(n, pair)], k, hp, k)
+        src_p, src_t = hp.entries.get(k), ht.entries.get(k)
+        m1 = push_basis_map(lambda: sep_p[(n, pair)], src_p, src_t, cxp._zero)
+        m2 = ilv_h[(n, pair)] = push_basis_map(lambda: ilv_p[(n, pair)], src_t, src_p, cxp._zero)
         if (m1 @ m2 != Matrix.identity(field, ht.dim(*k))
                 or m2 @ m1 != Matrix.identity(field, hp.dim(*k))):
             inverse_ok = False
@@ -392,7 +396,7 @@ def tensor_comparison_report(x: PrecubicalSet, y: PrecubicalSet, field=QQ,
         acts += [("right", a, hp.right_action, ht.right_action, (s, tx.edge_target(a)))
                  for a in out[e]]
         for side, a, act_p, act_t, to in acts:
-            if (ilv_h.get((n, to), empty) @ act_t(a, n, s, e)
+            if (ilv_h[(n, to)] @ act_t(a, n, s, e)
                     != act_p(a, n, s, e) @ ilv_h[(n, (s, e))]):
                 action_ok = False
                 failures.append(f"{side} action of {a} at {n} {(s, e)}")
@@ -503,30 +507,30 @@ def comparison_naturality_check(f: PcMorphism, g: PcMorphism, field=QQ) -> bool:
 
     Checks (C(f) (x) C(g)) . sep = sep . C(f(x)g) on every degree and pair
     of the source product, and the same square for the interleaving maps,
-    by re-indexing the signed basis maps sep and interleave: no product.
+    by composing the signed positions of the basis maps: no matrix, no product.
     """
     sta = TensorSetting.build(f.source, g.source, field)
     stb = TensorSetting.build(f.target, g.target, field)
     fg = tensor_morphism(f, g, sta.tx, stb.tx)
-    prod_map = chain_map_of_morphism(fg, sta.cxp, stb.cxp)
-    for (n, s, e), m in sorted(prod_map.items()):
+    for (n, s, e), m in _morphism_positions(fg, sta.cxp, stb.cxp).items():
         tpair = (fg(s), fg(e))
-        sep_a = separating_matrix(sta.tx, sta.cxp, sta.tc, n, s, e)
-        sep_b = separating_matrix(stb.tx, stb.cxp, stb.tc, n, *tpair)
-        tmap_t = _tensor_factor_map(sta, stb, f, g, n, (s, e), tpair).transpose()
-        ilv_a = interleaving_matrix(sta.tx, sta.tc, sta.cxp, n, s, e)
-        ilv_b = interleaving_matrix(stb.tx, stb.tc, stb.cxp, n, *tpair)
-        if (_chain_map_witness(tmap_t, _unit_targets(sep_a), _unit_targets(sep_b),
-                               m.transpose()) is not None
-                or _chain_map_witness(m.transpose(), _unit_targets(ilv_a), _unit_targets(ilv_b),
-                                      tmap_t) is not None):
+        sep_a, ilv_a = _comparison_maps(sta.tx, sta.cxp, sta.tc, n, s, e)
+        sep_b, ilv_b = _comparison_maps(stb.tx, stb.cxp, stb.tc, n, *tpair)
+        # C(f) (x) C(g) between the tensor complexes, by cube-wise images
+        tmap = _basis_map([(ca.image(f), cb.image(g))
+                           for ca, cb in sta.tc.bases.get((n, (s, e)), [])],
+                          stb.tc.index.get((n, tpair), {}))
+        if (_first_difference(len(m[0]), field, [sep_a, tmap], [m, sep_b]) is not None
+                or _first_difference(len(ilv_a[0]), field, [ilv_a, m], [tmap, ilv_b]) is not None):
             return False
     return True
 
 
-def _tensor_factor_map(sta: TensorSetting, stb: TensorSetting,
-                       f: PcMorphism, g: PcMorphism, n: int, pair, tpair) -> Matrix:
-    """C(f) (x) C(g) between tensor-complex components (cube-wise images)."""
-    return _basis_map(sta.tc.field, [(ca.image(f), cb.image(g))
-                                     for ca, cb in sta.tc.bases.get((n, pair), [])],
-                      stb.tc.index.get((n, tpair), {}))
+def _first_difference(n: int, field, first: list, second: list) -> int | None:
+    """The first of n basis elements that the composites of two lists of
+    basis maps, signed positions applied in list order, send to different
+    vectors, or None when the composites agree."""
+    def image(j: int, maps: list) -> dict:
+        return reduce(lambda v, p: _renamed(v, p, field.characteristic), maps, {j: 1})
+
+    return next((j for j in range(n) if image(j, first) != image(j, second)), None)

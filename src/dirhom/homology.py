@@ -12,12 +12,17 @@ elimination runs.  The one push of chains into homology is the column push
 kernel coordinates off their entries at the free columns of d_i, checks
 entry by entry that the kernel basis gives each column back, and applies the
 quotient map, with no elimination and no product on the chains.
-`PairHomology.classes(m)` runs it on the columns of a matrix m;
-`induced_on_homology(f, src, dst)`, ``dst.classes(f @ src.representatives)``,
-pushes a matrix f: the maps induced by morphisms and the inclusions,
-projections and excision maps of the exact sequences.  A connecting map
-calls `classes` on the block of the ambient differential that it reads off
-a short sequence.
+`PairHomology.classes(m)` runs it on the columns of a matrix m, such as
+the block of the ambient differential that a connecting map reads off a
+short sequence; `induced_on_homology(f, src, dst)` pushes a chain map given
+as any matrix f.  Every other map dirhom pushes is a basis map, sending each
+basis element to one basis element, perhaps negated, or to zero: the edge
+actions, the maps induced by morphisms, the tensor comparison maps, and the
+inclusions, projections and excision maps of the exact sequences.  Each is
+built, checked and pushed as signed positions ``(targets, negated)``:
+`push_basis_map` re-indexes the entries of the source representative
+columns (entries that meet add) and hands them to the column push, with no
+0/1 matrix built, decoded or multiplied.
 
 The bimodule structure is realized by edge actions: prepending an edge to
 every chain of a graded component (left action) or appending one (right
@@ -27,10 +32,7 @@ cube-chain complex of a set and the tensor complex of two factors
 (`ez.TensorComplex`) alike.  The table asserts that the actions are chain
 maps on the nose by re-indexing the columns of the differentials, comparing
 every entry and naming a witness basis element on failure; well-definedness
-on homology follows.  It pushes an action, or a tensor comparison map, by
-re-indexing the entries of the source representative columns (entries that
-meet add) and handing those columns to the column push: no 0/1 matrix is
-built, decoded or multiplied, and no representative matrix is transposed.
+on homology follows.
 """
 
 from __future__ import annotations
@@ -43,7 +45,7 @@ from .exactla import (  # kernel_basis stays importable from here
     rank, span_of_combinations,
 )
 from .cubechain import (
-    GradedComplex, PairGradedComplex, _basis_map, _chain_map_witness, _renamed, _unit_targets,
+    GradedComplex, PairGradedComplex, _basis_map, _basis_matrix, _chain_map_witness, _renamed,
     build_complex,
 )
 from .precubical import PcMorphism, PrecubicalSet, realization
@@ -159,12 +161,6 @@ class HomologyTable:
 
     # -- chain-level actions ----------------------------------------------
 
-    def _action_targets(self, side: str, a: str, i: int, s: str, e: str) -> tuple:
-        """Where prepending (side "prepend") or appending the edge a sends each
-        chain of C_i(s, e), as signed positions with no sign."""
-        act = self.cx.left_action_targets if side == "prepend" else self.cx.right_action_targets
-        return act(a, i, (s, e)), ()
-
     def _verify_actions_are_chain_maps(self) -> None:
         """Assert that prepending each in-edge of s and appending each
         out-edge of e commute with the differentials, for every component
@@ -175,10 +171,11 @@ class HomologyTable:
         # with chains into one with chains, so every target is here too
         dt = {k: cx.diff(*k).transpose() for k in cx.components_with_chains if k[0]}
         for i, (s, e) in dt:
-            for side, a, to in ([("prepend", a, (x.edge_source(a), e)) for a in into[s]]
-                                + [("append", a, (s, x.edge_target(a))) for a in out[e]]):
-                j = _chain_map_witness(dt[(i, to)], self._action_targets(side, a, i, s, e),
-                                       self._action_targets(side, a, i - 1, s, e), dt[(i, (s, e))])
+            acts = [("prepend", cx.left_action_targets, a, (x.edge_source(a), e)) for a in into[s]]
+            acts += [("append", cx.right_action_targets, a, (s, x.edge_target(a))) for a in out[e]]
+            for side, act, a, to in acts:
+                j = _chain_map_witness(dt[(i, to)], (act(a, i, (s, e)), ()),
+                                       (act(a, i - 1, (s, e)), ()), dt[(i, (s, e))])
                 if j is not None:
                     raise ActionError(f"{side} by {a!r} is not a chain map at degree {i}, "
                                       f"pair {(s, e)}: witness {cx._basis_name(i, (s, e), j)}")
@@ -197,28 +194,17 @@ class HomologyTable:
         """H_i(s, e) -> H_i(s', e) for the edge a : s' -> s."""
         if self.x.edge_target(a) != s:
             raise ChainError(f"edge {a!r} does not end at {s!r}")
-        return self._induced(lambda: self._action_targets("prepend", a, i, s, e), (i, s, e),
-                             self, (i, self.x.edge_source(a), e))
+        return push_basis_map(lambda: (self.cx.left_action_targets(a, i, (s, e)), ()),
+                              self.entries.get((i, s, e)),
+                              self.entries.get((i, self.x.edge_source(a), e)), self.cx._zero)
 
     def right_action(self, a: str, i: int, s: str, e: str) -> Matrix:
         """H_i(s, e) -> H_i(s, e') for the edge a : e -> e'."""
         if self.x.edge_source(a) != e:
             raise ChainError(f"edge {a!r} does not start at {e!r}")
-        return self._induced(lambda: self._action_targets("append", a, i, s, e), (i, s, e),
-                             self, (i, s, self.x.edge_target(a)))
-
-    def _induced(self, positions, key: tuple, target: "HomologyTable", to: tuple) -> Matrix:
-        """The map on homology of the 0/+-1 basis map of signed positions
-        ``positions()`` from component `key` (degree, s, e) of this table into
-        component `to` of `target`: the classes of the re-indexed
-        representatives, or zero, with no positions read, when the source has
-        no classes or either side has no chains."""
-        src, dst = self.entries.get(key), target.entries.get(to)
-        if src is None or dst is None or not src.dim:
-            return self.cx._zero(0 if dst is None else dst.dim, 0 if src is None else src.dim)
-        p, mod = positions(), self.field.characteristic
-        return homology_classes(dst.cycles, dst.free, dst.quotient,
-                                [_renamed(c, p, mod) for c in src.rep_columns])
+        return push_basis_map(lambda: (self.cx.right_action_targets(a, i, (s, e)), ()),
+                              self.entries.get((i, s, e)),
+                              self.entries.get((i, s, self.x.edge_target(a))), self.cx._zero)
 
     def left_path_action(self, path: tuple[str, ...], i: int, s: str, e: str) -> Matrix:
         """Composite left action of an edge path ending at s."""
@@ -241,8 +227,23 @@ class HomologyTable:
 # -- chain maps and the maps they induce -------------------------------------------
 
 
+def push_basis_map(positions, src: PairHomology | None, dst: PairHomology | None,
+                   zero) -> Matrix:
+    """The map on homology of the basis map of signed positions ``positions()``
+    between two components: the classes in `dst` of the source representatives
+    re-indexed (`_renamed`).  A missing entry is a component with no chains;
+    when either side has none or the source has no classes, the map is
+    ``zero(rows, cols)``, a complex's shared zero matrix (`GradedComplex._zero`),
+    and no positions are read."""
+    if src is None or dst is None or not src.dim:
+        return zero(0 if dst is None else dst.dim, 0 if src is None else src.dim)
+    p, mod = positions(), dst.cycles.field.characteristic
+    return homology_classes(dst.cycles, dst.free, dst.quotient,
+                            [_renamed(c, p, mod) for c in src.rep_columns])
+
+
 def induced_on_homology(chain_map: Matrix, src: PairHomology, dst: PairHomology) -> Matrix:
-    """The map on homology of a chain map between two components.
+    """The map on homology of a chain map, any matrix, between two components.
 
     Column j is the class in `dst` of the image of representative j of `src`.
     """
@@ -251,31 +252,36 @@ def induced_on_homology(chain_map: Matrix, src: PairHomology, dst: PairHomology)
     return dst.classes(chain_map @ src.representatives)
 
 
-def chain_map_of_morphism(f: PcMorphism, cxa: PairGradedComplex,
-                          cxb: PairGradedComplex) -> dict[tuple[int, str, str], Matrix]:
-    """Cube-wise chain map C_i(X)(s,e) -> C_i(Y)(f s, f e); asserted chain map."""
-    out = {(i, s, e): _basis_map(cxa.field, [c.image(f) for c in chains],
-                                 cxb.index.get((i, f(s), f(e)), {}))
+def _morphism_positions(f: PcMorphism, cxa: PairGradedComplex, cxb: PairGradedComplex
+                        ) -> dict[tuple[int, str, str], tuple]:
+    """`chain_map_of_morphism` as signed positions."""
+    out = {(i, s, e): _basis_map([c.image(f) for c in chains], cxb.index.get((i, f(s), f(e)), {}))
            for (i, s, e), chains in sorted(cxa.bases.items())}
-    for (i, s, e), m in out.items():
-        if i == 0:
-            continue
+    for (i, s, e), p in out.items():
         prev = out.get((i - 1, s, e))
         if prev is None:
             continue
-        j = _chain_map_witness(cxb.diff(i, (f(s), f(e))).transpose(), _unit_targets(m),
-                               _unit_targets(prev), cxa.diff(i, (s, e)).transpose())
+        j = _chain_map_witness(cxb.diff(i, (f(s), f(e))).transpose(), p, prev,
+                               cxa.diff(i, (s, e)).transpose())
         if j is not None:
             raise ActionError(f"morphism-induced map is not a chain map at degree {i}, "
                               f"pair {(s, e)}: witness {cxa.bases[(i, s, e)][j]!r}")
     return out
 
 
+def chain_map_of_morphism(f: PcMorphism, cxa: PairGradedComplex,
+                          cxb: PairGradedComplex) -> dict[tuple[int, str, str], Matrix]:
+    """Cube-wise chain map C_i(X)(s,e) -> C_i(Y)(f s, f e) as 0/1 matrices; asserted chain map."""
+    return {(i, s, e): _basis_matrix(cxa.field, cxb.dim(i, (f(s), f(e))), p)
+            for (i, s, e), p in _morphism_positions(f, cxa, cxb).items()}
+
+
 def induced_map(f: PcMorphism, hx: HomologyTable, hy: HomologyTable
                 ) -> dict[tuple[int, str, str], Matrix]:
     """Matrices H_i(X)(s,e) -> H_i(Y)(f s, f e) induced by a Cub morphism."""
-    return {(i, s, e): induced_on_homology(m, hx.entry(i, s, e), hy.entry(i, f(s), f(e)))
-            for (i, s, e), m in sorted(chain_map_of_morphism(f, hx.cx, hy.cx).items())}
+    return {(i, s, e): push_basis_map(lambda: p, hx.entries.get((i, s, e)),
+                                      hy.entries.get((i, f(s), f(e))), hy.cx._zero)
+            for (i, s, e), p in _morphism_positions(f, hx.cx, hy.cx).items()}
 
 
 # -- cochains --------------------------------------------------------------------

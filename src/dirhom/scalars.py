@@ -481,7 +481,7 @@ class SubcomplexExtension(BasisSubcomplex):
         super().__init__(cx, {(i, (s, e)): [j for j, c in enumerate(chains)
                                             if self._decomposable(cx.x, c)]
                               for (i, s, e), chains in cx.bases.items()})
-        self.check_chain_map(self.inclusion_matrix, self, cx)
+        self.check_chain_map(self.inclusion_positions, self, cx)
 
     def _decomposable(self, x: PrecubicalSet, c: CubeChain) -> bool:
         if not c.cubes:

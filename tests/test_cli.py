@@ -177,6 +177,16 @@ class TestHomology:
         r = invoke(runner, ["homology", workspace["d2"], "--field", "fp:10"])
         assert r.exit_code == 2
 
+    @pytest.mark.parametrize("field", ["fp:x", "fp:", "fp:1e3"])
+    @pytest.mark.parametrize("verb", ["homology", "relative"])
+    def test_modulus_not_an_integer_is_one_input_error_line(self, runner, workspace, verb,
+                                                            field):
+        args = [workspace["d2"]] + ([workspace["s1cells"]] if verb == "relative" else [])
+        r = invoke(runner, [verb, *args, "--field", field])
+        assert r.exit_code == 2 and r.stdout == ""
+        assert r.stderr == (f"input error: unknown field {field!r} "
+                            "(expected 'q' or 'fp:<prime>')\n")
+
     def test_unknown_pair_exit2(self, runner, workspace):
         r = invoke(runner, ["homology", workspace["d2"], "--pair", "00,zz"])
         assert r.exit_code == 2

@@ -1,8 +1,8 @@
 """Every computing verb on mutated documents and random subset specs.
 
-Whatever the input, a verb exits with 0, 1 or 2 and never lets an
-exception other than SystemExit escape: no input may print a traceback,
-and exit 3 is kept for a failed theorem-backed check.
+Whatever the input, the field name included, a verb exits with 0, 1 or 2
+and never lets an exception other than SystemExit escape: no input may
+print a traceback, and exit 3 is kept for a failed theorem-backed check.
 """
 
 import json
@@ -83,14 +83,18 @@ def test_verbs_exit_0_1_or_2_without_a_traceback(files, data):
     for name, spec in (("a", a), ("b", b)):
         with open(files[name], "w", encoding="utf-8") as fh:
             json.dump(spec, fh)
-    fmt = ["--format", data.draw(st.sampled_from(["text", "json", "csv"]))]
+    # a field name that parses, one that is no prime, and moduli of at most
+    # four characters of any kind
+    field = data.draw(st.one_of(st.sampled_from(["q", "fp:2", "fp:7", "fp:12", "r64"]),
+                                st.text(max_size=4).map("fp:".__add__)), label="field")
+    opts = ["--format", data.draw(st.sampled_from(["text", "json", "csv"])), "--field", field]
     pair = ",".join(data.draw(st.lists(st.sampled_from(ids + ["zz"]), min_size=2,
                                        max_size=2)))
     x, y1, y2 = files["x"], files["a"], files["b"]
-    for args in (["validate", x], ["homology", x, *fmt, "--pair", pair],
-                 ["cohomology", x, *fmt], ["check-pair", x, y1, *fmt],
-                 ["relative", x, y1, *fmt, "--force"], ["relative", x, y1, "--strict"],
-                 ["mv", x, y1, y2, *fmt], ["kunneth", x, files["k"], *fmt]):
+    for args in (["validate", x], ["homology", x, *opts, "--pair", pair],
+                 ["cohomology", x, *opts], ["check-pair", x, y1, *opts],
+                 ["relative", x, y1, *opts, "--force"], ["relative", x, y1, "--strict"],
+                 ["mv", x, y1, y2, *opts], ["kunneth", x, files["k"], *opts]):
         r = CliRunner().invoke(main, args)
         assert r.exception is None or isinstance(r.exception, SystemExit), (args, r.exc_info)
         assert r.exit_code in (0, 1, 2), (args, r.output)

@@ -5,8 +5,10 @@ input names in place of file paths) to its exit code and stdout.  Changes
 to the linear-algebra kernel, to pivot choice or to how representatives
 are picked must leave every byte of these outputs unchanged.
 
-To record the reference again, after a change that is meant to alter the
-output, run ``PYTHONPATH=src python tests/test_cli_reference.py``.
+To record the runs that have no entry yet, run
+``PYTHONPATH=src python tests/test_cli_reference.py``: it adds the missing
+entries and leaves every recorded one as it is, so a change meant to alter
+an output deletes that entry first.
 """
 
 import json
@@ -73,6 +75,11 @@ RUNS = [
     # the benchmark's own homology shapes, over a large prime and over Q
     "homology --actions --format json --field fp:1009 real222",
     "homology --actions --format json --field q real2222",
+    # the sequences and the comparison maps in characteristic 2, where a
+    # negated basis element is the identity
+    "mv --format json --field fp:2 strip4 strip4/left strip4/right",
+    "relative --format json --field fp:2 D4 D4/S3",
+    "kunneth --format json --field fp:2 D2 S1",
 ]
 
 
@@ -156,8 +163,10 @@ def test_output_is_byte_identical(run_id, inputs, reference):
 if __name__ == "__main__":
     import tempfile
 
+    doc = json.loads(REFERENCE.read_text(encoding="utf-8"))
+    missing = [run_id for run_id in RUNS if run_id not in doc]
     with tempfile.TemporaryDirectory() as tmp:
         inputs = write_inputs(Path(tmp))
-        doc = {run_id: run(run_id, inputs) for run_id in RUNS}
+        doc.update((run_id, run(run_id, inputs)) for run_id in missing)
     REFERENCE.write_text(json.dumps(doc, indent=1, sort_keys=True) + "\n", encoding="utf-8")
-    print(f"wrote {len(doc)} runs to {REFERENCE}")
+    print(f"added {len(missing)} runs to {REFERENCE}")

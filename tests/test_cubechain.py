@@ -6,12 +6,32 @@ from dirhom.cubechain import (
     BoundaryCheckError, ChainError, CubeChain, DirectedCycleError, FormalSum,
     PairGradedComplex, boundary, build_complex, chain_catalog, empty_chain,
     enumerate_chains, enumerate_shuffles, make_chain, project_shuffle, split_cube,
-    _chain_map_witness, _unit_targets,
+    _chain_map_witness,
 )
-from dirhom.exactla import Matrix, PrimeField, QQ
+from dirhom.exactla import Matrix, PrimeField, QQ, _modulus, _neg
 from dirhom.precubical import PcMorphism, PrecubicalSet, realization, tensor
 
 from conftest import corpus, make_domino, sequences_of_dimension
+
+
+def _unit_targets(m: Matrix) -> tuple[list[int | None], set[int]]:
+    """A 0/+-1 basis map given as a matrix, decoded to signed positions: the
+    row of the one entry of each column, None for a zero column, and the set
+    of columns whose entry is -1; raises ChainError on any other entry or on
+    a second entry in a column.  The tests state chain-map squares as
+    matrices and hand them to `_chain_map_witness` through this decoder."""
+    minus = _neg(1, _modulus(m.field))
+    targets: list[int | None] = [None] * m.cols
+    negated: set[int] = set()
+    for i, row in enumerate(m._rows):
+        for j, a in row.items():
+            if (a != 1 and a != minus) or targets[j] is not None:
+                raise ChainError(f"column {j} of a {m.rows}x{m.cols} map is neither 0 "
+                                 "nor a signed unit vector")
+            targets[j] = i
+            if a != 1:
+                negated.add(j)
+    return targets, negated
 
 
 def walk_paths(x, s, e):
@@ -393,12 +413,14 @@ class TestFormalSum:
 
 
 def test_basis_map_columns_and_missing_image():
-    from dirhom.cubechain import _basis_map
+    from dirhom.cubechain import _basis_map, _basis_matrix
     from dirhom.exactla import Matrix
-    m = _basis_map(QQ, ["b", None, "a"], {"a": 0, "b": 1})
-    assert m == Matrix.from_columns(QQ, [[0, 1], [0, 0], [1, 0]], length=2)
+    p = _basis_map(["b", None, "a"], {"a": 0, "b": 1})
+    assert p == ([1, None, 0], ())
+    assert _basis_matrix(QQ, 2, p) == Matrix.from_columns(QQ, [[0, 1], [0, 0], [1, 0]], length=2)
+    assert _basis_map(["a", "b"], {"a": 0, "b": 1}, [1, -1]) == ([0, 1], {1})
     with pytest.raises(ChainError):
-        _basis_map(QQ, ["c"], {"a": 0})
+        _basis_map(["c"], {"a": 0})
 
 
 @st.composite

@@ -43,6 +43,10 @@ class TestFields:
             field_from_name("fp:12")
         with pytest.raises(FieldError):
             field_from_name("r64")
+        # a modulus that is not an integer
+        for name in ("fp:x", "fp:", "fp:1e3"):
+            with pytest.raises(FieldError, match="unknown field"):
+                field_from_name(name)
 
     def test_is_prime_small(self):
         assert [n for n in range(2, 30) if is_prime(n)] == \

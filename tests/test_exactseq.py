@@ -15,10 +15,10 @@ from dirhom.exactla import (
 from dirhom.exactseq import (
     QuotientComplex, SequenceError, ShortExactData, check_relative_pair, connecting_map,
     good_cover_check, les_relative, maximal_paths, mayer_vietoris, relative_complex,
-    verify_exact, _check_cover, _Cover, _excision_map, _LeftQuotient, _Quotient,
-    _span_inclusion,
+    verify_exact, _check_cover, _Cover, _excision_map, _homology, _LeftQuotient, _Quotient,
+    _span_positions,
 )
-from dirhom.homology import homology_of
+from dirhom.homology import homology_of, push_basis_map
 from dirhom.precubical import SubsetSpec, sub
 from dirhom.scalars import extend_subcomplex, path_algebra
 
@@ -283,10 +283,10 @@ class TestBasisQuotients:
         where = re.escape(
             f"is not a chain map at degree 1, pair ('00', '11'): witness "
             f"{cx.bases[(1, '00', '11')][0]!r}")
-        with pytest.raises(ChainError, match="inclusion_matrix " + where):
+        with pytest.raises(ChainError, match="inclusion_positions " + where):
             sq = BasisSubcomplex(cx, square)
-            sq.check_chain_map(sq.inclusion_matrix, sq, cx)
-        with pytest.raises(ChainError, match="projection " + where):
+            sq.check_chain_map(sq.inclusion_positions, sq, cx)
+        with pytest.raises(ChainError, match="projection_positions " + where):
             _Quotient(cx, square)
 
 
@@ -307,6 +307,13 @@ def solve_excision(c, i, pair):
         c.quo2.projection(i, pair) @ (c.span1.inclusion_matrix(i, pair) @ lift))
 
 
+def span_inclusion(inner, outer, i, pair):
+    """The 0/1 matrix of the inclusion of one extension span in a larger one,
+    in their kept coordinates."""
+    return Matrix.unit_columns(outer.field, outer.dim(i, pair),
+                               _span_positions(inner, outer, i, pair))
+
+
 def split_cover(x, y1, y2, field):
     """The relative sequence of (X, Y1), the left column of the cover and the
     cover data of the excision map, built as the cover check builds them."""
@@ -317,10 +324,10 @@ def split_cover(x, y1, y2, field):
     cover = _Cover(cx, span1, span2, span12, left, quo2,
                    {k: homology_of(left, *k) for k in keys},
                    {k: homology_of(quo2, *k) for k in keys}, {})
-    left.check_chain_map(cover.excision_chains, left, quo2)
+    left.check_chain_map(cover.excision_positions, left, quo2)
     sequences = [(ShortExactData(span1, QuotientComplex(cx, span1)), span1.inclusion_matrix),
                  (ShortExactData(span12, left),
-                  lambda i, pair: _span_inclusion(span12, span1, i, pair))]
+                  lambda i, pair: span_inclusion(span12, span1, i, pair))]
     return keys, cover, sequences
 
 
@@ -394,6 +401,86 @@ class TestSplitSequences:
         assert calls["eliminate"] == 0 and nonzero
         rank(nonzero[0])     # the counter does see elimination
         assert calls["eliminate"] == 1
+
+
+def assert_pushes_match_products(x, y1, y2, field) -> Counter:
+    """Each basis map of the sequences, pushed by its signed positions,
+    equals the product push ``dst.classes(M @ src.representatives)`` of its
+    0/1 matrix M, built here from `Matrix.unit_columns`, on every component.
+    The push gets homology as the sequences keep it, with no entry for a
+    component without chains; the product takes `homology_of` everywhere.
+    Returns how many pushes had classes to push, none, or a side without chains."""
+    cx = build_complex(x, None, field)
+    span1, span2, span12 = (extend_subcomplex(cx, y) for y in (y1, y2, y1 & y2))
+    left, quo1, quo2 = (_LeftQuotient(span1, span12, field), QuotientComplex(cx, span1),
+                        QuotientComplex(cx, span2))
+    cover = _Cover(cx, span1, span2, span12, left, quo2, _homology(left), _homology(quo2), {})
+
+    def units(c, i, pair):
+        """The inclusion of a basis subcomplex c in its ambient, as a 0/1 matrix."""
+        return Matrix.unit_columns(field, c.ambient.dim(i, pair), c.kept.get((i, pair), []))
+
+    def span_in(outer):
+        return (lambda i, pair: (_span_positions(span12, outer, i, pair), ()),
+                lambda i, pair: units(outer, i, pair).transpose() @ units(span12, i, pair))
+
+    # (source, target, positions, oracle matrix)
+    maps = [(span1, cx, span1.inclusion_positions, lambda i, pair: units(span1, i, pair)),
+            (cx, quo1, quo1.projection_positions, lambda i, pair: units(quo1, i, pair).transpose()),
+            (span12, span1, *span_in(span1)), (span12, span2, *span_in(span2)),
+            (left, quo2, cover.excision_positions,
+             lambda i, pair: (units(quo2, i, pair).transpose() @ units(span1, i, pair)
+                              @ units(left, i, pair)))]
+    seen: Counter = Counter()
+    for src, dst, positions, matrix in maps:
+        hs, hd = _homology(src), _homology(dst)
+        for i, pair in ((i, pair) for pair in cx.pairs() for i in range(cx.top_degree + 1)):
+            k, a, b = (i, pair), homology_of(src, i, pair), homology_of(dst, i, pair)
+            assert (push_basis_map(lambda: positions(*k), hs.get(k), hd.get(k), cx._zero)
+                    == b.classes(matrix(*k) @ a.representatives))
+            seen["no chains" if k not in hs or k not in hd else
+                 "classes" if a.dim else "no classes"] += 1
+    return seen
+
+
+class TestBasisMapPushes:
+    """The one push of the sequences' basis maps against the product of
+    their 0/1 matrices."""
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "F7"])
+    @pytest.mark.parametrize("x,y1,y2", cover_cases())
+    def test_corpus_matches_the_product(self, x, y1, y2, field):
+        seen = assert_pushes_match_products(x, y1, y2, field)
+        assert seen["classes"] and seen["no classes"] and seen["no chains"]
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_random_subsets_match_the_product(self, data):
+        assert_pushes_match_products(*draw_cover(data))
+
+    def test_sequences_build_no_0_1_matrix_and_push_no_product(self, D3, S2, monkeypatch):
+        import dirhom.exactseq as es
+        import dirhom.homology as H
+        calls: Counter = Counter()
+        units, induced = Matrix.unit_columns, H.induced_on_homology
+        monkeypatch.setattr(Matrix, "unit_columns",
+                            classmethod(lambda cls, *a: calls.update(["unit"]) or units(*a)))
+        for mod in (es, H):
+            monkeypatch.setattr(mod, "induced_on_homology",
+                                lambda *a: calls.update(["induced"]) or induced(*a),
+                                raising=False)
+        dom = make_domino()
+        assert les_relative(D3, SubsetSpec(D3, frozenset(S2.all_cells()))).sequence.all_exact
+        assert mayer_vietoris(dom, SubsetSpec(dom, dh.face_closure(dom, ["s1"])),
+                              SubsetSpec(dom, dh.face_closure(dom, ["s2"]))).sequence.all_exact
+        assert not calls
+        # both counters are live
+        cx = build_complex(D3)
+        span = extend_subcomplex(cx, frozenset(S2.all_cells()))
+        k = next(k for k in cx.components_with_chains if homology_of(span, *k).dim)
+        H.induced_on_homology(span.inclusion_matrix(*k), homology_of(span, *k),
+                              homology_of(cx, *k))
+        assert calls == Counter(unit=1, induced=1)
 
 
 class TestConnectingMap:

@@ -343,6 +343,24 @@ class TestNaturality:
         assert not comparison_naturality_check(inc, inc)
 
 
+def test_comparison_builds_and_decodes_no_basis_map_matrix(D2, S1, monkeypatch):
+    """The comparison maps are built, checked and pushed as signed positions:
+    the report builds no matrix view of a basis map, so it decodes none."""
+    import dirhom.cubechain as cc
+    import dirhom.ez as ez
+    import dirhom.homology as H
+    calls = []
+    real = cc._basis_matrix
+    for mod in (cc, H, ez):
+        monkeypatch.setattr(mod, "_basis_matrix", lambda *a: calls.append(1) or real(*a))
+    assert not any(hasattr(mod, "_unit_targets") for mod in (cc, H, ez))
+    assert tensor_comparison_report(D2, S1).all_ok
+    assert not calls
+    st = TensorSetting.build(D2, S1)
+    separating_matrix(st.tx, st.cxp, st.tc, 0, *st.cxp.pairs()[0])
+    assert calls == [1]     # the counter is live
+
+
 class TestKunneth:
     def test_s1s1_h1_vanishes(self, S1):
         st = TensorSetting.build(S1, S1)

@@ -623,12 +623,11 @@ def test_table_builds_and_decodes_no_0_1_matrix(monkeypatch):
     d4 = dh.directed_disc(4)
     cx = build_complex(d4)
     calls = []
-    real_units, real_decode = Matrix.unit_columns, cc._unit_targets
+    real_units = Matrix.unit_columns
     monkeypatch.setattr(Matrix, "unit_columns",
                         classmethod(lambda cls, *a: calls.append("unit") or real_units(*a)))
-    for mod in (cc, H):
-        monkeypatch.setattr(mod, "_unit_targets",
-                            lambda m: calls.append("decode") or real_decode(m))
+    # basis maps are built as signed positions, so there is no matrix decoder
+    assert not any(hasattr(mod, "_unit_targets") for mod in (cc, H))
     t = HomologyTable(cx, d4)
     for a in d4.edges:
         s = d4.edge_target(a)
@@ -706,11 +705,11 @@ def test_corrupted_morphism_map_names_degree_pair_and_chain(D2, cxd2, monkeypatc
     import dirhom.homology as H
     real = H._basis_map
 
-    def corrupted(field, images, index, signs=None):
-        m = real(field, images, index, signs)
+    def corrupted(images, index, signs=None):
+        targets, negated = real(images, index, signs)
         if images and images[0].degree == 1:    # drop the image of the first square
-            return Matrix.zeros(field, m.rows, m.cols)
-        return m
+            return [None] * len(targets), negated
+        return targets, negated
 
     monkeypatch.setattr(H, "_basis_map", corrupted)
     with pytest.raises(ActionError, match=r"morphism-induced map is not a chain map at "
@@ -753,7 +752,7 @@ def test_chain_map_checks_run_no_matrix_product(D2, S1, td2, cxd2, monkeypatch):
     monkeypatch.setattr(Matrix, "__matmul__", lambda a, b: calls.append(1) or real(a, b))
     td2._verify_actions_are_chain_maps()
     chain_map_of_morphism(PcMorphism.identity(D2), cxd2, cxd2)
-    span.check_chain_map(span.inclusion_matrix, span, cxd2)
+    span.check_chain_map(span.inclusion_positions, span, cxd2)
     assert not calls
     Matrix.identity(QQ, 1) @ Matrix.identity(QQ, 1)
     assert calls    # the counter sees a product

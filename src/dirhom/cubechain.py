@@ -295,8 +295,10 @@ class GradedComplex:
 
     Pair keys are opaque sortable objects; for cube-chain complexes they are
     (src, dst) vertex pairs.  Differentials map degree i to degree i-1 inside
-    one pair component.  ``d . d = 0`` is asserted at construction by callers
-    via `check_boundary_square`.  `components_with_chains` lists the sorted
+    one pair component.  ``d . d = 0`` is asserted at the end of
+    construction (`check_boundary_square`), so a subclass sets what
+    `_basis_name` reads before it calls this constructor.
+    `components_with_chains` lists the sorted
     (degree, pair) keys of nonzero dimension.  `reduction` reduces each
     differential once, for the homology of the degrees on both its sides.
     """
@@ -312,6 +314,7 @@ class GradedComplex:
         self._reductions: dict[tuple[int, object], Reduction] = {}
         self._pairs = sorted({k[1] for k in self._dims})
         self.components_with_chains = sorted(k for k, n in self._dims.items() if n)
+        self.check_boundary_square()
 
     def pairs(self) -> list:
         return list(self._pairs)
@@ -383,12 +386,12 @@ class PairGradedComplex(GradedComplex):
                  bases: dict[tuple[int, str, str], list[CubeChain]],
                  diffs: dict[tuple[int, str, str], Matrix],
                  positions: dict[tuple[int, str, str], dict[tuple[str, ...], int]]):
-        dims = {(i, (s, e)): len(chains) for (i, s, e), chains in bases.items()}
-        super().__init__(field, top_degree,
-                         dims, {(i, (s, e)): m for (i, s, e), m in diffs.items()})
         self.x = x
         self.bases = bases
         self.positions = positions
+        dims = {(i, (s, e)): len(chains) for (i, s, e), chains in bases.items()}
+        super().__init__(field, top_degree,
+                         dims, {(i, (s, e)): m for (i, s, e), m in diffs.items()})
 
     @cached_property
     def index(self) -> dict[tuple[int, str, str], dict[CubeChain, int]]:
@@ -448,7 +451,6 @@ class BasisSubcomplex(GradedComplex):
                  for (i, pair), cols in kept.items() if i >= 1}
         super().__init__(ambient.field, ambient.top_degree,
                          {k: len(v) for k, v in kept.items()}, diffs)
-        self.check_boundary_square()
 
     def inclusion_positions(self, i: int, pair) -> tuple:
         """The inclusion as signed positions: each kept element goes to its ambient position."""
@@ -579,9 +581,7 @@ def build_complex(x: PrecubicalSet, max_degree: int | None = None,
                 col[j] = col.get(j, 0) + sign
             cols.append(col)
         diffs[(i, s, e)] = Matrix.from_sparse_columns(field, len(at), cols)
-    cx = PairGradedComplex(x, field, top, bases, diffs, positions)
-    cx.check_boundary_square()
-    return cx
+    return PairGradedComplex(x, field, top, bases, diffs, positions)
 
 
 # -- shuffles in tensor products ----------------------------------------------

@@ -13,59 +13,59 @@ Boundary, action and relation matrices are mostly zeros, so `Matrix` and
 plain ints while a value is integral.  A `Fraction` appears inside the
 module only where a value is not an integer: given so by a caller, or made
 when a pivot other than +-1 divides a row or a column.  Boundary
-coefficients are all +-1, so most eliminations never make one.
-`_eliminate`, the Gauss-Jordan kernel, `_reduce`, the column reduction, and
-every product work on these rows directly.  Zero tests are truthiness tests.
+coefficients are all +-1, so most reductions never make one.  The
+reductions and every product work on these rows directly.  Zero tests are
+truthiness tests.
 
+One pivot rule serves the whole module: sparse vectors are reduced one
+after the other against a ``{lowest nonzero: stored vector}`` dict, each
+stored vector scaled to 1 at its low (`_lows`), and a rank is the number of
+lows.  The reduced row echelon form (`_echelon`, behind `image_basis`,
+`solve`, `pivot_columns` and `Subspace`) is that reduction on the columns
+numbered last first, so that each low is a leading column, plus one back
+substitution in ascending order of lows.  It is unique for a fixed column
+order, so the order in which vectors are reduced never shows in a result;
+choosing pivot columns by fill-in (Markowitz-style) would change every
+kernel basis, homology representative and action matrix the package prints.
 Systems are solved for a whole matrix of right-hand sides at once:
-`solve(m, b)` eliminates [m | b] once, and `Subspace.express(m)` reads the
-coordinates of every column of m off the subspace's one elimination; the
+`solve(m, b)` reduces [m | b] once, and `Subspace.express(m)` reads the
+coordinates of every column of m off the subspace's one echelon form; the
 single-vector `solve_in_image`, `coordinates`, `contains` and `matvec` are
-one-line wrappers.  Field scalars (``Residue`` over F_p) appear only where
-values enter (constructors, vectors passed in, bimodule relation
-coefficients), where the one conversion `_value` turns each into a stored
-value and rejects a scalar of another field, and where they leave
-(`entry`, `data`, `row`, `column(s)`, `basis`, the vector wrappers), and
-over Q every value leaves as a `Fraction`, integral or not; inside the
-package they leave only through `Matrix.entry`, for the coefficients of
-bimodule relations; the CLI's JSON prints `Matrix.text_rows`, formatted from
-the stored values as the field scalars print.
+one-line wrappers.
+
+Field scalars (``Residue`` over F_p) appear only where values enter
+(constructors, vectors passed in, bimodule relation coefficients), where the
+one conversion `_value` turns each into a stored value and rejects a scalar
+of another field, and where they leave (`entry`, `data`, `row`, `column(s)`,
+`basis`, the vector wrappers), and over Q every value leaves as a
+`Fraction`, integral or not; inside the package they leave only through
+`Matrix.entry`, for the coefficients of bimodule relations; the CLI's JSON
+prints `Matrix.text_rows`, formatted from the stored values as the field
+scalars print.
 
 Homology reads each differential d off one column reduction
-(`column_reduction`, persistence style): the columns are reduced left to
-right against a ``{lowest row: reduced column}`` dict, each stored column
-scaled to 1 at its lowest row, and each column's combination of the columns
-of d is tracked.  A column that reduces to zero gives the kernel vector that
-is 1 at it, its last nonzero, and otherwise lives on earlier columns that do
-not; the others give an image basis with distinct lowest rows.  For
+(`column_reduction`, persistence style): the same rule on the columns of d,
+with each column's combination of the columns of d tracked (`_reduce`).  A
+column that reduces to zero gives the kernel vector that is 1 at it, its
+last nonzero, and otherwise lives on earlier columns that do not; the others
+give an image basis with distinct lowest rows.  For
 H_i = ker d_i / im d_{i+1}, a boundary's lowest row is the free column of
 the last kernel vector in which it has a coordinate, so the boundaries'
 kernel coordinates are their entries at the free columns, and
 `homology_from_reductions` back-substitutes them in order of their lows to
 give the map to classes; the kernel vectors at free columns that are not a
-low are the representatives.  `homology_classes`, the one push of chains into
-homology, takes cycles as ``{row: value}`` sparse columns of stored values
-(the form of `Matrix.sparse_columns` and of the representatives): it reads
-their kernel coordinates at the free columns, checks entry by entry that the
-kernel vectors give each column back and applies the map to classes, with
-no elimination.
-
-`_eliminate`, behind ranks, solves, images and `Subspace`, takes pivot
-columns in increasing order and chooses only the pivot *row* freely: the
-sparsest pending row that is nonzero in the current column, which keeps
-fill-in low.  The reduced row echelon form is unique for a fixed column
-order, so the row choice never shows in a result, and the kernel of the
-column reduction is the one that the reduced row echelon form gives.
-Choosing the column as well (Markowitz-style) would cut fill-in further,
-but it changes which columns are pivots, and with them every kernel basis,
-homology representative and action matrix the package prints.
+low are the representatives.  `homology_classes`, the one push of chains
+into homology, takes cycles as ``{row: value}`` sparse columns of stored
+values (the form of `Matrix.sparse_columns` and of the representatives): it
+reads their kernel coordinates at the free columns, checks entry by entry
+that the kernel vectors give each column back and applies the map to
+classes, with no elimination.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from math import isqrt
 from typing import Iterable, NamedTuple, Sequence
 
 
@@ -79,7 +79,26 @@ class ChainError(ValueError):
 
 
 def is_prime(n: int) -> bool:
-    return n > 1 and all(n % d for d in range(2, isqrt(n) + 1))
+    """Deterministic Miller-Rabin on the primes 2..41, exact below
+    3,317,044,064,679,887,385,961,981, the least strong pseudoprime to all
+    of them; a larger n raises FieldError."""
+    if n >= 3_317_044_064_679_887_385_961_981:
+        raise FieldError(f"modulus too large: {n} (the primality test is exact below 3.3e24)")
+    bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    if n < 2 or any(n % a == 0 for a in bases):
+        return n in bases
+    s = ((n - 1) & (1 - n)).bit_length() - 1      # n - 1 = 2^s d with d odd
+    for a in bases:
+        x = pow(a, (n - 1) >> s, n)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
+            return False
+    return True
 
 
 @dataclass(frozen=True, slots=True)
@@ -286,47 +305,52 @@ def _scaled(vec: dict, a, p: int) -> dict:
     return {j: v * inv for j, v in vec.items()}
 
 
-def _eliminate(rows: list[dict], order: Iterable[int], p: int):
-    """Gauss-Jordan on sparse rows, which it modifies; returns (rows, pivots).
+def _lows(vectors: list[dict], p: int) -> dict[int, dict]:
+    """Reduce sparse vectors, which it modifies, one after the other into
+    ``{low: vector}``, as many as their rank: while a vector's highest
+    column is the low of one stored before it, that one times its entry
+    there is subtracted; a vector left nonzero is scaled to 1 at its
+    highest column, its low, and stored."""
+    image: dict[int, dict] = {}
+    for vec in vectors:
+        while vec:
+            low = max(vec)
+            hit = image.get(low)
+            if hit is None:
+                a = vec[low]
+                image[low] = vec if a == 1 else _scaled(vec, a, p)
+                break
+            _axpy(vec, vec[low], hit, p)
+    return image
 
-    Pivot columns are taken in `order`; the pivot row for a column is the
-    sparsest pending row that is nonzero there.  Returned row k is 1 at
-    ``pivots[k]`` and 0 at every other pivot column.  When every row gets a
-    pivot, or `order` names every column, the result is the reduced row
-    echelon form for that column order, whichever rows were chosen.
 
-    A pivot row is divided by its pivot value only when that value is not
-    1 (`_scaled`).
-    """
-    pending = list(range(len(rows)))
-    done: list[dict] = []
-    pivots: list[int] = []
-    for c in order:
-        if not pending:
-            break
-        hits = [i for i in pending if c in rows[i]]
-        if not hits:
-            continue
-        i = min(hits, key=lambda k: len(rows[k]))
-        pending.remove(i)
-        row = rows[i]
-        a = row[c]
-        if a != 1:
-            row = _scaled(row, a, p)
-        for k in hits:
-            if k != i:
-                _axpy(rows[k], rows[k][c], row, p)
-        done.append(row)
-        pivots.append(c)
-    # Forward elimination left row k zero at the pivots before it; clear the
-    # pivots after it, last pivot first.
-    for k in range(len(done) - 1, 0, -1):
-        c, row = pivots[k], done[k]
-        for above in done[:k]:
-            f = above.get(c)
-            if f:
-                _axpy(above, f, row, p)
-    return done, pivots
+def _echelon(vectors: Iterable[dict], n: int, p: int, combinations: bool = False):
+    """The reduced row echelon form of sparse vectors of length n, pivots
+    ascending, as (rows, pivots, transforms): `_lows` on copies, sparsest
+    first, with column c numbered n - 1 - c so each low is a leading column,
+    then back substitution in ascending order of lows.  With `combinations`
+    vector j also has a 1 at column -1 - j, which never leads while a real
+    entry remains: transform k, read off those columns, gives row k from
+    the vectors, and a vector in the span of those before it ends with a
+    negative low and gives no row.  Else the transforms list is empty."""
+    last = n - 1
+    vecs = [{last - c: a for c, a in v.items()} for v in vectors]
+    if combinations:
+        for j, v in enumerate(vecs):
+            v[-1 - j] = 1
+    image = _lows(sorted(vecs, key=len), p)
+    done: dict[int, dict] = {}
+    for low in sorted(image):
+        if low >= 0:
+            row = image[low]
+            for c in [c for c in row if c in done]:
+                _axpy(row, row[c], done[c], p)
+            done[low] = row
+    lows = [*reversed(done)]
+    return ([{last - c: a for c, a in done[low].items() if c >= 0} for low in lows],
+            [last - low for low in lows],
+            [{-1 - c: a for c, a in done[low].items() if c < 0} for low in lows]
+            if combinations else [])
 
 
 def _null_vectors(rows: list[dict], pivots: list[int], n: int, p: int) -> list[dict]:
@@ -592,35 +616,36 @@ class Matrix(_Frozen):
 
 
 def _rref(rows: list[list], ncols: int, zero, col_order: Sequence[int] | None = None):
-    """Reduced row echelon form; returns (nonzero rows, pivot columns).
-
-    Rows of field scalars in and out; `_eliminate` does the work.
-    `col_order` controls which columns are eligible for pivots first.
-    """
+    """Reduced row echelon form of rows of field scalars, as (nonzero rows,
+    pivot columns): `_echelon` with each column numbered by its place in
+    `col_order`, a permutation of the columns, the order pivots are taken in."""
     p = zero.p if isinstance(zero, Residue) else 0
-    order = range(ncols) if col_order is None else col_order
-    done, pivots = _eliminate([_sparse(r, p) for r in rows], order, p)
-    return [_dense(r, ncols, zero, p) for r in done], pivots
+    order = list(range(ncols) if col_order is None else col_order)
+    place = {c: k for k, c in enumerate(order)}
+    done, pivots, _ = _echelon(({place[c]: a for c, a in _sparse(r, p).items()} for r in rows),
+                               ncols, p)
+    return ([_dense({order[k]: a for k, a in r.items()}, ncols, zero, p) for r in done],
+            [order[k] for k in pivots])
 
 
 def rank(m: Matrix) -> int:
-    """Rank of `m` over its field: 0, with no elimination, when m has no
-    rows or no columns."""
+    """Rank of `m` over its field, the number of lows of its rows (`_lows`):
+    0, with no reduction, when m has no rows or no columns."""
     if not (m.rows and m.cols):
         return 0
-    return len(_eliminate([dict(r) for r in m._rows], range(m.cols), _modulus(m.field))[1])
+    return len(_lows([dict(r) for r in m._rows], _modulus(m.field)))
 
 
 class Subspace(_Frozen):
     """A subspace of a coordinate space, given by an independent basis.
 
-    The basis is held as sparse vectors.  One elimination of
-    [basis | identity], run when first needed, gives the reduced rows and
-    pivots behind the independence check, `contains`, `coordinates`,
+    The basis is held as sparse vectors.  One reduced row echelon form of
+    [basis | identity], computed when first needed, gives the reduced rows
+    and pivots behind the independence check, `contains`, `coordinates`,
     equality and the quotient maps.
     """
 
-    __slots__ = ("field", "ambient_dim", "_basis", "_elimination")
+    __slots__ = ("field", "ambient_dim", "_basis", "_form")
 
     def __init__(self, field, ambient_dim: int, basis: Sequence[Sequence]):
         p = _modulus(field)
@@ -658,26 +683,16 @@ class Subspace(_Frozen):
 
     @property
     def _pivots(self) -> tuple:
-        return tuple(self._eliminated()[1])
+        return tuple(self._echelon_form()[1])
 
-    def _eliminated(self):
-        """(rref rows, pivots, transforms) as sparse rows, computed once.
-
-        Row-reducing [basis | identity] gives rref row k together with the
-        combination of basis vectors that equals it, transform k.  A basis
-        vector that depends on the others gets no row.
-        """
-        if self._elimination is None:
-            p = _modulus(self.field)
-            n = self.ambient_dim
-            rows = [dict(v) for v in self._basis]
-            for j, row in enumerate(rows):
-                row[n + j] = 1
-            done, pivots = _eliminate(rows, range(n), p)
-            object.__setattr__(self, "_elimination", (
-                [{c: a for c, a in r.items() if c < n} for r in done], pivots,
-                [{c - n: a for c, a in r.items() if c >= n} for r in done]))
-        return self._elimination
+    def _echelon_form(self):
+        """(rref rows, pivots, transforms) of [basis | identity], computed
+        once (`_echelon` with combinations): transform k is the combination
+        of basis vectors that equals row k."""
+        if self._form is None:
+            object.__setattr__(self, "_form", _echelon(
+                self._basis, self.ambient_dim, _modulus(self.field), combinations=True))
+        return self._form
 
     def express(self, m: Matrix) -> Matrix | None:
         """The coordinates in `basis` of the columns of m, as the columns of
@@ -689,7 +704,7 @@ class Subspace(_Frozen):
         """
         if m.rows != self.ambient_dim:
             raise FieldError(f"vector length {m.rows} != {self.ambient_dim}")
-        rows, pivots, transforms = self._eliminated()
+        rows, pivots, transforms = self._echelon_form()
         p = _modulus(self.field)
         vecs = _transpose(m._rows, m.cols)
         at_pivots = [{k: v[c] for k, c in enumerate(pivots) if c in v} for v in vecs]
@@ -708,7 +723,7 @@ class Subspace(_Frozen):
     def __eq__(self, other) -> bool:
         return (isinstance(other, Subspace)
                 and self.ambient_dim == other.ambient_dim
-                and self._eliminated()[0] == other._eliminated()[0])
+                and self._echelon_form()[0] == other._echelon_form()[0])
 
     def __hash__(self):
         return hash((self.ambient_dim, self._pivots))
@@ -731,12 +746,11 @@ def kernel_basis(m: Matrix) -> Subspace:
 
 def image_basis(m: Matrix) -> Subspace:
     """Column space of `m`; its basis is the rref of the columns.  That basis
-    is already reduced, so its elimination is itself, with identity transforms.
-    A matrix with no rows or no columns needs no elimination."""
+    is already reduced, so its echelon form is itself, with identity
+    transforms.  A matrix with no rows or no columns needs no reduction."""
     if not (m.rows and m.cols):
         return Subspace.zero(m.field, m.rows)
-    p = _modulus(m.field)
-    rows, pivots = _eliminate(_transpose(m._rows, m.cols), range(m.rows), p)
+    rows, pivots, _ = _echelon(_transpose(m._rows, m.cols), m.rows, _modulus(m.field))
     return Subspace._of(m.field, m.rows, rows,
                         (rows, pivots, [{k: 1} for k in range(len(rows))]))
 
@@ -746,23 +760,22 @@ def pivot_columns(*spaces: Subspace) -> list[int]:
     one after the other: column k is a pivot when basis vector k lies outside
     the span of the vectors before it."""
     vectors = [v for s in spaces for v in s._basis]
-    return _eliminate(_transpose(vectors, spaces[0].ambient_dim), range(len(vectors)),
-                      _modulus(spaces[0].field))[1]
+    return _echelon(_transpose(vectors, spaces[0].ambient_dim), len(vectors),
+                    _modulus(spaces[0].field))[1]
 
 
 def solve(m: Matrix, b: Matrix) -> Matrix | None:
     """Some X with m X = b, or None when a column of b is not in the image of m.
 
-    One elimination of [m | b] serves every column.  Coordinates of X off
-    the pivot columns are 0.
+    One reduced row echelon form of [m | b] serves every column.
+    Coordinates of X off the pivot columns are 0.
     """
     if b.rows != m.rows:
         raise FieldError(f"vector length {b.rows} != {m.rows}")
     n = m.cols
     if not b.cols:
         return Matrix.zeros(m.field, n, 0)
-    rows = m.augment(b)._rows      # new dicts, free for the elimination to modify
-    done, pivots = _eliminate(rows, range(n + b.cols), _modulus(m.field))
+    done, pivots, _ = _echelon(m.augment(b)._rows, n + b.cols, _modulus(m.field))
     if pivots and pivots[-1] >= n:
         return None
     x: list[dict] = [{} for _ in range(n)]
@@ -785,7 +798,7 @@ def invert(m: Matrix) -> Matrix:
     if m.rows != m.cols:
         raise FieldError("only square matrices invert")
     # the rows of m as a basis: its transforms are the rows of the inverse
-    _, pivots, transforms = Subspace._of(m.field, m.cols, m._rows, None)._eliminated()
+    _, pivots, transforms = Subspace._of(m.field, m.cols, m._rows, None)._echelon_form()
     if len(pivots) != m.cols:
         raise FieldError("matrix not invertible")
     return Matrix._of(m.field, m.rows, m.cols, transforms)
@@ -800,7 +813,7 @@ def quotient_map(ambient_dim: int, sub: Subspace) -> Matrix:
     """
     if sub.ambient_dim != ambient_dim:
         raise FieldError(f"subspace ambient {sub.ambient_dim} != {ambient_dim}")
-    rows, pivots, _ = sub._eliminated()
+    rows, pivots, _ = sub._echelon_form()
     q_rows = _null_vectors(rows, pivots, ambient_dim, _modulus(sub.field))
     return Matrix._of(sub.field, len(q_rows), ambient_dim, q_rows)
 

@@ -101,7 +101,6 @@ class TensorComplex(GradedComplex):
                 cols.append(col)
             diffs[(n, pair)] = Matrix.from_sparse_columns(field, len(tindex), cols)
         super().__init__(field, top, dims, diffs)
-        self.check_boundary_square()
 
     def _basis_name(self, i: int, pair, j: int) -> str:
         ca, cb = self.bases[(i, pair)][j]

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .exactla import (
-    Matrix, QQ, Reduction, _axpy, _modulus, _scaled, _value, image_basis, quotient_map,
+    Matrix, QQ, Reduction, _lows, _modulus, _value, image_basis, quotient_map,
 )
 from .precubical import PcMorphism, PrecubicalSet, TensorSet
 from .cubechain import (
@@ -99,7 +99,7 @@ class PresentedBimodule:
 
     Each relation with a nonzero coefficient is also kept as (source,
     target, terms): its (source, target) pair, and its terms with nonzero
-    coefficients, each as the value the elimination kernel stores.  A
+    coefficients, each as the value the reduction stores.  A
     coefficient from another field raises FieldError here.
     """
 
@@ -164,13 +164,14 @@ class ResolvedBimodule:
     path); the bimodule is their span modulo the relation translates.  Its
     dimension is the number of triples minus the rank of the translates:
     the triples are counted from the path counts, and the translates,
-    sparse rows over triples numbered as they are met, are reduced for
-    their rank alone (`_reduce`).  A pair with no triples or no translates
-    takes no reduction.
+    sparse rows over triples numbered as they are met, go through the
+    package's one reduction loop, `exactla._lows`, whose number of lows is
+    their rank (`_reduce`).  A pair with no triples takes no reduction.
 
     The quotient basis, the triples off the pivots of the relations' reduced
-    row echelon form, is built only for `basis_triples` and the edge
-    actions, which are matrices in this basis (`_quotient`).  Generators and
+    row echelon form (`exactla.image_basis`, the same loop plus one back
+    substitution), is built only for `basis_triples` and the edge actions,
+    which are matrices in this basis (`_quotient`).  Generators and
     relations are indexed once by their (source, target) pair, and both
     constructions go over those pairs, not over every generator and relation.
     """
@@ -225,26 +226,16 @@ class ResolvedBimodule:
 
     def _reduce(self, s: str, e: str):
         """Store the dimension at (s, e): the triple count minus the rank of
-        the translates, each reduced by the stored rows while its highest
-        triple number is the low of one of them."""
+        the translates, the number of their lows (`_lows`)."""
         key = (s, e)
         if key in self._rref:
             return
         n = self._count(s, e)
-        image: dict[int, dict] = {}
         if n:
-            p = _modulus(self.field)
             number: dict[tuple, int] = {}
-            for row in self._translates(s, e, lambda t: number.setdefault(t, len(number))):
-                while row:
-                    low = max(row)
-                    hit = image.get(low)
-                    if hit is None:
-                        a = row[low]
-                        image[low] = row if a == 1 else _scaled(row, a, p)
-                        break
-                    _axpy(row, row[low], hit, p)
-        self._rref[key] = n - len(image)
+            rows = self._translates(s, e, lambda t: number.setdefault(t, len(number)))
+            n -= len(_lows(rows, _modulus(self.field)))
+        self._rref[key] = n
 
     def dim(self, s: str, e: str) -> int:
         self._reduce(s, e)

@@ -287,6 +287,23 @@ def test_scale_guard_realization_442_over_f1009():
     assert ok
 
 
+def test_scale_guard_cohomology_realization_442_over_f1009():
+    # every cohomology dimension the cohomology verb lists, from the ranks of
+    # coboundaries of up to 5,664 x 4,080: one reduction of the rows each
+    r = dh.realization([4, 4, 2])
+    t0 = time.monotonic()
+    cx = build_complex(r, None, PrimeField(1009))
+    dual = dh.cochain_dual(cx)
+    dims = {(i, (s, e)): dual.cohomology_dim(i, s, e) for s in r.vertices
+            for e in r.vertices for i in range(cx.top_degree + 1)}
+    elapsed = time.monotonic() - t0
+    ok = all(d == homology_of(cx, *k).dim for k, d in dims.items())
+    ok &= elapsed < 8.0
+    print(f"[{'PASS' if ok else 'FAIL'}] scale guard: cohomology of realization(4,4,2) over "
+          f"F_1009, {len(dims)} dimensions equal to homology ({elapsed:.2f}s < 8s)")
+    assert ok
+
+
 def test_scale_guard_les_relative_d6_s5():
     # 7,290 extension dimensions over Q, in the pair check and the extension
     # comparison: each is a triple count minus a rank, no quotient is built

@@ -177,6 +177,20 @@ class TestHomology:
         r = invoke(runner, ["homology", workspace["d2"], "--field", "fp:10"])
         assert r.exit_code == 2
 
+    def test_large_prime_modulus_is_decided_at_once(self, workspace):
+        """A 25-digit prime is a field; a 26-digit modulus is past the range
+        where the primality test is exact, an input error.  Neither spins."""
+        env = {**os.environ, "PYTHONPATH": str(Path(dh.__file__).parents[1])}
+        for modulus, code in (("1000000000000000000000007", 0),
+                              ("10000000000000000000000013", 2)):
+            start = time.perf_counter()
+            r = subprocess.run([sys.executable, "-m", "dirhom.cli", "homology", "--field",
+                                f"fp:{modulus}", workspace["d2"]],
+                               env=env, capture_output=True, text=True, timeout=60)
+            assert time.perf_counter() - start < 5
+            assert r.returncode == code, r.stderr
+        assert r.stderr.startswith("input error: modulus too large")
+
     @pytest.mark.parametrize("field", ["fp:x", "fp:", "fp:1e3"])
     @pytest.mark.parametrize("verb", ["homology", "relative"])
     def test_modulus_not_an_integer_is_one_input_error_line(self, runner, workspace, verb,

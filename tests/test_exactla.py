@@ -1,11 +1,12 @@
 import random
 from fractions import Fraction
+from math import isqrt
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from dirhom.exactla import (
-    FieldError, Matrix, PrimeField, QQ, Residue, Subspace, _dense, _eliminate, _rref, _sparse,
+    FieldError, Matrix, PrimeField, QQ, Residue, Subspace, _rref,
     column_reduction, field_from_name, image_basis, induced_on_quotient, invert, is_prime,
     kernel_basis, pivot_columns, quotient_map, rank, solve, solve_in_image,
 )
@@ -51,6 +52,22 @@ class TestFields:
     def test_is_prime_small(self):
         assert [n for n in range(2, 30) if is_prime(n)] == \
             [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
+
+    def test_is_prime_is_trial_division_below_20000(self):
+        def trial(n):
+            return n > 1 and all(n % d for d in range(2, isqrt(n) + 1))
+        assert [n for n in range(20_000) if is_prime(n)] == [n for n in range(20_000) if trial(n)]
+
+    def test_is_prime_rejects_strong_pseudoprimes_to_small_bases(self):
+        # 3215031751 is a strong pseudoprime to the bases 2, 3, 5 and 7,
+        # 2152302898747 to every prime base up to 11
+        assert not is_prime(3215031751) and not is_prime(2152302898747)
+        assert is_prime(10**24 + 7) and PrimeField(10**24 + 7).p == 10**24 + 7
+
+    def test_modulus_beyond_the_exact_range_is_too_large(self):
+        # 26 digits: at least the bound 3,317,044,064,679,887,385,961,981
+        with pytest.raises(FieldError, match="modulus too large"):
+            field_from_name("fp:10000000000000000000000013")
 
 
 class TestMatrix:
@@ -527,8 +544,8 @@ class TestMatrixSolveAgainstPerColumnReference:
     def test_no_right_hand_side_is_no_elimination(self, monkeypatch):
         import dirhom.exactla as la
         calls = []
-        real = la._eliminate
-        monkeypatch.setattr(la, "_eliminate", lambda *a: calls.append(1) or real(*a))
+        real = la._lows
+        monkeypatch.setattr(la, "_lows", lambda *a: calls.append(1) or real(*a))
         for field in FIELDS:
             m = Matrix.from_rows(field, [[1, 2, 0], [0, 1, 1]])
             assert solve(m, Matrix.zeros(field, 2, 0)) == Matrix.zeros(field, 3, 0)
@@ -570,15 +587,15 @@ def fractions_of(rows):
 class TestRationalAgainstDenseReference:
     @settings(max_examples=150, deadline=None)
     @given(rational_matrices(), st.data())
-    def test_eliminate_is_the_dense_rref(self, m, data):
+    def test_rref_is_the_dense_rref(self, m, data):
         rows, ncols = m
         order = list(range(ncols))
         if data.draw(st.booleans()):
             order = data.draw(st.permutations(range(ncols)))
-        done, pivots = _eliminate([_sparse(r, 0) for r in rows], order, 0)
+        done, pivots = _rref(rows, ncols, QQ.zero, order)
         ref_rows, ref_pivots = dense_rref(fractions_of(rows), ncols, QQ.zero, order)
         assert pivots == ref_pivots
-        assert [_dense(r, ncols, QQ.zero, 0) for r in done] == ref_rows
+        assert done == ref_rows
 
     @settings(max_examples=100, deadline=None)
     @given(rational_matrices())

@@ -261,13 +261,13 @@ class TestBasisQuotients:
         span1 = extend_subcomplex(cx, left)
         span12 = extend_subcomplex(cx, frozenset(left) & frozenset(right))
         calls = Counter()
-        eliminate = exactla._eliminate
+        lows = exactla._lows
 
         def counted(*args, **kwargs):
             calls["eliminate"] += 1
-            return eliminate(*args, **kwargs)
+            return lows(*args, **kwargs)
 
-        monkeypatch.setattr(exactla, "_eliminate", counted)
+        monkeypatch.setattr(exactla, "_lows", counted)
         QuotientComplex(cx, span1)
         _LeftQuotient(span1, span12, QQ)
         assert calls["eliminate"] == 0
@@ -385,13 +385,13 @@ class TestSplitSequences:
                   + list(parts.hcl.values()) + list(parts.hcr.values())):
             h.classes(Matrix.zeros(QQ, h.representatives.rows, 1))
         calls = Counter()
-        eliminate = exactla._eliminate
+        lows = exactla._lows
 
         def counted(*args, **kwargs):
             calls["eliminate"] += 1
-            return eliminate(*args, **kwargs)
+            return lows(*args, **kwargs)
 
-        monkeypatch.setattr(exactla, "_eliminate", counted)
+        monkeypatch.setattr(exactla, "_lows", counted)
         for ses, _ in sequences:
             ses.verify()
         deltas = [connecting_map(*snake) for snake in snakes]

@@ -7,10 +7,12 @@ from hypothesis import given, settings, strategies as st
 
 import dirhom as dh
 import dirhom.exactla as la
-from dirhom.cubechain import ChainError, GradedComplex, PairGradedComplex, build_complex
+from dirhom.cubechain import (
+    BoundaryCheckError, ChainError, GradedComplex, PairGradedComplex, build_complex,
+)
 from dirhom.exactla import (
-    Matrix, PrimeField, QQ, Subspace, homology_classes, image_basis, kernel_basis,
-    pivot_columns, rank,
+    Matrix, PrimeField, QQ, Subspace, column_reduction, homology_classes,
+    homology_from_reductions, image_basis, kernel_basis, pivot_columns, rank,
 )
 from dirhom.exactseq import QuotientComplex, _LeftQuotient
 from dirhom.homology import (
@@ -200,15 +202,14 @@ class TestKernelCoordinates:
             return tuple(tuple(sorted(c.items())) for c in columns)
 
         reduced, eliminated = [], []
-        real_reduce, real_eliminate = la._reduce, la._eliminate
+        real_reduce, real_lows = la._reduce, la._lows
 
         def counted(columns, p):
             reduced.append(content(columns))    # before the reduction modifies them
             return real_reduce(columns, p)
 
         monkeypatch.setattr(la, "_reduce", counted)
-        monkeypatch.setattr(la, "_eliminate",
-                            lambda *a: eliminated.append(1) or real_eliminate(*a))
+        monkeypatch.setattr(la, "_lows", lambda *a: eliminated.append(1) or real_lows(*a))
         seen = 0
         for x in corpus():
             cx = build_complex(x)
@@ -233,20 +234,21 @@ class TestKernelCoordinates:
 
 
 def oracle_homology(cx, i, pair):
-    """Reference: homology by two Gauss-Jordan eliminations, as (reps,
+    """Reference: homology by two reduced row echelon forms, as (reps,
     cycles, free, quotient, boundaries).  The kernel basis of d_i has one
     vector per non-pivot column of its rref; the boundaries' kernel
-    coordinates, their entries at those free columns, are eliminated with
-    the kernel coordinates taken last first, and the kernel vectors off
-    their pivots are the representatives."""
+    coordinates, their entries at those free columns, are reduced with the
+    kernel coordinates taken last first, and the kernel vectors off their
+    pivots are the representatives."""
     d, d_next = cx.diff(i, pair), cx.diff(i + 1, pair)
     p, field = la._modulus(d.field), d.field
-    rows, pivots = (la._eliminate([dict(r) for r in d._rows], range(d.cols), p)
-                    if d.rows and d.cols else ([], []))
+    rows, pivots, _ = la._echelon(d._rows, d.cols, p)
     kernel = la._null_vectors(rows, pivots, d.cols, p)
     n, free = len(kernel), [max(v) for v in kernel]
-    coords = [c for c in la._transpose([d_next._rows[f] for f in free], d_next.cols) if c]
-    rows, pivots = la._eliminate(coords, range(n - 1, -1, -1), p)
+    coords = la._transpose([d_next._rows[f] for f in free], d_next.cols)
+    dense, pivots = la._rref([la._dense(c, n, field.zero, p) for c in coords], n, field.zero,
+                             range(n - 1, -1, -1))
+    rows = [la._sparse(r, p) for r in dense]
     return ([v for k, v in enumerate(kernel) if k not in set(pivots)],
             Subspace._of(field, d.cols, kernel, None), free,
             Matrix._of(field, n - len(pivots), n, la._null_vectors(rows, pivots, n, p)),
@@ -319,10 +321,26 @@ def test_boundary_that_is_no_cycle_names_degree_and_pair():
     # chain 0, is a pivot of d_1 rather than a free column
     d1 = Matrix.from_rows(QQ, [[1, 0]])
     d2 = Matrix.from_rows(QQ, [[1], [0]])
+    with pytest.raises(ChainError, match=r"^d_i d_\(i\+1\) is not zero"):
+        homology_from_reductions(column_reduction(d1), column_reduction(d2), QQ, 2)
+    # such a complex is refused at construction; with d_2 swapped in after
+    # construction, homology_of names the degree and pair
     cx = GradedComplex(QQ, 2, {(0, "p"): 1, (1, "p"): 2, (2, "p"): 1},
-                       {(1, "p"): d1, (2, "p"): d2})
+                       {(1, "p"): d1, (2, "p"): Matrix.zeros(QQ, 2, 1)})
+    cx._diffs[(2, "p")] = d2
     with pytest.raises(ChainError, match=r"degree 1, pair p: d_i d_\(i\+1\) is not zero"):
         homology_of(cx, 1, "p")
+
+
+def test_hand_built_complex_with_nonzero_square_is_refused():
+    # d_1 = [1 1] and d_2 = (1, 1)^T: d_1 d_2 = [2], though the boundary's
+    # low, chain 1, is a free column of d_1
+    d1 = Matrix.from_rows(QQ, [[1, 1]])
+    d2 = Matrix.from_rows(QQ, [[1], [1]])
+    with pytest.raises(BoundaryCheckError,
+                       match=r"^d.d != 0 at degree 2, pair p: witness basis element 0$"):
+        GradedComplex(QQ, 2, {(0, "p"): 1, (1, "p"): 2, (2, "p"): 1},
+                      {(1, "p"): d1, (2, "p"): d2})
 
 
 class TestActions:
@@ -537,8 +555,8 @@ def test_push_from_a_component_without_classes_runs_no_elimination(cxd2, monkeyp
     assert src.dim == 0 and dst.dim == 1
     chain_map = Matrix.zeros(QQ, cxd2.dim(0, ("00", "11")), cxd2.dim(1, ("00", "11")))
     calls = []
-    real = la._eliminate
-    monkeypatch.setattr(la, "_eliminate", lambda *a: calls.append(1) or real(*a))
+    real = la._lows
+    monkeypatch.setattr(la, "_lows", lambda *a: calls.append(1) or real(*a))
     assert induced_on_homology(chain_map, src, dst) == Matrix.zeros(QQ, 1, 0)
     assert not calls
 
@@ -546,8 +564,8 @@ def test_push_from_a_component_without_classes_runs_no_elimination(cxd2, monkeyp
 def test_component_without_chains_runs_no_elimination(cxd2, monkeypatch):
     import dirhom.exactla as la
     calls = []
-    real = la._eliminate
-    monkeypatch.setattr(la, "_eliminate", lambda *a: calls.append(1) or real(*a))
+    real = la._lows
+    monkeypatch.setattr(la, "_lows", lambda *a: calls.append(1) or real(*a))
     for i, pair in ((0, ("11", "00")), (1, ("00", "01")), (4, ("00", "11"))):
         assert cxd2.dim(i, pair) == 0
         h = homology_of(cxd2, i, pair)
@@ -567,8 +585,8 @@ def test_cohomology_of_a_component_without_chains_runs_no_elimination(D3, monkey
              for i in range(cx.top_degree + 1) if not cx.dim(i, (s, e))]
     assert len(empty) > 100
     calls = []
-    real = la._eliminate
-    monkeypatch.setattr(la, "_eliminate", lambda *a: calls.append(1) or real(*a))
+    real = la._lows
+    monkeypatch.setattr(la, "_lows", lambda *a: calls.append(1) or real(*a))
     for i, pair in empty:
         assert dual.cohomology_dim(i, *pair) == 0
     assert not calls
@@ -730,16 +748,15 @@ def test_cohomology_runs_no_elimination_on_an_empty_matrix(monkeypatch):
                 kernel_basis(dual.coboundary(i, (s, e))).dim
                 - (rank(dual.coboundary(i - 1, (s, e))) if i else 0) for i, s, e in keys}
     calls, empty = [], []
-    real = la._eliminate
+    real = la._lows
 
-    def counted(rows, order, p):
-        order = list(order)
+    def counted(vectors, p):
         calls.append(1)
-        if not rows or not order:
+        if not any(vectors):     # no rows, or no columns
             empty.append(1)
-        return real(rows, order, p)
+        return real(vectors, p)
 
-    monkeypatch.setattr(la, "_eliminate", counted)
+    monkeypatch.setattr(la, "_lows", counted)
     assert {k: dual.cohomology_dim(*k) for k in keys} == expected
     assert calls and not empty
 

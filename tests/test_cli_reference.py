@@ -80,6 +80,10 @@ RUNS = [
     "mv --format json --field fp:2 strip4 strip4/left strip4/right",
     "relative --format json --field fp:2 D4 D4/S3",
     "kunneth --format json --field fp:2 D2 S1",
+    # good covers whose Mayer-Vietoris connecting map has a nonzero domain:
+    # one top cell of a sphere against the face closure of the others
+    *(f"mv --format json --field {field} S2 S2/0aa S2/rest" for field in ("q", "fp:7", "fp:2")),
+    "mv --format json S3 S3/0aaa S3/rest",
 ]
 
 
@@ -107,14 +111,21 @@ def make_strip4():
     return x, columns(tx, x, 0, 2), columns(tx, x, 2, 4)
 
 
+def split_top_cell(x, cell):
+    """The face closure of one top cell of x and that of all the others."""
+    return (sorted(dh.face_closure(x, [cell])),
+            sorted(dh.face_closure(x, [c for c in x.cells_of_dim(x.max_dim) if c != cell])))
+
+
 def write_inputs(directory: Path) -> dict[str, str]:
     """The sets and subset specs the runs name, as files in `directory`."""
     files = {}
     grid, grid_left, grid_right = make_grid3()
     strip, strip_left, strip_right = make_strip4()
+    s2, s3 = dh.directed_sphere(2), dh.directed_sphere(3)
     for name, x in [("D2", dh.directed_disc(2)), ("S1", dh.directed_sphere(1)),
                     ("D3", dh.directed_disc(3)), ("D4", dh.directed_disc(4)),
-                    ("S3", dh.directed_sphere(3)), ("real33", dh.realization([3, 3])),
+                    ("S2", s2), ("S3", s3), ("real33", dh.realization([3, 3])),
                     ("real222", dh.realization([2, 2, 2])),
                     ("real2222", dh.realization([2, 2, 2, 2])),
                     ("domino", make_domino()),
@@ -129,6 +140,8 @@ def write_inputs(directory: Path) -> dict[str, str]:
                "domino/right": sorted(dh.face_closure(dom, ["s2"])),
                "grid3/left": grid_left, "grid3/right": grid_right,
                "strip4/left": strip_left, "strip4/right": strip_right}
+    subsets["S2/0aa"], subsets["S2/rest"] = split_top_cell(s2, "0aa")
+    subsets["S3/0aaa"], subsets["S3/rest"] = split_top_cell(s3, "0aaa")
     for name, cells in subsets.items():
         files[name] = str(directory / (name.replace("/", "_") + ".json"))
         Path(files[name]).write_text(json.dumps(cells))

@@ -312,6 +312,7 @@ class GradedComplex:
         self._diffs = dict(diffs)
         self._zeros: dict[tuple[int, int], Matrix] = {}    # by shape
         self._reductions: dict[tuple[int, object], Reduction] = {}
+        self._homology: dict = {}   # (degree, pair) -> PairHomology, by homology._homology_at
         self._pairs = sorted({k[1] for k in self._dims})
         self.components_with_chains = sorted(k for k, n in self._dims.items() if n)
         self.check_boundary_square()

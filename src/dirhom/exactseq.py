@@ -25,6 +25,8 @@ The inclusions, the projections and the excision map are basis maps, built
 as signed positions and pushed to homology by `homology.push_basis_map`.
 Only the long sequences' exactness checks and the excision map's rank and
 inverse on homology are linear algebra.
+Each complex keeps its own homology (`homology._homology_at`), and both
+sequences' snakes are `connecting_map`, which checks its lifts.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from .cubechain import (
     BasisSubcomplex, DirectedCycleError, GradedComplex, PairGradedComplex, build_complex,
     max_chain_degree,
 )
-from .homology import HomologyTable, PairHomology, homology_of, push_basis_map
+from .homology import HomologyTable, _homology_at, push_basis_map
 from .scalars import (
     SubcomplexExtension, extend_presented, extend_subcomplex, path_algebra,
     present_chain_module, present_homology,
@@ -299,25 +301,33 @@ class ShortExactData:
         return self.b.diff(i, pair).block(self.a_positions(i - 1, pair), cols)
 
 
-def connecting_map(ses: ShortExactData, i: int, pair,
-                   ha: PairHomology, hc: PairHomology) -> Matrix:
-    """The snake H_i(C) -> H_{i-1}(A) of a basis split: a cycle of C lifts
-    to B on C's positions, so on chains the map is the block of ``B.diff(i)``
-    from C's positions to A's.  The block on C's positions in degree i-1,
-    C's own differential, must kill the cycles."""
-    if not (ses.c.diff(i, pair) @ hc.representatives).is_zero():
+def connecting_map(ses: ShortExactData, i: int, pair) -> Matrix:
+    """The snake H_i(C) -> H_{i-1}(A) of a basis split, with both homologies
+    read off ``ses.c`` and ``ses.a``: a cycle of C lifts to B on C's
+    positions, so on chains the map is the block of ``B.diff(i)`` from C's
+    positions to A's.  The block on C's positions in degree i-1, C's own
+    differential, must kill the cycles (SequenceError), and lifts shifted
+    by chains of A must give the same classes (ExactnessError)."""
+    hc, ha = _homology_at(ses.c, i, pair), _homology_at(ses.a, i - 1, pair)
+    if hc is None or ha is None or not hc.dim:
+        return ses.b._zero(0 if ha is None else ha.dim, 0 if hc is None else hc.dim)
+    reps, cols = hc.representatives, ses.c.kept[(i, pair)]
+    if not (ses.c.diff(i, pair) @ reps).is_zero():
         raise SequenceError("boundary of the lift is not in the subcomplex")
-    return ha.classes(ses.boundary_block(i, pair, ses.c.kept[(i, pair)]) @ hc.representatives)
+    delta = ha.classes(ses.boundary_block(i, pair, cols) @ reps)
+    # shifting each lift by the sum z of A_i's basis adds the boundary
+    # A.diff(i) @ z to its pull-back, so the classes must not move
+    n = ses.a.dim(i, pair)
+    shifted = (ses.boundary_block(i, pair, cols + ses.a_positions(i, pair))
+               @ reps.stack(Matrix(ses.b.field, n, hc.dim, [[1] * hc.dim] * n)))
+    if ha.classes(shifted) != delta:
+        raise ExactnessError("connecting map depends on the lift choice")
+    return delta
 
 
-def _homology(c: GradedComplex) -> dict[tuple[int, object], PairHomology]:
-    """`homology_of` on the components of c with chains; on any other key
-    `_dim` reads 0 and `push_basis_map` gives a zero map."""
-    return {k: homology_of(c, *k) for k in c.components_with_chains}
-
-
-def _dim(hs: dict, k) -> int:
-    return hs[k].dim if k in hs else 0
+def _dims(c: GradedComplex, keys) -> dict[tuple[int, object], int]:
+    """dim H_i(c) at each (i, pair) of keys, 0 where c has no chains."""
+    return {k: h.dim if (h := _homology_at(c, *k)) else 0 for k in keys}
 
 
 # -- long exact sequence of a relative pair ---------------------------------------------
@@ -350,9 +360,7 @@ def les_relative(x: PrecubicalSet, spec: SubsetSpec, field=QQ,
     quo = QuotientComplex(cx, span)
     top = cx.top_degree if max_degree is None else min(max_degree, cx.top_degree)
     keys = [(i, pair) for pair in cx.pairs() for i in range(top + 1)]
-    hx, ha, hc = (_homology(c) for c in (cx, span, quo))
-    result = RelativeHomologyResult(
-        report, *({k: _dim(hs, k) for k in keys} for hs in (hx, ha, hc)), None, None)
+    result = RelativeHomologyResult(report, *(_dims(c, keys) for c in (cx, span, quo)), None, None)
     if not report.accepted:
         # the sequence is only guaranteed (and only assembled) for accepted pairs
         return result
@@ -363,31 +371,20 @@ def les_relative(x: PrecubicalSet, spec: SubsetSpec, field=QQ,
     def maps(i, pair):
         # H_i(ext Y) -> H_i(X) -> H_i(X, Y) -> H_{i-1}(ext Y)
         k = (i, pair)
-        inc_h = push_basis_map(lambda: span.inclusion_positions(*k), ha.get(k), hx.get(k), cx._zero)
-        prj_h = push_basis_map(lambda: quo.projection_positions(*k), hx.get(k), hc.get(k), cx._zero)
-        if i == 0:
-            return inc_h, prj_h, None
-        if not _dim(hc, (i, pair)):
-            return inc_h, prj_h, Matrix.zeros(field, _dim(ha, (i - 1, pair)), 0)
-        c_i, a_prev = hc[(i, pair)], ha.get((i - 1, pair)) or homology_of(span, i - 1, pair)
-        delta = connecting_map(ses, i, pair, a_prev, c_i)
-        # shifting each lift by the sum z of A_i's basis adds the boundary
-        # A.diff(i) @ z to its pull-back, so the classes must not move
-        n = span.dim(i, pair)
-        shifted = (ses.boundary_block(i, pair, quo.kept[(i, pair)] + ses.a_positions(i, pair))
-                   @ c_i.representatives.stack(Matrix(field, n, c_i.dim, [[1] * c_i.dim] * n)))
-        if a_prev.classes(shifted) != delta:
-            raise ExactnessError("connecting map depends on the lift choice")
-        return inc_h, prj_h, delta
+        ha, hx, hc = (_homology_at(c, *k) for c in (span, cx, quo))
+        inc_h = push_basis_map(lambda: span.inclusion_positions(*k), ha, hx, cx._zero)
+        prj_h = push_basis_map(lambda: quo.projection_positions(*k), hx, hc, cx._zero)
+        return inc_h, prj_h, connecting_map(ses, i, pair) if i else None
 
     result.sequence = _long_exact_sequence(
         f"relative sequence of ({x.name}, sub)", cx, ("extH{i}", "H{i}", "relH{i}"), maps,
         "relative long exact sequence failed verification")
     # H(extension complex) against the extension of a presentation of H(Y)
     ty = HomologyTable(build_complex(y, None, field), y)
+    ext_dims = _dims(span, [(i, pair) for pair in cx.pairs() for i in range(cx.top_degree + 1)])
     result.extension_commutes = not _extension_mismatches(
         cx, inc, ty.cx.top_degree, lambda i: present_homology(ty, i),
-        lambda i, pair: _dim(ha, (i, pair)))
+        lambda i, pair: ext_dims[(i, pair)])
     return result
 
 
@@ -456,7 +453,7 @@ class GoodCoverReport:
 class _Cover:
     """What the good-cover check builds and the Mayer-Vietoris sequence reuses:
     C(X), the three extension spans, the two quotient complexes of the
-    excision map, the homology of those quotients and the excision maps."""
+    excision map, each with its own homology, and the excision maps."""
 
     cx: PairGradedComplex
     span1: SubcomplexExtension
@@ -464,8 +461,6 @@ class _Cover:
     span12: SubcomplexExtension
     left: _LeftQuotient
     quo2: QuotientComplex
-    hcl: dict[tuple[int, tuple], PairHomology]     # a missing key has no chains
-    hcr: dict[tuple[int, tuple], PairHomology]
     excision: dict[tuple[int, tuple], Matrix]
 
     def excision_positions(self, i: int, pair) -> tuple:
@@ -502,29 +497,15 @@ def _check_cover(x: PrecubicalSet, s1: SubsetSpec, s2: SubsetSpec,
     left = _LeftQuotientCache.get(span1, span12, field)
     quo2 = QuotientComplexCache.get(cx, span2, field)
     keys = [(i, pair) for pair in cx.pairs() for i in range(cx.top_degree + 1)]
-    parts = _Cover(cx, span1, span2, span12, left, quo2, _homology(left), _homology(quo2), {})
+    parts = _Cover(cx, span1, span2, span12, left, quo2, {})
     left.check_chain_map(parts.excision_positions, left, quo2)
     failures: list[tuple[int, tuple, int, int]] = []
     for i, pair in keys:
-        dims = _dim(parts.hcl, (i, pair)), _dim(parts.hcr, (i, pair))
+        # H_i of the left quotient -> H_i of C(X)/ext C(X2), so cols -> rows
         m = parts.excision[(i, pair)] = _excision_map(parts, i, pair)
-        if not (dims[0] == dims[1] and rank(m) == dims[0]):
-            failures.append((i, pair, *dims))
+        if not (m.cols == m.rows == rank(m)):
+            failures.append((i, pair, m.cols, m.rows))
     return GoodCoverReport(covers, reports, not failures, failures), parts
-
-
-class QuotientComplexCache:
-    # an entry lives as long as its quotient, which keeps the keyed objects alive
-    _cache: WeakValueDictionary[tuple[int, int], QuotientComplex] = WeakValueDictionary()
-
-    @classmethod
-    def get(cls, cx, span, field) -> QuotientComplex:
-        key = (id(cx), id(span))
-        hit = cls._cache.get(key)
-        if hit is None:
-            hit = QuotientComplex(cx, span)
-            cls._cache[key] = hit
-        return hit
 
 
 def _span_positions(inner: SubcomplexExtension, outer: SubcomplexExtension,
@@ -544,23 +525,30 @@ class _LeftQuotient(_Quotient):
         super().__init__(span1, {k: _span_positions(span12, span1, *k) for k in span12.kept})
 
 
-class _LeftQuotientCache:
-    _cache: WeakValueDictionary[tuple[int, int], _LeftQuotient] = WeakValueDictionary()
+class _QuotientCache:
+    """Quotients by the ids of the two objects they are built from; an entry
+    lives as long as its quotient, which keeps those objects alive."""
 
-    @classmethod
-    def get(cls, span1, span12, field) -> _LeftQuotient:
-        key = (id(span1), id(span12))
-        hit = cls._cache.get(key)
+    def __init__(self, build):
+        self.build = build
+        self._cache: WeakValueDictionary[tuple[int, int], _Quotient] = WeakValueDictionary()
+
+    def get(self, a, b, field) -> _Quotient:
+        hit = self._cache.get((id(a), id(b)))
         if hit is None:
-            hit = _LeftQuotient(span1, span12, field)
-            cls._cache[key] = hit
+            hit = self._cache[(id(a), id(b))] = self.build(a, b, field)
         return hit
+
+
+QuotientComplexCache = _QuotientCache(lambda cx, span, field: QuotientComplex(cx, span))
+_LeftQuotientCache = _QuotientCache(_LeftQuotient)
 
 
 def _excision_map(c: _Cover, i: int, pair) -> Matrix:
     """Homology of the canonical map ext C(X1)/ext C(X1^X2) -> C(X)/ext C(X2)."""
     k = (i, pair)
-    return push_basis_map(lambda: c.excision_positions(*k), c.hcl.get(k), c.hcr.get(k), c.cx._zero)
+    return push_basis_map(lambda: c.excision_positions(*k), _homology_at(c.left, *k),
+                          _homology_at(c.quo2, *k), c.cx._zero)
 
 
 @dataclass
@@ -589,45 +577,46 @@ def mayer_vietoris(x: PrecubicalSet, s1: SubsetSpec, s2: SubsetSpec,
     ShortExactData(span12, parts.left).verify()
     ShortExactData(span2, parts.quo2).verify()
 
-    keys = [(i, p) for p in cx.pairs() for i in range(top + 1)]
-    h12, h1, h2, hx = (_homology(c) for c in (span12, span1, span2, cx))
-
     def maps(i, pair):
-        k, sides = (i, pair), ((span1, h1), (span2, h2))
+        k = (i, pair)
+        h12, hx = _homology_at(span12, *k), _homology_at(cx, *k)
+        sides = [(span, _homology_at(span, *k)) for span in (span1, span2)]
         # A -> B1 (+) B2 : classes included into both parts
         m_in1, m_in2 = (push_basis_map(lambda: (_span_positions(span12, span, *k), ()),
-                                       h12.get(k), h.get(k), cx._zero) for span, h in sides)
+                                       h12, h, cx._zero) for span, h in sides)
         # B1 (+) B2 -> X : difference of the inclusions
-        m1x, m2x = (push_basis_map(lambda: span.inclusion_positions(*k), h.get(k), hx.get(k),
-                                   cx._zero) for span, h in sides)
-        delta = _mv_connecting(parts, i, pair, hx, h12) if i >= 1 else None
+        m1x, m2x = (push_basis_map(lambda: span.inclusion_positions(*k), h, hx, cx._zero)
+                    for span, h in sides)
+        delta = _mv_connecting(parts, i, pair) if i >= 1 else None
         return m_in1.stack(m_in2), m1x.augment(-m2x), delta
 
     seq = _long_exact_sequence(f"Mayer-Vietoris of {x.name}", cx,
                                ("(^)H{i}", "H{i}(1)+H{i}(2)", "H{i}(X)"), maps,
                                "Mayer-Vietoris sequence failed verification")
-    cap = top if max_degree is None else max_degree
-    tables = {name: {k: _dim(hs, k) for k in keys if k[0] <= cap} for name, hs in
-              (("intersection", h12), ("part1", h1), ("part2", h2), ("whole", hx))}
+    cap = top if max_degree is None else min(max_degree, top)
+    keys = [(i, p) for p in cx.pairs() for i in range(cap + 1)]
+    tables = {name: _dims(c, keys) for name, c in
+              (("intersection", span12), ("part1", span1), ("part2", span2), ("whole", cx))}
     return MayerVietorisResult(cover, seq, tables)
 
 
-def _mv_connecting(c: _Cover, i: int, pair, hx, h12) -> Matrix:
+def _mv_connecting(c: _Cover, i: int, pair) -> Matrix:
     """Delta: H_i(X) -> H_{i-1}(ext X1^X2) through the excision inverse.
 
     j' projects to H_i(C(X)/ext X2); the excision isomorphism is inverted on
-    classes; the zig-zag of the left column lands in H_{i-1}(ext X1^X2).
+    classes; the zig-zag of the left column, `connecting_map` of
+    0 -> ext(X1^X2) -> ext(X1) -> left quotient -> 0, lands in
+    H_{i-1}(ext X1^X2).
     """
-    if not _dim(hx, (i, pair)):
-        return Matrix.zeros(c.cx.field, _dim(h12, (i - 1, pair)), 0)
-    # the snake of the left column: 0 -> ext(X1^X2) -> ext(X1) -> left quotient -> 0
-    snake = connecting_map(ShortExactData(c.span12, c.left), i, pair,
-                           h12.get((i - 1, pair)) or homology_of(c.span12, i - 1, pair),
-                           c.hcl.get((i, pair)) or homology_of(c.left, i, pair))
     k = (i, pair)
-    projected = push_basis_map(lambda: c.quo2.projection_positions(*k), hx.get(k), c.hcr.get(k),
-                               c.cx._zero)
-    w = solve(c.excision[(i, pair)], projected)
+    hx = _homology_at(c.cx, *k)
+    if hx is None or not hx.dim:
+        h12 = _homology_at(c.span12, i - 1, pair)
+        return c.cx._zero(0 if h12 is None else h12.dim, 0)
+    snake = connecting_map(ShortExactData(c.span12, c.left), i, pair)
+    projected = push_basis_map(lambda: c.quo2.projection_positions(*k), hx,
+                               _homology_at(c.quo2, *k), c.cx._zero)
+    w = solve(c.excision[k], projected)
     if w is None:
         raise SequenceError("excision map not surjective on a class")
     return snake @ w

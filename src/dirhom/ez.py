@@ -37,7 +37,7 @@ from .cubechain import (
     ChainError, CubeChain, GradedComplex, PairGradedComplex, _basis_map, _basis_matrix,
     _chain_map_witness, _renamed, build_complex, project_shuffle,
 )
-from .homology import HomologyTable, _morphism_positions, homology_of, push_basis_map
+from .homology import HomologyTable, _homology_at, _morphism_positions, push_basis_map
 
 
 class ComparisonError(AssertionError):
@@ -435,7 +435,7 @@ def kunneth_report(x: PrecubicalSet, y: PrecubicalSet, field=QQ,
     st = setting or TensorSetting.build(x, y, field)
     tx, cxp, hp = st.tx, st.cxp, st.product_table
     top = cxp.top_degree if max_degree is None else min(max_degree, cxp.top_degree)
-    ha, hb = ({k: homology_of(cx, *k).dim for k in cx.components_with_chains}
+    ha, hb = ({k: _homology_at(cx, *k).dim for k in cx.components_with_chains}
               for cx in (st.cxa, st.cxb))
     mismatches = []
     product_dims = {}

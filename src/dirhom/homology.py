@@ -7,7 +7,10 @@ for), and the quotient map in kernel coordinates.  They are read off the
 column reductions of d_i and d_{i+1} (`exactla.homology_from_reductions`),
 which the complex computes once per differential (`GradedComplex.reduction`),
 so each differential is reduced once for the two degrees on its sides and no
-elimination runs.  The one push of chains into homology is the column push
+elimination runs.  Each complex keeps the homology of its components with
+chains, computed at most once, which every reader gets from
+`_homology_at(cx, i, pair)`: None for a component with no chains.  The one
+push of chains into homology is the column push
 `exactla.homology_classes`: it takes cycles as sparse columns, reads their
 kernel coordinates off their entries at the free columns of d_i, checks
 entry by entry that the kernel basis gives each column back, and applies the
@@ -42,7 +45,7 @@ from functools import cached_property
 
 from .exactla import (  # kernel_basis stays importable from here
     QQ, ChainError, Matrix, Subspace, homology_classes, homology_from_reductions, kernel_basis,
-    rank, span_of_combinations,
+    span_of_combinations,
 )
 from .cubechain import (
     GradedComplex, PairGradedComplex, _basis_map, _basis_matrix, _chain_map_witness, _renamed,
@@ -123,12 +126,22 @@ def homology_of(cx: GradedComplex, i: int, pair) -> PairHomology:
     return PairHomology(i, pair, len(reps), reps, cycles, rows, d.free, classes)
 
 
+def _homology_at(cx: GradedComplex, i: int, pair) -> PairHomology | None:
+    """H_i of cx at pair, computed by `homology_of` once and kept by cx;
+    None, with nothing computed, for a component with no chains."""
+    k = (i, pair)
+    h = cx._homology.get(k)
+    if h is None and cx._dims.get(k):
+        h = cx._homology[k] = homology_of(cx, i, pair)
+    return h
+
+
 def homology(cx: PairGradedComplex, i: int, src: str, dst: str) -> tuple[int, list[tuple]]:
     """Dimension and cycle representatives of H_i at a vertex pair."""
     if (src, dst) not in set(cx.pairs()):
         raise ChainError(f"unknown vertex pair ({src!r}, {dst!r})")
-    h = homology_of(cx, i, (src, dst))
-    return h.dim, h.reps
+    h = _homology_at(cx, i, (src, dst))
+    return (0, []) if h is None else (h.dim, h.reps)
 
 
 class HomologyTable:
@@ -145,8 +158,9 @@ class HomologyTable:
     trivial path is the identity by construction, and actions of longer paths
     are composites of edge actions.
 
-    Homology is computed once for each component with chains; every other
-    (degree, pair) has dimension 0 and zero action matrices.
+    ``entries`` holds the complex's homology (`_homology_at`) of every
+    component with chains; every other (degree, pair) has no entry,
+    dimension 0 and zero action matrices.
     """
 
     def __init__(self, cx: GradedComplex, x: PrecubicalSet):
@@ -156,7 +170,7 @@ class HomologyTable:
         self.x = x
         self.field = cx.field
         self.entries: dict[tuple[int, str, str], PairHomology] = {
-            (i, *pair): homology_of(cx, i, pair) for i, pair in cx.components_with_chains}
+            (i, *pair): _homology_at(cx, i, pair) for i, pair in cx.components_with_chains}
         self._verify_actions_are_chain_maps()
 
     # -- chain-level actions ----------------------------------------------
@@ -182,9 +196,8 @@ class HomologyTable:
 
     # -- homology-level interface -------------------------------------------
 
-    def entry(self, i: int, s: str, e: str) -> PairHomology:
-        hit = self.entries.get((i, s, e))
-        return homology_of(self.cx, i, (s, e)) if hit is None else hit
+    def entry(self, i: int, s: str, e: str) -> PairHomology | None:
+        return self.entries.get((i, s, e))
 
     def dim(self, i: int, s: str, e: str) -> int:
         hit = self.entries.get((i, s, e))
@@ -231,10 +244,10 @@ def push_basis_map(positions, src: PairHomology | None, dst: PairHomology | None
                    zero) -> Matrix:
     """The map on homology of the basis map of signed positions ``positions()``
     between two components: the classes in `dst` of the source representatives
-    re-indexed (`_renamed`).  A missing entry is a component with no chains;
-    when either side has none or the source has no classes, the map is
-    ``zero(rows, cols)``, a complex's shared zero matrix (`GradedComplex._zero`),
-    and no positions are read."""
+    re-indexed (`_renamed`).  `src` and `dst` are what `_homology_at` gives,
+    None for a component with no chains; when either side has none or the
+    source has no classes, the map is ``zero(rows, cols)``, a complex's
+    shared zero matrix (`GradedComplex._zero`), and no positions are read."""
     if src is None or dst is None or not src.dim:
         return zero(0 if dst is None else dst.dim, 0 if src is None else src.dim)
     p, mod = positions(), dst.cycles.field.characteristic
@@ -295,26 +308,22 @@ class CochainComplexTable:
         self.cx = cx
         self.field = cx.field
         self.top_degree = cx.top_degree
-        self.coboundaries: dict[tuple[int, object], Matrix] = {}
-        for pair in cx.pairs():
-            for i in range(cx.top_degree + 1):
-                # delta^i : C^i -> C^{i+1} is the transpose of d_{i+1}
-                self.coboundaries[(i, pair)] = cx.diff(i + 1, pair).transpose()
 
     def dim(self, i: int, pair) -> int:
         return self.cx.dim(i, pair)
 
     def coboundary(self, i: int, pair) -> Matrix:
-        m = self.coboundaries.get((i, pair))
-        return self.cx._zero(self.cx.dim(i + 1, pair), self.cx.dim(i, pair)) if m is None else m
+        """delta^i : C^i -> C^(i+1), the transpose of d_(i+1)."""
+        return self.cx.diff(i + 1, pair).transpose()
 
     def cohomology_dim(self, i: int, src: str, dst: str) -> int:
-        """dim ker delta^i - rank delta^(i-1), that is dim C^i - rank delta^i
-        - rank delta^(i-1).  A map into or out of a component with no chains
-        has rank 0, read off its shape with no elimination."""
-        pair = (src, dst)
-        return (self.cx.dim(i, pair) - rank(self.coboundary(i, pair))
-                - rank(self.coboundary(i - 1, pair)))
+        """dim ker delta^i - rank delta^(i-1), that is dim C^i - rank d_(i+1)
+        - rank d_i: each rank is the number of lows of the column reduction
+        that homology reads too (`GradedComplex.reduction`), and 0, with no
+        reduction, for a map into or out of a component with no chains."""
+        cx, pair = self.cx, (src, dst)
+        return cx.dim(i, pair) - sum(len(cx.reduction(j, pair).image) for j in (i, i + 1)
+                                     if cx.dim(j, pair) and cx.dim(j - 1, pair))
 
 
 def cochain_dual(cx: PairGradedComplex) -> CochainComplexTable:

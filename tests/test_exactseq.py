@@ -2,7 +2,7 @@ import re
 from collections import Counter
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import dirhom as dh
 from dirhom import cubechain, exactla
@@ -13,17 +13,17 @@ from dirhom.exactla import (
     Matrix, PrimeField, QQ, image_basis, induced_on_quotient, quotient_map, rank, solve,
 )
 from dirhom.exactseq import (
-    QuotientComplex, SequenceError, ShortExactData, check_relative_pair, connecting_map,
-    good_cover_check, les_relative, maximal_paths, mayer_vietoris, relative_complex,
-    verify_exact, _check_cover, _Cover, _excision_map, _homology, _LeftQuotient, _Quotient,
-    _span_positions,
+    ExactnessError, QuotientComplex, SequenceError, ShortExactData, check_relative_pair,
+    connecting_map, good_cover_check, les_relative, maximal_paths, mayer_vietoris,
+    relative_complex, verify_exact, _check_cover, _Cover, _excision_map, _LeftQuotient,
+    _Quotient, _span_positions,
 )
-from dirhom.homology import homology_of, push_basis_map
+from dirhom.homology import _homology_at, homology_of, push_basis_map
 from dirhom.precubical import SubsetSpec, sub
 from dirhom.scalars import extend_subcomplex, path_algebra
 
 from conftest import make_domino
-from test_cli_reference import make_grid3, make_strip4
+from test_cli_reference import make_grid3, make_strip4, split_top_cell
 
 
 @pytest.fixture(scope="module")
@@ -172,8 +172,9 @@ def assert_quotients_match_reference(x, y1, y2, field):
 
 
 def cover_cases():
-    """(X, Y1, Y2): the relative pairs D3/S2 and D4/S3, and both orders of
-    the domino, strip4 and grid3 covers."""
+    """(X, Y1, Y2): the relative pairs D3/S2 and D4/S3, both orders of the
+    domino, strip4 and grid3 covers, and S2 and S3 split at one top cell,
+    whose Mayer-Vietoris connecting maps have a nonzero domain."""
     cases = [pytest.param(x, y, y, id=name) for name, x, y in [
         ("D3/S2", dh.directed_disc(3), frozenset(dh.directed_sphere(2).all_cells())),
         ("D4/S3", dh.directed_disc(4), frozenset(dh.directed_sphere(3).all_cells()))]]
@@ -183,6 +184,9 @@ def cover_cases():
             ("strip4", make_strip4()), ("grid3", make_grid3())]:
         cases += [pytest.param(x, frozenset(left), frozenset(right), id=name),
                   pytest.param(x, frozenset(right), frozenset(left), id=name + "-reversed")]
+    for name, x, cell in [("S2/0aa", dh.directed_sphere(2), "0aa"),
+                          ("S3/0aaa", dh.directed_sphere(3), "0aaa")]:
+        cases.append(pytest.param(x, *map(frozenset, split_top_cell(x, cell)), id=name))
     return cases
 
 
@@ -302,8 +306,8 @@ def solve_connecting(ses, include, i, pair, ha, hc):
 def solve_excision(c, i, pair):
     """The reference excision map: lift along the left projection by `solve`,
     include in C(X) and project to C(X)/ext C(X2)."""
-    lift = solve(c.left.projection(i, pair), c.hcl[(i, pair)].representatives)
-    return c.hcr[(i, pair)].classes(
+    lift = solve(c.left.projection(i, pair), homology_of(c.left, i, pair).representatives)
+    return homology_of(c.quo2, i, pair).classes(
         c.quo2.projection(i, pair) @ (c.span1.inclusion_matrix(i, pair) @ lift))
 
 
@@ -321,9 +325,7 @@ def split_cover(x, y1, y2, field):
     span1, span2, span12 = (extend_subcomplex(cx, y) for y in (y1, y2, y1 & y2))
     left, quo2 = _LeftQuotient(span1, span12, field), QuotientComplex(cx, span2)
     keys = [(i, pair) for pair in cx.pairs() for i in range(cx.top_degree + 1)]
-    cover = _Cover(cx, span1, span2, span12, left, quo2,
-                   {k: homology_of(left, *k) for k in keys},
-                   {k: homology_of(quo2, *k) for k in keys}, {})
+    cover = _Cover(cx, span1, span2, span12, left, quo2, {})
     left.check_chain_map(cover.excision_positions, left, quo2)
     sequences = [(ShortExactData(span1, QuotientComplex(cx, span1)), span1.inclusion_matrix),
                  (ShortExactData(span12, left),
@@ -340,8 +342,8 @@ def assert_blocks_match_solve(x, y1, y2, field):
         for i, pair in keys:
             if i:
                 ha, hc = homology_of(ses.a, i - 1, pair), homology_of(ses.c, i, pair)
-                assert (connecting_map(ses, i, pair, ha, hc)
-                        == solve_connecting(ses, include, i, pair, ha, hc))
+                assert connecting_map(ses, i, pair) == solve_connecting(ses, include, i, pair,
+                                                                        ha, hc)
     for i, pair in keys:
         assert _excision_map(cover, i, pair) == solve_excision(cover, i, pair)
 
@@ -378,11 +380,12 @@ class TestSplitSequences:
         dom = make_domino()
         _, parts = _check_cover(dom, SubsetSpec(dom, dh.face_closure(dom, ["s1"])),
                                 SubsetSpec(dom, dh.face_closure(dom, ["s2"])), QQ)
-        snakes = [(ses, i, pair, homology_of(ses.a, i - 1, pair), homology_of(ses.c, i, pair))
-                  for ses, _ in sequences for i, pair in keys if i]
+        snakes = [(ses, i, pair) for ses, _ in sequences for i, pair in keys if i]
         # pushing chains to homology eliminates once per homology component: do it first
-        for h in ([h for *_, ha, hc in snakes for h in (ha, hc)]
-                  + list(parts.hcl.values()) + list(parts.hcr.values())):
+        held = [(ses.a, i - 1, pair) for ses, i, pair in snakes]
+        held += [(ses.c, i, pair) for ses, i, pair in snakes]
+        held += [(c, *k) for c in (parts.left, parts.quo2) for k in c.components_with_chains]
+        for h in filter(None, (_homology_at(*k) for k in held)):
             h.classes(Matrix.zeros(QQ, h.representatives.rows, 1))
         calls = Counter()
         lows = exactla._lows
@@ -407,14 +410,15 @@ def assert_pushes_match_products(x, y1, y2, field) -> Counter:
     """Each basis map of the sequences, pushed by its signed positions,
     equals the product push ``dst.classes(M @ src.representatives)`` of its
     0/1 matrix M, built here from `Matrix.unit_columns`, on every component.
-    The push gets homology as the sequences keep it, with no entry for a
-    component without chains; the product takes `homology_of` everywhere.
+    The push gets homology as the complexes keep it (`_homology_at`), None
+    for a component without chains; the product takes `homology_of`
+    everywhere.
     Returns how many pushes had classes to push, none, or a side without chains."""
     cx = build_complex(x, None, field)
     span1, span2, span12 = (extend_subcomplex(cx, y) for y in (y1, y2, y1 & y2))
     left, quo1, quo2 = (_LeftQuotient(span1, span12, field), QuotientComplex(cx, span1),
                         QuotientComplex(cx, span2))
-    cover = _Cover(cx, span1, span2, span12, left, quo2, _homology(left), _homology(quo2), {})
+    cover = _Cover(cx, span1, span2, span12, left, quo2, {})
 
     def units(c, i, pair):
         """The inclusion of a basis subcomplex c in its ambient, as a 0/1 matrix."""
@@ -433,12 +437,12 @@ def assert_pushes_match_products(x, y1, y2, field) -> Counter:
                               @ units(left, i, pair)))]
     seen: Counter = Counter()
     for src, dst, positions, matrix in maps:
-        hs, hd = _homology(src), _homology(dst)
         for i, pair in ((i, pair) for pair in cx.pairs() for i in range(cx.top_degree + 1)):
             k, a, b = (i, pair), homology_of(src, i, pair), homology_of(dst, i, pair)
-            assert (push_basis_map(lambda: positions(*k), hs.get(k), hd.get(k), cx._zero)
+            hs, hd = _homology_at(src, *k), _homology_at(dst, *k)
+            assert (push_basis_map(lambda: positions(*k), hs, hd, cx._zero)
                     == b.classes(matrix(*k) @ a.representatives))
-            seen["no chains" if k not in hs or k not in hd else
+            seen["no chains" if hs is None or hd is None else
                  "classes" if a.dim else "no classes"] += 1
     return seen
 
@@ -490,9 +494,7 @@ class TestConnectingMap:
         quo = QuotientComplex(cx, span)
         ses = ShortExactData(span, quo)
         pair = ("00", "11")
-        hc = homology_of(quo, 1, pair)
-        ha = homology_of(span, 0, pair)
-        delta = connecting_map(ses, 1, pair, ha, hc)
+        delta = connecting_map(ses, 1, pair)
         assert delta.cols == 1 and delta.rows == 2
         assert rank(delta) == 1
 
@@ -502,9 +504,7 @@ class TestConnectingMap:
         quo = QuotientComplex(cx, span)
         ses = ShortExactData(span, quo)
         pair = ("00", "11")
-        hc = homology_of(quo, 1, pair)
-        ha = homology_of(span, 0, pair)
-        delta = connecting_map(ses, 1, pair, ha, hc)
+        delta = connecting_map(ses, 1, pair)
         assert delta.rows == 0
 
     def test_zero_quotient_nothing_to_do(self, D2):
@@ -723,19 +723,144 @@ class TestMayerVietoris:
         assert names == {"domino": 1, "domino|sub": 2, "domino|sub|sub": 2}
 
 
+def sphere_splits():
+    """Every split of S2 and of S3 into the face closure of one top cell and
+    that of the other top cells."""
+    return [pytest.param(x, *map(frozenset, split_top_cell(x, cell)), id=f"{x.name}/{cell}")
+            for x in (dh.directed_sphere(2), dh.directed_sphere(3))
+            for cell in x.cells_of_dim(x.max_dim)]
+
+
+def record_deltas(monkeypatch) -> dict:
+    """Record every Mayer-Vietoris Delta built, by (degree, pair)."""
+    import dirhom.exactseq as es
+    deltas = {}
+    real = es._mv_connecting
+    monkeypatch.setattr(es, "_mv_connecting",
+                        lambda c, i, pair: deltas.setdefault((i, pair), real(c, i, pair)))
+    return deltas
+
+
+def zigzag_delta(x, y1, y2, field, i, pair):
+    """The reference Delta by the zig-zag, with `solve`: each representative
+    z of H_i(X) is a1 + a2 + d w with a_k a chain of ext C(X_k), and Delta
+    takes z to the class of d a1 = -d a2, a cycle of ext C(X1 ^ X2)."""
+    cx = build_complex(x, None, field)
+    span1, span2, span12 = (extend_subcomplex(cx, y) for y in (y1, y2, y1 & y2))
+    reps = homology_of(cx, i, pair).representatives
+    parts = solve(span1.inclusion_matrix(i, pair).augment(span2.inclusion_matrix(i, pair))
+                  .augment(cx.diff(i + 1, pair)), reps)
+    a1 = parts.block(range(span1.dim(i, pair)), range(reps.cols))
+    d_a1 = cx.diff(i, pair) @ span1.inclusion_matrix(i, pair) @ a1
+    return homology_of(span12, i - 1, pair).classes(
+        solve(span12.inclusion_matrix(i - 1, pair), d_a1))
+
+
+class TestMayerVietorisConnectingMap:
+    """Covers on which Delta = zig-zag . excision^-1 . projection has a
+    nonzero domain, so its excision inverse and its snake do work."""
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "F7"])
+    @pytest.mark.parametrize("x,y1,y2", sphere_splits())
+    def test_one_top_cell_splits_are_good_with_a_working_delta(self, x, y1, y2, field,
+                                                                monkeypatch):
+        # a working Delta is the zig-zag, sign included, which exactness
+        # alone does not see
+        deltas = record_deltas(monkeypatch)
+        res = mayer_vietoris(x, SubsetSpec(x, y1), SubsetSpec(x, y2), field)
+        assert res.cover.good and res.sequence.all_exact
+        working = {k: d for k, d in deltas.items() if d.cols}
+        assert working and any(not d.is_zero() for d in working.values())
+        for (i, pair), delta in working.items():
+            assert delta == zigzag_delta(x, y1, y2, field, i, pair)
+
+    def test_zero_excision_inverse_is_inexact(self, S2, monkeypatch):
+        import dirhom.exactseq as es
+        monkeypatch.setattr(es, "solve", lambda m, b: Matrix.zeros(m.field, m.cols, b.cols))
+        y1, y2 = split_top_cell(S2, "0aa")
+        with pytest.raises(ExactnessError, match=re.escape(
+                "pair ('000', '111'), node H1(X): incoming rank 0 != kernel dim 1")):
+            mayer_vietoris(S2, SubsetSpec(S2, frozenset(y1)), SubsetSpec(S2, frozenset(y2)))
+
+    def test_delta_checks_that_its_snake_ignores_the_lift(self, S2, monkeypatch):
+        # the squares 1aa and aa1 against all squares but aa1: the left
+        # column's A_1, spanned by the square 1aa they share, has chains
+        # where Delta has a nonzero domain and its snake is nonzero, so
+        # shifting the lifts by them is a real check; a block read that
+        # moves the pulled-back classes then is caught inside Delta
+        real = ShortExactData.boundary_block
+        shifts = []
+
+        def corrupted(ses, i, pair, cols):
+            block = real(ses, i, pair, cols)
+            if len(cols) == len(ses.c.kept[(i, pair)]):
+                return block
+            shifts.append(type(ses.c))
+            return Matrix.zeros(block.field, block.rows, block.cols)
+
+        monkeypatch.setattr(ShortExactData, "boundary_block", corrupted)
+        y1, y2 = (dh.face_closure(S2, cells) for cells in (["1aa", "aa1"],
+                                                          ["0aa", "1aa", "a0a", "a1a", "aa0"]))
+        with pytest.raises(ExactnessError, match="depends on the lift choice"):
+            mayer_vietoris(S2, SubsetSpec(S2, y1), SubsetSpec(S2, y2))
+        assert shifts == [_LeftQuotient]
+
+    @settings(max_examples=30, deadline=None)
+    @given(st.data())
+    def test_random_top_cell_splits(self, data):
+        """A good cover gives an exact sequence whose Delta is the zig-zag."""
+        import dirhom.exactseq as es
+        x = data.draw(st.sampled_from([dh.directed_sphere(2), dh.directed_sphere(3),
+                                       dh.directed_disc(3), make_domino()]))
+        top = x.cells_of_dim(x.max_dim)
+        sides = data.draw(st.lists(st.sampled_from(["left", "right", "both"]),
+                                   min_size=len(top), max_size=len(top)))
+        y1, y2 = (dh.face_closure(x, [c for c, side in zip(top, sides) if side in (part, "both")])
+                  for part in ("left", "right"))
+        assume(y1 and y2)
+        deltas = {}
+        real = es._mv_connecting
+        es._mv_connecting = lambda c, i, pair: deltas.setdefault((i, pair), real(c, i, pair))
+        try:
+            res = mayer_vietoris(x, SubsetSpec(x, y1), SubsetSpec(x, y2))
+        finally:
+            es._mv_connecting = real
+        if res.cover.good:
+            assert res.sequence.all_exact
+            for (i, pair), delta in deltas.items():
+                if delta.cols:
+                    assert delta == zigzag_delta(x, y1, y2, QQ, i, pair)
+        else:
+            assert res.sequence is None
+
+
 def test_sequences_compute_homology_only_on_components_with_chains(monkeypatch):
     """Chainless components are answered by shape: their dimensions read 0
-    in every table and no homology is computed for them."""
+    in every table and no homology is computed for them.  Each complex
+    computes the homology of a component at most once, and both verbs build
+    their connecting maps through `connecting_map`."""
     import dirhom.exactseq as es
-    seen = []
-    real = es.homology_of
-    monkeypatch.setattr(es, "homology_of",
-                        lambda c, i, pair: seen.append(c.dim(i, pair)) or real(c, i, pair))
-    d4, strip = dh.directed_disc(4), make_strip4()
+    import dirhom.homology as H
+    computed, kept, snakes = Counter(), [], []
+    real, snake = H.homology_of, es.connecting_map
+
+    def counted(c, i, pair):
+        kept.append(c)      # kept alive, so no two complexes share an id
+        computed[(id(c), i, pair, c.dim(i, pair) > 0)] += 1
+        return real(c, i, pair)
+
+    monkeypatch.setattr(H, "homology_of", counted)
+    monkeypatch.setattr(es, "connecting_map",
+                        lambda ses, i, pair: snakes.append(type(ses.c)) or snake(ses, i, pair))
+    d4, strip, s2 = dh.directed_disc(4), make_strip4(), dh.directed_sphere(2)
     rel = les_relative(d4, SubsetSpec(d4, frozenset(dh.directed_sphere(3).all_cells())))
-    mv = mayer_vietoris(strip[0], *(SubsetSpec(strip[0], frozenset(part)) for part in strip[1:]))
+    # the sphere's cover has a Delta with a nonzero domain, so it runs the snake
+    mv, _ = (mayer_vietoris(x, *(SubsetSpec(x, frozenset(part)) for part in parts))
+             for x, *parts in (strip, (s2, *split_top_cell(s2, "0aa"))))
     assert rel.sequence.all_exact and mv.sequence.all_exact
-    assert seen and all(seen)
+    assert computed and max(computed.values()) == 1
+    assert all(has_chains for *_, has_chains in computed)
+    assert set(snakes) == {QuotientComplex, _LeftQuotient}
     for x, tables in ((d4, [rel.x_table, rel.ext_table, rel.rel_table]),
                       (strip[0], list(mv.tables.values()))):
         cx = build_complex(x)

@@ -115,6 +115,10 @@ def _field(name: str):
         _fail_input(str(exc))
 
 
+def _degree(ctx, param, value: int) -> int:
+    return value if value >= 0 else _fail_input(f"--max-degree must be at least 0, got {value}")
+
+
 def _parse_pair(x: pc.PrecubicalSet, pair: str | None) -> tuple[str, str] | None:
     if pair is None:
         return None
@@ -201,7 +205,7 @@ def _labelled_csv(tables: dict[str, list[tuple]]) -> list[list]:
 
 field_option = click.option("--field", "field_name", default="q",
                             show_default=True, help="coefficients: q or fp:<prime>")
-degree_option = click.option("--max-degree", default=3, show_default=True,
+degree_option = click.option("--max-degree", default=3, show_default=True, callback=_degree,
                              help="highest homology degree reported")
 format_option = click.option("--format", "fmt", default="text", show_default=True,
                              type=click.Choice(["text", "json", "csv"]))
@@ -240,11 +244,12 @@ def validate(path):
     click.echo(f"{x.name}: ok ({'/'.join(str(c) for c in x.cell_count())} cells)")
 
 
-def _dimension_report(x, command, field_name, max_degree, pair, symbol, dim):
+def _dimension_report(x, command, field_name, max_degree, pair, symbol, dim, top):
     """(doc, text, csv rows) listing dim(i, s, e) for i <= max_degree: the
-    nonzero ones, or with `pair` every one of that pair."""
+    nonzero ones, none above the top degree `top`, or with `pair` every one."""
     pairs = [pair] if pair else sorted((s, e) for s in x.vertices for e in x.vertices)
-    rows = [(i, s, e, d) for (s, e) in pairs for i in range(max_degree + 1)
+    last = max_degree if pair else min(max_degree, top)
+    rows = [(i, s, e, d) for (s, e) in pairs for i in range(last + 1)
             for d in [dim(i, s, e)] if d or pair]
     text = ([f"{command} of {x.name} over {field_name}"]
             + [f"  {symbol}{i}({s},{e}) = {d}" for (i, s, e, d) in rows] + [CONVENTION_NOTE])
@@ -288,7 +293,7 @@ def homology(path, field_name, max_degree, fmt, pair, actions):
     pair = _parse_pair(x, pair)
     table = HomologyTable(build_complex(x, None, field), x)
     doc, text, csv_rows = _dimension_report(x, "homology", field_name, max_degree, pair,
-                                            "H", table.dim)
+                                            "H", table.dim, table.cx.top_degree)
     if actions:
         act = [{"edge": a, "side": "left", "degree": i, "src": s, "dst": e,
                 "matrix": table.left_action(a, i, s, e).text_rows()}
@@ -311,7 +316,7 @@ def cohomology(path, field_name, max_degree, fmt, pair):
     pair = _parse_pair(x, pair)
     dual = cochain_dual(build_complex(x, None, field))
     doc, text, csv_rows = _dimension_report(x, "cohomology", field_name, max_degree, pair,
-                                            "H^", dual.cohomology_dim)
+                                            "H^", dual.cohomology_dim, dual.top_degree)
     _emit(doc, fmt, text, csv_rows)
 
 

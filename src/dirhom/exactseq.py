@@ -134,9 +134,9 @@ def _pair_report(x: PrecubicalSet, spec: SubsetSpec, field, span: SubcomplexExte
     C(X) and the sub-set Y with its inclusion, which callers build once."""
     offending = next((tuple(p) for p in maximal_paths(x)
                       if not _one_block([c in spec.selected for c in p])), None)
-    top_y = max_chain_degree(y)
+    top_y, alg_y = max_chain_degree(y), path_algebra(y)
     failures = _extension_mismatches(
-        span.ambient, inc, top_y, lambda i: present_chain_module(y, i, field), span.dim)
+        span.ambient, inc, top_y, lambda i: present_chain_module(y, i, field, alg_y), span.dim)
     return RelativePairReport(x.name, spec.selected, offending is None, offending,
                               not failures, failures, tuple(range(top_y + 1)))
 
@@ -380,10 +380,10 @@ def les_relative(x: PrecubicalSet, spec: SubsetSpec, field=QQ,
         f"relative sequence of ({x.name}, sub)", cx, ("extH{i}", "H{i}", "relH{i}"), maps,
         "relative long exact sequence failed verification")
     # H(extension complex) against the extension of a presentation of H(Y)
-    ty = HomologyTable(build_complex(y, None, field), y)
+    ty, alg_y = HomologyTable(build_complex(y, None, field), y), path_algebra(y)
     ext_dims = _dims(span, [(i, pair) for pair in cx.pairs() for i in range(cx.top_degree + 1)])
     result.extension_commutes = not _extension_mismatches(
-        cx, inc, ty.cx.top_degree, lambda i: present_homology(ty, i),
+        cx, inc, ty.cx.top_degree, lambda i: present_homology(ty, i, alg_y),
         lambda i, pair: ext_dims[(i, pair)])
     return result
 

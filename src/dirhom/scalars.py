@@ -14,9 +14,9 @@ purpose:
   (edge-only suffix);
 * `extend_presented` is the ground truth: it re-reads a presented bimodule
   over the paths of X, whose per-pair dimension is the number of spanning
-  triples, counted from path counts, minus the rank of the relation
-  translates, each a sparse row ``{triple number: value}``
-  (`ResolvedBimodule`).
+  triples minus the rank of the relation translates; `ResolvedBimodule`
+  counts the triples and builds the translates of all pairs of one source
+  vertex in one sweep.
 
 Their per-pair dimensions agree exactly when the canonical comparison map
 is injective, which is what the relative-pair check verifies.
@@ -24,6 +24,7 @@ is injective, which is what the relative-pair check verifies.
 
 from __future__ import annotations
 
+from copy import copy
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
@@ -54,6 +55,10 @@ class PathAlgebraIndex:
         self.paths: dict[tuple[str, str], list[tuple[str, ...]]] = {
             (s, e): [c.cubes for c in chains]
             for (i, s, e), chains in chain_catalog(x).items() if i == 0}
+        # the same lists by start vertex, then end vertex
+        self.starting: dict[str, dict[str, list[tuple[str, ...]]]] = {}
+        for (s, e), paths in self.paths.items():
+            self.starting.setdefault(s, {})[e] = paths
 
     def between(self, s: str, e: str) -> list[tuple[str, ...]]:
         return list(self.paths.get((s, e), ()))
@@ -144,11 +149,6 @@ class PresentedBimodule:
             here = self.left.x.edge_source(e)
         return here
 
-    def with_algebras(self, left: PathAlgebraIndex, right: PathAlgebraIndex,
-                      name: str | None = None) -> "PresentedBimodule":
-        return PresentedBimodule(left, right, self.generators, self.relations,
-                                 self.field, name if name is not None else self.name)
-
     def resolve(self) -> "ResolvedBimodule":
         return ResolvedBimodule(self)
 
@@ -162,67 +162,86 @@ class ResolvedBimodule:
 
     For a pair (s, e) the spanning triples are (left path, generator, right
     path); the bimodule is their span modulo the relation translates.  Its
-    dimension is the number of triples minus the rank of the translates:
-    the triples are counted from the path counts, and the translates,
-    sparse rows over triples numbered as they are met, go through the
-    package's one reduction loop, `exactla._lows`, whose number of lows is
-    their rank (`_reduce`).  A pair with no triples takes no reduction.
+    dimension is the number of triples minus the rank of the translates, the
+    number of their lows in the package's one reduction loop,
+    `exactla._lows` (`_reduce`).  One sweep per source vertex s (`_sweep`),
+    over the generators and relations indexed by their source vertex, counts
+    the triples of every pair (s, e) and builds its translates from only
+    the generator and relation pairs that paths from s reach.  A pair's
+    translates are dropped once read: over the pairs in order of source,
+    one source's translates are alive at a time.
 
-    The quotient basis, the triples off the pivots of the relations' reduced
-    row echelon form (`exactla.image_basis`, the same loop plus one back
-    substitution), is built only for `basis_triples` and the edge actions,
-    which are matrices in this basis (`_quotient`).  Generators and
-    relations are indexed once by their (source, target) pair, and both
-    constructions go over those pairs, not over every generator and relation.
+    The quotient basis, the triples off the pivots of the translates'
+    reduced row echelon form (`exactla.image_basis`), is built only for
+    `basis_triples` and the edge actions, matrices in this basis (`_quotient`).
     """
 
     def __init__(self, pb: PresentedBimodule):
         self.pb = pb
         self.field = pb.field
-        self._gens: dict[tuple[str, str], list[str]] = {}
+        # generator ids by source, then target; relations by source, as (target, terms)
+        self._gens: dict[str, dict[str, list[str]]] = {}
         for g in pb.generators:
-            self._gens.setdefault((g.src, g.dst), []).append(g.gid)
-        self._relations: dict[tuple[str, str], list[list[RelationTerm]]] = {}
+            self._gens.setdefault(g.src, {}).setdefault(g.dst, []).append(g.gid)
+        self._relations: dict[str, list[tuple[str, list[RelationTerm]]]] = {}
         for rs, re, terms in pb._graded_relations:
-            self._relations.setdefault((rs, re), []).append(terms)
+            self._relations.setdefault(rs, []).append((re, terms))
         # the dimension at each reduced pair; benchmark/tracer.py reads the keys
         self._rref: dict[tuple[str, str], int] = {}
+        self._counts: dict[str, dict[str, int]] = {}
+        self._swept: dict[tuple[str, str], tuple[dict[tuple, int], list[dict]]] = {}
         self._triples: dict[tuple[str, str], list[tuple]] = {}
         self._tindex: dict[tuple[str, str], dict[tuple, int]] = {}
         self._qmap: dict[tuple[str, str], Matrix] = {}
         self._free: dict[tuple[str, str], list[int]] = {}
 
-    def _translates(self, s: str, e: str, index) -> list[dict]:
-        """The relation translates at (s, e), one ``{index(triple): value}``
-        row each: terms that land on one triple add, and zero sums drop."""
-        left, right = self.pb.left.paths, self.pb.right.paths
+    def _sweep(self, s: str) -> None:
+        """Count the triples of every pair (s, e), the sum over generator
+        pairs (u, v) of #generators(u, v) . #paths(s, u) . #paths(v, e), and
+        for each pair with triples number the triples its translates meet and
+        build one ``{number: value}`` row per translate (terms that land on
+        one triple add, and zero sums drop)."""
+        left, right = self.pb.left.starting.get(s, {}), self.pb.right.starting
+        counts: dict[str, int] = {}
+        for u, lps in left.items():
+            for v, gids in self._gens.get(u, {}).items():
+                k = len(lps) * len(gids)
+                for e, rqs in right.get(v, {}).items():
+                    counts[e] = counts.get(e, 0) + k * len(rqs)
+        self._counts[s] = counts
+        swept = {e: ({}, []) for e in counts}
         p = _modulus(self.field)
-        rows = []
-        for (rs, re), rels in self._relations.items():
-            lps, rqs = left.get((s, rs)), right.get((re, e))
-            if not (lps and rqs):
-                continue
-            for terms in rels:
+        for rs, lps in left.items():
+            for re, terms in self._relations.get(rs, ()):
                 for lp in lps:
-                    for rq in rqs:
-                        row: dict = {}
-                        for a, pi, gid, qi in terms:
-                            j = index((lp + pi, gid, qi + rq))
-                            if j in row:
-                                a = _value(row[j] + a, p)
-                                if not a:
-                                    del row[j]
-                                    continue
-                            row[j] = a
-                        rows.append(row)
-        return rows
+                    lefts = [(a, lp + pi, gid, qi) for a, pi, gid, qi in terms]
+                    for e, rqs in right.get(re, {}).items():
+                        number, rows = swept[e]
+                        for rq in rqs:
+                            row: dict = {}
+                            for a, lpi, gid, qi in lefts:
+                                j = number.setdefault((lpi, gid, qi + rq), len(number))
+                                if j in row:
+                                    a = _value(row[j] + a, p)
+                                    if not a:
+                                        del row[j]
+                                        continue
+                                row[j] = a
+                            rows.append(row)
+        self._swept.update(((s, e), t) for e, t in swept.items())
 
     def _count(self, s: str, e: str) -> int:
-        """The number of triples at (s, e): the sum over generator pairs
-        (u, v) of #generators(u, v) . #paths(s, u) . #paths(v, e)."""
-        left, right = self.pb.left.paths, self.pb.right.paths
-        return sum(len(gids) * len(left.get((s, u), ())) * len(right.get((v, e), ()))
-                   for (u, v), gids in self._gens.items())
+        """The number of triples at (s, e), read off the sweep of s."""
+        if s not in self._counts:
+            self._sweep(s)
+        return self._counts[s].get(e, 0)
+
+    def _translates(self, s: str, e: str) -> tuple[dict[tuple, int], list[dict]]:
+        """The numbered triples and the translates at a pair with triples,
+        taken from the sweep of s, which runs again if they were taken."""
+        if (s, e) not in self._swept:
+            self._sweep(s)
+        return self._swept.pop((s, e))
 
     def _reduce(self, s: str, e: str):
         """Store the dimension at (s, e): the triple count minus the rank of
@@ -232,9 +251,7 @@ class ResolvedBimodule:
             return
         n = self._count(s, e)
         if n:
-            number: dict[tuple, int] = {}
-            rows = self._translates(s, e, lambda t: number.setdefault(t, len(number)))
-            n -= len(_lows(rows, _modulus(self.field)))
+            n -= len(_lows(self._translates(s, e)[1], _modulus(self.field)))
         self._rref[key] = n
 
     def dim(self, s: str, e: str) -> int:
@@ -246,26 +263,25 @@ class ResolvedBimodule:
         hit = self._triples.get(key)
         if hit is not None:
             return hit
-        left, right = self.pb.left.paths, self.pb.right.paths
-        out = []
-        for (u, v), gids in self._gens.items():
-            for p in left.get((s, u), ()):
-                for gid in gids:
-                    for q in right.get((v, e), ()):
-                        out.append((p, gid, q))
+        right = self.pb.right.paths
+        out = [(p, gid, q) for u, lps in self.pb.left.starting.get(s, {}).items()
+               for v, gids in self._gens.get(u, {}).items()
+               for p in lps for gid in gids for q in right.get((v, e), ())]
         out.sort(key=lambda t: (len(t[0]) + len(t[2]), t[1], t[0], t[2]))
         self._triples[key] = out
         self._tindex[key] = {t: i for i, t in enumerate(out)}
         return out
 
     def _quotient(self, s: str, e: str):
-        """The quotient map at (s, e) and the triples off the pivots of the
-        relations' reduced row echelon form, its basis."""
+        """The quotient map at (s, e) and its basis, the triples off the pivots
+        of the reduced row echelon form of the swept translates."""
         key = (s, e)
         if key in self._qmap:
             return
         n = len(self.triples(s, e))
-        rows = self._translates(s, e, self._tindex[key].__getitem__)
+        number, swept = self._translates(s, e) if n else ({}, [])
+        at = [self._tindex[key][t] for t in number]
+        rows = [{at[j]: a for j, a in row.items()} for row in swept]
         relations = image_basis(Matrix.from_sparse_columns(self.field, n, rows))
         # column j of the quotient map holds the coordinates of triple j
         self._qmap[key] = quotient_map(n, relations)
@@ -336,14 +352,10 @@ def _present_from_actions(left: PathAlgebraIndex, right: PathAlgebraIndex, field
     relations: list[list[RelationTerm]] = []
 
     def relate(p, q, act, gids, target_gids):
-        # p . gid . q equals the action image of gid, column j of act
-        for j, gid in enumerate(gids):
-            rel: list[RelationTerm] = [(one, p, gid, q)]
-            for k, gid2 in enumerate(target_gids):
-                c = act.entry(k, j)
-                if c != field.zero:
-                    rel.append((-c, (), gid2, ()))
-            relations.append(rel)
+        # p . gid . q equals the action image of gid, its column of act
+        for gid, col in zip(gids, act.sparse_columns()):
+            relations.append([(one, p, gid, q)]
+                             + [(-c, (), target_gids[k], ()) for k, c in col.items()])
 
     for a in xl.edges:
         s2, s = xl.edge_source(a), xl.edge_target(a)
@@ -445,14 +457,17 @@ def extend_presented(pb: PresentedBimodule, inc: PcMorphism,
 
     Generators and relations survive unchanged (cells keep their ids along an
     inclusion); only the ambient path algebra grows, so the per-pair
-    reduction now ranges over ambient paths.
+    reduction now ranges over ambient paths.  The relations keep their pairs
+    checked over Y: `PcMorphism` checked that an inclusion keeps faces.
     """
-    x = inc.target
-    for cid in inc.source.all_cells():
-        if inc(cid) != cid:
-            raise AlgebraError("extension expects an identity-on-cells inclusion")
-    alg = ambient_alg or path_algebra(x)
-    return pb.with_algebras(alg, alg, name=f"ext({pb.name})")
+    if pb.left.x is not inc.source or pb.right.x is not inc.source:
+        raise AlgebraError("extension expects a presentation over the inclusion's source")
+    if any(inc(cid) != cid for cid in inc.source.all_cells()):
+        raise AlgebraError("extension expects an identity-on-cells inclusion")
+    ext = copy(pb)
+    ext.left = ext.right = ambient_alg or path_algebra(inc.target)
+    ext.name = f"ext({pb.name})"
+    return ext
 
 
 # -- the subspace form of extension ------------------------------------------------

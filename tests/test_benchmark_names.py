@@ -102,3 +102,34 @@ def test_comparison_tables_nest_in_the_comparison_span():
     tables = [span for name, span in zip(names, tracer.spans)
               if name == "homology.HomologyTable.__init__"]
     assert len(tables) == 2 and all(span[3] == comparison for span in tables)
+
+
+def test_pairs_reduced_counts_the_pairs_sized(monkeypatch):
+    """`scalars.pairs_reduced` counts one pair per `_reduce` call that
+    reduces, so it equals the number of (bimodule, pair) whose dimension
+    was asked for, however the reductions share their sweeps."""
+    from dirhom import scalars
+
+    sys.path.insert(0, str(BENCH))
+    try:
+        from tracer import Tracer, layer_metrics
+    finally:
+        sys.path.remove(str(BENCH))
+    asked, kept = set(), []     # kept alive, so no two bimodules share an id
+    dim = scalars.ResolvedBimodule.dim
+
+    def counted(res, s, e):
+        kept.append(res)
+        asked.add((id(res), s, e))
+        return dim(res, s, e)
+
+    monkeypatch.setattr(scalars.ResolvedBimodule, "dim", counted)
+    tracer = Tracer()
+    tracer.install()
+    try:
+        d2 = dh.directed_disc(2)
+        dh.les_relative(d2, dh.SubsetSpec(d2, frozenset(dh.directed_sphere(1).all_cells())))
+    finally:
+        tracer.uninstall()
+    assert asked
+    assert layer_metrics(tracer.names, tracer.spans, 1)["scalars.pairs_reduced"] == len(asked)

@@ -201,6 +201,29 @@ class TestHomology:
         assert r.stderr == (f"input error: unknown field {field!r} "
                             "(expected 'q' or 'fp:<prime>')\n")
 
+    @pytest.mark.parametrize("verb", ["homology", "cohomology", "relative", "mv", "kunneth"])
+    def test_negative_max_degree_is_one_input_error_line(self, runner, workspace, verb):
+        args = {"relative": [workspace["d2"], workspace["s1cells"]],
+                "mv": [workspace["domino"], workspace["left"], workspace["right"]],
+                "kunneth": [workspace["k"], workspace["k"]]}.get(verb, [workspace["d2"]])
+        r = invoke(runner, [verb, *args, "--max-degree", "-1"])
+        assert r.exit_code == 2 and r.stdout == ""
+        assert r.stderr == "input error: --max-degree must be at least 0, got -1\n"
+
+    @pytest.mark.parametrize("verb", ["homology", "cohomology"])
+    def test_max_degree_past_the_top_degree_lists_the_same_entries(self, runner, workspace,
+                                                                   verb):
+        # every degree above the complex's top degree is zero, so none is visited
+        docs = []
+        for max_degree in ("1000000000", "3"):
+            start = time.perf_counter()
+            r = invoke(runner, [verb, workspace["d2"], "--format", "json",
+                                "--max-degree", max_degree])
+            assert r.exit_code == 0 and time.perf_counter() - start < 5
+            docs.append(json.loads(r.output))
+        assert [doc.pop("max_degree") for doc in docs] == [1000000000, 3]
+        assert docs[0] == docs[1] and docs[0]["entries"]
+
     def test_unknown_pair_exit2(self, runner, workspace):
         r = invoke(runner, ["homology", workspace["d2"], "--pair", "00,zz"])
         assert r.exit_code == 2

@@ -813,10 +813,8 @@ class TestMayerVietorisConnectingMap:
         x = data.draw(st.sampled_from([dh.directed_sphere(2), dh.directed_sphere(3),
                                        dh.directed_disc(3), make_domino()]))
         top = x.cells_of_dim(x.max_dim)
-        sides = data.draw(st.lists(st.sampled_from(["left", "right", "both"]),
-                                   min_size=len(top), max_size=len(top)))
-        y1, y2 = (dh.face_closure(x, [c for c, side in zip(top, sides) if side in (part, "both")])
-                  for part in ("left", "right"))
+        y1, y2 = side_closures(x, data.draw(st.lists(st.sampled_from(SIDES), min_size=len(top),
+                                                     max_size=len(top))))
         assume(y1 and y2)
         deltas = {}
         real = es._mv_connecting
@@ -832,6 +830,60 @@ class TestMayerVietorisConnectingMap:
                     assert delta == zigzag_delta(x, y1, y2, QQ, i, pair)
         else:
             assert res.sequence is None
+
+    def test_corpus_reaches_the_excision_inverse(self, monkeypatch):
+        """Some cover of the corpus solves for an excision inverse inside Delta."""
+        import dirhom.exactseq as es
+        inside, solved = [], Counter()
+        real_delta, real_solve = es._mv_connecting, es.solve
+
+        def delta(c, i, pair):
+            inside.append(pair)
+            try:
+                return real_delta(c, i, pair)
+            finally:
+                inside.pop()
+
+        monkeypatch.setattr(es, "_mv_connecting", delta)
+        monkeypatch.setattr(es, "solve", lambda m, b: solved.update([bool(inside)])
+                            or real_solve(m, b))
+        for x, y1, y2 in (case.values for case in cover_cases()):
+            if y1 != y2:    # the relative pairs D3/S2 and D4/S3 cover nothing
+                mayer_vietoris(x, SubsetSpec(x, y1), SubsetSpec(x, y2))
+        assert solved[True] >= 1
+
+    def test_seeded_splits_keep_a_share_of_working_deltas(self, monkeypatch):
+        """Of the good covers among 40 seeded top-cell splits of S2, S3, D3
+        and the domino, at least a quarter (and at least 5) have a Delta
+        with a nonzero domain, so the split strategy still reaches Delta."""
+        import random
+        rng = random.Random(2026)
+        sets = [dh.directed_sphere(2), dh.directed_sphere(3), dh.directed_disc(3), make_domino()]
+        deltas = record_deltas(monkeypatch)
+        good = working = 0
+        for k in range(40):
+            x = sets[k % len(sets)]
+            y1, y2 = side_closures(x, [rng.choice(SIDES) for _ in x.cells_of_dim(x.max_dim)])
+            if not (y1 and y2):
+                continue
+            deltas.clear()
+            res = mayer_vietoris(x, SubsetSpec(x, y1), SubsetSpec(x, y2))
+            if res.cover.good:
+                assert res.sequence.all_exact
+                good += 1
+                working += any(d.cols for d in deltas.values())
+        assert working >= max(5, good / 4)
+
+
+SIDES = ["left", "right", "both"]
+
+
+def side_closures(x, sides):
+    """The face closures of the top cells of x put on the left or both
+    sides, and of those put on the right or both."""
+    top = x.cells_of_dim(x.max_dim)
+    return tuple(dh.face_closure(x, [c for c, side in zip(top, sides) if side in (part, "both")])
+                 for part in ("left", "right"))
 
 
 def test_sequences_compute_homology_only_on_components_with_chains(monkeypatch):
@@ -873,19 +925,21 @@ def test_sequences_compute_homology_only_on_components_with_chains(monkeypatch):
 @pytest.mark.parametrize("case", ["les D3,S2", "mv domino"])
 def test_extension_dimensions_build_no_quotient(case, monkeypatch):
     """The relative-pair checks size each extension by count and rank: no
-    quotient basis or quotient map is built, and each pair of a resolved
-    bimodule is counted and reduced at most once."""
+    quotient basis or quotient map is built, each pair of a resolved
+    bimodule is counted and reduced at most once, and each bimodule sweeps
+    each source vertex at most once, for the counts and the translates of
+    all its pairs."""
     import dirhom.scalars as sc
     calls = Counter()
     for name in ("image_basis", "quotient_map"):
         monkeypatch.setattr(sc, name, lambda *a, name=name, real=getattr(sc, name):
                             calls.update([name]) or real(*a))
     seen, kept = Counter(), []      # kept alive, so no two bimodules share an id
-    for name in ("_count", "_translates"):
-        def counted(res, s, e, *rest, name=name, real=getattr(sc.ResolvedBimodule, name)):
+    for name in ("_sweep", "_count", "_translates"):
+        def counted(res, *at, name=name, real=getattr(sc.ResolvedBimodule, name)):
             kept.append(res)
-            seen[(name, id(res), s, e)] += 1
-            return real(res, s, e, *rest)
+            seen[(name, id(res), *at)] += 1
+            return real(res, *at)
         monkeypatch.setattr(sc.ResolvedBimodule, name, counted)
     if case == "les D3,S2":
         d3 = dh.directed_disc(3)
@@ -897,4 +951,7 @@ def test_extension_dimensions_build_no_quotient(case, monkeypatch):
     assert res.sequence.all_exact
     assert not calls
     assert seen and max(seen.values()) == 1
-    assert {name for name, *_ in seen} == {"_count", "_translates"}
+    assert {name for name, *_ in seen} == {"_sweep", "_count", "_translates"}
+    # every pair counted or reduced lies on a swept source
+    assert {(r, s) for name, r, s, *_ in seen if name != "_sweep"} == {
+        (r, s) for name, r, s, *_ in seen if name == "_sweep"}

@@ -500,13 +500,13 @@ def coefficients(draw, field):
 
 
 @st.composite
-def random_presentations(draw):
-    """Generators at random vertex pairs of a small algebra, and relations
-    whose terms are drawn among the triples at one pair: with repeated
-    triples, terms that cancel on one triple, and empty relations.  Half the
-    presentations have no relations, and some have no generators, so that
-    every pair has no triples."""
-    alg = draw(st.sampled_from(SMALL_ALGEBRAS))
+def random_presentations(draw, alg=None):
+    """Generators at random vertex pairs of a small algebra, or of `alg`,
+    and relations whose terms are drawn among the triples at one pair: with
+    repeated triples, terms that cancel on one triple, and empty relations.
+    Half the presentations have no relations, and some have no generators,
+    so that every pair has no triples."""
+    alg = alg or draw(st.sampled_from(SMALL_ALGEBRAS))
     field = draw(st.sampled_from(FIELDS))
     verts = sorted(alg.x.vertices)
     gens = [BimoduleGenerator(f"g{k}", *draw(st.tuples(st.sampled_from(verts),
@@ -526,3 +526,38 @@ def random_presentations(draw):
                 rel.append((-c, p, gid, q))
         relations.append(rel)
     return PresentedBimodule(alg, alg, gens, relations, field)
+
+
+BASE_CHANGE_SETS = [dh.directed_disc(3), dh.directed_sphere(2), make_domino(),
+                    dh.realization([2, 2])]
+
+
+class TestBaseChange:
+    """Extension of scalars keeps the relations' checked pairs: the same
+    generators and relations presented from scratch over X, each term
+    checked again over X's paths, and the dense reduction give the same
+    dimension at every pair of X."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_extension_is_the_presentation_over_x(self, data):
+        x = data.draw(st.sampled_from(BASE_CHANGE_SETS))
+        cells = data.draw(st.lists(st.sampled_from(sorted(x.all_cells())), min_size=1,
+                                   max_size=3))
+        y, inc = sub(x, SubsetSpec(x, dh.face_closure(x, cells)))
+        pb = data.draw(random_presentations(path_algebra(y)))
+        alg_x = path_algebra(x)
+        ext = extend_presented(pb, inc, alg_x)
+        scratch = PresentedBimodule(alg_x, alg_x, pb.generators, pb.relations, pb.field)
+        assert ext._graded_relations == scratch._graded_relations
+        fast, slow, dense = ext.resolve(), scratch.resolve(), DenseReduction(ext)
+        for s in x.vertices:
+            for e in x.vertices:
+                assert fast.dim(s, e) == slow.dim(s, e) == dense.dim(s, e)
+
+    def test_presentation_over_another_set_is_rejected(self, D2, S1, algD2):
+        y, inc = sub(D2, SubsetSpec(D2, frozenset(S1.all_cells())))
+        for pb in (present_chain_module(S1, 0), present_chain_module(D2, 0),
+                   PresentedBimodule(path_algebra(y), algD2, [], [])):
+            with pytest.raises(AlgebraError, match="over the inclusion's source"):
+                extend_presented(pb, inc, algD2)

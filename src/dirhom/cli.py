@@ -450,7 +450,7 @@ def kunneth(path_x, path_y, field_name, max_degree, fmt, obstruction):
            "dims": _entries(dims),
            "notes": [CONVENTION_NOTE]}
     if obstruction:
-        zc = zero_chain_count_report(x, y, field)
+        zc = zero_chain_count_report(x, y, field, setting=setting)
         text += str(zc).splitlines()
         doc["obstruction"] = {
             "product_dim0": zc.product_chain_dim0,

@@ -484,8 +484,8 @@ class BasisSubcomplex(GradedComplex):
         for i, pair in self.kept:
             if not i:
                 continue
-            j = _chain_map_witness(target.diff(i, pair).transpose(), f(i, pair),
-                                   f(i - 1, pair), source.diff(i, pair).transpose())
+            j = _chain_map_witness(target.diff(i, pair), f(i, pair), f(i - 1, pair),
+                                   source.diff(i, pair))
             if j is not None:
                 raise ChainError(f"{f.__name__} is not a chain map at degree {i}, pair {pair}: "
                                  f"witness {source._basis_name(i, pair, j)}")
@@ -530,22 +530,22 @@ def _renamed(vec: dict, p: tuple, mod: int) -> dict:
     return out
 
 
-def _chain_map_witness(target_dt: Matrix, p: tuple, q: tuple,
-                       source_dt: Matrix) -> int | None:
-    """Decide ``d' @ P == Q @ d`` for 0/+-1 basis maps P (degree i) and Q
-    (degree i-1) of signed positions by re-indexing, with no matrix product:
-    None when the two sides agree, else the first column j where they differ.
+def _chain_map_witness(target_d: Matrix, p: tuple, q: tuple, source_d: Matrix) -> int | None:
+    """Decide ``d' @ P == Q @ d`` for the differentials d' = `target_d` and
+    d = `source_d` and 0/+-1 basis maps P (degree i) and Q (degree i-1) of
+    signed positions by re-indexing, with no matrix product: None when the
+    two sides agree, else the first column j where they differ.
 
-    `target_dt` and `source_dt` are the transposes of d' and d, whose rows are
-    the columns of the differentials.  Column j of ``d' @ P`` is column P(j)
-    of d', negated where P has -1, and of ``Q @ d`` column j of d renamed by
-    Q (`_renamed`).  Every entry is compared.
+    Column j of ``d' @ P`` is column P(j) of d', negated where P has -1, and
+    of ``Q @ d`` column j of d renamed by Q (`_renamed`).  Every entry is
+    compared.
     """
-    if (len(p[0]), len(q[0])) != (source_dt.rows, source_dt.cols):
+    if (len(p[0]), len(q[0])) != (source_d.cols, source_d.rows):
         raise FieldError("shape mismatch in a chain-map check")
-    (p_of, p_neg), mod = p, _modulus(target_dt.field)
-    for j, col in enumerate(source_dt._rows):
-        image = target_dt._rows[p_of[j]] if p_of[j] is not None else {}
+    (p_of, p_neg), mod = p, _modulus(target_d.field)
+    target = target_d.sparse_columns()
+    for j, col in enumerate(source_d.sparse_columns()):
+        image = target[p_of[j]] if p_of[j] is not None else {}
         if j in p_neg:
             image = {t: _neg(a, mod) for t, a in image.items()}
         if _renamed(col, q, mod) != image:

@@ -7,15 +7,16 @@ in ``[0, p)`` with modular inverses.  There is no floating point anywhere:
 exactness verdicts downstream (image = kernel tests) are bit-decisions and
 must not depend on tolerances.
 
-Boundary, action and relation matrices are mostly zeros, so `Matrix` and
-`Subspace` hold only nonzero values, as rows and vectors that are
-``{column: value}`` dicts: plain ints in ``[0, p)`` over F_p, and over Q
-plain ints while a value is integral.  A `Fraction` appears inside the
-module only where a value is not an integer: given so by a caller, or made
-when a pivot other than +-1 divides a row or a column.  Boundary
-coefficients are all +-1, so most reductions never make one.  The
-reductions and every product work on these rows directly.  Zero tests are
-truthiness tests.
+Boundary, action and relation matrices are mostly zeros, so a `Matrix`
+holds only its nonzero values, as sparse columns that are ``{row: value}``
+dicts (a `Subspace` its basis vectors, alike): plain ints in ``[0, p)``
+over F_p, and over Q plain ints while a value is integral, a `Fraction`
+only where a caller gave one or a pivot other than +-1 divided a vector.
+Columns are the form in which every differential is assembled, reduced,
+multiplied, checked as a chain map and pushed into homology; only the cold
+readers of rows (the row constructor, `data`, `row`, `text_rows`,
+`transpose`, `solve`, `invert`, `quotient_map` and the classes map of
+`homology_from_reductions`) transpose.  Zero tests are truthiness tests.
 
 One pivot rule serves the whole module: sparse vectors are reduced one
 after the other against a ``{lowest nonzero: stored vector}`` dict, each
@@ -186,11 +187,11 @@ def field_from_name(name: str):
     raise FieldError(f"unknown field {name!r} (expected 'q' or 'fp:<prime>')")
 
 
-# -- sparse rows and elimination -----------------------------------------------
+# -- sparse vectors and elimination --------------------------------------------
 #
-# Sparse rows and vectors are dicts {column: value} that hold only nonzero
-# values: ints in [0, p) over F_p; over Q, ints where the value is integral
-# and Fractions elsewhere.  `p` is 0 for Q.
+# Sparse vectors (columns, rows) are dicts {index: value} that hold only
+# nonzero values: ints in [0, p) over F_p; over Q, ints where the value is
+# integral and Fractions elsewhere.  `p` is 0 for Q.
 
 
 def _modulus(field) -> int:
@@ -241,10 +242,10 @@ def _scalar(a, p: int):
     return Residue(a, p) if p else a if type(a) is Fraction else Fraction(a)
 
 
-def _dense(row: dict, n: int, zero, p: int) -> list:
-    """Field scalars of a sparse row of length n."""
+def _dense(vec: dict, n: int, zero, p: int) -> list:
+    """Field scalars of a sparse vector of length n."""
     out = [zero] * n
-    for j, a in row.items():
+    for j, a in vec.items():
         out[j] = _scalar(a, p)
     return out
 
@@ -258,7 +259,8 @@ def _transpose(rows, ncols: int) -> list[dict]:
 
 
 def _mul(left: list[dict], right: list[dict], p: int) -> list[dict]:
-    """The product of two matrices given as sparse rows."""
+    """The product of two matrices given as sparse rows; on sparse columns
+    the arguments swap: the columns of A @ B are ``_mul(B's, A's)``."""
     out = []
     for r in left:
         acc: dict = {}
@@ -448,13 +450,13 @@ class _Frozen:
 
 
 class Matrix(_Frozen):
-    """Immutable matrix over a fixed field, held as sparse rows.
+    """Immutable matrix over a fixed field, held as sparse columns.
 
     Entries given to the constructors are field scalars or ints, coerced
     through the field.  Out-of-bounds entry access raises, never wraps.
     """
 
-    __slots__ = ("field", "rows", "cols", "_rows")
+    __slots__ = ("field", "rows", "cols", "_cols")
 
     def __init__(self, field, rows: int, cols: int, entries: Iterable[Iterable]):
         if rows < 0 or cols < 0:
@@ -463,11 +465,11 @@ class Matrix(_Frozen):
         data = [_sparse(tuple(row), p, cols) for row in entries]
         if len(data) != rows:
             raise FieldError(f"row count {len(data)} != rows {rows}")
-        self._fill(self, field, rows, cols, data)
+        self._fill(self, field, rows, cols, _transpose(data, cols))
 
     @classmethod
     def zeros(cls, field, rows: int, cols: int) -> "Matrix":
-        return cls._of(field, rows, cols, [{} for _ in range(rows)])
+        return cls._of(field, rows, cols, [{} for _ in range(cols)])
 
     @classmethod
     def identity(cls, field, n: int) -> "Matrix":
@@ -489,8 +491,7 @@ class Matrix(_Frozen):
                 raise FieldError("from_columns with no columns needs an explicit length")
             length = len(columns[0])
         p = _modulus(field)
-        cols = [_sparse(c, p, length) for c in columns]
-        return cls._of(field, length, len(cols), _transpose(cols, length))
+        return cls._of(field, length, len(columns), [_sparse(c, p, length) for c in columns])
 
     @classmethod
     def from_sparse_columns(cls, field, rows: int, columns: Sequence[dict]) -> "Matrix":
@@ -498,29 +499,24 @@ class Matrix(_Frozen):
         dict of ints, or over Q of ints and `Fraction`s, taken in the field:
         the form in which boundary matrices and relation rows are assembled."""
         p = _modulus(field)
-        data: list[dict] = [{} for _ in range(rows)]
-        for j, col in enumerate(columns):
-            for i, a in col.items():
-                if p:
-                    a %= p
-                if a:
-                    data[i][j] = a
-        return cls._of(field, rows, len(columns), data)
+        if p:
+            cols = [{i: v for i, a in col.items() if (v := a % p)} for col in columns]
+        else:
+            cols = [{i: a for i, a in col.items() if a} for col in columns]
+        return cls._of(field, rows, len(cols), cols)
 
     @classmethod
     def unit_columns(cls, field, rows: int, targets: Sequence[int | None]) -> "Matrix":
         """The 0/1 matrix whose column j is the unit vector at row ``targets[j]``,
         or zero where that is None: the matrix of a map between two bases."""
-        data: list[dict] = [{} for _ in range(rows)]
-        for j, i in enumerate(targets):
-            if i is not None:
-                data[i][j] = 1
-        return cls._of(field, rows, len(targets), data)
+        if any(i is not None and not 0 <= i < rows for i in targets):
+            raise IndexError(f"a unit column outside {rows} rows")
+        return cls._of(field, rows, len(targets), [{} if i is None else {i: 1} for i in targets])
 
     @property
     def data(self) -> tuple:
         """The rows as tuples of field scalars."""
-        return tuple(self.row(i) for i in range(self.rows))
+        return tuple(self.transpose().columns())
 
     def text_rows(self) -> list[list[str]]:
         """The rows as the strings of their field scalars (``3/4`` over Q,
@@ -529,7 +525,7 @@ class Matrix(_Frozen):
         text = (lambda a: f"{a} (mod {p})") if p else str
         zero = text(0)
         out = []
-        for r in self._rows:
+        for r in _transpose(self._cols, self.rows):
             row = [zero] * self.cols
             for j, a in r.items():
                 row[j] = text(a)
@@ -539,36 +535,35 @@ class Matrix(_Frozen):
     def entry(self, i: int, j: int):
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError(f"entry ({i},{j}) outside {self.rows}x{self.cols} matrix")
-        a = self._rows[i].get(j)
+        a = self._cols[j].get(i)
         return self.field.zero if a is None else _scalar(a, _modulus(self.field))
 
     def row(self, i: int) -> tuple:
         if not 0 <= i < self.rows:
             raise IndexError(f"row {i} outside {self.rows}x{self.cols} matrix")
-        return tuple(_dense(self._rows[i], self.cols, self.field.zero, _modulus(self.field)))
+        return self.transpose().column(i)
 
     def column(self, j: int) -> tuple:
         if not 0 <= j < self.cols:
             raise IndexError(f"column {j} outside {self.rows}x{self.cols} matrix")
-        col = {i: r[j] for i, r in enumerate(self._rows) if j in r}
-        return tuple(_dense(col, self.rows, self.field.zero, _modulus(self.field)))
+        return tuple(_dense(self._cols[j], self.rows, self.field.zero, _modulus(self.field)))
 
     def columns(self) -> list[tuple]:
-        return list(self.transpose().data)
+        return [self.column(j) for j in range(self.cols)]
 
     def sparse_columns(self) -> list[dict]:
         """The columns as ``{row: value}`` dicts of stored values, the form
-        `from_sparse_columns` takes."""
-        return _transpose(self._rows, self.cols)
+        `from_sparse_columns` takes: copies, which the caller may change."""
+        return [dict(c) for c in self._cols]
 
     def transpose(self) -> "Matrix":
-        return Matrix._of(self.field, self.cols, self.rows, _transpose(self._rows, self.cols))
+        return Matrix._of(self.field, self.cols, self.rows, _transpose(self._cols, self.rows))
 
     def __matmul__(self, other: "Matrix") -> "Matrix":
         if self.cols != other.rows:
             raise FieldError(f"shape mismatch: {self.rows}x{self.cols} @ {other.rows}x{other.cols}")
         return Matrix._of(self.field, self.rows, other.cols,
-                          _mul(self._rows, other._rows, _modulus(self.field)))
+                          _mul(other._cols, self._cols, _modulus(self.field)))
 
     def matvec(self, v: Sequence) -> tuple:
         return (self @ Matrix.from_columns(self.field, [v], length=self.cols)).column(0)
@@ -576,39 +571,42 @@ class Matrix(_Frozen):
     def __neg__(self) -> "Matrix":
         p = _modulus(self.field)
         return Matrix._of(self.field, self.rows, self.cols,
-                          [{j: _neg(a, p) for j, a in r.items()} for r in self._rows])
+                          [{i: _neg(a, p) for i, a in c.items()} for c in self._cols])
 
     def augment(self, other: "Matrix") -> "Matrix":
         if self.rows != other.rows:
             raise FieldError("row mismatch in augment")
-        n = self.cols
-        return Matrix._of(self.field, self.rows, n + other.cols,
-                          [{**r1, **{j + n: a for j, a in r2.items()}}
-                           for r1, r2 in zip(self._rows, other._rows)])
+        return Matrix._of(self.field, self.rows, self.cols + other.cols, self._cols + other._cols)
 
     def block(self, rows: Sequence[int], cols: Sequence[int]) -> "Matrix":
         """The submatrix on the rows and the distinct columns at the given
         indices, in their order."""
-        at = {c: k for k, c in enumerate(cols)}
-        if len(at) != len(cols):
+        if len(set(cols)) != len(cols):
             raise FieldError("a block takes each column at most once")
+        at: dict[int, list[int]] = {}
+        for k, r in enumerate(rows):
+            at.setdefault(r, []).append(k)
         return Matrix._of(self.field, len(rows), len(cols),
-                          [{at[c]: a for c, a in self._rows[r].items() if c in at} for r in rows])
+                          [{k: a for r, a in self._cols[c].items() for k in at.get(r, ())}
+                           for c in cols])
 
     def stack(self, other: "Matrix") -> "Matrix":
         if self.cols != other.cols:
             raise FieldError("column mismatch in stack")
-        return Matrix._of(self.field, self.rows + other.rows, self.cols, self._rows + other._rows)
+        n = self.rows
+        return Matrix._of(self.field, n + other.rows, self.cols,
+                          [{**c1, **{i + n: a for i, a in c2.items()}}
+                           for c1, c2 in zip(self._cols, other._cols)])
 
     def is_zero(self) -> bool:
-        return not any(self._rows)
+        return not any(self._cols)
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Matrix) and self.rows == other.rows
-                and self.cols == other.cols and self._rows == other._rows)
+                and self.cols == other.cols and self._cols == other._cols)
 
     def __hash__(self):
-        return hash((self.rows, self.cols, tuple(frozenset(r.items()) for r in self._rows)))
+        return hash((self.rows, self.cols, tuple(frozenset(c.items()) for c in self._cols)))
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(a) for a in r) for r in self.data)
@@ -629,11 +627,11 @@ def _rref(rows: list[list], ncols: int, zero, col_order: Sequence[int] | None = 
 
 
 def rank(m: Matrix) -> int:
-    """Rank of `m` over its field, the number of lows of its rows (`_lows`):
-    0, with no reduction, when m has no rows or no columns."""
+    """Rank of `m` over its field, the number of lows of its columns
+    (`_lows`): 0, with no reduction, when m has no rows or no columns."""
     if not (m.rows and m.cols):
         return 0
-    return len(_lows([dict(r) for r in m._rows], _modulus(m.field)))
+    return len(_lows(m.sparse_columns(), _modulus(m.field)))
 
 
 class Subspace(_Frozen):
@@ -678,8 +676,7 @@ class Subspace(_Frozen):
 
     def basis_matrix(self) -> Matrix:
         """The matrix whose columns are the basis vectors."""
-        return Matrix._of(self.field, self.ambient_dim, self.dim,
-                          _transpose(self._basis, self.ambient_dim))
+        return Matrix._of(self.field, self.ambient_dim, self.dim, self._basis)
 
     @property
     def _pivots(self) -> tuple:
@@ -700,18 +697,16 @@ class Subspace(_Frozen):
 
         A vector in the span is the combination of the reduced rows weighted
         by its entries at their pivots, and reduced row k is the combination
-        transform k of the basis; the products run on one row per column of m.
+        transform k of the basis; the products run on the columns of m.
         """
         if m.rows != self.ambient_dim:
             raise FieldError(f"vector length {m.rows} != {self.ambient_dim}")
         rows, pivots, transforms = self._echelon_form()
         p = _modulus(self.field)
-        vecs = _transpose(m._rows, m.cols)
-        at_pivots = [{k: v[c] for k, c in enumerate(pivots) if c in v} for v in vecs]
-        if _mul(at_pivots, rows, p) != vecs:
+        at_pivots = [{k: v[c] for k, c in enumerate(pivots) if c in v} for v in m._cols]
+        if _mul(at_pivots, rows, p) != m._cols:
             return None
-        return Matrix._of(self.field, self.dim, m.cols,
-                          _transpose(_mul(at_pivots, transforms, p), self.dim))
+        return Matrix._of(self.field, self.dim, m.cols, _mul(at_pivots, transforms, p))
 
     def coordinates(self, v: Sequence) -> tuple | None:
         """The coefficients of v in `basis`, or None when v is not in the subspace."""
@@ -750,7 +745,7 @@ def image_basis(m: Matrix) -> Subspace:
     transforms.  A matrix with no rows or no columns needs no reduction."""
     if not (m.rows and m.cols):
         return Subspace.zero(m.field, m.rows)
-    rows, pivots, _ = _echelon(_transpose(m._rows, m.cols), m.rows, _modulus(m.field))
+    rows, pivots, _ = _echelon(m._cols, m.rows, _modulus(m.field))
     return Subspace._of(m.field, m.rows, rows,
                         (rows, pivots, [{k: 1} for k in range(len(rows))]))
 
@@ -775,13 +770,14 @@ def solve(m: Matrix, b: Matrix) -> Matrix | None:
     n = m.cols
     if not b.cols:
         return Matrix.zeros(m.field, n, 0)
-    done, pivots, _ = _echelon(m.augment(b)._rows, n + b.cols, _modulus(m.field))
+    done, pivots, _ = _echelon(_transpose(m.augment(b)._cols, m.rows), n + b.cols,
+                               _modulus(m.field))
     if pivots and pivots[-1] >= n:
         return None
     x: list[dict] = [{} for _ in range(n)]
     for row, c in zip(done, pivots):
         x[c] = {j - n: a for j, a in row.items() if j >= n}
-    return Matrix._of(m.field, n, b.cols, x)
+    return Matrix._of(m.field, n, b.cols, _transpose(x, b.cols))
 
 
 def solve_in_image(m: Matrix, b: Sequence):
@@ -798,10 +794,11 @@ def invert(m: Matrix) -> Matrix:
     if m.rows != m.cols:
         raise FieldError("only square matrices invert")
     # the rows of m as a basis: its transforms are the rows of the inverse
-    _, pivots, transforms = Subspace._of(m.field, m.cols, m._rows, None)._echelon_form()
+    rows = _transpose(m._cols, m.rows)
+    _, pivots, transforms = Subspace._of(m.field, m.cols, rows, None)._echelon_form()
     if len(pivots) != m.cols:
         raise FieldError("matrix not invertible")
-    return Matrix._of(m.field, m.rows, m.cols, transforms)
+    return Matrix._of(m.field, m.rows, m.cols, _transpose(transforms, m.cols))
 
 
 def quotient_map(ambient_dim: int, sub: Subspace) -> Matrix:
@@ -815,7 +812,7 @@ def quotient_map(ambient_dim: int, sub: Subspace) -> Matrix:
         raise FieldError(f"subspace ambient {sub.ambient_dim} != {ambient_dim}")
     rows, pivots, _ = sub._echelon_form()
     q_rows = _null_vectors(rows, pivots, ambient_dim, _modulus(sub.field))
-    return Matrix._of(sub.field, len(q_rows), ambient_dim, q_rows)
+    return Matrix._of(sub.field, len(q_rows), ambient_dim, _transpose(q_rows, ambient_dim))
 
 
 def induced_on_quotient(f: Matrix, src_sub: Subspace, dst_sub: Subspace) -> Matrix:
@@ -865,7 +862,8 @@ def homology_from_reductions(d: Reduction, d_next: Reduction, field, n: int):
     reduced = list(rows.values())
     return (Subspace._of(field, n, d.kernel, None),
             [v for v, f in zip(d.kernel, d.free) if f not in d_next.image], reduced[::-1],
-            Matrix._of(field, m - len(rows), m, _null_vectors(reduced, list(rows), m, p)))
+            Matrix._of(field, m - len(rows), m,
+                       _transpose(_null_vectors(reduced, list(rows), m, p), m)))
 
 
 def span_of_combinations(rows: list[dict], sub: Subspace) -> Subspace:
@@ -892,5 +890,4 @@ def homology_classes(cycles: Subspace, free: Sequence[int], classes: Matrix,
     coords = [{k: v[f] for k, f in enumerate(free) if f in v} for v in columns]
     if _mul(coords, cycles._basis, p) != columns:
         raise ChainError("vector is not a cycle of this component")
-    return Matrix._of(classes.field, classes.rows, len(columns),
-                      _mul(classes._rows, _transpose(coords, cycles.dim), p))
+    return Matrix._of(classes.field, classes.rows, len(columns), _mul(coords, classes._cols, p))

@@ -79,13 +79,13 @@ class TensorComplex(GradedComplex):
         self.index = {key: {t: i for i, t in enumerate(rows)}
                       for key, rows in bases.items()}
         dims = {key: len(rows) for key, rows in bases.items()}
-        # the terms of d(c) for a factor chain c: column c of d, a row of d^T
-        dta, dtb = ({k: cx.diff(k[0], k[1:]).transpose() for k in cx.bases if k[0]}
-                    for cx in (cxa, cxb))
+        # the terms of d(c) for a factor chain c: column c of d
+        da, db = ({k: cx.diff(k[0], k[1:]).sparse_columns() for k in cx.bases if k[0]}
+                  for cx in (cxa, cxb))
 
-        def d(cx: PairGradedComplex, dt: dict, c: CubeChain) -> list[tuple[CubeChain, int]]:
+        def d(cx: PairGradedComplex, dcols: dict, c: CubeChain) -> list[tuple[CubeChain, int]]:
             k, below = (c.degree, c.src, c.dst), cx.bases.get((c.degree - 1, c.src, c.dst))
-            col = dt[k]._rows[cx.positions[k][c.cubes]] if c.degree else {}
+            col = dcols[k][cx.positions[k][c.cubes]] if c.degree else {}
             return [(below[r], a) for r, a in col.items()]
 
         diffs: dict[tuple[int, object], Matrix] = {}
@@ -95,9 +95,9 @@ class TensorComplex(GradedComplex):
             tindex = self.index.get((n - 1, pair), {})
             cols = []
             for ca, cb in rows:
-                col = {tindex[(term, cb)]: a for term, a in d(cxa, dta, ca)}
+                col = {tindex[(term, cb)]: a for term, a in d(cxa, da, ca)}
                 sign = -1 if ca.degree % 2 else 1
-                col.update((tindex[(ca, term)], sign * b) for term, b in d(cxb, dtb, cb))
+                col.update((tindex[(ca, term)], sign * b) for term, b in d(cxb, db, cb))
                 cols.append(col)
             diffs[(n, pair)] = Matrix.from_sparse_columns(field, len(tindex), cols)
         super().__init__(field, top, dims, diffs)
@@ -356,7 +356,7 @@ def tensor_comparison_report(x: PrecubicalSet, y: PrecubicalSet, field=QQ,
     for n, pair in keys:
         if not n:
             continue
-        dp, dt = cxp.diff(n, pair).transpose(), tc.diff(n, pair).transpose()
+        dp, dt = cxp.diff(n, pair), tc.diff(n, pair)
         for name, f, src, d_src, d_dst in (("separating", sep_p, cxp, dp, dt),
                                            ("interleaving", ilv_p, tc, dt, dp)):
             j = _chain_map_witness(d_dst, f[(n, pair)], f.get((n - 1, pair), empty), d_src)
@@ -474,15 +474,15 @@ class ZeroChainCountReport:
                 f"{self.product_chain_dim1}\n{self.note}")
 
 
-def zero_chain_count_report(x: PrecubicalSet, y: PrecubicalSet, field=QQ
-                            ) -> ZeroChainCountReport:
+def zero_chain_count_report(x: PrecubicalSet, y: PrecubicalSet, field=QQ,
+                            setting: TensorSetting | None = None) -> ZeroChainCountReport:
     """Total degree-0 generator counts on both sides of the comparison.
 
     A strict chain-level equivalence compatible with the path actions would
     force the two counts to be equal; they differ already for the filled
     square, which is the obstruction being reported.
     """
-    st = TensorSetting.build(x, y, field)
+    st = setting or TensorSetting.build(x, y, field)
     n0 = sum(st.cxp.dim(0, pair) for pair in st.cxp.pairs())
     n1 = sum(st.cxp.dim(1, pair) for pair in st.cxp.pairs())
     t0 = sum(st.tc.dim(0, pair) for pair in st.tc.pairs())

@@ -181,15 +181,14 @@ class HomologyTable:
         C_i(s, e) with chains and i >= 1."""
         cx, x = self.cx, self.x
         into, out = x.in_edges(), x.out_edges()
-        # each differential transposed once; an edge action sends a component
-        # with chains into one with chains, so every target is here too
-        dt = {k: cx.diff(*k).transpose() for k in cx.components_with_chains if k[0]}
-        for i, (s, e) in dt:
+        for i, (s, e) in cx.components_with_chains:
+            if not i:
+                continue
             acts = [("prepend", cx.left_action_targets, a, (x.edge_source(a), e)) for a in into[s]]
             acts += [("append", cx.right_action_targets, a, (s, x.edge_target(a))) for a in out[e]]
             for side, act, a, to in acts:
-                j = _chain_map_witness(dt[(i, to)], (act(a, i, (s, e)), ()),
-                                       (act(a, i - 1, (s, e)), ()), dt[(i, (s, e))])
+                j = _chain_map_witness(cx.diff(i, to), (act(a, i, (s, e)), ()),
+                                       (act(a, i - 1, (s, e)), ()), cx.diff(i, (s, e)))
                 if j is not None:
                     raise ActionError(f"{side} by {a!r} is not a chain map at degree {i}, "
                                       f"pair {(s, e)}: witness {cx._basis_name(i, (s, e), j)}")
@@ -274,8 +273,7 @@ def _morphism_positions(f: PcMorphism, cxa: PairGradedComplex, cxb: PairGradedCo
         prev = out.get((i - 1, s, e))
         if prev is None:
             continue
-        j = _chain_map_witness(cxb.diff(i, (f(s), f(e))).transpose(), p, prev,
-                               cxa.diff(i, (s, e)).transpose())
+        j = _chain_map_witness(cxb.diff(i, (f(s), f(e))), p, prev, cxa.diff(i, (s, e)))
         if j is not None:
             raise ActionError(f"morphism-induced map is not a chain map at degree {i}, "
                               f"pair {(s, e)}: witness {cxa.bases[(i, s, e)][j]!r}")

@@ -441,6 +441,18 @@ class TestKunneth:
         assert "Kunneth check for (K, K): ok" in r.output
         assert "product side 10, tensor side 9" in r.output
 
+    def test_prop63_builds_the_product_once(self, runner, workspace, monkeypatch):
+        real, calls = dh.TensorSetting.build, []
+
+        def counted(cls, *args, **kwargs):
+            calls.append(args)
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(dh.TensorSetting, "build", classmethod(counted))
+        r = invoke(runner, ["kunneth", "--prop63", workspace["d2"], workspace["s1"]])
+        assert r.exit_code == 0 and "degree-0 generators" in r.output
+        assert len(calls) == 1
+
     def test_point(self, runner, workspace, tmp_path):
         p = tmp_path / "pt.json"
         dh.save(dh.standard_cube(0), p)

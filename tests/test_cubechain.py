@@ -23,8 +23,8 @@ def _unit_targets(m: Matrix) -> tuple[list[int | None], set[int]]:
     minus = _neg(1, _modulus(m.field))
     targets: list[int | None] = [None] * m.cols
     negated: set[int] = set()
-    for i, row in enumerate(m._rows):
-        for j, a in row.items():
+    for j, col in enumerate(m.sparse_columns()):
+        for i, a in col.items():
             if (a != 1 and a != minus) or targets[j] is not None:
                 raise ChainError(f"column {j} of a {m.rows}x{m.cols} map is neither 0 "
                                  "nor a signed unit vector")
@@ -462,8 +462,8 @@ class TestReindexedChainMapCheck:
         left, right = dp @ p, q @ d
         differing = [j for j in range(p.cols) if left.column(j) != right.column(j)]
         assert (left == right) == (not differing)
-        assert _chain_map_witness(dp.transpose(), _unit_targets(p), _unit_targets(q),
-                                  d.transpose()) == (differing[0] if differing else None)
+        assert _chain_map_witness(dp, _unit_targets(p), _unit_targets(q), d) == \
+            (differing[0] if differing else None)
 
     def test_sums_of_entries_that_meet_on_one_row(self):
         # q sends both rows of d to row 0, where 1 + (-1) cancels over Q and
@@ -473,11 +473,9 @@ class TestReindexedChainMapCheck:
             q = Matrix.unit_columns(field, 1, [0, 0])
             p = Matrix.unit_columns(field, 1, [0])
             zero = Matrix.zeros(field, 1, 1)
-            assert _chain_map_witness(zero.transpose(), _unit_targets(p), _unit_targets(q),
-                                      d.transpose()) is None
+            assert _chain_map_witness(zero, _unit_targets(p), _unit_targets(q), d) is None
             one = Matrix.from_rows(field, [[1]])
-            assert _chain_map_witness(one.transpose(), _unit_targets(p), _unit_targets(q),
-                                      d.transpose()) == 0
+            assert _chain_map_witness(one, _unit_targets(p), _unit_targets(q), d) == 0
 
     def test_minus_one_is_p_minus_1_over_a_prime_field(self):
         # over F_7 the entry -1 of a map is stored as 6
@@ -485,25 +483,23 @@ class TestReindexedChainMapCheck:
         d = Matrix.from_rows(f7, [[1, 3]])
         minus1, minus2 = Matrix.from_rows(f7, [[-1]]), -Matrix.identity(f7, 2)
         assert minus1.entry(0, 0) == f7.of(6)
-        assert _chain_map_witness(d.transpose(), _unit_targets(minus2), _unit_targets(minus1),
-                                  d.transpose()) is None
-        assert _chain_map_witness(d.transpose(), _unit_targets(Matrix.identity(f7, 2)),
-                                  _unit_targets(minus1), d.transpose()) == 0
+        assert _chain_map_witness(d, _unit_targets(minus2), _unit_targets(minus1), d) is None
+        assert _chain_map_witness(d, _unit_targets(Matrix.identity(f7, 2)),
+                                  _unit_targets(minus1), d) == 0
         # a signed permutation p, with d' = d @ p^-1 = d @ p^T
         p = Matrix.from_sparse_columns(f7, 2, [{1: -1}, {0: 1}])
-        assert _chain_map_witness((d @ p.transpose()).transpose(), _unit_targets(p),
-                                  _unit_targets(Matrix.identity(f7, 1)), d.transpose()) is None
+        assert _chain_map_witness(d @ p.transpose(), _unit_targets(p),
+                                  _unit_targets(Matrix.identity(f7, 1)), d) is None
 
     def test_rejects_a_map_that_is_not_0_1(self):
         d = Matrix.from_rows(QQ, [[1]])
         one, two = Matrix.identity(QQ, 1), Matrix.from_rows(QQ, [[2]])
         with pytest.raises(ChainError):
-            _chain_map_witness(d.transpose(), _unit_targets(two), _unit_targets(one), d.transpose())
+            _chain_map_witness(d, _unit_targets(two), _unit_targets(one), d)
         with pytest.raises(ChainError):
-            _chain_map_witness(d.transpose(), _unit_targets(one), _unit_targets(two), d.transpose())
+            _chain_map_witness(d, _unit_targets(one), _unit_targets(two), d)
         # two entries in one column: the product check would accept this square
         dp, both = Matrix.from_rows(QQ, [[1], [1]]), Matrix.from_rows(QQ, [[1], [1]])
         assert dp @ one == both @ d
         with pytest.raises(ChainError):
-            _chain_map_witness(dp.transpose(), _unit_targets(one), _unit_targets(both),
-                               d.transpose())
+            _chain_map_witness(dp, _unit_targets(one), _unit_targets(both), d)

@@ -419,6 +419,43 @@ class TestSparseAgainstDenseReference:
             assert a.block(picked, cols).data == tuple(tuple(dense[i][j] for j in cols)
                                                        for i in picked)
         assert all(a.entry(i, j) == dense[i][j] for i in range(a.rows) for j in range(ncols))
+        dense_cols = [tuple(r[j] for r in dense) for j in range(ncols)]
+        assert all(a.row(i) == dense[i] for i in range(a.rows))
+        assert a.is_zero() == all(v == field.zero for r in dense for v in r)
+        # sparse columns: the stored values, copies that the caller may change
+        p = field.characteristic
+        sparse = a.sparse_columns()
+        assert [{i: field.of(v) for i, v in col.items()} for col in sparse] == \
+            [{i: v for i, v in enumerate(col) if v != field.zero} for col in dense_cols]
+        for col in sparse:
+            col.clear()
+        sparse.append({0: 1})
+        assert a.data == dense and a.columns() == dense_cols
+        # unreduced ints: values that are 0 mod p, or explicit zeros over Q, are dropped
+        raw = [{i: v + (2 * p if p else 0) for i, v in col.items()} for col in a.sparse_columns()]
+        for j, col in enumerate(raw):
+            for i in range(a.rows):
+                if i not in col and data.draw(st.booleans()):
+                    col[i] = data.draw(st.sampled_from([0, p, -3 * p])) if p else 0
+        assert Matrix.from_sparse_columns(field, a.rows, raw) == a
+        # unit columns, with None for zero columns, against the dense 0/1 matrix
+        targets = [data.draw(st.one_of(st.none(), st.integers(0, a.rows - 1)))
+                   if a.rows else None for _ in range(ncols)]
+        units = Matrix.unit_columns(field, a.rows, targets)
+        assert units.data == tuple(tuple(field.one if t == i else field.zero for t in targets)
+                                   for i in range(a.rows))
+        with pytest.raises(IndexError):
+            Matrix.unit_columns(field, a.rows, [*targets, a.rows])
+        # matvec against the dense product
+        v = [data.draw(scalars(field)) for _ in range(ncols)]
+        assert a.matvec(v) == tuple(sum((r[j] * v[j] for j in range(ncols)), field.zero)
+                                    for r in dense)
+        # equal matrices hash equally, whichever constructor built them
+        same = (Matrix.from_columns(field, dense_cols, length=a.rows),
+                Matrix.from_sparse_columns(field, a.rows, raw), a.transpose().transpose(),
+                a @ Matrix.identity(field, ncols))
+        assert all(b == a and hash(b) == hash(a) for b in same)
+        assert hash(units) == hash(Matrix.from_rows(field, units.data, cols=ncols))
 
     @settings(max_examples=60, deadline=None)
     @given(matrices())

@@ -242,16 +242,16 @@ def oracle_homology(cx, i, pair):
     pivots are the representatives."""
     d, d_next = cx.diff(i, pair), cx.diff(i + 1, pair)
     p, field = la._modulus(d.field), d.field
-    rows, pivots, _ = la._echelon(d._rows, d.cols, p)
+    rows, pivots, _ = la._echelon(d.transpose().sparse_columns(), d.cols, p)
     kernel = la._null_vectors(rows, pivots, d.cols, p)
     n, free = len(kernel), [max(v) for v in kernel]
-    coords = la._transpose([d_next._rows[f] for f in free], d_next.cols)
+    coords = d_next.block(free, range(d_next.cols)).sparse_columns()
     dense, pivots = la._rref([la._dense(c, n, field.zero, p) for c in coords], n, field.zero,
                              range(n - 1, -1, -1))
     rows = [la._sparse(r, p) for r in dense]
     return ([v for k, v in enumerate(kernel) if k not in set(pivots)],
             Subspace._of(field, d.cols, kernel, None), free,
-            Matrix._of(field, n - len(pivots), n, la._null_vectors(rows, pivots, n, p)),
+            Matrix.from_sparse_columns(field, n, la._null_vectors(rows, pivots, n, p)).transpose(),
             Subspace._of(field, d.cols, la._mul(rows, kernel, p), None))
 
 

@@ -123,12 +123,18 @@ def _parse_pair(x: pc.PrecubicalSet, pair: str | None) -> tuple[str, str] | None
     if pair is None:
         return None
     parts = pair.split(",")
-    if len(parts) != 2:
+    splits = [(",".join(parts[:k]), ",".join(parts[k:])) for k in range(1, len(parts))]
+    if len(splits) > 1:  # vertex ids may hold commas: keep the splits into two vertices
+        splits = [sp for sp in splits if set(sp) <= set(x.vertices)]
+        if len(splits) > 1:
+            _fail_input(f"--pair {pair!r} is ambiguous: it splits into vertices as "
+                        + " or ".join(f"{s!r},{e!r}" for s, e in splits))
+    if len(splits) != 1:
         _fail_input("--pair expects 'src,dst'")
-    for v in parts:
+    for v in splits[0]:
         if v not in x.vertices:
             _fail_input(f"unknown vertex {v!r}")
-    return parts[0], parts[1]
+    return splits[0]
 
 
 def _json(doc) -> str:

@@ -38,9 +38,7 @@ from dataclasses import dataclass, field as dataclass_field
 from functools import cached_property
 from typing import Iterator, Mapping, Sequence
 
-from .exactla import (
-    ChainError, FieldError, Matrix, QQ, Reduction, _modulus, _neg, column_reduction,
-)
+from .exactla import ChainError, Matrix, QQ, Reduction, _chain_map_witness, column_reduction
 from .precubical import PrecubicalSet, TensorSet
 
 
@@ -509,48 +507,6 @@ def _basis_matrix(field, rows: int, p: tuple) -> Matrix:
     targets, negated = p
     return Matrix.from_sparse_columns(field, rows, [
         {} if t is None else {t: -1 if j in negated else 1} for j, t in enumerate(targets)])
-
-
-def _renamed(vec: dict, p: tuple, mod: int) -> dict:
-    """``P @ vec`` for the 0/+-1 map P of signed positions ``p = (targets,
-    negated)``: entry r moves to targets[r], negated when r is in `negated`,
-    dropped when the target is None, and entries that meet add."""
-    targets, negated = p
-    out: dict = {}
-    for r, a in vec.items():
-        t = targets[r]
-        if t is not None:
-            if r in negated:
-                a = _neg(a, mod)
-            out[t] = out[t] + a if t in out else a
-    if len(out) < len(vec):
-        # entries may have met on one target and been summed: drop zeros, reduce mod p
-        out = ({t: v for t, a in out.items() if (v := a % mod)} if mod
-               else {t: a for t, a in out.items() if a})
-    return out
-
-
-def _chain_map_witness(target_d: Matrix, p: tuple, q: tuple, source_d: Matrix) -> int | None:
-    """Decide ``d' @ P == Q @ d`` for the differentials d' = `target_d` and
-    d = `source_d` and 0/+-1 basis maps P (degree i) and Q (degree i-1) of
-    signed positions by re-indexing, with no matrix product: None when the
-    two sides agree, else the first column j where they differ.
-
-    Column j of ``d' @ P`` is column P(j) of d', negated where P has -1, and
-    of ``Q @ d`` column j of d renamed by Q (`_renamed`).  Every entry is
-    compared.
-    """
-    if (len(p[0]), len(q[0])) != (source_d.cols, source_d.rows):
-        raise FieldError("shape mismatch in a chain-map check")
-    (p_of, p_neg), mod = p, _modulus(target_d.field)
-    target = target_d.sparse_columns()
-    for j, col in enumerate(source_d.sparse_columns()):
-        image = target[p_of[j]] if p_of[j] is not None else {}
-        if j in p_neg:
-            image = {t: _neg(a, mod) for t, a in image.items()}
-        if _renamed(col, q, mod) != image:
-            return j
-    return None
 
 
 def build_complex(x: PrecubicalSet, max_degree: int | None = None,

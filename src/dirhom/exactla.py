@@ -15,7 +15,7 @@ only where a caller gave one or a pivot other than +-1 divided a vector.
 Columns are the form in which every differential is assembled, reduced,
 multiplied, checked as a chain map and pushed into homology; only the cold
 readers of rows (the row constructor, `data`, `row`, `text_rows`,
-`transpose`, `solve`, `invert`, `quotient_map` and the classes map of
+`transpose`, `solve`, `quotient_map` and the classes map of
 `homology_from_reductions`) transpose.  Zero tests are truthiness tests.
 
 One pivot rule serves the whole module: sparse vectors are reduced one
@@ -23,14 +23,15 @@ after the other against a ``{lowest nonzero: stored vector}`` dict, each
 stored vector scaled to 1 at its low (`_lows`), and a rank is the number of
 lows.  The reduced row echelon form (`_echelon`, behind `image_basis`,
 `solve`, `pivot_columns` and `Subspace`) is that reduction on the columns
-numbered last first, so that each low is a leading column, plus one back
-substitution in ascending order of lows.  It is unique for a fixed column
-order, so the order in which vectors are reduced never shows in a result;
-choosing pivot columns by fill-in (Markowitz-style) would change every
-kernel basis, homology representative and action matrix the package prints.
-Systems are solved for a whole matrix of right-hand sides at once:
-`solve(m, b)` reduces [m | b] once, and `Subspace.express(m)` reads the
-coordinates of every column of m off the subspace's one echelon form; the
+numbered last first, so that each low is a leading column, plus the one
+back substitution in ascending order of lows (`_back_substitute`, which
+homology shares).  It is unique for a fixed column order, so the order in
+which vectors are reduced never shows in a result; choosing pivot columns
+by fill-in (Markowitz-style) would change every kernel basis, homology
+representative and action matrix the package prints.  Systems are solved
+for a whole matrix of right-hand sides at once: `solve(m, b)` reduces
+[m | b] once; `Subspace.express(m)` is `solve` on the basis matrix and
+`invert(m)` is `solve` on the identity, both unique solutions; the
 single-vector `solve_in_image`, `coordinates`, `contains` and `matvec` are
 one-line wrappers.
 
@@ -53,7 +54,7 @@ give an image basis with distinct lowest rows.  For
 H_i = ker d_i / im d_{i+1}, a boundary's lowest row is the free column of
 the last kernel vector in which it has a coordinate, so the boundaries'
 kernel coordinates are their entries at the free columns, and
-`homology_from_reductions` back-substitutes them in order of their lows to
+`homology_from_reductions` back-substitutes them (`_back_substitute`) to
 give the map to classes; the kernel vectors at free columns that are not a
 low are the representatives.  `homology_classes`, the one push of chains
 into homology, takes cycles as ``{row: value}`` sparse columns of stored
@@ -61,6 +62,13 @@ values (the form of `Matrix.sparse_columns` and of the representatives): it
 reads their kernel coordinates at the free columns, checks entry by entry
 that the kernel vectors give each column back and applies the map to
 classes, with no elimination.
+
+A basis map, which sends each basis element to +-1 times another or to
+zero (an edge action, the map of a morphism, an inclusion or projection
+of basis subsets), is given as signed positions, never as a matrix:
+`_renamed` re-indexes a sparse column by one, and `_chain_map_witness`
+checks that two of them commute with the differentials by reading the
+columns of both in place, with no product and no copy.
 """
 
 from __future__ import annotations
@@ -326,33 +334,30 @@ def _lows(vectors: list[dict], p: int) -> dict[int, dict]:
     return image
 
 
-def _echelon(vectors: Iterable[dict], n: int, p: int, combinations: bool = False):
-    """The reduced row echelon form of sparse vectors of length n, pivots
-    ascending, as (rows, pivots, transforms): `_lows` on copies, sparsest
-    first, with column c numbered n - 1 - c so each low is a leading column,
-    then back substitution in ascending order of lows.  With `combinations`
-    vector j also has a 1 at column -1 - j, which never leads while a real
-    entry remains: transform k, read off those columns, gives row k from
-    the vectors, and a vector in the span of those before it ends with a
-    negative low and gives no row.  Else the transforms list is empty."""
-    last = n - 1
-    vecs = [{last - c: a for c, a in v.items()} for v in vectors]
-    if combinations:
-        for j, v in enumerate(vecs):
-            v[-1 - j] = 1
-    image = _lows(sorted(vecs, key=len), p)
+def _back_substitute(rows_by_low: dict[int, dict], p: int) -> dict[int, dict]:
+    """Back substitution in ascending order of lows on rows, which it
+    modifies, each 1 at its low (its highest column): the result, ``{low:
+    row}`` in that order, has each row 0 at the other lows."""
     done: dict[int, dict] = {}
-    for low in sorted(image):
-        if low >= 0:
-            row = image[low]
-            for c in [c for c in row if c in done]:
-                _axpy(row, row[c], done[c], p)
-            done[low] = row
+    for low in sorted(rows_by_low):
+        row = rows_by_low[low]
+        for c in [c for c in row if c in done]:
+            _axpy(row, row[c], done[c], p)
+        done[low] = row
+    return done
+
+
+def _echelon(vectors: Iterable[dict], n: int, p: int):
+    """The reduced row echelon form of sparse vectors of length n, pivots
+    ascending, as (rows, pivots): `_lows` on copies, sparsest first, with
+    column c numbered n - 1 - c so each low is a leading column, then
+    `_back_substitute`."""
+    last = n - 1
+    done = _back_substitute(_lows(sorted(({last - c: a for c, a in v.items()} for v in vectors),
+                                         key=len), p), p)
     lows = [*reversed(done)]
-    return ([{last - c: a for c, a in done[low].items() if c >= 0} for low in lows],
-            [last - low for low in lows],
-            [{-1 - c: a for c, a in done[low].items() if c < 0} for low in lows]
-            if combinations else [])
+    return ([{last - c: a for c, a in done[low].items()} for low in lows],
+            [last - low for low in lows])
 
 
 def _null_vectors(rows: list[dict], pivots: list[int], n: int, p: int) -> list[dict]:
@@ -620,8 +625,8 @@ def _rref(rows: list[list], ncols: int, zero, col_order: Sequence[int] | None = 
     p = zero.p if isinstance(zero, Residue) else 0
     order = list(range(ncols) if col_order is None else col_order)
     place = {c: k for k, c in enumerate(order)}
-    done, pivots, _ = _echelon(({place[c]: a for c, a in _sparse(r, p).items()} for r in rows),
-                               ncols, p)
+    done, pivots = _echelon(({place[c]: a for c, a in _sparse(r, p).items()} for r in rows),
+                            ncols, p)
     return ([_dense({order[k]: a for k, a in r.items()}, ncols, zero, p) for r in done],
             [order[k] for k in pivots])
 
@@ -637,10 +642,10 @@ def rank(m: Matrix) -> int:
 class Subspace(_Frozen):
     """A subspace of a coordinate space, given by an independent basis.
 
-    The basis is held as sparse vectors.  One reduced row echelon form of
-    [basis | identity], computed when first needed, gives the reduced rows
-    and pivots behind the independence check, `contains`, `coordinates`,
-    equality and the quotient maps.
+    The basis is held as sparse vectors.  The reduced row echelon form of
+    the basis, computed when first needed, gives the reduced rows and
+    pivots behind the independence check, equality and the quotient maps;
+    `express` solves for coordinates in the basis (`solve`).
     """
 
     __slots__ = ("field", "ambient_dim", "_basis", "_form")
@@ -653,7 +658,7 @@ class Subspace(_Frozen):
 
     @classmethod
     def zero(cls, field, ambient_dim: int) -> "Subspace":
-        return cls._of(field, ambient_dim, [], ([], [], []))
+        return cls._of(field, ambient_dim, [], ([], []))
 
     @classmethod
     def full(cls, field, ambient_dim: int) -> "Subspace":
@@ -683,30 +688,16 @@ class Subspace(_Frozen):
         return tuple(self._echelon_form()[1])
 
     def _echelon_form(self):
-        """(rref rows, pivots, transforms) of [basis | identity], computed
-        once (`_echelon` with combinations): transform k is the combination
-        of basis vectors that equals row k."""
+        """(rref rows, pivots) of the basis, computed once (`_echelon`)."""
         if self._form is None:
             object.__setattr__(self, "_form", _echelon(
-                self._basis, self.ambient_dim, _modulus(self.field), combinations=True))
+                self._basis, self.ambient_dim, _modulus(self.field)))
         return self._form
 
     def express(self, m: Matrix) -> Matrix | None:
-        """The coordinates in `basis` of the columns of m, as the columns of
-        the result, or None when a column is not in the subspace.
-
-        A vector in the span is the combination of the reduced rows weighted
-        by its entries at their pivots, and reduced row k is the combination
-        transform k of the basis; the products run on the columns of m.
-        """
-        if m.rows != self.ambient_dim:
-            raise FieldError(f"vector length {m.rows} != {self.ambient_dim}")
-        rows, pivots, transforms = self._echelon_form()
-        p = _modulus(self.field)
-        at_pivots = [{k: v[c] for k, c in enumerate(pivots) if c in v} for v in m._cols]
-        if _mul(at_pivots, rows, p) != m._cols:
-            return None
-        return Matrix._of(self.field, self.dim, m.cols, _mul(at_pivots, transforms, p))
+        """The coordinates in `basis` of the columns of m, as columns, or None
+        when a column is not in the subspace: `solve`, its one solution."""
+        return solve(self.basis_matrix(), m)
 
     def coordinates(self, v: Sequence) -> tuple | None:
         """The coefficients of v in `basis`, or None when v is not in the subspace."""
@@ -741,13 +732,12 @@ def kernel_basis(m: Matrix) -> Subspace:
 
 def image_basis(m: Matrix) -> Subspace:
     """Column space of `m`; its basis is the rref of the columns.  That basis
-    is already reduced, so its echelon form is itself, with identity
-    transforms.  A matrix with no rows or no columns needs no reduction."""
+    is already reduced, so its echelon form is itself.  A matrix with no
+    rows or no columns needs no reduction."""
     if not (m.rows and m.cols):
         return Subspace.zero(m.field, m.rows)
-    rows, pivots, _ = _echelon(m._cols, m.rows, _modulus(m.field))
-    return Subspace._of(m.field, m.rows, rows,
-                        (rows, pivots, [{k: 1} for k in range(len(rows))]))
+    form = _echelon(m._cols, m.rows, _modulus(m.field))
+    return Subspace._of(m.field, m.rows, form[0], form)
 
 
 def pivot_columns(*spaces: Subspace) -> list[int]:
@@ -770,8 +760,8 @@ def solve(m: Matrix, b: Matrix) -> Matrix | None:
     n = m.cols
     if not b.cols:
         return Matrix.zeros(m.field, n, 0)
-    done, pivots, _ = _echelon(_transpose(m.augment(b)._cols, m.rows), n + b.cols,
-                               _modulus(m.field))
+    done, pivots = _echelon(_transpose(m.augment(b)._cols, m.rows), n + b.cols,
+                            _modulus(m.field))
     if pivots and pivots[-1] >= n:
         return None
     x: list[dict] = [{} for _ in range(n)]
@@ -791,14 +781,13 @@ def _vector(m: Matrix | None) -> tuple | None:
 
 
 def invert(m: Matrix) -> Matrix:
+    """The inverse of m, the unique solution of m X = identity (`solve`)."""
     if m.rows != m.cols:
         raise FieldError("only square matrices invert")
-    # the rows of m as a basis: its transforms are the rows of the inverse
-    rows = _transpose(m._cols, m.rows)
-    _, pivots, transforms = Subspace._of(m.field, m.cols, rows, None)._echelon_form()
-    if len(pivots) != m.cols:
+    inverse = solve(m, Matrix.identity(m.field, m.rows))
+    if inverse is None:
         raise FieldError("matrix not invertible")
-    return Matrix._of(m.field, m.rows, m.cols, _transpose(transforms, m.cols))
+    return inverse
 
 
 def quotient_map(ambient_dim: int, sub: Subspace) -> Matrix:
@@ -810,7 +799,7 @@ def quotient_map(ambient_dim: int, sub: Subspace) -> Matrix:
     """
     if sub.ambient_dim != ambient_dim:
         raise FieldError(f"subspace ambient {sub.ambient_dim} != {ambient_dim}")
-    rows, pivots, _ = sub._echelon_form()
+    rows, pivots = sub._echelon_form()
     q_rows = _null_vectors(rows, pivots, ambient_dim, _modulus(sub.field))
     return Matrix._of(sub.field, len(q_rows), ambient_dim, _transpose(q_rows, ambient_dim))
 
@@ -840,9 +829,8 @@ def homology_from_reductions(d: Reduction, d_next: Reduction, field, n: int):
     at free[K] for its last kernel coordinate K.  So kernel vector k lies in
     the span of the boundaries and the kernel vectors before it exactly when
     free[k] is a low, and the other kernel vectors are the representatives,
-    given as sparse columns.  Back substitution of the boundaries' kernel
-    coordinates in order of their lows makes the row under low K 1 at K and
-    0 at the other lows; `classes` maps kernel coordinates to class
+    given as sparse columns.  `_back_substitute` on the boundaries' kernel
+    coordinates makes the row under low K 1 at K and 0 at the other lows; `classes` maps kernel coordinates to class
     coordinates (the null vectors of those rows), and the boundary rows are
     returned last low first: the reduced row echelon form of the boundaries'
     kernel coordinates with the columns taken last first.  A boundary whose
@@ -850,15 +838,12 @@ def homology_from_reductions(d: Reduction, d_next: Reduction, field, n: int):
     """
     p, m = _modulus(field), len(d.free)
     at = {f: k for k, f in enumerate(d.free)}
-    rows: dict[int, dict] = {}
-    for low in sorted(d_next.image):
-        if low not in at:
-            raise ChainError(f"d_i d_(i+1) is not zero: a boundary has its lowest "
-                             f"nonzero at chain {low}, a pivot of d_i")
-        row = {at[r]: a for r, a in d_next.image[low].items() if r in at}
-        for c in [c for c in row if c in rows]:
-            _axpy(row, row[c], rows[c], p)
-        rows[at[low]] = row
+    bad = [low for low in d_next.image if low not in at]
+    if bad:
+        raise ChainError(f"d_i d_(i+1) is not zero: a boundary has its lowest "
+                         f"nonzero at chain {min(bad)}, a pivot of d_i")
+    rows = _back_substitute({at[low]: {at[r]: a for r, a in col.items() if r in at}
+                             for low, col in d_next.image.items()}, p)
     reduced = list(rows.values())
     return (Subspace._of(field, n, d.kernel, None),
             [v for v, f in zip(d.kernel, d.free) if f not in d_next.image], reduced[::-1],
@@ -891,3 +876,47 @@ def homology_classes(cycles: Subspace, free: Sequence[int], classes: Matrix,
     if _mul(coords, cycles._basis, p) != columns:
         raise ChainError("vector is not a cycle of this component")
     return Matrix._of(classes.field, classes.rows, len(columns), _mul(coords, classes._cols, p))
+
+
+# -- basis maps, as signed positions ------------------------------------------------
+
+
+def _renamed(vec: dict, p: tuple, mod: int) -> dict:
+    """``P @ vec`` for the basis map P of signed positions ``p = (targets,
+    negated)``, over F_mod (Q for 0): entry r moves to targets[r], negated
+    when r is in `negated`, dropped when the target is None (zero), and
+    entries that meet add."""
+    targets, negated = p
+    out: dict = {}
+    for r, a in vec.items():
+        t = targets[r]
+        if t is not None:
+            if r in negated:
+                a = _neg(a, mod)
+            out[t] = out[t] + a if t in out else a
+    if len(out) < len(vec):
+        # entries may have met on one target and been summed: drop zeros, reduce mod p
+        out = ({t: v for t, a in out.items() if (v := a % mod)} if mod
+               else {t: a for t, a in out.items() if a})
+    return out
+
+
+def _chain_map_witness(target_d: Matrix, p: tuple, q: tuple, source_d: Matrix) -> int | None:
+    """Decide ``d' @ P == Q @ d`` for the differentials d' = `target_d` and
+    d = `source_d` and basis maps P (degree i) and Q (degree i-1) of signed
+    positions by re-indexing: None when the two sides agree, else the first
+    column j where they differ.  Column j of ``d' @ P`` is column P(j) of
+    d', negated where P has -1, and of ``Q @ d`` column j of d renamed by Q
+    (`_renamed`); both are read in place, with no product and no copy, and
+    every entry is compared."""
+    if (len(p[0]), len(q[0])) != (source_d.cols, source_d.rows):
+        raise FieldError("shape mismatch in a chain-map check")
+    (p_of, p_neg), mod = p, _modulus(target_d.field)
+    target = target_d._cols
+    for j, col in enumerate(source_d._cols):
+        image = target[p_of[j]] if p_of[j] is not None else {}
+        if j in p_neg:
+            image = {t: _neg(a, mod) for t, a in image.items()}
+        if _renamed(col, q, mod) != image:
+            return j
+    return None

@@ -31,11 +31,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, reduce
 
-from .exactla import Matrix, QQ
+from .exactla import ChainError, Matrix, QQ, _chain_map_witness, _renamed
 from .precubical import PcMorphism, PrecubicalSet, TensorSet, tensor, tensor_morphism
 from .cubechain import (
-    ChainError, CubeChain, GradedComplex, PairGradedComplex, _basis_map, _basis_matrix,
-    _chain_map_witness, _renamed, build_complex, project_shuffle,
+    CubeChain, GradedComplex, PairGradedComplex, _basis_map, _basis_matrix, build_complex,
+    project_shuffle,
 )
 from .homology import HomologyTable, _homology_at, _morphism_positions, push_basis_map
 

@@ -44,13 +44,10 @@ from dataclasses import dataclass
 from functools import cached_property
 
 from .exactla import (  # kernel_basis stays importable from here
-    QQ, ChainError, Matrix, Subspace, homology_classes, homology_from_reductions, kernel_basis,
-    span_of_combinations,
+    QQ, ChainError, Matrix, Subspace, _chain_map_witness, _renamed, homology_classes,
+    homology_from_reductions, kernel_basis, span_of_combinations,
 )
-from .cubechain import (
-    GradedComplex, PairGradedComplex, _basis_map, _basis_matrix, _chain_map_witness, _renamed,
-    build_complex,
-)
+from .cubechain import GradedComplex, PairGradedComplex, _basis_map, _basis_matrix, build_complex
 from .precubical import PcMorphism, PrecubicalSet, realization
 
 

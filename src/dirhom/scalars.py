@@ -371,9 +371,12 @@ def _present_from_actions(left: PathAlgebraIndex, right: PathAlgebraIndex, field
 
 
 def re_present(res: ResolvedBimodule, name: str = "") -> PresentedBimodule:
-    """A fresh presentation of a resolved bimodule (generators ``g[s->e]#k``)."""
+    """A fresh presentation of a resolved bimodule (generators ``g[s->e]#k``).
+    Each dimension is read off the quotient basis that the edge actions use,
+    so each source is swept once; `dim` would drop the translates first."""
     pb = res.pb
-    return _present_from_actions(pb.left, pb.right, pb.field, res.dim,
+    return _present_from_actions(pb.left, pb.right, pb.field,
+                                 lambda s, e: len(res.basis_triples(s, e)),
                                  res.left_edge_action, res.right_edge_action, "g", name)
 
 
@@ -667,24 +670,13 @@ class SmashedModule:
         return m
 
 
-class SmashedResolved:
-    """Total-dimension view of a resolved bimodule as a one-sided module."""
-
-    def __init__(self, res: ResolvedBimodule):
-        self.res = res
-
-    def total_dim(self) -> int:
-        return self.res.total_dim()
-
-    def dims_by_pair(self) -> dict[tuple[str, str], int]:
-        return self.res.dims_by_pair()
-
-
 def smash(obj):
+    """A homology table as a `SmashedModule`; a resolved bimodule, with its
+    `total_dim`, is itself already one, and a presented one is resolved."""
     if isinstance(obj, HomologyTable):
         return SmashedModule(obj)
     if isinstance(obj, ResolvedBimodule):
-        return SmashedResolved(obj)
+        return obj
     if isinstance(obj, PresentedBimodule):
-        return SmashedResolved(obj.resolve())
+        return obj.resolve()
     raise AlgebraError(f"cannot smash object of type {type(obj).__name__}")

@@ -303,6 +303,33 @@ class TestCohomology:
         assert r.exit_code == 2 and r.stderr == "input error: unknown vertex 'zz'\n"
 
 
+class TestPairWithCommas:
+    """Vertex ids may hold commas: a tensor names its vertices ``(0,0)``."""
+
+    def test_tensor_vertex_pair(self, runner, tmp_path):
+        k, t = str(tmp_path / "k.json"), str(tmp_path / "t.json")
+        assert invoke(runner, ["generate", "disc", "1", "-o", k]).exit_code == 0
+        assert invoke(runner, ["generate", "tensor", k, k, "-o", t]).exit_code == 0
+        r = invoke(runner, ["homology", t, "--pair", "(0,0),(1,1)"])
+        assert r.exit_code == 0 and "H0((0,0),(1,1)) = 1" in r.output
+        r = invoke(runner, ["cohomology", t, "--pair", "(0,0),(1,1)", "--format", "json"])
+        assert r.exit_code == 0
+        assert {"degree": 0, "src": "(0,0)", "dst": "(1,1)", "dim": 1} in \
+            json.loads(r.output)["entries"]
+        for pair, err in [("(0,0),(1,2)", "--pair expects 'src,dst'"),
+                          ("(0,0)", "unknown vertex '(0'")]:
+            r = invoke(runner, ["homology", t, "--pair", pair])
+            assert r.exit_code == 2 and r.stderr == f"input error: {err}\n"
+
+    def test_ambiguous_pair_exit2(self, runner, tmp_path):
+        p = tmp_path / "amb.json"
+        dh.save(dh.PrecubicalSet("amb", [["a", "b,c", "a,b", "c"]], {}), p)
+        r = invoke(runner, ["homology", str(p), "--pair", "a,b,c"])
+        assert r.exit_code == 2 and r.stdout == ""
+        assert r.stderr == ("input error: --pair 'a,b,c' is ambiguous: it splits into "
+                            "vertices as 'a','b,c' or 'a,b','c'\n")
+
+
 class TestCheckPair:
     def test_accepted(self, runner, workspace):
         r = invoke(runner, ["check-pair", workspace["d2"], workspace["s1cells"]])

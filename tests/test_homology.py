@@ -242,7 +242,7 @@ def oracle_homology(cx, i, pair):
     pivots are the representatives."""
     d, d_next = cx.diff(i, pair), cx.diff(i + 1, pair)
     p, field = la._modulus(d.field), d.field
-    rows, pivots, _ = la._echelon(d.transpose().sparse_columns(), d.cols, p)
+    rows, pivots = la._echelon(d.transpose().sparse_columns(), d.cols, p)
     kernel = la._null_vectors(rows, pivots, d.cols, p)
     n, free = len(kernel), [max(v) for v in kernel]
     coords = d_next.block(free, range(d_next.cols)).sparse_columns()
@@ -774,3 +774,18 @@ def test_chain_map_checks_run_no_matrix_product(D2, S1, td2, cxd2, monkeypatch):
     assert not calls
     Matrix.identity(QQ, 1) @ Matrix.identity(QQ, 1)
     assert calls    # the counter sees a product
+
+
+def test_table_copies_each_differential_once_per_column_reduction(monkeypatch):
+    """The chain-map checks read the differentials in place: the only
+    column copies made while a table is built are the ones each column
+    reduction consumes."""
+    x = dh.realization([4, 4])
+    cx = build_complex(x)
+    copies, reductions = [], []
+    real_copy, real_reduce = Matrix.sparse_columns, la._reduce
+    monkeypatch.setattr(Matrix, "sparse_columns",
+                        lambda m: copies.append(1) or real_copy(m))
+    monkeypatch.setattr(la, "_reduce", lambda *a: reductions.append(1) or real_reduce(*a))
+    HomologyTable(cx, x)
+    assert reductions and len(copies) == len(reductions)

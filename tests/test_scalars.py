@@ -9,6 +9,7 @@ from dirhom.exactla import FieldError, PrimeField, QQ, Residue, Subspace, quotie
 from dirhom.exactseq import maximal_paths
 from dirhom.homology import HomologyTable
 from dirhom.precubical import PrecubicalSet, SubsetSpec, sub, tensor
+from dirhom import scalars
 from dirhom.scalars import (
     AlgebraError, BimoduleGenerator, PresentedBimodule, ResolvedBimodule,
     SubcomplexExtension, direct_sum, extend_presented, extend_subcomplex,
@@ -224,6 +225,24 @@ class TestRepresent:
         res = unit_bimodule(algK).resolve()
         back = re_present(res).resolve()
         assert back.dims_by_pair() == res.dims_by_pair()
+
+    @pytest.mark.parametrize("name", ["D3", "S2", "R22"])
+    def test_re_present_sweeps_each_source_once(self, name, D3, S2, monkeypatch):
+        x = {"D3": D3, "S2": S2, "R22": dh.realization([2, 2])}[name]
+        alg = path_algebra(x)
+        swept = []
+        sweep = ResolvedBimodule._sweep
+        monkeypatch.setattr(ResolvedBimodule, "_sweep",
+                            lambda self, s: (swept.append(s), sweep(self, s))[1])
+        got = re_present(unit_bimodule(alg).resolve(), "r")
+        assert sorted(swept) == sorted(x.vertices)
+        monkeypatch.undo()
+        # the same presentation as one whose dimensions are read by `dim`
+        res = unit_bimodule(alg).resolve()
+        want = scalars._present_from_actions(alg, alg, res.field, res.dim, res.left_edge_action,
+                                             res.right_edge_action, "g", "r")
+        assert got.generators == want.generators
+        assert got.relations == want.relations
 
     def test_homology_presentation_dims(self, D2):
         cx = build_complex(D2)

@@ -444,7 +444,10 @@ def kunneth(path_x, path_y, field_name, max_degree, fmt, obstruction):
     x = _load_valid_set(path_x, "kunneth", fmt)
     y = _load_valid_set(path_y, "kunneth", fmt)
     field = _field(field_name)
-    setting = TensorSetting.build(x, y, field)
+    try:
+        setting = TensorSetting.build(x, y, field)
+    except pc.PrecubicalError as exc:   # two product cells with one name
+        _fail_input(str(exc))
     comp = tensor_comparison_report(x, y, field, max_degree=max_degree, setting=setting)
     kun = kunneth_report(x, y, field, max_degree=max_degree, setting=setting)
     dims = _nonzero(kun.product_dims)

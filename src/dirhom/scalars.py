@@ -15,8 +15,8 @@ purpose:
 * `extend_presented` is the ground truth: it re-reads a presented bimodule
   over the paths of X, whose per-pair dimension is the number of spanning
   triples minus the rank of the relation translates; `ResolvedBimodule`
-  counts the triples and builds the translates of all pairs of one source
-  vertex in one sweep.
+  sizes all pairs of one source vertex from one sweep of their triples and
+  translates, and keeps no translate.
 
 Their per-pair dimensions agree exactly when the canonical comparison map
 is injective, which is what the relative-pair check verifies.
@@ -158,22 +158,18 @@ class PresentedBimodule:
 
 
 class ResolvedBimodule:
-    """Per-pair reduction of a presented bimodule.
+    """Per-pair reduction of a presented bimodule, one source vertex at a time.
 
     For a pair (s, e) the spanning triples are (left path, generator, right
-    path); the bimodule is their span modulo the relation translates.  Its
-    dimension is the number of triples minus the rank of the translates, the
-    number of their lows in the package's one reduction loop,
-    `exactla._lows` (`_reduce`).  One sweep per source vertex s (`_sweep`),
-    over the generators and relations indexed by their source vertex, counts
-    the triples of every pair (s, e) and builds its translates from only
-    the generator and relation pairs that paths from s reach.  A pair's
-    translates are dropped once read: over the pairs in order of source,
-    one source's translates are alive at a time.
-
-    The quotient basis, the triples off the pivots of the translates'
-    reduced row echelon form (`exactla.image_basis`), is built only for
-    `basis_triples` and the edge actions, matrices in this basis (`_quotient`).
+    path); the bimodule is their span modulo the relation translates.  A
+    sweep of a source vertex s (`_sweep`), over the generators and relations
+    indexed by their source, counts the triples of every pair (s, e) and
+    builds its translates from only the generator and relation pairs that
+    paths from s reach, and stores nothing.  The first dimension asked at s
+    (`_reduce`) sizes every pair of s from one sweep: its triple count minus
+    the rank of its translates, the number of their lows (`exactla._lows`).
+    The first quotient basis asked at s (`basis_triples`, the edge actions)
+    builds those of every pair of s from one more sweep (`_pair_basis`).
     """
 
     def __init__(self, pb: PresentedBimodule):
@@ -186,21 +182,18 @@ class ResolvedBimodule:
         self._relations: dict[str, list[tuple[str, list[RelationTerm]]]] = {}
         for rs, re, terms in pb._graded_relations:
             self._relations.setdefault(rs, []).append((re, terms))
-        # the dimension at each reduced pair; benchmark/tracer.py reads the keys
+        # the dimension at each pair asked for; benchmark/tracer.py reads the keys
         self._rref: dict[tuple[str, str], int] = {}
-        self._counts: dict[str, dict[str, int]] = {}
-        self._swept: dict[tuple[str, str], tuple[dict[tuple, int], list[dict]]] = {}
-        self._triples: dict[tuple[str, str], list[tuple]] = {}
-        self._tindex: dict[tuple[str, str], dict[tuple, int]] = {}
-        self._qmap: dict[tuple[str, str], Matrix] = {}
-        self._free: dict[tuple[str, str], list[int]] = {}
+        # per source vertex s, by target e: the dimension, and the basis record
+        self._dims: dict[str, dict[str, int]] = {}
+        self._bases: dict[str, dict[str, tuple]] = {}
 
-    def _sweep(self, s: str) -> None:
-        """Count the triples of every pair (s, e), the sum over generator
-        pairs (u, v) of #generators(u, v) . #paths(s, u) . #paths(v, e), and
-        for each pair with triples number the triples its translates meet and
-        build one ``{number: value}`` row per translate (terms that land on
-        one triple add, and zero sums drop)."""
+    def _sweep(self, s: str) -> dict[str, tuple[int, dict[tuple, int], list[dict]]]:
+        """``{e: (count, number, rows)}`` over the pairs (s, e) with triples:
+        the triple count, the sum over generator pairs (u, v) of
+        #generators(u, v) . #paths(s, u) . #paths(v, e), the numbers of the
+        triples the translates meet, and one ``{number: value}`` row per
+        translate (terms that land on one triple add, and zero sums drop)."""
         left, right = self.pb.left.starting.get(s, {}), self.pb.right.starting
         counts: dict[str, int] = {}
         for u, lps in left.items():
@@ -208,15 +201,14 @@ class ResolvedBimodule:
                 k = len(lps) * len(gids)
                 for e, rqs in right.get(v, {}).items():
                     counts[e] = counts.get(e, 0) + k * len(rqs)
-        self._counts[s] = counts
-        swept = {e: ({}, []) for e in counts}
+        swept = {e: (n, {}, []) for e, n in counts.items()}
         p = _modulus(self.field)
         for rs, lps in left.items():
             for re, terms in self._relations.get(rs, ()):
                 for lp in lps:
                     lefts = [(a, lp + pi, gid, qi) for a, pi, gid, qi in terms]
                     for e, rqs in right.get(re, {}).items():
-                        number, rows = swept[e]
+                        _, number, rows = swept[e]
                         for rq in rqs:
                             row: dict = {}
                             for a, lpi, gid, qi in lefts:
@@ -228,79 +220,66 @@ class ResolvedBimodule:
                                         continue
                                 row[j] = a
                             rows.append(row)
-        self._swept.update(((s, e), t) for e, t in swept.items())
-
-    def _count(self, s: str, e: str) -> int:
-        """The number of triples at (s, e), read off the sweep of s."""
-        if s not in self._counts:
-            self._sweep(s)
-        return self._counts[s].get(e, 0)
-
-    def _translates(self, s: str, e: str) -> tuple[dict[tuple, int], list[dict]]:
-        """The numbered triples and the translates at a pair with triples,
-        taken from the sweep of s, which runs again if they were taken."""
-        if (s, e) not in self._swept:
-            self._sweep(s)
-        return self._swept.pop((s, e))
+        return swept
 
     def _reduce(self, s: str, e: str):
-        """Store the dimension at (s, e): the triple count minus the rank of
-        the translates, the number of their lows (`_lows`)."""
+        """Store the dimension at (s, e), read off the dimensions of s: each
+        pair's triple count minus the rank of its translates, the number of
+        their lows (`_lows`)."""
         key = (s, e)
         if key in self._rref:
             return
-        n = self._count(s, e)
-        if n:
-            n -= len(_lows(self._translates(s, e)[1], _modulus(self.field)))
-        self._rref[key] = n
+        dims = self._dims.get(s)
+        if dims is None:
+            p = _modulus(self.field)
+            dims = self._dims[s] = {e: n - len(_lows(rows, p))
+                                    for e, (n, _, rows) in self._sweep(s).items()}
+        self._rref[key] = dims.get(e, 0)
 
     def dim(self, s: str, e: str) -> int:
         self._reduce(s, e)
         return self._rref[(s, e)]
 
     def triples(self, s: str, e: str) -> list[tuple]:
-        key = (s, e)
-        hit = self._triples.get(key)
-        if hit is not None:
-            return hit
         right = self.pb.right.paths
         out = [(p, gid, q) for u, lps in self.pb.left.starting.get(s, {}).items()
                for v, gids in self._gens.get(u, {}).items()
                for p in lps for gid in gids for q in right.get((v, e), ())]
         out.sort(key=lambda t: (len(t[0]) + len(t[2]), t[1], t[0], t[2]))
-        self._triples[key] = out
-        self._tindex[key] = {t: i for i, t in enumerate(out)}
         return out
 
-    def _quotient(self, s: str, e: str):
-        """The quotient map at (s, e) and its basis, the triples off the pivots
-        of the reduced row echelon form of the swept translates."""
-        key = (s, e)
-        if key in self._qmap:
-            return
-        n = len(self.triples(s, e))
-        number, swept = self._translates(s, e) if n else ({}, [])
-        at = [self._tindex[key][t] for t in number]
-        rows = [{at[j]: a for j, a in row.items()} for row in swept]
-        relations = image_basis(Matrix.from_sparse_columns(self.field, n, rows))
-        # column j of the quotient map holds the coordinates of triple j
-        self._qmap[key] = quotient_map(n, relations)
+    def _pair_basis(self, s: str, e: str, number: dict[tuple, int], rows: list[dict]):
+        """The basis record at (s, e) from its swept translates: the sorted
+        triples, their positions, the quotient map (column j holds the
+        coordinates of triple j) and the free positions, off the pivots of
+        the translates' reduced row echelon form."""
+        triples = self.triples(s, e)
+        index = {t: i for i, t in enumerate(triples)}
+        at = [index[t] for t in number]
+        relations = image_basis(Matrix.from_sparse_columns(
+            self.field, len(triples), [{at[j]: a for j, a in row.items()} for row in rows]))
         pivots = set(relations._pivots)
-        self._free[key] = [j for j in range(n) if j not in pivots]
+        return (triples, index, quotient_map(len(triples), relations),
+                [j for j in range(len(triples)) if j not in pivots])
+
+    def _basis(self, s: str, e: str):
+        """The basis record at (s, e), read off the bases of s."""
+        bases = self._bases.get(s)
+        if bases is None:
+            bases = self._bases[s] = {e: self._pair_basis(s, e, number, rows)
+                                      for e, (_, number, rows) in self._sweep(s).items()}
+        return bases[e] if e in bases else self._pair_basis(s, e, {}, [])
 
     def basis_triples(self, s: str, e: str) -> list[tuple]:
-        self._quotient(s, e)
-        triples = self.triples(s, e)
-        return [triples[j] for j in self._free[(s, e)]]
+        triples, _, _, free = self._basis(s, e)
+        return [triples[j] for j in free]
 
     def _coordinates(self, s: str, e: str, triples: list[tuple]) -> Matrix:
         """Column k holds the coordinates of triples[k] in the quotient basis at (s, e)."""
-        self._quotient(s, e)
-        index = self._tindex[(s, e)]
+        _, index, q, _ = self._basis(s, e)
         for t in triples:
             if t not in index:
                 raise AlgebraError(f"triple {t} does not span at ({s!r},{e!r})")
-        q = self._qmap[(s, e)]
         return q.block(range(q.rows), [index[t] for t in triples])
 
     def left_edge_action(self, a: str, s: str, e: str) -> Matrix:
@@ -336,17 +315,18 @@ def _present_from_actions(left: PathAlgebraIndex, right: PathAlgebraIndex, field
                           name: str) -> PresentedBimodule:
     """Present a bimodule given by its per-pair dimensions and edge actions.
 
-    One generator ``<prefix>[s->e]#k`` per basis element k at each pair
-    (s, e); one relation per generator and edge, saying that the edge
-    translate of the generator equals its action image.  ``dim(s, e)``,
-    ``left_action(a, s, e)`` and ``right_action(b, s, e)`` read the bimodule.
+    One generator ``<prefix>[s->e]#k`` (s and e as reprs, so no two ids
+    meet) per basis element k at each pair (s, e); one relation per
+    generator and edge, saying that the edge translate of the generator
+    equals its action image.  ``dim(s, e)``, ``left_action(a, s, e)`` and
+    ``right_action(b, s, e)`` read the bimodule.
     """
     xl, xr = left.x, right.x
     gens: list[BimoduleGenerator] = []
     ids: dict[tuple[str, str], list[str]] = {}
     for s in xl.vertices:
         for e in xr.vertices:
-            ids[(s, e)] = [f"{prefix}[{s}->{e}]#{k}" for k in range(dim(s, e))]
+            ids[(s, e)] = [f"{prefix}[{s!r}->{e!r}]#{k}" for k in range(dim(s, e))]
             gens += [BimoduleGenerator(gid, s, e) for gid in ids[(s, e)]]
     one = field.one
     relations: list[list[RelationTerm]] = []
@@ -373,7 +353,7 @@ def _present_from_actions(left: PathAlgebraIndex, right: PathAlgebraIndex, field
 def re_present(res: ResolvedBimodule, name: str = "") -> PresentedBimodule:
     """A fresh presentation of a resolved bimodule (generators ``g[s->e]#k``).
     Each dimension is read off the quotient basis that the edge actions use,
-    so each source is swept once; `dim` would drop the translates first."""
+    so each source is swept once; `dim` would sweep it again."""
     pb = res.pb
     return _present_from_actions(pb.left, pb.right, pb.field,
                                  lambda s, e: len(res.basis_triples(s, e)),
@@ -424,7 +404,8 @@ def present_chain_module(x: PrecubicalSet, degree: int, field=QQ,
     """The degree-i chain bimodule of X, presented over its path algebra.
 
     In degree >= 1 it is free on the chains whose first and last cube have
-    dimension >= 2 (every chain splits uniquely as edges . core . edges).
+    dimension >= 2 (every chain splits uniquely as edges . core . edges),
+    each named by the repr of its cube tuple.
     In degree 0 it is the unit bimodule.
     """
     alg = alg or path_algebra(x)
@@ -438,7 +419,7 @@ def present_chain_module(x: PrecubicalSet, degree: int, field=QQ,
             continue
         for c in chains:
             if c.cubes and c.dims[0] >= 2 and c.dims[-1] >= 2:
-                gens.append(BimoduleGenerator("|".join(c.cubes), s, e))
+                gens.append(BimoduleGenerator(repr(c.cubes), s, e))
     return PresentedBimodule(alg, alg, gens, [], field, f"C{degree}({x.name})")
 
 
@@ -515,8 +496,8 @@ def extend_subcomplex(cx: PairGradedComplex, y_cells: Iterable[str]) -> Subcompl
 def hcompose(m: PresentedBimodule, n: PresentedBimodule) -> PresentedBimodule:
     """Tensor over the shared middle algebra.
 
-    Generators are (g, r, h) with r a middle path from dst(g) to src(h); the
-    middle action is balanced by construction of the triple.  Relations of
+    Generators are (g, r, h), named by its repr, with r a middle path from
+    dst(g) to src(h); the middle action is balanced by construction of the triple.  Relations of
     both factors are translated into the composite generators.
     """
     if m.right is not n.left:
@@ -527,7 +508,7 @@ def hcompose(m: PresentedBimodule, n: PresentedBimodule) -> PresentedBimodule:
     for g in m.generators:
         for h in n.generators:
             for r in mid.between(g.dst, h.src):
-                gid = f"({g.gid}|{'.'.join(r) or '1'}|{h.gid})"
+                gid = repr((g.gid, r, h.gid))
                 gid_of[(g.gid, r, h.gid)] = gid
                 gens.append(BimoduleGenerator(gid, g.src, h.dst))
     relations: list[list[RelationTerm]] = []

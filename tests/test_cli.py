@@ -330,6 +330,62 @@ class TestPairWithCommas:
                             "vertices as 'a','b,c' or 'a,b','c'\n")
 
 
+def r22_copies(squares) -> dict:
+    """Disjoint copies of realization([2, 2]): copy k names its two squares
+    squares[k] and every other cell ``k:<id>``."""
+    r = dh.realization([2, 2])
+    cells, faces = {}, {}
+    for k, names in enumerate(squares):
+        rename = dict(zip(r.cells_of_dim(2), names))
+        rn = lambda c, k=k, rename=rename: rename.get(c, f"{k}:{c}")
+        for cid in r.all_cells():
+            cells.setdefault(str(r.dim_of(cid)), []).append(rn(cid))
+        for cid, spec in r.to_dict()["faces"].items():
+            faces[rn(cid)] = {side: [rn(f) for f in spec[side]] for side in spec}
+    return {"name": "RR", "cells": cells, "faces": faces}
+
+
+def two_paths(v1, v2) -> dict:
+    """Vertices a, v1, v2, c with the edges e : v1 -> c and f : a -> v2."""
+    return {"name": "Z", "cells": {"0": ["a", v1, v2, "c"], "1": ["e", "f"]},
+            "faces": {"e": {"d0": [v1], "d1": ["c"]}, "f": {"d0": ["a"], "d1": [v2]}}}
+
+
+class TestGeneratorIds:
+    """Cell ids that join into one generator id under a separator: the
+    verbs give the verdicts and dimensions of the same sets under plain ids."""
+
+    def run_on(self, runner, tmp_path, doc, verb, fmt):
+        x, y = tmp_path / "x.json", tmp_path / "all.json"
+        x.write_text(json.dumps(doc))
+        y.write_text(json.dumps(sorted(dh.load(x).all_cells())))
+        r = invoke(runner, [verb, str(x), str(y), "--format", fmt])
+        assert r.exit_code == 0 and r.stderr == "", r.output
+        return r.output
+
+    @pytest.mark.parametrize("verb", ["check-pair", "relative"])
+    def test_core_chains_of_joined_square_names(self, runner, tmp_path, verb):
+        joined = self.run_on(runner, tmp_path, r22_copies([("a|b", "c"), ("a", "b|c")]),
+                             verb, "text")
+        plain = self.run_on(runner, tmp_path, r22_copies([("s", "t"), ("u", "v")]),
+                            verb, "text")
+        assert joined == plain
+
+    def test_homology_generators_of_arrowed_vertex_names(self, runner, tmp_path):
+        arrowed = json.loads(self.run_on(runner, tmp_path, two_paths("a->b", "b->c"),
+                                         "relative", "json"))
+        plain = json.loads(self.run_on(runner, tmp_path, two_paths("ab", "bc"),
+                                       "relative", "json"))
+        names = {"a->b": "ab", "b->c": "bc"}
+        for doc in (arrowed, plain):
+            for key in ("whole", "extension", "relative"):
+                for entry in doc[key]:
+                    entry["src"], entry["dst"] = (names.get(entry["src"], entry["src"]),
+                                                  names.get(entry["dst"], entry["dst"]))
+        assert arrowed["accepted"] and arrowed["whole"]
+        assert arrowed == plain
+
+
 class TestCheckPair:
     def test_accepted(self, runner, workspace):
         r = invoke(runner, ["check-pair", workspace["d2"], workspace["s1cells"]])
@@ -479,6 +535,14 @@ class TestKunneth:
         r = invoke(runner, ["kunneth", "--prop63", workspace["d2"], workspace["s1"]])
         assert r.exit_code == 0 and "degree-0 generators" in r.output
         assert len(calls) == 1
+
+    def test_two_product_cells_with_one_name_exit2(self, runner, tmp_path):
+        x, y = tmp_path / "x.json", tmp_path / "y.json"
+        dh.save(dh.PrecubicalSet("X", [["a", "a,b"], ["e"]], {"e": (["a"], ["a,b"])}), x)
+        dh.save(dh.PrecubicalSet("Y", [["c", "b,c"], ["f"]], {"f": (["c"], ["b,c"])}), y)
+        r = invoke(runner, ["kunneth", str(x), str(y)])
+        assert r.exit_code == 2 and r.stdout == ""
+        assert r.stderr == "input error: duplicate cell id '(a,b,c)'\n"
 
     def test_point(self, runner, workspace, tmp_path):
         p = tmp_path / "pt.json"

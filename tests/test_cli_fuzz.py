@@ -1,8 +1,9 @@
 """Every computing verb on mutated documents and random subset specs.
 
-Whatever the input, the field name included, a verb exits with 0, 1 or 2
-and never lets an exception other than SystemExit escape: no input may
-print a traceback, and exit 3 is kept for a failed theorem-backed check.
+Whatever the input, the field name and the cell ids included, a verb exits
+with 0, 1 or 2 and never lets an exception other than SystemExit escape: no
+input may print a traceback, and exit 3 is kept for a failed theorem-backed
+check.
 """
 
 import json
@@ -17,10 +18,26 @@ from dirhom.cli import main
 BASES = {"K": dh.segment(), "D2": dh.directed_disc(2), "S1": dh.directed_sphere(1),
          "R21": dh.realization([2, 1])}
 JUNK = [None, 5, "x", [], {}, [5]]
+# pieces of renamed cell ids: the separators that generator ids and product
+# cell names are joined with, and one letter
+ID_PIECES = ["a", ",", "(", ")", "|", "->", "[", "]", "#", "."]
 
 
 def cell_ids(doc) -> list[str]:
     return sorted({c for layer in doc["cells"].values() for c in layer})
+
+
+def rename(data, doc: dict) -> None:
+    """Rename every cell id injectively into a string of up to three ID_PIECES."""
+    ids = cell_ids(doc)
+    piece = st.sampled_from(ID_PIECES)
+    new = data.draw(st.lists(st.lists(piece, min_size=1, max_size=3).map("".join),
+                             unique=True, min_size=len(ids), max_size=len(ids)),
+                    label="renaming")
+    to = dict(zip(ids, new))
+    doc["cells"] = {dim: [to[c] for c in layer] for dim, layer in doc["cells"].items()}
+    doc["faces"] = {to[c]: {side: [to[f] for f in faces] for side, faces in spec.items()}
+                    for c, spec in doc["faces"].items()}
 
 
 def mutate(data, doc: dict) -> None:
@@ -67,6 +84,8 @@ def files(tmp_path_factory):
 @given(data=st.data())
 def test_verbs_exit_0_1_or_2_without_a_traceback(files, data):
     doc = BASES[data.draw(st.sampled_from(sorted(BASES)), label="base")].to_dict()
+    if data.draw(st.booleans(), label="rename"):
+        rename(data, doc)
     mutate(data, doc)
     with open(files["x"], "w", encoding="utf-8") as fh:
         json.dump(doc, fh)
@@ -91,10 +110,11 @@ def test_verbs_exit_0_1_or_2_without_a_traceback(files, data):
     pair = ",".join(data.draw(st.lists(st.sampled_from(ids + ["zz"]), min_size=2,
                                        max_size=2)))
     x, y1, y2 = files["x"], files["a"], files["b"]
+    factor = data.draw(st.sampled_from([files["k"], x]), label="second factor")
     for args in (["validate", x], ["homology", x, *opts, "--pair", pair],
                  ["cohomology", x, *opts], ["check-pair", x, y1, *opts],
                  ["relative", x, y1, *opts, "--force"], ["relative", x, y1, "--strict"],
-                 ["mv", x, y1, y2, *opts], ["kunneth", x, files["k"], *opts]):
+                 ["mv", x, y1, y2, *opts], ["kunneth", x, factor, *opts]):
         r = CliRunner().invoke(main, args)
         assert r.exception is None or isinstance(r.exception, SystemExit), (args, r.exc_info)
         assert r.exit_code in (0, 1, 2), (args, r.output)

@@ -926,16 +926,15 @@ def test_sequences_compute_homology_only_on_components_with_chains(monkeypatch):
 def test_extension_dimensions_build_no_quotient(case, monkeypatch):
     """The relative-pair checks size each extension by count and rank: no
     quotient basis or quotient map is built, each pair of a resolved
-    bimodule is counted and reduced at most once, and each bimodule sweeps
-    each source vertex at most once, for the counts and the translates of
-    all its pairs."""
+    bimodule is reduced at most once, and each bimodule sweeps each source
+    vertex at most once, for the dimensions of all its pairs."""
     import dirhom.scalars as sc
     calls = Counter()
     for name in ("image_basis", "quotient_map"):
         monkeypatch.setattr(sc, name, lambda *a, name=name, real=getattr(sc, name):
                             calls.update([name]) or real(*a))
     seen, kept = Counter(), []      # kept alive, so no two bimodules share an id
-    for name in ("_sweep", "_count", "_translates"):
+    for name in ("_sweep", "_reduce"):
         def counted(res, *at, name=name, real=getattr(sc.ResolvedBimodule, name)):
             kept.append(res)
             seen[(name, id(res), *at)] += 1
@@ -951,7 +950,7 @@ def test_extension_dimensions_build_no_quotient(case, monkeypatch):
     assert res.sequence.all_exact
     assert not calls
     assert seen and max(seen.values()) == 1
-    assert {name for name, *_ in seen} == {"_sweep", "_count", "_translates"}
-    # every pair counted or reduced lies on a swept source
+    assert {name for name, *_ in seen} == {"_sweep", "_reduce"}
+    # every pair reduced lies on a swept source
     assert {(r, s) for name, r, s, *_ in seen if name != "_sweep"} == {
         (r, s) for name, r, s, *_ in seen if name == "_sweep"}

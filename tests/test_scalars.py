@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -244,6 +245,21 @@ class TestRepresent:
         assert got.generators == want.generators
         assert got.relations == want.relations
 
+    @pytest.mark.parametrize("name", ["D3", "S2", "R22"])
+    def test_dims_and_bases_sweep_each_source_twice(self, name, D3, S2, monkeypatch):
+        """`dim` and `basis_triples`, interleaved at every pair, sweep each
+        source once for its dimensions and once for its bases."""
+        x = {"D3": D3, "S2": S2, "R22": dh.realization([2, 2])}[name]
+        res = unit_bimodule(path_algebra(x)).resolve()
+        swept = Counter()
+        sweep = ResolvedBimodule._sweep
+        monkeypatch.setattr(ResolvedBimodule, "_sweep",
+                            lambda self, s: (swept.update([s]), sweep(self, s))[1])
+        for s in x.vertices:
+            for e in x.vertices:
+                assert res.dim(s, e) == len(res.basis_triples(s, e))
+        assert swept == Counter({v: 2 for v in x.vertices})
+
     def test_homology_presentation_dims(self, D2):
         cx = build_complex(D2)
         t = HomologyTable(cx, D2)
@@ -260,6 +276,17 @@ class TestHCompose:
         m = free_bimodule(algK, algK, [("0", "1")])
         assert hcompose(u, m).resolve().dims_by_pair() == m.resolve().dims_by_pair()
         assert hcompose(m, u).resolve().dims_by_pair() == m.resolve().dims_by_pair()
+
+    def test_dotted_edge_ids_compose_like_plain_ones(self):
+        """Edges a.b : v -> w, a : v -> m and b : m -> w: the composite's
+        generators through the paths (a.b) and (a, b) stay apart."""
+        dims = []
+        for ab, a, b in (("a.b", "a", "b"), ("ab", "a", "b")):
+            x = PrecubicalSet("Y", [["m", "v", "w"], [ab, a, b]],
+                              {ab: (["v"], ["w"]), a: (["v"], ["m"]), b: (["m"], ["w"])})
+            u = unit_bimodule(path_algebra(x))
+            dims.append(hcompose(u, u).resolve().dims_by_pair())
+        assert dims[0] == dims[1] == u.resolve().dims_by_pair()
 
     def test_zero_absorbs(self, algK):
         m = free_bimodule(algK, algK, [("0", "1")])
@@ -387,14 +414,13 @@ class TestRelationCoefficients:
 
 class DenseReduction(ResolvedBimodule):
     """The reduction by dense relation rows: each relation translate is a
-    list of field scalars over every triple, and `Subspace.span` spans them.
+    list of field scalars over every triple, and `Subspace.span` spans them;
+    each pair's basis record ignores the swept translates it is passed.
     The triples are listed again from the copied path lists of `between`.
     The dimension is the length of this reduction's quotient basis, never
     the count and rank of `ResolvedBimodule.dim`."""
 
-    def _quotient(self, s, e):
-        if (s, e) in self._qmap:
-            return
+    def _pair_basis(self, s, e, number, rows):
         pb, field = self.pb, self.pb.field
         triples = [(p, g.gid, q) for g in pb.generators
                    for p in pb.left.between(s, g.src) for q in pb.right.between(g.dst, e)]
@@ -420,12 +446,11 @@ class DenseReduction(ResolvedBimodule):
                     rows.append(row)
         relations = Subspace.span(field, len(triples), rows)
         pivots = set(relations._pivots)
-        self._qmap[(s, e)] = quotient_map(len(triples), relations)
-        self._free[(s, e)] = [j for j in range(len(triples)) if j not in pivots]
+        return (triples, tindex, quotient_map(len(triples), relations),
+                [j for j in range(len(triples)) if j not in pivots])
 
     def dim(self, s, e):
-        self._quotient(s, e)
-        return len(self._free[(s, e)])
+        return len(self.basis_triples(s, e))
 
 
 def assert_same_reduction(pb: PresentedBimodule):

@@ -27,16 +27,24 @@ signature the double splits of one cube do not cancel and the square of the
 boundary is nonzero.  With it, d . d = 0 (asserted at every complex build),
 and the two splittings of a 2-cube carry opposite signs.
 
+Chains are plain tuples (`CubeChain` is a named 4-tuple), so building,
+hashing and reading one are tuple operations.  `chain_catalog` reads a
+corner table of the set once, from ``x.faces``: for each vertex, the sorted
+``(dimension, cube, final vertex)`` of the cubes starting there, which the
+enumeration extends chains by with no per-step lookup in the set.
+
 A boundary column is assembled by position: a build splits each cube once,
-into its list of (lower, upper, sign) per A, and looks each term's cube ids
-up in the positions of the component below, making no chain per term.
+into its list of ((lower, upper), sign), one entry per distinct pair of
+parts, and `_boundary_column` looks each term's cube ids up in the
+positions of the component below, in one loop per chain, making no chain
+per term.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dataclass_field
+import math
 from functools import cached_property
-from typing import Iterator, Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .exactla import ChainError, Matrix, QQ, Reduction, _chain_map_witness, column_reduction
 from .precubical import PrecubicalSet, TensorSet
@@ -50,21 +58,22 @@ class BoundaryCheckError(AssertionError):
     """d . d != 0: signals a sign-convention bug, never a data problem."""
 
 
-@dataclass(frozen=True, slots=True)
-class CubeChain:
+class CubeChain(NamedTuple):
     """An immutable cube chain: glued cubes plus its endpoints.
 
-    `degree`, ``sum(n_k - 1)``, is computed once, at construction.
+    A named 4-tuple ``(src, dst, cubes, dims)``, so a chain also compares
+    and hashes as that plain tuple.  `degree`, ``sum(n_k - 1)``, is a
+    read-only property.
     """
 
     src: str
     dst: str
     cubes: tuple[str, ...]
     dims: tuple[int, ...]
-    degree: int = dataclass_field(init=False, repr=False, compare=False)
 
-    def __post_init__(self):
-        object.__setattr__(self, "degree", sum(self.dims) - len(self.dims))
+    @property
+    def degree(self) -> int:
+        return sum(self.dims) - len(self.dims)
 
     @property
     def type(self) -> tuple[int, ...]:
@@ -143,33 +152,30 @@ def chain_catalog(x: PrecubicalSet, max_degree: int | None = None
     if not x.is_acyclic():
         raise DirectedCycleError(
             f"{_shown(x.name)}: chain enumeration needs an acyclic vertex-edge digraph")
-    start_at: dict[str, list[str]] = {v: [] for v in x.vertices}
-    for layer in x.cells[1:]:
+    top = math.inf if max_degree is None else max_degree
+    # the corner table: (initial, final) vertex of every cell, and for each
+    # vertex the (dimension, cube, final vertex) of the cubes starting there
+    corners = {v: (v, v) for v in x.vertices}
+    starting: dict[str, list[tuple[int, str, str]]] = {v: [] for v in x.vertices}
+    for n, layer in enumerate(x.cells[1:], 1):
         for c in layer:
-            start_at[x.initial_vertex(c)].append(c)
-    for v in start_at:
-        start_at[v].sort(key=lambda c: (x.dim_of(c), c))
+            lower, upper = x.faces[c]
+            corners[c] = first, last = corners[lower[0]][0], corners[upper[0]][1]
+            starting[first].append((n, c, last))
+    for row in starting.values():
+        row.sort()
     catalog: dict[tuple[int, str, str], list[CubeChain]] = {}
 
-    def emit(chain: CubeChain):
-        catalog.setdefault((chain.degree, chain.src, chain.dst), []).append(chain)
-
-    def extend(src: str, here: str, cubes: list[str], dims: list[int], deg: int):
-        emit(CubeChain(src, here, tuple(cubes), tuple(dims)))
-        for c in start_at[here]:
-            n = x.dim_of(c)
-            extra = n - 1
-            if max_degree is not None and deg + extra > max_degree:
-                continue
-            cubes.append(c)
-            dims.append(n)
-            extend(src, x.final_vertex(c), cubes, dims, deg + extra)
-            cubes.pop()
-            dims.pop()
+    def extend(src: str, here: str, cubes: tuple[str, ...], dims: tuple[int, ...], deg: int):
+        catalog.setdefault((deg, src, here), []).append(CubeChain(src, here, cubes, dims))
+        for n, c, end in starting[here]:
+            if deg + n - 1 > top:
+                break       # the row is sorted by dimension: no later cube fits either
+            extend(src, end, cubes + (c,), dims + (n,), deg + n - 1)
 
     try:
         for v in sorted(x.vertices):
-            extend(v, v, [], [], 0)
+            extend(v, v, (), (), 0)
     except RecursionError:
         raise RecursionError(f"{_shown(x.name)}: directed path too long for the recursive "
                              "chain enumeration") from None
@@ -247,41 +253,64 @@ def split_cube(x: PrecubicalSet, cube: str, a_set: Sequence[int]) -> tuple[str, 
     return lower, upper
 
 
-def _splits(x: PrecubicalSet, cube: str, memo: dict) -> list[tuple[str, str, int]]:
-    """``(lower, upper, (-1)^|A| * shuffle sign)`` for each nonempty proper
-    subset A of the cube's directions, computed once per `memo`."""
-    out = memo.get(cube)
-    if out is None:
-        n = x.dim_of(cube)
-        out = memo[cube] = []
-        for mask in range(1, (1 << n) - 1):
-            a_set = [i + 1 for i in range(n) if mask >> i & 1]
-            # the shuffle (A asc, complement asc) inverts each c < a with c not in A
-            odd = (len(a_set) + sum(c not in a_set for a in a_set for c in range(1, a))) % 2
-            out.append((*split_cube(x, cube, a_set), -1 if odd else 1))
-    return out
+def _split_list(x: PrecubicalSet, cube: str) -> list[tuple[tuple[str, str], int]]:
+    """``((lower, upper), (-1)^|A| * shuffle sign)`` for each nonempty proper
+    subset A of the cube's directions; subsets with equal parts share one
+    entry with their signs added, and an entry whose signs cancel is left
+    out, so the parts of the list are distinct."""
+    n = x.dim_of(cube)
+    signs: dict[tuple[str, str], int] = {}
+    for mask in range(1, (1 << n) - 1):
+        a_set = [i + 1 for i in range(n) if mask >> i & 1]
+        # the shuffle (A asc, complement asc) inverts each c < a with c not in A
+        odd = (len(a_set) + sum(c not in a_set for a in a_set for c in range(1, a))) % 2
+        parts = split_cube(x, cube, a_set)
+        signs[parts] = signs.get(parts, 0) + (-1 if odd else 1)
+    return [(parts, sign) for parts, sign in signs.items() if sign]
 
 
-def _boundary_terms(x: PrecubicalSet, chain: CubeChain, memo: dict
-                    ) -> Iterator[tuple[tuple[str, ...], int]]:
-    """The cube ids of each term of the boundary of a chain and its +-1
-    coefficient, read off the split lists of its cubes."""
-    cubes, prefix_deg = chain.cubes, 0
+def _boundary_column(chain: CubeChain, splits: Mapping[str, list],
+                     at: Mapping[tuple[str, ...], object]) -> dict:
+    """The boundary of a chain as ``{at[term cube ids]: coefficient}``: each
+    cube of dimension >= 2 is replaced by the two parts of each entry of its
+    split list in `splits`, with the entry's sign negated after an odd
+    prefix degree (see the module docstring).
+
+    The terms are distinct, so each is one entry: the parts of one split
+    list are, and of two terms from splitting cubes j < k, the first has at
+    position j a part of lower dimension than the cube the second keeps
+    there."""
+    col: dict = {}
+    cubes, flip = chain.cubes, 1
     for k, n in enumerate(chain.dims):
         if n >= 2:
-            head, tail, odd = cubes[:k], cubes[k + 1:], prefix_deg % 2
-            for lower, upper, sign in _splits(x, cubes[k], memo):
-                yield head + (lower, upper) + tail, -sign if odd else sign
-        prefix_deg += n - 1
+            head, tail = cubes[:k], cubes[k + 1:]
+            for parts, sign in splits[cubes[k]]:
+                col[at[head + parts + tail]] = flip * sign
+        if not n & 1:
+            flip = -flip
+    return col
+
+
+class _ChainsOf(dict):
+    """Cube ids -> their chain in a set (`make_chain`), made on each lookup."""
+
+    def __init__(self, x: PrecubicalSet):
+        super().__init__()
+        self.x = x
+
+    def __missing__(self, cubes: tuple[str, ...]) -> CubeChain:
+        return make_chain(self.x, cubes)
 
 
 def boundary(x: PrecubicalSet, chain: CubeChain, field=QQ) -> FormalSum:
     """The boundary of a chain of degree >= 1 (see the module docstring)."""
     if chain.degree < 1:
         raise ChainError("boundary of a degree-0 chain is zero; use an empty sum")
+    splits = {c: _split_list(x, c) for c, n in zip(chain.cubes, chain.dims) if n >= 2}
     out = FormalSum(field)
-    for cubes, sign in _boundary_terms(x, chain, {}):
-        out.add_term(make_chain(x, cubes), sign)
+    for term, sign in _boundary_column(chain, splits, _ChainsOf(x)).items():
+        out.add_term(term, sign)
     return out
 
 
@@ -516,13 +545,12 @@ def build_complex(x: PrecubicalSet, max_degree: int | None = None,
     ``max_degree=None`` builds the full complex (all chain degrees), which is
     what the exactness verifiers use so truncation never fakes a zero.
     """
-    catalog = chain_catalog(x, None if max_degree is None else max_degree)
-    top = max((k[0] for k in catalog), default=0)
-    if max_degree is not None:
-        top = min(top, max_degree)
-    bases = {k: v for k, v in catalog.items() if k[0] <= top}
+    bases = chain_catalog(x, max_degree)
+    top = max((k[0] for k in bases), default=0)
     positions = {k: {c.cubes: j for j, c in enumerate(chains)} for k, chains in bases.items()}
-    splits: dict[str, list] = {}
+    # a cube of dimension n is itself a chain of degree n - 1, so these are
+    # the cubes of dimension >= 2 that the chains of the bases hold
+    splits = {c: _split_list(x, c) for n in range(2, top + 2) for c in x.cells_of_dim(n)}
     diffs: dict[tuple[int, str, str], Matrix] = {}
     for (i, s, e), chains in sorted(bases.items()):
         if i == 0:
@@ -530,13 +558,11 @@ def build_complex(x: PrecubicalSet, max_degree: int | None = None,
         at = positions.get((i - 1, s, e), {})
         cols = []
         for chain in chains:
-            col: dict[int, int] = {}
-            for cubes, sign in _boundary_terms(x, chain, splits):
-                j = at.get(cubes)
-                if j is None:
-                    raise ChainError(f"boundary term {cubes} of {chain!r} missing from basis")
-                col[j] = col.get(j, 0) + sign
-            cols.append(col)
+            try:
+                cols.append(_boundary_column(chain, splits, at))
+            except KeyError as err:
+                raise ChainError(f"boundary term {err.args[0]} of {chain!r} "
+                                 "missing from basis") from None
         diffs[(i, s, e)] = Matrix.from_sparse_columns(field, len(at), cols)
     return PairGradedComplex(x, field, top, bases, diffs, positions)
 

@@ -32,10 +32,12 @@ every chain of a graded component (left action) or appending one (right
 action).  A complex gives them as target positions (`left_action_targets`;
 `left_action_chain` is their 0/1 matrix), so one `HomologyTable` serves the
 cube-chain complex of a set and the tensor complex of two factors
-(`ez.TensorComplex`) alike.  The table asserts that the actions are chain
-maps on the nose by re-indexing the columns of the differentials, comparing
-every entry and naming a witness basis element on failure; well-definedness
-on homology follows.
+(`ez.TensorComplex`) alike.  The table asks the complex for the positions of
+each (side, edge, degree, pair) once and keeps them for its chain-map check
+and its pushes.  The table asserts that the actions are chain maps on the
+nose by re-indexing the columns of the differentials, comparing every entry
+and naming a witness basis element on failure; well-definedness on homology
+follows.
 """
 
 from __future__ import annotations
@@ -168,24 +170,36 @@ class HomologyTable:
         self.field = cx.field
         self.entries: dict[tuple[int, str, str], PairHomology] = {
             (i, *pair): _homology_at(cx, i, pair) for i, pair in cx.components_with_chains}
+        self._targets: dict[tuple[str, str, int, object], list[int]] = {}
         self._verify_actions_are_chain_maps()
 
     # -- chain-level actions ----------------------------------------------
+
+    def _action_targets(self, side: str, a: str, i: int, pair) -> list[int]:
+        """The target positions of prepending ("prepend") or appending
+        ("append") the edge a on C_i(pair), asked of the complex once per
+        table: the chain-map check and the pushes share them."""
+        k = (side, a, i, pair)
+        t = self._targets.get(k)
+        if t is None:
+            act = self.cx.left_action_targets if side == "prepend" else self.cx.right_action_targets
+            t = self._targets[k] = act(a, i, pair)
+        return t
 
     def _verify_actions_are_chain_maps(self) -> None:
         """Assert that prepending each in-edge of s and appending each
         out-edge of e commute with the differentials, for every component
         C_i(s, e) with chains and i >= 1."""
-        cx, x = self.cx, self.x
+        cx, x, act = self.cx, self.x, self._action_targets
         into, out = x.in_edges(), x.out_edges()
         for i, (s, e) in cx.components_with_chains:
             if not i:
                 continue
-            acts = [("prepend", cx.left_action_targets, a, (x.edge_source(a), e)) for a in into[s]]
-            acts += [("append", cx.right_action_targets, a, (s, x.edge_target(a))) for a in out[e]]
-            for side, act, a, to in acts:
-                j = _chain_map_witness(cx.diff(i, to), (act(a, i, (s, e)), ()),
-                                       (act(a, i - 1, (s, e)), ()), cx.diff(i, (s, e)))
+            acts = [("prepend", a, (x.edge_source(a), e)) for a in into[s]]
+            acts += [("append", a, (s, x.edge_target(a))) for a in out[e]]
+            for side, a, to in acts:
+                j = _chain_map_witness(cx.diff(i, to), (act(side, a, i, (s, e)), ()),
+                                       (act(side, a, i - 1, (s, e)), ()), cx.diff(i, (s, e)))
                 if j is not None:
                     raise ActionError(f"{side} by {a!r} is not a chain map at degree {i}, "
                                       f"pair {(s, e)}: witness {cx._basis_name(i, (s, e), j)}")
@@ -203,7 +217,7 @@ class HomologyTable:
         """H_i(s, e) -> H_i(s', e) for the edge a : s' -> s."""
         if self.x.edge_target(a) != s:
             raise ChainError(f"edge {a!r} does not end at {s!r}")
-        return push_basis_map(lambda: (self.cx.left_action_targets(a, i, (s, e)), ()),
+        return push_basis_map(lambda: (self._action_targets("prepend", a, i, (s, e)), ()),
                               self.entries.get((i, s, e)),
                               self.entries.get((i, self.x.edge_source(a), e)), self.cx._zero)
 
@@ -211,7 +225,7 @@ class HomologyTable:
         """H_i(s, e) -> H_i(s, e') for the edge a : e -> e'."""
         if self.x.edge_source(a) != e:
             raise ChainError(f"edge {a!r} does not start at {e!r}")
-        return push_basis_map(lambda: (self.cx.right_action_targets(a, i, (s, e)), ()),
+        return push_basis_map(lambda: (self._action_targets("append", a, i, (s, e)), ()),
                               self.entries.get((i, s, e)),
                               self.entries.get((i, s, self.x.edge_target(a))), self.cx._zero)
 

@@ -15,12 +15,16 @@ from hypothesis import given, settings, strategies as st
 import dirhom as dh
 from dirhom.cli import main
 
+# realization([2, 2]) has a core chain of two squares
 BASES = {"K": dh.segment(), "D2": dh.directed_disc(2), "S1": dh.directed_sphere(1),
-         "R21": dh.realization([2, 1])}
+         "R21": dh.realization([2, 1]), "R22": dh.realization([2, 2])}
 JUNK = [None, 5, "x", [], {}, [5]]
 # pieces of renamed cell ids: the separators that generator ids and product
 # cell names are joined with, and one letter
 ID_PIECES = ["a", ",", "(", ")", "|", "->", "[", "]", "#", "."]
+# the separators that join two ids already drawn into a new one, as
+# generator ids and product cell names join cell ids
+JOINS = ["->", "|", ","]
 
 
 def cell_ids(doc) -> list[str]:
@@ -28,12 +32,21 @@ def cell_ids(doc) -> list[str]:
 
 
 def rename(data, doc: dict) -> None:
-    """Rename every cell id injectively into a string of up to three ID_PIECES."""
+    """Rename every cell id injectively: into a string of up to three
+    ID_PIECES, or into two ids already drawn joined by one of JOINS, with
+    dots appended until the id is new."""
     ids = cell_ids(doc)
-    piece = st.sampled_from(ID_PIECES)
-    new = data.draw(st.lists(st.lists(piece, min_size=1, max_size=3).map("".join),
-                             unique=True, min_size=len(ids), max_size=len(ids)),
-                    label="renaming")
+    fresh = st.lists(st.sampled_from(ID_PIECES), min_size=1, max_size=3).map("".join)
+    new: list[str] = []
+    for _ in ids:
+        if new and data.draw(st.booleans(), label="join"):
+            pick = st.sampled_from(new)
+            name = data.draw(pick) + data.draw(st.sampled_from(JOINS)) + data.draw(pick)
+        else:
+            name = data.draw(fresh, label="fresh id")
+        while name in new:
+            name += "."
+        new.append(name)
     to = dict(zip(ids, new))
     doc["cells"] = {dim: [to[c] for c in layer] for dim, layer in doc["cells"].items()}
     doc["faces"] = {to[c]: {side: [to[f] for f in faces] for side, faces in spec.items()}

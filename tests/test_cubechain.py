@@ -12,6 +12,7 @@ from dirhom.exactla import Matrix, PrimeField, QQ, _modulus, _neg
 from dirhom.precubical import PcMorphism, PrecubicalSet, realization, tensor
 
 from conftest import corpus, make_domino, sequences_of_dimension
+from test_cli_reference import make_grid3
 
 
 def _unit_targets(m: Matrix) -> tuple[list[int | None], set[int]]:
@@ -83,6 +84,111 @@ class TestEnumeration:
         with pytest.raises(AttributeError):
             c.degree = 0
         assert c.degree == 2
+
+
+def reference_chain_catalog(x, max_degree=None):
+    """The enumeration that the corner table replaced: a recursive walk that
+    asks the set for each cube's dimension and final vertex, pushes and pops
+    the cubes of the chain being extended, and sorts each list by length,
+    then cube ids."""
+    start_at = {v: [] for v in x.vertices}
+    for layer in x.cells[1:]:
+        for c in layer:
+            start_at[x.initial_vertex(c)].append(c)
+    for v in start_at:
+        start_at[v].sort(key=lambda c: (x.dim_of(c), c))
+    catalog = {}
+
+    def extend(src, here, cubes, dims, deg):
+        chain = CubeChain(src, here, tuple(cubes), tuple(dims))
+        catalog.setdefault((deg, src, here), []).append(chain)
+        for c in start_at[here]:
+            n = x.dim_of(c)
+            if max_degree is not None and deg + n - 1 > max_degree:
+                continue
+            cubes.append(c)
+            dims.append(n)
+            extend(src, x.final_vertex(c), cubes, dims, deg + n - 1)
+            cubes.pop()
+            dims.pop()
+
+    for v in sorted(x.vertices):
+        extend(v, v, [], [], 0)
+    for chains in catalog.values():
+        chains.sort(key=lambda c: (len(c.cubes), c.cubes))
+    return catalog
+
+
+def catalog_corpus():
+    """Discs, spheres, realizations, a path of 40 edges, the 3 x 3 grid and
+    a product set, named for the test ids."""
+    sets = ([dh.directed_disc(n) for n in (2, 3, 4)] + [dh.directed_sphere(n) for n in (1, 2, 3)]
+            + [realization(seq) for seq in ([2, 2, 2], [3, 3], [1] * 40)]
+            + [make_grid3()[0], tensor(dh.directed_sphere(1), dh.directed_disc(2))])
+    return {x.name if len(x.name) < 20 else x.name[:17] + "...": x for x in sets}
+
+
+CATALOG_CORPUS = catalog_corpus()
+
+
+class TestCatalogAgainstTheReference:
+    @pytest.mark.parametrize("max_degree", [None, 0, 1, 2])
+    @pytest.mark.parametrize("name", sorted(CATALOG_CORPUS))
+    def test_corpus_catalog_is_the_reference_in_order(self, name, max_degree):
+        x = CATALOG_CORPUS[name]
+        # keys in insertion order, and each list in order
+        assert list(chain_catalog(x, max_degree).items()) == \
+            list(reference_chain_catalog(x, max_degree).items())
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_face_closed_subsets_enumerate_like_the_reference(self, data):
+        x = CATALOG_CORPUS[data.draw(st.sampled_from(sorted(CATALOG_CORPUS)), label="set")]
+        picked = data.draw(st.lists(st.sampled_from(x.all_cells()), min_size=1, max_size=6),
+                           label="cells")
+        y, _ = dh.sub(x, dh.SubsetSpec(x, dh.face_closure(x, picked)))
+        max_degree = data.draw(st.sampled_from([None, 0, 1, 2]), label="max degree")
+        assert list(chain_catalog(y, max_degree).items()) == \
+            list(reference_chain_catalog(y, max_degree).items())
+
+
+class TestCubeChainContract:
+    def test_fields_and_degree_are_read_only(self, D3):
+        c = make_chain(D3, ["aaa"])
+        for name in ("src", "dst", "cubes", "dims", "degree"):
+            with pytest.raises(AttributeError):
+                setattr(c, name, getattr(c, name))
+        assert (c.src, c.dst, c.cubes, c.dims, c.degree) == ("000", "111", ("aaa",), (3,), 2)
+
+    def test_a_chain_compares_as_a_4_tuple(self, D2):
+        c = make_chain(D2, ["a0", "1a"])
+        assert c == ("00", "11", ("a0", "1a"), (1, 1))
+        assert hash(c) == hash(("00", "11", ("a0", "1a"), (1, 1)))
+
+    def test_made_and_field_by_field_chains_are_one_key(self, D2, K):
+        cx = build_complex(D2)
+        for (i, s, e), chains in cx.bases.items():
+            for j, c in enumerate(chains):
+                made = make_chain(D2, c.cubes, at=s)
+                fields = CubeChain(s, e, c.cubes, c.dims)
+                assert made == fields and hash(made) == hash(fields)
+                assert cx.index[(i, s, e)][made] == cx.index[(i, s, e)][fields] == j
+        from dirhom.ez import TensorComplex
+        tx = tensor(K, D2)
+        tc = TensorComplex(tx, build_complex(K), cx)
+        looked_up = 0
+        for key, rows in tc.bases.items():
+            for j, (ca, cb) in enumerate(rows):
+                t = (make_chain(K, ca.cubes, at=ca.src),
+                     CubeChain(cb.src, cb.dst, cb.cubes, cb.dims))
+                assert tc.index[key][t] == tc.tensor_index(*key, t) == j
+                looked_up += 1
+        assert looked_up == sum(map(len, tc.bases.values())) > 0
+
+    def test_repr(self, D2):
+        assert repr(make_chain(D2, ["aa"])) == "<aa>"
+        assert repr(CubeChain("00", "11", ("a0", "1a"), (1, 1))) == "<a0,1a>"
+        assert repr(empty_chain("00")) == "<@00>"
 
 
 class TestBoundary:
@@ -207,7 +313,7 @@ def reference_differential(x, field, chains, below):
 class TestSplitLists:
     @pytest.mark.parametrize("field", [QQ, PrimeField(7)])
     def test_every_differential_is_the_per_chain_reference(self, field):
-        for x in corpus() + [dh.directed_disc(4)]:
+        for x in corpus() + list(CATALOG_CORPUS.values()):
             cx = build_complex(x, None, field)
             checked = 0
             for (i, s, e), chains in cx.bases.items():
@@ -225,6 +331,19 @@ class TestSplitLists:
                     for term, sign in reference_boundary_terms(x, c):
                         ref.add_term(term, sign)
                     assert boundary(x, c).terms == ref.terms
+
+    def test_splits_with_equal_parts_share_one_entry(self):
+        # a square whose two boundary paths are both e.f: its two splits
+        # have equal parts and opposite signs, so its boundary is zero
+        x = PrecubicalSet("fold", [["0", "1", "m"], ["e", "f"], ["c"]],
+                          {"e": (["0"], ["m"]), "f": (["m"], ["1"]),
+                           "c": (["e", "e"], ["f", "f"])})
+        assert not x.validate()
+        cx = build_complex(x)
+        pair = ("0", "1")
+        assert cx.diff(1, pair) == reference_differential(x, QQ, cx.bases[(1, *pair)],
+                                                          cx.bases[(0, *pair)])
+        assert cx.diff(1, pair).is_zero() and boundary(x, make_chain(x, ["c"])).is_zero()
 
     def test_each_split_is_computed_once_per_build(self, monkeypatch):
         import dirhom.cubechain as cc

@@ -789,3 +789,22 @@ def test_table_copies_each_differential_once_per_column_reduction(monkeypatch):
     monkeypatch.setattr(la, "_reduce", lambda *a: reductions.append(1) or real_reduce(*a))
     HomologyTable(cx, x)
     assert reductions and len(copies) == len(reductions)
+
+
+def test_table_and_action_listing_ask_each_target_list_once(monkeypatch):
+    """The chain-map check and the pushes of ``homology --actions`` share
+    the target positions of each (side, edge, degree, pair)."""
+    from dirhom.cli import _listed_actions
+    d4 = dh.directed_disc(4)
+    cx = build_complex(d4)
+    asked = Counter()
+    for side in ("left", "right"):
+        real = getattr(cx, f"{side}_action_targets")
+        monkeypatch.setattr(cx, f"{side}_action_targets",
+                            lambda a, i, pair, side=side, real=real:
+                            asked.update([(side, a, i, pair)]) or real(a, i, pair))
+    t = HomologyTable(cx, d4)
+    listed = _listed_actions(d4, t, cx.top_degree)
+    for a, i, s, e in listed:
+        t.left_action(a, i, s, e)
+    assert listed and asked and max(asked.values()) == 1

@@ -11,6 +11,13 @@ failure, bad parameters, non-cover, a directed cycle, a path too long to
 enumerate); 3 internal assertion (a theorem-backed
 identity such as d.d = 0 or a guaranteed exactness failed, which signals a
 bug rather than bad data).
+
+Start-up: importing this module loads the core layers only (`precubical`,
+`exactla`, `cubechain`, `homology`), which is all that `validate`,
+`generate`, `homology` and `cohomology` run.  `check-pair`, `relative` and
+`mv` import `exactseq` (and with it `scalars`) first thing in the verb,
+and `kunneth` imports `ez`; every error a verb may raise is defined in a
+core layer, so the exit codes are mapped without loading any other.
 """
 
 from __future__ import annotations
@@ -24,17 +31,11 @@ from json.encoder import encode_basestring_ascii
 import click
 
 from . import precubical as pc
-from .exactla import FieldError, field_from_name
+from .exactla import (
+    ComparisonError, ExactnessError, FieldError, SequenceError, field_from_name,
+)
 from .cubechain import BoundaryCheckError, DirectedCycleError, build_complex
 from .homology import ActionError, HomologyTable, cochain_dual
-from .exactseq import (
-    ExactnessError, SequenceError, check_relative_pair, les_relative,
-    mayer_vietoris,
-)
-from .ez import (
-    ComparisonError, TensorSetting, kunneth_report, tensor_comparison_report,
-    zero_chain_count_report,
-)
 
 EXIT_OK = 0
 EXIT_VERDICT = 1
@@ -334,6 +335,7 @@ def cohomology(path, field_name, max_degree, fmt, pair):
 @click.option("--strict", is_flag=True, help="reject subsets that are not face-closed")
 def check_pair(path, subset, field_name, fmt, strict):
     """Relative-pair criteria: path contiguity and monic extension."""
+    from .exactseq import check_relative_pair
     x = _load_valid_set(path, "check-pair", fmt)
     field = _field(field_name)
     spec = _load_subset(x, subset, strict)
@@ -364,6 +366,7 @@ def check_pair(path, subset, field_name, fmt, strict):
 @click.option("--strict", is_flag=True, help="reject subsets that are not face-closed")
 def relative(path, subset, field_name, max_degree, fmt, force, strict):
     """Relative homology and the verified long exact sequence."""
+    from .exactseq import les_relative
     x = _load_valid_set(path, "relative", fmt)
     field = _field(field_name)
     spec = _load_subset(x, subset, strict)
@@ -405,6 +408,7 @@ def relative(path, subset, field_name, max_degree, fmt, force, strict):
 @click.option("--strict", is_flag=True, help="reject subsets that are not face-closed")
 def mv(path, subset1, subset2, field_name, max_degree, fmt, strict):
     """Good-cover check and the verified Mayer-Vietoris sequence."""
+    from .exactseq import mayer_vietoris
     x = _load_valid_set(path, "mv", fmt)
     field = _field(field_name)
     s1 = _load_subset(x, subset1, strict)
@@ -441,6 +445,9 @@ def mv(path, subset1, subset2, field_name, max_degree, fmt, strict):
               help="include the degree-0 generator count report")
 def kunneth(path_x, path_y, field_name, max_degree, fmt, obstruction):
     """Tensor comparison verification plus the Kunneth dimension identity."""
+    from .ez import (
+        TensorSetting, kunneth_report, tensor_comparison_report, zero_chain_count_report,
+    )
     x = _load_valid_set(path_x, "kunneth", fmt)
     y = _load_valid_set(path_y, "kunneth", fmt)
     field = _field(field_name)

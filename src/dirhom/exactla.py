@@ -15,8 +15,8 @@ only where a caller gave one or a pivot other than +-1 divided a vector.
 Columns are the form in which every differential is assembled, reduced,
 multiplied, checked as a chain map and pushed into homology; only the cold
 readers of rows (the row constructor, `data`, `row`, `text_rows`,
-`transpose`, `solve`, `quotient_map` and the classes map of
-`homology_from_reductions`) transpose.  Zero tests are truthiness tests.
+`transpose`, `solve` and `quotient_map`) transpose.  Zero tests are
+truthiness tests.
 
 One pivot rule serves the whole module: sparse vectors are reduced one
 after the other against a ``{lowest nonzero: stored vector}`` dict, each
@@ -85,6 +85,21 @@ class FieldError(ValueError):
 class ChainError(ValueError):
     """Malformed cube chain or misuse of a chain operation, such as pushing a
     vector that is not a cycle into homology (`homology_classes`)."""
+
+
+# The errors of the sequence and Kunneth layers live here, beside the two
+# above, so that the CLI maps every error to its exit code without loading
+# those layers; `exactseq` and `ez` re-export them.
+class SequenceError(ValueError):
+    """Structural misuse while assembling sequences."""
+
+
+class ExactnessError(AssertionError):
+    """A theorem-guaranteed sequence failed verification: a bug, not data."""
+
+
+class ComparisonError(AssertionError):
+    """A theorem-guaranteed comparison identity failed: a bug signal."""
 
 
 def is_prime(n: int) -> bool:
@@ -821,7 +836,8 @@ def induced_on_quotient(f: Matrix, src_sub: Subspace, dst_sub: Subspace) -> Matr
 def homology_from_reductions(d: Reduction, d_next: Reduction, field, n: int):
     """ker d / im d_next from the column reductions of d, which has n
     columns, and of d_next, with no elimination, as (cycles,
-    representatives, boundary rows, classes).
+    representatives, boundary rows, free, classes), where `free` maps each
+    free column of d to its kernel index: ``{free[k]: k}``.
 
     Kernel vector k is 1 at free column free[k] of d, its last nonzero, and
     0 at the other free columns, so the kernel coordinates of a chain are
@@ -830,8 +846,11 @@ def homology_from_reductions(d: Reduction, d_next: Reduction, field, n: int):
     the span of the boundaries and the kernel vectors before it exactly when
     free[k] is a low, and the other kernel vectors are the representatives,
     given as sparse columns.  `_back_substitute` on the boundaries' kernel
-    coordinates makes the row under low K 1 at K and 0 at the other lows; `classes` maps kernel coordinates to class
-    coordinates (the null vectors of those rows), and the boundary rows are
+    coordinates makes the row under low K 1 at K and 0 at the other lows.
+    `classes` maps kernel coordinates to class coordinates, class t being
+    the t-th kernel index that is not a low; it is built as columns: the
+    unit column at its class for a kernel index that is not a low, and
+    minus its row, re-indexed to classes, for a low.  The boundary rows are
     returned last low first: the reduced row echelon form of the boundaries'
     kernel coordinates with the columns taken last first.  A boundary whose
     low is a pivot of d is no cycle, so d d_next is not zero: ChainError.
@@ -844,11 +863,12 @@ def homology_from_reductions(d: Reduction, d_next: Reduction, field, n: int):
                          f"nonzero at chain {min(bad)}, a pivot of d_i")
     rows = _back_substitute({at[low]: {at[r]: a for r, a in col.items() if r in at}
                              for low, col in d_next.image.items()}, p)
-    reduced = list(rows.values())
+    cls = {k: t for t, k in enumerate(k for k in range(m) if k not in rows)}
+    classes = [{cls[k]: 1} if k in cls else
+               {cls[j]: _neg(a, p) for j, a in rows[k].items() if j != k} for k in range(m)]
     return (Subspace._of(field, n, d.kernel, None),
-            [v for v, f in zip(d.kernel, d.free) if f not in d_next.image], reduced[::-1],
-            Matrix._of(field, m - len(rows), m,
-                       _transpose(_null_vectors(reduced, list(rows), m, p), m)))
+            [v for v, f in zip(d.kernel, d.free) if f not in d_next.image],
+            list(rows.values())[::-1], at, Matrix._of(field, len(cls), m, classes))
 
 
 def span_of_combinations(rows: list[dict], sub: Subspace) -> Subspace:
@@ -858,21 +878,22 @@ def span_of_combinations(rows: list[dict], sub: Subspace) -> Subspace:
                         None)
 
 
-def homology_classes(cycles: Subspace, free: Sequence[int], classes: Matrix,
+def homology_classes(cycles: Subspace, free: dict[int, int], classes: Matrix,
                      columns: list[dict]) -> Matrix:
     """The class coordinates of cycles given as sparse columns in chain
     coordinates (``{row: value}`` dicts of nonzero stored values), as the
     columns of the result, for the `free` columns of the column reduction
-    of d_i and the `classes` of `homology_from_reductions`: the one push of
-    chains into homology.
+    of d_i, each mapped to its kernel index, and the `classes` of
+    `homology_from_reductions`: the one push of chains into homology.
 
-    A column's kernel coordinates are its entries at `free`; the kernel
+    A column's kernel coordinates are its entries at `free`, read in one
+    pass over its nonzeros; the kernel
     vectors weighted by them must give the column back entry by entry, or it
     is not a cycle and ChainError is raised.  `classes` then maps them to
     class coordinates.  No elimination runs.
     """
     p = _modulus(cycles.field)
-    coords = [{k: v[f] for k, f in enumerate(free) if f in v} for v in columns]
+    coords = [{free[r]: a for r, a in v.items() if r in free} for v in columns]
     if _mul(coords, cycles._basis, p) != columns:
         raise ChainError("vector is not a cycle of this component")
     return Matrix._of(classes.field, classes.rows, len(columns), _mul(coords, classes._cols, p))

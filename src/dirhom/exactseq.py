@@ -35,7 +35,7 @@ from collections import Counter
 from dataclasses import dataclass
 from weakref import WeakValueDictionary
 
-from .exactla import Matrix, QQ, rank, solve
+from .exactla import ExactnessError, Matrix, QQ, SequenceError, rank, solve
 from .precubical import PcMorphism, PrecubicalSet, SubsetSpec, sub
 from .cubechain import (
     BasisSubcomplex, DirectedCycleError, GradedComplex, PairGradedComplex, build_complex,
@@ -46,14 +46,6 @@ from .scalars import (
     SubcomplexExtension, extend_presented, extend_subcomplex, path_algebra,
     present_chain_module, present_homology,
 )
-
-
-class SequenceError(ValueError):
-    """Structural misuse while assembling sequences."""
-
-
-class ExactnessError(AssertionError):
-    """A theorem-guaranteed sequence failed verification: a bug, not data."""
 
 
 # -- relative pair checking -----------------------------------------------------

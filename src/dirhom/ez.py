@@ -31,17 +31,13 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import cached_property, reduce
 
-from .exactla import ChainError, Matrix, QQ, _chain_map_witness, _renamed
+from .exactla import ChainError, ComparisonError, Matrix, QQ, _chain_map_witness, _renamed
 from .precubical import PcMorphism, PrecubicalSet, TensorSet, tensor, tensor_morphism
 from .cubechain import (
     CubeChain, GradedComplex, PairGradedComplex, _basis_map, _basis_matrix, build_complex,
     project_shuffle,
 )
 from .homology import HomologyTable, _homology_at, _morphism_positions, push_basis_map
-
-
-class ComparisonError(AssertionError):
-    """A theorem-guaranteed comparison identity failed: a bug signal."""
 
 
 # -- the tensor complex -------------------------------------------------------

@@ -67,7 +67,7 @@ class PairHomology:
     rep_columns: list[dict]   # the cycle representatives as sparse columns {position: value}
     cycles: Subspace
     boundary_rows: list[dict]   # the boundaries in kernel coordinates, reduced
-    free: list[int]     # free columns of d_i: a cycle's kernel coordinates are its entries there
+    free: dict[int, int]    # {free column of d_i: its kernel index}, ascending
     quotient: Matrix    # kernel coordinates -> class coordinates
 
     @cached_property
@@ -115,14 +115,14 @@ def homology_of(cx: GradedComplex, i: int, pair) -> PairHomology:
     """
     if not cx.dim(i, pair):
         zero = Subspace.zero(cx.field, 0)
-        return PairHomology(i, pair, 0, [], zero, [], [], Matrix.zeros(cx.field, 0, 0))
+        return PairHomology(i, pair, 0, [], zero, [], {}, Matrix.zeros(cx.field, 0, 0))
     d = cx.reduction(i, pair)
     try:
-        cycles, reps, rows, classes = homology_from_reductions(d, cx.reduction(i + 1, pair),
-                                                              cx.field, cx.dim(i, pair))
+        cycles, reps, rows, free, classes = homology_from_reductions(
+            d, cx.reduction(i + 1, pair), cx.field, cx.dim(i, pair))
     except ChainError as err:
         raise ChainError(f"degree {i}, pair {pair}: {err}") from None
-    return PairHomology(i, pair, len(reps), reps, cycles, rows, d.free, classes)
+    return PairHomology(i, pair, len(reps), reps, cycles, rows, free, classes)
 
 
 def _homology_at(cx: GradedComplex, i: int, pair) -> PairHomology | None:

@@ -111,15 +111,16 @@ def test_broken_identities_are_a_verdict(runner, workspace, tmp_path, args):
         assert json.loads(r.output)["valid"] is False
 
 
-# Each computing verb, the name of the call in `dirhom.cli` that does its
-# work, and arguments that reach that call.
+# Each computing verb, the call that does its work, named where the verb
+# looks it up (a verb outside the core imports its layer when it runs), and
+# arguments that reach that call.
 COMPUTE = {
-    "homology": ("build_complex", ["homology", "{d2}"]),
-    "cohomology": ("build_complex", ["cohomology", "{d2}"]),
-    "check-pair": ("check_relative_pair", ["check-pair", "{d2}", "{s1cells}"]),
-    "relative": ("les_relative", ["relative", "{d2}", "{s1cells}"]),
-    "mv": ("mayer_vietoris", ["mv", "{domino}", "{left}", "{right}"]),
-    "kunneth": ("tensor_comparison_report", ["kunneth", "{k}", "{k}"]),
+    "homology": ("dirhom.cli.build_complex", ["homology", "{d2}"]),
+    "cohomology": ("dirhom.cli.build_complex", ["cohomology", "{d2}"]),
+    "check-pair": ("dirhom.exactseq.check_relative_pair", ["check-pair", "{d2}", "{s1cells}"]),
+    "relative": ("dirhom.exactseq.les_relative", ["relative", "{d2}", "{s1cells}"]),
+    "mv": ("dirhom.exactseq.mayer_vietoris", ["mv", "{domino}", "{left}", "{right}"]),
+    "kunneth": ("dirhom.ez.tensor_comparison_report", ["kunneth", "{k}", "{k}"]),
 }
 
 
@@ -138,7 +139,7 @@ def test_errors_map_to_exit_codes(runner, workspace, monkeypatch, verb, error, c
     def fail(*args, **kwargs):
         raise error("boom")
 
-    monkeypatch.setattr(cli, name, fail)
+    monkeypatch.setattr(name, fail)
     r = runner.invoke(main, [a.format(**workspace) for a in args])
     assert isinstance(r.exception, SystemExit) and r.exit_code == code
     assert r.stdout == "" and r.stderr == f"{PREFIX[code]}: boom\n"

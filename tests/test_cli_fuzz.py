@@ -15,9 +15,11 @@ from hypothesis import given, settings, strategies as st
 import dirhom as dh
 from dirhom.cli import main
 
-# realization([2, 2]) has a core chain of two squares
+# realization([2, 2]) has a core chain of two squares, realization([2, 2, 2])
+# two core chains in one degree
 BASES = {"K": dh.segment(), "D2": dh.directed_disc(2), "S1": dh.directed_sphere(1),
-         "R21": dh.realization([2, 1]), "R22": dh.realization([2, 2])}
+         "R21": dh.realization([2, 1]), "R22": dh.realization([2, 2]),
+         "R222": dh.realization([2, 2, 2])}
 JUNK = [None, 5, "x", [], {}, [5]]
 # pieces of renamed cell ids: the separators that generator ids and product
 # cell names are joined with, and one letter
@@ -34,19 +36,26 @@ def cell_ids(doc) -> list[str]:
 def rename(data, doc: dict) -> None:
     """Rename every cell id injectively: into a string of up to three
     ID_PIECES, or into two ids already drawn joined by one of JOINS, with
-    dots appended until the id is new."""
+    dots appended until the id is new.  Half the time the two ids joined are
+    drawn among the new vertex ids only, as generator ids join vertex ids."""
     ids = cell_ids(doc)
+    vertices = set(doc["cells"].get("0", []))
     fresh = st.lists(st.sampled_from(ID_PIECES), min_size=1, max_size=3).map("".join)
     new: list[str] = []
-    for _ in ids:
+    new_vertices: list[str] = []
+    for old in ids:
         if new and data.draw(st.booleans(), label="join"):
-            pick = st.sampled_from(new)
+            among = (new_vertices if new_vertices and data.draw(st.booleans(), label="vertices")
+                     else new)
+            pick = st.sampled_from(among)
             name = data.draw(pick) + data.draw(st.sampled_from(JOINS)) + data.draw(pick)
         else:
             name = data.draw(fresh, label="fresh id")
         while name in new:
             name += "."
         new.append(name)
+        if old in vertices:
+            new_vertices.append(name)
     to = dict(zip(ids, new))
     doc["cells"] = {dim: [to[c] for c in layer] for dim, layer in doc["cells"].items()}
     doc["faces"] = {to[c]: {side: [to[f] for f in faces] for side, faces in spec.items()}

@@ -260,7 +260,7 @@ def assert_matches_the_oracle(cx, i, pair):
     reps, cycles, free, quotient, boundaries = oracle_homology(cx, i, pair)
     assert h.rep_columns == reps and h.dim == len(reps)
     assert h.cycles._basis == cycles._basis
-    assert h.free == free and h.quotient == quotient
+    assert h.free == {f: k for k, f in enumerate(free)} and h.quotient == quotient
     assert h.boundaries._basis == boundaries._basis
 
 

@@ -18,6 +18,12 @@ Start-up: importing this module loads the core layers only (`precubical`,
 `mv` import `exactseq` (and with it `scalars`) first thing in the verb,
 and `kunneth` imports `ez`; every error a verb may raise is defined in a
 core layer, so the exit codes are mapped without loading any other.
+
+Memory: a verb keeps nothing after it returns.  The chain catalogs it
+enumerated (`cubechain._catalog_cache`) live for the verb only, and output
+goes to whatever `sys.stdout` and `sys.stderr` are when it is written,
+without click's cache of those streams, so a caller that runs verbs
+in-process with redirected output gets back every set and stream it used.
 """
 
 from __future__ import annotations
@@ -30,7 +36,7 @@ from json.encoder import encode_basestring_ascii
 
 import click
 
-from . import precubical as pc
+from . import cubechain, precubical as pc
 from .exactla import (
     ComparisonError, ExactnessError, FieldError, SequenceError, field_from_name,
 )
@@ -55,13 +61,23 @@ CONVENTION_NOTE = (
 DIM_HEADER = ["degree", "src", "dst", "dim"]
 
 
+def _echo(message: str, err: bool = False, nl: bool = True) -> None:
+    """`click.echo` to the current stdout or stderr.  Without ``file=``,
+    click caches each stream it has found in ``sys.stdout`` for good, so a
+    caller that redirects output keeps every stream it redirected to.  The
+    stream is wrapped as click's default wraps it (``errors=None``), so the
+    bytes written are the same."""
+    click.echo(message, click.get_text_stream("stderr" if err else "stdout", errors=None),
+               nl=nl)
+
+
 def _fail_input(msg: str):
-    click.echo(f"input error: {msg}", err=True)
+    _echo(f"input error: {msg}", err=True)
     sys.exit(EXIT_INPUT)
 
 
 def _fail_internal(msg: str):
-    click.echo(f"internal check failed: {msg}", err=True)
+    _echo(f"internal check failed: {msg}", err=True)
     sys.exit(EXIT_INTERNAL)
 
 
@@ -102,7 +118,7 @@ def _load_subset(x: pc.PrecubicalSet, path: str, strict: bool) -> pc.SubsetSpec:
         if not spec.is_face_closed():
             if strict:
                 _fail_input(f"subset spec {path} is not face-closed (--strict)")
-            click.echo("warning: subset not face-closed; taking its closure", err=True)
+            _echo("warning: subset not face-closed; taking its closure", err=True)
             spec = pc.SubsetSpec(x, pc.face_closure(x, ids))
         return spec
     except pc.PrecubicalError as exc:
@@ -183,16 +199,16 @@ def _json(doc) -> str:
 
 def _emit(doc: dict, fmt: str, text_lines: list[str], csv_rows: list[list]):
     if fmt == "json":
-        click.echo(_json(doc))
+        _echo(_json(doc))
     elif fmt == "csv":
         buf = io.StringIO()
         writer = csv.writer(buf, lineterminator="\n")
         for row in csv_rows:
             writer.writerow(row)
-        click.echo(buf.getvalue(), nl=False)
+        _echo(buf.getvalue(), nl=False)
     else:
         for line in text_lines:
-            click.echo(line)
+            _echo(line)
 
 
 def _nonzero(table: dict) -> list[tuple]:
@@ -222,7 +238,9 @@ pair_option = click.option("--pair", default=None,
 
 class _Verbs(click.Group):
     """Runs a verb; INPUT_ERRORS exit 2 and INTERNAL_ERRORS exit 3, each with
-    one line on stderr instead of a traceback."""
+    one line on stderr instead of a traceback.  However the verb ends, the
+    chain catalogs it enumerated are dropped, so a verb run in-process keeps
+    no set alive after it returns."""
 
     def invoke(self, ctx):
         try:
@@ -231,6 +249,8 @@ class _Verbs(click.Group):
             _fail_input(str(exc))
         except INTERNAL_ERRORS as exc:
             _fail_internal(str(exc))
+        finally:
+            cubechain._catalog_cache.clear()
 
 
 @click.group(cls=_Verbs)
@@ -246,18 +266,20 @@ def validate(path):
     violations = x.validate()
     if violations:
         for v in violations:
-            click.echo(str(v))
+            _echo(str(v))
         sys.exit(EXIT_VERDICT)
-    click.echo(f"{x.name}: ok ({'/'.join(str(c) for c in x.cell_count())} cells)")
+    _echo(f"{x.name}: ok ({'/'.join(str(c) for c in x.cell_count())} cells)")
 
 
-def _dimension_report(x, command, field_name, max_degree, pair, symbol, dim, top):
-    """(doc, text, csv rows) listing dim(i, s, e) for i <= max_degree: the
-    nonzero ones, none above the top degree `top`, or with `pair` every one."""
-    pairs = [pair] if pair else sorted((s, e) for s in x.vertices for e in x.vertices)
-    last = max_degree if pair else min(max_degree, top)
-    rows = [(i, s, e, d) for (s, e) in pairs for i in range(last + 1)
-            for d in [dim(i, s, e)] if d or pair]
+def _dimension_report(x, command, field_name, max_degree, pair, symbol, dim, cx):
+    """(doc, text, csv rows) listing dim(i, s, e) for i <= max_degree, by
+    pair then degree: the nonzero ones, or with `pair` every one.  Only a
+    component of the complex `cx` that has chains can have a nonzero one."""
+    if pair:
+        keys = [(pair, i) for i in range(max_degree + 1)]
+    else:
+        keys = sorted((p, i) for i, p in cx.components_with_chains if i <= max_degree)
+    rows = [(i, s, e, d) for (s, e), i in keys for d in [dim(i, s, e)] if d or pair]
     text = ([f"{command} of {x.name} over {field_name}"]
             + [f"  {symbol}{i}({s},{e}) = {d}" for (i, s, e, d) in rows] + [CONVENTION_NOTE])
     doc = {"tool": "dirhom", "command": command, "input": x.name,
@@ -300,7 +322,7 @@ def homology(path, field_name, max_degree, fmt, pair, actions):
     pair = _parse_pair(x, pair)
     table = HomologyTable(build_complex(x, None, field), x)
     doc, text, csv_rows = _dimension_report(x, "homology", field_name, max_degree, pair,
-                                            "H", table.dim, table.cx.top_degree)
+                                            "H", table.dim, table.cx)
     if actions:
         act = [{"edge": a, "side": "left", "degree": i, "src": s, "dst": e,
                 "matrix": table.left_action(a, i, s, e).text_rows()}
@@ -323,7 +345,7 @@ def cohomology(path, field_name, max_degree, fmt, pair):
     pair = _parse_pair(x, pair)
     dual = cochain_dual(build_complex(x, None, field))
     doc, text, csv_rows = _dimension_report(x, "cohomology", field_name, max_degree, pair,
-                                            "H^", dual.cohomology_dim, dual.top_degree)
+                                            "H^", dual.cohomology_dim, dual.cx)
     _emit(doc, fmt, text, csv_rows)
 
 
@@ -511,8 +533,8 @@ def generate(kind, params, out):
     except (ValueError, pc.PrecubicalError) as exc:
         _fail_input(str(exc))
     pc.save(x, out)
-    click.echo(f"wrote {x.name} to {out} "
-               f"({'/'.join(str(c) for c in x.cell_count())} cells)")
+    _echo(f"wrote {x.name} to {out} "
+          f"({'/'.join(str(c) for c in x.cell_count())} cells)")
 
 
 def _one(params) -> str:

@@ -134,6 +134,11 @@ def _shown(name: str) -> str:
     return name if len(name) <= 60 else name[:57] + "..."
 
 
+# The catalog of each set enumerated, by (id(set), max_degree); "ref" holds
+# the set, so its id() is not reused while the entry lives.  A CLI verb
+# clears it when it returns (`cli._Verbs.invoke`): within the verb, each set
+# is enumerated once however many complexes are built on it.  A library
+# caller keeps every set it passes in, with its catalog, until it clears it.
 _catalog_cache: dict[tuple[int, int | None], dict] = {}
 
 

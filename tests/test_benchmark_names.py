@@ -6,6 +6,7 @@ caches.  A rename that breaks either would otherwise show only when the
 benchmark runs with ``--trace 1``.
 """
 
+import json
 import sys
 from pathlib import Path
 
@@ -133,3 +134,36 @@ def test_pairs_reduced_counts_the_pairs_sized(monkeypatch):
         tracer.uninstall()
     assert asked
     assert layer_metrics(tracer.names, tracer.spans, 1)["scalars.pairs_reduced"] == len(asked)
+
+
+def test_catalog_probe_reads_a_cli_verb(tmp_path):
+    """A CLI verb clears the chain catalogs when it returns, so
+    `cache.catalog_entries` reads 0 after it; within the verb the tracer's
+    catalog probe still tells an enumeration from a cache hit, and `mv` on
+    the domino enumerates each of its five sets once."""
+    from dirhom.cli import main
+
+    sys.path.insert(0, str(BENCH))
+    try:
+        import measure
+        from tracer import Tracer
+    finally:
+        sys.path.remove(str(BENCH))
+    dom = make_domino()
+    dh.save(dom, tmp_path / "domino.json")
+    parts = []
+    for square in ("s1", "s2"):
+        parts.append(tmp_path / f"{square}.json")
+        parts[-1].write_text(json.dumps(sorted(dh.face_closure(dom, [square]))))
+    tracer = Tracer()
+    tracer.install()
+    try:
+        code, out, error = measure.run_verb(main, ["mv", str(tmp_path / "domino.json"),
+                                                   *map(str, parts)])
+    finally:
+        tracer.uninstall()
+    assert (code, error) == (0, None) and "exact at every node" in out
+    chains = [span[5] for span in tracer.spans
+              if tracer.names[span[0]] == "cubechain.chain_catalog"]
+    assert sum(1 for n in chains if n) == 5 and 0 in chains
+    assert measure.cache_sizes()["cache.catalog_entries"] == 0

@@ -1,8 +1,13 @@
+import contextlib
+import gc
+import io
 import json
 import os
 import subprocess
 import sys
 import time
+import weakref
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -10,7 +15,7 @@ from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
 import dirhom as dh
-from dirhom import cli, exactseq
+from dirhom import cli, cubechain, exactseq, precubical
 from dirhom.cli import main
 from dirhom.cubechain import BoundaryCheckError, DirectedCycleError
 from dirhom.exactla import Matrix
@@ -592,3 +597,79 @@ class TestReportSchema:
             doc = json.loads(r.output)
             assert self.REQUIRED <= set(doc)
             assert doc["tool"] == "dirhom"
+
+
+def run_in_process(args: list[str]) -> tuple[int, str, list[weakref.ref]]:
+    """Run a verb as an in-process caller does, output redirected to fresh
+    streams: (exit code, stdout, weak references to the two streams)."""
+    out, err = io.StringIO(), io.StringIO()
+    code = 0
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            main(args, standalone_mode=False)
+        except SystemExit as exc:
+            code = exc.code or 0
+    return code, out.getvalue(), [weakref.ref(out), weakref.ref(err)]
+
+
+class TestVerbKeepsNothing:
+    """A verb run in-process leaves no set, chain catalog or output stream
+    reachable once it returns, and within the verb each set is enumerated
+    once."""
+
+    def verbs(self, workspace):
+        w = workspace
+        return [["validate", w["d2"]],
+                ["homology", w["d2"], "--actions", "--format", "json"],
+                ["cohomology", w["d2"]],
+                ["check-pair", w["d2"], w["s1cells"]],
+                ["relative", w["d2"], w["s1cells"]],
+                ["mv", w["domino"], w["left"], w["right"]],
+                ["kunneth", w["k"], w["k"]]]
+
+    def test_nothing_reachable_after_each_verb(self, workspace, monkeypatch):
+        loaded = []
+        load = precubical.load
+
+        def recording_load(path):
+            x = load(path)
+            loaded.append(weakref.ref(x))
+            return x
+
+        monkeypatch.setattr(precubical, "load", recording_load)
+        for args in self.verbs(workspace):
+            del loaded[:]
+            code, out, streams = run_in_process(args)
+            assert code == 0 and out, args
+            assert loaded, args
+            assert cubechain._catalog_cache == {}, args
+            gc.collect()
+            assert [ref() for ref in loaded] == [None] * len(loaded), args
+            assert [ref() for ref in streams] == [None, None], args
+
+    def test_cache_cleared_when_a_verb_fails(self, workspace, monkeypatch):
+        def enumerate_then_fail(x, *args, **kwargs):
+            cubechain.chain_catalog(x)
+            raise BoundaryCheckError("d.d != 0")
+
+        monkeypatch.setattr("dirhom.exactseq.les_relative", enumerate_then_fail)
+        code, _, _ = run_in_process(["relative", workspace["d2"], workspace["s1cells"]])
+        assert code == cli.EXIT_INTERNAL
+        assert cubechain._catalog_cache == {}
+
+    def test_mv_enumerates_each_set_once(self, workspace, monkeypatch):
+        # X, the parts X1 and X2, and X1^X2 inside each part, as in the
+        # library path (test_exactseq's test_domino_enumerates_each_set_once)
+        enumerated = Counter()
+
+        class Recording(dict):
+            def __setitem__(self, key, value):
+                enumerated[value["ref"].name] += 1
+                super().__setitem__(key, value)
+
+        monkeypatch.setattr(cubechain, "_catalog_cache", Recording())
+        code, _, _ = run_in_process(["mv", workspace["domino"], workspace["left"],
+                                     workspace["right"]])
+        assert code == 0
+        assert enumerated == {"domino": 1, "domino|sub": 2, "domino|sub|sub": 2}
+        assert cubechain._catalog_cache == {}

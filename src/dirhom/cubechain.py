@@ -369,6 +369,13 @@ class GradedComplex:
             r = self._reductions[(i, pair)] = column_reduction(self.diff(i, pair))
         return r
 
+    def homology_dim(self, i: int, pair) -> int:
+        """dim C_i - rank d_i - rank d_(i+1) at one pair component, each rank
+        the number of lows of `reduction`, or 0 with no reduction for a map
+        into or out of a component with no chains."""
+        return self.dim(i, pair) - sum(len(self.reduction(j, pair).image) for j in (i, i + 1)
+                                       if self.dim(j, pair) and self.dim(j - 1, pair))
+
     def _zero(self, rows: int, cols: int) -> Matrix:
         """The zero matrix of a shape, built once per complex (matrices are
         immutable, so every caller can share it)."""

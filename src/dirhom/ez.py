@@ -21,15 +21,15 @@ product X (x) Y:
 Both are chain maps, their composite separating . interleave is the
 identity on pure tensors, and on homology they are mutually inverse and
 compatible with the path-algebra actions through the componentwise algebra
-comparison.  All of this is machine-verified by `tensor_comparison_report`,
-which reads homology and edge actions from one `HomologyTable` per side, so
-the edge actions of both complexes are asserted chain maps, with witnesses.
+comparison.  All of this is machine-verified by `tensor_comparison_report`
+from ranks and chain-level identities, with no homology table; it asserts
+the edge actions of both complexes chain maps, with witnesses.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, reduce
+from functools import reduce
 
 from .exactla import ChainError, ComparisonError, Matrix, QQ, _chain_map_witness, _renamed
 from .precubical import PcMorphism, PrecubicalSet, TensorSet, tensor, tensor_morphism
@@ -37,7 +37,7 @@ from .cubechain import (
     CubeChain, GradedComplex, PairGradedComplex, _basis_map, _basis_matrix, build_complex,
     project_shuffle,
 )
-from .homology import HomologyTable, _homology_at, _morphism_positions, push_basis_map
+from .homology import _check_actions_are_chain_maps, _kept_targets, _morphism_positions
 
 
 # -- the tensor complex -------------------------------------------------------
@@ -313,11 +313,6 @@ class TensorSetting:
     cxp: PairGradedComplex
     tc: TensorComplex
 
-    @cached_property
-    def product_table(self) -> HomologyTable:
-        """Homology and edge actions of C(X(x)Y), built once for both reports."""
-        return HomologyTable(self.cxp, self.tx)
-
     @classmethod
     def build(cls, x: PrecubicalSet, y: PrecubicalSet, field=QQ) -> "TensorSetting":
         tx = tensor(x, y)
@@ -331,72 +326,76 @@ class TensorSetting:
 def tensor_comparison_report(x: PrecubicalSet, y: PrecubicalSet, field=QQ,
                              max_degree: int | None = None,
                              setting: TensorSetting | None = None) -> ComparisonReport:
-    """Machine-verify the comparison between C(X(x)Y) and C(X) (x) C(Y).
+    """Machine-verify the comparison between C(X(x)Y) and C(X) (x) C(Y)
+    from ranks and chain-level identities, with no homology computed.
 
-    Every check runs on the (degree, pair) components up to the top degree
-    that have chains on either side; on the others both sides are zero.
+    The edge actions of both complexes are asserted chain maps in every
+    degree (`ActionError`).  On the (degree, pair) components with chains on
+    either side (on the others both sides are zero), up to one degree above
+    the top since dim H_top reads rank d_(top+1), separate S and interleave
+    I are checked to be chain maps with S . I = id.  Then P = I . S is an
+    idempotent chain map, so C(X(x)Y) = im(I) (+) K as complexes, with
+    K = ker(S) and im(I) isomorphic to C(X) (x) C(Y): H(I) is an
+    isomorphism, with inverse H(S), exactly when K is acyclic, that is when
+    the homology dimensions of the two sides (`GradedComplex.homology_dim`)
+    agree at every (n, pair).  The actions are checked on the small side,
+    S . act_p . I = act_t as signed positions, for each edge acting on a
+    component of C(X) (x) C(Y) with chains.  It holds on the nose, as a
+    prepended X-edge leads and a Y-edge has odd dimension, so no Koszul
+    sign; with H(S) = H(I)^-1 it gives the identity on homology, so that
+    flag needs the inverse one.  A failure names the degree, the pair and a
+    witness basis element, or both dimensions.
     """
     st = setting or TensorSetting.build(x, y, field)
     tx, cxp, tc = st.tx, st.cxp, st.tc
     top = cxp.top_degree if max_degree is None else min(max_degree, cxp.top_degree)
-    hp, ht = st.product_table, HomologyTable(tc, tx)
+    act_p, act_t = _kept_targets(cxp), _kept_targets(tc)
+    _check_actions_are_chain_maps(cxp, tx, act_p)
+    _check_actions_are_chain_maps(tc, tx, act_t)
+    # dim H_top reads rank d_(top+1), so the maps are checked one degree higher
     keys = sorted({k for k in cxp.components_with_chains + tc.components_with_chains
-                   if k[0] <= top})
-    empty = ([], ())   # the positions of any map between components without chains
+                   if k[0] <= top + 1})
+    maps = {(n, pair): _comparison_maps(tx, cxp, tc, n, *pair) for n, pair in keys}
+    empty = (([], ()), ([], ()))   # both maps between components without chains
     failures: list[str] = []
-    sep_p, ilv_p = {}, {}
+    chain_ok = retract_ok = dims_ok = acts_ok = True
+    into, out = tx.in_edges(), tx.out_edges()
     for n, pair in keys:
-        sep_p[(n, pair)], ilv_p[(n, pair)] = _comparison_maps(tx, cxp, tc, n, *pair)
-
-    chain_ok = True
-    for n, pair in keys:
-        if not n:
-            continue
-        dp, dt = cxp.diff(n, pair), tc.diff(n, pair)
-        for name, f, src, d_src, d_dst in (("separating", sep_p, cxp, dp, dt),
-                                           ("interleaving", ilv_p, tc, dt, dp)):
-            j = _chain_map_witness(d_dst, f[(n, pair)], f.get((n - 1, pair), empty), d_src)
-            if j is not None:
-                chain_ok = False
-                failures.append(f"{name} map not a chain map at {n} {pair}: "
-                                f"witness {src._basis_name(n, pair, j)}")
-
-    retract_ok = True
-    for n, pair in keys:
-        j = _first_difference(tc.dim(n, pair), cxp.field, [ilv_p[(n, pair)], sep_p[(n, pair)]], [])
-        if j is not None:
+        sep, ilv = maps[(n, pair)]
+        if n:
+            below, dp, dt = maps.get((n - 1, pair), empty), cxp.diff(n, pair), tc.diff(n, pair)
+            for name, f, g, src, d_src, d_dst in (("separating", sep, below[0], cxp, dp, dt),
+                                                  ("interleaving", ilv, below[1], tc, dt, dp)):
+                if (j := _chain_map_witness(d_dst, f, g, d_src)) is not None:
+                    chain_ok = False
+                    failures.append(f"{name} map not a chain map at {n} {pair}: "
+                                    f"witness {src._basis_name(n, pair, j)}")
+        if (j := _first_difference(tc.dim(n, pair), cxp.field, [ilv, sep], [])) is not None:
             retract_ok = False
             failures.append(f"separate.interleave != id at {n} {pair}: "
                             f"witness {tc._basis_name(n, pair, j)}")
-
-    ilv_h: dict[tuple[int, object], Matrix] = {}
-    inverse_ok = True
-    for n, pair in keys:
-        k = (n, *pair)
-        src_p, src_t = hp.entries.get(k), ht.entries.get(k)
-        m1 = push_basis_map(lambda: sep_p[(n, pair)], src_p, src_t, cxp._zero)
-        m2 = ilv_h[(n, pair)] = push_basis_map(lambda: ilv_p[(n, pair)], src_t, src_p, cxp._zero)
-        if (m1 @ m2 != Matrix.identity(field, ht.dim(*k))
-                or m2 @ m1 != Matrix.identity(field, hp.dim(*k))):
-            inverse_ok = False
-            failures.append(f"homology comparison not inverse at {n} {pair}")
-
-    action_ok = True
-    into, out = tx.in_edges(), tx.out_edges()
-    for n, (s, e) in keys:
-        if not (hp.dim(n, s, e) or ht.dim(n, s, e)):
+        if n > top:
             continue
-        acts = [("left", a, hp.left_action, ht.left_action, (tx.edge_source(a), e))
-                for a in into[s]]
-        acts += [("right", a, hp.right_action, ht.right_action, (s, tx.edge_target(a)))
-                 for a in out[e]]
-        for side, a, act_p, act_t, to in acts:
-            if (ilv_h[(n, to)] @ act_t(a, n, s, e)
-                    != act_p(a, n, s, e) @ ilv_h[(n, (s, e))]):
-                action_ok = False
-                failures.append(f"{side} action of {a} at {n} {(s, e)}")
+        if (dim_p := cxp.homology_dim(n, pair)) != (dim_t := tc.homology_dim(n, pair)):
+            dims_ok = False
+            failures.append(f"homology comparison not inverse at {n} {pair}: "
+                            f"product dim {dim_p} != tensor dim {dim_t}")
+        if not tc.dim(n, pair):
+            continue
+        s, e = pair
+        acts = [("left", "prepend", a, (tx.edge_source(a), e)) for a in into[s]]
+        acts += [("right", "append", a, (s, tx.edge_target(a))) for a in out[e]]
+        for side, verb, a, to in acts:
+            j = _first_difference(tc.dim(n, pair), cxp.field,
+                                  [ilv, (act_p(verb, a, n, pair), ()), maps[(n, to)][0]],
+                                  [(act_t(verb, a, n, pair), ())])
+            if j is not None:
+                acts_ok = False
+                failures.append(f"{side} action of {a} at {n} {pair}: "
+                                f"witness {tc._basis_name(n, pair, j)}")
+    inverse_ok = chain_ok and retract_ok and dims_ok
     return ComparisonReport(x.name, y.name, top, chain_ok, retract_ok,
-                            inverse_ok, action_ok, failures)
+                            inverse_ok, inverse_ok and acts_ok, failures)
 
 
 # -- Kunneth -------------------------------------------------------------------------------
@@ -426,23 +425,20 @@ def kunneth_report(x: PrecubicalSet, y: PrecubicalSet, field=QQ,
     """Per pair and degree: dim H(X(x)Y) = sum of products of factor dims.
 
     The torsion correction term vanishes over a field, so the dimension
-    identity is the entire statement here.
+    identity is the entire statement here.  Each dimension is read off the
+    ranks of its own complex (`GradedComplex.homology_dim`).
     """
     st = setting or TensorSetting.build(x, y, field)
-    tx, cxp, hp = st.tx, st.cxp, st.product_table
+    tx, cxp, cxa, cxb = st.tx, st.cxp, st.cxa, st.cxb
     top = cxp.top_degree if max_degree is None else min(max_degree, cxp.top_degree)
-    ha, hb = ({k: _homology_at(cx, *k).dim for k in cx.components_with_chains}
-              for cx in (st.cxa, st.cxb))
     mismatches = []
     product_dims = {}
     factor_dims = {}
     for pair in cxp.pairs():
-        s, e = pair
-        sx, sy = tx.components(s)
-        ex, ey = tx.components(e)
+        (sx, sy), (ex, ey) = map(tx.components, pair)
         for n in range(top + 1):
-            left = hp.dim(n, s, e)
-            right = sum(ha.get((j, (sx, ex)), 0) * hb.get((n - j, (sy, ey)), 0)
+            left = cxp.homology_dim(n, pair)
+            right = sum(cxa.homology_dim(j, (sx, ex)) * cxb.homology_dim(n - j, (sy, ey))
                         for j in range(n + 1))
             product_dims[(n, pair)] = left
             factor_dims[(n, pair)] = right

@@ -33,17 +33,17 @@ action).  A complex gives them as target positions (`left_action_targets`;
 `left_action_chain` is their 0/1 matrix), so one `HomologyTable` serves the
 cube-chain complex of a set and the tensor complex of two factors
 (`ez.TensorComplex`) alike.  The table asks the complex for the positions of
-each (side, edge, degree, pair) once and keeps them for its chain-map check
-and its pushes.  The table asserts that the actions are chain maps on the
-nose by re-indexing the columns of the differentials, comparing every entry
-and naming a witness basis element on failure; well-definedness on homology
-follows.
+each (side, edge, degree, pair) once (`_kept_targets`) and keeps them for its
+chain-map check and its pushes.  The check, which the tensor comparison runs
+too, asserts that the actions are chain maps on the nose by re-indexing the
+columns of the differentials, comparing every entry and naming a witness
+basis element on failure; well-definedness on homology follows.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 from .exactla import (  # kernel_basis stays importable from here
     QQ, ChainError, Matrix, Subspace, _chain_map_witness, _renamed, homology_classes,
@@ -170,39 +170,13 @@ class HomologyTable:
         self.field = cx.field
         self.entries: dict[tuple[int, str, str], PairHomology] = {
             (i, *pair): _homology_at(cx, i, pair) for i, pair in cx.components_with_chains}
-        self._targets: dict[tuple[str, str, int, object], list[int]] = {}
+        self._action_targets = _kept_targets(cx)   # for the chain-map check and the pushes
         self._verify_actions_are_chain_maps()
 
-    # -- chain-level actions ----------------------------------------------
-
-    def _action_targets(self, side: str, a: str, i: int, pair) -> list[int]:
-        """The target positions of prepending ("prepend") or appending
-        ("append") the edge a on C_i(pair), asked of the complex once per
-        table: the chain-map check and the pushes share them."""
-        k = (side, a, i, pair)
-        t = self._targets.get(k)
-        if t is None:
-            act = self.cx.left_action_targets if side == "prepend" else self.cx.right_action_targets
-            t = self._targets[k] = act(a, i, pair)
-        return t
-
     def _verify_actions_are_chain_maps(self) -> None:
-        """Assert that prepending each in-edge of s and appending each
-        out-edge of e commute with the differentials, for every component
-        C_i(s, e) with chains and i >= 1."""
-        cx, x, act = self.cx, self.x, self._action_targets
-        into, out = x.in_edges(), x.out_edges()
-        for i, (s, e) in cx.components_with_chains:
-            if not i:
-                continue
-            acts = [("prepend", a, (x.edge_source(a), e)) for a in into[s]]
-            acts += [("append", a, (s, x.edge_target(a))) for a in out[e]]
-            for side, a, to in acts:
-                j = _chain_map_witness(cx.diff(i, to), (act(side, a, i, (s, e)), ()),
-                                       (act(side, a, i - 1, (s, e)), ()), cx.diff(i, (s, e)))
-                if j is not None:
-                    raise ActionError(f"{side} by {a!r} is not a chain map at degree {i}, "
-                                      f"pair {(s, e)}: witness {cx._basis_name(i, (s, e), j)}")
+        """Assert that the edge actions on the complex are chain maps
+        (`_check_actions_are_chain_maps`)."""
+        _check_actions_are_chain_maps(self.cx, self.x, self._action_targets)
 
     # -- homology-level interface -------------------------------------------
 
@@ -248,6 +222,33 @@ class HomologyTable:
 
 
 # -- chain maps and the maps they induce -------------------------------------------
+
+
+def _kept_targets(cx: GradedComplex):
+    """``targets(side, a, i, pair)``: the target positions of prepending
+    ("prepend") or appending ("append") the edge a on C_i(pair), asked of
+    the complex once and kept."""
+    return cache(lambda side, a, i, pair: (
+        cx.left_action_targets if side == "prepend" else cx.right_action_targets)(a, i, pair))
+
+
+def _check_actions_are_chain_maps(cx: GradedComplex, x: PrecubicalSet, targets) -> None:
+    """Raise ActionError, naming the side, the edge, the degree, the pair and
+    a witness, unless prepending each in-edge of s and appending each
+    out-edge of e commute with the differentials on every component C_i(s, e)
+    of cx with chains and i >= 1; `targets` is `_kept_targets(cx)`."""
+    into, out = x.in_edges(), x.out_edges()
+    for i, (s, e) in cx.components_with_chains:
+        if not i:
+            continue
+        acts = [("prepend", a, (x.edge_source(a), e)) for a in into[s]]
+        acts += [("append", a, (s, x.edge_target(a))) for a in out[e]]
+        for side, a, to in acts:
+            j = _chain_map_witness(cx.diff(i, to), (targets(side, a, i, (s, e)), ()),
+                                   (targets(side, a, i - 1, (s, e)), ()), cx.diff(i, (s, e)))
+            if j is not None:
+                raise ActionError(f"{side} by {a!r} is not a chain map at degree {i}, "
+                                  f"pair {(s, e)}: witness {cx._basis_name(i, (s, e), j)}")
 
 
 def push_basis_map(positions, src: PairHomology | None, dst: PairHomology | None,
@@ -327,12 +328,8 @@ class CochainComplexTable:
 
     def cohomology_dim(self, i: int, src: str, dst: str) -> int:
         """dim ker delta^i - rank delta^(i-1), that is dim C^i - rank d_(i+1)
-        - rank d_i: each rank is the number of lows of the column reduction
-        that homology reads too (`GradedComplex.reduction`), and 0, with no
-        reduction, for a map into or out of a component with no chains."""
-        cx, pair = self.cx, (src, dst)
-        return cx.dim(i, pair) - sum(len(cx.reduction(j, pair).image) for j in (i, i + 1)
-                                     if cx.dim(j, pair) and cx.dim(j - 1, pair))
+        - rank d_i: the homology dimension (`GradedComplex.homology_dim`)."""
+        return self.cx.homology_dim(i, (src, dst))
 
 
 def cochain_dual(cx: PairGradedComplex) -> CochainComplexTable:

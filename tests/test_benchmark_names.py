@@ -79,9 +79,10 @@ def test_table_init_spans_the_action_check(monkeypatch):
     assert children and all(span[3] == tables[0] for span in children)
 
 
-def test_comparison_tables_nest_in_the_comparison_span():
-    """`ez.comparison_s` times the comparison, which builds both homology
-    tables, and `ez.setting_s` times `TensorSetting.build`."""
+def test_comparison_spans_nest_and_hold_no_table():
+    """`ez.setting_s` times `TensorSetting.build`, in which the three
+    complexes are built, and `ez.comparison_s` and `ez.kunneth_s` time the
+    two reports, which read ranks and build no homology table."""
     sys.path.insert(0, str(BENCH))
     try:
         from tracer import Tracer
@@ -99,10 +100,11 @@ def test_comparison_tables_nest_in_the_comparison_span():
     names = [tracer.names[span[0]] for span in tracer.spans]
     assert {"ez.tensor_comparison_report", "ez.kunneth_report",
             "ez.TensorSetting.build"} <= set(names)
-    comparison = names.index("ez.tensor_comparison_report")
-    tables = [span for name, span in zip(names, tracer.spans)
-              if name == "homology.HomologyTable.__init__"]
-    assert len(tables) == 2 and all(span[3] == comparison for span in tables)
+    setting = names.index("ez.TensorSetting.build")
+    builds = [span for name, span in zip(names, tracer.spans)
+              if name == "cubechain.build_complex"]
+    assert len(builds) == 3 and all(span[3] == setting for span in builds)
+    assert not {"homology.HomologyTable.__init__", "homology.homology_of"} & set(names)
 
 
 def test_pairs_reduced_counts_the_pairs_sized(monkeypatch):

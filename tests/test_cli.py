@@ -542,6 +542,22 @@ class TestKunneth:
         assert r.exit_code == 0 and "degree-0 generators" in r.output
         assert len(calls) == 1
 
+    def test_builds_no_homology_table(self, runner, workspace, monkeypatch):
+        """The verb proves the comparison and the identity from ranks and
+        chain-level identities: no table, no homology of any complex."""
+        from dirhom import homology
+        calls = []
+        real_table, real_of = HomologyTable.__init__, homology.homology_of
+        monkeypatch.setattr(HomologyTable, "__init__",
+                            lambda t, *a: calls.append("table") or real_table(t, *a))
+        monkeypatch.setattr(homology, "homology_of",
+                            lambda *a: calls.append("homology_of") or real_of(*a))
+        r = invoke(runner, ["kunneth", "--prop63", workspace["d2"], workspace["s1"]])
+        assert r.exit_code == 0 and "Kunneth check for (D2, S1): ok" in r.output
+        assert not calls
+        r = invoke(runner, ["homology", "--actions", workspace["d2"]])
+        assert r.exit_code == 0 and calls    # the counters are live
+
     def test_two_product_cells_with_one_name_exit2(self, runner, tmp_path):
         x, y = tmp_path / "x.json", tmp_path / "y.json"
         dh.save(dh.PrecubicalSet("X", [["a", "a,b"], ["e"]], {"e": (["a"], ["a,b"])}), x)

@@ -8,10 +8,10 @@ from dirhom.cubechain import (
     GradedComplex, build_complex, chain_catalog, empty_chain, make_chain,
 )
 from dirhom.exactla import Matrix, QQ
-from dirhom.homology import ActionError, homology_of
+from dirhom.homology import ActionError, HomologyTable, homology_of, push_basis_map
 from dirhom.precubical import PcMorphism, SubsetSpec, sub, tensor
 from dirhom.ez import (
-    ChainError, TensorComplex, TensorSetting, comparison_naturality_check,
+    ChainError, TensorComplex, TensorSetting, _comparison_maps, comparison_naturality_check,
     interleave_tensor, interleaving_matrix, kunneth_report, separating_matrix,
     separation_sign, split_chain, split_one_chain, split_zero_chain, swap_steps,
     swappable_positions, tensor_comparison_report, zero_chain_count_report,
@@ -248,8 +248,75 @@ class TestComparisonReport:
 
         monkeypatch.setattr(Matrix, "__matmul__", recorded)
         assert tensor_comparison_report(D2, D3, setting=st).all_ok
-        diffs = {id(m) for cx in (st.cxp, st.tc) for m in cx._diffs.values()}
-        assert operands and not any(id(m) in diffs for m in operands)
+        # the chain-map checks re-index columns and the rest reads ranks:
+        # the report multiplies nothing, a differential least of all
+        assert not operands
+        Matrix.identity(QQ, 1) @ Matrix.identity(QQ, 1)
+        assert operands     # the recorder sees a product
+
+    def test_inverse_fails_naming_degree_pair_and_both_dims(self, D2):
+        # one low dropped from a product reduction lowers rank d_n by one,
+        # so H_n and H_(n-1) of the product each gain a dimension
+        st = TensorSetting.build(D2, D2)
+        n, pair = next(k for k in st.cxp.components_with_chains
+                       if k[0] and st.cxp.reduction(*k).image)
+        r = st.cxp.reduction(n, pair)
+        low = next(iter(r.image))
+        st.cxp._reductions[(n, pair)] = r._replace(
+            image={k: v for k, v in r.image.items() if k != low})
+        rep = tensor_comparison_report(D2, D2, setting=st)
+        assert rep.chain_maps_ok and rep.split_after_interleave_is_identity
+        assert not rep.homology_inverse_ok and not rep.all_ok
+        for m in (n - 1, n):
+            dt = st.tc.homology_dim(m, pair)
+            assert (f"homology comparison not inverse at {m} {pair}: "
+                    f"product dim {dt + 1} != tensor dim {dt}") in rep.failures
+        assert "inverse isomorphisms on homology:    FAIL" in str(rep)
+
+    def test_swapped_parallel_edges_fail_the_action_check_with_a_witness(
+            self, K, monkeypatch):
+        # the directed circle with two parallel edges a, b : 0 -> 1; on the
+        # tensor side, prepending a acts as prepending b and back, which is
+        # still a chain map but not the product's action
+        circle = dh.PrecubicalSet("O", [["0", "1"], ["a", "b"]],
+                                  {"a": (["0"], ["1"]), "b": (["0"], ["1"])})
+        st = TensorSetting.build(circle, K)
+        tx = st.tx
+        swap = {"a": "b", "b": "a"}
+        real = TensorComplex.left_action_targets
+
+        def swapped(tc, edge, i, pair):
+            u, v = tx.components(edge)
+            return real(tc, tx.pair_id(swap.get(u, u), v), i, pair)
+
+        monkeypatch.setattr(TensorComplex, "left_action_targets", swapped)
+        rep = tensor_comparison_report(circle, K, setting=st)
+        assert (rep.chain_maps_ok and rep.split_after_interleave_is_identity
+                and rep.homology_inverse_ok and not rep.action_compatible_ok)
+        into = tx.in_edges()
+        (n, pair), edge = next((k, a) for k in st.tc.components_with_chains
+                               for a in into[k[1][0]] if tx.components(a)[0] in swap)
+        ca, cb = st.tc.bases[(n, pair)][0]
+        assert rep.failures[0] == (f"left action of {edge} at {n} {pair}: "
+                                   f"witness {ca!r} (x) {cb!r}")
+        assert all(f.startswith("left action of ") for f in rep.failures)
+
+    def test_max_degree_below_the_top_checks_the_maps_one_degree_higher(
+            self, D2, monkeypatch):
+        # dim H_1 reads rank d_2, so a report up to degree 1 checks the
+        # comparison maps in degree 2 too: a flipped degree-2 sign shows
+        import dirhom.ez as ez
+        st = TensorSetting.build(D2, D2)
+        assert tensor_comparison_report(D2, D2, max_degree=1, setting=st).all_ok
+        flipped = make_chain(st.tx, ["(00,aa)", "(aa,11)"])
+        real = ez.separation_sign
+        monkeypatch.setattr(ez, "separation_sign",
+                            lambda tx, c: -real(tx, c) if c == flipped else real(tx, c))
+        rep = tensor_comparison_report(D2, D2, max_degree=1, setting=st)
+        assert rep.top_degree == 1 and not rep.chain_maps_ok
+        assert not rep.homology_inverse_ok
+        assert rep.failures == [f"separating map not a chain map at 2 "
+                                f"{(flipped.src, flipped.dst)}: witness {flipped!r}"]
 
 
 class TestSeparationSign:
@@ -275,18 +342,79 @@ class TestSeparationSign:
         assert separation_sign(kk.tx, c) == 1
 
 
+def reference_comparison(x, y) -> tuple[tuple[bool, ...], dict]:
+    """The comparison checked on homology, as the report checked it before
+    it read ranks: a `HomologyTable` of each of the four complexes, the
+    chain-map and retract identities as matrix products, and the comparison
+    maps and edge actions pushed to homology (`push_basis_map`) and
+    multiplied.  Gives the four flags of `ComparisonReport` and, for each
+    complex, its table's dimension at every (degree, pair) with chains."""
+    st = TensorSetting.build(x, y)
+    tx, cxp, tc = st.tx, st.cxp, st.tc
+    tables = {"cxa": HomologyTable(st.cxa, x), "cxb": HomologyTable(st.cxb, y),
+              "cxp": HomologyTable(cxp, tx), "tc": HomologyTable(tc, tx)}
+    hp, ht = tables["cxp"], tables["tc"]
+    keys = sorted(set(cxp.components_with_chains + tc.components_with_chains))
+    sep = {(n, pair): separating_matrix(tx, cxp, tc, n, *pair) for n, pair in keys}
+    ilv = {(n, pair): interleaving_matrix(tx, tc, cxp, n, *pair) for n, pair in keys}
+
+    def below(f, n, pair, rows, cols):
+        return f[(n - 1, pair)] if (n - 1, pair) in f else Matrix.zeros(QQ, rows, cols)
+
+    chain_ok = all(
+        tc.diff(n, pair) @ sep[(n, pair)]
+        == below(sep, n, pair, tc.dim(n - 1, pair), cxp.dim(n - 1, pair)) @ cxp.diff(n, pair)
+        and cxp.diff(n, pair) @ ilv[(n, pair)]
+        == below(ilv, n, pair, cxp.dim(n - 1, pair), tc.dim(n - 1, pair)) @ tc.diff(n, pair)
+        for n, pair in keys if n)
+    retract_ok = all(sep[k] @ ilv[k] == Matrix.identity(QQ, tc.dim(*k)) for k in keys)
+    sep_h, ilv_h = {}, {}
+    for n, pair in keys:
+        k = (n, *pair)
+        positions = _comparison_maps(tx, cxp, tc, n, *pair)
+        src_p, src_t = hp.entries.get(k), ht.entries.get(k)
+        sep_h[(n, pair)] = push_basis_map(lambda: positions[0], src_p, src_t, cxp._zero)
+        ilv_h[(n, pair)] = push_basis_map(lambda: positions[1], src_t, src_p, cxp._zero)
+    inverse_ok = all(sep_h[k] @ ilv_h[k] == Matrix.identity(QQ, ht.dim(k[0], *k[1]))
+                     and ilv_h[k] @ sep_h[k] == Matrix.identity(QQ, hp.dim(k[0], *k[1]))
+                     for k in keys)
+    into, out = tx.in_edges(), tx.out_edges()
+    action_ok = all(
+        ilv_h[(n, to)] @ act_t(a, n, s, e) == act_p(a, n, s, e) @ ilv_h[(n, (s, e))]
+        for n, (s, e) in keys
+        for a, act_p, act_t, to in
+        [(a, hp.left_action, ht.left_action, (tx.edge_source(a), e)) for a in into[s]]
+        + [(a, hp.right_action, ht.right_action, (s, tx.edge_target(a))) for a in out[e]])
+    dims = {name: {(n, pair): t.dim(n, *pair) for n, pair in t.cx.components_with_chains}
+            for name, t in tables.items()}
+    return (chain_ok, retract_ok, inverse_ok, action_ok), dims
+
+
 def assert_comparison_and_kunneth_hold(x, y):
+    """The report and the Kunneth identity hold, the report's flags are the
+    homology oracle's, and every rank-read dimension is the oracle's."""
     st = TensorSetting.build(x, y)
     rep = tensor_comparison_report(x, y, setting=st)
     assert rep.all_ok, rep.failures
     assert kunneth_report(x, y, setting=st).identity_holds
+    flags, dims = reference_comparison(x, y)
+    assert flags == (rep.chain_maps_ok, rep.split_after_interleave_is_identity,
+                     rep.homology_inverse_ok, rep.action_compatible_ok)
+    for name in ("cxa", "cxb", "cxp", "tc"):
+        cx = getattr(st, name)
+        assert {(n, pair): cx.homology_dim(n, pair)
+                for n in range(cx.top_degree + 2) for pair in cx.pairs()} == {
+            (n, pair): dims[name].get((n, pair), 0)
+            for n in range(cx.top_degree + 2) for pair in cx.pairs()}
 
 
 @pytest.mark.parametrize("x, y", [
+    (dh.segment(), dh.segment()), (dh.standard_cube(0), dh.segment()),
+    (dh.directed_sphere(1), dh.directed_sphere(1)),
     (dh.directed_disc(2), dh.directed_disc(2)), (dh.directed_disc(2), dh.directed_disc(3)),
     (dh.directed_sphere(2), dh.directed_disc(2)), (dh.directed_disc(2), dh.directed_sphere(1)),
-], ids=["D2xD2", "D2xD3", "S2xD2", "D2xS1"])
-def test_comparison_with_squares_on_both_sides(x, y):
+], ids=["KxK", "ptxK", "S1xS1", "D2xD2", "D2xD3", "S2xD2", "D2xS1"])
+def test_comparison_matches_the_homology_oracle(x, y):
     assert_comparison_and_kunneth_hold(x, y)
 
 
@@ -383,43 +511,35 @@ class TestKunneth:
         rep = kunneth_report(K, pt)
         assert rep.identity_holds
 
-    def test_product_homology_computed_once(self, S1, monkeypatch):
-        # both reports on one setting read the same product-complex homology
+    def test_reports_compute_no_homology(self, S1, monkeypatch):
+        # both reports on one setting read ranks: no homology of any
+        # complex is computed and no table is built
         import dirhom.homology as H
         st = TensorSetting.build(S1, S1)
-        keys = []
-
-        def counted(cx, n, pair):
-            if cx is st.cxp:
-                keys.append((n, pair))
-            return homology_of(cx, n, pair)
-
-        monkeypatch.setattr(H, "homology_of", counted)
+        calls = []
+        real = HomologyTable.__init__
+        monkeypatch.setattr(H, "homology_of", lambda *a: calls.append(a) or homology_of(*a))
+        monkeypatch.setattr(HomologyTable, "__init__",
+                            lambda t, *a: calls.append(a) or real(t, *a))
         assert tensor_comparison_report(S1, S1, setting=st).all_ok
         assert kunneth_report(S1, S1, setting=st).identity_holds
-        assert keys and len(keys) == len(set(keys))
+        assert not calls
+        HomologyTable(st.cxa, S1)
+        assert calls    # the counters are live
 
-
-    def test_each_component_with_chains_computed_once(self, D2, D3, monkeypatch):
-        # the comparison and the report read C(X(x)Y) from one shared table,
-        # and every complex keeps the homology it has computed
-        import dirhom.homology as H
+    def test_each_differential_reduced_at_most_once(self, D2, D3, monkeypatch):
+        # the comparison and the report share the reductions each complex
+        # keeps, and reduce differentials of the four complexes only
+        import dirhom.cubechain as cc
         st = TensorSetting.build(D2, D3)
-        names = {id(st.cxp): "cxp", id(st.tc): "tc", id(st.cxa): "cxa", id(st.cxb): "cxb"}
-        calls = []
-
-        def counted(cx, n, pair):
-            calls.append((names[id(cx)], n, pair))
-            return homology_of(cx, n, pair)
-
-        monkeypatch.setattr(H, "homology_of", counted)
+        reduced = Counter()
+        real = cc.column_reduction
+        monkeypatch.setattr(cc, "column_reduction",
+                            lambda m: reduced.update([id(m)]) or real(m))
         assert tensor_comparison_report(D2, D3, setting=st).all_ok
         assert kunneth_report(D2, D3, setting=st).identity_holds
-        for cx in (st.cxp, st.tc, st.cxa, st.cxb):
-            assert len(cx.components_with_chains) == len(cx.bases)
-        assert sorted(calls) == sorted((names[id(cx)], n, pair)
-                                       for cx in (st.cxp, st.tc, st.cxa, st.cxb)
-                                       for n, pair in cx.components_with_chains)
+        diffs = {id(m) for cx in (st.cxp, st.tc, st.cxa, st.cxb) for m in cx._diffs.values()}
+        assert reduced and max(reduced.values()) == 1 and set(reduced) <= diffs
 
 
 class TestObstructionReport:

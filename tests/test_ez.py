@@ -409,12 +409,18 @@ def assert_comparison_and_kunneth_hold(x, y):
 
 
 @pytest.mark.parametrize("x, y", [
-    (dh.segment(), dh.segment()), (dh.standard_cube(0), dh.segment()),
-    (dh.directed_sphere(1), dh.directed_sphere(1)),
     (dh.directed_disc(2), dh.directed_disc(2)), (dh.directed_disc(2), dh.directed_disc(3)),
     (dh.directed_sphere(2), dh.directed_disc(2)), (dh.directed_disc(2), dh.directed_sphere(1)),
-], ids=["KxK", "ptxK", "S1xS1", "D2xD2", "D2xD3", "S2xD2", "D2xS1"])
-def test_comparison_matches_the_homology_oracle(x, y):
+], ids=["D2xD2", "D2xD3", "S2xD2", "D2xS1"])
+def test_comparison_with_squares_on_both_sides(x, y):
+    assert_comparison_and_kunneth_hold(x, y)
+
+
+@pytest.mark.parametrize("x, y", [
+    (dh.segment(), dh.segment()), (dh.standard_cube(0), dh.segment()),
+    (dh.directed_sphere(1), dh.directed_sphere(1)),
+], ids=["KxK", "ptxK", "S1xS1"])
+def test_comparison_without_squares_matches_the_homology_oracle(x, y):
     assert_comparison_and_kunneth_hold(x, y)
 
 

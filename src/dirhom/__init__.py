@@ -19,8 +19,7 @@ from importlib.util import LazyLoader, find_spec, module_from_spec
 
 from .exactla import (
     ExactnessError, FieldError, Matrix, PrimeField, QQ, RationalField, SequenceError,
-    Subspace, field_from_name, induced_on_quotient, kernel_basis, quotient_map, rank,
-    solve_in_image,
+    Subspace, field_from_name, kernel_basis, rank,
 )
 from .precubical import (
     FormatError, PcMorphism, PrecubicalError, PrecubicalSet, SubsetSpec,
@@ -29,14 +28,12 @@ from .precubical import (
     tensor_morphism,
 )
 from .cubechain import (
-    BoundaryCheckError, ChainError, CubeChain, DirectedCycleError, FormalSum,
-    GradedComplex, PairGradedComplex, boundary, build_complex,
-    empty_chain, enumerate_chains, enumerate_shuffles, make_chain,
+    BoundaryCheckError, ChainBudgetError, ChainError, CubeChain, DirectedCycleError,
+    GradedComplex, PairGradedComplex, build_complex, enumerate_chains, enumerate_shuffles,
     max_chain_degree, project_shuffle,
 )
 from .homology import (
-    AcyclicityVerdict, CochainComplexTable, HomologyTable, PairHomology,
-    acyclicity_check, cochain_dual, homology_of, induced_map,
+    CochainComplexTable, HomologyTable, PairHomology, cochain_dual, homology_of,
 )
 
 __version__ = "0.1.0"
@@ -56,8 +53,7 @@ _DEFERRED = {
     ),
     "ez": (
         "ComparisonReport", "KunnethReport", "TensorComplex", "TensorSetting",
-        "comparison_naturality_check", "interleave_tensor", "kunneth_report",
-        "split_chain", "split_one_chain", "split_zero_chain", "swap_steps",
+        "interleave_tensor", "kunneth_report", "split_chain", "swap_steps",
         "tensor_comparison_report", "zero_chain_count_report",
     ),
 }

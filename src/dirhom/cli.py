@@ -40,7 +40,7 @@ from . import cubechain, precubical as pc
 from .exactla import (
     ComparisonError, ExactnessError, FieldError, SequenceError, field_from_name,
 )
-from .cubechain import BoundaryCheckError, DirectedCycleError, build_complex
+from .cubechain import BoundaryCheckError, ChainBudgetError, DirectedCycleError, build_complex
 from .homology import ActionError, HomologyTable, cochain_dual
 
 EXIT_OK = 0
@@ -50,8 +50,9 @@ EXIT_INTERNAL = 3
 
 # What a verb's computation may raise: bad data (exit 2) and a failed
 # theorem-backed check (exit 3).  `_Verbs.invoke` maps them for every verb.
-# RecursionError is a path too long for the recursive chain enumeration.
-INPUT_ERRORS = (DirectedCycleError, SequenceError, RecursionError)
+# RecursionError is a path too long for the recursive chain enumeration,
+# ChainBudgetError a set with more chains than a catalog is built for.
+INPUT_ERRORS = (DirectedCycleError, ChainBudgetError, SequenceError, RecursionError)
 INTERNAL_ERRORS = (BoundaryCheckError, ActionError, ExactnessError, ComparisonError)
 
 CONVENTION_NOTE = (

@@ -31,13 +31,16 @@ Chains are plain tuples (`CubeChain` is a named 4-tuple), so building,
 hashing and reading one are tuple operations.  `chain_catalog` reads a
 corner table of the set once, from ``x.faces``: for each vertex, the sorted
 ``(dimension, cube, final vertex)`` of the cubes starting there, which the
-enumeration extends chains by with no per-step lookup in the set.
+enumeration extends chains by with no per-step lookup in the set.  From the
+same table it first counts the chains it would make, by dynamic programming
+over the vertices, and refuses a set with more than `CHAIN_BUDGET`.
 
 A boundary column is assembled by position: a build splits each cube once,
 into its list of ((lower, upper), sign), one entry per distinct pair of
 parts, and `_boundary_column` looks each term's cube ids up in the
 positions of the component below, in one loop per chain, making no chain
-per term.
+per term.  Edge actions and the maps between complexes are basis maps, given
+as signed positions (`_basis_map`), never as 0/1 matrices.
 """
 
 from __future__ import annotations
@@ -52,6 +55,10 @@ from .precubical import PrecubicalSet, TensorSet
 
 class DirectedCycleError(ValueError):
     """The construction needs an acyclic set but the input has a cycle."""
+
+
+class ChainBudgetError(ValueError):
+    """A set has more cube chains than `chain_catalog` builds (`CHAIN_BUDGET`)."""
 
 
 class BoundaryCheckError(AssertionError):
@@ -82,10 +89,6 @@ class CubeChain(NamedTuple):
     def sort_key(self):
         return (len(self.cubes), self.cubes)
 
-    def image(self, f) -> "CubeChain":
-        """The chain of the images of the cubes under a cell map f."""
-        return CubeChain(f(self.src), f(self.dst), tuple(f(c) for c in self.cubes), self.dims)
-
     def prepended(self, edge: str, src: str) -> "CubeChain":
         """The chain with the edge src -> self.src glued in front."""
         return CubeChain(src, self.dst, (edge,) + self.cubes, (1,) + self.dims)
@@ -97,32 +100,6 @@ class CubeChain(NamedTuple):
     def __repr__(self) -> str:
         inner = ",".join(self.cubes) if self.cubes else f"@{self.src}"
         return f"<{inner}>"
-
-
-def empty_chain(v: str) -> CubeChain:
-    return CubeChain(v, v, (), ())
-
-
-def make_chain(x: PrecubicalSet, cubes: Sequence[str], at: str | None = None) -> CubeChain:
-    """Build a chain from cube ids, checking gluing; `at` anchors the empty chain."""
-    cubes = tuple(cubes)
-    if not cubes:
-        if at is None:
-            raise ChainError("empty chain needs an anchor vertex")
-        if x.dim_of(at) != 0:
-            raise ChainError(f"anchor {at!r} is not a vertex")
-        return empty_chain(at)
-    dims = []
-    for c in cubes:
-        n = x.dim_of(c)
-        if n < 1:
-            raise ChainError(f"chain cube {c!r} has dimension 0")
-        dims.append(n)
-    for a, b in zip(cubes, cubes[1:]):
-        if x.final_vertex(a) != x.initial_vertex(b):
-            raise ChainError(f"cubes {a!r} and {b!r} do not glue")
-    return CubeChain(x.initial_vertex(cubes[0]), x.final_vertex(cubes[-1]),
-                     cubes, tuple(dims))
 
 
 # -- enumeration -------------------------------------------------------------
@@ -141,6 +118,62 @@ def _shown(name: str) -> str:
 # caller keeps every set it passes in, with its catalog, until it clears it.
 _catalog_cache: dict[tuple[int, int | None], dict] = {}
 
+# The most cube chains `chain_catalog` makes for one set: D4 (x) D4 has
+# 2,183,339 and fits in about 3 GB; realization([2,2,2]) squared has
+# 7,519,140 and does not fit in memory.
+CHAIN_BUDGET = 3_000_000
+
+
+def _corner_table(x: PrecubicalSet):
+    """(starting, order): for each vertex the sorted (dimension, cube, final
+    vertex) of the cubes starting there, read once from ``x.faces``, and the
+    vertices in an order in which each cube's initial vertex comes before
+    its final one (Kahn's algorithm); DirectedCycleError when none exists."""
+    corners = {v: (v, v) for v in x.vertices}
+    starting: dict[str, list[tuple[int, str, str]]] = {v: [] for v in x.vertices}
+    into = dict.fromkeys(x.vertices, 0)
+    for n, layer in enumerate(x.cells[1:], 1):
+        for c in layer:
+            lower, upper = x.faces[c]
+            corners[c] = first, last = corners[lower[0]][0], corners[upper[0]][1]
+            starting[first].append((n, c, last))
+            into[last] += 1
+    order = [v for v, k in into.items() if not k]
+    for v in order:     # grows while it is read
+        row = starting[v]
+        row.sort()
+        for _, _, end in row:
+            into[end] -= 1
+            if not into[end]:
+                order.append(end)
+    if len(order) < len(into):
+        raise DirectedCycleError(
+            f"{_shown(x.name)}: chain enumeration needs an acyclic vertex-edge digraph")
+    return starting, order
+
+
+def _chain_count(starting, order, top) -> int:
+    """How many chains of degree <= top start at the vertices of `order`,
+    from the corner table (`_corner_table`) by dynamic programming, last
+    vertex first: the chains from v of degree d are the empty one (d = 0)
+    and, for each cube of dimension n from v, those of degree d - n + 1
+    from its final vertex."""
+    by_degree: dict[str, list[int]] = {}
+    for v in reversed(order):
+        row = [1]
+        for n, _, end in starting[v]:
+            if n - 1 > top:
+                break
+            for d, k in enumerate(by_degree[end], n - 1):
+                if d > top:
+                    break
+                if d < len(row):
+                    row[d] += k
+                else:
+                    row.append(k)
+        by_degree[v] = row
+    return sum(map(sum, by_degree.values()))
+
 
 def chain_catalog(x: PrecubicalSet, max_degree: int | None = None
                   ) -> dict[tuple[int, str, str], list[CubeChain]]:
@@ -148,27 +181,19 @@ def chain_catalog(x: PrecubicalSet, max_degree: int | None = None
 
     With ``max_degree=None`` every chain is enumerated (finite because the
     set is acyclic).  Chains are listed in the canonical order: by length,
-    then lexicographically on the cube ids.
+    then lexicographically on the cube ids.  A set with more chains than
+    `CHAIN_BUDGET`, counted first (`_chain_count`), raises ChainBudgetError.
     """
     key = (id(x), max_degree)
     hit = _catalog_cache.get(key)
     if hit is not None and hit["ref"] is x:
         return hit["catalog"]
-    if not x.is_acyclic():
-        raise DirectedCycleError(
-            f"{_shown(x.name)}: chain enumeration needs an acyclic vertex-edge digraph")
     top = math.inf if max_degree is None else max_degree
-    # the corner table: (initial, final) vertex of every cell, and for each
-    # vertex the (dimension, cube, final vertex) of the cubes starting there
-    corners = {v: (v, v) for v in x.vertices}
-    starting: dict[str, list[tuple[int, str, str]]] = {v: [] for v in x.vertices}
-    for n, layer in enumerate(x.cells[1:], 1):
-        for c in layer:
-            lower, upper = x.faces[c]
-            corners[c] = first, last = corners[lower[0]][0], corners[upper[0]][1]
-            starting[first].append((n, c, last))
-    for row in starting.values():
-        row.sort()
+    starting, order = _corner_table(x)
+    count = _chain_count(starting, order, top)
+    if count > CHAIN_BUDGET:
+        raise ChainBudgetError(f"{_shown(x.name)}: {count:,} cube chains, more than the "
+                               f"{CHAIN_BUDGET:,} a chain catalog is built for")
     catalog: dict[tuple[int, str, str], list[CubeChain]] = {}
 
     def extend(src: str, here: str, cubes: tuple[str, ...], dims: tuple[int, ...], deg: int):
@@ -199,45 +224,7 @@ def max_chain_degree(x: PrecubicalSet) -> int:
     return max((k[0] for k in chain_catalog(x)), default=0)
 
 
-# -- formal sums and the boundary -------------------------------------------
-
-
-class FormalSum:
-    """A field-linear combination of cube chains sharing (degree, src, dst)."""
-
-    __slots__ = ("field", "terms")
-
-    def __init__(self, field, terms: Mapping[CubeChain, object] | None = None):
-        self.field = field
-        self.terms: dict[CubeChain, object] = {}
-        if terms:
-            for chain, coeff in terms.items():
-                self.add_term(chain, coeff)
-
-    def add_term(self, chain: CubeChain, coeff) -> None:
-        # every term shares one grading, so one term stands for them all
-        other = next(iter(self.terms), chain)
-        if (other.degree, other.src, other.dst) != (chain.degree, chain.src, chain.dst):
-            raise ChainError("formal sum mixes (degree, src, dst) gradings")
-        if isinstance(coeff, int):
-            coeff = self.field.of(coeff)
-        cur = self.terms.get(chain, self.field.zero)
-        new = cur + coeff
-        if new == self.field.zero:
-            self.terms.pop(chain, None)
-        else:
-            self.terms[chain] = new
-
-    def items(self):
-        return sorted(self.terms.items(), key=lambda kv: kv[0].sort_key())
-
-    def is_zero(self) -> bool:
-        return not self.terms
-
-    def __repr__(self) -> str:
-        if not self.terms:
-            return "0"
-        return " + ".join(f"({c})*{ch!r}" for ch, c in self.items())
+# -- the boundary -------------------------------------------------------------
 
 
 def split_cube(x: PrecubicalSet, cube: str, a_set: Sequence[int]) -> tuple[str, str]:
@@ -295,28 +282,6 @@ def _boundary_column(chain: CubeChain, splits: Mapping[str, list],
         if not n & 1:
             flip = -flip
     return col
-
-
-class _ChainsOf(dict):
-    """Cube ids -> their chain in a set (`make_chain`), made on each lookup."""
-
-    def __init__(self, x: PrecubicalSet):
-        super().__init__()
-        self.x = x
-
-    def __missing__(self, cubes: tuple[str, ...]) -> CubeChain:
-        return make_chain(self.x, cubes)
-
-
-def boundary(x: PrecubicalSet, chain: CubeChain, field=QQ) -> FormalSum:
-    """The boundary of a chain of degree >= 1 (see the module docstring)."""
-    if chain.degree < 1:
-        raise ChainError("boundary of a degree-0 chain is zero; use an empty sum")
-    splits = {c: _split_list(x, c) for c, n in zip(chain.cubes, chain.dims) if n >= 2}
-    out = FormalSum(field)
-    for term, sign in _boundary_column(chain, splits, _ChainsOf(x)).items():
-        out.add_term(term, sign)
-    return out
 
 
 # -- graded complexes ---------------------------------------------------------
@@ -388,17 +353,6 @@ class GradedComplex:
         """How a failure report names basis element j of the (i, pair) component."""
         return f"basis element {j}"
 
-    # the 0/1 matrices of the edge actions of a complex graded by a set `x`
-    def left_action_chain(self, edge: str, i: int, pair) -> Matrix:
-        """C_i(s, e) -> C_i(s', e): prepend the edge s' -> s to every chain."""
-        return Matrix.unit_columns(self.field, self.dim(i, (self.x.edge_source(edge), pair[1])),
-                                   self.left_action_targets(edge, i, pair))
-
-    def right_action_chain(self, edge: str, i: int, pair) -> Matrix:
-        """C_i(s, e) -> C_i(s, e'): append the edge e -> e' to every chain."""
-        return Matrix.unit_columns(self.field, self.dim(i, (pair[0], self.x.edge_target(edge))),
-                                   self.right_action_targets(edge, i, pair))
-
     def check_boundary_square(self) -> None:
         """Raise BoundaryCheckError unless d_{i-1} @ d_i = 0 on every
         component; the error names the first basis element of degree i
@@ -460,16 +414,12 @@ class PairGradedComplex(GradedComplex):
         except KeyError:
             raise ChainError(f"chain {chain!r} not in the complex basis") from None
 
-    def vector_of(self, s: FormalSum | CubeChain, i: int, src: str, dst: str) -> tuple:
-        """Coordinates of a formal sum in the (i, src, dst) basis."""
-        n = self.dim(i, (src, dst))
-        v = [self.field.zero] * n
-        if isinstance(s, CubeChain):
-            s = FormalSum(self.field, {s: self.field.one})
-        for chain, coeff in s.terms.items():
-            if (chain.degree, chain.src, chain.dst) != (i, src, dst):
-                raise ChainError("formal sum does not live in the requested grading")
-            v[self.chain_index(chain)] = coeff
+    def vector_of(self, chain: CubeChain, i: int, src: str, dst: str) -> tuple:
+        """Coordinates of a chain in the (i, src, dst) basis: a unit vector."""
+        if (chain.degree, chain.src, chain.dst) != (i, src, dst):
+            raise ChainError("chain does not live in the requested grading")
+        v = [self.field.zero] * self.dim(i, (src, dst))
+        v[self.chain_index(chain)] = self.field.one
         return tuple(v)
 
 
@@ -541,13 +491,6 @@ def _basis_map(images: Sequence, index: Mapping, signs: Sequence[int] | None = N
     if missing is not None:
         raise ChainError(f"image {missing!r} missing from the target basis")
     return targets, () if signs is None else {j for j, sign in enumerate(signs) if sign < 0}
-
-
-def _basis_matrix(field, rows: int, p: tuple) -> Matrix:
-    """The 0/+-1 matrix, with `rows` rows, of a basis map of signed positions `p`."""
-    targets, negated = p
-    return Matrix.from_sparse_columns(field, rows, [
-        {} if t is None else {t: -1 if j in negated else 1} for j, t in enumerate(targets)])
 
 
 def build_complex(x: PrecubicalSet, max_degree: int | None = None,

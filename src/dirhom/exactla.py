@@ -1,6 +1,6 @@
 """Exact linear algebra over the rationals and over prime fields.
 
-Every rank, kernel, image, quotient and linear solve used anywhere in this
+Every rank, kernel, quotient and linear solve used anywhere in this
 package goes through this module.  Rational scalars are `fractions.Fraction`
 (always lowest terms, positive denominator); prime-field scalars are residues
 in ``[0, p)`` with modular inverses.  There is no floating point anywhere:
@@ -14,58 +14,56 @@ over F_p, and over Q plain ints while a value is integral, a `Fraction`
 only where a caller gave one or a pivot other than +-1 divided a vector.
 Columns are the form in which every differential is assembled, reduced,
 multiplied, checked as a chain map and pushed into homology; only the cold
-readers of rows (the row constructor, `data`, `row`, `text_rows`,
-`transpose`, `solve` and `quotient_map`) transpose.  Zero tests are
-truthiness tests.
+readers of rows (the row constructor, `data`, `text_rows`, `transpose`
+and `solve`) transpose.  Zero tests are truthiness tests.
 
 One pivot rule serves the whole module: sparse vectors are reduced one
 after the other against a ``{lowest nonzero: stored vector}`` dict, each
 stored vector scaled to 1 at its low (`_lows`), and a rank is the number of
-lows.  The reduced row echelon form (`_echelon`, behind `image_basis`,
-`solve`, `pivot_columns` and `Subspace`) is that reduction on the columns
-numbered last first, so that each low is a leading column, plus the one
-back substitution in ascending order of lows (`_back_substitute`, which
-homology shares).  It is unique for a fixed column order, so the order in
-which vectors are reduced never shows in a result; choosing pivot columns
-by fill-in (Markowitz-style) would change every kernel basis, homology
-representative and action matrix the package prints.  Systems are solved
-for a whole matrix of right-hand sides at once: `solve(m, b)` reduces
-[m | b] once; `Subspace.express(m)` is `solve` on the basis matrix and
-`invert(m)` is `solve` on the identity, both unique solutions; the
-single-vector `solve_in_image`, `coordinates`, `contains` and `matvec` are
-one-line wrappers.
+lows.  The reduced row echelon form (`_echelon`, behind `solve`,
+`Subspace` and the quotient bases of bimodules) is that reduction on the
+columns numbered last first, so that each low is a leading column, plus the
+one back substitution in ascending order of lows (`_back_substitute`,
+which homology shares).  It is unique for a fixed column order, so the
+order in which vectors are reduced never shows in a result; choosing pivot
+columns by fill-in (Markowitz-style) would change every kernel basis,
+homology representative and action matrix the package prints.  `solve(m,
+b)` reduces [m | b] once for a whole matrix of right-hand sides.  One
+quotient construction (`_quotient`) serves homology and the bimodules:
+given rows that are each 1 at their key and 0 at the other keys, as back
+substitution leaves them, it sends the unit vector at an index that is no
+key to its class and the one at a key to minus its row.
 
 Field scalars (``Residue`` over F_p) appear only where values enter
 (constructors, vectors passed in, bimodule relation coefficients), where the
 one conversion `_value` turns each into a stored value and rejects a scalar
-of another field, and where they leave (`entry`, `data`, `row`, `column(s)`,
-`basis`, the vector wrappers), and over Q every value leaves as a
-`Fraction`, integral or not; inside the package they leave only through
-`Matrix.entry`, for the coefficients of bimodule relations; the CLI's JSON
-prints `Matrix.text_rows`, formatted from the stored values as the field
-scalars print.
+of another field, and where they leave (`entry`, `data`, `column(s)`,
+`basis`, `matvec`), and over Q every value leaves as a `Fraction`, integral
+or not; inside the package they leave only through `Matrix.entry`, for the
+coefficients of bimodule relations; the CLI's JSON prints `Matrix.text_rows`,
+formatted from the stored values as the field scalars print.
 
 Homology reads each differential d off one column reduction
 (`column_reduction`, persistence style): the same rule on the columns of d,
 with each column's combination of the columns of d tracked (`_reduce`).  A
 column that reduces to zero gives the kernel vector that is 1 at it, its
 last nonzero, and otherwise lives on earlier columns that do not; the others
-give an image basis with distinct lowest rows.  For
-H_i = ker d_i / im d_{i+1}, a boundary's lowest row is the free column of
-the last kernel vector in which it has a coordinate, so the boundaries'
-kernel coordinates are their entries at the free columns, and
-`homology_from_reductions` back-substitutes them (`_back_substitute`) to
-give the map to classes; the kernel vectors at free columns that are not a
-low are the representatives.  `homology_classes`, the one push of chains
-into homology, takes cycles as ``{row: value}`` sparse columns of stored
-values (the form of `Matrix.sparse_columns` and of the representatives): it
-reads their kernel coordinates at the free columns, checks entry by entry
-that the kernel vectors give each column back and applies the map to
-classes, with no elimination.
+give an image basis with distinct lowest rows.  For H_i = ker d_i / im
+d_{i+1}, a boundary's lowest row is the free column of the last kernel
+vector in which it has a coordinate, so the boundaries' kernel coordinates
+are their entries at the free columns, and `homology_from_reductions`
+back-substitutes them (`_back_substitute`) to give the map to classes
+(`_quotient`); the kernel vectors at free columns that are not a low are the
+representatives.  `homology_classes`, the one push of chains into homology,
+takes cycles as ``{row: value}`` sparse columns of stored values (the form
+of `Matrix.sparse_columns` and of the representatives): it reads their
+kernel coordinates at the free columns, checks entry by entry that the
+kernel vectors give each column back and applies the map to classes, with no
+elimination.
 
 A basis map, which sends each basis element to +-1 times another or to
-zero (an edge action, the map of a morphism, an inclusion or projection
-of basis subsets), is given as signed positions, never as a matrix:
+zero (an edge action, a comparison map, an inclusion or projection of
+basis subsets), is given as signed positions, never as a matrix:
 `_renamed` re-indexes a sparse column by one, and `_chain_map_witness`
 checks that two of them commute with the differentials by reading the
 columns of both in place, with no product and no copy.
@@ -375,20 +373,6 @@ def _echelon(vectors: Iterable[dict], n: int, p: int):
             [last - low for low in lows])
 
 
-def _null_vectors(rows: list[dict], pivots: list[int], n: int, p: int) -> list[dict]:
-    """One vector per free (non-pivot) column j of reduced rows of length n:
-    1 at j, 0 at the other free columns, minus the entry j of row c at each
-    pivot c.  They are independent by construction and span the vectors
-    that every row annihilates."""
-    pivset = set(pivots)
-    vecs = {j: {j: 1} for j in range(n) if j not in pivset}
-    for row, c in zip(rows, pivots):
-        for j, a in row.items():
-            if j != c:
-                vecs[j][c] = _neg(a, p)
-    return list(vecs.values())
-
-
 class Reduction(NamedTuple):
     """The column reduction of a matrix (`column_reduction`)."""
 
@@ -558,11 +542,6 @@ class Matrix(_Frozen):
         a = self._cols[j].get(i)
         return self.field.zero if a is None else _scalar(a, _modulus(self.field))
 
-    def row(self, i: int) -> tuple:
-        if not 0 <= i < self.rows:
-            raise IndexError(f"row {i} outside {self.rows}x{self.cols} matrix")
-        return self.transpose().column(i)
-
     def column(self, j: int) -> tuple:
         if not 0 <= j < self.cols:
             raise IndexError(f"column {j} outside {self.rows}x{self.cols} matrix")
@@ -658,9 +637,8 @@ class Subspace(_Frozen):
     """A subspace of a coordinate space, given by an independent basis.
 
     The basis is held as sparse vectors.  The reduced row echelon form of
-    the basis, computed when first needed, gives the reduced rows and
-    pivots behind the independence check, equality and the quotient maps;
-    `express` solves for coordinates in the basis (`solve`).
+    the basis (`_echelon`), computed when first needed, gives the
+    independence check, membership and equality.
     """
 
     __slots__ = ("field", "ambient_dim", "_basis", "_form")
@@ -668,21 +646,16 @@ class Subspace(_Frozen):
     def __init__(self, field, ambient_dim: int, basis: Sequence[Sequence]):
         p = _modulus(field)
         self._fill(self, field, ambient_dim, [_sparse(v, p, ambient_dim) for v in basis], None)
-        if len(self._pivots) != len(self._basis):
+        if len(self._echelon_form()[1]) != len(self._basis):
             raise FieldError("basis not independent")
 
     @classmethod
-    def zero(cls, field, ambient_dim: int) -> "Subspace":
-        return cls._of(field, ambient_dim, [], ([], []))
-
-    @classmethod
-    def full(cls, field, ambient_dim: int) -> "Subspace":
-        return image_basis(Matrix.identity(field, ambient_dim))
-
-    @classmethod
     def span(cls, field, ambient_dim: int, vectors: Sequence[Sequence]) -> "Subspace":
-        """Subspace spanned by possibly dependent vectors; its basis is their rref."""
-        return image_basis(Matrix.from_columns(field, vectors, length=ambient_dim))
+        """Subspace spanned by possibly dependent vectors; its basis is their
+        rref, which is its own echelon form."""
+        p = _modulus(field)
+        form = _echelon([_sparse(v, p, ambient_dim) for v in vectors], ambient_dim, p)
+        return cls._of(field, ambient_dim, form[0], form)
 
     @property
     def dim(self) -> int:
@@ -694,14 +667,6 @@ class Subspace(_Frozen):
         zero, p = self.field.zero, _modulus(self.field)
         return tuple(tuple(_dense(v, self.ambient_dim, zero, p)) for v in self._basis)
 
-    def basis_matrix(self) -> Matrix:
-        """The matrix whose columns are the basis vectors."""
-        return Matrix._of(self.field, self.ambient_dim, self.dim, self._basis)
-
-    @property
-    def _pivots(self) -> tuple:
-        return tuple(self._echelon_form()[1])
-
     def _echelon_form(self):
         """(rref rows, pivots) of the basis, computed once (`_echelon`)."""
         if self._form is None:
@@ -709,28 +674,20 @@ class Subspace(_Frozen):
                 self._basis, self.ambient_dim, _modulus(self.field)))
         return self._form
 
-    def express(self, m: Matrix) -> Matrix | None:
-        """The coordinates in `basis` of the columns of m, as columns, or None
-        when a column is not in the subspace: `solve`, its one solution."""
-        return solve(self.basis_matrix(), m)
-
-    def coordinates(self, v: Sequence) -> tuple | None:
-        """The coefficients of v in `basis`, or None when v is not in the subspace."""
-        return _vector(self.express(Matrix.from_columns(self.field, [v], length=self.ambient_dim)))
-
     def contains(self, v: Sequence) -> bool:
-        return self.coordinates(v) is not None
+        """Whether v is in the subspace: v less its entry at each pivot
+        times that pivot's reduced row, which is 0 at the other pivots, is 0."""
+        p = _modulus(self.field)
+        vec = _sparse(v, p, self.ambient_dim)
+        for row, c in zip(*self._echelon_form()):
+            if c in vec:
+                _axpy(vec, vec[c], row, p)
+        return not vec
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Subspace)
                 and self.ambient_dim == other.ambient_dim
                 and self._echelon_form()[0] == other._echelon_form()[0])
-
-    def __hash__(self):
-        return hash((self.ambient_dim, self._pivots))
-
-    def __repr__(self) -> str:
-        return f"Subspace(dim {self.dim} of {self.ambient_dim})"
 
 
 def column_reduction(m: Matrix) -> Reduction:
@@ -743,25 +700,6 @@ def kernel_basis(m: Matrix) -> Subspace:
     """Basis of the null space {v : m v = 0}: one vector per free column, the
     kernel of `column_reduction`."""
     return Subspace._of(m.field, m.cols, column_reduction(m).kernel, None)
-
-
-def image_basis(m: Matrix) -> Subspace:
-    """Column space of `m`; its basis is the rref of the columns.  That basis
-    is already reduced, so its echelon form is itself.  A matrix with no
-    rows or no columns needs no reduction."""
-    if not (m.rows and m.cols):
-        return Subspace.zero(m.field, m.rows)
-    form = _echelon(m._cols, m.rows, _modulus(m.field))
-    return Subspace._of(m.field, m.rows, form[0], form)
-
-
-def pivot_columns(*spaces: Subspace) -> list[int]:
-    """Pivot columns of the matrix whose columns are the bases of `spaces`,
-    one after the other: column k is a pivot when basis vector k lies outside
-    the span of the vectors before it."""
-    vectors = [v for s in spaces for v in s._basis]
-    return _echelon(_transpose(vectors, spaces[0].ambient_dim), len(vectors),
-                    _modulus(spaces[0].field))[1]
 
 
 def solve(m: Matrix, b: Matrix) -> Matrix | None:
@@ -785,52 +723,19 @@ def solve(m: Matrix, b: Matrix) -> Matrix | None:
     return Matrix._of(m.field, n, b.cols, _transpose(x, b.cols))
 
 
-def solve_in_image(m: Matrix, b: Sequence):
-    """Some x with m x = b, or None when b is not in the image of m."""
-    return _vector(solve(m, Matrix.from_columns(m.field, [b], length=m.rows)))
-
-
-def _vector(m: Matrix | None) -> tuple | None:
-    """The one column of m as field scalars; None for None."""
-    return None if m is None else m.column(0)
-
-
-def invert(m: Matrix) -> Matrix:
-    """The inverse of m, the unique solution of m X = identity (`solve`)."""
-    if m.rows != m.cols:
-        raise FieldError("only square matrices invert")
-    inverse = solve(m, Matrix.identity(m.field, m.rows))
-    if inverse is None:
-        raise FieldError("matrix not invertible")
-    return inverse
-
-
-def quotient_map(ambient_dim: int, sub: Subspace) -> Matrix:
-    """Surjection q with kernel exactly `sub`; target dim = ambient - dim(sub).
-
-    Representatives are the coordinates not used as pivots by the subspace:
-    column j of q is the unit vector of such a coordinate j, and for a pivot
-    c it is minus the rref row of c on those coordinates.
-    """
-    if sub.ambient_dim != ambient_dim:
-        raise FieldError(f"subspace ambient {sub.ambient_dim} != {ambient_dim}")
-    rows, pivots = sub._echelon_form()
-    q_rows = _null_vectors(rows, pivots, ambient_dim, _modulus(sub.field))
-    return Matrix._of(sub.field, len(q_rows), ambient_dim, _transpose(q_rows, ambient_dim))
-
-
-def induced_on_quotient(f: Matrix, src_sub: Subspace, dst_sub: Subspace) -> Matrix:
-    """The unique g with g . q_src = q_dst . f, given f(src_sub) <= dst_sub."""
-    q_src = quotient_map(f.cols, src_sub)
-    q_dst_f = quotient_map(f.rows, dst_sub) @ f
-    if not (q_dst_f @ src_sub.basis_matrix()).is_zero():
-        raise FieldError("f does not preserve the subspaces")
-    pivots = set(src_sub._pivots)
-    g = q_dst_f @ Matrix.unit_columns(f.field, f.cols,
-                                      [j for j in range(f.cols) if j not in pivots])
-    if g @ q_src != q_dst_f:
-        raise AssertionError("induced quotient map failed the commuting-square identity")
-    return g
+def _quotient(rows: dict[int, dict], n: int, field) -> tuple[Matrix, list[int]]:
+    """The quotient of n coordinates by the span of `rows`, each 1 at its
+    key and 0 at the other keys (as `_back_substitute` leaves them), as
+    (q, free): `free` lists the indices that are no key, ascending, and
+    column k of q is the unit column at k's place in `free` for a free k,
+    and minus row k, re-indexed to those places, for a key k.  It is the
+    one quotient construction: homology classes and bimodule quotients."""
+    p = _modulus(field)
+    free = [k for k in range(n) if k not in rows]
+    at = {k: t for t, k in enumerate(free)}
+    return Matrix._of(field, len(free), n, [
+        {at[k]: 1} if k in at else {at[j]: _neg(a, p) for j, a in rows[k].items() if j != k}
+        for k in range(n)]), free
 
 
 def homology_from_reductions(d: Reduction, d_next: Reduction, field, n: int):
@@ -863,19 +768,9 @@ def homology_from_reductions(d: Reduction, d_next: Reduction, field, n: int):
                          f"nonzero at chain {min(bad)}, a pivot of d_i")
     rows = _back_substitute({at[low]: {at[r]: a for r, a in col.items() if r in at}
                              for low, col in d_next.image.items()}, p)
-    cls = {k: t for t, k in enumerate(k for k in range(m) if k not in rows)}
-    classes = [{cls[k]: 1} if k in cls else
-               {cls[j]: _neg(a, p) for j, a in rows[k].items() if j != k} for k in range(m)]
     return (Subspace._of(field, n, d.kernel, None),
             [v for v, f in zip(d.kernel, d.free) if f not in d_next.image],
-            list(rows.values())[::-1], at, Matrix._of(field, len(cls), m, classes))
-
-
-def span_of_combinations(rows: list[dict], sub: Subspace) -> Subspace:
-    """The subspace spanned by the combinations `rows` of the basis of
-    `sub`, which must be independent, with that basis in the order of rows."""
-    return Subspace._of(sub.field, sub.ambient_dim, _mul(rows, sub._basis, _modulus(sub.field)),
-                        None)
+            list(rows.values())[::-1], at, _quotient(rows, m, field)[0])
 
 
 def homology_classes(cycles: Subspace, free: dict[int, int], classes: Matrix,

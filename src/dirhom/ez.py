@@ -23,7 +23,9 @@ identity on pure tensors, and on homology they are mutually inverse and
 compatible with the path-algebra actions through the componentwise algebra
 comparison.  All of this is machine-verified by `tensor_comparison_report`
 from ranks and chain-level identities, with no homology table; it asserts
-the edge actions of both complexes chain maps, with witnesses.
+the edge actions of both complexes chain maps, with witnesses.  Both maps
+are basis maps, built as signed positions (`_comparison_maps`) and never
+as matrices.
 """
 
 from __future__ import annotations
@@ -31,13 +33,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import reduce
 
-from .exactla import ChainError, ComparisonError, Matrix, QQ, _chain_map_witness, _renamed
-from .precubical import PcMorphism, PrecubicalSet, TensorSet, tensor, tensor_morphism
+from .exactla import ChainError, Matrix, QQ, _chain_map_witness, _renamed
+from .precubical import PrecubicalSet, TensorSet, tensor
 from .cubechain import (
-    CubeChain, GradedComplex, PairGradedComplex, _basis_map, _basis_matrix, build_complex,
-    project_shuffle,
+    CubeChain, GradedComplex, PairGradedComplex, _basis_map, build_complex, project_shuffle,
 )
-from .homology import _check_actions_are_chain_maps, _kept_targets, _morphism_positions
+from .homology import _check_actions_are_chain_maps, _kept_targets
 
 
 # -- the tensor complex -------------------------------------------------------
@@ -102,19 +103,6 @@ class TensorComplex(GradedComplex):
         ca, cb = self.bases[(i, pair)][j]
         return f"{ca!r} (x) {cb!r}"
 
-    def tensor_index(self, n: int, pair, t: tuple[CubeChain, CubeChain]) -> int:
-        try:
-            return self.index[(n, pair)][t]
-        except KeyError:
-            raise ChainError(f"pure tensor {t} not in the basis") from None
-
-    def vector_of(self, terms: dict[tuple[CubeChain, CubeChain], object],
-                  n: int, pair) -> tuple:
-        v = [self.field.zero] * self.dim(n, pair)
-        for t, coeff in terms.items():
-            v[self.tensor_index(n, pair, t)] = coeff
-        return tuple(v)
-
     # chain-level edge actions, mirrored from the factors, as target positions
     def left_action_targets(self, edge: str, n: int, pair) -> list[int]:
         """Prepend a product edge on the appropriate tensor factor."""
@@ -167,32 +155,6 @@ def separation_sign(tx: TensorSet, chain: CubeChain) -> int:
     return -1 if odd_moves % 2 else 1
 
 
-def split_zero_chain(tx: TensorSet, chain: CubeChain) -> tuple[CubeChain, CubeChain]:
-    """Degree-0 form of the separating map: always defined, never zero."""
-    if chain.degree != 0:
-        raise ChainError("expected a degree-0 chain")
-    out = split_chain(tx, chain)
-    assert out is not None  # degree-0 chains have no room for mixed cubes
-    return out
-
-def split_one_chain(tx: TensorSet, chain: CubeChain
-                    ) -> tuple[CubeChain, CubeChain] | None:
-    """Degree-1 form: the single 2-dimensional cube decides the case.
-
-    A square living entirely in one factor splits off as that factor's
-    chain; an edge-times-edge square kills the chain (returns None).
-    """
-    if chain.degree != 1:
-        raise ChainError("expected a degree-1 chain")
-    return split_chain(tx, chain)
-
-
-def separating_matrix(tx: TensorSet, cxp: PairGradedComplex, tc: TensorComplex,
-                      n: int, s: str, e: str) -> Matrix:
-    """Matrix of the separating map C_n(X(x)Y)(s,e) -> tensor complex."""
-    return _basis_matrix(cxp.field, tc.dim(n, (s, e)), _comparison_maps(tx, cxp, tc, n, s, e)[0])
-
-
 # -- the trivial shuffle -----------------------------------------------------------
 
 
@@ -208,12 +170,6 @@ def interleave_tensor(tx: TensorSet, ca: CubeChain, cb: CubeChain) -> CubeChain:
         dims.append(d)
     return CubeChain(tx.pair_id(ca.src, cb.src), tx.pair_id(ca.dst, cb.dst),
                      tuple(cubes), tuple(dims))
-
-
-def interleaving_matrix(tx: TensorSet, tc: TensorComplex, cxp: PairGradedComplex,
-                        n: int, s: str, e: str) -> Matrix:
-    """Matrix of the trivial shuffle: tensor complex -> C_n(X(x)Y)(s,e)."""
-    return _basis_matrix(cxp.field, cxp.dim(n, (s, e)), _comparison_maps(tx, cxp, tc, n, s, e)[1])
 
 
 def _comparison_maps(tx: TensorSet, cxp: PairGradedComplex, tc: TensorComplex,
@@ -488,33 +444,6 @@ def zero_chain_count_report(x: PrecubicalSet, y: PrecubicalSet, field=QQ,
                      "quoted for this example, which this enumeration does not "
                      "reproduce.")
     return ZeroChainCountReport(x.name, y.name, n0, t0, n1, note)
-
-
-# -- naturality spot checks --------------------------------------------------------------------
-
-
-def comparison_naturality_check(f: PcMorphism, g: PcMorphism, field=QQ) -> bool:
-    """Commutation of the comparison maps with a pair of morphisms.
-
-    Checks (C(f) (x) C(g)) . sep = sep . C(f(x)g) on every degree and pair
-    of the source product, and the same square for the interleaving maps,
-    by composing the signed positions of the basis maps: no matrix, no product.
-    """
-    sta = TensorSetting.build(f.source, g.source, field)
-    stb = TensorSetting.build(f.target, g.target, field)
-    fg = tensor_morphism(f, g, sta.tx, stb.tx)
-    for (n, s, e), m in _morphism_positions(fg, sta.cxp, stb.cxp).items():
-        tpair = (fg(s), fg(e))
-        sep_a, ilv_a = _comparison_maps(sta.tx, sta.cxp, sta.tc, n, s, e)
-        sep_b, ilv_b = _comparison_maps(stb.tx, stb.cxp, stb.tc, n, *tpair)
-        # C(f) (x) C(g) between the tensor complexes, by cube-wise images
-        tmap = _basis_map([(ca.image(f), cb.image(g))
-                           for ca, cb in sta.tc.bases.get((n, (s, e)), [])],
-                          stb.tc.index.get((n, tpair), {}))
-        if (_first_difference(len(m[0]), field, [sep_a, tmap], [m, sep_b]) is not None
-                or _first_difference(len(ilv_a[0]), field, [ilv_a, m], [tmap, ilv_b]) is not None):
-            return False
-    return True
 
 
 def _first_difference(n: int, field, first: list, second: list) -> int | None:

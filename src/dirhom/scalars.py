@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .exactla import (
-    Matrix, QQ, Reduction, _lows, _modulus, _value, image_basis, quotient_map,
+    Matrix, QQ, Reduction, _echelon, _lows, _modulus, _quotient, _value,
 )
 from .precubical import PcMorphism, PrecubicalSet, TensorSet
 from .cubechain import (
@@ -256,11 +256,9 @@ class ResolvedBimodule:
         triples = self.triples(s, e)
         index = {t: i for i, t in enumerate(triples)}
         at = [index[t] for t in number]
-        relations = image_basis(Matrix.from_sparse_columns(
-            self.field, len(triples), [{at[j]: a for j, a in row.items()} for row in rows]))
-        pivots = set(relations._pivots)
-        return (triples, index, quotient_map(len(triples), relations),
-                [j for j in range(len(triples)) if j not in pivots])
+        done, pivots = _echelon([{at[j]: a for j, a in row.items()} for row in rows],
+                                len(triples), _modulus(self.field))
+        return (triples, index, *_quotient(dict(zip(pivots, done)), len(triples), self.field))
 
     def _basis(self, s: str, e: str):
         """The basis record at (s, e), read off the bases of s."""

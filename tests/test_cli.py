@@ -17,10 +17,9 @@ from hypothesis import given, settings, strategies as st
 import dirhom as dh
 from dirhom import cli, cubechain, exactseq, precubical
 from dirhom.cli import main
-from dirhom.cubechain import BoundaryCheckError, DirectedCycleError
-from dirhom.exactla import Matrix
+from dirhom.cubechain import BoundaryCheckError, ChainBudgetError, DirectedCycleError
+from dirhom.exactla import ComparisonError, Matrix
 from dirhom.exactseq import ExactnessError, SequenceError
-from dirhom.ez import ComparisonError
 from dirhom.homology import ActionError, HomologyTable
 
 from conftest import corpus, make_domino
@@ -130,8 +129,8 @@ COMPUTE = {
 
 
 # What each error a verb may raise exits with, and the start of its stderr line.
-ERROR_EXITS = [(DirectedCycleError, 2), (SequenceError, 2), (RecursionError, 2),
-               (BoundaryCheckError, 3), (ActionError, 3), (ExactnessError, 3),
+ERROR_EXITS = [(DirectedCycleError, 2), (ChainBudgetError, 2), (SequenceError, 2),
+               (RecursionError, 2), (BoundaryCheckError, 3), (ActionError, 3), (ExactnessError, 3),
                (ComparisonError, 3)]
 PREFIX = {2: "input error", 3: "internal check failed"}
 
@@ -571,6 +570,22 @@ class TestKunneth:
         dh.save(dh.standard_cube(0), p)
         r = invoke(runner, ["kunneth", workspace["k"], str(p)])
         assert r.exit_code == 0
+
+    def test_product_over_the_chain_budget_exit2(self, tmp_path):
+        """realization([2,2,2]) squared has 7,519,140 cube chains, more than
+        a catalog is built for: an input error naming the set, the count and
+        the budget, counted before any chain is made."""
+        dh.save(dh.realization([2, 2, 2]), tmp_path / "r222.json")
+        env = {**os.environ, "PYTHONPATH": str(Path(dh.__file__).parents[1])}
+        start = time.perf_counter()
+        r = subprocess.run([sys.executable, "-m", "dirhom.cli", "kunneth",
+                            *[str(tmp_path / "r222.json")] * 2], env=env,
+                           capture_output=True, text=True, timeout=60)
+        assert time.perf_counter() - start < 5
+        assert (r.returncode, r.stdout) == (2, "")
+        assert r.stderr == ("input error: (real(2,2,2)(x)real(2,2,2)): 7,519,140 cube chains, "
+                            f"more than the {cubechain.CHAIN_BUDGET:,} a chain catalog is "
+                            "built for\n")
 
 
 class TestGenerate:

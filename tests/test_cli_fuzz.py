@@ -10,10 +10,11 @@ import json
 
 import pytest
 from click.testing import CliRunner
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 import dirhom as dh
 from dirhom.cli import main
+from dirhom.cubechain import chain_catalog
 
 # realization([2, 2]) has a core chain of two squares, realization([2, 2, 2])
 # two core chains in one degree
@@ -140,3 +141,56 @@ def test_verbs_exit_0_1_or_2_without_a_traceback(files, data):
         r = CliRunner().invoke(main, args)
         assert r.exception is None or isinstance(r.exception, SystemExit), (args, r.exc_info)
         assert r.exit_code in (0, 1, 2), (args, r.output)
+
+
+# pieces of vertex names that join into one another: the separators of
+# generator ids, brackets and quotes
+CLASH_PIECES = ["a", "b", "->", "]#", "[", "'", '"']
+
+
+@st.composite
+def clashing_names(draw) -> dict:
+    """realization([2, 2]) with its vertices renamed: for two pairs joined by
+    paths, (u, w) and (u2, w2), the names p, q->r and p->q, r of drawn
+    pieces, so that u->w and u2->w2 spell one string; the other vertices get
+    names of pieces too."""
+    x = BASES["R22"]
+    paths = sorted((s, e) for i, s, e in chain_catalog(x) if i == 0 and s != e)
+    (u, w), (u2, w2) = draw(st.lists(st.sampled_from(paths), min_size=2, max_size=2).filter(
+        lambda two: len({*two[0], *two[1]}) == 4))
+    piece = st.lists(st.sampled_from(CLASH_PIECES), min_size=1, max_size=2).map("".join)
+    p, q, r = (draw(piece) for _ in range(3))
+    to = {u: p, w: f"{q}->{r}", u2: f"{p}->{q}", w2: r}
+    assume(len(set(to.values())) == 4)
+    for v in sorted(set(x.vertices) - set(to)):
+        name = draw(piece)
+        while name in to.values():
+            name += "."
+        to[v] = name
+    return to
+
+
+@settings(max_examples=40, deadline=None)
+@given(to=clashing_names(), data=st.data())
+def test_vertex_names_that_join_alike_keep_generator_ids_apart(files, to, data):
+    from dirhom.scalars import present_chain_module, present_homology
+
+    x = BASES["R22"]
+    y = dh.PrecubicalSet(x.name, [[to.get(c, c) for c in layer] for layer in x.cells], {
+        c: ([to.get(f, f) for f in d0], [to.get(f, f) for f in d1])
+        for c, (d0, d1) in x.faces.items()})
+    present_homology(dh.HomologyTable(dh.build_complex(y), y), 0)
+    for i in range(3):
+        present_chain_module(y, i)
+    picked = data.draw(st.lists(st.sampled_from(x.all_cells()), min_size=1, max_size=4))
+    cells = sorted(dh.face_closure(x, picked))
+    verdicts = []
+    for z, ids in ((x, cells), (y, [to.get(c, c) for c in cells])):
+        dh.save(z, files["x"])
+        with open(files["a"], "w", encoding="utf-8") as fh:
+            json.dump(ids, fh)
+        r = CliRunner().invoke(main, ["check-pair", files["x"], files["a"], "--format", "json"])
+        doc = json.loads(r.output)
+        verdicts.append((r.exit_code, doc["accepted"], doc["enter_exit_once"], doc["monic"],
+                         len(doc["monic_failures"]), len(doc["offending_path"])))
+    assert verdicts[0] == verdicts[1]

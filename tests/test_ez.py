@@ -4,17 +4,19 @@ import pytest
 from hypothesis import given, settings, strategies
 
 import dirhom as dh
-from dirhom.cubechain import (
-    GradedComplex, build_complex, chain_catalog, empty_chain, make_chain,
-)
+from dirhom.cubechain import GradedComplex, build_complex, chain_catalog
 from dirhom.exactla import Matrix, QQ
 from dirhom.homology import ActionError, HomologyTable, homology_of, push_basis_map
 from dirhom.precubical import PcMorphism, SubsetSpec, sub, tensor
 from dirhom.ez import (
-    ChainError, TensorComplex, TensorSetting, _comparison_maps, comparison_naturality_check,
-    interleave_tensor, interleaving_matrix, kunneth_report, separating_matrix,
-    separation_sign, split_chain, split_one_chain, split_zero_chain, swap_steps,
-    swappable_positions, tensor_comparison_report, zero_chain_count_report,
+    ChainError, TensorComplex, TensorSetting, _comparison_maps, interleave_tensor,
+    kunneth_report, separation_sign, split_chain, swap_steps, swappable_positions,
+    tensor_comparison_report, zero_chain_count_report,
+)
+
+from oracles import (
+    action_matrix, comparison_naturality_check, empty_chain, interleaving_matrix, make_chain,
+    separating_matrix,
 )
 
 
@@ -56,28 +58,27 @@ class TestTensorComplex:
 class TestSplitMaps:
     def test_zero_chain_split(self, kk):
         c = make_chain(kk.tx, ["(a,0)", "(1,a)"])
-        cx, cy = split_zero_chain(kk.tx, c)
+        cx, cy = split_chain(kk.tx, c)
         assert cx.cubes == ("a",) and cy.cubes == ("a",)
 
     def test_two_shuffles_collapse(self, kk):
         c1 = make_chain(kk.tx, ["(a,0)", "(1,a)"])
         c2 = make_chain(kk.tx, ["(0,a)", "(a,1)"])
-        assert split_zero_chain(kk.tx, c1) == split_zero_chain(kk.tx, c2)
+        assert split_chain(kk.tx, c1) == split_chain(kk.tx, c2)
 
     def test_empty_chain_split(self, kk):
         c = empty_chain(kk.tx.pair_id("0", "0"))
-        cx, cy = split_zero_chain(kk.tx, c)
+        cx, cy = split_chain(kk.tx, c)
         assert cx == empty_chain("0") and cy == empty_chain("0")
 
     def test_mixed_square_killed(self, kk):
         c = make_chain(kk.tx, ["(a,a)"])
-        assert split_one_chain(kk.tx, c) is None
         assert split_chain(kk.tx, c) is None
 
     def test_pure_square_separated(self, D2, K):
         st = TensorSetting.build(D2, K)
         c = make_chain(st.tx, ["(aa,0)"])
-        out = split_one_chain(st.tx, c)
+        out = split_chain(st.tx, c)
         assert out is not None
         assert out[0].cubes == ("aa",) and out[1].cubes == ()
 
@@ -87,12 +88,6 @@ class TestSplitMaps:
         out = split_chain(st.tx, c)
         assert out is not None
         assert out[0].cubes == ("aa",) and out[1].cubes == ("a",)
-
-    def test_wrong_degree_rejected(self, kk):
-        c = make_chain(kk.tx, ["(a,0)"])
-        with pytest.raises(ChainError):
-            split_one_chain(kk.tx, c)
-
 
 class TestInterleave:
     def test_edge_pair(self, kk, K):
@@ -169,8 +164,8 @@ class TestComparisonReport:
         assert rep.all_ok
         for pair in st.tc.pairs():
             for n in range(st.tc.top_degree + 1):
-                sep = separating_matrix(st.tx, st.cxp, st.tc, n, *pair)
-                ilv = interleaving_matrix(st.tx, st.tc, st.cxp, n, *pair)
+                sep = separating_matrix(st, n, *pair)
+                ilv = interleaving_matrix(st, n, *pair)
                 assert sep @ ilv == Matrix.identity(QQ, st.tc.dim(n, pair))
                 assert ilv @ sep == Matrix.identity(QQ, st.cxp.dim(n, pair))
 
@@ -178,8 +173,8 @@ class TestComparisonReport:
         # both interleavings map to the same separated tensor, so one of
         # them cannot come back to itself
         pair = (kk.tx.pair_id("0", "0"), kk.tx.pair_id("1", "1"))
-        sep = separating_matrix(kk.tx, kk.cxp, kk.tc, 0, *pair)
-        ilv = interleaving_matrix(kk.tx, kk.tc, kk.cxp, 0, *pair)
+        sep = separating_matrix(kk, 0, *pair)
+        ilv = interleaving_matrix(kk, 0, *pair)
         assert ilv @ sep != Matrix.identity(QQ, kk.cxp.dim(0, pair))
 
     def test_separating_map_action_compatible_at_chain_level(self, kk):
@@ -192,10 +187,10 @@ class TestComparisonReport:
                 if cxp.dim(0, pair) == 0:
                     continue
                 s2 = tx.edge_source(edge)
-                sep_src = separating_matrix(tx, cxp, tc, 0, s, e)
-                sep_dst = separating_matrix(tx, cxp, tc, 0, s2, e)
-                act_p = cxp.left_action_chain(edge, 0, pair)
-                act_t = tc.left_action_chain(edge, 0, pair)
+                sep_src = separating_matrix(kk, 0, s, e)
+                sep_dst = separating_matrix(kk, 0, s2, e)
+                act_p = action_matrix(cxp, "left", edge, 0, pair)
+                act_t = action_matrix(tc, "left", edge, 0, pair)
                 assert sep_dst @ act_p == act_t @ sep_src
 
 
@@ -332,8 +327,8 @@ class TestSeparationSign:
         assert split_chain(st.tx, y_first) == split_chain(st.tx, x_first) == (square, square)
         assert (separation_sign(st.tx, y_first), separation_sign(st.tx, x_first)) == (-1, 1)
         pair = (y_first.src, y_first.dst)
-        sep = separating_matrix(st.tx, st.cxp, st.tc, 2, *pair)
-        row = st.tc.tensor_index(2, pair, (square, square))
+        sep = separating_matrix(st, 2, *pair)
+        row = st.tc.index[(2, pair)][(square, square)]
         assert sep.entry(row, st.cxp.chain_index(y_first)) == -1
         assert sep.entry(row, st.cxp.chain_index(x_first)) == 1
 
@@ -355,8 +350,8 @@ def reference_comparison(x, y) -> tuple[tuple[bool, ...], dict]:
               "cxp": HomologyTable(cxp, tx), "tc": HomologyTable(tc, tx)}
     hp, ht = tables["cxp"], tables["tc"]
     keys = sorted(set(cxp.components_with_chains + tc.components_with_chains))
-    sep = {(n, pair): separating_matrix(tx, cxp, tc, n, *pair) for n, pair in keys}
-    ilv = {(n, pair): interleaving_matrix(tx, tc, cxp, n, *pair) for n, pair in keys}
+    sep = {(n, pair): separating_matrix(st, n, *pair) for n, pair in keys}
+    ilv = {(n, pair): interleaving_matrix(st, n, *pair) for n, pair in keys}
 
     def below(f, n, pair, rows, cols):
         return f[(n - 1, pair)] if (n - 1, pair) in f else Matrix.zeros(QQ, rows, cols)
@@ -475,24 +470,6 @@ class TestNaturality:
         monkeypatch.setattr(ez, "separation_sign", lambda tx, c: (
             -real(tx, c) if tx.left is y and c == flipped else real(tx, c)))
         assert not comparison_naturality_check(inc, inc)
-
-
-def test_comparison_builds_and_decodes_no_basis_map_matrix(D2, S1, monkeypatch):
-    """The comparison maps are built, checked and pushed as signed positions:
-    the report builds no matrix view of a basis map, so it decodes none."""
-    import dirhom.cubechain as cc
-    import dirhom.ez as ez
-    import dirhom.homology as H
-    calls = []
-    real = cc._basis_matrix
-    for mod in (cc, H, ez):
-        monkeypatch.setattr(mod, "_basis_matrix", lambda *a: calls.append(1) or real(*a))
-    assert not any(hasattr(mod, "_unit_targets") for mod in (cc, H, ez))
-    assert tensor_comparison_report(D2, S1).all_ok
-    assert not calls
-    st = TensorSetting.build(D2, S1)
-    separating_matrix(st.tx, st.cxp, st.tc, 0, *st.cxp.pairs()[0])
-    assert calls == [1]     # the counter is live
 
 
 class TestKunneth:

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import dirhom as dh
 from dirhom.cubechain import build_complex
-from dirhom.exactla import FieldError, PrimeField, QQ, Residue, Subspace, quotient_map
+from dirhom.exactla import FieldError, PrimeField, QQ, Residue, Subspace
 from dirhom.exactseq import maximal_paths
 from dirhom.homology import HomologyTable
 from dirhom.precubical import PrecubicalSet, SubsetSpec, sub, tensor
@@ -18,7 +18,8 @@ from dirhom.scalars import (
     present_homology, re_present, restrict, smash, unit_bimodule, zero_bimodule,
 )
 
-from conftest import make_domino
+from conftest import corpus, make_domino
+from oracles import pair_basis, pivots, quotient_map
 
 FIELDS = [QQ, PrimeField(7), PrimeField(1009)]
 
@@ -445,9 +446,9 @@ class DenseReduction(ResolvedBimodule):
                         row[j] = row[j] + coeff
                     rows.append(row)
         relations = Subspace.span(field, len(triples), rows)
-        pivots = set(relations._pivots)
+        kept = set(pivots(relations))
         return (triples, tindex, quotient_map(len(triples), relations),
-                [j for j in range(len(triples)) if j not in pivots])
+                [j for j in range(len(triples)) if j not in kept])
 
     def dim(self, s, e):
         return len(self.basis_triples(s, e))
@@ -576,6 +577,15 @@ BASE_CHANGE_SETS = [dh.directed_disc(3), dh.directed_sphere(2), make_domino(),
                     dh.realization([2, 2])]
 
 
+def assert_pair_basis_is_the_gauss_jordan_route(pb: PresentedBimodule):
+    """`_pair_basis` gives the triples, positions, quotient matrix and free
+    positions of the image basis + quotient map route at every swept pair."""
+    res = pb.resolve()
+    for s in pb.left.x.vertices:
+        for e, (_, number, rows) in res._sweep(s).items():
+            assert res._pair_basis(s, e, number, rows) == pair_basis(res, s, e, number, rows)
+
+
 class TestBaseChange:
     """Extension of scalars keeps the relations' checked pairs: the same
     generators and relations presented from scratch over X, each term
@@ -598,6 +608,27 @@ class TestBaseChange:
         for s in x.vertices:
             for e in x.vertices:
                 assert fast.dim(s, e) == slow.dim(s, e) == dense.dim(s, e)
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.data())
+    def test_extended_pair_bases_are_the_gauss_jordan_route(self, data):
+        x, field = data.draw(st.sampled_from(BASE_CHANGE_SETS)), data.draw(st.sampled_from(FIELDS))
+        cells = data.draw(st.lists(st.sampled_from(sorted(x.all_cells())), min_size=1,
+                                   max_size=3))
+        y, inc = sub(x, SubsetSpec(x, dh.face_closure(x, cells)))
+        table = HomologyTable(build_complex(y, None, field), y)
+        for pb in (present_chain_module(y, 0, field), present_homology(table, 0),
+                   present_homology(table, 1), data.draw(random_presentations(path_algebra(y)))):
+            assert_pair_basis_is_the_gauss_jordan_route(extend_presented(pb, inc, path_algebra(x)))
+
+    @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
+    def test_corpus_pair_bases_are_the_gauss_jordan_route(self, field):
+        for x in corpus():
+            alg = path_algebra(x)
+            table = HomologyTable(build_complex(x, None, field), x)
+            for pb in ([present_chain_module(x, i, field, alg) for i in range(3)]
+                       + [present_homology(table, i, alg) for i in range(2)]):
+                assert_pair_basis_is_the_gauss_jordan_route(pb)
 
     def test_presentation_over_another_set_is_rejected(self, D2, S1, algD2):
         y, inc = sub(D2, SubsetSpec(D2, frozenset(S1.all_cells())))

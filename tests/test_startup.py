@@ -106,8 +106,7 @@ EXPORTS = {
     ],
     "ez": [
         "ComparisonReport", "KunnethReport", "TensorComplex", "TensorSetting",
-        "comparison_naturality_check", "interleave_tensor", "kunneth_report",
-        "split_chain", "split_one_chain", "split_zero_chain", "swap_steps",
+        "interleave_tensor", "kunneth_report", "split_chain", "swap_steps",
         "tensor_comparison_report", "zero_chain_count_report",
     ],
 }
@@ -125,8 +124,7 @@ def test_exports_resolve_to_their_modules_objects():
 
 
 def test_moved_errors_keep_their_old_homes():
-    from dirhom import exactla, exactseq, ez
+    from dirhom import exactla, exactseq
 
     assert exactseq.SequenceError is exactla.SequenceError is dh.SequenceError
     assert exactseq.ExactnessError is exactla.ExactnessError is dh.ExactnessError
-    assert ez.ComparisonError is exactla.ComparisonError

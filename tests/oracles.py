@@ -1,8 +1,8 @@
 """Slow references, reached by no verb, that tests check dirhom's fast paths
 against: the Gauss-Jordan subspace family and a bimodule's quotient basis
 built by it, formal sums of cube chains and their boundary, basis maps as
-matrices, and the maps of precubical morphisms, with the naturality of the
-Kunneth comparison maps under them."""
+matrices, and the maps of precubical morphisms, on chains and on homology,
+with the naturality of the Kunneth comparison maps under them."""
 
 from __future__ import annotations
 
@@ -16,7 +16,7 @@ from dirhom.exactla import (
     _transpose, solve,
 )
 from dirhom.ez import TensorSetting, _comparison_maps, _first_difference
-from dirhom.homology import ActionError, PairHomology
+from dirhom.homology import ActionError, HomologyTable, PairHomology, push_basis_map
 from dirhom.precubical import PcMorphism, PrecubicalSet, tensor_morphism
 
 
@@ -248,6 +248,15 @@ def morphism_positions(f: PcMorphism, cxa: PairGradedComplex, cxb: PairGradedCom
             raise ActionError(f"morphism-induced map is not a chain map at degree {i}, "
                               f"pair {(s, e)}: witness {cxa.bases[(i, s, e)][j]!r}")
     return out
+
+
+def induced_map(f: PcMorphism, hx: HomologyTable, hy: HomologyTable
+                ) -> dict[tuple[int, str, str], Matrix]:
+    """Matrices H_i(X)(s,e) -> H_i(Y)(f s, f e) induced by a Cub morphism:
+    its cube-wise chain map pushed onto the classes (`push_basis_map`)."""
+    return {(i, s, e): push_basis_map(lambda: p, hx.entries.get((i, s, e)),
+                                      hy.entries.get((i, f(s), f(e))), hy.cx._zero)
+            for (i, s, e), p in morphism_positions(f, hx.cx, hy.cx).items()}
 
 
 def comparison_naturality_check(f: PcMorphism, g: PcMorphism, field=QQ) -> bool:

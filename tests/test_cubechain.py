@@ -222,6 +222,12 @@ class TestBoundary:
         # the two splittings carry opposite signs
         assert b.terms[lower] == -b.terms[upper]
 
+    def test_degree_zero_rejected(self, K):
+        with pytest.raises(ChainError):
+            boundary(K, empty_chain("0"))
+        with pytest.raises(ChainError):
+            boundary(K, make_chain(K, ["a"]))
+
     def test_cube_boundary_has_six_terms(self):
         r = realization([3])
         top = enumerate_chains(r, 2, r.start, r.end)[0]
@@ -528,6 +534,21 @@ class TestShuffles:
         t = tensor(K, K)
         with pytest.raises(ChainError):
             project_shuffle(t, c)
+
+
+class TestFormalSum:
+    def test_no_zero_terms(self, K):
+        s = FormalSum(QQ)
+        c = make_chain(K, ["a"])
+        s.add_term(c, 1)
+        s.add_term(c, -1)
+        assert s.is_zero()
+
+    def test_mixed_grading_rejected(self, K):
+        s = FormalSum(QQ)
+        s.add_term(empty_chain("0"), 1)
+        with pytest.raises(ChainError):
+            s.add_term(empty_chain("1"), 1)
 
 
 def test_basis_map_columns_and_missing_image():

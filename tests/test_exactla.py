@@ -10,7 +10,9 @@ from dirhom.exactla import (
     column_reduction, field_from_name, is_prime, kernel_basis, rank, solve,
 )
 
-from oracles import coordinates, express, image_basis, pivots
+from oracles import (
+    coordinates, express, image_basis, induced_on_quotient, pivot_columns, pivots, quotient_map,
+)
 
 
 def M(rows, field=QQ):
@@ -168,6 +170,32 @@ class TestQuotient:
             Subspace(QQ, 2, [(1, 1), (2, 2)])
 
 
+class TestInducedOnQuotient:
+    def test_identity_equal_subs(self):
+        sub = Subspace(QQ, 2, [(1, 0)])
+        g = induced_on_quotient(Matrix.identity(QQ, 2), sub, sub)
+        assert g == Matrix.identity(QQ, 1)
+
+    def test_full_target_no_rows(self):
+        g = induced_on_quotient(Matrix.identity(QQ, 2), Subspace.span(QQ, 2, []),
+                                Subspace.span(QQ, 2, [(1, 0), (0, 1)]))
+        assert g.rows == 0
+
+    def test_commuting_square(self):
+        f = M([[1, 2], [0, 1]])
+        src = Subspace(QQ, 2, [(1, 0)])
+        dst = Subspace(QQ, 2, [(1, 0)])
+        g = induced_on_quotient(f, src, dst)
+        q = quotient_map(2, src)
+        assert g @ q == quotient_map(2, dst) @ f
+
+    def test_non_preserving_rejected(self):
+        f = M([[0, 1], [1, 0]])
+        sub = Subspace(QQ, 2, [(1, 0)])
+        with pytest.raises(FieldError):
+            induced_on_quotient(f, sub, sub)
+
+
 class TestInvariants:
     def test_rank_nullity_random(self):
         rng = random.Random(7)
@@ -205,6 +233,10 @@ class TestInvariants:
             mp = Matrix.from_rows(f, [[f.of(v) for v in row] for row in rows])
             assert rank(mq) == rank(mp)
             assert kernel_basis(mq).dim == kernel_basis(mp).dim
+
+    def test_invert_round_trip(self):
+        m = M([[2, 1], [1, 1]])
+        assert m @ solve(m, Matrix.identity(QQ, 2)) == Matrix.identity(QQ, 2)
 
 
 # -- differential tests against the dense reference ------------------------------
@@ -464,11 +496,42 @@ class TestSparseAgainstDenseReference:
         assert a.text_rows() == [[str(v) for v in row] for row in a.data]
 
     @settings(max_examples=60, deadline=None)
+    @given(matrices(), st.data())
+    def test_pivot_columns_are_the_dense_pivots(self, m, data):
+        # as the oracle of the homology representatives uses it: boundaries
+        # first, then cycles
+        field, _, rows, ncols = m
+        img = image_basis(Matrix(field, len(rows), ncols, rows).transpose())
+        ker = kernel_basis(Matrix(field, 2, ncols, random_rows(data.draw, field, 2, ncols)))
+        columns = img.basis + ker.basis
+        dense = [[v[i] for v in columns] for i in range(ncols)]
+        assert pivot_columns(img, ker) == dense_rref(dense, len(columns), field.zero)[1]
+
+    @settings(max_examples=60, deadline=None)
     @given(matrices())
     def test_quotient_is_the_reference(self, m):
         field, _, rows, ncols = m
         sub = Subspace.span(field, ncols, rows)
         assert quotient_of(sub) == reference_quotient(sub)[0]
+
+    @settings(max_examples=60, deadline=None)
+    @given(matrices())
+    def test_quotient_map_is_the_reference(self, m):
+        field, _, rows, ncols = m
+        sub = Subspace.span(field, ncols, rows)
+        assert quotient_map(ncols, sub) == reference_quotient(sub)[0]
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(FIELDS), st.integers(0, 6), st.integers(0, 6), st.data())
+    def test_induced_on_quotient_is_the_reference(self, field, n_src, n_dst, data):
+        f = Matrix(field, n_dst, n_src, random_rows(data.draw, field, n_dst, n_src))
+        src = Subspace.span(field, n_src, random_vectors(data.draw, field,
+                                                         data.draw(st.integers(0, 3)), n_src))
+        extra = random_vectors(data.draw, field, data.draw(st.integers(0, 2)), n_dst)
+        dst = Subspace.span(field, n_dst, [f.matvec(v) for v in src.basis] + extra)
+        q_dst, _ = reference_quotient(dst)
+        _, section = reference_quotient(src)
+        assert induced_on_quotient(f, src, dst) == q_dst @ f @ section
 
 
 def dense_solve(rows, ncols, b, field):
@@ -626,6 +689,13 @@ class TestRationalAgainstDenseReference:
         rows, ncols = m
         sub = Subspace.span(QQ, ncols, rows)
         assert quotient_of(sub) == reference_quotient(sub)[0]
+
+    @settings(max_examples=100, deadline=None)
+    @given(rational_matrices())
+    def test_quotient_map_is_the_reference(self, m):
+        rows, ncols = m
+        sub = Subspace.span(QQ, ncols, rows)
+        assert quotient_map(ncols, sub) == reference_quotient(sub)[0]
 
 
 def test_every_rational_scalar_leaves_as_a_fraction():

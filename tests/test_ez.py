@@ -472,6 +472,28 @@ class TestNaturality:
         assert not comparison_naturality_check(inc, inc)
 
 
+def test_comparison_builds_and_decodes_no_basis_map_matrix(D2, S1, monkeypatch):
+    """The comparison maps are built, checked and pushed as signed positions:
+    the report builds no matrix view of a basis map, so it decodes none."""
+    import dirhom.cubechain as cc
+    import dirhom.ez as ez
+    import dirhom.homology as H
+    import oracles
+    calls = []
+    units, real = Matrix.unit_columns, oracles.basis_map_matrix
+    monkeypatch.setattr(Matrix, "unit_columns",
+                        classmethod(lambda cls, *a: calls.append("unit") or units(*a)))
+    monkeypatch.setattr(oracles, "basis_map_matrix", lambda *a: calls.append("basis") or real(*a))
+    assert not any(hasattr(mod, name) for mod in (cc, H, ez)
+                   for name in ("_basis_matrix", "_unit_targets"))
+    assert tensor_comparison_report(D2, S1).all_ok
+    assert not calls
+    st = TensorSetting.build(D2, S1)
+    separating_matrix(st, 0, *st.cxp.pairs()[0])
+    Matrix.unit_columns(QQ, 1, [0])
+    assert calls == ["basis", "unit"]     # both counters are live
+
+
 class TestKunneth:
     def test_s1s1_h1_vanishes(self, S1):
         st = TensorSetting.build(S1, S1)

@@ -15,13 +15,17 @@ from dirhom.exactla import (
     homology_from_reductions, kernel_basis, rank,
 )
 from dirhom.exactseq import QuotientComplex, _LeftQuotient
-from dirhom.homology import ActionError, HomologyTable, cochain_dual, homology_of
-from dirhom.precubical import PrecubicalSet, SubsetSpec, sub
+from dirhom.homology import (
+    ActionError, HomologyTable, cochain_dual, homology_of, push_basis_map,
+)
+from dirhom.precubical import PcMorphism, PrecubicalSet, SubsetSpec, sub
 from dirhom.scalars import extend_subcomplex, restrict
 
 from conftest import corpus, make_domino, sequences_of_dimension
+import oracles
 from oracles import (
-    action_matrix, basis_matrix, boundaries, express, image_basis, null_vectors, pivot_columns,
+    action_matrix, basis_matrix, boundaries, express, image_basis, induced_map,
+    morphism_positions, null_vectors, pivot_columns,
 )
 from test_exactseq import draw_cover
 
@@ -373,6 +377,45 @@ class TestActions:
         m = td2.right_action(edge, 0, "00", "00")
         assert m.rows == m.cols == 1 and rank(m) == 1
 
+class TestInducedMaps:
+    def test_sphere_into_disc_surjective(self, D2, S1, td2):
+        spec = SubsetSpec(D2, frozenset(S1.all_cells()))
+        y, inc = sub(D2, spec)
+        cy = build_complex(y)
+        ty = HomologyTable(cy, y)
+        maps = induced_map(inc, ty, td2)
+        m = maps[(0, "00", "11")]
+        assert m.rows == 1 and m.cols == 2 and rank(m) == 1
+
+    def test_identity_morphism(self, D2, td2):
+        maps = induced_map(PcMorphism.identity(D2), td2, td2)
+        for (i, s, e), m in maps.items():
+            assert m == Matrix.identity(QQ, td2.dim(i, s, e))
+
+    def test_vertex_inclusion(self, D2, td2):
+        y, inc = sub(D2, SubsetSpec(D2, frozenset(["00"])))
+        cy = build_complex(y)
+        ty = HomologyTable(cy, y)
+        maps = induced_map(inc, ty, td2)
+        assert maps[(0, "00", "00")] == Matrix.identity(QQ, 1)
+
+    def test_induced_commutes_with_actions(self, D2, S1, td2):
+        spec = SubsetSpec(D2, frozenset(S1.all_cells()))
+        y, inc = sub(D2, spec)
+        cy = build_complex(y)
+        ty = HomologyTable(cy, y)
+        maps = induced_map(inc, ty, td2)
+        for a in y.edges:
+            s = y.edge_target(a)
+            s2 = y.edge_source(a)
+            for e in y.vertices:
+                if (0, s, e) not in maps or (0, s2, e) not in maps:
+                    continue
+                left_y = ty.left_action(a, 0, s, e)
+                left_x = td2.left_action(inc(a), 0, inc(s), inc(e))
+                assert maps[(0, s2, e)] @ left_y == left_x @ maps[(0, s, e)]
+
+
 class TestRestriction:
     def test_restrict_commutes_with_homology(self, D2, S1, td2, cxd2):
         spec = SubsetSpec(D2, frozenset(S1.all_cells()))
@@ -430,15 +473,28 @@ class TestCochains:
                     assert left == right
 
 
+def endpoint_homology(seq) -> list[int]:
+    """dim H_i of the realization of seq between its endpoints, i = 0..sum(seq)."""
+    r = dh.realization(seq)
+    cx = build_complex(r)
+    return [cx.homology_dim(i, (r.start, r.end)) for i in range(sum(seq) + 1)]
+
+
 class TestAcyclicity:
+    # the homology of a realization between its endpoints is one class in
+    # degree 0
+    def test_wedge_122(self):
+        assert endpoint_homology([1, 2, 2]) == [1, 0, 0, 0, 0, 0]
+
+    def test_single_square(self):
+        assert endpoint_homology([2]) == [1, 0, 0]
+
+    def test_point(self):
+        assert endpoint_homology([]) == [1]
+
     def test_realizations_up_to_dim_2(self):
-        # the homology of a realization between its endpoints is one class
-        # in degree 0, the point included
-        for seq in [()] + [s for dim in (0, 1, 2) for s in sequences_of_dimension(dim, 3)]:
-            r = dh.realization(seq)
-            cx = build_complex(r)
-            dims = [cx.homology_dim(i, (r.start, r.end)) for i in range(sum(seq) + 1)]
-            assert dims == [1] + [0] * sum(seq), seq
+        for seq in [s for dim in (0, 1, 2) for s in sequences_of_dimension(dim, 3)]:
+            assert endpoint_homology(seq) == [1] + [0] * sum(seq), seq
 
 
 class TestCrossField:
@@ -458,6 +514,19 @@ def test_homology_module_is_not_shadowed():
 
     import dirhom.homology as H
     assert isinstance(H, types.ModuleType) and H.homology_of is homology_of
+
+
+def test_push_from_a_component_without_classes_runs_no_elimination(cxd2, monkeypatch):
+    import dirhom.exactla as la
+    src = homology_of(cxd2, 1, ("00", "11"))
+    dst = homology_of(cxd2, 0, ("00", "11"))
+    assert src.dim == 0 and dst.dim == 1
+    calls = []
+    real = la._lows
+    monkeypatch.setattr(la, "_lows", lambda *a: calls.append(1) or real(*a))
+    assert push_basis_map(lambda: calls.append("positions"), src, dst, cxd2._zero) == \
+        Matrix.zeros(QQ, 1, 0)
+    assert not calls
 
 
 def test_component_without_chains_runs_no_elimination(cxd2, monkeypatch):
@@ -620,6 +689,21 @@ def test_corrupted_prepend_map_names_edge_degree_pair_and_chain(D3, monkeypatch)
                               f"{(s, e)}: witness {cx.bases[(1, s, e)][0]!r}")
 
 
+def test_corrupted_morphism_map_names_degree_pair_and_chain(D2, cxd2, monkeypatch):
+    real = oracles._basis_map
+
+    def corrupted(images, index, signs=None):
+        targets, negated = real(images, index, signs)
+        if images and images[0].degree == 1:    # drop the image of the first square
+            return [None] * len(targets), negated
+        return targets, negated
+
+    monkeypatch.setattr(oracles, "_basis_map", corrupted)
+    with pytest.raises(ActionError, match=r"morphism-induced map is not a chain map at "
+                       r"degree 1, pair \('00', '11'\): witness <"):
+        morphism_positions(PcMorphism.identity(D2), cxd2, cxd2)
+
+
 def test_cohomology_runs_no_elimination_on_an_empty_matrix(monkeypatch):
     import dirhom.exactla as la
     from dirhom.exactla import kernel_basis
@@ -654,6 +738,7 @@ def test_chain_map_checks_run_no_matrix_product(D2, S1, td2, cxd2, monkeypatch):
     real = Matrix.__matmul__
     monkeypatch.setattr(Matrix, "__matmul__", lambda a, b: calls.append(1) or real(a, b))
     td2._verify_actions_are_chain_maps()
+    morphism_positions(PcMorphism.identity(D2), cxd2, cxd2)
     span.check_chain_map(span.inclusion_positions, span, cxd2)
     assert not calls
     Matrix.identity(QQ, 1) @ Matrix.identity(QQ, 1)

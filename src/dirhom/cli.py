@@ -37,9 +37,7 @@ from json.encoder import encode_basestring_ascii
 import click
 
 from . import cubechain, precubical as pc
-from .exactla import (
-    ComparisonError, ExactnessError, FieldError, SequenceError, field_from_name,
-)
+from .exactla import ExactnessError, FieldError, SequenceError, field_from_name
 from .cubechain import BoundaryCheckError, ChainBudgetError, DirectedCycleError, build_complex
 from .homology import ActionError, HomologyTable, cochain_dual
 
@@ -53,7 +51,7 @@ EXIT_INTERNAL = 3
 # RecursionError is a path too long for the recursive chain enumeration,
 # ChainBudgetError a set with more chains than a catalog is built for.
 INPUT_ERRORS = (DirectedCycleError, ChainBudgetError, SequenceError, RecursionError)
-INTERNAL_ERRORS = (BoundaryCheckError, ActionError, ExactnessError, ComparisonError)
+INTERNAL_ERRORS = (BoundaryCheckError, ActionError, ExactnessError)
 
 CONVENTION_NOTE = (
     "note: degree >= 1 dimensions follow the unshifted cube-chain grading; "

@@ -297,8 +297,11 @@ class GradedComplex:
     `_basis_name` reads before it calls this constructor.
     `components_with_chains` lists the sorted
     (degree, pair) keys of nonzero dimension.  `reduction` reduces each
-    differential once, for the homology of the degrees on both its sides.
+    differential once, for the homology of the degrees on both its sides,
+    and `homology_dim` reads each dimension once.
     """
+
+    ambient = None      # the complex a `BasisSubcomplex` shares its whole components with
 
     def __init__(self, field, top_degree: int,
                  dims: Mapping[tuple[int, object], int],
@@ -309,6 +312,7 @@ class GradedComplex:
         self._diffs = dict(diffs)
         self._zeros: dict[tuple[int, int], Matrix] = {}    # by shape
         self._reductions: dict[tuple[int, object], Reduction] = {}
+        self._homology_dims: dict[tuple[int, object], int] = {}
         self._homology: dict = {}   # (degree, pair) -> PairHomology, by homology._homology_at
         self._pairs = sorted({k[1] for k in self._dims})
         self.components_with_chains = sorted(k for k, n in self._dims.items() if n)
@@ -337,9 +341,13 @@ class GradedComplex:
     def homology_dim(self, i: int, pair) -> int:
         """dim C_i - rank d_i - rank d_(i+1) at one pair component, each rank
         the number of lows of `reduction`, or 0 with no reduction for a map
-        into or out of a component with no chains."""
-        return self.dim(i, pair) - sum(len(self.reduction(j, pair).image) for j in (i, i + 1)
-                                       if self.dim(j, pair) and self.dim(j - 1, pair))
+        into or out of a component with no chains; computed once."""
+        h = self._homology_dims.get((i, pair))
+        if h is None:
+            h = self._homology_dims[(i, pair)] = self.dim(i, pair) - sum(
+                len(self.reduction(j, pair).image) for j in (i, i + 1)
+                if self.dim(j, pair) and self.dim(j - 1, pair))
+        return h
 
     def _zero(self, rows: int, cols: int) -> Matrix:
         """The zero matrix of a shape, built once per complex (matrices are
@@ -428,19 +436,36 @@ class BasisSubcomplex(GradedComplex):
 
     ``kept[(i, pair)]`` lists ascending positions in the ambient basis of the
     (i, pair) component.  The differential is the ambient one read on the
-    kept elements, ``projection(i-1) @ ambient.diff(i) @ inclusion_matrix(i)``,
-    read as the block of kept rows and columns with no product: a
-    subcomplex when the inclusion is a chain map and a quotient when the
-    projection is, which `check_chain_map` asserts for the one meant.
+    kept elements, the block of kept rows and columns: a subcomplex when the
+    inclusion is a chain map and a quotient when the projection is, which
+    `check_chain_map` asserts for the one meant.
+
+    A component is whole when it keeps every ambient basis element (there
+    are none to keep where the ambient has no chains).  The differential
+    between two whole components, its reduction, and the homology of a
+    component whole in the degrees on both its sides are the ambient's own
+    objects (`shares`, `homology._homology_at`), decided at construction.
     """
 
     def __init__(self, ambient: GradedComplex, kept: dict[tuple[int, object], list[int]]):
         self.ambient = ambient
         self.kept = kept
-        diffs = {(i, pair): ambient.diff(i, pair).block(kept.get((i - 1, pair), ()), cols)
+        self._cut = {k for k in ambient.components_with_chains
+                     if len(kept.get(k, ())) < ambient.dim(*k)}
+        diffs = {(i, pair): ambient.diff(i, pair) if self.shares(pair, i - 1, i)
+                 else ambient.diff(i, pair).block(kept.get((i - 1, pair), ()), cols)
                  for (i, pair), cols in kept.items() if i >= 1}
         super().__init__(ambient.field, ambient.top_degree,
                          {k: len(v) for k, v in kept.items()}, diffs)
+
+    def shares(self, pair, *degrees: int) -> bool:
+        """Whether the degrees' components at pair are whole ones of `ambient`."""
+        return not any((i, pair) in self._cut for i in degrees)
+
+    def reduction(self, i: int, pair) -> Reduction:
+        """The ambient's own reduction of a differential it shares, else its own."""
+        return (self.ambient.reduction(i, pair) if self.shares(pair, i - 1, i)
+                else super().reduction(i, pair))
 
     def inclusion_positions(self, i: int, pair) -> tuple:
         """The inclusion as signed positions: each kept element goes to its ambient position."""
@@ -451,15 +476,6 @@ class BasisSubcomplex(GradedComplex):
         its position among the kept ones, or to zero (None) when not kept."""
         at = {j: k for k, j in enumerate(self.kept.get((i, pair), ()))}
         return [at.get(j) for j in range(self.ambient.dim(i, pair))], ()
-
-    def inclusion_matrix(self, i: int, pair) -> Matrix:
-        """Columns are the ambient unit vectors of the kept elements."""
-        return Matrix.unit_columns(self.ambient.field, self.ambient.dim(i, pair),
-                                   self.kept.get((i, pair), []))
-
-    def projection(self, i: int, pair) -> Matrix:
-        """Rows are the ambient coordinates of the kept elements."""
-        return self.inclusion_matrix(i, pair).transpose()
 
     def _basis_name(self, i: int, pair, j: int) -> str:
         return self.ambient._basis_name(i, pair, self.kept[(i, pair)][j])

@@ -96,10 +96,6 @@ class ExactnessError(AssertionError):
     """A theorem-guaranteed sequence failed verification: a bug, not data."""
 
 
-class ComparisonError(AssertionError):
-    """A theorem-guaranteed comparison identity failed: a bug signal."""
-
-
 def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin on the primes 2..41, exact below
     3,317,044,064,679,887,385,961,981, the least strong pseudoprime to all

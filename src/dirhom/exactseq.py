@@ -25,7 +25,10 @@ The inclusions, the projections and the excision map are basis maps, built
 as signed positions and pushed to homology by `homology.push_basis_map`.
 Only the long sequences' exactness checks and the excision map's rank and
 inverse on homology are linear algebra.
-Each complex keeps its own homology (`homology._homology_at`), and both
+Inside a verb C(X) is the one complex assembled; C(Y) of a face-closed Y
+is its subcomplex on the chains lying in Y (`_SubsetComplex`).  Spans,
+quotients and sub-set complexes share what rests on the components they
+keep whole of their ambient (`cubechain.BasisSubcomplex`).  Both
 sequences' snakes are `connecting_map`, which checks its lifts.
 """
 
@@ -39,11 +42,11 @@ from .exactla import ExactnessError, Matrix, QQ, SequenceError, rank, solve
 from .precubical import PcMorphism, PrecubicalSet, SubsetSpec, sub
 from .cubechain import (
     BasisSubcomplex, DirectedCycleError, GradedComplex, PairGradedComplex, build_complex,
-    max_chain_degree,
+    chain_catalog, max_chain_degree,
 )
 from .homology import HomologyTable, _homology_at, push_basis_map
 from .scalars import (
-    SubcomplexExtension, extend_presented, extend_subcomplex, path_algebra,
+    PathAlgebraIndex, SubcomplexExtension, extend_presented, extend_subcomplex, path_algebra,
     present_chain_module, present_homology,
 )
 
@@ -116,32 +119,42 @@ def _check_selection(x: PrecubicalSet, spec: SubsetSpec) -> None:
 def check_relative_pair(x: PrecubicalSet, spec: SubsetSpec, field=QQ) -> RelativePairReport:
     """Path criterion plus per-degree monicity of the extension."""
     _check_selection(x, spec)
-    span = extend_subcomplex(build_complex(x, None, field), spec.selected)
-    return _pair_report(x, spec, field, span, *sub(x, spec))
+    return _relative_pair(build_complex(x, None, field), spec, path_algebra(x))
 
 
-def _pair_report(x: PrecubicalSet, spec: SubsetSpec, field, span: SubcomplexExtension,
-                 y: PrecubicalSet, inc: PcMorphism) -> RelativePairReport:
-    """`check_relative_pair` of a face-closed selection, given its span in
-    C(X) and the sub-set Y with its inclusion, which callers build once."""
+def _relative_pair(cx: PairGradedComplex, spec: SubsetSpec, alg_x: PathAlgebraIndex
+                   ) -> RelativePairReport:
+    """`check_relative_pair` of a face-closed selection of cx's set, given the
+    set's complex cx and path algebra, which callers build once."""
+    y, inc = sub(cx.x, spec)
+    return _pair_report(spec, extend_subcomplex(cx, spec.selected), y, inc, alg_x,
+                        path_algebra(y))
+
+
+def _pair_report(spec: SubsetSpec, span: SubcomplexExtension, y: PrecubicalSet,
+                 inc: PcMorphism, alg_x: PathAlgebraIndex, alg_y: PathAlgebraIndex
+                 ) -> RelativePairReport:
+    """`check_relative_pair` of a face-closed selection, given its span in C(X),
+    the sub-set Y with its inclusion and the path algebras of X and Y."""
+    x = span.ambient.x
     offending = next((tuple(p) for p in maximal_paths(x)
                       if not _one_block([c in spec.selected for c in p])), None)
-    top_y, alg_y = max_chain_degree(y), path_algebra(y)
+    top_y = max_chain_degree(y)
     failures = _extension_mismatches(
-        span.ambient, inc, top_y, lambda i: present_chain_module(y, i, field, alg_y), span.dim)
+        span.ambient, inc, top_y, lambda i: present_chain_module(y, i, span.field, alg_y),
+        span.dim, alg_x)
     return RelativePairReport(x.name, spec.selected, offending is None, offending,
                               not failures, failures, tuple(range(top_y + 1)))
 
 
-def _extension_mismatches(cx: PairGradedComplex, inc, top_y: int, present, dim
-                          ) -> list[tuple[int, str, str, int, int]]:
+def _extension_mismatches(cx: PairGradedComplex, inc, top_y: int, present, dim,
+                          alg: PathAlgebraIndex) -> list[tuple[int, str, str, int, int]]:
     """(degree, s, e, extended, dim) wherever the extension of scalars of
-    ``present(i)`` along the inclusion `inc` into cx's set differs from
-    ``dim(i, (s, e))``, over every degree of cx and every pair.
+    ``present(i)`` along the inclusion `inc` into cx's set, of path algebra
+    `alg`, differs from ``dim(i, (s, e))``, over every degree and pair of cx.
 
     Above Y's top degree `top_y` the extension counts as zero.
     """
-    alg = path_algebra(cx.x)
     rows = []
     for i in range(cx.top_degree + 1):
         res = extend_presented(present(i), inc, alg).resolve() if i <= top_y else None
@@ -176,6 +189,24 @@ class QuotientComplex(_Quotient):
         # keep the span alive: the module-level cache is keyed by its id
         self.span = span
         super().__init__(cx, span.kept)
+
+
+class _SubsetComplex(BasisSubcomplex):
+    """C(Y) of a face-closed Y, the subcomplex of C(X) on the chains lying in
+    Y: the canonical order restricts, so its bases, components and top degree
+    are those of `build_complex(y)`.  Y's edges act through its positions."""
+
+    def __init__(self, cx: PairGradedComplex, y: PrecubicalSet):
+        self.x, self.bases = y, chain_catalog(y)
+        self.positions = {k: {c.cubes: j for j, c in enumerate(chains)}
+                          for k, chains in self.bases.items()}
+        super().__init__(cx, {(i, (s, e)): [cx.positions[(i, s, e)][c.cubes] for c in chains]
+                              for (i, s, e), chains in self.bases.items()})
+        self.top_degree = max((i for i, _ in self.kept), default=0)
+        self.check_chain_map(self.inclusion_positions, self, cx)
+
+    left_action_targets = PairGradedComplex.left_action_targets
+    right_action_targets = PairGradedComplex.right_action_targets
 
 
 def relative_complex(x: PrecubicalSet, spec: SubsetSpec, field=QQ) -> QuotientComplex:
@@ -348,7 +379,8 @@ def les_relative(x: PrecubicalSet, spec: SubsetSpec, field=QQ,
     _check_selection(x, spec)  # a bad selection raises SequenceError before the span is built
     span = extend_subcomplex(cx, spec.selected)
     y, inc = sub(x, spec)
-    report = _pair_report(x, spec, field, span, y, inc)
+    alg_x, alg_y = path_algebra(x), path_algebra(y)
+    report = _pair_report(spec, span, y, inc, alg_x, alg_y)
     quo = QuotientComplex(cx, span)
     top = cx.top_degree if max_degree is None else min(max_degree, cx.top_degree)
     keys = [(i, pair) for pair in cx.pairs() for i in range(top + 1)]
@@ -372,11 +404,11 @@ def les_relative(x: PrecubicalSet, spec: SubsetSpec, field=QQ,
         f"relative sequence of ({x.name}, sub)", cx, ("extH{i}", "H{i}", "relH{i}"), maps,
         "relative long exact sequence failed verification")
     # H(extension complex) against the extension of a presentation of H(Y)
-    ty, alg_y = HomologyTable(build_complex(y, None, field), y), path_algebra(y)
+    ty = HomologyTable(_SubsetComplex(cx, y), y)
     ext_dims = _dims(span, [(i, pair) for pair in cx.pairs() for i in range(cx.top_degree + 1)])
     result.extension_commutes = not _extension_mismatches(
         cx, inc, ty.cx.top_degree, lambda i: present_homology(ty, i, alg_y),
-        lambda i, pair: ext_dims[(i, pair)])
+        lambda i, pair: ext_dims[(i, pair)], alg_x)
     return result
 
 
@@ -445,7 +477,7 @@ class GoodCoverReport:
 class _Cover:
     """What the good-cover check builds and the Mayer-Vietoris sequence reuses:
     C(X), the three extension spans, the two quotient complexes of the
-    excision map, each with its own homology, and the excision maps."""
+    excision map, and the excision maps."""
 
     cx: PairGradedComplex
     span1: SubcomplexExtension
@@ -478,11 +510,12 @@ def _check_cover(x: PrecubicalSet, s1: SubsetSpec, s2: SubsetSpec,
     cx = build_complex(x, None, field)
     span1 = extend_subcomplex(cx, s1.selected)
     span2 = extend_subcomplex(cx, s2.selected)
+    alg_x, alg1, alg2 = path_algebra(x), path_algebra(x1), path_algebra(x2)
     reports = {
-        "X,X1": _pair_report(x, s1, field, span1, x1, inc1),
-        "X,X2": _pair_report(x, s2, field, span2, x2, inc2),
-        "X1,X1^X2": check_relative_pair(x1, SubsetSpec(x1, y12), field),
-        "X2,X1^X2": check_relative_pair(x2, SubsetSpec(x2, y12), field),
+        "X,X1": _pair_report(s1, span1, x1, inc1, alg_x, alg1),
+        "X,X2": _pair_report(s2, span2, x2, inc2, alg_x, alg2),
+        "X1,X1^X2": _relative_pair(_SubsetComplex(cx, x1), SubsetSpec(x1, y12), alg1),
+        "X2,X1^X2": _relative_pair(_SubsetComplex(cx, x2), SubsetSpec(x2, y12), alg2),
     }
     span12 = extend_subcomplex(cx, y12)
     # left side: ext C(X1) / ext C(X1^X2); right side: C(X) / ext C(X2)

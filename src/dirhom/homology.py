@@ -8,10 +8,11 @@ are read off the column reductions of d_i and d_{i+1}
 (`exactla.homology_from_reductions`), which the complex computes once per
 differential (`GradedComplex.reduction`), so each differential is reduced
 once for the two degrees on its sides and no elimination runs.  Each complex
-keeps the homology of its components with chains, computed at most once,
-which every reader gets from `_homology_at(cx, i, pair)`: None for a
-component with no chains.  The one push of chains into homology is the column
-push `exactla.homology_classes`: it takes cycles as sparse columns, reads
+keeps the homology of its components with chains, computed at most once or
+shared with its ambient (`cubechain.BasisSubcomplex`), which every reader
+gets from `_homology_at(cx, i, pair)`: None for a component with no chains.
+The one push of chains into homology is the column push
+`exactla.homology_classes`: it takes cycles as sparse columns, reads
 their kernel coordinates off their entries at the free columns of d_i,
 checks entry by entry that the kernel basis gives each column back, and
 applies the quotient map, with no elimination and no product on the chains.
@@ -119,12 +120,16 @@ def homology_of(cx: GradedComplex, i: int, pair) -> PairHomology:
 
 
 def _homology_at(cx: GradedComplex, i: int, pair) -> PairHomology | None:
-    """H_i of cx at pair, computed by `homology_of` once and kept by cx;
+    """H_i of cx at pair, computed by `homology_of` once and kept by cx, or the
+    ambient's own where cx shares d_i and d_(i+1) (`BasisSubcomplex.shares`);
     None, with nothing computed, for a component with no chains."""
     k = (i, pair)
     h = cx._homology.get(k)
     if h is None and cx._dims.get(k):
-        h = cx._homology[k] = homology_of(cx, i, pair)
+        h = cx._homology[k] = (
+            _homology_at(cx.ambient, i, pair)
+            if cx.ambient is not None and cx.shares(pair, i - 1, i, i + 1)
+            else homology_of(cx, i, pair))
     return h
 
 

@@ -201,6 +201,19 @@ def basis_map_matrix(field, rows: int, p: tuple) -> Matrix:
         {} if t is None else {t: -1 if j in negated else 1} for j, t in enumerate(targets)])
 
 
+def inclusion_matrix(sc, i: int, pair) -> Matrix:
+    """The inclusion of a basis subcomplex sc in its ambient: columns are the
+    ambient unit vectors of the kept elements."""
+    return Matrix.unit_columns(sc.ambient.field, sc.ambient.dim(i, pair),
+                               sc.kept.get((i, pair), []))
+
+
+def projection(sc, i: int, pair) -> Matrix:
+    """The projection of the ambient of a basis subcomplex sc onto it: rows
+    are the ambient coordinates of the kept elements."""
+    return inclusion_matrix(sc, i, pair).transpose()
+
+
 def action_matrix(cx, side: str, edge: str, i: int, pair) -> Matrix:
     """The 0/1 matrix of prepending ("left") or appending ("right") an edge
     of ``cx.x`` on C_i(pair) of a complex graded by its vertex pairs."""

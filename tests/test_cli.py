@@ -18,7 +18,7 @@ import dirhom as dh
 from dirhom import cli, cubechain, exactseq, precubical
 from dirhom.cli import main
 from dirhom.cubechain import BoundaryCheckError, ChainBudgetError, DirectedCycleError
-from dirhom.exactla import ComparisonError, Matrix
+from dirhom.exactla import Matrix
 from dirhom.exactseq import ExactnessError, SequenceError
 from dirhom.homology import ActionError, HomologyTable
 
@@ -130,8 +130,7 @@ COMPUTE = {
 
 # What each error a verb may raise exits with, and the start of its stderr line.
 ERROR_EXITS = [(DirectedCycleError, 2), (ChainBudgetError, 2), (SequenceError, 2),
-               (RecursionError, 2), (BoundaryCheckError, 3), (ActionError, 3), (ExactnessError, 3),
-               (ComparisonError, 3)]
+               (RecursionError, 2), (BoundaryCheckError, 3), (ActionError, 3), (ExactnessError, 3)]
 PREFIX = {2: "input error", 3: "internal check failed"}
 
 

@@ -21,7 +21,9 @@ from dirhom.precubical import SubsetSpec, sub
 from dirhom.scalars import extend_subcomplex, path_algebra
 
 from conftest import make_domino
-from oracles import image_basis, induced_on_quotient, quotient_map
+from oracles import (
+    image_basis, induced_on_quotient, inclusion_matrix, projection, quotient_map,
+)
 from test_cli_reference import make_grid3, make_strip4, split_top_cell
 
 
@@ -31,7 +33,8 @@ def sphere_spec(D2, S1):
 
 
 def count_builds(monkeypatch) -> Counter:
-    """Count calls of build_complex and of the span and quotient constructors."""
+    """Count calls of build_complex and of the span, quotient and sub-set
+    complex constructors."""
     import dirhom.exactseq as es
     calls = Counter()
 
@@ -42,7 +45,7 @@ def count_builds(monkeypatch) -> Counter:
         return wrapper
 
     monkeypatch.setattr(es, "build_complex", counted("build", es.build_complex))
-    for cls in (es.QuotientComplex, es._LeftQuotient, es.SubcomplexExtension):
+    for cls in (es.QuotientComplex, es._LeftQuotient, es.SubcomplexExtension, es._SubsetComplex):
         monkeypatch.setattr(cls, "__init__", counted(cls.__name__, cls.__init__))
     return calls
 
@@ -157,14 +160,14 @@ def assert_quotients_match_reference(x, y1, y2, field):
     span1 = extend_subcomplex(cx, y1)
     span12 = extend_subcomplex(cx, y1 & y2)
     cases = [(QuotientComplex(cx, span1), cx,
-              lambda i, pair: image_basis(span1.inclusion_matrix(i, pair))),
+              lambda i, pair: image_basis(inclusion_matrix(span1, i, pair))),
              (_LeftQuotient(span1, span12, field), span1,
-              lambda i, pair: image_basis(span1.projection(i, pair)
-                                          @ span12.inclusion_matrix(i, pair)))]
+              lambda i, pair: image_basis(projection(span1, i, pair)
+                                          @ inclusion_matrix(span12, i, pair)))]
     for quo, ambient, subspace in cases:
         projections, diffs = elimination_quotient(ambient, subspace)
         for (i, pair), prj in projections.items():
-            assert quo.projection(i, pair) == prj
+            assert projection(quo, i, pair) == prj
             assert quo.dim(i, pair) == prj.rows
             if i >= 1:
                 assert quo.diff(i, pair) == diffs[(i, pair)]
@@ -226,9 +229,9 @@ class TestBasisQuotients:
         for sc in (span1, span12, QuotientComplex(cx, span1), _LeftQuotient(span1, span12, field)):
             for i, pair in sc.kept:
                 if i >= 1:
-                    assert sc.diff(i, pair) == (sc.projection(i - 1, pair)
+                    assert sc.diff(i, pair) == (projection(sc, i - 1, pair)
                                                 @ sc.ambient.diff(i, pair)
-                                                @ sc.inclusion_matrix(i, pair))
+                                                @ inclusion_matrix(sc, i, pair))
 
     def test_construction_multiplies_only_in_the_boundary_check(self, monkeypatch):
         # D4 has chains up to degree 3, so the d.d checks do multiply
@@ -298,16 +301,16 @@ def solve_connecting(ses, include, i, pair, ha, hc):
     their boundary back along the inclusion, both by `solve`."""
     if not hc.dim:
         return Matrix.zeros(ses.b.field, ha.dim, 0)
-    lift = solve(ses.c.projection(i, pair), hc.representatives)
+    lift = solve(projection(ses.c, i, pair), hc.representatives)
     return ha.classes(solve(include(i - 1, pair), ses.b.diff(i, pair) @ lift))
 
 
 def solve_excision(c, i, pair):
     """The reference excision map: lift along the left projection by `solve`,
     include in C(X) and project to C(X)/ext C(X2)."""
-    lift = solve(c.left.projection(i, pair), homology_of(c.left, i, pair).representatives)
+    lift = solve(projection(c.left, i, pair), homology_of(c.left, i, pair).representatives)
     return homology_of(c.quo2, i, pair).classes(
-        c.quo2.projection(i, pair) @ (c.span1.inclusion_matrix(i, pair) @ lift))
+        projection(c.quo2, i, pair) @ (inclusion_matrix(c.span1, i, pair) @ lift))
 
 
 def span_inclusion(inner, outer, i, pair):
@@ -326,7 +329,8 @@ def split_cover(x, y1, y2, field):
     keys = [(i, pair) for pair in cx.pairs() for i in range(cx.top_degree + 1)]
     cover = _Cover(cx, span1, span2, span12, left, quo2, {})
     left.check_chain_map(cover.excision_positions, left, quo2)
-    sequences = [(ShortExactData(span1, QuotientComplex(cx, span1)), span1.inclusion_matrix),
+    sequences = [(ShortExactData(span1, QuotientComplex(cx, span1)),
+                  lambda i, pair: inclusion_matrix(span1, i, pair)),
                  (ShortExactData(span12, left),
                   lambda i, pair: span_inclusion(span12, span1, i, pair))]
     return keys, cover, sequences
@@ -419,21 +423,18 @@ def assert_pushes_match_products(x, y1, y2, field) -> Counter:
                         QuotientComplex(cx, span2))
     cover = _Cover(cx, span1, span2, span12, left, quo2, {})
 
-    def units(c, i, pair):
-        """The inclusion of a basis subcomplex c in its ambient, as a 0/1 matrix."""
-        return Matrix.unit_columns(field, c.ambient.dim(i, pair), c.kept.get((i, pair), []))
-
     def span_in(outer):
         return (lambda i, pair: (_span_positions(span12, outer, i, pair), ()),
-                lambda i, pair: units(outer, i, pair).transpose() @ units(span12, i, pair))
+                lambda i, pair: projection(outer, i, pair) @ inclusion_matrix(span12, i, pair))
 
     # (source, target, positions, oracle matrix)
-    maps = [(span1, cx, span1.inclusion_positions, lambda i, pair: units(span1, i, pair)),
-            (cx, quo1, quo1.projection_positions, lambda i, pair: units(quo1, i, pair).transpose()),
+    maps = [(span1, cx, span1.inclusion_positions,
+             lambda i, pair: inclusion_matrix(span1, i, pair)),
+            (cx, quo1, quo1.projection_positions, lambda i, pair: projection(quo1, i, pair)),
             (span12, span1, *span_in(span1)), (span12, span2, *span_in(span2)),
             (left, quo2, cover.excision_positions,
-             lambda i, pair: (units(quo2, i, pair).transpose() @ units(span1, i, pair)
-                              @ units(left, i, pair)))]
+             lambda i, pair: (projection(quo2, i, pair) @ inclusion_matrix(span1, i, pair)
+                              @ inclusion_matrix(left, i, pair)))]
     seen: Counter = Counter()
     for src, dst, positions, matrix in maps:
         for i, pair in ((i, pair) for pair in cx.pairs() for i in range(cx.top_degree + 1)):
@@ -473,7 +474,7 @@ class TestBasisMapPushes:
         assert not calls
         # the counter is live
         span = extend_subcomplex(build_complex(D3), frozenset(S2.all_cells()))
-        span.inclusion_matrix(*span.components_with_chains[0])
+        inclusion_matrix(span, *span.components_with_chains[0])
         assert calls == Counter(unit=1)
 
 
@@ -549,10 +550,12 @@ class TestLesRelative:
         assert names == {"D3": 1, "D3|sub": 1}
 
     def test_builds_the_span_once(self, domino, monkeypatch):
+        # C(X) is the one complex assembled; C(Y) is selected from it
         calls = count_builds(monkeypatch)
         spec = SubsetSpec(domino, dh.face_closure(domino, ["s2"]))
         assert les_relative(domino, spec).sequence.all_exact
-        assert calls["SubcomplexExtension"] == 1
+        assert calls == {"build": 1, "SubcomplexExtension": 1, "QuotientComplex": 1,
+                         "_SubsetComplex": 1}
 
     def test_rejected_pair_skips_sequence(self, S1):
         spec = SubsetSpec(S1, frozenset(["00", "11"]))
@@ -693,15 +696,15 @@ class TestMayerVietoris:
                             (s2.selected, "QuotientComplex")]
 
     def test_domino_builds_each_object_once(self, domino, monkeypatch):
-        # C(X) and the complexes of X1 and X2 once each, each quotient once,
-        # and each of the five extension spans once: X1, X2 and X1^X2 in
-        # C(X), and X1^X2 in C(X1) and in C(X2)
+        # C(X) once, the complexes of X1 and X2 once each, selected from it,
+        # each quotient once, and each of the five extension spans once: X1,
+        # X2 and X1^X2 in C(X), and X1^X2 in C(X1) and in C(X2)
         calls = count_builds(monkeypatch)
         s1 = SubsetSpec(domino, dh.face_closure(domino, ["s1"]))
         s2 = SubsetSpec(domino, dh.face_closure(domino, ["s2"]))
         assert mayer_vietoris(domino, s1, s2).sequence.all_exact
-        assert calls == {"build": 3, "QuotientComplex": 1, "_LeftQuotient": 1,
-                         "SubcomplexExtension": 5}
+        assert calls == {"build": 1, "_SubsetComplex": 2, "QuotientComplex": 1,
+                         "_LeftQuotient": 1, "SubcomplexExtension": 5}
 
     def test_domino_enumerates_each_set_once(self, domino, monkeypatch):
         # X, the parts X1 and X2, and X1^X2 inside each part
@@ -711,6 +714,35 @@ class TestMayerVietoris:
         assert mayer_vietoris(domino, s1, s2).sequence.all_exact
         names = Counter(hit["ref"].name for hit in cubechain._catalog_cache.values())
         assert names == {"domino": 1, "domino|sub": 2, "domino|sub|sub": 2}
+
+
+@pytest.mark.parametrize("case", ["les D3,S2", "mv domino"])
+def test_each_path_algebra_is_built_once(case, monkeypatch):
+    """A sequence builds the path algebra of each set it checks once: X and
+    Y for the relative sequence; X, both parts and the meet inside each
+    part for Mayer-Vietoris."""
+    import dirhom.scalars as sc
+    built, kept = Counter(), []     # kept alive, so no two sets share an id
+    init = sc.PathAlgebraIndex.__init__
+
+    def counted(alg, x):
+        kept.append(x)
+        built[(id(x), x.name)] += 1
+        init(alg, x)
+
+    monkeypatch.setattr(sc.PathAlgebraIndex, "__init__", counted)
+    if case == "les D3,S2":
+        d3 = dh.directed_disc(3)
+        res = les_relative(d3, SubsetSpec(d3, frozenset(dh.directed_sphere(2).all_cells())))
+        names = {"D3": 1, "D3|sub": 1}
+    else:
+        domino = make_domino()
+        res = mayer_vietoris(domino, *(SubsetSpec(domino, dh.face_closure(domino, [c]))
+                                       for c in ("s1", "s2")))
+        names = {"domino": 1, "domino|sub": 2, "domino|sub|sub": 2}
+    assert res.sequence.all_exact
+    assert set(built.values()) == {1}
+    assert Counter(name for _, name in built) == names
 
 
 def sphere_splits():
@@ -738,12 +770,12 @@ def zigzag_delta(x, y1, y2, field, i, pair):
     cx = build_complex(x, None, field)
     span1, span2, span12 = (extend_subcomplex(cx, y) for y in (y1, y2, y1 & y2))
     reps = homology_of(cx, i, pair).representatives
-    parts = solve(span1.inclusion_matrix(i, pair).augment(span2.inclusion_matrix(i, pair))
+    parts = solve(inclusion_matrix(span1, i, pair).augment(inclusion_matrix(span2, i, pair))
                   .augment(cx.diff(i + 1, pair)), reps)
     a1 = parts.block(range(span1.dim(i, pair)), range(reps.cols))
-    d_a1 = cx.diff(i, pair) @ span1.inclusion_matrix(i, pair) @ a1
+    d_a1 = cx.diff(i, pair) @ inclusion_matrix(span1, i, pair) @ a1
     return homology_of(span12, i - 1, pair).classes(
-        solve(span12.inclusion_matrix(i - 1, pair), d_a1))
+        solve(inclusion_matrix(span12, i - 1, pair), d_a1))
 
 
 class TestMayerVietorisConnectingMap:

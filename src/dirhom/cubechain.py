@@ -41,6 +41,12 @@ parts, and `_boundary_column` looks each term's cube ids up in the
 positions of the component below, in one loop per chain, making no chain
 per term.  Edge actions and the maps between complexes are basis maps, given
 as signed positions (`_basis_map`), never as 0/1 matrices.
+
+A component depends only on the shape of its interval, so on a symmetric
+set most components are copies of a few.  A complex numbers its distinct
+differentials by content when it is built (`GradedComplex.diff_key`), reduces
+each distinct differential once, and components with equal differentials
+share their homology data (`GradedComplex.homology_data`).
 """
 
 from __future__ import annotations
@@ -49,7 +55,10 @@ import math
 from functools import cached_property
 from typing import Mapping, NamedTuple, Sequence
 
-from .exactla import ChainError, Matrix, QQ, Reduction, _chain_map_witness, column_reduction
+from .exactla import (
+    ChainError, Matrix, QQ, Reduction, _chain_map_witness, column_reduction,
+    homology_from_reductions,
+)
 from .precubical import PrecubicalSet, TensorSet
 
 
@@ -294,11 +303,17 @@ class GradedComplex:
     (src, dst) vertex pairs.  Differentials map degree i to degree i-1 inside
     one pair component.  ``d . d = 0`` is asserted at the end of
     construction (`check_boundary_square`), so a subclass sets what
-    `_basis_name` reads before it calls this constructor.
+    `_basis_name` and `shares` read before it calls this constructor.
     `components_with_chains` lists the sorted
-    (degree, pair) keys of nonzero dimension.  `reduction` reduces each
-    differential once, for the homology of the degrees on both its sides,
-    and `homology_dim` reads each dimension once.
+    (degree, pair) keys of nonzero dimension.
+
+    Components of a symmetric set are mostly copies of one another, so the
+    constructor numbers the distinct stored differentials by content
+    (`diff_key`).  `reduction` reduces each distinct differential once, for
+    the homology of the degrees on both sides of every copy, and
+    `homology_data` reads the homology off each distinct pair (d_i,
+    d_(i+1)) once, which the components with equal differentials share;
+    `homology_dim` reads each dimension once.
     """
 
     ambient = None      # the complex a `BasisSubcomplex` shares its whole components with
@@ -311,7 +326,11 @@ class GradedComplex:
         self._dims = dict(dims)
         self._diffs = dict(diffs)
         self._zeros: dict[tuple[int, int], Matrix] = {}    # by shape
-        self._reductions: dict[tuple[int, object], Reduction] = {}
+        numbers: dict[Matrix, int] = {}     # equal matrices are one key (`Matrix.__eq__`)
+        self._numbers = {k: numbers.setdefault(m, len(numbers)) for k, m in self._diffs.items()
+                         if not self.shares(k[1], k[0] - 1, k[0])}
+        self._reductions: dict[object, Reduction] = {}     # by `diff_key`
+        self._homology_data: dict[tuple, tuple] = {}    # by the `diff_key`s of d_i, d_(i+1)
         self._homology_dims: dict[tuple[int, object], int] = {}
         self._homology: dict = {}   # (degree, pair) -> PairHomology, by homology._homology_at
         self._pairs = sorted({k[1] for k in self._dims})
@@ -330,13 +349,41 @@ class GradedComplex:
             m = self._zero(self.dim(i - 1, pair) if i >= 1 else 0, self.dim(i, pair))
         return m
 
+    def shares(self, pair, *degrees: int) -> bool:
+        """Whether the degrees' components at pair are whole ones of
+        `ambient`: never, for a complex with no ambient."""
+        return False
+
+    def diff_key(self, i: int, pair):
+        """What stands for d_i at pair among the differentials this complex
+        reduces: the number of its content among the stored ones, or the
+        shape of the shared zero matrix (`_zero`) that one not stored is."""
+        n = self._numbers.get((i, pair))
+        if n is None:
+            return (self.dim(i - 1, pair) if i >= 1 else 0, self.dim(i, pair))
+        return n
+
     def reduction(self, i: int, pair) -> Reduction:
         """The column reduction of d_i on one pair component, computed the
-        first time it is asked for."""
-        r = self._reductions.get((i, pair))
+        first time it or an equal differential (`diff_key`) is asked for."""
+        key = self.diff_key(i, pair)
+        r = self._reductions.get(key)
         if r is None:
-            r = self._reductions[(i, pair)] = column_reduction(self.diff(i, pair))
+            r = self._reductions[key] = column_reduction(self.diff(i, pair))
         return r
+
+    def homology_data(self, i: int, pair) -> tuple:
+        """`exactla.homology_from_reductions` of d_i and d_(i+1) at a
+        component with chains, from their reductions, computed once for
+        each pair of distinct differentials (`diff_key`) and shared by the
+        components that have them; a ChainError propagates and keeps nothing."""
+        key = (self.diff_key(i, pair), self.diff_key(i + 1, pair))
+        h = self._homology_data.get(key)
+        if h is None:
+            h = self._homology_data[key] = homology_from_reductions(
+                self.reduction(i, pair), self.reduction(i + 1, pair), self.field,
+                self.dim(i, pair))
+        return h
 
     def homology_dim(self, i: int, pair) -> int:
         """dim C_i - rank d_i - rank d_(i+1) at one pair component, each rank
@@ -444,7 +491,9 @@ class BasisSubcomplex(GradedComplex):
     are none to keep where the ambient has no chains).  The differential
     between two whole components, its reduction, and the homology of a
     component whole in the degrees on both its sides are the ambient's own
-    objects (`shares`, `homology._homology_at`), decided at construction.
+    objects (`shares`, `homology._homology_at`), decided at construction;
+    the complex numbers and reduces only the differentials it does not
+    share, and keys a shared one by the ambient's key (`diff_key`).
     """
 
     def __init__(self, ambient: GradedComplex, kept: dict[tuple[int, object], list[int]]):
@@ -461,6 +510,12 @@ class BasisSubcomplex(GradedComplex):
     def shares(self, pair, *degrees: int) -> bool:
         """Whether the degrees' components at pair are whole ones of `ambient`."""
         return not any((i, pair) in self._cut for i in degrees)
+
+    def diff_key(self, i: int, pair):
+        """The ambient's key, marked as the ambient's, for a differential it
+        shares, else its own (`GradedComplex.diff_key`)."""
+        return (("ambient", self.ambient.diff_key(i, pair)) if self.shares(pair, i - 1, i)
+                else super().diff_key(i, pair))
 
     def reduction(self, i: int, pair) -> Reduction:
         """The ambient's own reduction of a differential it shares, else its own."""

@@ -601,7 +601,11 @@ class Matrix(_Frozen):
                 and self.cols == other.cols and self._cols == other._cols)
 
     def __hash__(self):
-        return hash((self.rows, self.cols, tuple(frozenset(c.items()) for c in self._cols)))
+        # the shape and the number of entries of each column, which equal
+        # matrices share: reading no value keeps a large differential cheap
+        # to number by content, and matrices that differ in their values
+        # alone collide and are told apart by __eq__
+        return hash((self.rows, self.cols, tuple(map(len, self._cols))))
 
     def __repr__(self) -> str:
         body = "; ".join(" ".join(str(a) for a in r) for r in self.data)

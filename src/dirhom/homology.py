@@ -6,11 +6,14 @@ the boundaries in kernel coordinates, and the quotient map in kernel
 coordinates; a vector is a boundary when it is a cycle of class zero.  They
 are read off the column reductions of d_i and d_{i+1}
 (`exactla.homology_from_reductions`), which the complex computes once per
-differential (`GradedComplex.reduction`), so each differential is reduced
-once for the two degrees on its sides and no elimination runs.  Each complex
-keeps the homology of its components with chains, computed at most once or
-shared with its ambient (`cubechain.BasisSubcomplex`), which every reader
-gets from `_homology_at(cx, i, pair)`: None for a component with no chains.
+distinct differential (`GradedComplex.reduction`), so each is reduced once
+for the two degrees on its sides of every component that has it, and no
+elimination runs.  Components with equal differentials share that data
+(`GradedComplex.homology_data`), each in a `PairHomology` of its own.  Each
+complex keeps the homology of its components with chains, computed at most
+once or shared with its ambient (`cubechain.BasisSubcomplex`), which every
+reader gets from `_homology_at(cx, i, pair)`: None for a component with no
+chains.
 The one push of chains into homology is the column push
 `exactla.homology_classes`: it takes cycles as sparse columns, reads
 their kernel coordinates off their entries at the free columns of d_i,
@@ -45,8 +48,7 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 
 from .exactla import (  # kernel_basis stays importable from here
-    ChainError, Matrix, Subspace, _chain_map_witness, _renamed, homology_classes,
-    homology_from_reductions, kernel_basis,
+    ChainError, Matrix, Subspace, _chain_map_witness, _renamed, homology_classes, kernel_basis,
 )
 from .cubechain import GradedComplex, PairGradedComplex
 from .precubical import PrecubicalSet
@@ -98,7 +100,9 @@ class PairHomology:
 
 def homology_of(cx: GradedComplex, i: int, pair) -> PairHomology:
     """ker d_i / im d_{i+1} for one pair component, read off the column
-    reductions of d_i and d_{i+1} (`GradedComplex.reduction`).
+    reductions of d_i and d_{i+1} (`GradedComplex.homology_data`): a new
+    `PairHomology` of the component around the data that every component
+    of cx with the same two differentials shares.
 
     A cycle becomes a representative when it is outside the span of the
     boundaries and the cycles before it: when its free column is not the
@@ -110,10 +114,8 @@ def homology_of(cx: GradedComplex, i: int, pair) -> PairHomology:
     if not cx.dim(i, pair):
         zero = Subspace._of(cx.field, 0, [], None)
         return PairHomology(i, pair, 0, [], zero, [], {}, Matrix.zeros(cx.field, 0, 0))
-    d = cx.reduction(i, pair)
     try:
-        cycles, reps, rows, free, classes = homology_from_reductions(
-            d, cx.reduction(i + 1, pair), cx.field, cx.dim(i, pair))
+        cycles, reps, rows, free, classes = cx.homology_data(i, pair)
     except ChainError as err:
         raise ChainError(f"degree {i}, pair {pair}: {err}") from None
     return PairHomology(i, pair, len(reps), reps, cycles, rows, free, classes)
@@ -126,10 +128,8 @@ def _homology_at(cx: GradedComplex, i: int, pair) -> PairHomology | None:
     k = (i, pair)
     h = cx._homology.get(k)
     if h is None and cx._dims.get(k):
-        h = cx._homology[k] = (
-            _homology_at(cx.ambient, i, pair)
-            if cx.ambient is not None and cx.shares(pair, i - 1, i, i + 1)
-            else homology_of(cx, i, pair))
+        h = cx._homology[k] = (_homology_at(cx.ambient, i, pair)
+                               if cx.shares(pair, i - 1, i, i + 1) else homology_of(cx, i, pair))
     return h
 
 

@@ -29,7 +29,7 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from .exactla import (
-    Matrix, QQ, Reduction, _echelon, _lows, _modulus, _quotient, _value,
+    Matrix, QQ, _echelon, _lows, _modulus, _quotient, _value,
 )
 from .precubical import PcMorphism, PrecubicalSet, TensorSet
 from .cubechain import (
@@ -548,9 +548,9 @@ class RestrictedComplex:
         s, e = pair
         return self.cx.diff(i, (self.f(s), self.f(e)))
 
-    def reduction(self, i: int, pair) -> Reduction:
+    def homology_data(self, i: int, pair) -> tuple:
         s, e = pair
-        return self.cx.reduction(i, (self.f(s), self.f(e)))
+        return self.cx.homology_data(i, (self.f(s), self.f(e)))
 
 
 class RestrictedTable:

@@ -257,7 +257,7 @@ class TestComparisonReport:
                        if k[0] and st.cxp.reduction(*k).image)
         r = st.cxp.reduction(n, pair)
         low = next(iter(r.image))
-        st.cxp._reductions[(n, pair)] = r._replace(
+        st.cxp._reductions[st.cxp.diff_key(n, pair)] = r._replace(
             image={k: v for k, v in r.image.items() if k != low})
         rep = tensor_comparison_report(D2, D2, setting=st)
         assert rep.chain_maps_ok and rep.split_after_interleave_is_identity

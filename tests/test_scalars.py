@@ -573,6 +573,43 @@ def random_presentations(draw, alg=None):
     return PresentedBimodule(alg, alg, gens, relations, field)
 
 
+def multi_entry_rows(pb: PresentedBimodule) -> int:
+    """How many relation translates, over every swept pair, have two or more
+    triples (`ResolvedBimodule._sweep`)."""
+    res = pb.resolve()
+    return sum(len(row) >= 2 for s in pb.left.x.vertices
+               for _, _, rows in res._sweep(s).values() for row in rows)
+
+
+@st.composite
+def multi_entry_presentations(draw, alg=None):
+    """Presentations whose every relation has two to four distinct triples
+    with nonzero coefficients, so that each of its translates is a row of
+    as many triples: translating by fixed paths keeps distinct triples
+    distinct.  Two generators at one drawn vertex pair give that pair two
+    triples, and each pair its paths reach at least two."""
+    alg = alg or draw(st.sampled_from(SMALL_ALGEBRAS))
+    field = draw(st.sampled_from(FIELDS))
+    verts = sorted(alg.x.vertices)
+    ends = [draw(st.tuples(st.sampled_from(verts), st.sampled_from(verts)))
+            for _ in range(draw(st.integers(1, 3)))]
+    gens = [BimoduleGenerator(f"g{k}", *uv) for k, uv in enumerate([ends[0]] + ends)]
+    at_pair = {}
+    for g in gens:
+        for rs in verts:
+            for re_ in verts:
+                at_pair.setdefault((rs, re_), []).extend(
+                    (p, g.gid, q) for p in alg.between(rs, g.src) for q in alg.between(g.dst, re_))
+    pairs = sorted(k for k, triples in at_pair.items() if len(triples) >= 2)
+    nonzero = coefficients(field).filter(bool)
+    relations = []
+    for _ in range(draw(st.integers(1, 4))):
+        triples = at_pair[draw(st.sampled_from(pairs))]
+        picked = draw(st.lists(st.sampled_from(triples), min_size=2, max_size=4, unique=True))
+        relations.append([(draw(nonzero), p, gid, q) for p, gid, q in picked])
+    return PresentedBimodule(alg, alg, gens, relations, field)
+
+
 BASE_CHANGE_SETS = [dh.directed_disc(3), dh.directed_sphere(2), make_domino(),
                     dh.realization([2, 2])]
 
@@ -620,6 +657,24 @@ class TestBaseChange:
         for pb in (present_chain_module(y, 0, field), present_homology(table, 0),
                    present_homology(table, 1), data.draw(random_presentations(path_algebra(y)))):
             assert_pair_basis_is_the_gauss_jordan_route(extend_presented(pb, inc, path_algebra(x)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.data())
+    def test_multi_entry_relations_are_the_gauss_jordan_route(self, data):
+        """Every translate of a multi-entry relation is a row of two or more
+        triples, so the pivot choice of each quotient basis is exercised,
+        over the small algebras and extended along an inclusion."""
+        pb = data.draw(multi_entry_presentations())
+        assert multi_entry_rows(pb)
+        assert_pair_basis_is_the_gauss_jordan_route(pb)
+        assert_same_reduction(pb)
+        x = data.draw(st.sampled_from(BASE_CHANGE_SETS))
+        cells = data.draw(st.lists(st.sampled_from(sorted(x.all_cells())), min_size=1,
+                                   max_size=3))
+        y, inc = sub(x, SubsetSpec(x, dh.face_closure(x, cells)))
+        pb = data.draw(multi_entry_presentations(path_algebra(y)))
+        assert multi_entry_rows(pb)
+        assert_pair_basis_is_the_gauss_jordan_route(extend_presented(pb, inc, path_algebra(x)))
 
     @pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.name)
     def test_corpus_pair_bases_are_the_gauss_jordan_route(self, field):

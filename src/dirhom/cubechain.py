@@ -43,10 +43,12 @@ per term.  Edge actions and the maps between complexes are basis maps, given
 as signed positions (`_basis_map`), never as 0/1 matrices.
 
 A component depends only on the shape of its interval, so on a symmetric
-set most components are copies of a few.  A complex numbers its distinct
-differentials by content when it is built (`GradedComplex.diff_key`), reduces
-each distinct differential once, and components with equal differentials
-share their homology data (`GradedComplex.homology_data`).
+set most components are copies of a few.  A complex and every
+`BasisSubcomplex` built on it, transitively, share one store: it numbers
+their differentials by content (`GradedComplex.diff_key`), reduces each
+distinct differential once, and keeps the homology data of each distinct
+pair (d_i, d_(i+1)) once (`GradedComplex.homology_data`), which every
+component of the family with those differentials shares.
 """
 
 from __future__ import annotations
@@ -303,20 +305,21 @@ class GradedComplex:
     (src, dst) vertex pairs.  Differentials map degree i to degree i-1 inside
     one pair component.  ``d . d = 0`` is asserted at the end of
     construction (`check_boundary_square`), so a subclass sets what
-    `_basis_name` and `shares` read before it calls this constructor.
+    `_basis_name` and `ambient` read before it calls this constructor.
     `components_with_chains` lists the sorted
     (degree, pair) keys of nonzero dimension.
 
-    Components of a symmetric set are mostly copies of one another, so the
-    constructor numbers the distinct stored differentials by content
-    (`diff_key`).  `reduction` reduces each distinct differential once, for
-    the homology of the degrees on both sides of every copy, and
+    Components of a symmetric set are mostly copies of one another.  A
+    complex with no ambient makes a store, and a `BasisSubcomplex` takes
+    its ambient's, so a family holds one; the constructor numbers every
+    stored differential in it by content (`diff_key`).  `reduction`
+    reduces each distinct differential of the family once, for the
+    homology of the degrees on both sides of every copy, and
     `homology_data` reads the homology off each distinct pair (d_i,
-    d_(i+1)) once, which the components with equal differentials share;
-    `homology_dim` reads each dimension once.
+    d_(i+1)) once, which every component with those differentials shares.
     """
 
-    ambient = None      # the complex a `BasisSubcomplex` shares its whole components with
+    ambient = None      # the complex a `BasisSubcomplex` is built on, whose store it takes
 
     def __init__(self, field, top_degree: int,
                  dims: Mapping[tuple[int, object], int],
@@ -326,12 +329,13 @@ class GradedComplex:
         self._dims = dict(dims)
         self._diffs = dict(diffs)
         self._zeros: dict[tuple[int, int], Matrix] = {}    # by shape
-        numbers: dict[Matrix, int] = {}     # equal matrices are one key (`Matrix.__eq__`)
-        self._numbers = {k: numbers.setdefault(m, len(numbers)) for k, m in self._diffs.items()
-                         if not self.shares(k[1], k[0] - 1, k[0])}
-        self._reductions: dict[object, Reduction] = {}     # by `diff_key`
-        self._homology_data: dict[tuple, tuple] = {}    # by the `diff_key`s of d_i, d_(i+1)
-        self._homology_dims: dict[tuple[int, object], int] = {}
+        # the family's store: content numbers (equal matrices are one key,
+        # `Matrix.__eq__`), reductions by `diff_key`, homology data by the
+        # `diff_key`s of d_i and d_(i+1)
+        self._store: tuple[dict[Matrix, int], dict[int, Reduction], dict[tuple, tuple]] = (
+            ({}, {}, {}) if self.ambient is None else self.ambient._store)
+        numbers, self._reductions, self._homology_data = self._store
+        self._numbers = {k: numbers.setdefault(m, len(numbers)) for k, m in self._diffs.items()}
         self._homology: dict = {}   # (degree, pair) -> PairHomology, by homology._homology_at
         self._pairs = sorted({k[1] for k in self._dims})
         self.components_with_chains = sorted(k for k, n in self._dims.items() if n)
@@ -349,18 +353,14 @@ class GradedComplex:
             m = self._zero(self.dim(i - 1, pair) if i >= 1 else 0, self.dim(i, pair))
         return m
 
-    def shares(self, pair, *degrees: int) -> bool:
-        """Whether the degrees' components at pair are whole ones of
-        `ambient`: never, for a complex with no ambient."""
-        return False
-
-    def diff_key(self, i: int, pair):
-        """What stands for d_i at pair among the differentials this complex
-        reduces: the number of its content among the stored ones, or the
-        shape of the shared zero matrix (`_zero`) that one not stored is."""
+    def diff_key(self, i: int, pair) -> int:
+        """The number of the content of d_i at pair in the family's store:
+        given at construction to a stored differential, and on the first ask
+        to the zero matrix (`_zero`) that one not stored is."""
         n = self._numbers.get((i, pair))
         if n is None:
-            return (self.dim(i - 1, pair) if i >= 1 else 0, self.dim(i, pair))
+            numbers = self._store[0]
+            n = numbers.setdefault(self.diff(i, pair), len(numbers))
         return n
 
     def reduction(self, i: int, pair) -> Reduction:
@@ -388,13 +388,9 @@ class GradedComplex:
     def homology_dim(self, i: int, pair) -> int:
         """dim C_i - rank d_i - rank d_(i+1) at one pair component, each rank
         the number of lows of `reduction`, or 0 with no reduction for a map
-        into or out of a component with no chains; computed once."""
-        h = self._homology_dims.get((i, pair))
-        if h is None:
-            h = self._homology_dims[(i, pair)] = self.dim(i, pair) - sum(
-                len(self.reduction(j, pair).image) for j in (i, i + 1)
-                if self.dim(j, pair) and self.dim(j - 1, pair))
-        return h
+        into or out of a component with no chains."""
+        return self.dim(i, pair) - sum(len(self.reduction(j, pair).image) for j in (i, i + 1)
+                                       if self.dim(j, pair) and self.dim(j - 1, pair))
 
     def _zero(self, rows: int, cols: int) -> Matrix:
         """The zero matrix of a shape, built once per complex (matrices are
@@ -489,38 +485,23 @@ class BasisSubcomplex(GradedComplex):
 
     A component is whole when it keeps every ambient basis element (there
     are none to keep where the ambient has no chains).  The differential
-    between two whole components, its reduction, and the homology of a
-    component whole in the degrees on both its sides are the ambient's own
-    objects (`shares`, `homology._homology_at`), decided at construction;
-    the complex numbers and reduces only the differentials it does not
-    share, and keys a shared one by the ambient's key (`diff_key`).
+    between two whole components is the ambient's own object, with no
+    block copied.  The complex takes its ambient's store, so a differential
+    equal to one the family has reduced reuses that reduction and homology
+    data, whole or not.
     """
 
     def __init__(self, ambient: GradedComplex, kept: dict[tuple[int, object], list[int]]):
         self.ambient = ambient
         self.kept = kept
-        self._cut = {k for k in ambient.components_with_chains
-                     if len(kept.get(k, ())) < ambient.dim(*k)}
-        diffs = {(i, pair): ambient.diff(i, pair) if self.shares(pair, i - 1, i)
-                 else ambient.diff(i, pair).block(kept.get((i - 1, pair), ()), cols)
-                 for (i, pair), cols in kept.items() if i >= 1}
+        diffs = {}
+        for (i, pair), cols in kept.items():
+            if i >= 1:
+                d, rows = ambient.diff(i, pair), kept.get((i - 1, pair), ())
+                whole = (len(rows), len(cols)) == (d.rows, d.cols)   # positions are distinct
+                diffs[(i, pair)] = d if whole else d.block(rows, cols)
         super().__init__(ambient.field, ambient.top_degree,
                          {k: len(v) for k, v in kept.items()}, diffs)
-
-    def shares(self, pair, *degrees: int) -> bool:
-        """Whether the degrees' components at pair are whole ones of `ambient`."""
-        return not any((i, pair) in self._cut for i in degrees)
-
-    def diff_key(self, i: int, pair):
-        """The ambient's key, marked as the ambient's, for a differential it
-        shares, else its own (`GradedComplex.diff_key`)."""
-        return (("ambient", self.ambient.diff_key(i, pair)) if self.shares(pair, i - 1, i)
-                else super().diff_key(i, pair))
-
-    def reduction(self, i: int, pair) -> Reduction:
-        """The ambient's own reduction of a differential it shares, else its own."""
-        return (self.ambient.reduction(i, pair) if self.shares(pair, i - 1, i)
-                else super().reduction(i, pair))
 
     def inclusion_positions(self, i: int, pair) -> tuple:
         """The inclusion as signed positions: each kept element goes to its ambient position."""

@@ -598,7 +598,9 @@ class Matrix(_Frozen):
 
     def __eq__(self, other) -> bool:
         return (isinstance(other, Matrix) and self.rows == other.rows
-                and self.cols == other.cols and self._cols == other._cols)
+                and self.cols == other.cols
+                and self.field.characteristic == other.field.characteristic
+                and self._cols == other._cols)
 
     def __hash__(self):
         # the shape and the number of entries of each column, which equal

@@ -27,9 +27,9 @@ Only the long sequences' exactness checks and the excision map's rank and
 inverse on homology are linear algebra.
 Inside a verb C(X) is the one complex assembled; C(Y) of a face-closed Y
 is its subcomplex on the chains lying in Y (`_SubsetComplex`).  Spans,
-quotients and sub-set complexes share what rests on the components they
-keep whole of their ambient (`cubechain.BasisSubcomplex`).  Both
-sequences' snakes are `connecting_map`, which checks its lifts.
+quotients and sub-set complexes share C(X)'s store, so each distinct
+differential of a sequence is reduced once (`cubechain.BasisSubcomplex`).
+Both sequences' snakes are `connecting_map`, which checks its lifts.
 """
 
 from __future__ import annotations

@@ -5,15 +5,15 @@ columns, with their matrix built only when asked for), the cycle subspace,
 the boundaries in kernel coordinates, and the quotient map in kernel
 coordinates; a vector is a boundary when it is a cycle of class zero.  They
 are read off the column reductions of d_i and d_{i+1}
-(`exactla.homology_from_reductions`), which the complex computes once per
+(`exactla.homology_from_reductions`), which the store of a complex's family
+(C(X) and its spans, quotients and sub-set complexes) computes once per
 distinct differential (`GradedComplex.reduction`), so each is reduced once
-for the two degrees on its sides of every component that has it, and no
-elimination runs.  Components with equal differentials share that data
-(`GradedComplex.homology_data`), each in a `PairHomology` of its own.  Each
-complex keeps the homology of its components with chains, computed at most
-once or shared with its ambient (`cubechain.BasisSubcomplex`), which every
-reader gets from `_homology_at(cx, i, pair)`: None for a component with no
-chains.
+for the two degrees on its sides of every component of the family that has
+it, and no elimination runs.  Components with equal differentials share
+that data (`GradedComplex.homology_data`), each in a `PairHomology` of its
+own.  Each complex keeps the `PairHomology` of its components with chains,
+made at most once, which every reader gets from `_homology_at(cx, i,
+pair)`: None for a component with no chains.
 The one push of chains into homology is the column push
 `exactla.homology_classes`: it takes cycles as sparse columns, reads
 their kernel coordinates off their entries at the free columns of d_i,
@@ -102,7 +102,7 @@ def homology_of(cx: GradedComplex, i: int, pair) -> PairHomology:
     """ker d_i / im d_{i+1} for one pair component, read off the column
     reductions of d_i and d_{i+1} (`GradedComplex.homology_data`): a new
     `PairHomology` of the component around the data that every component
-    of cx with the same two differentials shares.
+    of cx's family with the same two differentials shares.
 
     A cycle becomes a representative when it is outside the span of the
     boundaries and the cycles before it: when its free column is not the
@@ -122,14 +122,13 @@ def homology_of(cx: GradedComplex, i: int, pair) -> PairHomology:
 
 
 def _homology_at(cx: GradedComplex, i: int, pair) -> PairHomology | None:
-    """H_i of cx at pair, computed by `homology_of` once and kept by cx, or the
-    ambient's own where cx shares d_i and d_(i+1) (`BasisSubcomplex.shares`);
-    None, with nothing computed, for a component with no chains."""
+    """H_i of cx at pair, made by `homology_of` once and kept by cx, around
+    the data its family's store holds for d_i and d_(i+1); None, with
+    nothing computed, for a component with no chains."""
     k = (i, pair)
     h = cx._homology.get(k)
     if h is None and cx._dims.get(k):
-        h = cx._homology[k] = (_homology_at(cx.ambient, i, pair)
-                               if cx.shares(pair, i - 1, i, i + 1) else homology_of(cx, i, pair))
+        h = cx._homology[k] = homology_of(cx, i, pair)
     return h
 
 

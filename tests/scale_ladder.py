@@ -1,20 +1,24 @@
 """The scale ladder: `build_complex` plus `HomologyTable` on a fixed list of
-sets, over Q and F_1009, each rung in a fresh process.
+sets, and the relative, Mayer-Vietoris and Kunneth library calls on a fixed
+list of inputs, over Q and F_1009, each rung in a fresh process.
 
     PYTHONPATH=src python tests/scale_ladder.py --out BENCH_<n>.json
     python tests/scale_ladder.py --out cmp.json --checkout . --checkout ../parent --rounds 2
 
-A rung is one set over one field.  Its process times a fixed calibration
-(an elimination over `Fraction`, the kind of work dirhom does), builds the
-complex and the homology table with the collector on, and reports the wall
-time of each, its own peak RSS and the chain and component counts.  A rung
-that runs out of time is recorded as a timeout, and one that fails with the
-last line of its error.  With several ``--checkout``s every rung runs on
+A rung is one set (`RUNGS`) or one call (`CALLS`) over one field.  Its
+process times a fixed calibration (an elimination over `Fraction`, the kind
+of work dirhom does).  A set rung then builds the complex and the homology
+table with the collector on, and reports the wall time of each, its own
+peak RSS and the chain and component counts.  A call rung builds its inputs,
+then runs the call end to end, asserts that what it verifies holds, and
+reports the call's wall time and its own peak RSS.  A rung that runs out of
+time is recorded as a timeout, and one that fails with the last line of its
+error.  With several ``--checkout``s every rung runs on
 each in turn, so runs on two checkouts alternate and share the host's
 drift; each record names the commit its sources are at (``git describe
 --always --dirty``).  The file also records the host and the Python version.
 pytest does not collect this file; `test_scale_ladder.py` checks the schema
-and runs the two smallest rungs.
+and runs the two smallest set rungs and the smallest relative rung.
 """
 
 from __future__ import annotations
@@ -41,8 +45,71 @@ RUNGS = {
     "realization([4,4,2])": lambda dh: dh.realization([4, 4, 2]),
     "realization([4,4,3])": lambda dh: dh.realization([4, 4, 3]),
 }
+
+
+def _relative(dh, n: int, field):
+    """les_relative(D_n, S_(n-1)): exact, with a commuting extension."""
+    d = dh.directed_disc(n)
+    spec = dh.SubsetSpec(d, frozenset(dh.directed_sphere(n - 1).all_cells()))
+
+    def call():
+        res = dh.les_relative(d, spec, field)
+        return res.sequence.all_exact and res.extension_commutes
+    return call
+
+
+def _split_top_cell(dh, x, cell: str):
+    """X with the face closure of one top cell and that of all the others."""
+    rest = [c for c in x.cells_of_dim(x.max_dim) if c != cell]
+    return x, dh.face_closure(x, [cell]), dh.face_closure(x, rest)
+
+
+def _strip(dh, n: int):
+    """A 1 x n strip of squares, a path of n edges times the segment, with
+    the face closures of its squares below n // 2 and of the others."""
+    tx = dh.tensor(dh.realization([1] * n), dh.segment())
+    x = dh.PrecubicalSet(f"strip{n}", tx.cells, tx.faces)
+    low = {c for c in x.cells_of_dim(2) if tx.left.edges.index(tx.components(c)[0]) < n // 2}
+    return x, dh.face_closure(x, low), dh.face_closure(x, set(x.cells_of_dim(2)) - low)
+
+
+def _mayer_vietoris(dh, cover, field):
+    """mayer_vietoris on a cover (X, X1, X2): good, with an exact sequence."""
+    x, y1, y2 = cover
+    s1, s2 = (dh.SubsetSpec(x, frozenset(y)) for y in (y1, y2))
+
+    def call():
+        res = dh.mayer_vietoris(x, s1, s2, field)
+        return res.cover.good and res.sequence.all_exact
+    return call
+
+
+def _kunneth(dh, a: int, b: int, field):
+    """The tensor comparison and the Kunneth identity of D_a (x) D_b on one
+    setting, as the `kunneth` verb runs them: both hold."""
+    x, y = dh.directed_disc(a), dh.directed_disc(b)
+
+    def call():
+        setting = dh.TensorSetting.build(x, y, field)
+        return (dh.tensor_comparison_report(x, y, field, setting=setting).all_ok
+                and dh.kunneth_report(x, y, field, setting=setting).identity_holds)
+    return call
+
+
+# name -> (dirhom, field) -> the call on inputs built from the package, which
+# returns whether what it verifies holds
+CALLS = {
+    "les_relative(D4,S3)": lambda dh, field: _relative(dh, 4, field),
+    "les_relative(D6,S5)": lambda dh, field: _relative(dh, 6, field),
+    "mayer_vietoris(S2,0aa)": lambda dh, field: _mayer_vietoris(
+        dh, _split_top_cell(dh, dh.directed_sphere(2), "0aa"), field),
+    "mayer_vietoris(strip6)": lambda dh, field: _mayer_vietoris(dh, _strip(dh, 6), field),
+    "kunneth(D3,D3)": lambda dh, field: _kunneth(dh, 3, 3, field),
+    "kunneth(D4,D3)": lambda dh, field: _kunneth(dh, 4, 3, field),
+}
 RECORD_KEYS = {"set", "field", "commit", "round", "status"}
 DONE_KEYS = {"chains", "components", "calib_s", "build_s", "table_s", "total_s", "peak_rss_mb"}
+CALL_DONE_KEYS = {"calib_s", "total_s", "peak_rss_mb"}
 
 
 def calibrate() -> float:
@@ -78,8 +145,15 @@ def run_rung(name: str, field_name: str) -> dict:
     from dirhom.homology import HomologyTable
 
     calib = calibrate()
-    x = RUNGS[name](dh)
     field = field_from_name(field_name)
+    if name in CALLS:
+        call = CALLS[name](dh, field)
+        t0 = perf_counter()
+        if not call():
+            raise AssertionError(f"{name} over {field_name}: a verification failed")
+        return {"calib_s": calib, "total_s": perf_counter() - t0,
+                "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}
+    x = RUNGS[name](dh)
     t0 = perf_counter()
     cx = build_complex(x, None, field)
     t1 = perf_counter()
@@ -143,23 +217,23 @@ def check(doc: dict) -> None:
     for rec in doc["records"]:
         missing = RECORD_KEYS - set(rec)
         if rec.get("status") == "ok":
-            missing |= DONE_KEYS - set(rec)
+            missing |= (CALL_DONE_KEYS if rec.get("set") in CALLS else DONE_KEYS) - set(rec)
         elif rec.get("status") not in ("timeout", "error"):
             raise ValueError(f"unknown status in {rec}")
-        if missing or rec["set"] not in RUNGS or rec["field"] not in FIELDS:
+        if missing or rec["set"] not in {**RUNGS, **CALLS} or rec["field"] not in FIELDS:
             raise ValueError(f"bad record {rec}: missing {sorted(missing)}")
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--out", help="where to write the JSON document")
-    ap.add_argument("--rungs", nargs="+", choices=list(RUNGS), default=list(RUNGS))
+    ap.add_argument("--rungs", nargs="+", choices=[*RUNGS, *CALLS], default=[*RUNGS, *CALLS])
     ap.add_argument("--fields", nargs="+", choices=FIELDS, default=list(FIELDS))
     ap.add_argument("--checkout", action="append", type=Path,
                     help="a checkout whose src/ to measure (repeatable; default this one)")
     ap.add_argument("--rounds", type=int, default=1)
     ap.add_argument("--timeout", type=float, default=600.0, help="seconds per rung")
-    ap.add_argument("--rung", choices=list(RUNGS), help=argparse.SUPPRESS)
+    ap.add_argument("--rung", choices=[*RUNGS, *CALLS], help=argparse.SUPPRESS)
     ap.add_argument("--field", choices=FIELDS, help=argparse.SUPPRESS)
     args = ap.parse_args(argv)
     if args.rung:

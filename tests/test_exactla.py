@@ -93,6 +93,17 @@ class TestMatrix:
         assert rank(z) == 0
         assert (z @ Matrix.zeros(QQ, 3, 2)).rows == 0
 
+    def test_equal_matrices_share_a_characteristic(self):
+        # complexes number their differentials by content, so equal entries
+        # over two fields must not make equal matrices; two objects for one
+        # field still do
+        rows = [[1, 0], [0, 1]]
+        assert M(rows) != M(rows, PrimeField(2))
+        assert M(rows, PrimeField(2)) != M(rows, PrimeField(3))
+        assert Matrix.zeros(QQ, 0, 2) != Matrix.zeros(PrimeField(7), 0, 2)
+        assert M(rows, PrimeField(7)) == M(rows, PrimeField(7))
+        assert hash(M(rows, PrimeField(7))) == hash(M(rows, PrimeField(7)))
+
 
 class TestRank:
     def test_proportional_rows(self):

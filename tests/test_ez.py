@@ -546,25 +546,6 @@ class TestKunneth:
         diffs = {id(m) for cx in (st.cxp, st.tc, st.cxa, st.cxb) for m in cx._diffs.values()}
         assert reduced and max(reduced.values()) == 1 and set(reduced) <= diffs
 
-    def test_each_homology_dimension_read_once(self, D2, monkeypatch):
-        # the report multiplies factor dimensions for every product pair and
-        # degree, so it asks for each many times; each complex works each
-        # one out once, from at most two reductions, and keeps it
-        st = TensorSetting.build(D2, D2)
-        calls, kept = Counter(), []     # kept alive, so no two complexes share an id
-        for name in ("homology_dim", "reduction"):
-            def counted(cx, i, pair, name=name, real=getattr(GradedComplex, name)):
-                kept.append(cx)
-                calls[(name, id(cx))] += 1
-                return real(cx, i, pair)
-            monkeypatch.setattr(GradedComplex, name, counted)
-        assert kunneth_report(D2, D2, setting=st).identity_holds
-        known = {id(cx): len(cx._homology_dims) for cx in (st.cxa, st.cxb, st.cxp)}
-        for key, n in known.items():
-            assert n and calls[("reduction", key)] <= 2 * n
-        asks = sum(n for (name, _), n in calls.items() if name == "homology_dim")
-        assert asks > 4 * sum(known.values())     # 1,944 asks for 396 dimensions
-
 
 class TestObstructionReport:
     def test_kk_counts(self, K):

@@ -1,5 +1,6 @@
 """The scale ladder script (`scale_ladder.py`): its schema, its two
-smallest rungs, and a timeout recorded as data."""
+smallest set rungs and its smallest relative rung, and a timeout recorded
+as data."""
 
 import json
 
@@ -22,6 +23,21 @@ def test_two_smallest_rungs_write_a_checked_document(tmp_path):
     # the same set has the same chains over both fields; D6 has 18,731
     assert recs[1]["chains"] == recs[3]["chains"] == 18731
     assert recs[0]["chains"] == recs[2]["chains"] and recs[0]["components"] == 124
+
+
+def test_relative_rung_writes_a_checked_document(tmp_path):
+    out = tmp_path / "ladder.json"
+    assert scale_ladder.main(["--out", str(out), "--rungs", "les_relative(D4,S3)",
+                              "--fields", "q", "--timeout", "120"]) == 0
+    doc = json.loads(out.read_text())
+    scale_ladder.check(doc)
+    [rec] = doc["records"]
+    assert (rec["set"], rec["field"], rec["status"]) == ("les_relative(D4,S3)", "q", "ok")
+    assert rec["total_s"] > 0 and rec["peak_rss_mb"] > 0 and rec["calib_s"] > 0
+    # a call rung records no table measurements, and needs its own three
+    del rec["total_s"]
+    with pytest.raises(ValueError, match="missing"):
+        scale_ladder.check(doc)
 
 
 def test_a_timeout_is_recorded_as_data(tmp_path):

@@ -1,19 +1,26 @@
-"""Spans, quotients and sub-set complexes share what they keep whole of
-their ambient: the differential, its reduction and the homology of a whole
-component are the ambient's own objects.  Each is checked against the
-same complex rebuilt on the blocks of the ambient's differentials, sharing
+"""Spans, quotients and sub-set complexes share one store with C(X): a
+differential equal to one already reduced in the family reuses its
+reduction and homology data, and the differential between two components
+kept whole is the ambient's own object.  Each is checked against the same
+complex rebuilt on the blocks of the ambient's differentials, sharing
 nothing, and the sub-set complex selected from C(X) against the complex
 `build_complex` assembles for the sub-set."""
 
+import gc
+import weakref
 from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import dirhom as dh
+from dirhom import cubechain as cc
 from dirhom.cubechain import GradedComplex, PairGradedComplex, build_complex
 from dirhom.exactla import PrimeField, QQ
-from dirhom.exactseq import QuotientComplex, _LeftQuotient, _SubsetComplex, les_relative
+from dirhom.exactseq import (
+    QuotientComplex, _LeftQuotient, _SubsetComplex, les_relative, mayer_vietoris,
+)
+from dirhom.ez import kunneth_report
 from dirhom.homology import HomologyTable, _homology_at, homology_of
 from dirhom.precubical import SubsetSpec, sub
 from dirhom.scalars import SubcomplexExtension, extend_subcomplex
@@ -70,23 +77,28 @@ def whole(sc, i: int, pair) -> bool:
     return sc.kept.get((i, pair), []) == list(range(sc.ambient.dim(i, pair)))
 
 
-def assert_shares_only_whole_components(sc) -> Counter:
+def assert_shares_equal_differentials(sc) -> Counter:
     """At every component of the ambient, sc's differential, reduction and
     homology equal those of `unshared(sc)`, representatives, quotient, free
-    columns and boundary rows included; they are the ambient's own objects
-    exactly where the components they rest on are whole.  Returns how many
-    homology components were shared and how many computed."""
+    columns and boundary rows included.  The differential is the ambient's
+    own object exactly where both of its components are whole; the
+    reduction is the ambient's own wherever the two differentials are
+    equal, and the homology data wherever d_i and d_(i+1) both are.
+    Returns how many differentials were equal to the ambient's and how many
+    were sc's own."""
     fresh, seen = unshared(sc), Counter()
     amb = sc.ambient
     for pair in amb.pairs():
         for i in range(amb.top_degree + 2):
-            assert sc.shares(pair, i) == whole(sc, i, pair)
             assert sc.diff(i, pair) == fresh.diff(i, pair)
             assert sc.reduction(i, pair) == fresh.reduction(i, pair)
-            edge = whole(sc, i - 1, pair) and whole(sc, i, pair)
-            assert (sc.reduction(i, pair) is amb.reduction(i, pair)) == edge
             if i >= 1 and (i, pair) in sc.kept:
+                edge = whole(sc, i - 1, pair) and whole(sc, i, pair)
                 assert (sc.diff(i, pair) is amb.diff(i, pair)) == edge
+            equal = sc.diff(i, pair) == amb.diff(i, pair)
+            if equal:
+                assert sc.reduction(i, pair) is amb.reduction(i, pair)
+            seen["equal" if equal else "own"] += 1
             h = _homology_at(sc, i, pair)
             if not sc.dim(i, pair):
                 assert h is None
@@ -95,9 +107,9 @@ def assert_shares_only_whole_components(sc) -> Counter:
             assert (h.degree, h.pair, h.dim, h.rep_columns, h.quotient, h.free,
                     h.boundary_rows) == (ref.degree, ref.pair, ref.dim, ref.rep_columns,
                                          ref.quotient, ref.free, ref.boundary_rows)
-            shared = edge and whole(sc, i + 1, pair)
-            assert (h is _homology_at(amb, i, pair)) == shared
-            seen["shared" if shared else "computed"] += 1
+            if equal and sc.diff(i + 1, pair) == amb.diff(i + 1, pair):
+                ha = _homology_at(amb, i, pair)
+                assert h.cycles is ha.cycles and h.quotient is ha.quotient
     return seen
 
 
@@ -133,11 +145,11 @@ def assert_selection_is_the_assembled_complex(cx: PairGradedComplex, y) -> None:
 
 @pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "F7"])
 @pytest.mark.parametrize("x,y1,y2", corpus())
-def test_corpus_shares_only_whole_components(x, y1, y2, field):
+def test_corpus_shares_equal_differentials(x, y1, y2, field):
     seen = Counter()
     for sc in subcomplexes(x, y1, y2, field).values():
-        seen += assert_shares_only_whole_components(sc)
-    assert seen["shared"] and seen["computed"]
+        seen += assert_shares_equal_differentials(sc)
+    assert seen["equal"] and seen["own"]
 
 
 @pytest.mark.parametrize("x,y1,y2", corpus())
@@ -174,35 +186,79 @@ def draw_subsets(data):
 
 @settings(max_examples=30, deadline=None)
 @given(st.data())
-def test_random_subsets_share_only_whole_components(data):
+def test_random_subsets_share_equal_differentials(data):
     x, y1, y2, field = draw_subsets(data)
     complexes = subcomplexes(x, y1, y2, field)
     for sc in complexes.values():
-        assert_shares_only_whole_components(sc)
+        assert_shares_equal_differentials(sc)
     assert_selection_is_the_assembled_complex(complexes["span1"].ambient,
                                               complexes["view1"].x)
 
 
-def test_relative_sequence_computes_only_unshared_homology(monkeypatch):
-    """`les_relative(D4, S3)` computes the homology of C(X) at most once per
-    component, and of its span, quotient and C(Y) only at the components
-    they do not share with C(X)."""
-    import dirhom.homology as H
-    calls = []
-    real = H.homology_of
-    monkeypatch.setattr(H, "homology_of",
-                        lambda c, i, pair: calls.append((c, i, pair)) or real(c, i, pair))
-    d4 = dh.directed_disc(4)
-    res = les_relative(d4, SubsetSpec(d4, frozenset(dh.directed_sphere(3).all_cells())))
-    assert res.sequence.all_exact and res.extension_commutes
-    cx = next(c for c, _, _ in calls if type(c) is PairGradedComplex)
-    assert len({(id(c), i, pair) for c, i, pair in calls}) == len(calls)
-    built = {id(c): c for c, _, _ in calls if c is not cx}
-    assert {type(c) for c in built.values()} <= {QuotientComplex, _SubsetComplex,
-                                                 SubcomplexExtension}
-    assert not any(c.shares(pair, i - 1, i, i + 1) for c, i, pair in calls if c is not cx)
-    unshared_components = sum(not c.shares(pair, i - 1, i, i + 1)
-                              for c in built.values() for i, pair in c.components_with_chains)
-    assert len(calls) <= len(cx.components_with_chains) + unshared_components
-    # every complex but C(X) computes a small part of its components
-    assert unshared_components * 4 < sum(len(c.components_with_chains) for c in built.values())
+def run_sequence(x, y1, y2):
+    """`les_relative(X, Y1)` when Y1 = Y2, else `mayer_vietoris(X, Y1, Y2)`:
+    the sequence is built and verified exact, or for a cover that is not
+    good (grid3's) left out."""
+    if y1 == y2:
+        res = les_relative(x, SubsetSpec(x, y1))
+        assert res.sequence.all_exact and res.extension_commutes
+    else:
+        res = mayer_vietoris(x, SubsetSpec(x, y1), SubsetSpec(x, y2))
+        assert res.sequence.all_exact if res.cover.good else res.sequence is None
+
+
+@pytest.mark.parametrize("x,y1,y2", [p for p in corpus() if p.id != "D3/S2"])
+def test_sequences_reduce_each_distinct_differential_once(x, y1, y2, monkeypatch):
+    """Over all the complexes `les_relative(D4, S3)`, or `mayer_vietoris` on
+    a cover, builds, `column_reduction` runs once per distinct differential
+    and `homology_from_reductions` once per distinct pair (d_i, d_(i+1))."""
+    built, reduced, read, asking = [], [], [], []
+    real_init, real_data = GradedComplex.__init__, GradedComplex.homology_data
+    real_reduce, real_read = cc.column_reduction, cc.homology_from_reductions
+
+    def init(cx, *args):
+        built.append(cx)
+        real_init(cx, *args)
+
+    def data(cx, i, pair):
+        asking.append((cx.diff(i, pair), cx.diff(i + 1, pair)))
+        try:
+            return real_data(cx, i, pair)
+        finally:
+            asking.pop()
+
+    monkeypatch.setattr(GradedComplex, "__init__", init)
+    monkeypatch.setattr(GradedComplex, "homology_data", data)
+    monkeypatch.setattr(cc, "column_reduction", lambda m: reduced.append(m) or real_reduce(m))
+    monkeypatch.setattr(cc, "homology_from_reductions",
+                        lambda *a: read.append(asking[-1]) or real_read(*a))
+    run_sequence(x, y1, y2)
+    assert {QuotientComplex, _SubsetComplex} <= {type(cx) for cx in built}
+    diffs = {cx.diff(i, pair) for cx in built
+             for pair in cx.pairs() for i in range(cx.top_degree + 2)}
+    assert reduced and len(reduced) == len(set(reduced)) and set(reduced) <= diffs
+    assert read and len(read) == len(set(read))
+
+
+def test_no_complex_outlives_a_library_call(monkeypatch):
+    """Every complex built by `les_relative(D4, S3)`, `mayer_vietoris` on the
+    domino or `kunneth_report(D2, D2)`, and so the store its family holds,
+    is gone once the call has returned and the collector has run."""
+    refs = []
+    real_init = GradedComplex.__init__
+
+    def init(cx, *args):
+        refs.append(weakref.ref(cx))
+        real_init(cx, *args)
+
+    monkeypatch.setattr(GradedComplex, "__init__", init)
+    d4, d2, dom = dh.directed_disc(4), dh.directed_disc(2), make_domino()
+    s3 = frozenset(dh.directed_sphere(3).all_cells())
+    halves = [frozenset(dh.face_closure(dom, [c])) for c in ("s1", "s2")]
+    for call in (lambda: run_sequence(d4, s3, s3), lambda: run_sequence(dom, *halves),
+                 lambda: kunneth_report(d2, d2).identity_holds):
+        refs.clear()
+        call()
+        gc.collect()
+        assert len(refs) >= 3 and not [r for r in refs if r() is not None]
+

@@ -312,7 +312,8 @@ class GradedComplex:
     Components of a symmetric set are mostly copies of one another.  A
     complex with no ambient makes a store, and a `BasisSubcomplex` takes
     its ambient's, so a family holds one; the constructor numbers every
-    stored differential in it by content (`diff_key`).  `reduction`
+    nonzero stored differential in it by content, and keys a zero one by
+    its shape (`diff_key`).  `reduction`
     reduces each distinct differential of the family once, for the
     homology of the degrees on both sides of every copy, and
     `homology_data` reads the homology off each distinct pair (d_i,
@@ -329,13 +330,14 @@ class GradedComplex:
         self._dims = dict(dims)
         self._diffs = dict(diffs)
         self._zeros: dict[tuple[int, int], Matrix] = {}    # by shape
-        # the family's store: content numbers (equal matrices are one key,
-        # `Matrix.__eq__`), reductions by `diff_key`, homology data by the
-        # `diff_key`s of d_i and d_(i+1)
-        self._store: tuple[dict[Matrix, int], dict[int, Reduction], dict[tuple, tuple]] = (
+        # the family's store: content numbers of nonzero matrices (equal
+        # matrices are one key, `Matrix.__eq__`), reductions by `diff_key`,
+        # homology data by the `diff_key`s of d_i and d_(i+1)
+        self._store: tuple[dict[Matrix, int], dict[object, Reduction], dict[tuple, tuple]] = (
             ({}, {}, {}) if self.ambient is None else self.ambient._store)
         numbers, self._reductions, self._homology_data = self._store
-        self._numbers = {k: numbers.setdefault(m, len(numbers)) for k, m in self._diffs.items()}
+        self._numbers = {k: (m.rows, m.cols) if m.is_zero()
+                         else numbers.setdefault(m, len(numbers)) for k, m in self._diffs.items()}
         self._homology: dict = {}   # (degree, pair) -> PairHomology, by homology._homology_at
         self._pairs = sorted({k[1] for k in self._dims})
         self.components_with_chains = sorted(k for k, n in self._dims.items() if n)
@@ -353,14 +355,13 @@ class GradedComplex:
             m = self._zero(self.dim(i - 1, pair) if i >= 1 else 0, self.dim(i, pair))
         return m
 
-    def diff_key(self, i: int, pair) -> int:
-        """The number of the content of d_i at pair in the family's store:
-        given at construction to a stored differential, and on the first ask
-        to the zero matrix (`_zero`) that one not stored is."""
+    def diff_key(self, i: int, pair):
+        """What stands for the content of d_i at pair in the family's store:
+        its number, or the shape of a zero matrix, stored or not (`_zero`),
+        so equal differentials of the family have one key."""
         n = self._numbers.get((i, pair))
         if n is None:
-            numbers = self._store[0]
-            n = numbers.setdefault(self.diff(i, pair), len(numbers))
+            return (self.dim(i - 1, pair) if i >= 1 else 0, self.dim(i, pair))
         return n
 
     def reduction(self, i: int, pair) -> Reduction:

@@ -31,7 +31,7 @@ as matrices.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import reduce
+from functools import cache, reduce
 
 from .exactla import ChainError, Matrix, QQ, _chain_map_witness, _renamed
 from .precubical import PrecubicalSet, TensorSet, tensor
@@ -382,10 +382,12 @@ def kunneth_report(x: PrecubicalSet, y: PrecubicalSet, field=QQ,
 
     The torsion correction term vanishes over a field, so the dimension
     identity is the entire statement here.  Each dimension is read off the
-    ranks of its own complex (`GradedComplex.homology_dim`).
+    ranks of its own complex (`GradedComplex.homology_dim`); the sums ask
+    for each factor dimension many times, so the report keeps those.
     """
     st = setting or TensorSetting.build(x, y, field)
-    tx, cxp, cxa, cxb = st.tx, st.cxp, st.cxa, st.cxb
+    tx, cxp = st.tx, st.cxp
+    dim_a, dim_b = cache(st.cxa.homology_dim), cache(st.cxb.homology_dim)
     top = cxp.top_degree if max_degree is None else min(max_degree, cxp.top_degree)
     mismatches = []
     product_dims = {}
@@ -394,8 +396,7 @@ def kunneth_report(x: PrecubicalSet, y: PrecubicalSet, field=QQ,
         (sx, sy), (ex, ey) = map(tx.components, pair)
         for n in range(top + 1):
             left = cxp.homology_dim(n, pair)
-            right = sum(cxa.homology_dim(j, (sx, ex)) * cxb.homology_dim(n - j, (sy, ey))
-                        for j in range(n + 1))
+            right = sum(dim_a(j, (sx, ex)) * dim_b(n - j, (sy, ey)) for j in range(n + 1))
             product_dims[(n, pair)] = left
             factor_dims[(n, pair)] = right
             if left != right:

@@ -336,8 +336,8 @@ class GradedComplex:
         self._store: tuple[dict[Matrix, int], dict[object, Reduction], dict[tuple, tuple]] = (
             ({}, {}, {}) if self.ambient is None else self.ambient._store)
         numbers, self._reductions, self._homology_data = self._store
-        self._numbers = {k: (m.rows, m.cols) if m.is_zero()
-                         else numbers.setdefault(m, len(numbers)) for k, m in self._diffs.items()}
+        self._numbers = {k: numbers.setdefault(m, len(numbers)) for k, m in self._diffs.items()
+                         if not m.is_zero()}
         self._homology: dict = {}   # (degree, pair) -> PairHomology, by homology._homology_at
         self._pairs = sorted({k[1] for k in self._dims})
         self.components_with_chains = sorted(k for k, n in self._dims.items() if n)
@@ -357,8 +357,8 @@ class GradedComplex:
 
     def diff_key(self, i: int, pair):
         """What stands for the content of d_i at pair in the family's store:
-        its number, or the shape of a zero matrix, stored or not (`_zero`),
-        so equal differentials of the family have one key."""
+        the number of a nonzero one, or the shape of a zero one, stored or
+        not (`_zero`), so equal differentials of the family have one key."""
         n = self._numbers.get((i, pair))
         if n is None:
             return (self.dim(i - 1, pair) if i >= 1 else 0, self.dim(i, pair))

@@ -45,7 +45,7 @@ well-definedness on homology follows.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cache, cached_property
+from functools import cache
 
 from .exactla import (  # kernel_basis stays importable from here
     ChainError, Matrix, Subspace, _chain_map_witness, _renamed, homology_classes, kernel_basis,
@@ -58,9 +58,13 @@ class ActionError(AssertionError):
     """An edge action failed to be a chain map: a boundary-convention bug."""
 
 
-@dataclass
+@dataclass(slots=True)
 class PairHomology:
-    """Homology of one (degree, pair) component, with explicit data."""
+    """Homology of one (degree, pair) component, with explicit data.
+
+    Every complex of a family holds one for each of its components with
+    chains, around data the family shares, so it keeps no more than its
+    fields (slots, and a representative matrix built on each ask)."""
 
     degree: int
     pair: object
@@ -71,7 +75,7 @@ class PairHomology:
     free: dict[int, int]    # {free column of d_i: its kernel index}, ascending
     quotient: Matrix    # kernel coordinates -> class coordinates
 
-    @cached_property
+    @property
     def representatives(self) -> Matrix:
         """The cycle representatives as the columns of a matrix in chain coordinates."""
         return Matrix.from_sparse_columns(self.cycles.field, self.cycles.ambient_dim,

@@ -48,8 +48,9 @@ EXIT_INTERNAL = 3
 
 # What a verb's computation may raise: bad data (exit 2) and a failed
 # theorem-backed check (exit 3).  `_Verbs.invoke` maps them for every verb.
-# RecursionError is a path too long for the recursive chain enumeration,
-# ChainBudgetError a set with more chains than a catalog is built for.
+# ChainBudgetError is a set with more chains, or more cube entries in its
+# chains, than a catalog is built for; RecursionError input nested deeper
+# than the interpreter's recursion limit.
 INPUT_ERRORS = (DirectedCycleError, ChainBudgetError, SequenceError, RecursionError)
 INTERNAL_ERRORS = (BoundaryCheckError, ActionError, ExactnessError)
 

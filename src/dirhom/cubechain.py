@@ -27,20 +27,20 @@ signature the double splits of one cube do not cancel and the square of the
 boundary is nonzero.  With it, d . d = 0 (asserted at every complex build),
 and the two splittings of a 2-cube carry opposite signs.
 
-Chains are plain tuples (`CubeChain` is a named 4-tuple), so building,
-hashing and reading one are tuple operations.  `chain_catalog` reads a
-corner table of the set once, from ``x.faces``: for each vertex, the sorted
-``(dimension, cube, final vertex)`` of the cubes starting there, which the
-enumeration extends chains by with no per-step lookup in the set.  From the
-same table it first counts the chains it would make, by dynamic programming
-over the vertices, and refuses a set with more than `CHAIN_BUDGET`.
+Chains are plain tuples (`CubeChain` is a named 4-tuple).  `chain_catalog`
+reads a corner table of the set once, from ``x.faces``: for each vertex the
+cubes starting there, by cube id.  It walks the chains from each vertex
+level by level, by length, extending each level's chains in lexicographic
+order by their rows, so every list comes out in the canonical order with no
+sort and no recursion, recording each chain's position as it goes.  Dynamic
+programming on the table first counts the chains and their cube entries.
 
 A boundary column is assembled by position: a build splits each cube once,
-into its list of ((lower, upper), sign), one entry per distinct pair of
-parts, and `_boundary_column` looks each term's cube ids up in the
-positions of the component below, in one loop per chain, making no chain
-per term.  Edge actions and the maps between complexes are basis maps, given
-as signed positions (`_basis_map`), never as 0/1 matrices.
+by the table of an n-cube's splits, into its list of ((lower, upper),
+sign) in the field's form, one entry per distinct pair of parts, and
+`_boundary_column` looks each term's cube ids up in the positions of the
+component below, making no chain per term.  Edge actions and the maps
+between complexes are signed positions (`_basis_map`), never 0/1 matrices.
 
 A component depends only on the shape of its interval, so on a symmetric
 set most components are copies of a few.  A complex and every
@@ -54,11 +54,11 @@ component of the family with those differentials shares.
 from __future__ import annotations
 
 import math
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Mapping, NamedTuple, Sequence
 
 from .exactla import (
-    ChainError, Matrix, QQ, Reduction, _chain_map_witness, column_reduction,
+    ChainError, Matrix, QQ, Reduction, _chain_map_witness, _modulus, column_reduction,
     homology_from_reductions,
 )
 from .precubical import PrecubicalSet, TensorSet
@@ -122,32 +122,34 @@ def _shown(name: str) -> str:
     return name if len(name) <= 60 else name[:57] + "..."
 
 
-# The catalog of each set enumerated, by (id(set), max_degree); "ref" holds
-# the set, so its id() is not reused while the entry lives.  A CLI verb
-# clears it when it returns (`cli._Verbs.invoke`): within the verb, each set
-# is enumerated once however many complexes are built on it.  A library
-# caller keeps every set it passes in, with its catalog, until it clears it.
+# The catalog and chain positions of each set enumerated, by (id(set),
+# max_degree); "ref" holds the set, so its id() is not reused while the entry
+# lives.  A CLI verb clears it when it returns (`cli._Verbs.invoke`): within
+# the verb, each set is enumerated once however many complexes are built on
+# it.  A library caller keeps every set it passes in until it clears it.
 _catalog_cache: dict[tuple[int, int | None], dict] = {}
 
-# The most cube chains `chain_catalog` makes for one set: D4 (x) D4 has
-# 2,183,339 and fits in about 3 GB; realization([2,2,2]) squared has
-# 7,519,140 and does not fit in memory.
+# The most cube chains `chain_catalog` makes for one set, and the most cube
+# entries (their total length): D4 (x) D4, 2,183,339 chains with 10,899,513
+# entries, fits in about 3 GB; realization([2,2,2]) squared (7,519,140
+# chains) does not, nor a path of 1,200 edges (288,720,400 entries).
 CHAIN_BUDGET = 3_000_000
+ENTRY_BUDGET = 30_000_000
 
 
 def _corner_table(x: PrecubicalSet):
-    """(starting, order): for each vertex the sorted (dimension, cube, final
+    """(starting, order): for each vertex the sorted (cube, dimension, final
     vertex) of the cubes starting there, read once from ``x.faces``, and the
     vertices in an order in which each cube's initial vertex comes before
     its final one (Kahn's algorithm); DirectedCycleError when none exists."""
     corners = {v: (v, v) for v in x.vertices}
-    starting: dict[str, list[tuple[int, str, str]]] = {v: [] for v in x.vertices}
+    starting: dict[str, list[tuple[str, int, str]]] = {v: [] for v in x.vertices}
     into = dict.fromkeys(x.vertices, 0)
     for n, layer in enumerate(x.cells[1:], 1):
         for c in layer:
             lower, upper = x.faces[c]
             corners[c] = first, last = corners[lower[0]][0], corners[upper[0]][1]
-            starting[first].append((n, c, last))
+            starting[first].append((c, n, last))
             into[last] += 1
     order = [v for v, k in into.items() if not k]
     for v in order:     # grows while it is read
@@ -163,27 +165,22 @@ def _corner_table(x: PrecubicalSet):
     return starting, order
 
 
-def _chain_count(starting, order, top) -> int:
-    """How many chains of degree <= top start at the vertices of `order`,
-    from the corner table (`_corner_table`) by dynamic programming, last
+def _chain_count(starting, order, top) -> tuple[int, int]:
+    """How many chains of degree <= top start at the vertices of `order`, and
+    their cube entries, from `_corner_table` by dynamic programming, last
     vertex first: the chains from v of degree d are the empty one (d = 0)
-    and, for each cube of dimension n from v, those of degree d - n + 1
-    from its final vertex."""
-    by_degree: dict[str, list[int]] = {}
+    and, for each cube of dimension n from v, those of degree d - n + 1 from
+    its final vertex, each one entry longer."""
+    by_degree: dict[str, list[tuple[int, int]]] = {}      # (chains, entries) by degree
     for v in reversed(order):
-        row = [1]
-        for n, _, end in starting[v]:
-            if n - 1 > top:
-                break
-            for d, k in enumerate(by_degree[end], n - 1):
-                if d > top:
-                    break
-                if d < len(row):
-                    row[d] += k
-                else:
-                    row.append(k)
+        row = [(1, 0)]
+        for _, n, end in starting[v]:
+            hi = min(n - 1 + len(by_degree[end]), top + 1)     # degrees n - 1 .. hi - 1
+            row += [(0, 0)] * (hi - len(row))
+            for d, (k, e) in zip(range(n - 1, hi), by_degree[end]):
+                row[d] = (row[d][0] + k, row[d][1] + e + k)
         by_degree[v] = row
-    return sum(map(sum, by_degree.values()))
+    return tuple(sum(t[side] for row in by_degree.values() for t in row) for side in (0, 1))
 
 
 def chain_catalog(x: PrecubicalSet, max_degree: int | None = None
@@ -193,7 +190,8 @@ def chain_catalog(x: PrecubicalSet, max_degree: int | None = None
     With ``max_degree=None`` every chain is enumerated (finite because the
     set is acyclic).  Chains are listed in the canonical order: by length,
     then lexicographically on the cube ids.  A set with more chains than
-    `CHAIN_BUDGET`, counted first (`_chain_count`), raises ChainBudgetError.
+    `CHAIN_BUDGET` or more cube entries than `ENTRY_BUDGET`, counted first
+    (`_chain_count`), raises ChainBudgetError.
     """
     key = (id(x), max_degree)
     hit = _catalog_cache.get(key)
@@ -201,29 +199,40 @@ def chain_catalog(x: PrecubicalSet, max_degree: int | None = None
         return hit["catalog"]
     top = math.inf if max_degree is None else max_degree
     starting, order = _corner_table(x)
-    count = _chain_count(starting, order, top)
-    if count > CHAIN_BUDGET:
-        raise ChainBudgetError(f"{_shown(x.name)}: {count:,} cube chains, more than the "
-                               f"{CHAIN_BUDGET:,} a chain catalog is built for")
-    catalog: dict[tuple[int, str, str], list[CubeChain]] = {}
-
-    def extend(src: str, here: str, cubes: tuple[str, ...], dims: tuple[int, ...], deg: int):
-        catalog.setdefault((deg, src, here), []).append(CubeChain(src, here, cubes, dims))
-        for n, c, end in starting[here]:
-            if deg + n - 1 > top:
-                break       # the row is sorted by dimension: no later cube fits either
-            extend(src, end, cubes + (c,), dims + (n,), deg + n - 1)
-
-    try:
-        for v in sorted(x.vertices):
-            extend(v, v, (), (), 0)
-    except RecursionError:
-        raise RecursionError(f"{_shown(x.name)}: directed path too long for the recursive "
-                             "chain enumeration") from None
-    for chains in catalog.values():
-        chains.sort(key=CubeChain.sort_key)
-    _catalog_cache[key] = {"ref": x, "catalog": catalog}
+    count, entries = _chain_count(starting, order, top)
+    for what, n, budget in (("cube chains", count, CHAIN_BUDGET),
+                            ("cube entries in its chains", entries, ENTRY_BUDGET)):
+        if n > budget:
+            raise ChainBudgetError(f"{_shown(x.name)}: {n:,} {what}, more than the "
+                                   f"{budget:,} a chain catalog is built for")
+    slots: dict[tuple[int, str, str], tuple[dict[tuple[str, ...], int], list[CubeChain]]] = {}
+    new = tuple.__new__     # a CubeChain with no call of its Python __new__
+    for v in sorted(x.vertices):
+        # the chains from v of one length in lexicographic order, and their degrees
+        level, degrees = [new(CubeChain, (v, v, (), ()))], [0]
+        while level:
+            below, level, degs, degrees = level, [], degrees, []
+            for deg, chain in zip(degs, below):
+                _, here, cubes, dims = chain
+                slot = slots.get((deg, v, here))
+                if slot is None:
+                    slot = slots[(deg, v, here)] = ({}, [])
+                at, chains = slot
+                at[cubes] = len(chains)
+                chains.append(chain)
+                for c, n, end in starting[here]:    # by cube id
+                    if deg + n - 1 <= top:
+                        level.append(new(CubeChain, (v, end, cubes + (c,), dims + (n,))))
+                        degrees.append(deg + n - 1)
+    catalog = {k: chains for k, (_, chains) in slots.items()}
+    _catalog_cache[key] = {"ref": x, "catalog": catalog,
+                           "positions": {k: at for k, (at, _) in slots.items()}}
     return catalog
+
+
+def _catalog_positions(x: PrecubicalSet, max_degree: int | None = None) -> dict:
+    """Each chain's position in `chain_catalog(x, max_degree)`, made first."""
+    return _catalog_cache[(id(x), max_degree)]["positions"]
 
 
 def enumerate_chains(x: PrecubicalSet, degree: int, src: str, dst: str) -> list[CubeChain]:
@@ -238,60 +247,67 @@ def max_chain_degree(x: PrecubicalSet) -> int:
 # -- the boundary -------------------------------------------------------------
 
 
-def split_cube(x: PrecubicalSet, cube: str, a_set: Sequence[int]) -> tuple[str, str]:
-    """Split a cube along a subset A of its directions.
-
-    Returns (lower, upper): the lower part keeps the A-directions (d^0 over
-    the complement, descending), the upper keeps the complement (d^1 over A,
-    descending).
-    """
-    n = x.dim_of(cube)
-    comp = [i for i in range(1, n + 1) if i not in set(a_set)]
-    lower = cube
-    for i in sorted(comp, reverse=True):
-        lower = x.face(lower, i, 0)
-    upper = cube
-    for i in sorted(a_set, reverse=True):
-        upper = x.face(upper, i, 1)
-    return lower, upper
+@cache
+def _split_table(n: int) -> list[tuple[list[int], list[int], int]]:
+    """One ``(complement, A, sign)`` per nonempty proper subset A of the
+    directions of an n-cube: the complement and A as descending 0-based face
+    indices, and ``(-1)^|A|`` times the sign of the shuffle (A asc,
+    complement asc), which inverts each c < a with c not in A."""
+    table = []
+    for mask in range(1, (1 << n) - 1):
+        a_set = [i for i in range(n) if mask >> i & 1]
+        comp = [i for i in range(n) if not mask >> i & 1]
+        odd = (len(a_set) + sum(c < a for a in a_set for c in comp)) % 2
+        table.append((comp[::-1], a_set[::-1], -1 if odd else 1))
+    return table
 
 
 def _split_list(x: PrecubicalSet, cube: str) -> list[tuple[tuple[str, str], int]]:
-    """``((lower, upper), (-1)^|A| * shuffle sign)`` for each nonempty proper
-    subset A of the cube's directions; subsets with equal parts share one
-    entry with their signs added, and an entry whose signs cancel is left
-    out, so the parts of the list are distinct."""
-    n = x.dim_of(cube)
+    """``((lower, upper), sign)`` for each entry of `_split_table`: the
+    lower part keeps the A-directions (d^0 over the complement) and the
+    upper the rest (d^1 over A).  Subsets with equal parts share one entry
+    with their signs added, and an entry whose signs cancel is left out, so
+    the parts of the list are distinct."""
+    faces = x.faces
     signs: dict[tuple[str, str], int] = {}
-    for mask in range(1, (1 << n) - 1):
-        a_set = [i + 1 for i in range(n) if mask >> i & 1]
-        # the shuffle (A asc, complement asc) inverts each c < a with c not in A
-        odd = (len(a_set) + sum(c not in a_set for a in a_set for c in range(1, a))) % 2
-        parts = split_cube(x, cube, a_set)
-        signs[parts] = signs.get(parts, 0) + (-1 if odd else 1)
+    for comp, a_set, sign in _split_table(len(faces[cube][0])):
+        lower = upper = cube
+        for i in comp:
+            lower = faces[lower][0][i]
+        for i in a_set:
+            upper = faces[upper][1][i]
+        signs[lower, upper] = signs.get((lower, upper), 0) + sign
     return [(parts, sign) for parts, sign in signs.items() if sign]
 
 
-def _boundary_column(chain: CubeChain, splits: Mapping[str, list],
+def _field_splits(x: PrecubicalSet, cubes, field) -> dict[str, tuple[list, list]]:
+    """Each cube -> its split list as ``(parts, v)`` in the field's form, for
+    an even and for an odd prefix degree: v is the sign, or its negative,
+    reduced mod p over F_p, where an entry that vanishes (+-2 over F_2) is left out."""
+    p = _modulus(field)
+    return {c: tuple([(parts, v) for parts, sign in entries
+                      if (v := flip * sign % p if p else flip * sign)] for flip in (1, -1))
+            for c in cubes for entries in [_split_list(x, c)]}
+
+
+def _boundary_column(chain: CubeChain, splits: Mapping[str, tuple[list, list]],
                      at: Mapping[tuple[str, ...], object]) -> dict:
     """The boundary of a chain as ``{at[term cube ids]: coefficient}``: each
-    cube of dimension >= 2 is replaced by the two parts of each entry of its
-    split list in `splits`, with the entry's sign negated after an odd
-    prefix degree (see the module docstring).
-
-    The terms are distinct, so each is one entry: the parts of one split
-    list are, and of two terms from splitting cubes j < k, the first has at
-    position j a part of lower dimension than the cube the second keeps
-    there."""
+    cube of dimension >= 2 is replaced by the parts of each entry of its
+    split list in `splits` (`_field_splits`), the odd one after an odd
+    prefix degree.  The terms are distinct, so each is one entry: the parts
+    of one split list are, and of two terms from splitting cubes j < k, the
+    first has at position j a part of lower dimension than the cube the
+    second keeps there."""
     col: dict = {}
-    cubes, flip = chain.cubes, 1
+    cubes, odd = chain.cubes, 0
     for k, n in enumerate(chain.dims):
         if n >= 2:
             head, tail = cubes[:k], cubes[k + 1:]
-            for parts, sign in splits[cubes[k]]:
-                col[at[head + parts + tail]] = flip * sign
+            for parts, v in splits[cubes[k]][odd]:
+                col[at[head + parts + tail]] = v
         if not n & 1:
-            flip = -flip
+            odd ^= 1
     return col
 
 
@@ -554,11 +570,11 @@ def build_complex(x: PrecubicalSet, max_degree: int | None = None,
     what the exactness verifiers use so truncation never fakes a zero.
     """
     bases = chain_catalog(x, max_degree)
+    positions = _catalog_positions(x, max_degree)
     top = max((k[0] for k in bases), default=0)
-    positions = {k: {c.cubes: j for j, c in enumerate(chains)} for k, chains in bases.items()}
     # a cube of dimension n is itself a chain of degree n - 1, so these are
     # the cubes of dimension >= 2 that the chains of the bases hold
-    splits = {c: _split_list(x, c) for n in range(2, top + 2) for c in x.cells_of_dim(n)}
+    splits = _field_splits(x, (c for n in range(2, top + 2) for c in x.cells_of_dim(n)), field)
     diffs: dict[tuple[int, str, str], Matrix] = {}
     for (i, s, e), chains in sorted(bases.items()):
         if i == 0:
@@ -571,7 +587,7 @@ def build_complex(x: PrecubicalSet, max_degree: int | None = None,
             except KeyError as err:
                 raise ChainError(f"boundary term {err.args[0]} of {chain!r} "
                                  "missing from basis") from None
-        diffs[(i, s, e)] = Matrix.from_sparse_columns(field, len(at), cols)
+        diffs[(i, s, e)] = Matrix._of(field, len(at), len(cols), cols)   # in field form
     return PairGradedComplex(x, field, top, bases, diffs, positions)
 
 
@@ -607,43 +623,27 @@ def enumerate_shuffles(tx: TensorSet, cx: CubeChain, cy: CubeChain,
     Y-vertex), the next Y-cube (paired with the current X-vertex), or both at
     once as a mixed cube; each merge raises the degree by one.
     """
-    x, y = tx.left, tx.right
     merges_needed = target_degree - cx.degree - cy.degree
-    if merges_needed < 0:
-        return []
+    src, dst = tx.pair_id(cx.src, cy.src), tx.pair_id(cx.dst, cy.dst)
+    lx, ly = len(cx.cubes), len(cy.cubes)
     out: list[CubeChain] = []
-    src = tx.pair_id(cx.src, cy.src)
-    dst = tx.pair_id(cx.dst, cy.dst)
-
-    def walk(i: int, j: int, herex: str, herey: str,
-             cubes: list[str], dims: list[int], merges: int):
-        if i == len(cx.cubes) and j == len(cy.cubes):
-            if merges == merges_needed:
-                out.append(CubeChain(src, dst, tuple(cubes), tuple(dims)))
-            return
-        if i < len(cx.cubes):
+    # partial interleavings: cubes of X and Y used, vertices reached, cubes, dims, merges
+    stack = [(0, 0, cx.src, cy.src, (), (), 0)]
+    while stack:
+        i, j, herex, herey, cubes, dims, merges = stack.pop()
+        if i == lx and j == ly and merges == merges_needed:
+            out.append(CubeChain(src, dst, cubes, dims))
+        if i < lx:
             u = cx.cubes[i]
-            cubes.append(tx.pair_id(u, herey))
-            dims.append(cx.dims[i])
-            walk(i + 1, j, x.final_vertex(u), herey, cubes, dims, merges)
-            cubes.pop()
-            dims.pop()
-        if j < len(cy.cubes):
+            stack.append((i + 1, j, tx.left.final_vertex(u), herey,
+                          cubes + (tx.pair_id(u, herey),), dims + (cx.dims[i],), merges))
+        if j < ly:
             v = cy.cubes[j]
-            cubes.append(tx.pair_id(herex, v))
-            dims.append(cy.dims[j])
-            walk(i, j + 1, herex, y.final_vertex(v), cubes, dims, merges)
-            cubes.pop()
-            dims.pop()
-        if i < len(cx.cubes) and j < len(cy.cubes) and merges < merges_needed:
-            u, v = cx.cubes[i], cy.cubes[j]
-            cubes.append(tx.pair_id(u, v))
-            dims.append(cx.dims[i] + cy.dims[j])
-            walk(i + 1, j + 1, x.final_vertex(u), y.final_vertex(v),
-                 cubes, dims, merges + 1)
-            cubes.pop()
-            dims.pop()
-
-    walk(0, 0, cx.src, cy.src, [], [], 0)
+            stack.append((i, j + 1, herex, tx.right.final_vertex(v),
+                          cubes + (tx.pair_id(herex, v),), dims + (cy.dims[j],), merges))
+        if i < lx and j < ly and merges < merges_needed:
+            stack.append((i + 1, j + 1, tx.left.final_vertex(u), tx.right.final_vertex(v),
+                          cubes + (tx.pair_id(u, v),), dims + (cx.dims[i] + cy.dims[j],),
+                          merges + 1))
     out.sort(key=CubeChain.sort_key)
     return out

@@ -41,8 +41,8 @@ from weakref import WeakValueDictionary
 from .exactla import ExactnessError, Matrix, QQ, SequenceError, rank, solve
 from .precubical import PcMorphism, PrecubicalSet, SubsetSpec, sub
 from .cubechain import (
-    BasisSubcomplex, DirectedCycleError, GradedComplex, PairGradedComplex, build_complex,
-    chain_catalog, max_chain_degree,
+    BasisSubcomplex, DirectedCycleError, GradedComplex, PairGradedComplex, _catalog_positions,
+    build_complex, chain_catalog, max_chain_degree,
 )
 from .homology import HomologyTable, _homology_at, push_basis_map
 from .scalars import (
@@ -198,8 +198,7 @@ class _SubsetComplex(BasisSubcomplex):
 
     def __init__(self, cx: PairGradedComplex, y: PrecubicalSet):
         self.x, self.bases = y, chain_catalog(y)
-        self.positions = {k: {c.cubes: j for j, c in enumerate(chains)}
-                          for k, chains in self.bases.items()}
+        self.positions = _catalog_positions(y)
         super().__init__(cx, {(i, (s, e)): [cx.positions[(i, s, e)][c.cubes] for c in chains]
                               for (i, s, e), chains in self.bases.items()})
         self.top_degree = max((i for i, _ in self.kept), default=0)

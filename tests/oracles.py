@@ -1,15 +1,16 @@
 """Slow references, reached by no verb, that tests check dirhom's fast paths
 against: the Gauss-Jordan subspace family and a bimodule's quotient basis
-built by it, formal sums of cube chains and their boundary, basis maps as
-matrices, and the maps of precubical morphisms, on chains and on homology,
-with the naturality of the Kunneth comparison maps under them."""
+built by it, cube splits by face lookups and the split lists made of them,
+formal sums of cube chains and their boundary, basis maps as matrices, and
+the maps of precubical morphisms, on chains and on homology, with the
+naturality of the Kunneth comparison maps under them."""
 
 from __future__ import annotations
 
 from typing import Sequence
 
 from dirhom.cubechain import (
-    ChainError, CubeChain, PairGradedComplex, _basis_map, _boundary_column, _split_list,
+    ChainError, CubeChain, PairGradedComplex, _basis_map, _boundary_column, _field_splits,
 )
 from dirhom.exactla import (
     QQ, FieldError, Matrix, Subspace, _chain_map_witness, _echelon, _modulus, _mul, _neg,
@@ -168,6 +169,39 @@ class FormalSum:
         return not self.terms
 
 
+def split_cube(x: PrecubicalSet, cube: str, a_set: Sequence[int]) -> tuple[str, str]:
+    """Split a cube along a subset A of its directions, by `face`.
+
+    Returns (lower, upper): the lower part keeps the A-directions (d^0 over
+    the complement, descending), the upper keeps the complement (d^1 over A,
+    descending).
+    """
+    n = x.dim_of(cube)
+    comp = [i for i in range(1, n + 1) if i not in set(a_set)]
+    lower = cube
+    for i in sorted(comp, reverse=True):
+        lower = x.face(lower, i, 0)
+    upper = cube
+    for i in sorted(a_set, reverse=True):
+        upper = x.face(upper, i, 1)
+    return lower, upper
+
+
+def split_list(x: PrecubicalSet, cube: str) -> list[tuple[tuple[str, str], int]]:
+    """The split list of a cube (`cubechain._split_list`) by `split_cube`:
+    for each nonempty proper subset A of its directions, the parts and
+    ``(-1)^|A|`` times the sign of the shuffle (A asc, complement asc),
+    with the signs of equal parts added and cancelled entries left out."""
+    n = x.dim_of(cube)
+    signs: dict[tuple[str, str], int] = {}
+    for mask in range(1, (1 << n) - 1):
+        a_set = [i + 1 for i in range(n) if mask >> i & 1]
+        odd = (len(a_set) + sum(c not in a_set for a in a_set for c in range(1, a))) % 2
+        parts = split_cube(x, cube, a_set)
+        signs[parts] = signs.get(parts, 0) + (-1 if odd else 1)
+    return [(parts, sign) for parts, sign in signs.items() if sign]
+
+
 class _ChainsOf(dict):
     """Cube ids -> their chain in a set (`make_chain`), made on each lookup."""
 
@@ -184,7 +218,7 @@ def boundary(x: PrecubicalSet, chain: CubeChain, field=QQ) -> FormalSum:
     the split lists `build_complex` assembles its columns from."""
     if chain.degree < 1:
         raise ChainError("boundary of a degree-0 chain is zero; use an empty sum")
-    splits = {c: _split_list(x, c) for c, n in zip(chain.cubes, chain.dims) if n >= 2}
+    splits = _field_splits(x, (c for c, n in zip(chain.cubes, chain.dims) if n >= 2), field)
     out = FormalSum(field)
     for term, sign in _boundary_column(chain, splits, _ChainsOf(x)).items():
         out.add_term(term, sign)

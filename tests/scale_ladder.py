@@ -44,6 +44,7 @@ RUNGS = {
     "realization([4,4])": lambda dh: dh.realization([4, 4]),
     "realization([4,4,2])": lambda dh: dh.realization([4, 4, 2]),
     "realization([4,4,3])": lambda dh: dh.realization([4, 4, 3]),
+    "realization([5,5])": lambda dh: dh.realization([5, 5]),
 }
 
 

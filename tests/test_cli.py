@@ -17,7 +17,9 @@ from hypothesis import given, settings, strategies as st
 import dirhom as dh
 from dirhom import cli, cubechain, exactseq, precubical
 from dirhom.cli import main
-from dirhom.cubechain import BoundaryCheckError, ChainBudgetError, DirectedCycleError
+from dirhom.cubechain import (
+    ENTRY_BUDGET, BoundaryCheckError, ChainBudgetError, DirectedCycleError,
+)
 from dirhom.exactla import Matrix
 from dirhom.exactseq import ExactnessError, SequenceError
 from dirhom.homology import ActionError, HomologyTable
@@ -414,9 +416,10 @@ class TestCheckPair:
         assert r.exit_code == 2
 
     def test_overlong_path_exit2(self, tmp_path):
-        """A path of 1,500 edges is deeper than the recursive chain enumeration
-        goes: homology and check-pair report an input error naming that cause,
-        not a traceback."""
+        """The chains of a path of 1,500 edges hold 563,625,500 cube entries,
+        more than a chain catalog is built for: homology and check-pair
+        report an input error naming that cause, counted before any chain is
+        made, not a traceback."""
         dh.save(dh.realization([1] * 1500), tmp_path / "long.json")
         (tmp_path / "y.json").write_text(json.dumps(["b1.0"]))
         env = {**os.environ, "PYTHONPATH": str(Path(dh.__file__).parents[1])}
@@ -428,13 +431,15 @@ class TestCheckPair:
             assert time.perf_counter() - start < 10
             assert r.returncode == 2, r.stderr
             assert r.stderr.startswith("input error:") and r.stderr.count("\n") == 1
-            assert "directed path too long for the recursive chain enumeration" in r.stderr
+            assert (f": 563,625,500 cube entries in its chains, more than the "
+                    f"{ENTRY_BUDGET:,} a chain catalog is built for") in r.stderr
             assert "Traceback" not in r.stdout + r.stderr
 
     def test_long_set_names_are_cut_in_input_errors(self, runner, tmp_path):
         """realization([1] * 1200) is named by 2,400 characters: the input
-        error for its overlong path cuts the name to one short line, and so
-        does the error for a directed cycle in a set with a long name."""
+        error for the cube entries of its chains, over the budget even at
+        degree 0, cuts the name to one short line, and so does the error
+        for a directed cycle in a set with a long name."""
         dh.save(dh.realization([1] * 1200), tmp_path / "long.json")
         env = {**os.environ, "PYTHONPATH": str(Path(dh.__file__).parents[1])}
         r = subprocess.run([sys.executable, "-m", "dirhom.cli", "homology", "--max-degree", "0",
@@ -442,6 +447,7 @@ class TestCheckPair:
                            env=env, capture_output=True, text=True, timeout=60)
         assert r.returncode == 2 and r.stdout == ""
         assert r.stderr.startswith("input error: real(1,1,") and r.stderr.count("\n") == 1
+        assert "...: 288,720,400 cube entries in its chains, more than the" in r.stderr
         assert len(r.stderr) < 200 and "Traceback" not in r.stderr
         x = dh.PrecubicalSet("c" * 2000, [["0", "1"], ["a", "b"]],
                              {"a": (["0"], ["1"]), "b": (["1"], ["0"])})

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -9,13 +10,15 @@ from dirhom.cubechain import (
     BoundaryCheckError, ChainBudgetError, ChainError, CubeChain, DirectedCycleError,
     PairGradedComplex,
     build_complex, chain_catalog, enumerate_chains, enumerate_shuffles, project_shuffle,
-    split_cube, _chain_map_witness,
+    _chain_map_witness,
 )
 from dirhom.exactla import Matrix, PrimeField, QQ, _modulus, _neg
 from dirhom.precubical import PcMorphism, PrecubicalSet, realization, tensor
 
 from conftest import corpus, make_domino, sequences_of_dimension
-from oracles import FormalSum, basis_map_matrix, boundary, empty_chain, make_chain
+from oracles import (
+    FormalSum, basis_map_matrix, boundary, empty_chain, make_chain, split_cube, split_list,
+)
 from test_cli_reference import make_grid3
 
 
@@ -140,9 +143,8 @@ class TestCatalogAgainstTheReference:
     @pytest.mark.parametrize("name", sorted(CATALOG_CORPUS))
     def test_corpus_catalog_is_the_reference_in_order(self, name, max_degree):
         x = CATALOG_CORPUS[name]
-        # keys in insertion order, and each list in order
-        assert list(chain_catalog(x, max_degree).items()) == \
-            list(reference_chain_catalog(x, max_degree).items())
+        # as dicts, so each key's list in order
+        assert chain_catalog(x, max_degree) == reference_chain_catalog(x, max_degree)
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -152,16 +154,29 @@ class TestCatalogAgainstTheReference:
                            label="cells")
         y, _ = dh.sub(x, dh.SubsetSpec(x, dh.face_closure(x, picked)))
         max_degree = data.draw(st.sampled_from([None, 0, 1, 2]), label="max degree")
-        assert list(chain_catalog(y, max_degree).items()) == \
-            list(reference_chain_catalog(y, max_degree).items())
+        assert chain_catalog(y, max_degree) == reference_chain_catalog(y, max_degree)
+
+    def test_a_path_deeper_than_the_recursion_limit(self):
+        """The enumeration recurses nowhere: a path of 400 edges enumerates
+        like the reference, computed beforehand, with a recursion limit of 200."""
+        x = realization([1] * 400)
+        ref = reference_chain_catalog(x)
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(200)
+        try:
+            got = chain_catalog(x)
+        finally:
+            sys.setrecursionlimit(limit)
+        assert got == ref and sum(map(len, got.values())) == 401 * 402 // 2
 
     @settings(max_examples=80, deadline=None)
     @given(st.sampled_from(corpus() + list(CATALOG_CORPUS.values())),
            st.sampled_from([None, 0, 1, 2, 3]))
     def test_count_is_the_catalog_size(self, x, max_degree):
         top = math.inf if max_degree is None else max_degree
+        chains = [c for cs in chain_catalog(x, max_degree).values() for c in cs]
         assert cc._chain_count(*cc._corner_table(x), top) == \
-            sum(map(len, chain_catalog(x, max_degree).values()))
+            (len(chains), sum(len(c.cubes) for c in chains))
 
     def test_a_set_over_the_budget_is_refused(self, monkeypatch):
         n = sum(map(len, chain_catalog(dh.directed_disc(3)).values()))
@@ -171,6 +186,12 @@ class TestCatalogAgainstTheReference:
             chain_catalog(dh.directed_disc(3))
         monkeypatch.setattr(cc, "CHAIN_BUDGET", n)
         assert sum(map(len, chain_catalog(dh.directed_disc(3)).values())) == n
+        entries = sum(len(c.cubes) for cs in chain_catalog(dh.directed_disc(3)).values()
+                      for c in cs)
+        monkeypatch.setattr(cc, "ENTRY_BUDGET", entries - 1)
+        with pytest.raises(ChainBudgetError, match=f"^D3: {entries:,} cube entries in its "
+                                                   f"chains, more than the {entries - 1:,}"):
+            chain_catalog(dh.directed_disc(3))
 
 
 class TestCubeChainContract:
@@ -331,6 +352,16 @@ def reference_differential(x, field, chains, below):
     return Matrix.from_sparse_columns(field, len(below), cols)
 
 
+# The 3-cube modulo swapping its directions 1 and 3 on its faces, closed
+# under the face maps: its faces d_1 and d_3 agree.
+FOLD3 = PrecubicalSet("fold3", [["000", "010", "110", "111"], ["0a0", "1a0", "1a1"],
+                                ["a0a", "a1a", "aa0", "aa1"], ["aaa"]], {
+    "0a0": (["000"], ["010"]), "1a0": (["010"], ["110"]), "1a1": (["110"], ["111"]),
+    "a0a": (["0a0", "0a0"], ["1a0", "1a0"]), "aa0": (["0a0", "0a0"], ["1a0", "1a0"]),
+    "a1a": (["1a0", "1a0"], ["1a1", "1a1"]), "aa1": (["1a0", "1a0"], ["1a1", "1a1"]),
+    "aaa": (["aa0", "a0a", "aa0"], ["aa1", "a1a", "aa1"])})
+
+
 class TestSplitLists:
     @pytest.mark.parametrize("field", [QQ, PrimeField(7)])
     def test_every_differential_is_the_per_chain_reference(self, field):
@@ -366,18 +397,47 @@ class TestSplitLists:
                                                           cx.bases[(0, *pair)])
         assert cx.diff(1, pair).is_zero() and boundary(x, make_chain(x, ["c"])).is_zero()
 
-    def test_each_split_is_computed_once_per_build(self, monkeypatch):
-        import dirhom.cubechain as cc
-        calls = []
-        real = cc.split_cube
-        monkeypatch.setattr(cc, "split_cube",
-                            lambda x, cube, a: calls.append((cube, tuple(a))) or real(x, cube, a))
-        for x in (dh.directed_disc(4), realization([2, 2, 2])):
-            calls.clear()
-            build_complex(x)
-            # every cube of dimension n >= 2 has 2^n - 2 proper subsets
-            assert len(calls) == len(set(calls)) == sum(
-                2 ** n - 2 for n in range(2, len(x.cells)) for _ in x.cells_of_dim(n))
+    @pytest.mark.parametrize("x", corpus() + list(CATALOG_CORPUS.values()) + [FOLD3],
+                             ids=lambda x: x.name[:20])
+    def test_table_split_lists_are_the_split_cube_oracle(self, x):
+        checked = 0
+        for n in range(2, len(x.cells)):
+            for c in x.cells_of_dim(n):
+                assert cc._split_list(x, c) == split_list(x, c)
+                checked += 1
+        assert checked == sum(map(len, x.cells[2:]))
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_face_closed_subsets_split_like_the_oracle(self, data):
+        x = data.draw(st.sampled_from([dh.directed_disc(4), realization([3, 2]),
+                                       dh.directed_sphere(3)]), label="set")
+        picked = data.draw(st.lists(st.sampled_from(x.all_cells()), min_size=1, max_size=6),
+                           label="cells")
+        y, _ = dh.sub(x, dh.SubsetSpec(x, dh.face_closure(x, picked)))
+        for n in range(2, len(y.cells)):
+            for c in y.cells_of_dim(n):
+                assert cc._split_list(y, c) == split_list(y, c)
+
+    @pytest.mark.parametrize("p", [2, 1009])
+    def test_field_form_columns_keep_no_zero_entry(self, p):
+        """The 3-cube of FOLD3 splits into equal parts whose signs add to -2
+        and 2, which vanish over F_2; glued after a square of D2 in D2 (x)
+        FOLD3, an odd prefix degree negates them.  Every differential has the
+        columns of the `from_sparse_columns` reference, so stores no zero."""
+        assert not FOLD3.validate()
+        assert [sign for _, sign in cc._split_list(FOLD3, "aaa")] == [-2, 1, 2, -1]
+        field = PrimeField(p)
+        for x in (FOLD3, tensor(dh.directed_disc(2), FOLD3)):
+            cx = build_complex(x, None, field)
+            for i, pair in cx.components_with_chains:
+                if i:
+                    cols = cx.diff(i, pair).sparse_columns()
+                    assert all(a for col in cols for a in col.values())
+                    assert cols == reference_differential(
+                        x, field, cx.bases[(i, *pair)], cx.bases[(i - 1, *pair)]).sparse_columns()
+        top = build_complex(FOLD3, None, field).diff(2, ("000", "111")).sparse_columns()
+        assert len(top[0]) == (2 if p == 2 else 4)
 
 
 class TestLemmaSuite:
@@ -522,6 +582,21 @@ class TestShuffles:
         a = make_chain(K, ["a"])
         res = enumerate_shuffles(t, empty_chain("0"), a, 0)
         assert [c.cubes for c in res] == [("(0,a)",)]
+
+    def test_enumerate_past_the_recursion_limit(self, K):
+        """A path of 300 edges against one edge: 301 interleavings, and 300
+        with one merged square, under a recursion limit of 200."""
+        path = realization([1] * 300)
+        t = tensor(path, K)
+        cx, a = enumerate_chains(path, 0, path.start, path.end)[0], make_chain(K, ["a"])
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(200)
+        try:
+            flat, merged = (enumerate_shuffles(t, cx, a, d) for d in (0, 1))
+        finally:
+            sys.setrecursionlimit(limit)
+        assert (len(flat), len(merged)) == (301, 300)
+        assert all(len(c.cubes) == 301 for c in flat) and all(c.degree == 1 for c in merged)
 
     def test_below_minimum_degree_empty(self, K):
         t = tensor(K, K)

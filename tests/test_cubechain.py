@@ -400,12 +400,9 @@ class TestSplitLists:
     @pytest.mark.parametrize("x", corpus() + list(CATALOG_CORPUS.values()) + [FOLD3],
                              ids=lambda x: x.name[:20])
     def test_table_split_lists_are_the_split_cube_oracle(self, x):
-        checked = 0
         for n in range(2, len(x.cells)):
             for c in x.cells_of_dim(n):
                 assert cc._split_list(x, c) == split_list(x, c)
-                checked += 1
-        assert checked == sum(map(len, x.cells[2:]))
 
     @settings(max_examples=60, deadline=None)
     @given(data=st.data())
@@ -592,7 +589,7 @@ class TestShuffles:
         limit = sys.getrecursionlimit()
         sys.setrecursionlimit(200)
         try:
-            flat, merged = (enumerate_shuffles(t, cx, a, d) for d in (0, 1))
+            flat, merged = [enumerate_shuffles(t, cx, a, d) for d in (0, 1)]
         finally:
             sys.setrecursionlimit(limit)
         assert (len(flat), len(merged)) == (301, 300)

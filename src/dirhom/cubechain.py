@@ -33,7 +33,8 @@ cubes starting there, by cube id.  It walks the chains from each vertex
 level by level, by length, extending each level's chains in lexicographic
 order by their rows, so every list comes out in the canonical order with no
 sort and no recursion, recording each chain's position as it goes.  Dynamic
-programming on the table first counts the chains and their cube entries.
+programming on the table, last vertex first in the set's one vertex order
+(`PrecubicalSet.topological_order`), first counts the chains and entries.
 
 A boundary column is assembled by position: a build splits each cube once,
 by the table of an n-cube's splits, into its list of ((lower, upper),
@@ -139,29 +140,28 @@ ENTRY_BUDGET = 30_000_000
 
 def _corner_table(x: PrecubicalSet):
     """(starting, order): for each vertex the sorted (cube, dimension, final
-    vertex) of the cubes starting there, read once from ``x.faces``, and the
-    vertices in an order in which each cube's initial vertex comes before
-    its final one (Kahn's algorithm); DirectedCycleError when none exists."""
+    vertex) of the cubes starting there, read once from ``x.faces``, and
+    `PrecubicalSet.topological_order`, in which each cube must start before
+    it ends (DirectedCycleError, naming the cube; under the cubical identities
+    n edges lead from the start of an n-cube to its end, so none fails)."""
+    order = x.topological_order()
+    if order is None:
+        raise DirectedCycleError(
+            f"{_shown(x.name)}: chain enumeration needs an acyclic vertex-edge digraph")
+    at = {v: k for k, v in enumerate(order)}
     corners = {v: (v, v) for v in x.vertices}
     starting: dict[str, list[tuple[str, int, str]]] = {v: [] for v in x.vertices}
-    into = dict.fromkeys(x.vertices, 0)
     for n, layer in enumerate(x.cells[1:], 1):
         for c in layer:
             lower, upper = x.faces[c]
             corners[c] = first, last = corners[lower[0]][0], corners[upper[0]][1]
+            if at[first] >= at[last]:
+                raise DirectedCycleError(
+                    f"{_shown(x.name)}: chain enumeration needs each cube to start "
+                    f"before it ends, but {c!r} goes from {first!r} to {last!r}")
             starting[first].append((c, n, last))
-            into[last] += 1
-    order = [v for v, k in into.items() if not k]
-    for v in order:     # grows while it is read
-        row = starting[v]
+    for row in starting.values():
         row.sort()
-        for _, _, end in row:
-            into[end] -= 1
-            if not into[end]:
-                order.append(end)
-    if len(order) < len(into):
-        raise DirectedCycleError(
-            f"{_shown(x.name)}: chain enumeration needs an acyclic vertex-edge digraph")
     return starting, order
 
 

@@ -12,9 +12,12 @@ A face-closed inclusion Y -> X is accepted as a relative pair when
 For accepted pairs, 0 -> ext C(Y) -> C(X) -> C(X)/ext C(Y) -> 0 is a short
 exact sequence of per-pair complexes and its homology long exact sequence is
 assembled and machine-verified node by node (image = kernel, ranks over the
-active field).  Good covers get the excision comparison map of the quotient
-complexes, and Mayer-Vietoris sequences are assembled from the two relative
-sequences with the standard zig-zag connecting maps.
+active field).  A cover (X1, X2) of X builds X1^X2 once, a sub-set of X with
+one path algebra that both parts include by the identity on cells, and
+reports its four relative pairs (X, Xk) and (Xk, X1^X2).  Good covers get the
+excision comparison map of the quotient complexes, and Mayer-Vietoris
+sequences are assembled from the two relative sequences with the standard
+zig-zag connecting maps; `mayer_vietoris` refuses a non-cover first.
 
 Every extension span is spanned by cube chains of C(X), so each short
 sequence splits one basis: the quotient is the complex on the chains outside
@@ -119,31 +122,24 @@ def _check_selection(x: PrecubicalSet, spec: SubsetSpec) -> None:
 def check_relative_pair(x: PrecubicalSet, spec: SubsetSpec, field=QQ) -> RelativePairReport:
     """Path criterion plus per-degree monicity of the extension."""
     _check_selection(x, spec)
-    return _relative_pair(build_complex(x, None, field), spec, path_algebra(x))
+    y, inc = sub(x, spec)
+    return _pair_report(extend_subcomplex(build_complex(x, None, field), spec.selected), y, inc,
+                        path_algebra(x), path_algebra(y))
 
 
-def _relative_pair(cx: PairGradedComplex, spec: SubsetSpec, alg_x: PathAlgebraIndex
-                   ) -> RelativePairReport:
-    """`check_relative_pair` of a face-closed selection of cx's set, given the
-    set's complex cx and path algebra, which callers build once."""
-    y, inc = sub(cx.x, spec)
-    return _pair_report(spec, extend_subcomplex(cx, spec.selected), y, inc, alg_x,
-                        path_algebra(y))
-
-
-def _pair_report(spec: SubsetSpec, span: SubcomplexExtension, y: PrecubicalSet,
-                 inc: PcMorphism, alg_x: PathAlgebraIndex, alg_y: PathAlgebraIndex
-                 ) -> RelativePairReport:
-    """`check_relative_pair` of a face-closed selection, given its span in C(X),
-    the sub-set Y with its inclusion and the path algebras of X and Y."""
-    x = span.ambient.x
+def _pair_report(span: SubcomplexExtension, y: PrecubicalSet, inc: PcMorphism,
+                 alg_x: PathAlgebraIndex, alg_y: PathAlgebraIndex) -> RelativePairReport:
+    """`check_relative_pair` of the selection of a span in C(X), with X the
+    span's set, given the sub-set Y it selects with its inclusion into X and
+    the path algebras of X and Y, which callers build once."""
+    x, selected = span.ambient.x, span.y_cells
     offending = next((tuple(p) for p in maximal_paths(x)
-                      if not _one_block([c in spec.selected for c in p])), None)
+                      if not _one_block([c in selected for c in p])), None)
     top_y = max_chain_degree(y)
     failures = _extension_mismatches(
         span.ambient, inc, top_y, lambda i: present_chain_module(y, i, span.field, alg_y),
         span.dim, alg_x)
-    return RelativePairReport(x.name, spec.selected, offending is None, offending,
+    return RelativePairReport(x.name, selected, offending is None, offending,
                               not failures, failures, tuple(range(top_y + 1)))
 
 
@@ -374,12 +370,12 @@ def les_relative(x: PrecubicalSet, spec: SubsetSpec, field=QQ,
     A rejected pair still gets its quotient homology, but the sequence (whose
     exactness is only guaranteed for relative pairs) is skipped.
     """
+    _check_selection(x, spec)
     cx = build_complex(x, None, field)
-    _check_selection(x, spec)  # a bad selection raises SequenceError before the span is built
     span = extend_subcomplex(cx, spec.selected)
     y, inc = sub(x, spec)
     alg_x, alg_y = path_algebra(x), path_algebra(y)
-    report = _pair_report(spec, span, y, inc, alg_x, alg_y)
+    report = _pair_report(span, y, inc, alg_x, alg_y)
     quo = QuotientComplex(cx, span)
     top = cx.top_degree if max_degree is None else min(max_degree, cx.top_degree)
     keys = [(i, pair) for pair in cx.pairs() for i in range(top + 1)]
@@ -500,23 +496,26 @@ def good_cover_check(x: PrecubicalSet, s1: SubsetSpec, s2: SubsetSpec,
     return _check_cover(x, s1, s2, field)[0]
 
 
-def _check_cover(x: PrecubicalSet, s1: SubsetSpec, s2: SubsetSpec,
-                 field) -> tuple[GoodCoverReport, _Cover]:
+def _check_cover(x: PrecubicalSet, s1: SubsetSpec, s2: SubsetSpec, field,
+                 need_cover: bool = False) -> tuple[GoodCoverReport, _Cover]:
+    """The report and its parts; `need_cover` refuses a non-cover before any build."""
+    for spec in (s1, s2):
+        _check_selection(x, spec)
     covers = (s1.selected | s2.selected) == frozenset(x.all_cells())
-    y12 = s1.selected & s2.selected
-    x1, inc1 = sub(x, s1)
-    x2, inc2 = sub(x, s2)
+    if need_cover and not covers:
+        raise SequenceError("the two parts do not cover X")
+    s12 = SubsetSpec(x, s1.selected & s2.selected)
+    (x1, inc1), (x2, inc2), (x12, inc12) = (sub(x, s) for s in (s1, s2, s12))
     cx = build_complex(x, None, field)
-    span1 = extend_subcomplex(cx, s1.selected)
-    span2 = extend_subcomplex(cx, s2.selected)
-    alg_x, alg1, alg2 = path_algebra(x), path_algebra(x1), path_algebra(x2)
-    reports = {
-        "X,X1": _pair_report(s1, span1, x1, inc1, alg_x, alg1),
-        "X,X2": _pair_report(s2, span2, x2, inc2, alg_x, alg2),
-        "X1,X1^X2": _relative_pair(_SubsetComplex(cx, x1), SubsetSpec(x1, y12), alg1),
-        "X2,X1^X2": _relative_pair(_SubsetComplex(cx, x2), SubsetSpec(x2, y12), alg2),
-    }
-    span12 = extend_subcomplex(cx, y12)
+    span1, span2, span12 = (extend_subcomplex(cx, s.selected) for s in (s1, s2, s12))
+    alg_x, alg1, alg2, alg12 = map(path_algebra, (x, x1, x2, x12))
+    reports = {"X,X1": _pair_report(span1, x1, inc1, alg_x, alg1),
+               "X,X2": _pair_report(span2, x2, inc2, alg_x, alg2)}
+    for k, part, alg in ((1, x1, alg1), (2, x2, alg2)):
+        # X1^X2 in a part: its span in C(part), with the identity inclusion
+        reports[f"X{k},X1^X2"] = _pair_report(
+            extend_subcomplex(_SubsetComplex(cx, part), s12.selected), x12,
+            PcMorphism(x12, part, inc12.mapping), alg, alg12)
     # left side: ext C(X1) / ext C(X1^X2); right side: C(X) / ext C(X2)
     left = _LeftQuotientCache.get(span1, span12, field)
     quo2 = QuotientComplexCache.get(cx, span2, field)
@@ -590,9 +589,7 @@ def mayer_vietoris(x: PrecubicalSet, s1: SubsetSpec, s2: SubsetSpec,
     H_i(X), with the connecting map Delta = zig-zag . excision^{-1} .
     projection.
     """
-    cover, parts = _check_cover(x, s1, s2, field)
-    if not cover.covers:
-        raise SequenceError("the two parts do not cover X")
+    cover, parts = _check_cover(x, s1, s2, field, need_cover=True)
     if not cover.good:
         return MayerVietorisResult(cover, None, {})
     cx, span1, span2, span12 = parts.cx, parts.span1, parts.span2, parts.span12

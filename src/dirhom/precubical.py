@@ -25,6 +25,7 @@ names, so fixtures and reports are stable:
 
 from __future__ import annotations
 
+import heapq
 import json
 from dataclasses import dataclass
 from typing import Iterable, Mapping, Sequence
@@ -166,42 +167,32 @@ class PrecubicalSet:
         return at
 
     def topological_order(self) -> list[str] | None:
-        """Vertices in a topological order of the edge digraph, or None."""
-        indeg = {v: 0 for v in self.vertices}
-        for e in self.edges:
-            indeg[self.edge_target(e)] += 1
-        ready = sorted(v for v, d in indeg.items() if d == 0)
+        """Vertices in a topological order of the edge digraph, or None: Kahn's
+        algorithm with a heap, which takes the least ready vertex first.  It is
+        the package's one vertex order; chain enumeration reads it too."""
+        into = {v: len(es) for v, es in self.in_edges().items()}
         out = self.out_edges()
+        ready = [v for v, k in into.items() if not k]
+        heapq.heapify(ready)
         order = []
         while ready:
-            v = ready.pop(0)
+            v = heapq.heappop(ready)
             order.append(v)
-            added = []
             for e in out[v]:
                 w = self.edge_target(e)
-                indeg[w] -= 1
-                if indeg[w] == 0:
-                    added.append(w)
-            if added:
-                ready = sorted(ready + added)
-        if len(order) != len(self.vertices):
-            return None
-        return order
+                into[w] -= 1
+                if not into[w]:
+                    heapq.heappush(ready, w)
+        return order if len(order) == len(into) else None
 
     def is_acyclic(self) -> bool:
         return self.topological_order() is not None
 
     def source_vertices(self) -> list[str]:
-        indeg = {v: 0 for v in self.vertices}
-        for e in self.edges:
-            indeg[self.edge_target(e)] += 1
-        return sorted(v for v, d in indeg.items() if d == 0)
+        return sorted(v for v, es in self.in_edges().items() if not es)
 
     def sink_vertices(self) -> list[str]:
-        outdeg = {v: 0 for v in self.vertices}
-        for e in self.edges:
-            outdeg[self.edge_source(e)] += 1
-        return sorted(v for v, d in outdeg.items() if d == 0)
+        return sorted(v for v, es in self.out_edges().items() if not es)
 
     # -- validation --------------------------------------------------------
 

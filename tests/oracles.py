@@ -1,9 +1,11 @@
 """Slow references, reached by no verb, that tests check dirhom's fast paths
 against: the Gauss-Jordan subspace family and a bimodule's quotient basis
 built by it, cube splits by face lookups and the split lists made of them,
-formal sums of cube chains and their boundary, basis maps as matrices, and
-the maps of precubical morphisms, on chains and on homology, with the
-naturality of the Kunneth comparison maps under them."""
+formal sums of cube chains and their boundary, basis maps as matrices, the
+maps of precubical morphisms, on chains and on homology, with the
+naturality of the Kunneth comparison maps under them, the two Kahn passes
+that vertex orders were once made by, and a cover's relative pairs with
+X1^X2 built inside each part."""
 
 from __future__ import annotations
 
@@ -16,9 +18,10 @@ from dirhom.exactla import (
     QQ, FieldError, Matrix, Subspace, _chain_map_witness, _echelon, _modulus, _mul, _neg,
     _transpose, solve,
 )
+from dirhom.exactseq import RelativePairReport, check_relative_pair
 from dirhom.ez import TensorSetting, _comparison_maps, _first_difference
 from dirhom.homology import ActionError, HomologyTable, PairHomology, push_basis_map
-from dirhom.precubical import PcMorphism, PrecubicalSet, tensor_morphism
+from dirhom.precubical import PcMorphism, PrecubicalSet, SubsetSpec, sub, tensor_morphism
 
 
 # -- the Gauss-Jordan subspace family ------------------------------------------------
@@ -325,3 +328,73 @@ def comparison_naturality_check(f: PcMorphism, g: PcMorphism, field=QQ) -> bool:
                 or _first_difference(len(ilv_a[0]), field, [ilv_a, m], [tmap, ilv_b]) is not None):
             return False
     return True
+
+
+# -- vertex orders ----------------------------------------------------------------------
+
+
+def sorted_list_order(x: PrecubicalSet) -> list[str] | None:
+    """`PrecubicalSet.topological_order` by a sorted list: Kahn's algorithm
+    that takes the first of the ready vertices, kept sorted, and sorts them
+    again whenever vertices become ready; None on a directed cycle."""
+    indeg = {v: 0 for v in x.vertices}
+    for e in x.edges:
+        indeg[x.edge_target(e)] += 1
+    ready = sorted(v for v, d in indeg.items() if d == 0)
+    out = x.out_edges()
+    order = []
+    while ready:
+        v = ready.pop(0)
+        order.append(v)
+        added = []
+        for e in out[v]:
+            w = x.edge_target(e)
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                added.append(w)
+        if added:
+            ready = sorted(ready + added)
+    return order if len(order) == len(x.vertices) else None
+
+
+def corner_kahn_table(x: PrecubicalSet):
+    """(starting, order) of `cubechain._corner_table` with a Kahn pass of its
+    own over the corners of every cube: for each vertex the sorted (cube,
+    dimension, final vertex) of the cubes starting there, and the vertices
+    in the order in which their incoming cubes run out, first in, first out;
+    None when the cubes' corners have a cycle."""
+    corners = {v: (v, v) for v in x.vertices}
+    starting: dict[str, list[tuple[str, int, str]]] = {v: [] for v in x.vertices}
+    into = dict.fromkeys(x.vertices, 0)
+    for n, layer in enumerate(x.cells[1:], 1):
+        for c in layer:
+            lower, upper = x.faces[c]
+            corners[c] = first, last = corners[lower[0]][0], corners[upper[0]][1]
+            starting[first].append((c, n, last))
+            into[last] += 1
+    order = [v for v, k in into.items() if not k]
+    for v in order:     # grows while it is read
+        row = starting[v]
+        row.sort()
+        for _, _, end in row:
+            into[end] -= 1
+            if not into[end]:
+                order.append(end)
+    return None if len(order) < len(into) else (starting, order)
+
+
+# -- relative pairs of a cover ----------------------------------------------------------
+
+
+def sub_of_sub_reports(x: PrecubicalSet, s1: SubsetSpec, s2: SubsetSpec,
+                       field=QQ) -> dict[str, RelativePairReport]:
+    """The four relative pairs of a cover (X1, X2) of X, each by
+    `check_relative_pair` on a complex of its own: (X, Xk) on X, and
+    (Xk, X1^X2) on the part Xk as a set, with X1^X2 a sub-set of Xk."""
+    meet = s1.selected & s2.selected
+    reports = {}
+    for k, spec in ((1, s1), (2, s2)):
+        part, _ = sub(x, spec)
+        reports[f"X,X{k}"] = check_relative_pair(x, spec, field)
+        reports[f"X{k},X1^X2"] = check_relative_pair(part, SubsetSpec(part, meet), field)
+    return reports

@@ -45,6 +45,8 @@ RUNGS = {
     "realization([4,4,2])": lambda dh: dh.realization([4, 4, 2]),
     "realization([4,4,3])": lambda dh: dh.realization([4, 4, 3]),
     "realization([5,5])": lambda dh: dh.realization([5, 5]),
+    # the 6 x 6 grid of squares: 49 vertices, 66,400 chains
+    "grid6x6": lambda dh: dh.tensor(dh.realization([1] * 6), dh.realization([1] * 6)),
 }
 
 

@@ -142,7 +142,7 @@ def test_catalog_probe_reads_a_cli_verb(tmp_path):
     """A CLI verb clears the chain catalogs when it returns, so
     `cache.catalog_entries` reads 0 after it; within the verb the tracer's
     catalog probe still tells an enumeration from a cache hit, and `mv` on
-    the domino enumerates each of its five sets once."""
+    the domino enumerates each of its four sets once."""
     from dirhom.cli import main
 
     sys.path.insert(0, str(BENCH))
@@ -167,5 +167,5 @@ def test_catalog_probe_reads_a_cli_verb(tmp_path):
     assert (code, error) == (0, None) and "exact at every node" in out
     chains = [span[5] for span in tracer.spans
               if tracer.names[span[0]] == "cubechain.chain_catalog"]
-    assert sum(1 for n in chains if n) == 5 and 0 in chains
+    assert sum(1 for n in chains if n) == 4 and 0 in chains
     assert measure.cache_sizes()["cache.catalog_entries"] == 0

@@ -17,7 +17,8 @@ from dirhom.precubical import PcMorphism, PrecubicalSet, realization, tensor
 
 from conftest import corpus, make_domino, sequences_of_dimension
 from oracles import (
-    FormalSum, basis_map_matrix, boundary, empty_chain, make_chain, split_cube, split_list,
+    FormalSum, basis_map_matrix, boundary, corner_kahn_table, empty_chain, make_chain,
+    sorted_list_order, split_cube, split_list,
 )
 from test_cli_reference import make_grid3
 
@@ -192,6 +193,77 @@ class TestCatalogAgainstTheReference:
         with pytest.raises(ChainBudgetError, match=f"^D3: {entries:,} cube entries in its "
                                                    f"chains, more than the {entries - 1:,}"):
             chain_catalog(dh.directed_disc(3))
+
+
+def grid(m: int, n: int) -> PrecubicalSet:
+    """The m x n grid of squares, the tensor product of paths of m and n edges."""
+    return tensor(realization([1] * m), realization([1] * n))
+
+
+class TestOneVertexOrder:
+    """`PrecubicalSet.topological_order` is the one Kahn pass: it gives the
+    order of the sorted-list pass it replaced, and the corner table reads it,
+    with the rows that its own Kahn pass over cube corners once gave."""
+
+    @staticmethod
+    def check_order_and_table(x):
+        order = x.topological_order()
+        assert order == sorted_list_order(x)
+        starting, table_order = cc._corner_table(x)
+        old_starting, old_order = corner_kahn_table(x)
+        assert table_order == order and starting == old_starting
+        assert sorted(order) == sorted(old_order)
+
+    @pytest.mark.parametrize("x", corpus() + list(CATALOG_CORPUS.values()),
+                             ids=lambda x: x.name[:20])
+    def test_corpus(self, x):
+        self.check_order_and_table(x)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_face_closed_subsets_of_grids(self, data):
+        x = grid(data.draw(st.integers(1, 4), label="m"), data.draw(st.integers(1, 4), label="n"))
+        picked = data.draw(st.lists(st.sampled_from(x.all_cells()), min_size=1, max_size=8),
+                           label="cells")
+        y, _ = dh.sub(x, dh.SubsetSpec(x, dh.face_closure(x, picked)))
+        self.check_order_and_table(y)
+
+    def test_a_cycle_has_no_order(self):
+        loop = PrecubicalSet("loop", [["0", "1"], ["a", "b"]],
+                             {"a": (["0"], ["1"]), "b": (["1"], ["0"])})
+        assert loop.topological_order() is None is sorted_list_order(loop)
+        with pytest.raises(DirectedCycleError, match="^loop: .* acyclic vertex-edge digraph"):
+            cc._corner_table(loop)
+
+    def test_a_square_that_ends_before_it_starts(self):
+        """The path u -> v -> w -> z with a square s whose faces break the
+        cubical identities: its initial corner, the source w of its first
+        lower face, comes after its final corner, the target v of its first
+        upper face.  The edges alone have an order; the catalog refuses s."""
+        x = PrecubicalSet("bent", [["u", "v", "w", "z"], ["f", "g", "h"], ["s"]],
+                          {"f": (["u"], ["v"]), "g": (["v"], ["w"]), "h": (["w"], ["z"]),
+                           "s": (["h", "g"], ["f", "g"])})
+        assert {v.kind for v in x.validate()} == {"identity"}
+        assert x.topological_order() == ["u", "v", "w", "z"]
+        with pytest.raises(DirectedCycleError,
+                           match="^bent: .* start before it ends, but 's' goes from 'w' to 'v'$"):
+            chain_catalog(x)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.lists(st.sampled_from([f"b{k}.*" for k in range(1, 5)]), min_size=4, max_size=4))
+    def test_any_square_on_a_path_is_enumerated_or_refused_by_name(self, faces):
+        """A square with any four edges of a path of four edges for faces:
+        the catalog is the reference one when the square starts before it
+        ends in the vertex order, and otherwise DirectedCycleError names it."""
+        path = realization([1] * 4)
+        x = PrecubicalSet("bent", [*path.cells, ["s"]],
+                          {**path.faces, "s": (faces[:2], faces[2:])})
+        at = {v: k for k, v in enumerate(x.topological_order())}
+        if at[x.initial_vertex("s")] < at[x.final_vertex("s")]:
+            assert chain_catalog(x) == reference_chain_catalog(x)
+        else:
+            with pytest.raises(DirectedCycleError, match="but 's' goes from"):
+                chain_catalog(x)
 
 
 class TestCubeChainContract:

@@ -23,8 +23,10 @@ from dirhom.scalars import extend_subcomplex, path_algebra
 from conftest import make_domino
 from oracles import (
     image_basis, induced_on_quotient, inclusion_matrix, projection, quotient_map,
+    sub_of_sub_reports,
 )
 from test_cli_reference import make_grid3, make_strip4, split_top_cell
+from test_shared_components import make_strip
 
 
 @pytest.fixture(scope="module")
@@ -707,20 +709,62 @@ class TestMayerVietoris:
                          "_LeftQuotient": 1, "SubcomplexExtension": 5}
 
     def test_domino_enumerates_each_set_once(self, domino, monkeypatch):
-        # X, the parts X1 and X2, and X1^X2 inside each part
+        # X, the parts X1 and X2, and X1^X2, one sub-set of X for both parts
         monkeypatch.setattr(cubechain, "_catalog_cache", {})
         s1 = SubsetSpec(domino, dh.face_closure(domino, ["s1"]))
         s2 = SubsetSpec(domino, dh.face_closure(domino, ["s2"]))
         assert mayer_vietoris(domino, s1, s2).sequence.all_exact
         names = Counter(hit["ref"].name for hit in cubechain._catalog_cache.values())
-        assert names == {"domino": 1, "domino|sub": 2, "domino|sub|sub": 2}
+        assert names == {"domino": 1, "domino|sub": 3}
+
+
+class TestEntryPoints:
+    """The four entry points take their selections through one check, and
+    a cover builds X1^X2 once."""
+
+    @pytest.mark.parametrize("bad", ["not face-closed", "another set's"])
+    def test_a_bad_selection_raises_one_error_everywhere(self, D2, bad):
+        spec = (SubsetSpec(D2, frozenset(["aa"])) if bad == "not face-closed"
+                else SubsetSpec(dh.directed_disc(2), frozenset(["00"])))
+        whole = SubsetSpec(D2, frozenset(D2.all_cells()))
+        calls = [lambda: check_relative_pair(D2, spec), lambda: les_relative(D2, spec),
+                 lambda: good_cover_check(D2, spec, whole),
+                 lambda: mayer_vietoris(D2, whole, spec)]
+        messages = set()
+        for call in calls:
+            with pytest.raises(SequenceError) as info:
+                call()
+            messages.add(str(info.value))
+        assert len(messages) == 1
+
+    def test_a_non_cover_is_refused_before_any_build(self, domino, monkeypatch):
+        calls = count_builds(monkeypatch)
+        s1 = SubsetSpec(domino, dh.face_closure(domino, ["s1"]))
+        with pytest.raises(SequenceError, match="^the two parts do not cover X$"):
+            mayer_vietoris(domino, s1, s1)
+        assert not calls
+        # the good-cover check still reports it as data
+        assert not good_cover_check(domino, s1, s1).covers and calls["build"] == 1
+
+    @pytest.mark.parametrize("field", [QQ, PrimeField(7)], ids=["Q", "F7"])
+    @pytest.mark.parametrize("name", ["domino", "strip4", "strip6", "grid3", "S2/0aa"])
+    def test_cover_reports_are_those_of_the_sub_of_sub_path(self, name, field):
+        dom, sphere = make_domino(), dh.directed_sphere(2)
+        x, y1, y2 = {
+            "domino": lambda: (dom, dh.face_closure(dom, ["s1"]), dh.face_closure(dom, ["s2"])),
+            "strip4": lambda: make_strip(4), "strip6": lambda: make_strip(6),
+            "grid3": make_grid3, "S2/0aa": lambda: (sphere, *split_top_cell(sphere, "0aa"))}[name]()
+        s1, s2 = (SubsetSpec(x, frozenset(y)) for y in (y1, y2))
+        reports = good_cover_check(x, s1, s2, field).pair_reports
+        assert reports == sub_of_sub_reports(x, s1, s2, field)
+        assert all(r.accepted for r in reports.values())
 
 
 @pytest.mark.parametrize("case", ["les D3,S2", "mv domino"])
 def test_each_path_algebra_is_built_once(case, monkeypatch):
     """A sequence builds the path algebra of each set it checks once: X and
-    Y for the relative sequence; X, both parts and the meet inside each
-    part for Mayer-Vietoris."""
+    Y for the relative sequence; X, both parts and their meet for
+    Mayer-Vietoris."""
     import dirhom.scalars as sc
     built, kept = Counter(), []     # kept alive, so no two sets share an id
     init = sc.PathAlgebraIndex.__init__
@@ -739,7 +783,7 @@ def test_each_path_algebra_is_built_once(case, monkeypatch):
         domino = make_domino()
         res = mayer_vietoris(domino, *(SubsetSpec(domino, dh.face_closure(domino, [c]))
                                        for c in ("s1", "s2")))
-        names = {"domino": 1, "domino|sub": 2, "domino|sub|sub": 2}
+        names = {"domino": 1, "domino|sub": 3}
     assert res.sequence.all_exact
     assert set(built.values()) == {1}
     assert Counter(name for _, name in built) == names

@@ -154,16 +154,16 @@ class PrecubicalSet:
     # -- the vertex-edge digraph ------------------------------------------
 
     def out_edges(self) -> dict[str, list[str]]:
-        return self._edges_at(self.edge_source)
+        return self._edges_at(0)
 
     def in_edges(self) -> dict[str, list[str]]:
-        return self._edges_at(self.edge_target)
+        return self._edges_at(1)
 
-    def _edges_at(self, end) -> dict[str, list[str]]:
-        """The sorted edges at each vertex v with ``end(edge) == v``."""
+    def _edges_at(self, eps: int) -> dict[str, list[str]]:
+        """The sorted edges at each vertex v with ``d_1^eps(edge) == v``."""
         at: dict[str, list[str]] = {v: [] for v in self.vertices}
         for e in sorted(self.edges):
-            at[end(e)].append(e)
+            at[self.faces[e][eps][0]].append(e)
         return at
 
     def topological_order(self) -> list[str] | None:
@@ -179,7 +179,7 @@ class PrecubicalSet:
             v = heapq.heappop(ready)
             order.append(v)
             for e in out[v]:
-                w = self.edge_target(e)
+                w = self.faces[e][1][0]
                 into[w] -= 1
                 if not into[w]:
                     heapq.heappush(ready, w)

@@ -4,7 +4,8 @@ A face-closed inclusion Y -> X is accepted as a relative pair when
 
 1. along every maximal directed path of X, the cells lying in Y (vertices
    and edges interleaved) form one contiguous block: the path enters Y at
-   most once and exits at most once; and
+   most once and exits at most once.  One pass over the vertex order
+   decides it; its witness is the first offending maximal path; and
 2. the extension of scalars of every chain component of Y, computed from a
    presentation, has the same per-pair dimension as the span of decomposable
    chains inside C(X) (the canonical comparison map is injective).
@@ -44,7 +45,7 @@ from weakref import WeakValueDictionary
 from .exactla import ExactnessError, Matrix, QQ, SequenceError, rank, solve
 from .precubical import PcMorphism, PrecubicalSet, SubsetSpec, sub
 from .cubechain import (
-    BasisSubcomplex, DirectedCycleError, GradedComplex, PairGradedComplex, _catalog_positions,
+    BasisSubcomplex, GradedComplex, PairGradedComplex, _catalog_positions,
     build_complex, chain_catalog, max_chain_degree,
 )
 from .homology import HomologyTable, _homology_at, push_basis_map
@@ -83,32 +84,33 @@ class RelativePairReport:
         return "\n".join(lines)
 
 
-def maximal_paths(x: PrecubicalSet) -> list[list[str]]:
-    """All maximal directed paths as alternating cell sequences v0,e1,v1,..
+def _offending_path(x: PrecubicalSet, selected: frozenset[str]) -> tuple[str, ...] | None:
+    """The first maximal path of X, sources sorted and then by edge
+    sequence, along which the cells in `selected` do not form one block, or
+    None.  A walk's phase is 0 before the selection, 1 in it, 2 after it and
+    3 back in it.  One pass over the vertex order, last vertex first, records
+    per vertex and entry phase whether some walk onward reaches phase 3; the
+    witness starts at the least such source and takes at each step the least
+    out-edge that keeps the walk failing.  O(V+E); X is acyclic."""
+    step = ((0, 1), (2, 1), (2, 3), (3, 3))     # step[phase][cell in selected]
+    out, faces = x.out_edges(), x.faces
+    fails: dict[str, list[bool]] = {}
 
-    A walk over out-edges from each source (no incoming edge), sources in
-    sorted order and out-edges in id order, so each source's paths come
-    sorted by edge sequence.  It builds no cube chains.  An isolated vertex
-    yields the one-cell path [v]; a cyclic set, on which the walk would not
-    end, raises DirectedCycleError.
-    """
-    if not x.is_acyclic():
-        raise DirectedCycleError(f"{x.name}: maximal paths need an acyclic vertex-edge digraph")
-    out = x.out_edges()
-    paths: list[list[str]] = []
-    for s in x.source_vertices():
-        todo = [[s]]
-        while todo:
-            p = todo.pop()
-            if not out[p[-1]]:
-                paths.append(p)
-            todo += [p + [a, x.edge_target(a)] for a in reversed(out[p[-1]])]
-    return paths
+    def onward(q: int, a: str) -> bool:
+        return fails[faces[a][1][0]][step[q][a in selected]]
 
-
-def _one_block(flags: list[bool]) -> bool:
-    """Whether the true flags are consecutive."""
-    return "01" not in "".join("1" if f else "0" for f in flags).strip("0")
+    for v in reversed(x.topological_order()):
+        fails[v] = [(q := step[p][v in selected]) == 3 or any(onward(q, a) for a in out[v])
+                    for p in range(4)]
+    v = next((s for s in x.source_vertices() if fails[s][0]), None)
+    if v is None:
+        return None
+    path, q = [v], step[0][v in selected]
+    while (a := next((a for a in out[v] if onward(q, a)), None)) is not None:
+        v = faces[a][1][0]
+        path += [a, v]
+        q = step[step[q][a in selected]][v in selected]
+    return tuple(path)
 
 
 def _check_selection(x: PrecubicalSet, spec: SubsetSpec) -> None:
@@ -133,8 +135,7 @@ def _pair_report(span: SubcomplexExtension, y: PrecubicalSet, inc: PcMorphism,
     span's set, given the sub-set Y it selects with its inclusion into X and
     the path algebras of X and Y, which callers build once."""
     x, selected = span.ambient.x, span.y_cells
-    offending = next((tuple(p) for p in maximal_paths(x)
-                      if not _one_block([c in selected for c in p])), None)
+    offending = _offending_path(x, selected)
     top_y = max_chain_degree(y)
     failures = _extension_mismatches(
         span.ambient, inc, top_y, lambda i: present_chain_module(y, i, span.field, alg_y),

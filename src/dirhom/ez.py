@@ -70,8 +70,6 @@ class TensorComplex(GradedComplex):
                 for ca in cxa.bases[(j, sx, ex)]:
                     for cb in cxb.bases[(k, sy, ey)]:
                         rows.append((ca, cb))
-        for key in bases:
-            bases[key].sort(key=lambda t: (t[0].degree, t[0].sort_key(), t[1].sort_key()))
         self.bases = bases
         self.index = {key: {t: i for i, t in enumerate(rows)}
                       for key, rows in bases.items()}

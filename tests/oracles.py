@@ -4,15 +4,17 @@ built by it, cube splits by face lookups and the split lists made of them,
 formal sums of cube chains and their boundary, basis maps as matrices, the
 maps of precubical morphisms, on chains and on homology, with the
 naturality of the Kunneth comparison maps under them, the two Kahn passes
-that vertex orders were once made by, and a cover's relative pairs with
-X1^X2 built inside each part."""
+that vertex orders were once made by, the walk over every maximal path that
+the relative-pair criterion was once decided by, and a cover's relative
+pairs with X1^X2 built inside each part."""
 
 from __future__ import annotations
 
 from typing import Sequence
 
 from dirhom.cubechain import (
-    ChainError, CubeChain, PairGradedComplex, _basis_map, _boundary_column, _field_splits,
+    ChainError, CubeChain, DirectedCycleError, PairGradedComplex, _basis_map, _boundary_column,
+    _field_splits,
 )
 from dirhom.exactla import (
     QQ, FieldError, Matrix, Subspace, _chain_map_witness, _echelon, _modulus, _mul, _neg,
@@ -383,7 +385,42 @@ def corner_kahn_table(x: PrecubicalSet):
     return None if len(order) < len(into) else (starting, order)
 
 
-# -- relative pairs of a cover ----------------------------------------------------------
+# -- relative pairs ---------------------------------------------------------------------
+
+
+def maximal_paths(x: PrecubicalSet) -> list[list[str]]:
+    """All maximal directed paths as alternating cell sequences v0,e1,v1,..
+
+    A walk over out-edges from each source (no incoming edge), sources in
+    sorted order and out-edges in id order, so each source's paths come
+    sorted by edge sequence.  It builds no cube chains.  An isolated vertex
+    yields the one-cell path [v]; a cyclic set, on which the walk would not
+    end, raises DirectedCycleError.
+    """
+    if not x.is_acyclic():
+        raise DirectedCycleError(f"{x.name}: maximal paths need an acyclic vertex-edge digraph")
+    out = x.out_edges()
+    paths: list[list[str]] = []
+    for s in x.source_vertices():
+        todo = [[s]]
+        while todo:
+            p = todo.pop()
+            if not out[p[-1]]:
+                paths.append(p)
+            todo += [p + [a, x.edge_target(a)] for a in reversed(out[p[-1]])]
+    return paths
+
+
+def one_block(flags: list[bool]) -> bool:
+    """Whether the true flags are consecutive."""
+    return "01" not in "".join("1" if f else "0" for f in flags).strip("0")
+
+
+def first_offending_path(x: PrecubicalSet, selected) -> tuple[str, ...] | None:
+    """The first of `maximal_paths(x)` along which the cells in `selected`
+    do not form one block, or None."""
+    return next((tuple(p) for p in maximal_paths(x)
+                 if not one_block([c in selected for c in p])), None)
 
 
 def sub_of_sub_reports(x: PrecubicalSet, s1: SubsetSpec, s2: SubsetSpec,

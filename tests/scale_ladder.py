@@ -9,14 +9,18 @@ A rung is one set (`RUNGS`) or one call (`CALLS`) over one field.  Its
 process times a fixed calibration (an elimination over `Fraction`, the kind
 of work dirhom does).  A set rung then builds the complex and the homology
 table with the collector on, and reports the wall time of each, its own
-peak RSS and the chain and component counts.  A call rung builds its inputs,
+peak RSS, the chain and component counts, and a digest of its answer: the
+sha256 of the sorted nonzero (degree, src, dst, dim) homology entries.  A call rung builds its inputs,
 then runs the call end to end, asserts that what it verifies holds, and
 reports the call's wall time and its own peak RSS.  A rung that runs out of
 time is recorded as a timeout, and one that fails with the last line of its
 error.  With several ``--checkout``s every rung runs on
 each in turn, so runs on two checkouts alternate and share the host's
 drift; each record names the commit its sources are at (``git describe
---always --dirty``).  The file also records the host and the Python version.
+--always --dirty``).  The file also records the host, the Python version and
+``digest_mismatches``: each (set, field) whose finished records disagree on
+the digest across checkouts or rounds, so a change that alters an answer at
+scale shows there.
 pytest does not collect this file; `test_scale_ladder.py` checks the schema
 and runs the two smallest set rungs and the smallest relative rung.
 """
@@ -24,6 +28,7 @@ and runs the two smallest set rungs and the smallest relative rung.
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import os
 import platform
@@ -35,7 +40,7 @@ from pathlib import Path
 from time import perf_counter
 
 ROOT = Path(__file__).resolve().parents[1]
-SCHEMA = 1
+SCHEMA = 2
 FIELDS = ("q", "fp:1009")
 # name -> the set, built from the `dirhom` package, which the rung's process imports
 RUNGS = {
@@ -111,7 +116,8 @@ CALLS = {
     "kunneth(D4,D3)": lambda dh, field: _kunneth(dh, 4, 3, field),
 }
 RECORD_KEYS = {"set", "field", "commit", "round", "status"}
-DONE_KEYS = {"chains", "components", "calib_s", "build_s", "table_s", "total_s", "peak_rss_mb"}
+DONE_KEYS = {"chains", "components", "digest", "calib_s", "build_s", "table_s", "total_s",
+             "peak_rss_mb"}
 CALL_DONE_KEYS = {"calib_s", "total_s", "peak_rss_mb"}
 
 
@@ -140,6 +146,13 @@ def calibrate() -> float:
     return best
 
 
+def digest(table) -> str:
+    """The sha256 of a homology table's sorted nonzero (degree, src, dst,
+    dim) entries, written as JSON."""
+    rows = sorted((i, s, e, h.dim) for (i, s, e), h in table.entries.items() if h.dim)
+    return hashlib.sha256(json.dumps(rows).encode()).hexdigest()
+
+
 def run_rung(name: str, field_name: str) -> dict:
     """One rung in this process: the measurements of a finished record."""
     import dirhom as dh
@@ -163,8 +176,8 @@ def run_rung(name: str, field_name: str) -> dict:
     table = HomologyTable(cx, x)
     t2 = perf_counter()
     return {"chains": sum(cx.dim(*k) for k in cx.components_with_chains),
-            "components": len(table.entries), "calib_s": calib, "build_s": t1 - t0,
-            "table_s": t2 - t1, "total_s": t2 - t0,
+            "components": len(table.entries), "digest": digest(table), "calib_s": calib,
+            "build_s": t1 - t0, "table_s": t2 - t1, "total_s": t2 - t0,
             "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024}
 
 
@@ -210,7 +223,17 @@ def ladder(rungs, fields, checkouts, rounds: int, timeout: float) -> dict:
     return {"schema": SCHEMA,
             "host": {"machine": platform.machine(), "cpus": os.cpu_count(),
                      "system": platform.system(), "release": platform.release()},
-            "python": platform.python_version(), "timeout_s": timeout, "records": records}
+            "python": platform.python_version(), "timeout_s": timeout, "records": records,
+            "digest_mismatches": digest_mismatches(records)}
+
+
+def digest_mismatches(records) -> list[list[str]]:
+    """The sorted [set, field] whose "ok" records do not all have one digest."""
+    seen: dict[tuple[str, str], set[str]] = {}
+    for rec in records:
+        if rec["status"] == "ok" and "digest" in rec:
+            seen.setdefault((rec["set"], rec["field"]), set()).add(rec["digest"])
+    return sorted([*key] for key, digests in seen.items() if len(digests) > 1)
 
 
 def check(doc: dict) -> None:

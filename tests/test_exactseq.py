@@ -1,4 +1,6 @@
+import random
 import re
+import time
 from collections import Counter
 
 import pytest
@@ -11,21 +13,22 @@ from dirhom.cubechain import (
 )
 from dirhom.exactla import Matrix, PrimeField, QQ, rank, solve
 from dirhom.exactseq import (
-    ExactnessError, QuotientComplex, SequenceError, ShortExactData, check_relative_pair,
-    connecting_map, good_cover_check, les_relative, maximal_paths, mayer_vietoris,
+    ExactnessError, QuotientComplex, SequenceError, SequenceNode, ShortExactData,
+    check_relative_pair, connecting_map, good_cover_check, les_relative, mayer_vietoris,
     relative_complex, verify_exact, _check_cover, _Cover, _excision_map, _LeftQuotient,
-    _Quotient, _span_positions,
+    _offending_path, _Quotient, _span_positions,
 )
 from dirhom.homology import _homology_at, homology_of, push_basis_map
 from dirhom.precubical import SubsetSpec, sub
 from dirhom.scalars import extend_subcomplex, path_algebra
 
-from conftest import make_domino
+from conftest import corpus, make_domino
 from oracles import (
-    image_basis, induced_on_quotient, inclusion_matrix, projection, quotient_map,
-    sub_of_sub_reports,
+    first_offending_path, image_basis, induced_on_quotient, inclusion_matrix, maximal_paths,
+    one_block, projection, quotient_map, sub_of_sub_reports,
 )
 from test_cli_reference import make_grid3, make_strip4, split_top_cell
+from test_cubechain import grid
 from test_shared_components import make_strip
 
 
@@ -88,6 +91,46 @@ class TestMaximalPaths:
         for paths in (maximal_paths, path_algebra):
             with pytest.raises(DirectedCycleError):
                 paths(x)
+
+
+class TestOffendingPath:
+    """`_offending_path` decides the path criterion in one pass over the
+    vertex order, and returns the first offending path of the walk over
+    every maximal path (`oracles.maximal_paths`)."""
+
+    @pytest.mark.parametrize("x", corpus(), ids=lambda x: x.name[:20])
+    def test_random_selections_of_the_corpus(self, x):
+        rng = random.Random(x.name)
+        cells = x.all_cells()
+        selections = [frozenset(), frozenset(cells)] + [
+            dh.face_closure(x, rng.sample(cells, rng.randint(1, len(cells)))) for _ in range(40)]
+        for sel in selections:
+            assert _offending_path(x, sel) == first_offending_path(x, sel)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_selections_of_grids_and_realizations(self, data):
+        if data.draw(st.booleans(), label="grid"):
+            x = grid(data.draw(st.integers(1, 4), label="m"),
+                     data.draw(st.integers(1, 4), label="n"))
+        else:
+            x = dh.realization(data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=3),
+                                         label="cubes"))
+        picked = data.draw(st.lists(st.sampled_from(x.all_cells()), max_size=8), label="cells")
+        sel = dh.face_closure(x, picked)
+        assert _offending_path(x, sel) == first_offending_path(x, sel)
+
+    def test_a_12x12_grid_is_decided_without_its_paths(self):
+        # about 2.7 million maximal paths, which the walk would enumerate
+        x = grid(12, 12)
+        sel = dh.face_closure(x, ["(b3.1,b3.1)", "(b9.1,b9.1)"])
+        start = time.perf_counter()
+        path = _offending_path(x, sel)
+        assert time.perf_counter() - start < 1
+        assert path[0] in x.source_vertices() and path[-1] in x.sink_vertices()
+        for k in range(1, len(path), 2):
+            assert (x.edge_source(path[k]), x.edge_target(path[k])) == (path[k - 1], path[k + 1])
+        assert not one_block([c in sel for c in path])
 
 
 class TestCheckRelativePair:
@@ -581,6 +624,14 @@ class TestVerifyExact:
         assert not rep.exact
         bad = [n.label for n in rep.nodes if not n.exact]
         assert bad == ["V1", "V2"]
+
+    def test_unframed_last_node_judged_against_the_zero_map_out(self):
+        # V0 -> V1 by the zero map, with no zero space after V1: the implicit
+        # zero map out of V1 has kernel 1, and the incoming rank is 0
+        rep = verify_exact(("p",), [Matrix.zeros(QQ, 1, 1)])
+        assert rep.nodes == [SequenceNode("V0", 1, 0, 1, False),
+                             SequenceNode("V1", 1, 0, 1, False)]
+        assert not rep.exact
 
     def test_shape_mismatch(self):
         with pytest.raises(SequenceError):

@@ -14,6 +14,7 @@ from dirhom.ez import (
     tensor_comparison_report, zero_chain_count_report,
 )
 
+from conftest import corpus
 from oracles import (
     action_matrix, comparison_naturality_check, empty_chain, interleaving_matrix, make_chain,
     separating_matrix,
@@ -28,6 +29,19 @@ def kk(K):
 @pytest.fixture(scope="module")
 def ss(S1):
     return TensorSetting.build(S1, S1)
+
+
+SMALL_CORPUS = [x for x in corpus() if len(x.all_cells()) <= 15]
+
+
+def assert_pure_tensors_in_order(x, y):
+    """Each component's pure tensors come in (X-degree, X chain, Y chain)
+    order as built: the factors' components are visited by ascending
+    X-degree, each is in canonical order, and pair_id is injective."""
+    tc = TensorComplex(tensor(x, y), build_complex(x), build_complex(y))
+    for rows in tc.bases.values():
+        assert rows == sorted(rows, key=lambda t: (t[0].degree, t[0].sort_key(),
+                                                   t[1].sort_key()))
 
 
 class TestTensorComplex:
@@ -53,6 +67,11 @@ class TestTensorComplex:
 
     def test_koszul_boundary_square(self, ss):
         ss.tc.check_boundary_square()
+
+    @pytest.mark.parametrize("x", SMALL_CORPUS, ids=lambda x: x.name)
+    def test_pure_tensors_come_in_order_with_no_sort(self, x):
+        for y in SMALL_CORPUS:
+            assert_pure_tensors_in_order(x, y)
 
 
 class TestSplitMaps:
@@ -427,6 +446,12 @@ realization_sequences = strategies.lists(strategies.integers(1, 2), min_size=1,
 @given(realization_sequences, realization_sequences)
 def test_comparison_holds_on_products_of_realizations(a, b):
     assert_comparison_and_kunneth_hold(dh.realization(a), dh.realization(b))
+
+
+@settings(max_examples=20, deadline=None)
+@given(realization_sequences, realization_sequences)
+def test_pure_tensors_of_realizations_come_in_order(a, b):
+    assert_pure_tensors_in_order(dh.realization(a), dh.realization(b))
 
 
 class TestNaturality:

@@ -689,6 +689,23 @@ def test_corrupted_prepend_map_names_edge_degree_pair_and_chain(D3, monkeypatch)
                               f"{(s, e)}: witness {cx.bases[(1, s, e)][0]!r}")
 
 
+def test_corrupted_append_map_names_edge_degree_pair_and_chain(D3, monkeypatch):
+    cx = build_complex(D3)
+    a, s, e = next((a, s, e) for (i, s, e) in sorted(cx.bases) if i == 1
+                   for a in D3.edges if D3.edge_source(a) == e)
+    real = PairGradedComplex.right_action_targets
+
+    def corrupted(cx_, a_, i, pair):
+        targets = real(cx_, a_, i, pair)    # the zero map sends every chain nowhere
+        return [None] * len(targets) if (a_, i, pair) == (a, 1, (s, e)) else targets
+
+    monkeypatch.setattr(PairGradedComplex, "right_action_targets", corrupted)
+    with pytest.raises(ActionError) as err:
+        HomologyTable(cx, D3)
+    assert str(err.value) == (f"append by {a!r} is not a chain map at degree 1, pair "
+                              f"{(s, e)}: witness {cx.bases[(1, s, e)][0]!r}")
+
+
 def test_corrupted_morphism_map_names_degree_pair_and_chain(D2, cxd2, monkeypatch):
     real = oracles._basis_map
 

@@ -7,7 +7,6 @@ from hypothesis import example, given, settings, strategies as st
 import dirhom as dh
 from dirhom.cubechain import build_complex
 from dirhom.exactla import FieldError, PrimeField, QQ, Residue, Subspace
-from dirhom.exactseq import maximal_paths
 from dirhom.homology import HomologyTable
 from dirhom.precubical import PrecubicalSet, SubsetSpec, sub, tensor
 from dirhom import scalars
@@ -19,7 +18,7 @@ from dirhom.scalars import (
 )
 
 from conftest import corpus, make_domino
-from oracles import pair_basis, pivots, quotient_map
+from oracles import maximal_paths, pair_basis, pivots, quotient_map
 
 FIELDS = [QQ, PrimeField(7), PrimeField(1009)]
 

@@ -1,6 +1,6 @@
 """The scale ladder script (`scale_ladder.py`): its schema, its two
-smallest set rungs and its smallest relative rung, and a timeout recorded
-as data."""
+smallest set rungs and its smallest relative rung, a timeout recorded as
+data, and the digests of a set rung's answer."""
 
 import json
 
@@ -23,6 +23,19 @@ def test_two_smallest_rungs_write_a_checked_document(tmp_path):
     # the same set has the same chains over both fields; D6 has 18,731
     assert recs[1]["chains"] == recs[3]["chains"] == 18731
     assert recs[0]["chains"] == recs[2]["chains"] and recs[0]["components"] == 124
+
+
+def test_two_rounds_agree_on_the_digest_and_a_doctored_one_is_flagged(tmp_path):
+    out = tmp_path / "ladder.json"
+    assert scale_ladder.main(["--out", str(out), "--rungs", "D4", "--fields", "q",
+                              "--rounds", "2", "--timeout", "120"]) == 0
+    doc = json.loads(out.read_text())
+    scale_ladder.check(doc)
+    first, second = doc["records"]
+    assert first["digest"] == second["digest"] and len(first["digest"]) == 64
+    assert doc["digest_mismatches"] == []
+    second["digest"] = "0" * 64
+    assert scale_ladder.digest_mismatches(doc["records"]) == [["D4", "q"]]
 
 
 def test_relative_rung_writes_a_checked_document(tmp_path):
